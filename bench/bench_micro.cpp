@@ -252,51 +252,6 @@ BENCHMARK_CAPTURE(bm_explore_prunable, pruned, true)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
-// Multi-start saturation: with fewer runnable scalings than workers,
-// K independent per-scaling starts (deterministic best-of-K fold) use
-// the idle threads, so quadrupling the search effort costs far less
-// than 4x wall-clock.
-void bm_explore_multi_start(benchmark::State& state) {
-    // Few gate-passing scalings, so single-start leaves workers idle.
-    const Problem problem = prunable_pipeline_problem(3);
-    ExploreOptions options;
-    options.dse.search.max_iterations = 2'000;
-    options.dse.num_threads = 8;
-    options.dse.multi_start = static_cast<std::size_t>(state.range(0));
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(explore(problem, options));
-    }
-}
-BENCHMARK(bm_explore_multi_start)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
-
-// The saturation curve behind the multi-start payoff property test
-// (tests/core/dse_multi_start_test.cpp): K = 1/2/4/8 independent
-// starts per scaling at a fixed 8 workers. Until K x runnable
-// scalings saturates the pool, extra starts ride on idle threads —
-// the wall-clock curve bends well below linear in K.
-void bm_multi_start_saturation(benchmark::State& state) {
-    const Problem problem = prunable_pipeline_problem(3);
-    ExploreOptions options;
-    options.dse.search.max_iterations = 1'000;
-    options.dse.num_threads = 8;
-    options.dse.multi_start = static_cast<std::size_t>(state.range(0));
-    DseResult last;
-    for (auto _ : state) {
-        last = explore(problem, options);
-        benchmark::DoNotOptimize(last);
-    }
-    state.counters["feasible"] = static_cast<double>(last.feasible_points.size());
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(last.scalings_searched) *
-                            state.range(0));
-}
-BENCHMARK(bm_multi_start_saturation)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
 // The giant-instance tentpole point: lazy bound-sorted enumeration on
 // the committed 20349-slot acceptance scenario (see
 // scale_acceptance_problem and tests/integration/dse_scale_test.cpp,
@@ -377,31 +332,10 @@ void bm_fault_injection_trial(benchmark::State& state) {
 }
 BENCHMARK(bm_fault_injection_trial)->Arg(11)->Arg(100);
 
-// Campaign throughput, the BENCH_8 perf-trajectory point: injections/s
-// of the serial single-loop FaultInjector::run_campaign vs the sharded
-// CampaignEngine (register-file site only, so both run the identical
-// per-trial draw sequence). The sharded engine dispatches shards over
-// all hardware threads; on a 1-core machine the two measure the same
-// per-trial cost and the comparison degenerates to the engine's
-// dispatch overhead (the documented 1-core fallback).
+// Campaign throughput: trials/s of the sharded CampaignEngine on the
+// register-file site, dispatched over all hardware threads. The work
+// runs off the main thread, so the rate is taken from wall-clock time.
 constexpr std::uint64_t k_campaign_bench_trials = 2'000;
-
-void bm_campaign_serial(benchmark::State& state) {
-    const TaskGraph graph = benchmark_graph(state.range(0));
-    const MpsocArchitecture arch(4, VoltageScalingTable::arm7_three_level());
-    const Mapping mapping = round_robin_mapping(graph, 4);
-    const ScalingVector levels = {2, 2, 2, 2};
-    const Schedule schedule = ListScheduler{}.schedule(graph, mapping, arch, levels);
-    const FaultInjector injector(SerModel{}, SimExposurePolicy::full_duration);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(injector.run_campaign(graph, mapping, arch, levels,
-                                                       schedule, k_campaign_bench_trials,
-                                                       7));
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(k_campaign_bench_trials));
-}
-BENCHMARK(bm_campaign_serial)->Arg(11)->Arg(100)->Unit(benchmark::kMillisecond);
 
 void bm_campaign_sharded(benchmark::State& state) {
     const TaskGraph graph = benchmark_graph(state.range(0));
@@ -414,10 +348,7 @@ void bm_campaign_sharded(benchmark::State& state) {
     config.shard_size = 128;
     config.num_threads = 0; // hardware
     config.seed = 7;
-    // Register-file site only: the identical draw sequence the serial
-    // campaign runs, so items/s compare like for like.
-    config.weights.pipeline = 0.0;
-    config.weights.memory = 0.0;
+    config.weights = FaultSiteWeights::register_file_only();
     const CampaignEngine engine(SerModel{}, config);
     for (auto _ : state) {
         benchmark::DoNotOptimize(engine.run(graph, mapping, arch, levels, schedule));
@@ -425,7 +356,11 @@ void bm_campaign_sharded(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(k_campaign_bench_trials));
 }
-BENCHMARK(bm_campaign_sharded)->Arg(11)->Arg(100)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_campaign_sharded)
+    ->Arg(11)
+    ->Arg(100)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 } // namespace seamap

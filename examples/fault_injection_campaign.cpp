@@ -1,12 +1,12 @@
 // Fault-injection campaign on a chosen MPEG-2 decoder design — the
 // measurement half of the paper's methodology (Section II-B): SEUs
 // arrive as a Poisson process over the live register space; the
-// campaign reports per-trial statistics, the analytic expectation they
-// fluctuate around, and where the hits land (per core and per
-// register). The design under test comes from the public API: a
-// Problem plus a registry search strategy.
+// register-file campaign reports per-trial statistics, the analytic
+// expectation they fluctuate around, and where the hits land (per core
+// and per register). The design under test comes from the public API:
+// a Problem plus a registry search strategy.
 //
-// The sharded engine (sim/campaign.h) then scales the same process to
+// The same sharded engine (sim/campaign.h) then scales the process to
 // large trial counts across differentiated fault sites (register file
 // / pipeline / memory residency) with per-task, per-core and per-site
 // attribution — and validates the analytic Γ of eq. (3) against the
@@ -74,19 +74,24 @@ int main(int argc, char** argv) {
               << ", SER 1e-9 SEU/bit/cycle at (1 V, 200 MHz)\n";
     std::cout << "trials  : " << trials << " (seed " << seed << ")\n\n";
 
-    // Aggregate campaign.
-    const FaultInjector injector(problem.ser_model(), policy);
-    const auto campaign =
-        injector.run_campaign(graph, mapping, arch, levels, schedule, trials, seed);
+    // Register-file campaign: the eq. (3) exposure alone.
+    CampaignConfig config;
+    config.trials = trials;
+    config.shard_size = 1024;
+    config.num_threads = static_cast<std::size_t>(threads);
+    config.seed = seed;
+    config.policy = policy;
+    config.weights = FaultSiteWeights::register_file_only();
+    const CampaignReport campaign = CampaignEngine(problem.ser_model(), config)
+                                        .run(graph, mapping, arch, levels, schedule);
+    const ExactMoments& seus = campaign.total_stats;
     std::cout << "analytic Gamma (eq. 3): " << fmt_sci(campaign.analytic_gamma, 4) << '\n';
-    std::cout << "measured mean         : " << fmt_sci(campaign.seu_stats.mean(), 4)
-              << " +/- " << fmt_sci(campaign.seu_stats.ci95_halfwidth(), 2)
-              << " (95% CI)\n";
-    std::cout << "measured stdev        : " << fmt_sci(campaign.seu_stats.stdev(), 4)
+    std::cout << "measured mean         : " << fmt_sci(seus.mean(), 4) << " +/- "
+              << fmt_sci(seus.ci95_halfwidth(), 2) << " (95% CI)\n";
+    std::cout << "measured stdev        : " << fmt_sci(seus.stdev(), 4)
               << "  (Poisson predicts " << fmt_sci(std::sqrt(campaign.analytic_gamma), 4)
               << ")\n";
-    std::cout << "min / max trial       : " << campaign.seu_stats.min() << " / "
-              << campaign.seu_stats.max() << "\n\n";
+    std::cout << "min / max trial       : " << seus.min() << " / " << seus.max() << "\n\n";
 
     // One located trial for the breakdown tables.
     const FaultInjector located(problem.ser_model(), policy, /*sample_locations=*/true);
@@ -117,15 +122,11 @@ int main(int argc, char** argv) {
     }
     per_reg.print_text(std::cout);
 
-    // Sharded campaign across differentiated fault sites, at 40x the
-    // serial trial count: per-site statistics plus per-task/per-core
-    // attribution, byte-identical for any thread count / shard size.
-    CampaignConfig config;
+    // All three fault sites at their default weights, at 40x the trial
+    // count: per-site statistics plus per-task/per-core attribution,
+    // byte-identical for any thread count / shard size.
     config.trials = trials * 40;
-    config.shard_size = 1024;
-    config.num_threads = static_cast<std::size_t>(threads);
-    config.seed = seed;
-    config.policy = policy;
+    config.weights = FaultSiteWeights{};
     const CampaignEngine engine(problem.ser_model(), config);
     const CampaignReport report =
         engine.run(graph, mapping, arch, levels, schedule);

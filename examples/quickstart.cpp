@@ -12,7 +12,7 @@
 
 #include "core/initial_mapping.h"
 #include "sched/gantt.h"
-#include "sim/fault_injection.h"
+#include "sim/campaign.h"
 #include "taskgraph/fig8.h"
 #include "util/strings.h"
 #include "util/table.h"
@@ -82,12 +82,16 @@ int main(int argc, char** argv) {
               << " kbit\n\n";
     write_gantt(std::cout, graph, schedule);
 
-    // 5. Measure the design with the Poisson SEU injector.
-    const FaultInjector injector(problem.ser_model(), SimExposurePolicy::full_duration);
-    const auto campaign = injector.run_campaign(graph, result.best_mapping, arch, levels,
-                                                schedule, 200, seed);
-    std::cout << "\nfault injection (200 trials): mean " << campaign.seu_stats.mean()
-              << " SEUs (+/- " << fmt_double(campaign.seu_stats.ci95_halfwidth(), 3)
+    // 5. Measure the design with a Poisson SEU fault-injection campaign
+    //    on the register file, the exposure eq. (3) models.
+    CampaignConfig config;
+    config.trials = 200;
+    config.seed = seed;
+    config.weights = FaultSiteWeights::register_file_only();
+    const CampaignReport campaign = CampaignEngine(problem.ser_model(), config)
+                                        .run(graph, result.best_mapping, arch, levels, schedule);
+    std::cout << "\nfault injection (200 trials): mean " << campaign.total_stats.mean()
+              << " SEUs (+/- " << fmt_double(campaign.total_stats.ci95_halfwidth(), 3)
               << " @95%), analytic Gamma " << campaign.analytic_gamma << '\n';
 
     // 6. The same design, machine-readable.

@@ -42,59 +42,6 @@ struct FeasibleOutcome {
     bool has_min_power = false;
 };
 
-/// Deterministic best-of-K fold over a scaling's multi-start results:
-/// feasibility first, then the search objective (fewest expected SEUs),
-/// power, completion time, and finally the mapping as a total-order
-/// tie-break. Folding in start order makes the pick a pure function of
-/// the K results. With one start this is the identity.
-bool better_start(const LocalSearchResult& a, const LocalSearchResult& b) {
-    if (a.found_feasible != b.found_feasible) return a.found_feasible;
-    if (a.found_feasible) {
-        if (!exactly_equal(a.best_metrics.gamma, b.best_metrics.gamma))
-            return a.best_metrics.gamma < b.best_metrics.gamma;
-        if (!exactly_equal(a.best_metrics.power_mw, b.best_metrics.power_mw))
-            return a.best_metrics.power_mw < b.best_metrics.power_mw;
-    }
-    if (!exactly_equal(a.best_metrics.tm_seconds, b.best_metrics.tm_seconds))
-        return a.best_metrics.tm_seconds < b.best_metrics.tm_seconds;
-    return a.best_mapping.raw() < b.best_mapping.raw();
-}
-
-const LocalSearchResult& fold_starts(const std::vector<LocalSearchResult>& starts) {
-    const LocalSearchResult* best = &starts.front();
-    for (std::size_t r = 1; r < starts.size(); ++r)
-        if (better_start(starts[r], *best)) best = &starts[r];
-    return *best;
-}
-
-/// Companion fold for the opt-in min-power side channel: among starts
-/// that tracked a feasible min-power design, the cheapest wins (power,
-/// then Gamma, then the mapping as a total-order tie-break). Returns
-/// nullptr when no start recorded one (tracking off, or nothing
-/// feasible). Same start-order purity argument as fold_starts.
-const LocalSearchResult* fold_min_power(const std::vector<LocalSearchResult>& starts) {
-    const LocalSearchResult* best = nullptr;
-    for (const LocalSearchResult& start : starts) {
-        if (!start.min_power_found) continue;
-        if (best == nullptr) {
-            best = &start;
-            continue;
-        }
-        const DesignMetrics& a = start.min_power_metrics;
-        const DesignMetrics& b = best->min_power_metrics;
-        bool cheaper = false;
-        if (!exactly_equal(a.power_mw, b.power_mw)) {
-            cheaper = a.power_mw < b.power_mw;
-        } else if (!exactly_equal(a.gamma, b.gamma)) {
-            cheaper = a.gamma < b.gamma;
-        } else {
-            cheaper = start.min_power_mapping.raw() < best->min_power_mapping.raw();
-        }
-        if (cheaper) best = &start;
-    }
-    return best;
-}
-
 /// The paper's step-3 selection rule — minimum power, fewer expected
 /// SEUs within the relative power tie window — applied to the sorted
 /// Pareto front. On the front the rule is a pure function of the point
@@ -171,7 +118,6 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
     std::uint64_t pruned_count = 0;    ///< replay-pruned; under bb_mutex
     std::uint64_t no_design_count = 0; ///< searched, empty; under bb_mutex
 
-    const std::size_t starts = std::max<std::size_t>(1, params.multi_start);
     const double tie = std::max(0.0, params.power_tie_tolerance);
 
     // Observer state: callbacks are serialized behind one mutex. The
@@ -230,14 +176,14 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
         /// Freed as soon as the replay decides the slot, so only a
         /// window of case lists is ever alive.
         std::vector<ScalingBounds> cases;
-        std::vector<LocalSearchResult> start_results;
-        std::vector<unsigned char> start_ran; ///< 1 = searched or prune-skipped
+        LocalSearchResult search;
         /// Resume: the checkpointed replay decision for this slot.
         const DseSlotRecord* record = nullptr;
         bool disposed = false; ///< dropped at pop time (lagged front)
         bool runtime_pruned = false;
         bool completed = false;
-        std::size_t starts_done = 0;
+        /// Searched or prune-skipped to the end (false: a stop cut it).
+        bool ran = false;
         /// The replay's verdict, kept on the slot so the lagged
         /// disposal front can be advanced without a dense outcome
         /// array: set iff the replay decided this slot feasible.
@@ -250,7 +196,7 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
     std::condition_variable replay_cv; ///< signals `replayed` advances
     // The incremental sequential replay: decides slots[0..replayed) in
     // pop order exactly as the end-of-run merge used to, maintaining
-    // the front of surviving folded designs. Workers consult it for
+    // the front of surviving designs. Workers consult it for
     // opportunistic pruning (their view is a prefix of what the full
     // replay will know, so worker pruning stays a subset of replay
     // pruning) and the checkpoint records are its decisions verbatim.
@@ -323,10 +269,6 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
                 }
                 }
             } else {
-                const bool fully_ran =
-                    !slot.start_ran.empty() &&
-                    std::all_of(slot.start_ran.begin(), slot.start_ran.end(),
-                                [](unsigned char ran) { return ran == 1; });
                 DseSlotRecord record;
                 record.combo = slot.rank;
                 bool recordable = false;
@@ -338,7 +280,7 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
                     ++pruned_count;
                     record.kind = DseSlotRecord::Kind::pruned;
                     recordable = true;
-                } else if (!fully_ran) {
+                } else if (!slot.ran) {
                     // Stop cut this slot: stays not_run.
                     recording_stopped = true;
                 } else if (slot.runtime_pruned) {
@@ -347,28 +289,27 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
                     bounds_unsound = true;
                     recording_stopped = true;
                 } else {
-                    const LocalSearchResult& folded = fold_starts(slot.start_results);
-                    if (folded.found_feasible) {
+                    const LocalSearchResult& search = slot.search;
+                    if (search.found_feasible) {
                         FeasibleOutcome outcome;
                         outcome.point.levels = slot.levels;
-                        outcome.point.mapping = folded.best_mapping;
-                        outcome.point.metrics = folded.best_metrics;
+                        outcome.point.mapping = search.best_mapping;
+                        outcome.point.metrics = search.best_metrics;
                         record.kind = DseSlotRecord::Kind::feasible;
                         record.point = outcome.point;
-                        if (const LocalSearchResult* cheapest =
-                                fold_min_power(slot.start_results)) {
+                        if (search.min_power_found) {
                             outcome.min_power_point.levels = slot.levels;
-                            outcome.min_power_point.mapping = cheapest->min_power_mapping;
-                            outcome.min_power_point.metrics = cheapest->min_power_metrics;
+                            outcome.min_power_point.mapping = search.min_power_mapping;
+                            outcome.min_power_point.metrics = search.min_power_metrics;
                             outcome.has_min_power = true;
                             record.min_power_point = outcome.min_power_point;
                             record.has_min_power = true;
                         }
                         slot.replay_feasible = true;
-                        slot.replay_power = folded.best_metrics.power_mw;
-                        slot.replay_gamma = folded.best_metrics.gamma;
-                        replay_front.insert(folded.best_metrics.power_mw,
-                                            folded.best_metrics.gamma);
+                        slot.replay_power = search.best_metrics.power_mw;
+                        slot.replay_gamma = search.best_metrics.gamma;
+                        replay_front.insert(search.best_metrics.power_mw,
+                                            search.best_metrics.gamma);
                         feasible_outcomes.emplace(slot.rank, std::move(outcome));
                     } else {
                         ++no_design_count;
@@ -380,9 +321,9 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
                     checkpoint->record(record);
             }
             // The replay is this slot's last reader: drop the bound
-            // cases and search results, keep the cheap outcome.
+            // cases and search result, keep the cheap outcome.
             slot.cases = {};
-            slot.start_results = {};
+            slot.search = {};
             ++replayed;
         }
         if (advanced) replay_cv.notify_all();
@@ -404,25 +345,19 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
     // are stable across emplace_back, but slots::operator[] traverses
     // the deque's node map, which a concurrent emplace_back may be
     // reallocating — workers must never index the deque unlocked.
-    auto run_start = [&](SearchSlot& slot, std::size_t start_index) {
+    auto run_search = [&](SearchSlot& slot) {
         bool searched = false;
         if (!stop.stop_requested()) {
-            bool do_search = true;
             if (params.prune) {
                 std::lock_guard lock(bb_mutex);
-                if (slot.runtime_pruned) {
-                    do_search = false;
-                } else if (front_prunes(replay_front, slot.cases)) {
-                    slot.runtime_pruned = true;
-                    do_search = false;
-                }
+                slot.runtime_pruned = front_prunes(replay_front, slot.cases);
             }
-            if (do_search) {
+            if (!slot.runtime_pruned) {
                 try {
                     const ScalingVector& levels = slot.levels;
                     EvaluationContext ctx{graph, arch, levels, SeuEstimator(ser_, policy_),
                                           deadline_seconds};
-                    // The reusable per-start evaluation engine this
+                    // The reusable per-slot evaluation engine this
                     // worker's search runs on: preallocated scratch,
                     // incremental rescheduling and the memo table all
                     // live here, private to this worker, so
@@ -432,17 +367,12 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
                                           ? initial_sea_mapping(ctx)
                                           : round_robin_mapping(graph, arch.core_count());
                     // Vary the search seed per scaling so repeated
-                    // scalings do not replay the same random walk;
-                    // start 0 keeps the historic derivation so
-                    // multi_start == 1 is unchanged.
+                    // scalings do not replay the same random walk.
                     std::uint64_t level_hash = 0xcbf29ce484222325ULL;
                     for (ScalingLevel level : levels)
                         level_hash = splitmix64(level_hash ^ level);
-                    std::uint64_t seed = splitmix64(params.search.seed ^ level_hash);
-                    if (start_index > 0)
-                        seed = splitmix64(seed + 0x9e3779b97f4a7c15ULL * start_index);
-                    slot.start_results[start_index] =
-                        strategy.search(eval, initial, seed, &stop);
+                    const std::uint64_t seed = splitmix64(params.search.seed ^ level_hash);
+                    slot.search = strategy.search(eval, initial, seed, &stop);
                     searched = true;
                 } catch (...) {
                     // A throwing strategy must not strand the producer
@@ -460,32 +390,27 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
             // — the slot stays not_run and a resume re-searches it in
             // full. Prune skips carry no search data and stay valid.
             std::lock_guard lock(bb_mutex);
-            if (!searched || !stop.stop_requested()) slot.start_ran[start_index] = 1;
+            if (!searched || !stop.stop_requested()) slot.ran = true;
         }
 
-        // Completion bookkeeping: the last start of a slot decides its
-        // live outcome and extends the sequential replay.
+        // Completion bookkeeping: decide the slot's live outcome and
+        // extend the sequential replay.
         ScalingProgress::Outcome live_outcome = ScalingProgress::Outcome::pruned;
         const DsePoint* live_point = nullptr;
-        DsePoint folded_point;
+        DsePoint found_point;
         bool completed_now = false;
         {
             std::lock_guard lock(bb_mutex);
-            if (++slot.starts_done < starts) return;
             slot.completed = true;
-            const bool fully_ran =
-                std::all_of(slot.start_ran.begin(), slot.start_ran.end(),
-                            [](unsigned char ran) { return ran == 1; });
-            if (fully_ran) {
+            if (slot.ran) {
                 completed_now = true;
                 if (!slot.runtime_pruned) {
-                    const LocalSearchResult& folded = fold_starts(slot.start_results);
-                    if (folded.found_feasible) {
-                        folded_point.levels = slot.levels;
-                        folded_point.mapping = folded.best_mapping;
-                        folded_point.metrics = folded.best_metrics;
+                    if (slot.search.found_feasible) {
+                        found_point.levels = slot.levels;
+                        found_point.mapping = slot.search.best_mapping;
+                        found_point.metrics = slot.search.best_metrics;
                         live_outcome = ScalingProgress::Outcome::feasible;
-                        live_point = &folded_point;
+                        live_point = &found_point;
                     } else {
                         live_outcome = ScalingProgress::Outcome::searched_no_design;
                     }
@@ -526,7 +451,6 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
             if (bounds_model) cases = bounds_model->case_bounds_for(popped->levels);
 
             bool disposed = false;
-            bool emitted_now = false;
             std::size_t pos = 0;
             SearchSlot* slot_ptr = nullptr;
             {
@@ -539,10 +463,7 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
                 if (stop.stop_requested()) break;
                 advance_disposal_to(need);
                 if (params.prune) disposed = front_prunes(disposal_front, cases);
-                if (!disposed) {
-                    ++emitted;
-                    emitted_now = true;
-                }
+                if (!disposed) ++emitted;
                 const DseSlotRecord* record = nullptr;
                 if (records != nullptr && next_record < records->size()) {
                     record = &(*records)[next_record];
@@ -574,9 +495,6 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
                     slot.disposed = true;
                     slot.completed = true;
                     advance_replay();
-                } else {
-                    slot.start_results.resize(starts);
-                    slot.start_ran.assign(starts, 0);
                 }
             }
             if (disposed) {
@@ -584,15 +502,13 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
                 if (checkpoint != nullptr) checkpoint->maybe_flush();
                 continue;
             }
-            if (emitted_now)
-                for (std::size_t r = 0; r < starts; ++r)
-                    pool.submit(pos, [&, slot_ptr, r] { run_start(*slot_ptr, r); });
+            pool.submit(pos, [&, slot_ptr] { run_search(*slot_ptr); });
         }
         pool.wait_idle();
     }
     {
         // Quiescent now: every created slot is completed (the pool ran
-        // all submitted starts), so this sweeps the replay to the end.
+        // all submitted searches), so this sweeps the replay to the end.
         std::lock_guard lock(bb_mutex);
         advance_replay();
         if (search_error != nullptr) std::rethrow_exception(search_error);

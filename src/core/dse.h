@@ -102,14 +102,6 @@ struct DseParams {
     /// dominated entries, deterministically at every thread count.
     /// Turn off to force the exhaustive Fig. 4 sweep.
     bool prune = true;
-    /// Independent mapping searches per scaling combination (distinct
-    /// derived seeds, deterministic best-of-K fold). Values > 1 keep
-    /// the worker pool saturated when fewer runnable scalings than
-    /// threads remain, trading the idle capacity for search quality.
-    /// 0 is treated as 1. The fold keeps start 0's walk identical to
-    /// multi_start == 1, and results stay bit-identical across thread
-    /// counts for any fixed value.
-    std::size_t multi_start = 1;
 };
 
 /// Exploration outcome.

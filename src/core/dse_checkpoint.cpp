@@ -214,7 +214,10 @@ std::uint64_t dse_state_hash(const TaskGraph& graph, const MpsocArchitecture& ar
     h.mix(static_cast<std::uint64_t>(params.use_initial_sea_mapping));
     h.mix_double(params.power_tie_tolerance);
     h.mix(static_cast<std::uint64_t>(params.prune));
-    h.mix(std::max<std::size_t>(1, params.multi_start));
+    // One search per slot. The constant keeps the hash of snapshots
+    // written while the per-slot search count was still a knob (always
+    // 1 by default) unchanged, so they keep resuming.
+    h.mix(std::uint64_t{1});
     h.mix(strategy_name);
     return h.value();
 }

@@ -70,6 +70,12 @@ struct FaultSiteWeights {
     double pipeline = 0.25;
     double memory = 0.05;
 
+    /// Register file at 1.0, pipeline and memory off: each trial then
+    /// draws exactly FaultInjector::inject_profile's total on the same
+    /// stream, and the report is the plain eq. (3) fault-injection
+    /// campaign (`seamap_cli inject`).
+    static FaultSiteWeights register_file_only() { return {1.0, 0.0, 0.0}; }
+
     double of(FaultSite site) const;
 };
 

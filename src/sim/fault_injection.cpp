@@ -72,31 +72,4 @@ InjectionResult FaultInjector::inject(const TaskGraph& graph, const Mapping& map
     return inject_profile(profile, graph, arch, levels, rng);
 }
 
-CampaignSummary FaultInjector::run_campaign(const TaskGraph& graph, const Mapping& mapping,
-                                            const MpsocArchitecture& arch,
-                                            const ScalingVector& levels,
-                                            const Schedule& schedule, std::uint64_t trials,
-                                            std::uint64_t seed) const {
-    if (trials == 0) throw std::invalid_argument("FaultInjector: campaign needs >= 1 trial");
-    // Campaign-invariant state hoisted out of the trial loop: the
-    // exposure profile, the scaling validation and the per-core SER
-    // rates are all independent of the trial index.
-    const auto profile = build_exposure_profile(graph, mapping, arch, schedule, policy_);
-    const std::vector<double> rates = core_rate_table(arch, levels);
-
-    CampaignSummary summary;
-    summary.trials = trials;
-    summary.analytic_gamma = expected_seus(profile, graph, arch, levels, ser_);
-    const Rng root(seed);
-    for (std::uint64_t trial = 0; trial < trials; ++trial) {
-        // fork_at: trial streams are a pure function of (seed, trial),
-        // independent of fork call order — the same streams a sharded
-        // campaign reproduces for any shard schedule.
-        Rng stream = root.fork_at(trial);
-        const auto result = inject_profile_rates(profile, graph, arch, rates, stream);
-        summary.seu_stats.add(static_cast<double>(result.total_seus));
-    }
-    return summary;
-}
-
 } // namespace seamap

@@ -6,8 +6,9 @@
 // register) the hit count is Poisson with mean
 //     bits(register) * duration * ser_time(Vdd(core)),
 // so the expected total equals the analytic Gamma of eq. (3) exactly
-// (property-tested). Campaigns run many seeded trials and report
-// mean / stdev / 95% CI.
+// (property-tested). This is the single-trial injector; campaigns of
+// many seeded trials run on the sharded engine of sim/campaign.h, whose
+// register-file site draws exactly these per-trial totals.
 #pragma once
 
 #include "arch/mpsoc.h"
@@ -18,7 +19,6 @@
 #include "sim/exposure.h"
 #include "taskgraph/task_graph.h"
 #include "util/rng.h"
-#include "util/stats.h"
 
 #include <cstdint>
 #include <vector>
@@ -34,20 +34,6 @@ struct InjectionResult {
     /// A register duplicated on several cores accumulates hits from
     /// every physical copy.
     std::vector<std::uint64_t> per_register;
-};
-
-/// Summary of a multi-trial campaign. The promised mean / stdev /
-/// 95% CI are surfaced directly (forwarding to the underlying
-/// accumulator) so callers and JSON reports need not reach into
-/// seu_stats for the headline numbers.
-struct CampaignSummary {
-    RunningStats seu_stats;     ///< over per-trial totals
-    double analytic_gamma = 0.0;///< expected value (eq. 3 under the policy)
-    std::uint64_t trials = 0;
-
-    double mean() const { return seu_stats.mean(); }
-    double stdev() const { return seu_stats.stdev(); }
-    double ci95_halfwidth() const { return seu_stats.ci95_halfwidth(); }
 };
 
 /// Poisson SEU injector bound to an SER model and exposure policy.
@@ -84,14 +70,6 @@ public:
                                          const MpsocArchitecture& arch,
                                          const std::vector<double>& core_rates,
                                          Rng& rng) const;
-
-    /// `trials` independent trials. Trial t draws from the
-    /// order-invariant stream Rng(seed).fork_at(t); the exposure
-    /// profile and per-core rate table are built once per campaign.
-    CampaignSummary run_campaign(const TaskGraph& graph, const Mapping& mapping,
-                                 const MpsocArchitecture& arch, const ScalingVector& levels,
-                                 const Schedule& schedule, std::uint64_t trials,
-                                 std::uint64_t seed) const;
 
 private:
     SerModel ser_;

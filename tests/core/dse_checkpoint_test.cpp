@@ -280,5 +280,16 @@ TEST(DseCheckpoint, TruncatedSnapshotFallsBackToPrev) {
     remove_checkpoint(path);
 }
 
+TEST(ExploreStateHash, PinnedSoOlderSnapshotsKeepResuming) {
+    // Snapshots on disk carry this hash; any drift turns every existing
+    // snapshot into a checkpoint_mismatch. The fig8 inputs are literal
+    // constants (no derived floating point), so the value is portable.
+    // Change it only together with a deliberate break of resumability.
+    const Problem problem = make_problem(fig8_scenario());
+    EXPECT_EQ(explore_state_hash(problem, make_options(1)), 0xf8ca227447d06325ULL);
+    // Thread count is not a result input.
+    EXPECT_EQ(explore_state_hash(problem, make_options(8)), 0xf8ca227447d06325ULL);
+}
+
 } // namespace
 } // namespace seamap

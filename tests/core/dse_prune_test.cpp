@@ -165,33 +165,5 @@ TEST(DsePrune, PruningFiresOnThePrunableScenario) {
     check_prune_contract(problem, quick_options(600, 1));
 }
 
-TEST(DsePrune, MultiStartIsDeterministicAndNoWorsePerScaling) {
-    const TaskGraph graph = fig8_example_graph();
-    const Problem problem = ProblemBuilder()
-                                .graph(graph)
-                                .architecture(3, VoltageScalingTable::arm7_three_level())
-                                .deadline_seconds(0.2)
-                                .build();
-    ExploreOptions options = quick_options(500, 7);
-    options.dse.multi_start = 3;
-
-    options.dse.num_threads = 1;
-    const DseResult serial = explore(problem, options);
-    options.dse.num_threads = 8;
-    const DseResult parallel = explore(problem, options);
-    expect_result_identical(serial, parallel);
-
-    options.dse.multi_start = 1;
-    const DseResult single = explore(problem, options);
-    // Start 0 reuses the single-start walk, so the best-of-K fold can
-    // only improve each scaling's expected SEUs.
-    for (const DsePoint& folded : serial.feasible_points)
-        for (const DsePoint& alone : single.feasible_points)
-            if (folded.levels == alone.levels) {
-                EXPECT_LE(folded.metrics.gamma, alone.metrics.gamma);
-            }
-    EXPECT_GE(serial.feasible_points.size(), single.feasible_points.size());
-}
-
 } // namespace
 } // namespace seamap

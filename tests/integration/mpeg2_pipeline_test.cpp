@@ -5,7 +5,7 @@
 #include "seamap/seamap.h"
 
 #include "core/initial_mapping.h"
-#include "sim/fault_injection.h"
+#include "sim/campaign.h"
 #include "taskgraph/mpeg2.h"
 
 #include <gtest/gtest.h>
@@ -90,7 +90,7 @@ TEST(Mpeg2Pipeline, ProposedMapperBeatsParallelismBaselineOnGamma) {
 }
 
 TEST(Mpeg2Pipeline, FaultInjectionConfirmsAnalyticRanking) {
-    // Measure two designs with the Poisson injector and check the
+    // Measure two designs with the register-file campaign and check the
     // *measured* ordering matches the analytic Gamma ordering — the
     // paper's optimization-vs-measurement loop.
     const Problem problem = mpeg2_problem(4, mpeg2_deadline_seconds());
@@ -106,17 +106,20 @@ TEST(Mpeg2Pipeline, FaultInjectionConfirmsAnalyticRanking) {
     const DesignMetrics bad_metrics = evaluate_design(ctx, bad);
     ASSERT_LT(good.best_metrics.gamma, bad_metrics.gamma);
 
-    const FaultInjector injector(problem.ser_model(), SimExposurePolicy::full_duration);
+    CampaignConfig config;
+    config.trials = 60;
+    config.seed = 314;
+    config.weights = FaultSiteWeights::register_file_only();
+    const CampaignEngine engine(problem.ser_model(), config);
     const Schedule good_schedule =
         ListScheduler{}.schedule(graph, good.best_mapping, arch, levels);
     const Schedule bad_schedule = ListScheduler{}.schedule(graph, bad, arch, levels);
-    const auto good_campaign = injector.run_campaign(graph, good.best_mapping, arch, levels,
-                                                     good_schedule, 60, 314);
-    const auto bad_campaign =
-        injector.run_campaign(graph, bad, arch, levels, bad_schedule, 60, 314);
-    EXPECT_LT(good_campaign.seu_stats.mean(), bad_campaign.seu_stats.mean());
+    const CampaignReport good_campaign =
+        engine.run(graph, good.best_mapping, arch, levels, good_schedule);
+    const CampaignReport bad_campaign = engine.run(graph, bad, arch, levels, bad_schedule);
+    EXPECT_LT(good_campaign.total_stats.mean(), bad_campaign.total_stats.mean());
     // Measured means track their analytic predictions.
-    EXPECT_NEAR(good_campaign.seu_stats.mean(), good_campaign.analytic_gamma,
+    EXPECT_NEAR(good_campaign.total_stats.mean(), good_campaign.analytic_gamma,
                 5.0 * std::sqrt(good_campaign.analytic_gamma / 60.0));
 }
 

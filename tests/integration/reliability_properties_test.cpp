@@ -5,7 +5,7 @@
 #include "core/initial_mapping.h"
 #include "reliability/design_eval.h"
 #include "reliability/register_usage.h"
-#include "sim/fault_injection.h"
+#include "sim/campaign.h"
 #include "taskgraph/mpeg2.h"
 #include "tgff/random_graph.h"
 #include "util/rng.h"
@@ -43,9 +43,13 @@ TEST_P(ReliabilityProperties, AnalyticGammaEqualsInjectorExpectation) {
         const SeuEstimator estimator{SerModel{}, policy};
         const double analytic =
             estimator.estimate(graph, mapping, arch, levels, schedule).total;
-        const FaultInjector injector(SerModel{}, to_sim_policy(policy));
-        const auto campaign =
-            injector.run_campaign(graph, mapping, arch, levels, schedule, 1, seed);
+        CampaignConfig config;
+        config.trials = 1;
+        config.seed = seed;
+        config.policy = to_sim_policy(policy);
+        config.weights = FaultSiteWeights::register_file_only();
+        const CampaignReport campaign =
+            CampaignEngine(SerModel{}, config).run(graph, mapping, arch, levels, schedule);
         // The campaign's analytic reference must equal the estimator's
         // value bit-for-bit in double precision terms.
         EXPECT_NEAR(campaign.analytic_gamma, analytic, analytic * 1e-9);

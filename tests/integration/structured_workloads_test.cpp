@@ -3,7 +3,7 @@
 // designs across topology extremes, and loosening the constraint can
 // only ever help.
 #include "core/dse.h"
-#include "sim/fault_injection.h"
+#include "sim/campaign.h"
 #include "taskgraph/standard_graphs.h"
 
 #include <gtest/gtest.h>
@@ -90,11 +90,14 @@ TEST(StructuredWorkloads, InjectionTracksAnalyticOnPipelinedWorkload) {
     const ScalingVector levels = {1, 2, 2, 3};
     const Mapping mapping = round_robin_mapping(graph, 4);
     const Schedule schedule = ListScheduler{}.schedule(graph, mapping, arch, levels);
-    const FaultInjector injector(SerModel{}, SimExposurePolicy::full_duration);
-    const auto campaign =
-        injector.run_campaign(graph, mapping, arch, levels, schedule, 200, 99);
+    CampaignConfig config;
+    config.trials = 200;
+    config.seed = 99;
+    config.weights = FaultSiteWeights::register_file_only();
+    const CampaignReport campaign =
+        CampaignEngine(SerModel{}, config).run(graph, mapping, arch, levels, schedule);
     const double stderr_mean = std::sqrt(campaign.analytic_gamma / 200.0);
-    EXPECT_NEAR(campaign.seu_stats.mean(), campaign.analytic_gamma, 5.0 * stderr_mean);
+    EXPECT_NEAR(campaign.total_stats.mean(), campaign.analytic_gamma, 5.0 * stderr_mean);
 }
 
 } // namespace

@@ -1,10 +1,15 @@
 #include "sim/fault_injection.h"
 
+#include "reliability/seu_estimator.h"
+#include "sim/campaign.h"
 #include "taskgraph/fig8.h"
+#include "util/stats.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
+#include <stdexcept>
 
 namespace seamap {
 namespace {
@@ -17,6 +22,19 @@ struct Fixture {
     Schedule schedule = ListScheduler{}.schedule(graph, mapping, arch, levels);
     SerModel ser;
 };
+
+/// The register-file-only campaign (`seamap_cli inject`) on the fixture.
+CampaignReport register_file_campaign(const Fixture& f, SimExposurePolicy policy,
+                                      std::uint64_t trials, std::uint64_t seed) {
+    CampaignConfig config;
+    config.trials = trials;
+    config.shard_size = 16;
+    config.seed = seed;
+    config.policy = policy;
+    config.weights = FaultSiteWeights::register_file_only();
+    return CampaignEngine(f.ser, config)
+        .run(f.graph, f.mapping, f.arch, f.levels, f.schedule);
+}
 
 TEST(FaultInjector, DeterministicGivenSeed) {
     Fixture f;
@@ -79,93 +97,71 @@ TEST(FaultInjector, ZeroSerProducesNoSeus) {
 
 TEST(FaultInjector, CampaignMeanMatchesAnalyticGamma) {
     Fixture f;
-    const FaultInjector injector(f.ser, SimExposurePolicy::full_duration);
-    const auto summary =
-        injector.run_campaign(f.graph, f.mapping, f.arch, f.levels, f.schedule, 300, 12345);
-    ASSERT_EQ(summary.trials, 300u);
-    ASSERT_GT(summary.analytic_gamma, 10.0); // enough signal for the test
+    const CampaignReport report =
+        register_file_campaign(f, SimExposurePolicy::full_duration, 300, 12345);
+    ASSERT_EQ(report.trials, 300u);
+    ASSERT_GT(report.analytic_gamma, 10.0); // enough signal for the test
     // Poisson: stderr of the mean is sqrt(Gamma / trials).
-    const double stderr_mean = std::sqrt(summary.analytic_gamma / 300.0);
-    EXPECT_NEAR(summary.seu_stats.mean(), summary.analytic_gamma, 5.0 * stderr_mean);
+    const double stderr_mean = std::sqrt(report.analytic_gamma / 300.0);
+    EXPECT_NEAR(report.total_stats.mean(), report.analytic_gamma, 5.0 * stderr_mean);
     // Poisson variance equals the mean.
-    EXPECT_NEAR(summary.seu_stats.variance(), summary.analytic_gamma,
-                summary.analytic_gamma * 0.35);
+    EXPECT_NEAR(report.total_stats.variance(), report.analytic_gamma,
+                report.analytic_gamma * 0.35);
 }
 
 TEST(FaultInjector, CampaignMatchesAnalyticUnderBusyOnlyPolicy) {
     Fixture f;
-    const FaultInjector injector(f.ser, SimExposurePolicy::busy_only);
-    const auto summary =
-        injector.run_campaign(f.graph, f.mapping, f.arch, f.levels, f.schedule, 300, 777);
+    const CampaignReport report =
+        register_file_campaign(f, SimExposurePolicy::busy_only, 300, 777);
     const SeuEstimator estimator{f.ser, ExposurePolicy::busy_only};
     const double analytic =
         estimator.estimate(f.graph, f.mapping, f.arch, f.levels, f.schedule).total;
-    EXPECT_NEAR(summary.analytic_gamma, analytic, analytic * 1e-12);
+    EXPECT_NEAR(report.analytic_gamma, analytic, analytic * 1e-12);
     const double stderr_mean = std::sqrt(analytic / 300.0);
-    EXPECT_NEAR(summary.seu_stats.mean(), analytic, 5.0 * stderr_mean);
+    EXPECT_NEAR(report.total_stats.mean(), analytic, 5.0 * stderr_mean);
 }
 
 TEST(FaultInjector, CampaignIsDeterministicGivenSeed) {
     Fixture f;
-    const FaultInjector injector(f.ser, SimExposurePolicy::full_duration);
-    const auto a =
-        injector.run_campaign(f.graph, f.mapping, f.arch, f.levels, f.schedule, 50, 42);
-    const auto b =
-        injector.run_campaign(f.graph, f.mapping, f.arch, f.levels, f.schedule, 50, 42);
-    EXPECT_DOUBLE_EQ(a.seu_stats.mean(), b.seu_stats.mean());
-    EXPECT_DOUBLE_EQ(a.seu_stats.variance(), b.seu_stats.variance());
+    const CampaignReport a = register_file_campaign(f, SimExposurePolicy::full_duration, 50, 42);
+    const CampaignReport b = register_file_campaign(f, SimExposurePolicy::full_duration, 50, 42);
+    EXPECT_EQ(a.total_stats.sum(), b.total_stats.sum());
+    EXPECT_DOUBLE_EQ(a.total_stats.variance(), b.total_stats.variance());
 }
 
 TEST(FaultInjector, ZeroTrialCampaignThrows) {
     Fixture f;
-    const FaultInjector injector(f.ser, SimExposurePolicy::full_duration);
-    EXPECT_THROW(
-        (void)injector.run_campaign(f.graph, f.mapping, f.arch, f.levels, f.schedule, 0, 1),
-        std::invalid_argument);
-}
-
-TEST(FaultInjector, CampaignSummarySurfacesHeadlineStatistics) {
-    // The summary must expose mean / stdev / 95% CI directly; the CI
-    // half-width in particular used to be computed by the accumulator
-    // but never surfaced.
-    Fixture f;
-    const FaultInjector injector(f.ser, SimExposurePolicy::full_duration);
-    const auto summary =
-        injector.run_campaign(f.graph, f.mapping, f.arch, f.levels, f.schedule, 120, 9);
-    EXPECT_DOUBLE_EQ(summary.mean(), summary.seu_stats.mean());
-    EXPECT_DOUBLE_EQ(summary.stdev(), summary.seu_stats.stdev());
-    EXPECT_DOUBLE_EQ(summary.ci95_halfwidth(), summary.seu_stats.ci95_halfwidth());
-    EXPECT_GT(summary.ci95_halfwidth(), 0.0);
-    EXPECT_NEAR(summary.ci95_halfwidth(), 1.959964 * summary.seu_stats.stderr_mean(),
-                1e-12);
+    EXPECT_THROW((void)register_file_campaign(f, SimExposurePolicy::full_duration, 0, 1),
+                 std::invalid_argument);
 }
 
 TEST(FaultInjector, CampaignPinnedToForkAtReferenceLoop) {
-    // Pins the two refactors bit-exactly: run_campaign must equal a
-    // hand-rolled loop that (a) derives trial streams with the
-    // order-invariant fork_at and (b) goes through the public
-    // inject_profile path — so neither the rate-table hoist nor the
-    // fork migration changed a single draw.
+    // The register-file campaign must equal a hand-rolled loop that
+    // (a) derives trial streams with the order-invariant fork_at and
+    // (b) goes through the public inject_profile path, draw for draw —
+    // and its headline total must be that site's statistics alone.
     Fixture f;
-    const FaultInjector injector(f.ser, SimExposurePolicy::full_duration);
     const std::uint64_t trials = 80, seed = 314;
-    const auto summary =
-        injector.run_campaign(f.graph, f.mapping, f.arch, f.levels, f.schedule, trials, seed);
+    const CampaignReport report =
+        register_file_campaign(f, SimExposurePolicy::busy_only, trials, seed);
 
+    const FaultInjector injector(f.ser, SimExposurePolicy::busy_only);
     const auto profile = build_exposure_profile(f.graph, f.mapping, f.arch, f.schedule,
-                                                SimExposurePolicy::full_duration);
-    RunningStats reference;
+                                                SimExposurePolicy::busy_only);
+    ExactMoments reference;
     const Rng root(seed);
     for (std::uint64_t trial = 0; trial < trials; ++trial) {
         Rng stream = root.fork_at(trial);
-        reference.add(static_cast<double>(
-            injector.inject_profile(profile, f.graph, f.arch, f.levels, stream).total_seus));
+        reference.add(
+            injector.inject_profile(profile, f.graph, f.arch, f.levels, stream).total_seus);
     }
-    EXPECT_EQ(summary.seu_stats.count(), reference.count());
-    EXPECT_DOUBLE_EQ(summary.seu_stats.mean(), reference.mean());
-    EXPECT_DOUBLE_EQ(summary.seu_stats.variance(), reference.variance());
-    EXPECT_DOUBLE_EQ(summary.seu_stats.min(), reference.min());
-    EXPECT_DOUBLE_EQ(summary.seu_stats.max(), reference.max());
+    // Both states are exact integers, so every derived moment matches.
+    EXPECT_EQ(report.total_stats.count(), reference.count());
+    EXPECT_EQ(report.total_stats.sum(), reference.sum());
+    EXPECT_EQ(report.total_stats.variance(), reference.variance());
+    EXPECT_EQ(report.total_stats.min(), reference.min());
+    EXPECT_EQ(report.total_stats.max(), reference.max());
+    EXPECT_EQ(report.site(FaultSite::register_file).stats.sum(), report.total_stats.sum());
 }
 
 TEST(FaultInjector, RateTablePathMatchesInjectProfileExactly) {

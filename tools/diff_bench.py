@@ -15,7 +15,7 @@ import json
 import re
 import sys
 
-KEY_DEFAULT = r"bm_explore|bm_multi_start|bm_eval_full|bm_sa_neighborhood_step|bm_strategy_search"
+KEY_DEFAULT = r"bm_explore|bm_eval_full|bm_sa_neighborhood_step|bm_strategy_search"
 
 
 def load(path):

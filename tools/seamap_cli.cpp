@@ -6,7 +6,8 @@
 //   seamap_cli generate <tgff|fft|gauss|pipeline|mpeg2|fig8> [options] -o out.tg
 //   seamap_cli info     <graph.tg> [--json]
 //   seamap_cli optimize <graph.tg> --cores N --deadline S [--strategy NAME] [--json] [...]
-//   seamap_cli inject   <graph.tg> --cores N --deadline S [--json] [...]
+//   seamap_cli campaign <graph.tg> --cores N --deadline S [--json] [...]
+//   seamap_cli inject   <graph.tg> ...  (campaign, register-file site only)
 //   seamap_cli version
 //
 // Run any subcommand with --help (or none) for its options. All
@@ -18,7 +19,6 @@
 #include "sched/gantt.h"
 #include "sim/campaign.h"
 #include "sim/campaign_checkpoint.h"
-#include "sim/fault_injection.h"
 #include "taskgraph/dot.h"
 #include "taskgraph/fig8.h"
 #include "taskgraph/mpeg2.h"
@@ -130,19 +130,15 @@ void print_usage(std::ostream& out) {
         "  optimize <graph.tg> --cores N [--deadline SECONDS] [--levels 2|3|4]\n"
         "           [--strategy " << join(search_strategy_names(), "|") << "]\n"
         "           [--iterations I] [--seed S] [--threads W] [--all-cores]\n"
-        "           [--no-prune] [--multi-start K] [--json] [--dot out.dot] [--gantt]\n"
+        "           [--no-prune] [--json] [--dot out.dot] [--gantt]\n"
         "           [--checkpoint FILE [--resume] [--checkpoint-every N]\n"
         "            [--checkpoint-interval SECONDS]]\n"
         "           full Fig. 4 DSE (bound-driven branch and bound; --no-prune\n"
         "           forces the exhaustive sweep, same best/front either way);\n"
         "           prints the chosen design and the Pareto front\n"
-        "  inject <graph.tg> --cores N [--deadline SECONDS] [--levels 2|3|4]\n"
-        "           [--strategy NAME] [--iterations I] [--trials T] [--seed S]\n"
-        "           [--threads W] [--no-prune] [--multi-start K] [--json]\n"
-        "           optimize, then run a Poisson SEU fault-injection campaign\n"
         "  campaign <graph.tg> --cores N [--deadline SECONDS] [--levels 2|3|4]\n"
         "           [--strategy NAME] [--iterations I] [--trials T] [--shard-size B]\n"
-        "           [--seed S] [--threads W] [--policy full|busy|task]\n"
+        "           [--seed S] [--threads W] [--no-prune] [--policy full|busy|task]\n"
         "           [--weight-register X] [--weight-pipeline X] [--weight-memory X]\n"
         "           [--pipeline-bits B] [--json]\n"
         "           [--checkpoint FILE [--resume] [--checkpoint-every N]\n"
@@ -151,6 +147,10 @@ void print_usage(std::ostream& out) {
         "           differentiated fault sites (register file / pipeline / memory)\n"
         "           and per-task/per-core/per-site attribution; results are\n"
         "           byte-identical for every --threads and --shard-size\n"
+        "  inject <graph.tg> [campaign options except the site weights]\n"
+        "           campaign with only the register-file site: the Poisson SEU\n"
+        "           campaign behind eq. (3), 200 trials by default, reported as\n"
+        "           analytic vs measured SEUs\n"
         "  version | --version\n"
         "           print the library version\n"
         "  help | --help\n"
@@ -235,7 +235,7 @@ double default_deadline(const TaskGraph& graph) {
     return 1.3 * tm_lower_bound_seconds(graph, two, {1, 1});
 }
 
-/// The shared front half of optimize/inject: problem from the CLI
+/// The shared front half of optimize/campaign: problem from the CLI
 /// arguments, validated at build().
 Problem problem_from(const ArgList& args, const std::string& graph_path) {
     const TaskGraph graph = load_task_graph(graph_path);
@@ -245,6 +245,17 @@ Problem problem_from(const ArgList& args, const std::string& graph_path) {
         .architecture(args.u64("--cores", 4), table_for(args.u64("--levels", 3)))
         .deadline_seconds(deadline)
         .build();
+}
+
+/// The explore knobs optimize and campaign share.
+ExploreOptions explore_options_from(const ArgList& args, std::uint64_t default_iterations) {
+    ExploreOptions options;
+    options.strategy = args.value("--strategy").value_or("optimized");
+    options.dse.search.max_iterations = args.u64("--iterations", default_iterations);
+    options.dse.search.seed = args.u64("--seed", 1);
+    options.dse.num_threads = args.u64("--threads", 1);
+    options.dse.prune = !args.flag("--no-prune");
+    return options;
 }
 
 int cmd_generate(const ArgList& args) {
@@ -360,14 +371,8 @@ int cmd_optimize(const ArgList& args) {
     const MpsocArchitecture& arch = problem.architecture();
     const std::size_t cores = arch.core_count();
 
-    ExploreOptions options;
-    options.strategy = args.value("--strategy").value_or("optimized");
-    options.dse.search.max_iterations = args.u64("--iterations", 6'000);
-    options.dse.search.seed = args.u64("--seed", 1);
+    ExploreOptions options = explore_options_from(args, 6'000);
     options.dse.search.require_all_cores = args.flag("--all-cores");
-    options.dse.num_threads = args.u64("--threads", 1);
-    options.dse.prune = !args.flag("--no-prune");
-    options.dse.multi_start = args.u64("--multi-start", 1);
 
     const CheckpointArgs ckpt = checkpoint_args(args);
     std::optional<DseCheckpointer> checkpointer;
@@ -458,90 +463,60 @@ int cmd_optimize(const ArgList& args) {
     return 0;
 }
 
-int cmd_inject(const ArgList& args) {
-    const auto positional = args.positionals();
-    if (positional.empty()) {
-        std::cerr << "inject: missing graph file\n";
-        return 2;
-    }
-    const Problem problem = problem_from(args, positional[0]);
-    const std::uint64_t trials = args.u64("--trials", 200);
-    const std::uint64_t seed = args.u64("--seed", 1);
-
-    ExploreOptions options;
-    options.strategy = args.value("--strategy").value_or("optimized");
-    options.dse.search.max_iterations = args.u64("--iterations", 4'000);
-    options.dse.search.seed = seed;
-    options.dse.num_threads = args.u64("--threads", 1);
-    options.dse.prune = !args.flag("--no-prune");
-    options.dse.multi_start = args.u64("--multi-start", 1);
-    const DseResult result = explore(problem, options);
-    // One JSON shape for both outcomes: design null (and no "seu"
-    // block) when nothing feasible exists, so consumers parse a stable
-    // schema either way.
-    auto inject_report_header = [&] {
-        JsonValue out = JsonValue::object();
-        out["seamap_version"] = k_version_string;
-        out["strategy"] = options.strategy;
-        out["trials"] = trials;
-        out["seed"] = seed;
-        out["design"] = result.best ? to_json(*result.best) : JsonValue();
-        return out;
-    };
-    if (!result.best) {
-        if (args.flag("--json"))
-            std::cout << inject_report_header().dump(2) << '\n';
-        else
-            std::cerr << "no feasible design to inject into\n";
-        return 1;
-    }
-    const DsePoint& best = *result.best;
-    const Schedule schedule = ListScheduler{}.schedule(problem.graph(), best.mapping,
-                                                       problem.architecture(), best.levels);
-    const FaultInjector injector(problem.ser_model(), SimExposurePolicy::full_duration);
-    const auto campaign =
-        injector.run_campaign(problem.graph(), best.mapping, problem.architecture(),
-                              best.levels, schedule, trials, seed);
-    if (args.flag("--json")) {
-        JsonValue out = inject_report_header();
+/// `inject`'s --json report: the chosen design plus the register-file
+/// campaign's statistics under "seu". One shape for both outcomes:
+/// design null (and no "seu" block) when nothing feasible exists.
+JsonValue inject_report_json(const std::string& strategy, std::uint64_t trials,
+                             std::uint64_t seed, const DsePoint* design,
+                             const CampaignReport* report) {
+    JsonValue out = JsonValue::object();
+    out["seamap_version"] = k_version_string;
+    out["strategy"] = strategy;
+    out["trials"] = trials;
+    out["seed"] = seed;
+    out["design"] = design != nullptr ? to_json(*design) : JsonValue();
+    if (report != nullptr) {
+        const ExactMoments& stats = report->total_stats;
         JsonValue measured = JsonValue::object();
-        measured["analytic_gamma"] = campaign.analytic_gamma;
-        measured["mean"] = campaign.seu_stats.mean();
-        measured["ci95_halfwidth"] = campaign.seu_stats.ci95_halfwidth();
-        measured["stdev"] = campaign.seu_stats.stdev();
-        measured["min"] = campaign.seu_stats.min();
-        measured["max"] = campaign.seu_stats.max();
+        measured["analytic_gamma"] = report->analytic_gamma;
+        measured["mean"] = stats.mean();
+        measured["ci95_halfwidth"] = stats.ci95_halfwidth();
+        measured["stdev"] = stats.stdev();
+        measured["min"] = stats.min();
+        measured["max"] = stats.max();
         out["seu"] = std::move(measured);
-        std::cout << out.dump(2) << '\n';
-        return 0;
     }
-    std::cout << "design   : P " << fmt_double(best.metrics.power_mw, 2) << " mW, T_M "
-              << fmt_double(best.metrics.tm_seconds, 3) << " s\n";
-    std::cout << "analytic : " << fmt_sci(campaign.analytic_gamma, 4) << " SEUs (eq. 3)\n";
-    std::cout << "measured : " << fmt_sci(campaign.seu_stats.mean(), 4) << " +/- "
-              << fmt_sci(campaign.seu_stats.ci95_halfwidth(), 2) << " over " << trials
-              << " trials\n";
-    std::cout << "spread   : stdev " << fmt_sci(campaign.seu_stats.stdev(), 3) << ", min "
-              << campaign.seu_stats.min() << ", max " << campaign.seu_stats.max() << '\n';
-    return 0;
+    return out;
 }
 
-int cmd_campaign(const ArgList& args) {
+/// `campaign`, and `inject` as its register-file-only alias: optimize,
+/// then run the sharded campaign engine on the chosen design.
+int cmd_campaign(const ArgList& args, bool inject) {
     const auto positional = args.positionals();
     if (positional.empty()) {
-        std::cerr << "campaign: missing graph file\n";
+        std::cerr << (inject ? "inject" : "campaign") << ": missing graph file\n";
         return 2;
     }
     const Problem problem = problem_from(args, positional[0]);
-    const std::uint64_t seed = args.u64("--seed", 1);
+    const ExploreOptions options = explore_options_from(args, 4'000);
+    const std::uint64_t seed = options.dse.search.seed;
 
-    ExploreOptions options;
-    options.strategy = args.value("--strategy").value_or("optimized");
-    options.dse.search.max_iterations = args.u64("--iterations", 4'000);
-    options.dse.search.seed = seed;
-    options.dse.num_threads = args.u64("--threads", 1);
-    options.dse.prune = !args.flag("--no-prune");
-    options.dse.multi_start = args.u64("--multi-start", 1);
+    CampaignConfig config;
+    config.trials = args.u64("--trials", inject ? 200 : 20'000);
+    config.shard_size = args.u64("--shard-size", 1024);
+    config.num_threads = args.u64("--threads", 1);
+    config.seed = seed;
+    config.policy = parse_sim_policy(args.value("--policy").value_or("full"));
+    if (inject) {
+        config.weights = FaultSiteWeights::register_file_only();
+    } else {
+        config.weights.register_file =
+            args.real("--weight-register", config.weights.register_file);
+        config.weights.pipeline = args.real("--weight-pipeline", config.weights.pipeline);
+        config.weights.memory = args.real("--weight-memory", config.weights.memory);
+        config.pipeline_bits = args.real("--pipeline-bits", config.pipeline_bits);
+    }
+    const CampaignEngine engine(problem.ser_model(), config);
 
     // Two snapshots ride one --checkpoint stem: <FILE>.dse for the
     // exploration (a completed snapshot doubles as a memoized explore on
@@ -567,7 +542,10 @@ int cmd_campaign(const ArgList& args) {
 
     if (!result.best) {
         if (args.flag("--json"))
-            std::cout << campaign_report_json(problem, options.strategy, nullptr, nullptr)
+            std::cout << (inject ? inject_report_json(options.strategy, config.trials, seed,
+                                                      nullptr, nullptr)
+                                 : campaign_report_json(problem, options.strategy, nullptr,
+                                                        nullptr))
                              .dump(2)
                       << '\n';
         else
@@ -579,19 +557,6 @@ int cmd_campaign(const ArgList& args) {
     const MpsocArchitecture& arch = problem.architecture();
     const Schedule schedule =
         ListScheduler{}.schedule(graph, best.mapping, arch, best.levels);
-
-    CampaignConfig config;
-    config.trials = args.u64("--trials", 20'000);
-    config.shard_size = args.u64("--shard-size", 1024);
-    config.num_threads = args.u64("--threads", 1);
-    config.seed = seed;
-    config.policy = parse_sim_policy(args.value("--policy").value_or("full"));
-    config.weights.register_file =
-        args.real("--weight-register", config.weights.register_file);
-    config.weights.pipeline = args.real("--weight-pipeline", config.weights.pipeline);
-    config.weights.memory = args.real("--weight-memory", config.weights.memory);
-    config.pipeline_bits = args.real("--pipeline-bits", config.pipeline_bits);
-    const CampaignEngine engine(problem.ser_model(), config);
 
     std::optional<CampaignCheckpointer> sim_ckpt;
     if (ckpt.path) {
@@ -614,12 +579,24 @@ int cmd_campaign(const ArgList& args) {
             args, ckpt.path ? std::optional<std::string>(*ckpt.path + ".sim") : std::nullopt);
 
     if (args.flag("--json")) {
-        std::cout << campaign_report_json(problem, options.strategy, &best, &report).dump(2)
-                  << '\n';
+        const JsonValue out =
+            inject ? inject_report_json(options.strategy, config.trials, seed, &best, &report)
+                   : campaign_report_json(problem, options.strategy, &best, &report);
+        std::cout << out.dump(2) << '\n';
         return 0;
     }
     std::cout << "design   : P " << fmt_double(best.metrics.power_mw, 2) << " mW, T_M "
               << fmt_double(best.metrics.tm_seconds, 3) << " s\n";
+    if (inject) {
+        const ExactMoments& stats = report.total_stats;
+        std::cout << "analytic : " << fmt_sci(report.analytic_gamma, 4) << " SEUs (eq. 3)\n";
+        std::cout << "measured : " << fmt_sci(stats.mean(), 4) << " +/- "
+                  << fmt_sci(stats.ci95_halfwidth(), 2) << " over " << report.trials
+                  << " trials\n";
+        std::cout << "spread   : stdev " << fmt_sci(stats.stdev(), 3) << ", min " << stats.min()
+                  << ", max " << stats.max() << '\n';
+        return 0;
+    }
     std::cout << "campaign : " << report.trials << " trials in " << report.shards
               << " shards of " << report.shard_size << " (seed " << report.seed << ")\n";
     std::cout << "analytic : " << fmt_sci(report.analytic_gamma, 4)
@@ -699,8 +676,8 @@ int main(int argc, char** argv) {
         if (command == "generate") return cmd_generate(args);
         if (command == "info") return cmd_info(args);
         if (command == "optimize") return cmd_optimize(args);
-        if (command == "inject") return cmd_inject(args);
-        if (command == "campaign") return cmd_campaign(args);
+        if (command == "inject") return cmd_campaign(args, true);
+        if (command == "campaign") return cmd_campaign(args, false);
         std::cerr << "unknown subcommand '" << command << "'\n";
         return usage_error();
     } catch (const Error& e) {
