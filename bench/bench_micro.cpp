@@ -204,7 +204,9 @@ void bm_sa_neighborhood_step(benchmark::State& state, bool naive) {
 BENCHMARK_CAPTURE(bm_sa_neighborhood_step, naive, true)->Arg(11)->Arg(60)->Arg(100);
 BENCHMARK_CAPTURE(bm_sa_neighborhood_step, ctx, false)->Arg(11)->Arg(60)->Arg(100);
 
-// End-to-end Fig. 4 exploration through the public API.
+// End-to-end Fig. 4 exploration through the public API. explore() runs
+// its searches on pool threads even at num_threads = 1, so this and
+// every explore bench below time wall clock (UseRealTime).
 void bm_explore_end_to_end(benchmark::State& state, bool naive) {
     const Problem problem = ProblemBuilder()
                                 .graph(mpeg2_decoder_graph())
@@ -218,8 +220,8 @@ void bm_explore_end_to_end(benchmark::State& state, bool naive) {
         benchmark::DoNotOptimize(explore(problem, options));
     }
 }
-BENCHMARK_CAPTURE(bm_explore_end_to_end, naive, true);
-BENCHMARK_CAPTURE(bm_explore_end_to_end, ctx, false);
+BENCHMARK_CAPTURE(bm_explore_end_to_end, naive, true)->UseRealTime();
+BENCHMARK_CAPTURE(bm_explore_end_to_end, ctx, false)->UseRealTime();
 
 // The bound-driven branch-and-bound explorer against the exhaustive
 // Fig. 4 sweep, on the shared prunable scenario of api/scenarios.h (a
@@ -246,10 +248,12 @@ void bm_explore_prunable(benchmark::State& state, bool prune) {
 BENCHMARK_CAPTURE(bm_explore_prunable, exhaustive, false)
     ->Arg(1)
     ->Arg(8)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(bm_explore_prunable, pruned, true)
     ->Arg(1)
     ->Arg(8)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // The giant-instance tentpole point: lazy bound-sorted enumeration on
@@ -280,11 +284,13 @@ void bm_explore_scale(benchmark::State& state, bool prune) {
 BENCHMARK_CAPTURE(bm_explore_scale, materialized, false)
     ->Arg(8)
     ->Iterations(1)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(bm_explore_scale, lazy, true)
     ->Arg(1)
     ->Arg(8)
     ->Iterations(1)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // Raw giant-graph throughput of the --scale TGFF family: a 1000-task
@@ -304,7 +310,11 @@ void bm_explore_scale_tgff(benchmark::State& state) {
     state.counters["total"] = static_cast<double>(last.scalings_total);
     state.counters["searched"] = static_cast<double>(last.scalings_searched);
 }
-BENCHMARK(bm_explore_scale_tgff)->Arg(1)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(bm_explore_scale_tgff)
+    ->Arg(1)
+    ->Arg(8)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void bm_scaling_enumeration(benchmark::State& state) {
     const auto cores = static_cast<std::size_t>(state.range(0));

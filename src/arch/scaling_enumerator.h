@@ -41,7 +41,9 @@ public:
     std::size_t core_count() const { return core_count_; }
     std::size_t level_count() const { return level_count_; }
 
-    /// Number of combinations the sequence contains: C(C+L-1, L-1).
+    /// Number of combinations the sequence contains: C(C+L-1, L-1),
+    /// exact. Throws seamap::Error (invalid_argument) when the count
+    /// does not fit in 64 bits.
     static std::uint64_t combination_count(std::size_t core_count, std::size_t level_count);
 
 private:

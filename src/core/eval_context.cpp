@@ -89,6 +89,19 @@ EvalContext::EvalContext(const EvaluationContext& ctx, EvalOptions options)
             ctx_.arch.scaling_table().vdd(ctx_.levels[c]));
         active_power_mw_[c] = ctx_.arch.power_model().core_active_power_mw(ctx_.levels[c]);
     }
+    // Per-batch execution and transfer times on every core: the exact
+    // quotients (cycles / batches / frequency) the list scheduler forms
+    // per placement, hoisted out of the evaluation loop.
+    exec_seconds_.resize(n_ * cores_);
+    for (TaskId t = 0; t < n_; ++t)
+        for (std::size_t c = 0; c < cores_; ++c)
+            exec_seconds_[t * cores_ + c] =
+                static_cast<double>(ctx_.graph.task(t).exec_cycles) / batches_ / core_freq_[c];
+    comm_seconds_.resize(ctx_.graph.edge_count() * cores_);
+    for (std::size_t idx = 0; idx < ctx_.graph.edge_count(); ++idx)
+        for (std::size_t c = 0; c < cores_; ++c)
+            comm_seconds_[idx * cores_ + c] =
+                static_cast<double>(ctx_.graph.edge(idx).comm_cycles) / batches_ / core_freq_[c];
 
     const std::size_t universe = ctx_.graph.register_file().size();
     words_ = (universe + 63) / 64;
@@ -108,7 +121,6 @@ EvalContext::EvalContext(const EvaluationContext& ctx, EvalOptions options)
 
     data_ready_.resize(n_);
     core_free_.resize(cores_);
-    finish_.resize(n_);
     busy_.resize(cores_);
     busy_seconds_.resize(cores_);
     utilization_.resize(cores_);
@@ -116,9 +128,8 @@ EvalContext::EvalContext(const EvaluationContext& ctx, EvalOptions options)
     busy_delta_.resize(cores_);
     union_words_.resize(cores_ * words_);
     scratch_words_.resize(words_);
-    key_scratch_.resize(n_);
 
-    base_finish_.resize(n_);
+    base_latency_prefix_.resize(n_ + 1);
     base_arrival_.resize(ctx_.graph.edge_count());
     base_core_free_at_.resize(n_ * cores_);
     base_busy_.resize(cores_);
@@ -148,46 +159,40 @@ DesignMetrics EvalContext::evaluate_full(const Mapping& mapping, bool record) {
 
     std::fill(data_ready_.begin(), data_ready_.end(), 0.0);
     std::fill(core_free_.begin(), core_free_.end(), 0.0);
+    // Whole-run busy cycles (eq. 7 attribution) accumulate alongside
+    // the placements; integer sums are exact in any order.
+    std::fill(busy_.begin(), busy_.end(), std::uint64_t{0});
+    // The latency is the maximum finish time; max is exact, so taking
+    // it in placement order equals the scheduler's id-order scan.
+    double latency = 0.0;
     for (std::size_t p = 0; p < n_; ++p) {
-        if (record)
+        if (record) {
             std::copy(core_free_.begin(), core_free_.end(),
                       base_core_free_at_.begin() +
                           static_cast<std::ptrdiff_t>(p * cores_));
+            base_latency_prefix_[p] = latency;
+        }
         const TaskId t = order_[p];
         const CoreId core = core_of[t];
         const double start = std::max(core_free_[core], data_ready_[t]);
-        const double finish =
-            start + static_cast<double>(ctx_.graph.task(t).exec_cycles) / batches_ /
-                        core_freq_[core];
-        finish_[t] = finish;
+        const double finish = start + exec_seconds_[t * cores_ + core];
+        latency = std::max(latency, finish);
+        busy_[core] += ctx_.graph.task(t).exec_cycles;
         double cursor = finish;
         for (std::size_t idx : ctx_.graph.out_edge_indices(t)) {
             const Edge& e = ctx_.graph.edge(idx);
-            const bool cross = core_of[e.dst] != core;
             double arrival = finish;
-            if (cross) {
-                cursor += static_cast<double>(e.comm_cycles) / batches_ / core_freq_[core];
+            if (core_of[e.dst] != core) {
+                cursor += comm_seconds_[idx * cores_ + core];
                 arrival = cursor;
+                busy_[core] += e.comm_cycles;
             }
             if (record) base_arrival_[idx] = arrival;
             data_ready_[e.dst] = std::max(data_ready_[e.dst], arrival);
         }
         core_free_[core] = cursor;
     }
-
-    double latency = 0.0;
-    for (TaskId t = 0; t < n_; ++t) latency = std::max(latency, finish_[t]);
-
-    // Whole-run busy cycles, eq. (7) attribution (integer, exact).
-    std::fill(busy_.begin(), busy_.end(), std::uint64_t{0});
-    for (TaskId t = 0; t < n_; ++t) {
-        const CoreId core = core_of[t];
-        busy_[core] += ctx_.graph.task(t).exec_cycles;
-        for (std::size_t idx : ctx_.graph.out_edge_indices(t)) {
-            const Edge& e = ctx_.graph.edge(idx);
-            if (core_of[e.dst] != core) busy_[core] += e.comm_cycles;
-        }
-    }
+    if (record) base_latency_prefix_[n_] = latency;
 
     // Per-core register unions, eq. (8): fixed-width word rows, so the
     // per-task OR is a contiguous word loop over the arena rows (the
@@ -202,7 +207,6 @@ DesignMetrics EvalContext::evaluate_full(const Mapping& mapping, bool record) {
         register_bits_[c] = weighted_bits(union_words_.data() + c * words_);
 
     if (record) {
-        std::copy(finish_.begin(), finish_.end(), base_finish_.begin());
         std::copy(busy_.begin(), busy_.end(), base_busy_.begin());
         std::copy(register_bits_.begin(), register_bits_.end(), base_bits_.begin());
         // Counting sort into the CSR partition (fixed-capacity arrays;
@@ -280,13 +284,13 @@ DesignMetrics EvalContext::evaluate_memoized(const Mapping& mapping) {
     check_mapping(mapping);
     const CoreId* key = mapping.raw().data();
     const std::uint64_t hash = hash_key(key);
-    if (const DesignMetrics* hit = memo_find(hash, key)) {
+    if (const DesignMetrics* hit = memo_find(hash, key, Override::unchanged())) {
         ++stats_.memo_hits;
         return *hit;
     }
     ++stats_.full_evals;
     const DesignMetrics metrics = evaluate_full(mapping, false);
-    memo_insert(hash, key, metrics);
+    memo_insert(hash, key, Override::unchanged(), metrics);
     return metrics;
 }
 
@@ -302,8 +306,9 @@ DesignMetrics EvalContext::rebase(const Mapping& base) {
     has_base_ = true;
     if (options_.memoize) {
         const CoreId* key = base_.raw().data();
-        const std::uint64_t hash = hash_key(key);
-        if (memo_find(hash, key) == nullptr) memo_insert(hash, key, base_metrics_);
+        base_key_ = hash_key(key);
+        if (memo_find(base_key_, key, Override::unchanged()) == nullptr)
+            memo_insert(base_key_, key, Override::unchanged(), base_metrics_);
     }
     return base_metrics_;
 }
@@ -320,19 +325,15 @@ DesignMetrics EvalContext::evaluate_move(TaskId task, CoreId to) {
         if (options_.naive_reference) return evaluate_design(ctx_, mapping_scratch_);
         return evaluate_memoized(mapping_scratch_);
     }
-    std::uint64_t hash = 0;
-    if (options_.memoize) {
-        std::copy(base_.raw().begin(), base_.raw().end(), key_scratch_.begin());
-        key_scratch_[task] = to;
-        hash = hash_key(key_scratch_.data());
-        if (const DesignMetrics* hit = memo_find(hash, key_scratch_.data())) {
-            ++stats_.memo_hits;
-            return *hit;
-        }
-    }
     const Override ov{task, to, task, to};
+    if (!options_.memoize) return evaluate_override(ov, suffix_start_[task]);
+    const std::uint64_t hash = base_key_ ^ key_term(task, from) ^ key_term(task, to);
+    if (const DesignMetrics* hit = memo_find(hash, base_.raw().data(), ov)) {
+        ++stats_.memo_hits;
+        return *hit;
+    }
     const DesignMetrics metrics = evaluate_override(ov, suffix_start_[task]);
-    if (options_.memoize) memo_insert(hash, key_scratch_.data(), metrics);
+    memo_insert(hash, base_.raw().data(), ov, metrics);
     return metrics;
 }
 
@@ -350,21 +351,17 @@ DesignMetrics EvalContext::evaluate_swap(TaskId a, TaskId b) {
         if (options_.naive_reference) return evaluate_design(ctx_, mapping_scratch_);
         return evaluate_memoized(mapping_scratch_);
     }
-    std::uint64_t hash = 0;
-    if (options_.memoize) {
-        std::copy(base_.raw().begin(), base_.raw().end(), key_scratch_.begin());
-        key_scratch_[a] = core_b;
-        key_scratch_[b] = core_a;
-        hash = hash_key(key_scratch_.data());
-        if (const DesignMetrics* hit = memo_find(hash, key_scratch_.data())) {
-            ++stats_.memo_hits;
-            return *hit;
-        }
-    }
     const Override ov{a, core_b, b, core_a};
-    const DesignMetrics metrics =
-        evaluate_override(ov, std::min(suffix_start_[a], suffix_start_[b]));
-    if (options_.memoize) memo_insert(hash, key_scratch_.data(), metrics);
+    const std::size_t suffix_pos = std::min(suffix_start_[a], suffix_start_[b]);
+    if (!options_.memoize) return evaluate_override(ov, suffix_pos);
+    const std::uint64_t hash = base_key_ ^ key_term(a, core_a) ^ key_term(a, core_b) ^
+                               key_term(b, core_b) ^ key_term(b, core_a);
+    if (const DesignMetrics* hit = memo_find(hash, base_.raw().data(), ov)) {
+        ++stats_.memo_hits;
+        return *hit;
+    }
+    const DesignMetrics metrics = evaluate_override(ov, suffix_pos);
+    memo_insert(hash, base_.raw().data(), ov, metrics);
     return metrics;
 }
 
@@ -401,30 +398,27 @@ DesignMetrics EvalContext::evaluate_override(const Override& ov, std::size_t suf
         }
         data_ready_[w] = ready;
     }
+    // The prefix's finish times are the base's, so its latency share is
+    // the recorded prefix maximum.
+    double latency = base_latency_prefix_[suffix_pos];
     for (std::size_t q = suffix_pos; q < n_; ++q) {
         const TaskId w = order_[q];
         const CoreId core = ov.core_of(base_raw, w);
         const double start = std::max(core_free_[core], data_ready_[w]);
-        const double finish =
-            start + static_cast<double>(ctx_.graph.task(w).exec_cycles) / batches_ /
-                        core_freq_[core];
-        finish_[w] = finish;
+        const double finish = start + exec_seconds_[w * cores_ + core];
+        latency = std::max(latency, finish);
         double cursor = finish;
         for (std::size_t idx : ctx_.graph.out_edge_indices(w)) {
             const Edge& e = ctx_.graph.edge(idx);
-            const bool cross = ov.core_of(base_raw, e.dst) != core;
             double arrival = finish;
-            if (cross) {
-                cursor += static_cast<double>(e.comm_cycles) / batches_ / core_freq_[core];
+            if (ov.core_of(base_raw, e.dst) != core) {
+                cursor += comm_seconds_[idx * cores_ + core];
                 arrival = cursor;
             }
             data_ready_[e.dst] = std::max(data_ready_[e.dst], arrival);
         }
         core_free_[core] = cursor;
     }
-    double latency = 0.0;
-    for (TaskId t = 0; t < n_; ++t)
-        latency = std::max(latency, pos_[t] < suffix_pos ? base_finish_[t] : finish_[t]);
 
     // Busy cycles: integer delta over the touched tasks and their
     // incident edges (exactly equal to a full eq. 7 recompute).
@@ -488,22 +482,30 @@ DesignMetrics EvalContext::evaluate_override(const Override& ov, std::size_t suf
     return finish_metrics(latency);
 }
 
+std::uint64_t EvalContext::key_term(TaskId task, CoreId core) const {
+    return splitmix64(0x9e3779b97f4a7c15ULL ^ (std::uint64_t{task} * cores_ + core));
+}
+
 std::uint64_t EvalContext::hash_key(const CoreId* key) const {
-    std::uint64_t hash = 0x9e3779b97f4a7c15ULL ^ n_;
-    for (std::size_t i = 0; i < n_; ++i) hash = splitmix64(hash ^ key[i]);
+    std::uint64_t hash = 0;
+    for (TaskId t = 0; t < n_; ++t) hash ^= key_term(t, key[t]);
     return hash;
 }
 
-const DesignMetrics* EvalContext::memo_find(std::uint64_t hash, const CoreId* key) const {
+const DesignMetrics* EvalContext::memo_find(std::uint64_t hash, const CoreId* base,
+                                            const Override& ov) const {
     if (memo_slots_.empty()) return nullptr;
     const std::size_t mask = memo_slots_.size() - 1;
     for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
         const std::uint32_t slot = memo_slots_[i];
         if (slot == 0) return nullptr;
         const MemoEntry& entry = memo_entries_[slot - 1];
-        if (entry.hash == hash &&
-            std::equal(key, key + n_, memo_keys_.data() + entry.key_offset))
-            return &entry.metrics;
+        if (entry.hash != hash) continue;
+        // Exact key comparison: a hash collision never returns wrong metrics.
+        const CoreId* stored = memo_keys_.data() + entry.key_offset;
+        TaskId t = 0;
+        while (t < n_ && stored[t] == ov.core_of(base, t)) ++t;
+        if (t == n_) return &entry.metrics;
     }
 }
 
@@ -511,7 +513,7 @@ const DesignMetrics* EvalContext::memo_find(std::uint64_t hash, const CoreId* ke
 // documented exception to the zero-allocation steady state: inserts
 // amortize across the walk and stop entirely at memo_capacity; lookups
 // (the hit path) never allocate
-void EvalContext::memo_insert(std::uint64_t hash, const CoreId* key,
+void EvalContext::memo_insert(std::uint64_t hash, const CoreId* base, const Override& ov,
                               const DesignMetrics& metrics) {
     if (memo_entries_.size() >= options_.memo_capacity) return;
     if (memo_slots_.empty()) memo_slots_.assign(2048, 0);
@@ -527,7 +529,11 @@ void EvalContext::memo_insert(std::uint64_t hash, const CoreId* key,
         memo_slots_ = std::move(bigger);
     }
     const std::size_t offset = memo_keys_.size();
-    memo_keys_.insert(memo_keys_.end(), key, key + n_);
+    memo_keys_.insert(memo_keys_.end(), base, base + n_);
+    if (ov.a != Override::k_none) {
+        memo_keys_[offset + ov.a] = ov.core_a;
+        memo_keys_[offset + ov.b] = ov.core_b;
+    }
     memo_entries_.push_back(MemoEntry{hash, offset, metrics});
     const std::size_t mask = memo_slots_.size() - 1;
     std::size_t i = hash & mask;

@@ -9,7 +9,10 @@
 //    function of the graph (sched/list_scheduler.h,
 //    static_schedule_order), so the order, b-level selection, core
 //    frequencies, per-core SER rates and active powers are computed
-//    once per scaling; per candidate only the timing arithmetic runs.
+//    once per scaling. So are the per-(task, core) execution times and
+//    per-(edge, core) communication times — the same two divisions,
+//    cycles / batches / frequency, the schedule would otherwise redo
+//    per placement — so per candidate only additions and maxima run.
 //  - Scratch reuse: ready lists, per-PE timelines, data-ready arrays,
 //    busy/utilization accumulators and register-union bitsets live in
 //    the context and are reused across candidates — the steady-state
@@ -18,12 +21,16 @@
 //    of the Fig. 7 search and the SA baseline, only the schedule
 //    suffix from the first affected placement position is replayed
 //    (positions before the earliest predecessor of a moved task are
-//    provably unchanged), and only the affected cores' register unions
-//    and busy cycles are recomputed.
+//    provably unchanged), the latency starts from the base's recorded
+//    prefix maximum, and only the affected cores' register unions and
+//    busy cycles are recomputed.
 //  - Memoization: a per-scaling memo table keyed by the full mapping
-//    (open addressing, flat key arena) returns previously computed
-//    metrics for revisited candidates, so a random walk that undoes a
-//    move never pays for the same design twice.
+//    (open addressing, flat key arena, exact key comparison) returns
+//    previously computed metrics for revisited candidates, so a random
+//    walk that undoes a move never pays for the same design twice. The
+//    hash is Zobrist-style — an XOR of one splitmix64 term per (task,
+//    core) pair — so rebase() hashes the base once and a move or swap
+//    neighbour's hash is the base hash updated by 2 or 4 XORs.
 //
 // Determinism contract: every path (full, incremental, memoized)
 // reproduces evaluate_design() BIT-IDENTICALLY — the same floating-
@@ -44,6 +51,7 @@
 #include "util/rng.h"
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace seamap {
@@ -153,12 +161,16 @@ public:
 
 private:
     /// A candidate relative to the base: up to two tasks on new cores.
-    /// For a move both slots describe the same task.
+    /// For a move both slots describe the same task; `unchanged()`
+    /// describes the base mapping itself.
     struct Override {
+        static constexpr TaskId k_none = std::numeric_limits<TaskId>::max();
         TaskId a;
         CoreId core_a;
         TaskId b;
         CoreId core_b;
+
+        static constexpr Override unchanged() { return {k_none, 0, k_none, 0}; }
 
         CoreId core_of(const CoreId* base_raw, TaskId w) const {
             if (w == a) return core_a;
@@ -172,10 +184,15 @@ private:
     DesignMetrics finish_metrics(double latency);
     void check_mapping(const Mapping& mapping) const;
 
-    // Memo table: open addressing over a flat key arena.
+    // Memo table: open addressing over a flat key arena. A key is the
+    // mapping `base` with the override applied; the hash of a mapping is
+    // the XOR of key_term(t, core_of(t)) over its tasks.
+    std::uint64_t key_term(TaskId task, CoreId core) const;
     std::uint64_t hash_key(const CoreId* key) const;
-    const DesignMetrics* memo_find(std::uint64_t hash, const CoreId* key) const;
-    void memo_insert(std::uint64_t hash, const CoreId* key, const DesignMetrics& metrics);
+    const DesignMetrics* memo_find(std::uint64_t hash, const CoreId* base,
+                                   const Override& ov) const;
+    void memo_insert(std::uint64_t hash, const CoreId* base, const Override& ov,
+                     const DesignMetrics& metrics);
 
     std::uint64_t weighted_bits(const std::uint64_t* row) const;
 
@@ -193,6 +210,8 @@ private:
     std::vector<double> core_freq_;
     std::vector<double> ser_rate_;       ///< SER per bit-second at each core's Vdd
     std::vector<double> active_power_mw_;
+    std::vector<double> exec_seconds_; ///< [task * cores_ + core]: per-batch execution time
+    std::vector<double> comm_seconds_; ///< [edge * cores_ + core]: per-batch transfer time
     /// Struct-of-arrays register state: each task's register set as a
     /// fixed-width row of `words_` words (row-major arena, n_ rows), so
     /// a per-core union is a contiguous `dst[w] |= src[w]` word loop
@@ -204,7 +223,6 @@ private:
     // Scratch reused by every evaluation (no steady-state allocation).
     std::vector<double> data_ready_;
     std::vector<double> core_free_;
-    std::vector<double> finish_;
     std::vector<std::uint64_t> busy_;
     std::vector<double> busy_seconds_;
     std::vector<double> utilization_;
@@ -212,18 +230,20 @@ private:
     std::vector<std::int64_t> busy_delta_;
     std::vector<std::uint64_t> union_words_;   ///< [core * words_ + w]
     std::vector<std::uint64_t> scratch_words_; ///< one row, incremental path
-    std::vector<CoreId> key_scratch_;
     Mapping mapping_scratch_; ///< naive_reference candidate materialization
 
     // Incremental base state (valid while has_base_).
     bool has_base_ = false;
     Mapping base_;
     DesignMetrics base_metrics_;
-    std::vector<double> base_finish_;
+    /// base_latency_prefix_[p]: the latency of the base schedule's first
+    /// p placements (n_ + 1 entries, [0] = 0).
+    std::vector<double> base_latency_prefix_;
     std::vector<double> base_arrival_;      ///< per edge: data-arrival instant
     std::vector<double> base_core_free_at_; ///< position-major [pos * cores + core]
     std::vector<std::uint64_t> base_busy_;
     std::vector<std::uint64_t> base_bits_;
+    std::uint64_t base_key_ = 0; ///< hash_key(base_) when memoizing
     // Base task->core partition in CSR form (built by each rebase into
     // fixed-capacity arrays — no per-core vectors, no steady-state
     // growth): core c's tasks are core_task_ids_[core_task_offsets_[c]

@@ -46,26 +46,6 @@ void TaskGraph::validate() const {
     if (!is_acyclic()) throw std::invalid_argument("TaskGraph '" + name_ + "': graph has a cycle");
 }
 
-const Task& TaskGraph::task(TaskId id) const {
-    check_task(id);
-    return tasks_[id];
-}
-
-const Edge& TaskGraph::edge(std::size_t index) const {
-    if (index >= edges_.size()) throw std::out_of_range("TaskGraph: bad edge index");
-    return edges_[index];
-}
-
-std::span<const std::size_t> TaskGraph::out_edge_indices(TaskId id) const {
-    check_task(id);
-    return out_edges_[id];
-}
-
-std::span<const std::size_t> TaskGraph::in_edge_indices(TaskId id) const {
-    check_task(id);
-    return in_edges_[id];
-}
-
 std::vector<TaskId> TaskGraph::successors(TaskId id) const {
     std::vector<TaskId> out;
     for (std::size_t idx : out_edge_indices(id)) out.push_back(edges_[idx].dst);
@@ -172,8 +152,8 @@ std::uint64_t TaskGraph::union_register_bits(std::span<const TaskId> ids) const 
     return union_register_set(ids).bits_in(registers_);
 }
 
-void TaskGraph::check_task(TaskId id) const {
-    if (id >= tasks_.size()) throw std::out_of_range("TaskGraph: bad task id");
-}
+void TaskGraph::throw_bad_task_id() { throw std::out_of_range("TaskGraph: bad task id"); }
+
+void TaskGraph::throw_bad_edge_index() { throw std::out_of_range("TaskGraph: bad edge index"); }
 
 } // namespace seamap

@@ -64,13 +64,29 @@ public:
     std::uint64_t batch_count() const { return batch_count_; }
     std::size_t task_count() const { return tasks_.size(); }
     std::size_t edge_count() const { return edges_.size(); }
-    const Task& task(TaskId id) const;
+    /// Bounds-checked: an out-of-range id throws std::out_of_range.
+    const Task& task(TaskId id) const {
+        check_task(id);
+        return tasks_[id];
+    }
     const std::vector<Edge>& edges() const { return edges_; }
-    const Edge& edge(std::size_t index) const;
+    /// Bounds-checked: an out-of-range index throws std::out_of_range.
+    const Edge& edge(std::size_t index) const {
+        if (index >= edges_.size()) [[unlikely]]
+            throw_bad_edge_index();
+        return edges_[index];
+    }
 
     /// Indices into edges() of a task's outgoing / incoming edges.
-    std::span<const std::size_t> out_edge_indices(TaskId id) const;
-    std::span<const std::size_t> in_edge_indices(TaskId id) const;
+    /// Bounds-checked like task().
+    std::span<const std::size_t> out_edge_indices(TaskId id) const {
+        check_task(id);
+        return out_edges_[id];
+    }
+    std::span<const std::size_t> in_edge_indices(TaskId id) const {
+        check_task(id);
+        return in_edges_[id];
+    }
     /// Convenience id lists (allocate).
     std::vector<TaskId> successors(TaskId id) const;
     std::vector<TaskId> predecessors(TaskId id) const;
@@ -102,7 +118,14 @@ public:
     RegisterSet union_register_set(std::span<const TaskId> ids) const;
 
 private:
-    void check_task(TaskId id) const;
+    // The accessors above are inline because the evaluation kernel calls
+    // them per task and per edge; the throws stay out of line and cold.
+    void check_task(TaskId id) const {
+        if (id >= tasks_.size()) [[unlikely]]
+            throw_bad_task_id();
+    }
+    [[noreturn]] static void throw_bad_task_id();
+    [[noreturn]] static void throw_bad_edge_index();
 
     std::string name_;
     RegisterFile registers_;

@@ -1,9 +1,12 @@
 #include "arch/scaling_enumerator.h"
 
+#include "util/error.h"
+
 #include <gtest/gtest.h>
 
 #include <set>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 namespace seamap {
@@ -57,6 +60,29 @@ TEST(ScalingEnumerator, CombinationCountFormula) {
     EXPECT_EQ(ScalingEnumerator::combination_count(4, 1), 1u);
     EXPECT_EQ(ScalingEnumerator::combination_count(2, 4), 10u);
     EXPECT_EQ(ScalingEnumerator::combination_count(0, 3), 0u);
+}
+
+TEST(ScalingEnumerator, CombinationCountIsExactUpTo64Bits) {
+    // The acceptance instance: 16 cores x 6 levels = C(21, 5).
+    EXPECT_EQ(ScalingEnumerator::combination_count(16, 6), 20349u);
+    // C(4801280, 3) = 18446738006366306560, within 2^-21 of 2^64: the
+    // intermediate products overflow 64 bits, the count does not.
+    EXPECT_EQ(ScalingEnumerator::combination_count(4801277, 4),
+              18446738006366306560ull);
+}
+
+TEST(ScalingEnumerator, CombinationCountPast64BitsThrows) {
+    // C(311, 11) ~ 5.5e19 and C(2015, 15) ~ 2.7e37: unrepresentable,
+    // so a structured error instead of a silently wrapped count.
+    for (const auto& [cores, levels] :
+         {std::pair<std::size_t, std::size_t>{300, 12}, {2000, 16}, {4801278, 4}}) {
+        try {
+            (void)ScalingEnumerator::combination_count(cores, levels);
+            ADD_FAILURE() << cores << " x " << levels << " did not throw";
+        } catch (const Error& error) {
+            EXPECT_EQ(error.category(), ErrorCategory::invalid_argument);
+        }
+    }
 }
 
 TEST(NextScaling, ValidatesInput) {

@@ -148,6 +148,27 @@ TEST(Dse, LegacyExplorerEntryPointMatchesTheFacade) {
     EXPECT_EQ(direct.feasible_points.size(), facade.feasible_points.size());
 }
 
+TEST(Dse, ScalingSpaceBeyond64BitsIsAStructuredError) {
+    // 300 cores x 12 levels: C(311, 11) ~ 5.5e19 combinations, past
+    // 2^64. The explorer must refuse with seamap::Error before sizing
+    // anything by that count (never std::bad_alloc).
+    std::vector<double> f_mhz;
+    for (int level = 0; level < 12; ++level) f_mhz.push_back(200.0 - 15.0 * level);
+    const Problem problem = ProblemBuilder()
+                                .graph(fig8_example_graph())
+                                .architecture(300, VoltageScalingTable::from_frequencies(f_mhz))
+                                .deadline_seconds(1.0)
+                                .build();
+    ExploreOptions options = quick_options(10);
+    options.dse.num_threads = 1;
+    try {
+        (void)explore(problem, options);
+        FAIL() << "explore() accepted a scaling space past 2^64 slots";
+    } catch (const Error& error) {
+        EXPECT_EQ(error.category(), ErrorCategory::invalid_argument) << error.what();
+    }
+}
+
 TEST(ParetoFrontOf, FiltersDominatedPoints) {
     auto make_point = [](double power, double gamma) {
         DsePoint p;

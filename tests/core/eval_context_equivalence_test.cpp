@@ -7,6 +7,7 @@
 // produce byte-identical results for all strategies and thread counts.
 #include "seamap/seamap.h"
 
+#include "api/scenarios.h"
 #include "taskgraph/fig8.h"
 #include "taskgraph/mpeg2.h"
 #include "tgff/random_graph.h"
@@ -137,6 +138,57 @@ TEST(EvalContextEquivalence, IncrementalMoveAndSwapMatchNaive) {
     }
 }
 
+TEST(EvalContextEquivalence, WideArchitectureMoveAndSwapMatchNaive) {
+    // The benchmark's shape: scale_acceptance_problem()'s 36-task
+    // pipeline on 16 cores x 6 levels, where the per-(task, core) time
+    // tables and the prefix latency span many distinct frequencies.
+    const Problem problem = scale_acceptance_problem();
+    const TaskGraph& graph = problem.graph();
+    const std::size_t cores = problem.architecture().core_count();
+    const std::size_t levels = problem.architecture().scaling_table().level_count();
+    ASSERT_EQ(cores, 16u);
+    ASSERT_EQ(levels, 6u);
+    std::vector<ScalingVector> slots = {ScalingVector(cores, 1),
+                                        ScalingVector(cores, static_cast<ScalingLevel>(levels))};
+    ScalingVector ladder(cores);
+    for (std::size_t c = 0; c < cores; ++c)
+        ladder[c] = static_cast<ScalingLevel>(levels - c * levels / cores); // 6,6,6,5,...,1
+    slots.push_back(ladder);
+    Rng rng(31);
+    for (const ScalingVector& slot : slots) {
+        const EvaluationContext ctx = problem.evaluation_context(slot);
+        EvalContext eval(ctx);
+        Mapping base = random_mapping(graph, cores, rng);
+        expect_bit_identical(eval.rebase(base), evaluate_design(ctx, base), "wide rebase");
+        for (TaskId t = 0; t < graph.task_count(); ++t) {
+            for (CoreId core = 0; core < cores; ++core) {
+                if (core == base.core_of(t)) continue;
+                Mapping moved = base;
+                moved.assign(t, core);
+                expect_bit_identical(eval.evaluate_move(t, core), evaluate_design(ctx, moved),
+                                     "wide move");
+            }
+        }
+        for (int i = 0; i < 80; ++i) {
+            const auto a = static_cast<TaskId>(
+                rng.uniform_int(0, static_cast<std::int64_t>(graph.task_count()) - 1));
+            const auto b = static_cast<TaskId>(
+                rng.uniform_int(0, static_cast<std::int64_t>(graph.task_count()) - 1));
+            if (a == b || base.core_of(a) == base.core_of(b)) continue;
+            Mapping swapped = base;
+            swapped.assign(a, base.core_of(b));
+            swapped.assign(b, base.core_of(a));
+            expect_bit_identical(eval.evaluate_swap(a, b), evaluate_design(ctx, swapped),
+                                 "wide swap");
+            if (i % 6 == 5) {
+                base = swapped;
+                expect_bit_identical(eval.rebase(base), evaluate_design(ctx, base),
+                                     "wide rebase");
+            }
+        }
+    }
+}
+
 TEST(EvalContextEquivalence, MemoHitsAreServedWithoutReevaluation) {
     const TaskGraph graph = mpeg2_decoder_graph();
     const MpsocArchitecture arch(4, VoltageScalingTable::arm7_three_level());
@@ -152,6 +204,61 @@ TEST(EvalContextEquivalence, MemoHitsAreServedWithoutReevaluation) {
         << "revisited candidate must be a memo hit, not a re-evaluation";
     EXPECT_GT(eval.stats().memo_hits, 0u);
     expect_bit_identical(again, first, "memo hit");
+}
+
+TEST(EvalContextEquivalence, NeighbourMemoKeysEqualFullMappingKeys) {
+    // A neighbour's memo key is the base key updated in O(1); it must
+    // equal the key of the materialized mapping, or the memoized and
+    // neighbour paths would cache the same design twice.
+    TgffParams params;
+    params.task_count = 16;
+    const TaskGraph graph = generate_tgff_graph(params, 7);
+    const MpsocArchitecture arch(4, VoltageScalingTable::arm7_three_level());
+    const EvaluationContext ctx{graph, arch, {1, 2, 2, 3}, SeuEstimator{SerModel{}},
+                                paper_tgff_deadline_seconds(16)};
+    EvalContext eval(ctx);
+    Rng rng(41);
+    const Mapping base = random_mapping(graph, 4, rng);
+    eval.rebase(base);
+
+    auto expect_pure_hit = [&](const Mapping& mapping, const std::string& where) {
+        const EvalContext::Stats before = eval.stats();
+        (void)eval.evaluate_memoized(mapping);
+        const EvalContext::Stats& after = eval.stats();
+        EXPECT_EQ(after.memo_hits, before.memo_hits + 1) << where;
+        EXPECT_EQ(after.full_evals, before.full_evals) << where;
+        EXPECT_EQ(after.incremental_evals, before.incremental_evals) << where;
+        EXPECT_EQ(after.memo_entries, before.memo_entries) << where;
+    };
+    Mapping last_neighbour = base;
+    for (TaskId t = 0; t < graph.task_count(); t += 3) {
+        const CoreId to = static_cast<CoreId>((base.core_of(t) + 1) % 4);
+        (void)eval.evaluate_move(t, to);
+        last_neighbour = base;
+        last_neighbour.assign(t, to);
+        expect_pure_hit(last_neighbour, "move " + std::to_string(t));
+    }
+    for (TaskId a = 0; a + 1 < graph.task_count(); a += 2) {
+        const TaskId b = a + 1;
+        if (base.core_of(a) == base.core_of(b)) continue;
+        (void)eval.evaluate_swap(a, b);
+        Mapping swapped = base;
+        swapped.assign(a, base.core_of(b));
+        swapped.assign(b, base.core_of(a));
+        expect_pure_hit(swapped, "swap " + std::to_string(a));
+    }
+
+    // Rebasing onto an evaluated neighbour finds it in the memo, and the
+    // move back to the old base is a hit under the new base's key.
+    const std::uint64_t entries = eval.stats().memo_entries;
+    eval.rebase(last_neighbour);
+    EXPECT_EQ(eval.stats().memo_entries, entries);
+    TaskId moved = 0;
+    while (last_neighbour.core_of(moved) == base.core_of(moved)) ++moved;
+    const std::uint64_t hits = eval.stats().memo_hits;
+    (void)eval.evaluate_move(moved, base.core_of(moved));
+    EXPECT_EQ(eval.stats().memo_hits, hits + 1);
+    EXPECT_EQ(eval.stats().memo_entries, entries);
 }
 
 TEST(EvalContextEquivalence, SearchesIdenticalAcrossEvaluationPaths) {

@@ -54,6 +54,14 @@ TEST(TaskGraph, RejectsBadIds) {
     EXPECT_THROW(graph.add_edge(0, 99, 1), std::out_of_range);
     EXPECT_THROW((void)graph.task(99), std::out_of_range);
     EXPECT_THROW((void)graph.edge(99), std::out_of_range);
+    EXPECT_THROW((void)graph.out_edge_indices(99), std::out_of_range);
+    EXPECT_THROW((void)graph.in_edge_indices(99), std::out_of_range);
+    // The first invalid id, not just a far one.
+    const auto tasks = static_cast<TaskId>(graph.task_count());
+    EXPECT_THROW((void)graph.task(tasks), std::out_of_range);
+    EXPECT_THROW((void)graph.out_edge_indices(tasks), std::out_of_range);
+    EXPECT_THROW((void)graph.in_edge_indices(tasks), std::out_of_range);
+    EXPECT_THROW((void)graph.edge(graph.edge_count()), std::out_of_range);
 }
 
 TEST(TaskGraph, BatchCountValidation) {

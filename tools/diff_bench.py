@@ -25,7 +25,10 @@ def load(path):
     for bench in doc.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             continue
-        out[bench["name"]] = bench
+        # UseRealTime() appends "/real_time" to the name; strip it so a
+        # bench keeps its history across that switch (real_time is what
+        # is compared either way).
+        out[bench["name"].removesuffix("/real_time")] = bench
     return out
 
 
