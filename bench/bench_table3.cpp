@@ -79,12 +79,12 @@ int main(int argc, char** argv) {
         for (std::size_t i = 1; i < gammas.size(); ++i)
             if (gammas[i] > gammas[i - 1]) ++rises;
         const auto& powers = power_series[name];
-        std::size_t min_power_index = 0;
+        std::size_t cheapest_index = 0;
         for (std::size_t i = 1; i < powers.size(); ++i)
-            if (powers[i] < powers[min_power_index]) min_power_index = i;
+            if (powers[i] < powers[cheapest_index]) cheapest_index = i;
         std::cout << "# " << name << ": Gamma rises on " << rises << "/" << gammas.size() - 1
                   << " core-count steps (paper: monotone rise); min-P core count = "
-                  << min_power_index + 2 << " (paper: app-dependent middle)\n";
+                  << cheapest_index + 2 << " (paper: app-dependent middle)\n";
     }
     std::cout << "# paper reference rows (P mW / Gamma x1e5):\n"
                  "#   MPEG-2: 9.1/2.13  5.9/3.17  4.25/3.93  6.34/4.95  7.24/5.36\n"

@@ -44,14 +44,6 @@ JsonValue to_json(const DseResult& result) {
     JsonValue front = JsonValue::array();
     for (const DsePoint& point : result.pareto_front) front.push_back(to_json(point));
     out["pareto_front"] = std::move(front);
-    // Opt-in (DseParams::search.track_min_power): absent entirely when
-    // tracking is off, so the default document schema never changes.
-    if (!result.min_power_points.empty()) {
-        JsonValue cheapest = JsonValue::array();
-        for (const DsePoint& point : result.min_power_points)
-            cheapest.push_back(to_json(point));
-        out["min_power_points"] = std::move(cheapest);
-    }
     return out;
 }
 

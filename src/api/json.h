@@ -13,14 +13,12 @@
 //       "deadline_seconds", "exposure_policy"
 //     },
 //     "result": {
-//       "scalings": {"total", "enumerated", "searched",
-//                    "skipped_infeasible"},   // enumerated < total only
-//                                             // when cancelled/cut early
+//       "scalings": {"total", "enumerated", "emitted", "searched",
+//                    "skipped_infeasible", "pruned"},
+//                    // enumerated < total only when cancelled/cut early
 //       "best": <point> | null,
 //       "feasible_count",
-//       "pareto_front": [<point>...],
-//       "min_power_points": [<point>...]   // only when
-//                                          // search.track_min_power is on
+//       "pareto_front": [<point>...]
 //     }
 //   }
 // where <point> = {"levels": [..], "core_of": [..], "metrics":

@@ -27,21 +27,6 @@ namespace seamap {
 
 namespace {
 
-/// Decided design of one *feasible* scaling combination, keyed by its
-/// enumeration rank in a sparse map so the end-of-run fold still walks
-/// feasible points in enumeration order regardless of thread count.
-/// Pruned / gate-skipped / searched-but-empty decisions carry no design
-/// and fold into plain counters instead: resident memory tracks the
-/// slots actually decided, never the full combination space (which at
-/// giant instances — C(69,5) and up — would dwarf the frontier the
-/// lazy enumeration is meant to bound).
-struct FeasibleOutcome {
-    DsePoint point;
-    /// Folded min-power side channel (DseParams::search.track_min_power).
-    DsePoint min_power_point;
-    bool has_min_power = false;
-};
-
 /// The paper's step-3 selection rule — minimum power, fewer expected
 /// SEUs within the relative power tie window — applied to the sorted
 /// Pareto front. On the front the rule is a pure function of the point
@@ -113,7 +98,15 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
                      : std::nullopt;
     LazyScalingQueue queue(graph, arch, deadline_seconds,
                            bounds_model ? &*bounds_model : nullptr);
-    std::map<std::uint64_t, FeasibleOutcome> feasible_outcomes; // under bb_mutex
+    // The decided design of each *feasible* slot, keyed by enumeration
+    // rank so the end-of-run fold walks feasible points in enumeration
+    // order regardless of thread count. Pruned / gate-skipped /
+    // searched-but-empty decisions carry no design and fold into plain
+    // counters instead: resident memory tracks the slots actually
+    // decided, never the full combination space (which at giant
+    // instances — C(69,5) and up — would dwarf the frontier the lazy
+    // enumeration is meant to bound).
+    std::map<std::uint64_t, DsePoint> feasible_points; // under bb_mutex
     std::uint64_t skipped_count = 0;   ///< gate skips; producer thread only
     std::uint64_t pruned_count = 0;    ///< replay-pruned; under bb_mutex
     std::uint64_t no_design_count = 0; ///< searched, empty; under bb_mutex
@@ -176,9 +169,12 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
         /// Freed as soon as the replay decides the slot, so only a
         /// window of case lists is ever alive.
         std::vector<ScalingBounds> cases;
-        LocalSearchResult search;
-        /// Resume: the checkpointed replay decision for this slot.
-        const DseSlotRecord* record = nullptr;
+        /// The slot's outcome: restored from the snapshot, or the
+        /// search's verdict (feasible / no_design) once it completes.
+        /// The replay may still turn a searched slot's verdict into
+        /// `pruned` (the search was speculative).
+        DseSlotRecord record;
+        bool restored = false; ///< record replayed from a checkpoint
         bool disposed = false; ///< dropped at pop time (lagged front)
         bool runtime_pruned = false;
         bool completed = false;
@@ -233,14 +229,35 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
     // with bb_mutex held. Mirrors the old end-of-run merge exactly: a
     // stop-cut slot stays not_run (and ends the recordable prefix —
     // nothing after it is replay-stable in a snapshot) but later slots
-    // are still decided against the front without it.
+    // are still decided against the front without it. Restored and
+    // fresh slots share one path: only the pruned-or-keep decision and
+    // the snapshot append are skipped for restored ones.
     auto advance_replay = [&] {
         const bool advanced = replayed < slots.size() && slots[replayed].completed;
         while (replayed < slots.size() && slots[replayed].completed) {
             SearchSlot& slot = slots[replayed];
-            if (slot.record != nullptr) {
-                // Restored decision: replay it from the snapshot.
-                const DseSlotRecord& record = *slot.record;
+            DseSlotRecord& record = slot.record;
+            bool decided = true;
+            if (!slot.restored) {
+                if (slot.disposed ||
+                    (params.prune && front_prunes(replay_front, slot.cases))) {
+                    // A disposed slot's replay front is a superset of
+                    // the lagged front that disposed it, so the replay
+                    // verdict is already known (dominance is monotone).
+                    record.kind = DseSlotRecord::Kind::pruned;
+                } else if (!slot.ran) {
+                    // Stop cut this slot: stays not_run.
+                    decided = false;
+                } else if (slot.runtime_pruned) {
+                    // Worker pruned a slot the replay keeps: the bounds
+                    // are unsound. Surfaced after the pool drains.
+                    bounds_unsound = true;
+                    decided = false;
+                }
+                if (!decided) recording_stopped = true;
+                if (checkpoint != nullptr && !recording_stopped) checkpoint->record(record);
+            }
+            if (decided) {
                 switch (record.kind) {
                 case DseSlotRecord::Kind::pruned:
                     ++pruned_count;
@@ -248,82 +265,20 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
                 case DseSlotRecord::Kind::no_design:
                     ++no_design_count;
                     break;
-                case DseSlotRecord::Kind::feasible: {
-                    FeasibleOutcome outcome;
-                    outcome.point.levels = slot.levels;
-                    outcome.point.mapping = record.point.mapping;
-                    outcome.point.metrics = record.point.metrics;
-                    if (record.has_min_power) {
-                        outcome.min_power_point.levels = slot.levels;
-                        outcome.min_power_point.mapping = record.min_power_point.mapping;
-                        outcome.min_power_point.metrics = record.min_power_point.metrics;
-                        outcome.has_min_power = true;
-                    }
+                case DseSlotRecord::Kind::feasible:
                     slot.replay_feasible = true;
                     slot.replay_power = record.point.metrics.power_mw;
                     slot.replay_gamma = record.point.metrics.gamma;
-                    replay_front.insert(record.point.metrics.power_mw,
-                                        record.point.metrics.gamma);
-                    feasible_outcomes.emplace(slot.rank, std::move(outcome));
+                    replay_front.insert(slot.replay_power, slot.replay_gamma);
+                    record.point.levels = slot.levels;
+                    feasible_points.emplace(slot.rank, std::move(record.point));
                     break;
                 }
-                }
-            } else {
-                DseSlotRecord record;
-                record.combo = slot.rank;
-                bool recordable = false;
-                if (slot.disposed ||
-                    (params.prune && front_prunes(replay_front, slot.cases))) {
-                    // A disposed slot's replay front is a superset of
-                    // the lagged front that disposed it, so the replay
-                    // verdict is already known (dominance is monotone).
-                    ++pruned_count;
-                    record.kind = DseSlotRecord::Kind::pruned;
-                    recordable = true;
-                } else if (!slot.ran) {
-                    // Stop cut this slot: stays not_run.
-                    recording_stopped = true;
-                } else if (slot.runtime_pruned) {
-                    // Worker pruned a slot the replay keeps: the bounds
-                    // are unsound. Surfaced after the pool drains.
-                    bounds_unsound = true;
-                    recording_stopped = true;
-                } else {
-                    const LocalSearchResult& search = slot.search;
-                    if (search.found_feasible) {
-                        FeasibleOutcome outcome;
-                        outcome.point.levels = slot.levels;
-                        outcome.point.mapping = search.best_mapping;
-                        outcome.point.metrics = search.best_metrics;
-                        record.kind = DseSlotRecord::Kind::feasible;
-                        record.point = outcome.point;
-                        if (search.min_power_found) {
-                            outcome.min_power_point.levels = slot.levels;
-                            outcome.min_power_point.mapping = search.min_power_mapping;
-                            outcome.min_power_point.metrics = search.min_power_metrics;
-                            outcome.has_min_power = true;
-                            record.min_power_point = outcome.min_power_point;
-                            record.has_min_power = true;
-                        }
-                        slot.replay_feasible = true;
-                        slot.replay_power = search.best_metrics.power_mw;
-                        slot.replay_gamma = search.best_metrics.gamma;
-                        replay_front.insert(search.best_metrics.power_mw,
-                                            search.best_metrics.gamma);
-                        feasible_outcomes.emplace(slot.rank, std::move(outcome));
-                    } else {
-                        ++no_design_count;
-                        record.kind = DseSlotRecord::Kind::no_design;
-                    }
-                    recordable = true;
-                }
-                if (checkpoint != nullptr && recordable && !recording_stopped)
-                    checkpoint->record(record);
             }
             // The replay is this slot's last reader: drop the bound
-            // cases and search result, keep the cheap outcome.
+            // cases and any design, keep the cheap verdict.
             slot.cases = {};
-            slot.search = {};
+            record.point = {};
             ++replayed;
         }
         if (advanced) replay_cv.notify_all();
@@ -372,7 +327,14 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
                     for (ScalingLevel level : levels)
                         level_hash = splitmix64(level_hash ^ level);
                     const std::uint64_t seed = splitmix64(params.search.seed ^ level_hash);
-                    slot.search = strategy.search(eval, initial, seed, &stop);
+                    LocalSearchResult found = strategy.search(eval, initial, seed, &stop);
+                    if (found.found_feasible) {
+                        slot.record.kind = DseSlotRecord::Kind::feasible;
+                        slot.record.point.mapping = std::move(found.best_mapping);
+                        slot.record.point.metrics = found.best_metrics;
+                    } else {
+                        slot.record.kind = DseSlotRecord::Kind::no_design;
+                    }
                     searched = true;
                 } catch (...) {
                     // A throwing strategy must not strand the producer
@@ -388,9 +350,10 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
             // A stop landing while the search ran may have cut it short,
             // leaving a partial (non-replay-faithful) result: discard it
             // — the slot stays not_run and a resume re-searches it in
-            // full. Prune skips carry no search data and stay valid.
+            // full. So does a search that threw. Prune skips carry no
+            // search data and stay valid.
             std::lock_guard lock(bb_mutex);
-            if (!searched || !stop.stop_requested()) slot.ran = true;
+            slot.ran = slot.runtime_pruned || (searched && !stop.stop_requested());
         }
 
         // Completion bookkeeping: decide the slot's live outcome and
@@ -405,10 +368,10 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
             if (slot.ran) {
                 completed_now = true;
                 if (!slot.runtime_pruned) {
-                    if (slot.search.found_feasible) {
+                    if (slot.record.kind == DseSlotRecord::Kind::feasible) {
                         found_point.levels = slot.levels;
-                        found_point.mapping = slot.search.best_mapping;
-                        found_point.metrics = slot.search.best_metrics;
+                        found_point.mapping = slot.record.point.mapping;
+                        found_point.metrics = slot.record.point.metrics;
                         live_outcome = ScalingProgress::Outcome::feasible;
                         live_point = &found_point;
                     } else {
@@ -485,11 +448,13 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
                 if (record != nullptr) {
                     // Restored: the snapshot already holds this slot's
                     // replay decision; nothing runs.
-                    slot.record = record;
+                    slot.record = *record;
+                    slot.restored = true;
                     slot.completed = true;
                     advance_replay();
                     continue;
                 }
+                slot.record.combo = rank;
                 slot.cases = std::move(cases);
                 if (disposed) {
                     slot.disposed = true;
@@ -530,7 +495,7 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
 
     // Deterministic fold: the counters are order-independent sums and
     // the rank-keyed map iterates in ascending enumeration rank, so the
-    // feasible/min-power point order is byte-identical to the old dense
+    // feasible point order is byte-identical to the old dense
     // rank-indexed sweep at any thread count.
     DseResult result;
     result.scalings_total = queue.total();
@@ -538,13 +503,11 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
     result.scalings_skipped_infeasible = skipped_count;
     result.scalings_pruned = pruned_count;
     result.scalings_searched =
-        no_design_count + static_cast<std::uint64_t>(feasible_outcomes.size());
+        no_design_count + static_cast<std::uint64_t>(feasible_points.size());
     result.scalings_enumerated = skipped_count + pruned_count + result.scalings_searched;
-    for (auto& [rank, outcome] : feasible_outcomes) {
+    for (auto& [rank, point] : feasible_points) {
         (void)rank;
-        result.feasible_points.push_back(std::move(outcome.point));
-        if (outcome.has_min_power)
-            result.min_power_points.push_back(std::move(outcome.min_power_point));
+        result.feasible_points.push_back(std::move(point));
     }
 
     // Step 3: iterative assessment — among feasible designs pick

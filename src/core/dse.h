@@ -90,7 +90,7 @@ struct DseParams {
     std::size_t num_threads = 1;
     /// Evaluation-path knobs for the per-scaling EvalContext each
     /// worker runs its search on (core/eval_context.h). Every setting
-    /// — fast, memo/incremental disabled, or the naive reference —
+    /// — fast, memo disabled, or the naive reference —
     /// yields bit-identical results; the default is the full fast
     /// path. Exposed so the equivalence harness and the benches can
     /// pin the optimization against the naive path end-to-end.
@@ -111,15 +111,6 @@ struct DseResult {
     std::optional<DsePoint> best;
     /// Every feasible design point evaluated.
     std::vector<DsePoint> feasible_points;
-    /// The minimum-power feasible design each scaling's walk passed
-    /// through (power first, Gamma tie-break), parallel in enumeration
-    /// order to `feasible_points`. Only populated when
-    /// `DseParams::search.track_min_power` is on and the strategy
-    /// tracks it (the Fig. 7 engine does); empty otherwise, so result
-    /// schemas built on this struct are unchanged when the flag is off.
-    /// Sharpens the incumbent front: a walk's min-Gamma pick can sit at
-    /// a higher power than the cheapest feasible design it saw.
-    std::vector<DsePoint> min_power_points;
     /// Non-dominated subset over (power_mw, gamma).
     std::vector<DsePoint> pareto_front;
     /// Size of the full Fig. 5 sequence for this architecture.

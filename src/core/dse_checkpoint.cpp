@@ -1,5 +1,6 @@
 #include "core/dse_checkpoint.h"
 
+#include "reliability/state_hash.h"
 #include "util/error.h"
 #include "util/strings.h"
 
@@ -13,7 +14,7 @@ namespace {
 // One line per decided slot, space-separated fields:
 //   pruned <combo>
 //   nodesign <combo>
-//   feasible <combo> <point> [minpower <point>]
+//   feasible <combo> <point>
 // where <point> = <mapping csv> <tm> <latency> <register_bits> <gamma>
 // <power> <feasible 0|1>, doubles rendered as bit-exact hex
 // (util/checkpoint.h) so a resumed run is byte-identical. Scaling
@@ -49,10 +50,6 @@ std::string encode_record(const DseSlotRecord& record) {
     }
     std::string out = "feasible " + std::to_string(record.combo);
     encode_point(out, record.point);
-    if (record.has_min_power) {
-        out += " minpower";
-        encode_point(out, record.min_power_point);
-    }
     return out;
 }
 
@@ -83,25 +80,25 @@ Mapping mapping_of_csv(const std::string& path, const std::string& csv,
     return mapping;
 }
 
-/// Decode one <point> starting at fields[at]; advances `at`.
+/// Decode the <point> of a feasible record (fields[2..8]).
 DsePoint decode_point(const std::string& path, const std::vector<std::string>& fields,
-                      std::size_t& at, std::size_t task_count, std::size_t core_count) {
-    if (fields.size() - at < 7) fail_decode(path, "truncated design point");
+                      std::size_t task_count, std::size_t core_count) {
+    if (fields.size() < 9) fail_decode(path, "truncated design point");
+    if (fields.size() > 9) fail_decode(path, "trailing fields on feasible record");
     DsePoint point;
-    point.mapping = mapping_of_csv(path, fields[at], task_count, core_count);
+    point.mapping = mapping_of_csv(path, fields[2], task_count, core_count);
     try {
-        point.metrics.tm_seconds = double_of_hex(fields[at + 1]);
-        point.metrics.latency_seconds = double_of_hex(fields[at + 2]);
-        point.metrics.register_bits = parse_u64(fields[at + 3]);
-        point.metrics.gamma = double_of_hex(fields[at + 4]);
-        point.metrics.power_mw = double_of_hex(fields[at + 5]);
+        point.metrics.tm_seconds = double_of_hex(fields[3]);
+        point.metrics.latency_seconds = double_of_hex(fields[4]);
+        point.metrics.register_bits = parse_u64(fields[5]);
+        point.metrics.gamma = double_of_hex(fields[6]);
+        point.metrics.power_mw = double_of_hex(fields[7]);
     } catch (const std::exception&) {
         fail_decode(path, "non-numeric design metrics");
     }
-    if (fields[at + 6] != "0" && fields[at + 6] != "1")
-        fail_decode(path, "bad feasibility flag '" + fields[at + 6] + "'");
-    point.metrics.feasible = fields[at + 6] == "1";
-    at += 7;
+    if (fields[8] != "0" && fields[8] != "1")
+        fail_decode(path, "bad feasibility flag '" + fields[8] + "'");
+    point.metrics.feasible = fields[8] == "1";
     return point;
 }
 
@@ -127,16 +124,7 @@ DseSlotRecord decode_record(const std::string& path, const std::string& line,
     }
     if (fields[0] != "feasible") fail_decode(path, "unknown record kind '" + fields[0] + "'");
     record.kind = DseSlotRecord::Kind::feasible;
-    std::size_t at = 2;
-    record.point = decode_point(path, fields, at, task_count, core_count);
-    if (at < fields.size()) {
-        if (fields[at] != "minpower")
-            fail_decode(path, "unexpected field '" + fields[at] + "' after design point");
-        ++at;
-        record.min_power_point = decode_point(path, fields, at, task_count, core_count);
-        record.has_min_power = true;
-    }
-    if (at != fields.size()) fail_decode(path, "trailing fields on feasible record");
+    record.point = decode_point(path, fields, task_count, core_count);
     return record;
 }
 
@@ -152,49 +140,10 @@ std::uint64_t dse_state_hash(const TaskGraph& graph, const MpsocArchitecture& ar
     // salt makes them fail the state-hash check cleanly.
     h.mix("seamap-dse-state-v2");
 
-    // Application: name, batching, register inventory, tasks, edges.
-    h.mix(graph.name());
-    h.mix(graph.batch_count());
-    const RegisterFile& regs = graph.register_file();
-    h.mix(regs.size());
-    for (std::size_t r = 0; r < regs.size(); ++r) {
-        h.mix(regs.name(static_cast<RegisterId>(r)));
-        h.mix(regs.bits(static_cast<RegisterId>(r)));
-    }
-    h.mix(graph.task_count());
-    for (std::size_t t = 0; t < graph.task_count(); ++t) {
-        const Task& task = graph.task(static_cast<TaskId>(t));
-        h.mix(task.name);
-        h.mix(task.exec_cycles);
-        h.mix(task.registers.count());
-        task.registers.for_each([&](RegisterId id) { h.mix(id); });
-    }
-    h.mix(graph.edge_count());
-    for (const Edge& edge : graph.edges()) {
-        h.mix(edge.src);
-        h.mix(edge.dst);
-        h.mix(edge.comm_cycles);
-    }
-
-    // Architecture: cores, operating points, power parameters.
-    h.mix(arch.core_count());
-    const VoltageScalingTable& table = arch.scaling_table();
-    h.mix(table.level_count());
-    for (std::size_t l = 1; l <= table.level_count(); ++l) {
-        const OperatingPoint& op = table.at_level(static_cast<ScalingLevel>(l));
-        h.mix_double(op.f_mhz);
-        h.mix_double(op.vdd);
-    }
-    const PowerParams& power = arch.power_model().params();
-    h.mix_double(power.c_eff_farads);
-    h.mix_double(power.idle_activity);
+    mix_graph_and_architecture(h, graph, arch);
 
     // Reliability model and constraint.
-    const SerParams& sp = ser.params();
-    h.mix_double(sp.ser_ref_per_bit_cycle);
-    h.mix_double(sp.ref_vdd);
-    h.mix_double(sp.ref_f_mhz);
-    h.mix_double(sp.voltage_exponent_k);
+    mix_ser_model(h, ser);
     h.mix(static_cast<std::uint64_t>(policy));
     h.mix_double(deadline_seconds);
 
@@ -210,7 +159,9 @@ std::uint64_t dse_state_hash(const TaskGraph& graph, const MpsocArchitecture& ar
     h.mix(static_cast<std::uint64_t>(s.require_all_cores));
     h.mix(s.restarts);
     h.mix(s.seed);
-    h.mix(static_cast<std::uint64_t>(s.track_min_power));
+    // The retired min-power tracking flag (always 0 by default): the
+    // constant keeps older snapshots' hash, so they keep resuming.
+    h.mix(std::uint64_t{0});
     h.mix(static_cast<std::uint64_t>(params.use_initial_sea_mapping));
     h.mix_double(params.power_tie_tolerance);
     h.mix(static_cast<std::uint64_t>(params.prune));

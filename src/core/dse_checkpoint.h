@@ -6,11 +6,10 @@
 // and each slot's replay decision depends only on the folded outcomes
 // of *earlier* slots. The contiguous prefix of decided slots is
 // therefore replay-stable: record each prefix slot's replay outcome
-// ({pruned | no feasible design | feasible(point, optional min-power
-// point)}) and a resumed run that preloads the prefix and searches only
-// the remaining slots reproduces the uninterrupted run byte-for-byte —
-// at any thread count, since thread count never influences replay
-// decisions.
+// ({pruned | no feasible design | feasible(point)}) and a resumed run
+// that preloads the prefix and searches only the remaining slots
+// reproduces the uninterrupted run byte-for-byte — at any thread
+// count, since thread count never influences replay decisions.
 //
 // Snapshots are keyed by dse_state_hash(), a content hash of everything
 // that determines the byte-exact outcome (graph, architecture,
@@ -48,9 +47,7 @@ struct DseSlotRecord {
     /// against the recomputed plan on resume).
     std::uint64_t combo = 0;
     Kind kind = Kind::pruned;
-    DsePoint point;           ///< feasible only
-    DsePoint min_power_point; ///< feasible only, when tracked
-    bool has_min_power = false;
+    DsePoint point; ///< feasible only
 };
 
 /// Parsed resume state: the decided prefix in slot pop order.

@@ -15,6 +15,13 @@
 
 namespace seamap {
 
+namespace {
+
+/// Probe slots the memo table starts with (grown by doubling).
+constexpr std::size_t k_memo_initial_slots = 2048;
+
+} // namespace
+
 NeighborOp random_neighbor_op(Mapping& mapping, Rng& rng, double swap_probability,
                               bool require_all_cores) {
     NeighborOp op;
@@ -137,6 +144,16 @@ EvalContext::EvalContext(const EvaluationContext& ctx, EvalOptions options)
     core_task_offsets_.resize(cores_ + 1);
     core_task_cursor_.resize(cores_);
     core_task_ids_.resize(n_);
+
+    // Worst-case bytes per memo entry: its key and record, doubled
+    // because geometric vector growth leaves capacity below twice the
+    // size, plus fewer than three probe slots under the load-factor
+    // bound with power-of-two growth; the initial probe table is paid
+    // up front. Exact reservation would admit twice the entries but
+    // measured slower than the vectors' own growth.
+    memo_max_entries_ =
+        (k_memo_budget_bytes - k_memo_initial_slots * sizeof(std::uint32_t)) /
+        (2 * (n_ * sizeof(CoreId) + sizeof(MemoEntry)) + 3 * sizeof(std::uint32_t));
 }
 // seamap-lint: pop-allow(hot-path-alloc)
 
@@ -319,11 +336,10 @@ DesignMetrics EvalContext::evaluate_move(TaskId task, CoreId to) {
     if (to >= cores_) throw std::invalid_argument("EvalContext::evaluate_move: bad core id");
     const CoreId from = base_.raw()[task];
     if (to == from) return base_metrics_;
-    if (options_.naive_reference || !options_.incremental) {
+    if (options_.naive_reference) {
         mapping_scratch_ = base_;
         mapping_scratch_.assign(task, to);
-        if (options_.naive_reference) return evaluate_design(ctx_, mapping_scratch_);
-        return evaluate_memoized(mapping_scratch_);
+        return evaluate_design(ctx_, mapping_scratch_);
     }
     const Override ov{task, to, task, to};
     if (!options_.memoize) return evaluate_override(ov, suffix_start_[task]);
@@ -344,12 +360,11 @@ DesignMetrics EvalContext::evaluate_swap(TaskId a, TaskId b) {
     const CoreId core_a = base_.raw()[a];
     const CoreId core_b = base_.raw()[b];
     if (a == b || core_a == core_b) return base_metrics_;
-    if (options_.naive_reference || !options_.incremental) {
+    if (options_.naive_reference) {
         mapping_scratch_ = base_;
         mapping_scratch_.assign(a, core_b);
         mapping_scratch_.assign(b, core_a);
-        if (options_.naive_reference) return evaluate_design(ctx_, mapping_scratch_);
-        return evaluate_memoized(mapping_scratch_);
+        return evaluate_design(ctx_, mapping_scratch_);
     }
     const Override ov{a, core_b, b, core_a};
     const std::size_t suffix_pos = std::min(suffix_start_[a], suffix_start_[b]);
@@ -511,15 +526,19 @@ const DesignMetrics* EvalContext::memo_find(std::uint64_t hash, const CoreId* ba
 
 // seamap-lint: push-allow(hot-path-alloc) -- memo-table growth is the
 // documented exception to the zero-allocation steady state: inserts
-// amortize across the walk and stop entirely at memo_capacity; lookups
-// (the hit path) never allocate
+// amortize across the walk and stop entirely at k_memo_budget_bytes;
+// lookups (the hit path) never allocate
 void EvalContext::memo_insert(std::uint64_t hash, const CoreId* base, const Override& ov,
                               const DesignMetrics& metrics) {
-    if (memo_entries_.size() >= options_.memo_capacity) return;
-    if (memo_slots_.empty()) memo_slots_.assign(2048, 0);
+    if (memo_entries_.size() >= memo_max_entries_) return;
     // Keep the open-addressing load factor below 0.7.
-    if ((memo_entries_.size() + 1) * 10 >= memo_slots_.size() * 7) {
-        std::vector<std::uint32_t> bigger(memo_slots_.size() * 2, 0);
+    const bool rehash =
+        memo_slots_.empty() || (memo_entries_.size() + 1) * 10 >= memo_slots_.size() * 7;
+    const bool grows = rehash || memo_entries_.size() == memo_entries_.capacity() ||
+                       memo_keys_.capacity() - memo_keys_.size() < n_;
+    if (rehash) {
+        std::vector<std::uint32_t> bigger(
+            memo_slots_.empty() ? k_memo_initial_slots : memo_slots_.size() * 2, 0);
         const std::size_t mask = bigger.size() - 1;
         for (std::size_t e = 0; e < memo_entries_.size(); ++e) {
             std::size_t i = memo_entries_[e].hash & mask;
@@ -540,6 +559,10 @@ void EvalContext::memo_insert(std::uint64_t hash, const CoreId* base, const Over
     while (memo_slots_[i] != 0) i = (i + 1) & mask;
     memo_slots_[i] = static_cast<std::uint32_t>(memo_entries_.size());
     stats_.memo_entries = memo_entries_.size();
+    if (grows)
+        stats_.memo_bytes = memo_keys_.capacity() * sizeof(CoreId) +
+                            memo_entries_.capacity() * sizeof(MemoEntry) +
+                            memo_slots_.capacity() * sizeof(std::uint32_t);
 }
 // seamap-lint: pop-allow(hot-path-alloc)
 

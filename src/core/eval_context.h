@@ -61,10 +61,6 @@ namespace seamap {
 struct EvalOptions {
     /// Per-scaling memo table over complete mappings.
     bool memoize = true;
-    /// Suffix-only rescheduling for move/swap neighbours.
-    bool incremental = true;
-    /// Memo entry cap; inserts stop beyond it (lookups keep working).
-    std::size_t memo_capacity = 1u << 20;
     /// Route every evaluation through evaluate_design() instead of the
     /// optimized path (no scratch reuse, no memo, no incremental).
     /// This is the pre-optimization reference the equivalence tests
@@ -101,6 +97,11 @@ NeighborOp random_neighbor_op(Mapping& mapping, Rng& rng, double swap_probabilit
 /// Reusable per-scaling evaluation engine. See file comment.
 class EvalContext {
 public:
+    /// Byte budget of one context's memo storage (keys, entries and
+    /// probe slots). Inserts stop before the reserved storage would
+    /// exceed it; lookups keep working.
+    static constexpr std::size_t k_memo_budget_bytes = std::size_t{64} << 20;
+
     /// `ctx` must outlive the EvalContext. Validates the scaling vector
     /// eagerly and precomputes the schedule order.
     explicit EvalContext(const EvaluationContext& ctx, EvalOptions options = {});
@@ -156,6 +157,7 @@ public:
         std::uint64_t incremental_evals = 0; ///< suffix-only replays
         std::uint64_t memo_hits = 0;
         std::uint64_t memo_entries = 0;
+        std::uint64_t memo_bytes = 0; ///< reserved memo storage, <= k_memo_budget_bytes
     };
     const Stats& stats() const { return stats_; }
 
@@ -261,6 +263,7 @@ private:
     std::vector<MemoEntry> memo_entries_;
     std::vector<std::uint32_t> memo_slots_; ///< entry index + 1; 0 = empty
     std::vector<CoreId> memo_keys_;
+    std::size_t memo_max_entries_ = 0; ///< entries k_memo_budget_bytes admits
 
     Stats stats_;
 };

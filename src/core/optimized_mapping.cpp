@@ -1,6 +1,5 @@
 #include "core/optimized_mapping.h"
 
-#include "util/float_compare.h"
 #include "util/rng.h"
 
 #include <chrono>
@@ -64,21 +63,6 @@ LocalSearchResult OptimizedMapping::optimize(EvalContext& eval, const Mapping& i
                    metrics.tm_seconds < result.best_metrics.tm_seconds) {
             result.best_mapping = make_mapping();
             result.best_metrics = metrics;
-        }
-        // Opt-in side channel: the cheapest feasible design the walk
-        // passes through (power first, Gamma tie-break). Pure
-        // observation — the walk and Mbest above never read it.
-        if (params_.track_min_power && metrics.feasible) {
-            const bool cheaper =
-                !result.min_power_found ||
-                metrics.power_mw < result.min_power_metrics.power_mw ||
-                (exactly_equal(metrics.power_mw, result.min_power_metrics.power_mw) &&
-                 metrics.gamma < result.min_power_metrics.gamma);
-            if (cheaper) {
-                result.min_power_mapping = make_mapping();
-                result.min_power_metrics = metrics;
-                result.min_power_found = true;
-            }
         }
     };
     // Walk ordering: feasibility first, then fewer expected SEUs.

@@ -51,13 +51,6 @@ struct LocalSearchParams {
     /// mapping. Escapes local minima that a single walk gets stuck in.
     std::uint64_t restarts = 3;
     std::uint64_t seed = 1;
-    /// Also record the minimum-power feasible design the walk passes
-    /// through (power first, Gamma tie-break) in the result's
-    /// `min_power_*` fields. Off by default: tracking is free in walk
-    /// behavior (the walk itself is untouched) but retaining the extra
-    /// mapping copies costs a little, and downstream result schemas
-    /// (api/json.h) only grow a field when it is on.
-    bool track_min_power = false;
 };
 
 /// Outcome of one local-search run.
@@ -68,13 +61,6 @@ struct LocalSearchResult {
     std::uint64_t iterations_run = 0;
     std::uint64_t improvements = 0;
     std::uint64_t evaluations = 0;
-    /// Minimum-power feasible design seen by this walk (power first,
-    /// Gamma tie-break) — only tracked when
-    /// LocalSearchParams::track_min_power is on; `min_power_found`
-    /// stays false otherwise. May coincide with `best_mapping`.
-    Mapping min_power_mapping;
-    DesignMetrics min_power_metrics;
-    bool min_power_found = false;
 };
 
 /// Fig. 7 search engine.

@@ -42,18 +42,24 @@ void validate_config(const CampaignConfig& config) {
         throw std::invalid_argument("CampaignEngine: pipeline_bits must be >= 0");
 }
 
-/// Shard-local accumulators; one slot per shard, written only by the
-/// worker that owns the shard, merged in shard order afterwards. Every
-/// field is an exact integer, so the merged result is independent of
-/// the shard schedule.
-struct ShardAccum {
-    ExactMoments total;
-    std::array<ExactMoments, k_fault_site_count> per_site;
-    std::vector<std::uint64_t> hits_per_core;
-    std::vector<std::uint64_t> hits_per_task;
-};
-
 } // namespace
+
+CampaignTally CampaignTally::zero(std::size_t core_count, std::size_t task_count) {
+    CampaignTally tally;
+    tally.hits_per_core.assign(core_count, 0);
+    tally.hits_per_task.assign(task_count, 0);
+    return tally;
+}
+
+void CampaignTally::merge(const CampaignTally& other) {
+    shards += other.shards;
+    total.merge(other.total);
+    for (std::size_t s = 0; s < k_fault_site_count; ++s) per_site[s].merge(other.per_site[s]);
+    for (std::size_t c = 0; c < hits_per_core.size(); ++c)
+        hits_per_core[c] += other.hits_per_core[c];
+    for (std::size_t t = 0; t < hits_per_task.size(); ++t)
+        hits_per_task[t] += other.hits_per_task[t];
+}
 
 CampaignEngine::CampaignEngine(SerModel ser, CampaignConfig config)
     : ser_(std::move(ser)), config_(config) {
@@ -124,13 +130,6 @@ std::vector<FaultSource> CampaignEngine::build_sources(const TaskGraph& graph,
 
 CampaignReport CampaignEngine::run(const TaskGraph& graph, const Mapping& mapping,
                                    const MpsocArchitecture& arch,
-                                   const ScalingVector& levels,
-                                   const Schedule& schedule) const {
-    return run(graph, mapping, arch, levels, schedule, nullptr, nullptr);
-}
-
-CampaignReport CampaignEngine::run(const TaskGraph& graph, const Mapping& mapping,
-                                   const MpsocArchitecture& arch,
                                    const ScalingVector& levels, const Schedule& schedule,
                                    const CancellationToken* cancel,
                                    CampaignCheckpointer* checkpoint) const {
@@ -144,25 +143,26 @@ CampaignReport CampaignEngine::run(const TaskGraph& graph, const Mapping& mappin
 
     // Shards restored from a checkpoint are skipped outright; workers
     // consult an immutable snapshot of the bitmap taken before dispatch.
-    if (checkpoint != nullptr) checkpoint->initialize(shard_count, cores, tasks);
-    const std::vector<std::uint8_t> already_done =
-        checkpoint != nullptr ? checkpoint->done_snapshot() : std::vector<std::uint8_t>();
+    // The report starts from their merged tally (empty without one).
+    CampaignTally tally = CampaignTally::zero(cores, tasks);
+    std::vector<std::uint8_t> already_done;
+    if (checkpoint != nullptr) {
+        tally = checkpoint->initialize(shard_count, cores, tasks);
+        already_done = checkpoint->done_snapshot();
+    }
 
     // Pre-assigned result slots: worker s writes only shards[s]; the
-    // deterministic merge below folds them in shard-index order (and
-    // since every accumulator is exact, any fold order would produce
-    // the same bytes anyway — which is also why restored shards can be
-    // merged as one opaque partial).
-    std::vector<ShardAccum> shards(shard_count);
-    std::vector<std::uint8_t> live_completed(shard_count, 0);
+    // fold below merges them in shard-index order (and since every
+    // accumulator is exact, any fold order would produce the same bytes
+    // anyway — which is also why restored shards merge as one partial).
+    std::vector<CampaignTally> shards(shard_count);
     const std::uint64_t seed = config_.seed;
     parallel_for_index(
         static_cast<std::size_t>(shard_count), config_.num_threads,
         [&](std::size_t shard) {
             if (!already_done.empty() && already_done[shard] != 0) return;
-            ShardAccum& acc = shards[shard];
-            acc.hits_per_core.assign(cores, 0);
-            acc.hits_per_task.assign(tasks, 0);
+            CampaignTally& acc = shards[shard];
+            acc = CampaignTally::zero(cores, tasks);
             const Rng root(seed);
             const std::uint64_t lo = static_cast<std::uint64_t>(shard) * shard_size;
             const std::uint64_t hi = std::min(trials, lo + shard_size);
@@ -188,46 +188,34 @@ CampaignReport CampaignEngine::run(const TaskGraph& graph, const Mapping& mappin
                     acc.per_site[s].add(trial_site[s]);
                 acc.total.add(trial_total);
             }
-            live_completed[shard] = 1;
+            acc.shards = 1;
             if (checkpoint != nullptr) {
-                checkpoint->record_shard(shard, acc.total, acc.per_site,
-                                         acc.hits_per_core, acc.hits_per_task);
+                checkpoint->record_shard(shard, acc);
                 checkpoint->maybe_flush();
             }
         });
+
+    // Shards cut short by cancellation carry shards == 0 and stay out.
+    for (const CampaignTally& acc : shards)
+        if (acc.shards != 0) tally.merge(acc);
+    if (checkpoint != nullptr) checkpoint->flush();
 
     CampaignReport report;
     report.trials = trials;
     report.shard_size = shard_size;
     report.shards = shard_count;
+    report.shards_completed = tally.shards;
     report.seed = seed;
     for (const FaultSource& source : sources) {
         report.analytic_gamma += source.mean_seus;
         report.sites[static_cast<std::size_t>(source.site)].analytic_gamma +=
             source.mean_seus;
     }
-    if (checkpoint != nullptr) {
-        // The checkpointer already holds restored + live shards as one
-        // exact merged partial.
-        checkpoint->export_to(report);
-        report.shards_completed = checkpoint->completed();
-        checkpoint->flush();
-        return report;
-    }
-    report.hits_per_core.assign(cores, 0);
-    report.hits_per_task.assign(tasks, 0);
-    for (std::uint64_t s = 0; s < shard_count; ++s) {
-        if (live_completed[s] == 0) continue; // cancellation cut it short
-        const ShardAccum& acc = shards[s];
-        report.total_stats.merge(acc.total);
-        for (std::size_t site = 0; site < k_fault_site_count; ++site)
-            report.sites[site].stats.merge(acc.per_site[site]);
-        for (std::size_t c = 0; c < cores; ++c)
-            report.hits_per_core[c] += acc.hits_per_core[c];
-        for (std::size_t t = 0; t < tasks; ++t)
-            report.hits_per_task[t] += acc.hits_per_task[t];
-        ++report.shards_completed;
-    }
+    report.total_stats = tally.total;
+    for (std::size_t s = 0; s < k_fault_site_count; ++s)
+        report.sites[s].stats = tally.per_site[s];
+    report.hits_per_core = std::move(tally.hits_per_core);
+    report.hits_per_task = std::move(tally.hits_per_task);
     return report;
 }
 

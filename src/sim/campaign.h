@@ -109,6 +109,27 @@ struct FaultSource {
     double mean_seus = 0.0;
 };
 
+/// Exact hit tally over a set of completed shards: per-trial total and
+/// per-site moments plus per-core and per-task hit counts. One type
+/// serves a single shard's accumulator, a checkpoint's restored
+/// partial and the report fold; every field is an exact integer, so
+/// merge() is associative and commutative and any fold order gives the
+/// same bytes.
+struct CampaignTally {
+    /// A tally of no shards, shaped for `core_count` x `task_count`.
+    static CampaignTally zero(std::size_t core_count, std::size_t task_count);
+
+    /// Shards folded in (0 for a shard still running or cut short).
+    std::uint64_t shards = 0;
+    ExactMoments total;
+    std::array<ExactMoments, k_fault_site_count> per_site;
+    std::vector<std::uint64_t> hits_per_core;
+    std::vector<std::uint64_t> hits_per_task;
+
+    /// Fold `other` in; both tallies must share one core/task shape.
+    void merge(const CampaignTally& other);
+};
+
 /// Per-site results: the analytic expectation and the exact-moment
 /// statistics (mean / stdev / 95% CI) over per-trial hit counts.
 struct SiteReport {
@@ -123,9 +144,10 @@ struct CampaignReport {
     std::uint64_t trials = 0;
     std::uint64_t shard_size = 0;
     std::uint64_t shards = 0;
-    /// Shards actually merged into the statistics. Equals `shards` on a
-    /// full run; smaller when cancellation stopped the campaign early
-    /// (the partial lives in the checkpoint, not in a usable report).
+    /// Shards actually merged into the statistics (restored plus run).
+    /// Equals `shards` on a full run; smaller when cancellation stopped
+    /// the campaign early (the partial lives in the checkpoint, not in
+    /// a usable report).
     std::uint64_t shards_completed = 0;
     std::uint64_t seed = 0;
     /// Weighted expectation summed over every site.
@@ -164,23 +186,18 @@ public:
                                            const ScalingVector& levels,
                                            const Schedule& schedule) const;
 
-    /// Run the sharded campaign over a scheduled design.
+    /// Run the sharded campaign over a scheduled design. `cancel`, when
+    /// non-null, stops the campaign between shards (completed shards
+    /// keep counting); `checkpoint`, when non-null, supplies
+    /// already-completed shards (load it beforehand), receives every
+    /// shard finished here and flushes on its cadence — because all
+    /// merges are exact integer moments, the final report is
+    /// byte-identical to the uninterrupted run whatever subset of
+    /// shards was restored.
     CampaignReport run(const TaskGraph& graph, const Mapping& mapping,
                        const MpsocArchitecture& arch, const ScalingVector& levels,
-                       const Schedule& schedule) const;
-
-    /// Resumable variant. `cancel`, when non-null, stops the campaign
-    /// between shards (completed shards keep counting); `checkpoint`,
-    /// when non-null, supplies already-completed shards (load it
-    /// beforehand), receives every shard finished here and flushes on
-    /// its cadence — because all merges are exact integer moments, the
-    /// final report is byte-identical to the uninterrupted run whatever
-    /// subset of shards was restored. With both null this is exactly
-    /// run().
-    CampaignReport run(const TaskGraph& graph, const Mapping& mapping,
-                       const MpsocArchitecture& arch, const ScalingVector& levels,
-                       const Schedule& schedule, const CancellationToken* cancel,
-                       CampaignCheckpointer* checkpoint) const;
+                       const Schedule& schedule, const CancellationToken* cancel = nullptr,
+                       CampaignCheckpointer* checkpoint = nullptr) const;
 
 private:
     SerModel ser_;

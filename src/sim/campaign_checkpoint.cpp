@@ -1,5 +1,6 @@
 #include "sim/campaign_checkpoint.h"
 
+#include "reliability/state_hash.h"
 #include "util/error.h"
 #include "util/strings.h"
 
@@ -129,42 +130,7 @@ std::uint64_t campaign_state_hash(const TaskGraph& graph, const Mapping& mapping
     HashStream h;
     h.mix("seamap-campaign-state");
 
-    // Application.
-    h.mix(graph.name());
-    h.mix(graph.batch_count());
-    const RegisterFile& regs = graph.register_file();
-    h.mix(regs.size());
-    for (std::size_t r = 0; r < regs.size(); ++r) {
-        h.mix(regs.name(static_cast<RegisterId>(r)));
-        h.mix(regs.bits(static_cast<RegisterId>(r)));
-    }
-    h.mix(graph.task_count());
-    for (std::size_t t = 0; t < graph.task_count(); ++t) {
-        const Task& task = graph.task(static_cast<TaskId>(t));
-        h.mix(task.name);
-        h.mix(task.exec_cycles);
-        h.mix(task.registers.count());
-        task.registers.for_each([&](RegisterId id) { h.mix(id); });
-    }
-    h.mix(graph.edge_count());
-    for (const Edge& edge : graph.edges()) {
-        h.mix(edge.src);
-        h.mix(edge.dst);
-        h.mix(edge.comm_cycles);
-    }
-
-    // Architecture.
-    h.mix(arch.core_count());
-    const VoltageScalingTable& table = arch.scaling_table();
-    h.mix(table.level_count());
-    for (std::size_t l = 1; l <= table.level_count(); ++l) {
-        const OperatingPoint& op = table.at_level(static_cast<ScalingLevel>(l));
-        h.mix_double(op.f_mhz);
-        h.mix_double(op.vdd);
-    }
-    const PowerParams& power = arch.power_model().params();
-    h.mix_double(power.c_eff_farads);
-    h.mix_double(power.idle_activity);
+    mix_graph_and_architecture(h, graph, arch);
 
     // The design under test: mapping, scaling and its exact schedule
     // (the schedule determines every exposure window, so two runs with
@@ -183,12 +149,7 @@ std::uint64_t campaign_state_hash(const TaskGraph& graph, const Mapping& mapping
     }
     h.mix_double(schedule.total_time_seconds);
 
-    // SER model.
-    const SerParams& sp = ser.params();
-    h.mix_double(sp.ser_ref_per_bit_cycle);
-    h.mix_double(sp.ref_vdd);
-    h.mix_double(sp.ref_f_mhz);
-    h.mix_double(sp.voltage_exponent_k);
+    mix_ser_model(h, ser);
 
     // Campaign shape. num_threads is deliberately absent (results are
     // invariant to it); shard_size is present (the bitmap is indexed by
@@ -259,43 +220,44 @@ std::optional<CampaignResumeInfo> CampaignCheckpointer::load() {
     if (tasks_line.size() != 2 || tasks_line[0] != "tasks")
         fail_decode(path_, "bad tasks line");
 
+    CampaignTally partial;
+    partial.shards = completed;
+    partial.total = ExactMoments::from_state(total);
+    for (std::size_t s = 0; s < k_fault_site_count; ++s)
+        partial.per_site[s] = ExactMoments::from_state(sites[s]);
+    partial.hits_per_core = u64s_of_csv(path_, cores_line[1]);
+    partial.hits_per_task = u64s_of_csv(path_, tasks_line[1]);
+
     std::lock_guard lock(mutex_);
     shaped_ = true;
     shard_count_ = shard_count;
     done_ = std::move(done);
-    completed_ = completed;
-    total_ = ExactMoments::from_state(total);
-    for (std::size_t s = 0; s < k_fault_site_count; ++s)
-        per_site_[s] = ExactMoments::from_state(sites[s]);
-    hits_per_core_ = u64s_of_csv(path_, cores_line[1]);
-    hits_per_task_ = u64s_of_csv(path_, tasks_line[1]);
-    flushed_completed_ = completed_;
+    partial_ = std::move(partial);
+    flushed_completed_ = completed;
 
     CampaignResumeInfo info;
-    info.shards_completed = completed_;
+    info.shards_completed = completed;
     info.shard_count = shard_count_;
     info.from_fallback = loaded->from_fallback;
     return info;
 }
 
-void CampaignCheckpointer::initialize(std::uint64_t shard_count, std::size_t core_count,
-                                      std::size_t task_count) {
+CampaignTally CampaignCheckpointer::initialize(std::uint64_t shard_count,
+                                               std::size_t core_count,
+                                               std::size_t task_count) {
     std::lock_guard lock(mutex_);
-    if (shaped_ && completed_ > 0) {
-        if (shard_count_ != shard_count || hits_per_core_.size() != core_count ||
-            hits_per_task_.size() != task_count)
+    if (shaped_ && partial_.shards > 0) {
+        if (shard_count_ != shard_count || partial_.hits_per_core.size() != core_count ||
+            partial_.hits_per_task.size() != task_count)
             throw Error(ErrorCategory::checkpoint_corrupt,
                         "campaign checkpoint shapes disagree with this run", path_);
-        return;
+        return partial_;
     }
     shaped_ = true;
     shard_count_ = shard_count;
     done_.assign(shard_count, 0);
-    completed_ = 0;
-    total_ = ExactMoments();
-    per_site_.fill(ExactMoments());
-    hits_per_core_.assign(core_count, 0);
-    hits_per_task_.assign(task_count, 0);
+    partial_ = CampaignTally::zero(core_count, task_count);
+    return partial_;
 }
 
 std::vector<std::uint8_t> CampaignCheckpointer::done_snapshot() const {
@@ -303,55 +265,30 @@ std::vector<std::uint8_t> CampaignCheckpointer::done_snapshot() const {
     return done_;
 }
 
-void CampaignCheckpointer::record_shard(
-    std::uint64_t shard, const ExactMoments& total,
-    const std::array<ExactMoments, k_fault_site_count>& per_site,
-    const std::vector<std::uint64_t>& hits_per_core,
-    const std::vector<std::uint64_t>& hits_per_task) {
+void CampaignCheckpointer::record_shard(std::uint64_t shard, const CampaignTally& tally) {
     std::uint64_t now_completed = 0;
     {
         std::lock_guard lock(mutex_);
         if (shard >= done_.size() || done_[shard] != 0) return;
         done_[shard] = 1;
-        ++completed_;
-        total_.merge(total);
-        for (std::size_t s = 0; s < k_fault_site_count; ++s)
-            per_site_[s].merge(per_site[s]);
-        for (std::size_t c = 0; c < hits_per_core_.size() && c < hits_per_core.size(); ++c)
-            hits_per_core_[c] += hits_per_core[c];
-        for (std::size_t t = 0; t < hits_per_task_.size() && t < hits_per_task.size(); ++t)
-            hits_per_task_[t] += hits_per_task[t];
-        now_completed = completed_;
+        partial_.merge(tally);
+        now_completed = partial_.shards;
     }
     if (on_shard_recorded) on_shard_recorded(now_completed);
 }
 
-void CampaignCheckpointer::export_to(CampaignReport& report) const {
-    std::lock_guard lock(mutex_);
-    report.total_stats = total_;
-    for (std::size_t s = 0; s < k_fault_site_count; ++s)
-        report.sites[s].stats = per_site_[s];
-    report.hits_per_core = hits_per_core_;
-    report.hits_per_task = hits_per_task_;
-}
-
-std::uint64_t CampaignCheckpointer::completed() const {
-    std::lock_guard lock(mutex_);
-    return completed_;
-}
-
 void CampaignCheckpointer::maybe_flush() {
     std::lock_guard lock(mutex_);
-    if (completed_ == flushed_completed_) return;
+    if (partial_.shards == flushed_completed_) return;
     const bool by_count =
-        every_shards_ > 0 && completed_ - flushed_completed_ >= every_shards_;
+        every_shards_ > 0 && partial_.shards - flushed_completed_ >= every_shards_;
     if (!by_count && !timer_.due()) return;
     flush_locked();
 }
 
 void CampaignCheckpointer::flush() {
     std::lock_guard lock(mutex_);
-    if (completed_ == flushed_completed_) return;
+    if (partial_.shards == flushed_completed_) return;
     flush_locked();
 }
 
@@ -367,20 +304,20 @@ void CampaignCheckpointer::flush_locked() {
     data.state_hash = state_hash_;
     data.lines.reserve(k_payload_lines);
     data.lines.push_back("shards " + std::to_string(shard_count_) + " completed " +
-                         std::to_string(completed_));
+                         std::to_string(partial_.shards));
     data.lines.push_back("done " + hex_of_bitmap(done_));
     std::string total = "total";
-    encode_moments(total, total_.state());
+    encode_moments(total, partial_.total.state());
     data.lines.push_back(std::move(total));
     for (std::size_t s = 0; s < k_fault_site_count; ++s) {
         std::string line = "site " + std::to_string(s);
-        encode_moments(line, per_site_[s].state());
+        encode_moments(line, partial_.per_site[s].state());
         data.lines.push_back(std::move(line));
     }
-    data.lines.push_back("cores " + csv_of_u64s(hits_per_core_));
-    data.lines.push_back("tasks " + csv_of_u64s(hits_per_task_));
+    data.lines.push_back("cores " + csv_of_u64s(partial_.hits_per_core));
+    data.lines.push_back("tasks " + csv_of_u64s(partial_.hits_per_task));
     save_checkpoint(path_, data);
-    flushed_completed_ = completed_;
+    flushed_completed_ = partial_.shards;
     timer_.reset();
 }
 

@@ -29,9 +29,7 @@
 #include "taskgraph/task_graph.h"
 #include "util/cancellation.h"
 #include "util/checkpoint.h"
-#include "util/stats.h"
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -77,9 +75,11 @@ public:
     /// Shape the accumulators for this run; verifies any loaded state
     /// against the expected shapes (Error(checkpoint_corrupt) on
     /// disagreement — a hash-matched snapshot cannot legitimately
-    /// differ). Must run before record_shard()/done_snapshot().
-    void initialize(std::uint64_t shard_count, std::size_t core_count,
-                    std::size_t task_count);
+    /// differ). Returns the restored partial the run resumes from (an
+    /// empty tally of the run's shape when nothing was loaded). Must
+    /// run before record_shard()/done_snapshot().
+    CampaignTally initialize(std::uint64_t shard_count, std::size_t core_count,
+                             std::size_t task_count);
 
     /// Copy of the completed-shard bitmap (1 = already merged); taken
     /// once before dispatch so workers consult an immutable snapshot.
@@ -87,15 +87,7 @@ public:
 
     /// Fold one finished shard into the partial (exact merges) and mark
     /// it done. Thread-safe; ignores shards already recorded.
-    void record_shard(std::uint64_t shard, const ExactMoments& total,
-                      const std::array<ExactMoments, k_fault_site_count>& per_site,
-                      const std::vector<std::uint64_t>& hits_per_core,
-                      const std::vector<std::uint64_t>& hits_per_task);
-
-    /// Export the merged partial into a report's accumulators.
-    void export_to(CampaignReport& report) const;
-
-    std::uint64_t completed() const;
+    void record_shard(std::uint64_t shard, const CampaignTally& tally);
 
     /// Persist when the cadence is due and new shards were recorded.
     void maybe_flush();
@@ -121,11 +113,7 @@ private:
     bool shaped_ = false;
     std::uint64_t shard_count_ = 0;
     std::vector<std::uint8_t> done_;
-    std::uint64_t completed_ = 0;
-    ExactMoments total_;
-    std::array<ExactMoments, k_fault_site_count> per_site_;
-    std::vector<std::uint64_t> hits_per_core_;
-    std::vector<std::uint64_t> hits_per_task_;
+    CampaignTally partial_;
     std::uint64_t flushed_completed_ = 0;
     std::uint64_t every_shards_ = 0;
     IntervalTimer timer_{0.0};

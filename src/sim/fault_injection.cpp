@@ -7,20 +7,17 @@ namespace seamap {
 FaultInjector::FaultInjector(SerModel ser, SimExposurePolicy policy, bool sample_locations)
     : ser_(std::move(ser)), policy_(policy), sample_locations_(sample_locations) {}
 
-std::vector<double> FaultInjector::core_rate_table(const MpsocArchitecture& arch,
-                                                   const ScalingVector& levels) const {
+InjectionResult FaultInjector::inject_profile(const std::vector<ExposureInterval>& profile,
+                                              const TaskGraph& graph,
+                                              const MpsocArchitecture& arch,
+                                              const ScalingVector& levels, Rng& rng) const {
+    // The rate for an interval is a pure function of its core's Vdd, so
+    // tabulating per core up front is bit-identical to recomputing per
+    // interval — the table entry IS ser_per_bit_second(vdd(level)).
     arch.validate_scaling(levels);
     std::vector<double> rates(arch.core_count(), 0.0);
     for (std::size_t c = 0; c < rates.size(); ++c)
         rates[c] = ser_.ser_per_bit_second(arch.scaling_table().vdd(levels[c]));
-    return rates;
-}
-
-InjectionResult FaultInjector::inject_profile_rates(const std::vector<ExposureInterval>& profile,
-                                                    const TaskGraph& graph,
-                                                    const MpsocArchitecture& arch,
-                                                    const std::vector<double>& core_rates,
-                                                    Rng& rng) const {
     const RegisterFile& regs = graph.register_file();
 
     InjectionResult result;
@@ -32,7 +29,7 @@ InjectionResult FaultInjector::inject_profile_rates(const std::vector<ExposureIn
             throw std::out_of_range("FaultInjector: bad core id in profile");
         if (interval.duration_seconds < 0.0)
             throw std::invalid_argument("FaultInjector: negative exposure duration");
-        const double rate = core_rates[interval.core];
+        const double rate = rates[interval.core];
         if (sample_locations_) {
             // Independent Poisson streams per register; the sum of the
             // per-register draws is exactly the interval's Poisson count.
@@ -52,17 +49,6 @@ InjectionResult FaultInjector::inject_profile_rates(const std::vector<ExposureIn
         }
     }
     return result;
-}
-
-InjectionResult FaultInjector::inject_profile(const std::vector<ExposureInterval>& profile,
-                                              const TaskGraph& graph,
-                                              const MpsocArchitecture& arch,
-                                              const ScalingVector& levels, Rng& rng) const {
-    // The rate for an interval is a pure function of its core's Vdd, so
-    // tabulating per core up front is bit-identical to recomputing per
-    // interval — the table entry IS ser_per_bit_second(vdd(level)).
-    const std::vector<double> rates = core_rate_table(arch, levels);
-    return inject_profile_rates(profile, graph, arch, rates, rng);
 }
 
 InjectionResult FaultInjector::inject(const TaskGraph& graph, const Mapping& mapping,

@@ -55,22 +55,6 @@ public:
                                    const TaskGraph& graph, const MpsocArchitecture& arch,
                                    const ScalingVector& levels, Rng& rng) const;
 
-    /// Campaign-invariant per-core SER rate table: rates[c] =
-    /// ser_per_bit_second(vdd(levels[c])). Validates the scaling once;
-    /// the per-trial path below then runs lookup-only.
-    std::vector<double> core_rate_table(const MpsocArchitecture& arch,
-                                        const ScalingVector& levels) const;
-
-    /// One trial against a precomputed rate table (no per-trial
-    /// validate_scaling / ser_per_bit_second recomputation). Identical
-    /// arithmetic and draw sequence to inject_profile, which is a thin
-    /// wrapper over this.
-    InjectionResult inject_profile_rates(const std::vector<ExposureInterval>& profile,
-                                         const TaskGraph& graph,
-                                         const MpsocArchitecture& arch,
-                                         const std::vector<double>& core_rates,
-                                         Rng& rng) const;
-
 private:
     SerModel ser_;
     SimExposurePolicy policy_;

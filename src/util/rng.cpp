@@ -68,20 +68,13 @@ double Rng::normal() {
     return dist(engine_);
 }
 
-Rng Rng::fork(std::uint64_t child_id) {
-    // Mix the parent's current state with the child id; both inputs go
-    // through splitmix64 inside the child's constructor.
-    return Rng(splitmix64(engine_()) ^ splitmix64(child_id * 0xd1342543de82ef95ULL + 1));
-}
-
 Rng Rng::fork_at(std::uint64_t child_id) const {
     // Pure function of (seed_, child_id): splitmix64 over the seed,
     // xored with the Weyl-stepped mixed child id. The parent engine is
     // untouched, so fork_at(k) is the same stream no matter how many
     // draws or forks came before — the order-invariance the sharded
     // campaign merge discipline relies on. The extra Weyl constant
-    // keeps fork_at(0) distinct from the parent's own stream and from
-    // fork() children.
+    // keeps fork_at(0) distinct from the parent's own stream.
     return Rng(splitmix64(seed_) ^ splitmix64(child_id * 0xd1342543de82ef95ULL + 1));
 }
 

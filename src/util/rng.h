@@ -44,18 +44,6 @@ public:
     /// Standard normal draw.
     double normal();
 
-    /// Derive an independent child stream. Children created with
-    /// different `child_id`s (or from different parents) do not overlap.
-    ///
-    /// DEPRECATED: fork() advances the parent engine, so the child
-    /// produced for a given `child_id` depends on how many draws/forks
-    /// preceded the call — a draw-position coupling that has bitten
-    /// every sharded consumer. Superseded by fork_at(), which is
-    /// order-invariant and const. Kept only so historical seeds keep
-    /// reproducing; new code is rejected by seamap_lint (rng-fork).
-    [[deprecated("use fork_at(): order-invariant, const, shard-safe")]] Rng
-    fork(std::uint64_t child_id);
-
     /// Order-invariant fork: the child stream is a pure function of
     /// (seed(), child_id) — splitmix64 over seed ⊕ mixed child id — so
     /// it does not depend on the parent's draw position or on how many

@@ -7,6 +7,8 @@
 // problem).
 #include "seamap/seamap.h"
 
+#include "sched/list_scheduler.h"
+#include "sim/campaign_checkpoint.h"
 #include "taskgraph/fig8.h"
 #include "taskgraph/mpeg2.h"
 #include "tgff/random_graph.h"
@@ -15,6 +17,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 
 namespace seamap {
@@ -69,11 +72,10 @@ Problem make_problem(const Scenario& scenario) {
         .build();
 }
 
-ExploreOptions make_options(std::size_t threads, bool track_min_power = false) {
+ExploreOptions make_options(std::size_t threads) {
     ExploreOptions options;
     options.dse.search.max_iterations = 400;
     options.dse.search.seed = 7;
-    options.dse.search.track_min_power = track_min_power;
     options.dse.num_threads = threads;
     return options;
 }
@@ -122,7 +124,7 @@ std::string kill_and_resume(const Scenario& scenario, const ExploreOptions& base
 
 TEST(DseCheckpoint, Fig8KillAndResumeMatrix) {
     const Scenario scenario = fig8_scenario();
-    const ExploreOptions base = make_options(1, /*track_min_power=*/true);
+    const ExploreOptions base = make_options(1);
     const Problem problem = make_problem(scenario);
     const std::string baseline =
         report_bytes(problem, base, explore(problem, base));
@@ -246,6 +248,44 @@ TEST(DseCheckpoint, CorruptSnapshotWithoutFallbackIsRejected) {
     remove_checkpoint(path);
 }
 
+TEST(DseCheckpoint, FeasibleRecordWithExtraPointIsRejected) {
+    // A feasible record carries exactly one design point. A second one
+    // (the retired `minpower` side channel) inside an otherwise valid
+    // envelope is a corrupt payload, never silently dropped.
+    const Scenario scenario = fig8_scenario();
+    const ExploreOptions options = make_options(1);
+    const Problem problem = make_problem(scenario);
+    const std::string path = ckpt_path("extra_point");
+    const std::uint64_t hash = explore_state_hash(problem, options);
+    remove_checkpoint(path);
+    {
+        DseCheckpointer checkpointer(path, hash);
+        (void)explore(problem, options, nullptr, nullptr, &checkpointer);
+    }
+    std::optional<CheckpointLoad> loaded = load_checkpoint(path, "dse", hash);
+    ASSERT_TRUE(loaded.has_value());
+    bool extended = false;
+    for (std::string& line : loaded->data.lines) {
+        if (line.rfind("feasible ", 0) != 0) continue;
+        // "feasible <combo> <point>": repeat the point as a minpower one.
+        const std::size_t point_at = line.find(' ', std::string("feasible ").size());
+        line += " minpower" + line.substr(point_at);
+        extended = true;
+        break;
+    }
+    ASSERT_TRUE(extended);
+    save_checkpoint(path, loaded->data);
+    DseCheckpointer checkpointer(path, hash);
+    try {
+        (void)checkpointer.load(problem.graph().task_count(),
+                                problem.architecture().core_count());
+        FAIL() << "expected checkpoint_corrupt";
+    } catch (const Error& e) {
+        EXPECT_EQ(e.category(), ErrorCategory::checkpoint_corrupt);
+    }
+    remove_checkpoint(path);
+}
+
 TEST(DseCheckpoint, TruncatedSnapshotFallsBackToPrev) {
     // Kill-during-write simulation: the primary is torn mid-byte, the
     // rotated .prev must transparently supply the last good prefix.
@@ -289,6 +329,28 @@ TEST(ExploreStateHash, PinnedSoOlderSnapshotsKeepResuming) {
     EXPECT_EQ(explore_state_hash(problem, make_options(1)), 0xf8ca227447d06325ULL);
     // Thread count is not a result input.
     EXPECT_EQ(explore_state_hash(problem, make_options(8)), 0xf8ca227447d06325ULL);
+}
+
+TEST(CampaignStateHash, PinnedSoOlderSnapshotsKeepResuming) {
+    // The campaign counterpart: a fixed fig8 design (round-robin
+    // mapping, one core per operating point) under the default SER
+    // model and campaign shape. Change the value only together with a
+    // deliberate break of resumability.
+    const Problem problem = make_problem(fig8_scenario());
+    const Mapping mapping = round_robin_mapping(problem.graph(), 3);
+    const ScalingVector levels{1, 2, 3};
+    const Schedule schedule =
+        ListScheduler{}.schedule(problem.graph(), mapping, problem.architecture(), levels);
+    CampaignConfig config;
+    const std::uint64_t pinned = 0x63c103ee5f351f65ULL;
+    EXPECT_EQ(campaign_state_hash(problem.graph(), mapping, problem.architecture(), levels,
+                                  schedule, SerModel{}, config),
+              pinned);
+    // Thread count is not a result input.
+    config.num_threads = 8;
+    EXPECT_EQ(campaign_state_hash(problem.graph(), mapping, problem.architecture(), levels,
+                                  schedule, SerModel{}, config),
+              pinned);
 }
 
 } // namespace

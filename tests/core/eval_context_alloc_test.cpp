@@ -7,6 +7,7 @@
 // src/core/eval_context.cpp.
 #include "seamap/seamap.h"
 
+#include "api/scenarios.h"
 #include "support/alloc_guard.h"
 #include "taskgraph/fig8.h"
 #include "tgff/random_graph.h"
@@ -102,7 +103,6 @@ TEST(EvalContextAlloc, SuffixReschedulingIsAllocationFree) {
         EvalOptions options;
         options.memoize = false; // isolate the incremental path: memo
                                  // growth is the one documented exception
-        options.incremental = true;
         EvalContext eval(ctx, options);
         Rng rng(22);
         Mapping base = random_mapping(w.graph, w.cores, rng);
@@ -154,7 +154,7 @@ TEST(EvalContextAlloc, MemoHitsAreAllocationFree) {
     const ScalingVector levels(w.cores, ScalingLevel{1});
     const EvaluationContext ctx{w.graph, arch, levels, SeuEstimator{SerModel{}},
                                 w.deadline_seconds};
-    EvalContext eval(ctx); // defaults: memoize + incremental on
+    EvalContext eval(ctx); // defaults: memoize on
     Rng rng(24);
     Mapping base = random_mapping(w.graph, w.cores, rng);
     (void)eval.rebase(base);
@@ -195,6 +195,34 @@ TEST(EvalContextAlloc, MemoizedLookupOfKnownMappingIsAllocationFree) {
     for (const Mapping& mapping : mappings) sink += eval.evaluate_memoized(mapping).gamma;
     EXPECT_EQ(guard.allocations(), 0u) << "memoized lookup of a known mapping allocated";
     EXPECT_GT(sink, 0.0);
+}
+
+TEST(EvalContextAlloc, MemoStaysWithinByteBudget) {
+    // At 1000 tasks a memo key alone is 4000 bytes, so the budget admits
+    // at most ~16k entries. Drive more distinct misses than that: the
+    // table must stop growing at the budget instead of keeping them all.
+    const Problem problem = scale_problem(1000, 16, 3, 1);
+    const std::size_t cores = problem.architecture().core_count();
+    const EvaluationContext ctx =
+        problem.evaluation_context(ScalingVector(cores, ScalingLevel{1}));
+    EvalContext eval(ctx);
+    Rng rng(26);
+    const Mapping base = round_robin_mapping(problem.graph(), cores);
+    (void)eval.rebase(base);
+    const std::size_t key_bytes = problem.graph().task_count() * sizeof(CoreId);
+    const std::size_t neighbours = EvalContext::k_memo_budget_bytes / key_bytes + 4000;
+    Mapping neighbor = base;
+    for (std::size_t i = 0; i < neighbours; ++i) {
+        neighbor = base;
+        // Mostly swaps: ~500k distinct pairs, so nearly every one misses.
+        (void)eval.evaluate_neighbor(random_neighbor_op(neighbor, rng, 0.9, false));
+    }
+    const EvalContext::Stats& stats = eval.stats();
+    const std::uint64_t misses = stats.full_evals + stats.incremental_evals;
+    ASSERT_GT(misses, EvalContext::k_memo_budget_bytes / key_bytes);
+    EXPECT_GT(misses, stats.memo_entries) << "inserts never stopped";
+    EXPECT_LE(stats.memo_bytes, EvalContext::k_memo_budget_bytes);
+    EXPECT_GT(stats.memo_bytes, EvalContext::k_memo_budget_bytes / 4) << "budget left unused";
 }
 
 } // namespace

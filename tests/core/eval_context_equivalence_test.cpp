@@ -277,10 +277,9 @@ TEST(EvalContextEquivalence, SearchesIdenticalAcrossEvaluationPaths) {
             EvalContext naive_eval(ctx, naive_options);
             const LocalSearchResult reference = strategy->search(naive_eval, initial, 99);
 
-            std::vector<EvalOptions> variants(3);
+            std::vector<EvalOptions> variants(2);
             variants[0] = EvalOptions{}; // full fast path
             variants[1].memoize = false;
-            variants[2].incremental = false;
             for (const EvalOptions& variant : variants) {
                 EvalContext eval(ctx, variant);
                 const LocalSearchResult got = strategy->search(eval, initial, 99);

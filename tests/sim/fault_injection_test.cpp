@@ -164,24 +164,6 @@ TEST(FaultInjector, CampaignPinnedToForkAtReferenceLoop) {
     EXPECT_EQ(report.site(FaultSite::register_file).stats.sum(), report.total_stats.sum());
 }
 
-TEST(FaultInjector, RateTablePathMatchesInjectProfileExactly) {
-    Fixture f;
-    const FaultInjector injector(f.ser, SimExposurePolicy::full_duration);
-    const auto profile = build_exposure_profile(f.graph, f.mapping, f.arch, f.schedule,
-                                                SimExposurePolicy::full_duration);
-    const auto rates = injector.core_rate_table(f.arch, f.levels);
-    ASSERT_EQ(rates.size(), f.arch.core_count());
-    Rng rng_a(404), rng_b(404);
-    for (int trial = 0; trial < 20; ++trial) {
-        const auto via_profile =
-            injector.inject_profile(profile, f.graph, f.arch, f.levels, rng_a);
-        const auto via_rates =
-            injector.inject_profile_rates(profile, f.graph, f.arch, rates, rng_b);
-        EXPECT_EQ(via_profile.total_seus, via_rates.total_seus);
-        EXPECT_EQ(via_profile.per_core, via_rates.per_core);
-    }
-}
-
 TEST(FaultInjector, LocationAndAggregateModesAgreeInExpectation) {
     Fixture f;
     const FaultInjector aggregate(f.ser, SimExposurePolicy::full_duration, false);

@@ -7,13 +7,6 @@
 #include <set>
 #include <vector>
 
-// fork() is deprecated in favour of fork_at(), but its historical
-// stream contract must keep holding for as long as the function
-// exists — these are the only call sites allowed to exercise it.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-
 namespace seamap {
 namespace {
 
@@ -149,36 +142,18 @@ TEST(Rng, NormalMomentsApproximate) {
     EXPECT_NEAR(sum_sq / n, 1.0, 0.03);
 }
 
-TEST(Rng, ForkedStreamsAreIndependent) {
-    Rng parent(101);
-    Rng child_a = parent.fork(0);
-    Rng child_b = parent.fork(1);
-    int equal = 0;
-    for (int i = 0; i < 64; ++i)
-        if (child_a.next_u64() == child_b.next_u64()) ++equal;
-    EXPECT_LT(equal, 2);
-}
-
-TEST(Rng, ForkIsDeterministicGivenParentState) {
-    Rng parent_a(55), parent_b(55);
-    Rng child_a = parent_a.fork(7);
-    Rng child_b = parent_b.fork(7);
-    for (int i = 0; i < 16; ++i) EXPECT_EQ(child_a.next_u64(), child_b.next_u64());
-}
-
 TEST(Rng, SeedAccessorReturnsOriginalSeed) {
     Rng rng(12345);
     EXPECT_EQ(rng.seed(), 12345u);
 }
 
 TEST(Rng, ForkAtIsOrderInvariant) {
-    // fork() depends on the parent's draw position; fork_at() must not.
-    // A fresh parent and one that has drawn, forked, and forked_at in
-    // arbitrary order must hand out identical fork_at children.
+    // fork_at() must not depend on the parent's draw position: a fresh
+    // parent and one that has drawn and forked_at in arbitrary order
+    // must hand out identical fork_at children.
     Rng pristine(101);
     Rng busy(101);
     for (int i = 0; i < 37; ++i) busy.next_u64();
-    (void)busy.fork(3);
     (void)busy.fork_at(9);
     (void)busy.poisson(42.0);
     Rng child_a = pristine.fork_at(7);
@@ -203,14 +178,10 @@ TEST(Rng, ForkAtChildrenAreIndependent) {
     EXPECT_LT(equal, 2);
 }
 
-TEST(Rng, ForkAtDistinctFromParentAndFork) {
+TEST(Rng, ForkAtDistinctFromParent) {
     Rng parent(303);
-    Rng via_fork_at = parent.fork_at(0);
-    Rng via_fork = parent.fork(0);
-    Rng same_seed(303);
-    EXPECT_NE(via_fork_at.next_u64(), via_fork.next_u64());
-    Rng again = same_seed.fork_at(0);
-    EXPECT_NE(again.next_u64(), same_seed.next_u64());
+    Rng child = parent.fork_at(0);
+    EXPECT_NE(child.next_u64(), parent.next_u64());
 }
 
 TEST(Rng, ForkAtDiffersAcrossSeeds) {

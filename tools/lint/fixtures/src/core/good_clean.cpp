@@ -35,14 +35,4 @@ bool design_total_order(double a, double b) {
     return a == b;
 }
 
-struct ProcessHandle {
-    ProcessHandle fork(int child) const;
-};
-
-ProcessHandle spawn_worker(const ProcessHandle& supervisor) {
-    // A fork() method on a non-Rng receiver is not an rng-fork finding:
-    // the rule's receiver heuristic only fires on Rng-looking names.
-    return supervisor.fork(0);
-}
-
 } // namespace seamap_fixture

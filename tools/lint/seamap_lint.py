@@ -10,17 +10,6 @@ enforced here, at analysis time, instead of living in reviewers' heads:
                  `std::random_device`, and raw `<random>` engines are
                  banned outside src/util/rng.* — all stochastic code
                  takes an explicit 64-bit seed through seamap::Rng.
-  rng-fork       No new `Rng::fork()` calls. fork() couples the child
-                 stream to the parent's draw position, which broke the
-                 sharded campaign's order-invariance once already; it
-                 is [[deprecated]] in favour of fork_at() and allowed
-                 only inside src/util/rng.* (and the rng unit tests,
-                 which pin its historical streams). Heuristic: fires
-                 only when the receiver looks like an Rng (identifier
-                 containing "rng", or an inline Rng temporary) — an
-                 unrelated fork() method on some other class is not a
-                 finding, and a mis-flagged line can be justified with
-                 `allow(rng-fork) -- reason`.
   unordered-iter No order-unstable containers in result- or
                  JSON-producing paths (src/api/, src/core/). Iterating
                  an unordered container feeds hash-order into results;
@@ -85,7 +74,6 @@ from scanlib import (Finding, SourceFile, Suppressions, collect_files,  # noqa: 
 
 RULES = {
     "rng": "ambient randomness outside src/util/rng.* (use seamap::Rng with an explicit seed)",
-    "rng-fork": "deprecated Rng::fork() call outside src/util/rng.* (use order-invariant fork_at())",
     "unordered-iter": "order-unstable container in a result/JSON-producing path (src/api/, src/core/)",
     "float-eq": "raw floating-point ==/!= (use util/float_compare.h: nearly_equal/exactly_equal/exactly_zero)",
     "time": "wall-clock read in search/eval code (timing only via util/cancellation.h)",
@@ -108,8 +96,6 @@ def rule_applies(rule: str, relpath: str) -> bool:
     p = relpath.replace(os.sep, "/")
     if rule == "rng":
         return not p.startswith("src/util/rng.")
-    if rule == "rng-fork":
-        return not p.startswith("src/util/rng.")
     if rule == "unordered-iter":
         return p.startswith("src/api/") or p.startswith("src/core/")
     if rule == "time":
@@ -126,17 +112,6 @@ RNG_RE = re.compile(
     r"|std::(?:mt19937(?:_64)?|minstd_rand0?|default_random_engine|ranlux\w+|knuth_b)\b"
 )
 UNORDERED_RE = re.compile(r"\bunordered_(?:multi)?(?:map|set)\b")
-# `rng.fork(...)` / `shard_rng->fork(...)` but never fork_at — the `(`
-# in the pattern cannot match fork_at's `_`. The receiver must *look
-# like* an Rng: an identifier containing "rng" (any case) or an inline
-# `Rng(...)`/`Rng{...}` temporary. Unrelated fork() methods on other
-# classes (process wrappers, checkpoint forks) are none of this rule's
-# business. An Rng-typed receiver the heuristic misses should be
-# renamed to say what it is; a true false positive can be justified
-# inline with `// seamap-lint: allow(rng-fork) -- reason`.
-RNG_FORK_RE = re.compile(
-    r"(?:\b\w*[Rr][Nn][Gg]\w*|\bRng\s*(?:\([^()]*\)|\{[^{}]*\}))\s*(?:\.|->)\s*fork\s*\("
-)
 TIME_RE = re.compile(
     r"::now\s*\(|\bstd::time\s*\(|(?<![:\w])clock\s*\(\s*\)|\bgettimeofday\s*\(|\btime\s*\(\s*(?:NULL|nullptr|0)\s*\)"
 )
@@ -303,13 +278,6 @@ def lint_file(path: str, relpath: str, global_float_names: set) -> list:
             if m:
                 report("rng", "`%s` — all randomness flows through seamap::Rng "
                               "with an explicit seed" % m.group(0).strip())
-        if rule_applies("rng-fork", relpath):
-            m = RNG_FORK_RE.search(line)
-            if m:
-                report("rng-fork",
-                       "`%s)` — Rng::fork() is deprecated (child stream depends "
-                       "on the parent's draw position); use fork_at(child_id)"
-                       % m.group(0).strip())
         if rule_applies("unordered-iter", relpath):
             m = UNORDERED_RE.search(line)
             if m:
