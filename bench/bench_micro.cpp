@@ -160,9 +160,7 @@ void bm_eval_schedule(benchmark::State& state, bool naive) {
     const TaskGraph graph = benchmark_graph(state.range(0));
     const MpsocArchitecture arch(4, VoltageScalingTable::arm7_three_level());
     const EvaluationContext ctx{graph, arch, {1, 2, 2, 3}, SeuEstimator{SerModel{}}, 10.0};
-    EvalOptions options = eval_options(naive);
-    options.memoize = false;
-    EvalContext eval(ctx, options);
+    EvalContext eval(ctx, eval_options(naive));
     Mapping mapping = round_robin_mapping(graph, 4);
     TaskId t = 0;
     for (auto _ : state) {

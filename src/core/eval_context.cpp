@@ -8,19 +8,12 @@
 
 // This file is the zero-steady-state-allocation evaluation engine: the
 // marker below arms seamap_lint's hot-path-alloc rule, so any
-// allocation-shaped call added outside the explicitly allowed setup
-// regions fails `make lint` (and tests/core/eval_context_alloc_test.cpp
+// allocation-shaped call added outside the constructor's allowed setup
+// region fails `make lint` (and tests/core/eval_context_alloc_test.cpp
 // enforces the same property at runtime via the operator-new guard).
 // seamap-lint: hot-path
 
 namespace seamap {
-
-namespace {
-
-/// Probe slots the memo table starts with (grown by doubling).
-constexpr std::size_t k_memo_initial_slots = 2048;
-
-} // namespace
 
 NeighborOp random_neighbor_op(Mapping& mapping, Rng& rng, double swap_probability,
                               bool require_all_cores) {
@@ -145,15 +138,14 @@ EvalContext::EvalContext(const EvaluationContext& ctx, EvalOptions options)
     core_task_cursor_.resize(cores_);
     core_task_ids_.resize(n_);
 
-    // Worst-case bytes per memo entry: its key and record, doubled
-    // because geometric vector growth leaves capacity below twice the
-    // size, plus fewer than three probe slots under the load-factor
-    // bound with power-of-two growth; the initial probe table is paid
-    // up front. Exact reservation would admit twice the entries but
-    // measured slower than the vectors' own growth.
-    memo_max_entries_ =
-        (k_memo_budget_bytes - k_memo_initial_slots * sizeof(std::uint32_t)) /
-        (2 * (n_ * sizeof(CoreId) + sizeof(MemoEntry)) + 3 * sizeof(std::uint32_t));
+    // The memo: the most power-of-two slots (at least one) whose
+    // records and keys fit the byte budget, allocated once.
+    const std::size_t slot_bytes = sizeof(MemoSlot) + n_ * sizeof(CoreId);
+    std::size_t slots = 1;
+    while (2 * slots * slot_bytes <= k_memo_budget_bytes) slots *= 2;
+    memo_.resize(slots);
+    memo_keys_.resize(slots * n_);
+    stats_.memo_bytes = slots * slot_bytes;
 }
 // seamap-lint: pop-allow(hot-path-alloc)
 
@@ -295,22 +287,6 @@ DesignMetrics EvalContext::evaluate(const Mapping& mapping) {
     return evaluate_full(mapping, false);
 }
 
-DesignMetrics EvalContext::evaluate_memoized(const Mapping& mapping) {
-    if (options_.naive_reference) return evaluate_design(ctx_, mapping);
-    if (!options_.memoize) return evaluate(mapping);
-    check_mapping(mapping);
-    const CoreId* key = mapping.raw().data();
-    const std::uint64_t hash = hash_key(key);
-    if (const DesignMetrics* hit = memo_find(hash, key, Override::unchanged())) {
-        ++stats_.memo_hits;
-        return *hit;
-    }
-    ++stats_.full_evals;
-    const DesignMetrics metrics = evaluate_full(mapping, false);
-    memo_insert(hash, key, Override::unchanged(), metrics);
-    return metrics;
-}
-
 DesignMetrics EvalContext::rebase(const Mapping& base) {
     base_ = base;
     if (options_.naive_reference) {
@@ -321,12 +297,8 @@ DesignMetrics EvalContext::rebase(const Mapping& base) {
     ++stats_.full_evals;
     base_metrics_ = evaluate_full(base_, true);
     has_base_ = true;
-    if (options_.memoize) {
-        const CoreId* key = base_.raw().data();
-        base_key_ = hash_key(key);
-        if (memo_find(base_key_, key, Override::unchanged()) == nullptr)
-            memo_insert(base_key_, key, Override::unchanged(), base_metrics_);
-    }
+    base_key_ = hash_key(base_.raw().data());
+    memo_insert(base_key_, base_.raw().data(), Override::unchanged(), base_metrics_);
     return base_metrics_;
 }
 
@@ -342,7 +314,6 @@ DesignMetrics EvalContext::evaluate_move(TaskId task, CoreId to) {
         return evaluate_design(ctx_, mapping_scratch_);
     }
     const Override ov{task, to, task, to};
-    if (!options_.memoize) return evaluate_override(ov, suffix_start_[task]);
     const std::uint64_t hash = base_key_ ^ key_term(task, from) ^ key_term(task, to);
     if (const DesignMetrics* hit = memo_find(hash, base_.raw().data(), ov)) {
         ++stats_.memo_hits;
@@ -367,15 +338,14 @@ DesignMetrics EvalContext::evaluate_swap(TaskId a, TaskId b) {
         return evaluate_design(ctx_, mapping_scratch_);
     }
     const Override ov{a, core_b, b, core_a};
-    const std::size_t suffix_pos = std::min(suffix_start_[a], suffix_start_[b]);
-    if (!options_.memoize) return evaluate_override(ov, suffix_pos);
     const std::uint64_t hash = base_key_ ^ key_term(a, core_a) ^ key_term(a, core_b) ^
                                key_term(b, core_b) ^ key_term(b, core_a);
     if (const DesignMetrics* hit = memo_find(hash, base_.raw().data(), ov)) {
         ++stats_.memo_hits;
         return *hit;
     }
-    const DesignMetrics metrics = evaluate_override(ov, suffix_pos);
+    const DesignMetrics metrics =
+        evaluate_override(ov, std::min(suffix_start_[a], suffix_start_[b]));
     memo_insert(hash, base_.raw().data(), ov, metrics);
     return metrics;
 }
@@ -509,61 +479,28 @@ std::uint64_t EvalContext::hash_key(const CoreId* key) const {
 
 const DesignMetrics* EvalContext::memo_find(std::uint64_t hash, const CoreId* base,
                                             const Override& ov) const {
-    if (memo_slots_.empty()) return nullptr;
-    const std::size_t mask = memo_slots_.size() - 1;
-    for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
-        const std::uint32_t slot = memo_slots_[i];
-        if (slot == 0) return nullptr;
-        const MemoEntry& entry = memo_entries_[slot - 1];
-        if (entry.hash != hash) continue;
-        // Exact key comparison: a hash collision never returns wrong metrics.
-        const CoreId* stored = memo_keys_.data() + entry.key_offset;
-        TaskId t = 0;
-        while (t < n_ && stored[t] == ov.core_of(base, t)) ++t;
-        if (t == n_) return &entry.metrics;
-    }
+    const std::size_t i = hash & (memo_.size() - 1);
+    const MemoSlot& slot = memo_[i];
+    if (!slot.occupied || slot.hash != hash) return nullptr;
+    // Exact key comparison: a hash collision never returns wrong metrics.
+    const CoreId* stored = memo_keys_.data() + i * n_;
+    TaskId t = 0;
+    while (t < n_ && stored[t] == ov.core_of(base, t)) ++t;
+    return t == n_ ? &slot.metrics : nullptr;
 }
 
-// seamap-lint: push-allow(hot-path-alloc) -- memo-table growth is the
-// documented exception to the zero-allocation steady state: inserts
-// amortize across the walk and stop entirely at k_memo_budget_bytes;
-// lookups (the hit path) never allocate
 void EvalContext::memo_insert(std::uint64_t hash, const CoreId* base, const Override& ov,
                               const DesignMetrics& metrics) {
-    if (memo_entries_.size() >= memo_max_entries_) return;
-    // Keep the open-addressing load factor below 0.7.
-    const bool rehash =
-        memo_slots_.empty() || (memo_entries_.size() + 1) * 10 >= memo_slots_.size() * 7;
-    const bool grows = rehash || memo_entries_.size() == memo_entries_.capacity() ||
-                       memo_keys_.capacity() - memo_keys_.size() < n_;
-    if (rehash) {
-        std::vector<std::uint32_t> bigger(
-            memo_slots_.empty() ? k_memo_initial_slots : memo_slots_.size() * 2, 0);
-        const std::size_t mask = bigger.size() - 1;
-        for (std::size_t e = 0; e < memo_entries_.size(); ++e) {
-            std::size_t i = memo_entries_[e].hash & mask;
-            while (bigger[i] != 0) i = (i + 1) & mask;
-            bigger[i] = static_cast<std::uint32_t>(e + 1);
-        }
-        memo_slots_ = std::move(bigger);
-    }
-    const std::size_t offset = memo_keys_.size();
-    memo_keys_.insert(memo_keys_.end(), base, base + n_);
+    const std::size_t i = hash & (memo_.size() - 1);
+    MemoSlot& slot = memo_[i];
+    if (!slot.occupied) ++stats_.memo_entries;
+    slot = MemoSlot{hash, true, metrics};
+    CoreId* key = memo_keys_.data() + i * n_;
+    std::copy_n(base, n_, key);
     if (ov.a != Override::k_none) {
-        memo_keys_[offset + ov.a] = ov.core_a;
-        memo_keys_[offset + ov.b] = ov.core_b;
+        key[ov.a] = ov.core_a;
+        key[ov.b] = ov.core_b;
     }
-    memo_entries_.push_back(MemoEntry{hash, offset, metrics});
-    const std::size_t mask = memo_slots_.size() - 1;
-    std::size_t i = hash & mask;
-    while (memo_slots_[i] != 0) i = (i + 1) & mask;
-    memo_slots_[i] = static_cast<std::uint32_t>(memo_entries_.size());
-    stats_.memo_entries = memo_entries_.size();
-    if (grows)
-        stats_.memo_bytes = memo_keys_.capacity() * sizeof(CoreId) +
-                            memo_entries_.capacity() * sizeof(MemoEntry) +
-                            memo_slots_.capacity() * sizeof(std::uint32_t);
 }
-// seamap-lint: pop-allow(hot-path-alloc)
 
 } // namespace seamap

@@ -24,13 +24,17 @@
 //    provably unchanged), the latency starts from the base's recorded
 //    prefix maximum, and only the affected cores' register unions and
 //    busy cycles are recomputed.
-//  - Memoization: a per-scaling memo table keyed by the full mapping
-//    (open addressing, flat key arena, exact key comparison) returns
-//    previously computed metrics for revisited candidates, so a random
-//    walk that undoes a move never pays for the same design twice. The
-//    hash is Zobrist-style — an XOR of one splitmix64 term per (task,
-//    core) pair — so rebase() hashes the base once and a move or swap
-//    neighbour's hash is the base hash updated by 2 or 4 XORs.
+//  - Memoization: a direct-mapped cache keyed by the full mapping
+//    returns previously computed metrics for revisited candidates, so
+//    a random walk that undoes a move never pays for the same design
+//    twice. Its power-of-two slot array and flat key arena are sized
+//    once, in the constructor, from k_memo_budget_bytes; an insert
+//    overwrites its slot and a lookup compares the full key, so a
+//    collision or an overwritten slot only costs a miss, never wrong
+//    metrics. The hash is Zobrist-style — an XOR of one splitmix64
+//    term per (task, core) pair — so rebase() hashes the base once and
+//    a move or swap neighbour's hash is the base hash updated by 2 or
+//    4 XORs.
 //
 // Determinism contract: every path (full, incremental, memoized)
 // reproduces evaluate_design() BIT-IDENTICALLY — the same floating-
@@ -59,8 +63,6 @@ namespace seamap {
 /// Evaluation-path knobs. Defaults give the full fast path; the
 /// reference flag pins the optimization to the naive implementation.
 struct EvalOptions {
-    /// Per-scaling memo table over complete mappings.
-    bool memoize = true;
     /// Route every evaluation through evaluate_design() instead of the
     /// optimized path (no scratch reuse, no memo, no incremental).
     /// This is the pre-optimization reference the equivalence tests
@@ -97,10 +99,10 @@ NeighborOp random_neighbor_op(Mapping& mapping, Rng& rng, double swap_probabilit
 /// Reusable per-scaling evaluation engine. See file comment.
 class EvalContext {
 public:
-    /// Byte budget of one context's memo storage (keys, entries and
-    /// probe slots). Inserts stop before the reserved storage would
-    /// exceed it; lookups keep working.
-    static constexpr std::size_t k_memo_budget_bytes = std::size_t{64} << 20;
+    /// Byte budget of one context's memo (slots plus their keys): the
+    /// constructor allocates the most power-of-two slots that fit, and
+    /// at least one.
+    static constexpr std::size_t k_memo_budget_bytes = std::size_t{256} << 10;
 
     /// `ctx` must outlive the EvalContext. Validates the scaling vector
     /// eagerly and precomputes the schedule order.
@@ -118,10 +120,6 @@ public:
     /// first call. Throws std::invalid_argument on size mismatches or
     /// incomplete mappings.
     DesignMetrics evaluate(const Mapping& mapping);
-
-    /// evaluate() behind the memo table: a revisited mapping returns
-    /// its cached metrics without re-scheduling.
-    DesignMetrics evaluate_memoized(const Mapping& mapping);
 
     /// Establish `base` as the incremental-evaluation anchor (the
     /// search's current mapping) and return its metrics. Records the
@@ -156,8 +154,8 @@ public:
         std::uint64_t full_evals = 0;        ///< complete timing passes (incl. rebase)
         std::uint64_t incremental_evals = 0; ///< suffix-only replays
         std::uint64_t memo_hits = 0;
-        std::uint64_t memo_entries = 0;
-        std::uint64_t memo_bytes = 0; ///< reserved memo storage, <= k_memo_budget_bytes
+        std::uint64_t memo_entries = 0; ///< filled memo slots
+        std::uint64_t memo_bytes = 0;   ///< memo storage, fixed at construction
     };
     const Stats& stats() const { return stats_; }
 
@@ -186,7 +184,7 @@ private:
     DesignMetrics finish_metrics(double latency);
     void check_mapping(const Mapping& mapping) const;
 
-    // Memo table: open addressing over a flat key arena. A key is the
+    // Memo: a direct-mapped cache over a flat key arena. A key is the
     // mapping `base` with the override applied; the hash of a mapping is
     // the XOR of key_term(t, core_of(t)) over its tasks.
     std::uint64_t key_term(TaskId task, CoreId core) const;
@@ -245,7 +243,7 @@ private:
     std::vector<double> base_core_free_at_; ///< position-major [pos * cores + core]
     std::vector<std::uint64_t> base_busy_;
     std::vector<std::uint64_t> base_bits_;
-    std::uint64_t base_key_ = 0; ///< hash_key(base_) when memoizing
+    std::uint64_t base_key_ = 0; ///< hash_key(base_)
     // Base task->core partition in CSR form (built by each rebase into
     // fixed-capacity arrays — no per-core vectors, no steady-state
     // growth): core c's tasks are core_task_ids_[core_task_offsets_[c]
@@ -254,16 +252,14 @@ private:
     std::vector<std::size_t> core_task_cursor_;  ///< counting-sort scratch
     std::vector<TaskId> core_task_ids_;          ///< n_ entries
 
-    // Memo storage.
-    struct MemoEntry {
+    // Memo storage: slot i's key is memo_keys_[i * n_ .. (i + 1) * n_).
+    struct MemoSlot {
         std::uint64_t hash = 0;
-        std::size_t key_offset = 0;
+        bool occupied = false;
         DesignMetrics metrics;
     };
-    std::vector<MemoEntry> memo_entries_;
-    std::vector<std::uint32_t> memo_slots_; ///< entry index + 1; 0 = empty
+    std::vector<MemoSlot> memo_; ///< power-of-two size
     std::vector<CoreId> memo_keys_;
-    std::size_t memo_max_entries_ = 0; ///< entries k_memo_budget_bytes admits
 
     Stats stats_;
 };

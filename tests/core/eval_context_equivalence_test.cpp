@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace seamap {
@@ -80,10 +81,14 @@ TEST(EvalContextEquivalence, FullEvaluationMatchesNaiveAcrossAllScalings) {
             for (const Mapping& mapping : mappings) {
                 const DesignMetrics naive = evaluate_design(ctx, mapping);
                 expect_bit_identical(eval.evaluate(mapping), naive, w.label + " evaluate");
-                expect_bit_identical(eval.evaluate_memoized(mapping), naive,
-                                     w.label + " memoized miss/insert");
-                expect_bit_identical(eval.evaluate_memoized(mapping), naive,
-                                     w.label + " memoized hit");
+                // rebase() files `mapping` under its full-mapping key; a
+                // neighbour moving task 0 back is served from that entry.
+                expect_bit_identical(eval.rebase(mapping), naive, w.label + " rebase");
+                Mapping moved = mapping;
+                moved.assign(0, static_cast<CoreId>((mapping.core_of(0) + 1) % w.cores));
+                (void)eval.rebase(moved);
+                expect_bit_identical(eval.evaluate_move(0, mapping.core_of(0)), naive,
+                                     w.label + " memo hit");
             }
         }
     }
@@ -208,7 +213,7 @@ TEST(EvalContextEquivalence, MemoHitsAreServedWithoutReevaluation) {
 
 TEST(EvalContextEquivalence, NeighbourMemoKeysEqualFullMappingKeys) {
     // A neighbour's memo key is the base key updated in O(1); it must
-    // equal the key of the materialized mapping, or the memoized and
+    // equal the key of the materialized mapping, or rebase() and the
     // neighbour paths would cache the same design twice.
     TgffParams params;
     params.task_count = 16;
@@ -221,44 +226,98 @@ TEST(EvalContextEquivalence, NeighbourMemoKeysEqualFullMappingKeys) {
     const Mapping base = random_mapping(graph, 4, rng);
     eval.rebase(base);
 
-    auto expect_pure_hit = [&](const Mapping& mapping, const std::string& where) {
+    // rebase() files each neighbour under its full-mapping key; back on
+    // the base, the neighbour's XOR-updated key must find that entry.
+    auto expect_pure_hit = [&](const Mapping& neighbour, auto evaluate_neighbour,
+                               const std::string& where) {
+        (void)eval.rebase(neighbour);
+        (void)eval.rebase(base);
         const EvalContext::Stats before = eval.stats();
-        (void)eval.evaluate_memoized(mapping);
+        (void)evaluate_neighbour();
         const EvalContext::Stats& after = eval.stats();
         EXPECT_EQ(after.memo_hits, before.memo_hits + 1) << where;
-        EXPECT_EQ(after.full_evals, before.full_evals) << where;
         EXPECT_EQ(after.incremental_evals, before.incremental_evals) << where;
-        EXPECT_EQ(after.memo_entries, before.memo_entries) << where;
     };
     Mapping last_neighbour = base;
     for (TaskId t = 0; t < graph.task_count(); t += 3) {
         const CoreId to = static_cast<CoreId>((base.core_of(t) + 1) % 4);
-        (void)eval.evaluate_move(t, to);
         last_neighbour = base;
         last_neighbour.assign(t, to);
-        expect_pure_hit(last_neighbour, "move " + std::to_string(t));
+        expect_pure_hit(last_neighbour, [&] { return eval.evaluate_move(t, to); },
+                        "move " + std::to_string(t));
     }
     for (TaskId a = 0; a + 1 < graph.task_count(); a += 2) {
         const TaskId b = a + 1;
         if (base.core_of(a) == base.core_of(b)) continue;
-        (void)eval.evaluate_swap(a, b);
         Mapping swapped = base;
         swapped.assign(a, base.core_of(b));
         swapped.assign(b, base.core_of(a));
-        expect_pure_hit(swapped, "swap " + std::to_string(a));
+        expect_pure_hit(swapped, [&] { return eval.evaluate_swap(a, b); },
+                        "swap " + std::to_string(a));
     }
 
-    // Rebasing onto an evaluated neighbour finds it in the memo, and the
-    // move back to the old base is a hit under the new base's key.
-    const std::uint64_t entries = eval.stats().memo_entries;
+    // After rebasing onto a neighbour, the move back to the old base is
+    // a hit under the new base's key.
     eval.rebase(last_neighbour);
-    EXPECT_EQ(eval.stats().memo_entries, entries);
     TaskId moved = 0;
     while (last_neighbour.core_of(moved) == base.core_of(moved)) ++moved;
     const std::uint64_t hits = eval.stats().memo_hits;
     (void)eval.evaluate_move(moved, base.core_of(moved));
     EXPECT_EQ(eval.stats().memo_hits, hits + 1);
-    EXPECT_EQ(eval.stats().memo_entries, entries);
+}
+
+TEST(EvalContextEquivalence, OverwrittenMemoSlotsNeverServeStaleMetrics) {
+    // At 1000 tasks the memo has only a few dozen slots, so a walk of
+    // distinct neighbours and rebases overwrites slots constantly.
+    // Whatever a slot holds when an earlier neighbour is queried again,
+    // the answer must be that neighbour's own metrics.
+    const Problem problem = scale_problem(1000, 16, 3, 1);
+    const TaskGraph& graph = problem.graph();
+    const std::size_t cores = problem.architecture().core_count();
+    const EvaluationContext ctx =
+        problem.evaluation_context(ScalingVector(cores, ScalingLevel{1}));
+    EvalContext eval(ctx);
+    Rng rng(51);
+    std::vector<Mapping> bases = {round_robin_mapping(graph, cores)};
+    std::vector<std::pair<std::size_t, NeighborOp>> visited; // (base index, op)
+    (void)eval.rebase(bases.back());
+    Mapping neighbour = bases.back();
+    for (int i = 0; i < 300; ++i) {
+        neighbour = bases.back();
+        const NeighborOp op = random_neighbor_op(neighbour, rng, 0.5, false);
+        (void)eval.evaluate_neighbor(op);
+        visited.emplace_back(bases.size() - 1, op);
+        if (i % 20 == 19) {
+            bases.push_back(neighbour);
+            (void)eval.rebase(bases.back());
+        }
+    }
+    const EvalContext::Stats& stats = eval.stats();
+    ASSERT_LT(stats.memo_entries, stats.full_evals + stats.incremental_evals)
+        << "no slot was overwritten";
+
+    // Revisit every neighbour, newest first, from its own base.
+    const std::uint64_t hits_before = stats.memo_hits;
+    std::size_t rebased = bases.size();
+    for (std::size_t v = visited.size(); v-- > 0;) {
+        const auto& [index, op] = visited[v];
+        if (index != rebased) {
+            rebased = index;
+            expect_bit_identical(eval.rebase(bases[index]), evaluate_design(ctx, bases[index]),
+                                 "rebase " + std::to_string(index));
+        }
+        neighbour = bases[index];
+        if (op.kind == NeighborOp::Kind::move) {
+            neighbour.assign(op.a, op.to);
+        } else if (op.kind == NeighborOp::Kind::swap) {
+            const CoreId core_a = neighbour.core_of(op.a);
+            neighbour.assign(op.a, neighbour.core_of(op.b));
+            neighbour.assign(op.b, core_a);
+        }
+        expect_bit_identical(eval.evaluate_neighbor(op), evaluate_design(ctx, neighbour),
+                             "neighbour " + std::to_string(v));
+    }
+    EXPECT_GT(stats.memo_hits, hits_before) << "no revisit was served from the memo";
 }
 
 TEST(EvalContextEquivalence, SearchesIdenticalAcrossEvaluationPaths) {
@@ -277,20 +336,15 @@ TEST(EvalContextEquivalence, SearchesIdenticalAcrossEvaluationPaths) {
             EvalContext naive_eval(ctx, naive_options);
             const LocalSearchResult reference = strategy->search(naive_eval, initial, 99);
 
-            std::vector<EvalOptions> variants(2);
-            variants[0] = EvalOptions{}; // full fast path
-            variants[1].memoize = false;
-            for (const EvalOptions& variant : variants) {
-                EvalContext eval(ctx, variant);
-                const LocalSearchResult got = strategy->search(eval, initial, 99);
-                const std::string where = w.label + " " + name;
-                EXPECT_EQ(got.best_mapping, reference.best_mapping) << where;
-                expect_bit_identical(got.best_metrics, reference.best_metrics, where);
-                EXPECT_EQ(got.found_feasible, reference.found_feasible) << where;
-                EXPECT_EQ(got.iterations_run, reference.iterations_run) << where;
-                EXPECT_EQ(got.improvements, reference.improvements) << where;
-                EXPECT_EQ(got.evaluations, reference.evaluations) << where;
-            }
+            EvalContext eval(ctx);
+            const LocalSearchResult got = strategy->search(eval, initial, 99);
+            const std::string where = w.label + " " + name;
+            EXPECT_EQ(got.best_mapping, reference.best_mapping) << where;
+            expect_bit_identical(got.best_metrics, reference.best_metrics, where);
+            EXPECT_EQ(got.found_feasible, reference.found_feasible) << where;
+            EXPECT_EQ(got.iterations_run, reference.iterations_run) << where;
+            EXPECT_EQ(got.improvements, reference.improvements) << where;
+            EXPECT_EQ(got.evaluations, reference.evaluations) << where;
         }
     }
 }
