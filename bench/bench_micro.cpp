@@ -9,6 +9,7 @@
 
 #include "api/scenarios.h"
 #include "core/initial_mapping.h"
+#include "core/optimized_mapping.h"
 #include "sim/campaign.h"
 #include "sim/fault_injection.h"
 #include "taskgraph/mpeg2.h"
@@ -290,6 +291,38 @@ BENCHMARK_CAPTURE(bm_explore_scale, lazy, true)
     ->Iterations(1)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+// The search layer of the wallbench `acceptance` workload: one slot of
+// scale_acceptance_problem() searched by the Fig. 7 strategy at its 60
+// iterations, from the Fig. 6 initial mapping the explorer starts from.
+// Each iteration builds a fresh EvalContext (a few percent of the time),
+// as every explorer search does. The counters show how much of the
+// sweep the schedule-free bound skips.
+void bm_search_acceptance_slot(benchmark::State& state) {
+    const Problem problem = scale_acceptance_problem();
+    const std::size_t cores = problem.architecture().core_count();
+    ScalingVector levels(cores);
+    for (std::size_t c = 0; c < cores; ++c) levels[c] = static_cast<ScalingLevel>(1 + c % 3);
+    const EvaluationContext ctx = problem.evaluation_context(levels);
+    LocalSearchParams params;
+    params.max_iterations = 60;
+    params.restarts = 1;
+    params.seed = 1;
+    const OptimizedMapping search(params);
+    const Mapping initial = initial_sea_mapping(ctx);
+    LocalSearchResult last;
+    EvalContext::Stats stats;
+    for (auto _ : state) {
+        EvalContext eval(ctx);
+        last = search.optimize(eval, initial);
+        stats = eval.stats();
+        benchmark::DoNotOptimize(last);
+    }
+    state.counters["evaluations"] = static_cast<double>(last.evaluations);
+    state.counters["replays"] = static_cast<double>(stats.incremental_evals);
+    state.counters["bound_skips"] = static_cast<double>(stats.bound_skips);
+}
+BENCHMARK(bm_search_acceptance_slot)->Unit(benchmark::kMillisecond);
 
 // Raw giant-graph throughput of the --scale TGFF family: a 1000-task
 // graph through the whole lazy pipeline (gate, bounds, SoA eval,

@@ -252,12 +252,7 @@ std::uint64_t EvalContext::weighted_bits(const std::uint64_t* row) const {
 DesignMetrics EvalContext::finish_metrics(double latency) {
     DesignMetrics metrics;
     metrics.latency_seconds = latency;
-    double ii = 0.0;
-    for (std::size_t c = 0; c < cores_; ++c) {
-        busy_seconds_[c] = static_cast<double>(busy_[c]) / core_freq_[c];
-        ii = std::max(ii, busy_seconds_[c] / batches_);
-    }
-    metrics.tm_seconds = latency + (batches_ - 1.0) * ii;
+    metrics.tm_seconds = pipelined_tm(latency);
     for (std::size_t c = 0; c < cores_; ++c) {
         utilization_[c] = metrics.tm_seconds > 0.0
                               ? std::min(1.0, busy_seconds_[c] / metrics.tm_seconds)
@@ -266,19 +261,35 @@ DesignMetrics EvalContext::finish_metrics(double latency) {
     std::uint64_t total_bits = 0;
     for (std::size_t c = 0; c < cores_; ++c) total_bits += register_bits_[c];
     metrics.register_bits = total_bits;
+    metrics.gamma = gamma_at(metrics.tm_seconds);
+    metrics.power_mw =
+        ctx_.arch.power_model().mpsoc_power_mw_precomputed(active_power_mw_, utilization_);
+    metrics.feasible = within_deadline(metrics.tm_seconds);
+    return metrics;
+}
 
+double EvalContext::pipelined_tm(double latency) {
+    double ii = 0.0;
+    for (std::size_t c = 0; c < cores_; ++c) {
+        busy_seconds_[c] = static_cast<double>(busy_[c]) / core_freq_[c];
+        ii = std::max(ii, busy_seconds_[c] / batches_);
+    }
+    return latency + (batches_ - 1.0) * ii;
+}
+
+double EvalContext::gamma_at(double tm_seconds) const {
     double gamma = 0.0;
     const bool full_duration = ctx_.estimator.policy() == ExposurePolicy::full_duration;
     for (std::size_t c = 0; c < cores_; ++c) {
         if (register_bits_[c] == 0) continue; // no live state on this core
-        const double exposure = full_duration ? metrics.tm_seconds : busy_seconds_[c];
+        const double exposure = full_duration ? tm_seconds : busy_seconds_[c];
         gamma += static_cast<double>(register_bits_[c]) * exposure * ser_rate_[c];
     }
-    metrics.gamma = gamma;
-    metrics.power_mw =
-        ctx_.arch.power_model().mpsoc_power_mw_precomputed(active_power_mw_, utilization_);
-    metrics.feasible = metrics.tm_seconds <= ctx_.deadline_seconds * (1.0 + 1e-9);
-    return metrics;
+    return gamma;
+}
+
+bool EvalContext::within_deadline(double tm_seconds) const {
+    return tm_seconds <= ctx_.deadline_seconds * (1.0 + 1e-9);
 }
 
 DesignMetrics EvalContext::evaluate(const Mapping& mapping) {
@@ -303,6 +314,17 @@ DesignMetrics EvalContext::rebase(const Mapping& base) {
 }
 
 DesignMetrics EvalContext::evaluate_move(TaskId task, CoreId to) {
+    return *move_candidate(task, to, nullptr, nullptr);
+}
+
+std::optional<DesignMetrics> EvalContext::evaluate_move_bounded(
+    TaskId task, CoreId to, const DesignMetrics& walk_best, const DesignMetrics& result_best) {
+    return move_candidate(task, to, &walk_best, &result_best);
+}
+
+std::optional<DesignMetrics> EvalContext::move_candidate(TaskId task, CoreId to,
+                                                         const DesignMetrics* walk_best,
+                                                         const DesignMetrics* result_best) {
     if (!has_base_) throw std::logic_error("EvalContext::evaluate_move: call rebase() first");
     if (task >= n_) throw std::invalid_argument("EvalContext::evaluate_move: bad task id");
     if (to >= cores_) throw std::invalid_argument("EvalContext::evaluate_move: bad core id");
@@ -319,7 +341,13 @@ DesignMetrics EvalContext::evaluate_move(TaskId task, CoreId to) {
         ++stats_.memo_hits;
         return *hit;
     }
-    const DesignMetrics metrics = evaluate_override(ov, suffix_start_[task]);
+    const std::size_t suffix_pos = suffix_start_[task];
+    stage_override(ov);
+    if (walk_best != nullptr && bound_excludes(suffix_pos, *walk_best, *result_best)) {
+        ++stats_.bound_skips;
+        return std::nullopt;
+    }
+    const DesignMetrics metrics = finish_metrics(replay_suffix(ov, suffix_pos));
     memo_insert(hash, base_.raw().data(), ov, metrics);
     return metrics;
 }
@@ -344,8 +372,9 @@ DesignMetrics EvalContext::evaluate_swap(TaskId a, TaskId b) {
         ++stats_.memo_hits;
         return *hit;
     }
+    stage_override(ov);
     const DesignMetrics metrics =
-        evaluate_override(ov, std::min(suffix_start_[a], suffix_start_[b]));
+        finish_metrics(replay_suffix(ov, std::min(suffix_start_[a], suffix_start_[b])));
     memo_insert(hash, base_.raw().data(), ov, metrics);
     return metrics;
 }
@@ -364,46 +393,10 @@ DesignMetrics EvalContext::evaluate_neighbor(const NeighborOp& op) {
     throw std::logic_error("EvalContext::evaluate_neighbor: bad op kind");
 }
 
-DesignMetrics EvalContext::evaluate_override(const Override& ov, std::size_t suffix_pos) {
-    ++stats_.incremental_evals;
+// Phase 1 of an incremental evaluation: the candidate's busy cycles and
+// register unions, which need no schedule.
+void EvalContext::stage_override(const Override& ov) {
     const CoreId* base_raw = base_.raw().data();
-
-    // Restore the timeline state as of `suffix_pos` (every placement
-    // before it is provably identical under the override) and replay
-    // only the suffix with the candidate core lookup.
-    std::copy_n(base_core_free_at_.begin() +
-                    static_cast<std::ptrdiff_t>(suffix_pos * cores_),
-                cores_, core_free_.begin());
-    for (std::size_t q = suffix_pos; q < n_; ++q) {
-        const TaskId w = order_[q];
-        double ready = 0.0;
-        for (std::size_t idx : ctx_.graph.in_edge_indices(w)) {
-            if (pos_[ctx_.graph.edge(idx).src] < suffix_pos)
-                ready = std::max(ready, base_arrival_[idx]);
-        }
-        data_ready_[w] = ready;
-    }
-    // The prefix's finish times are the base's, so its latency share is
-    // the recorded prefix maximum.
-    double latency = base_latency_prefix_[suffix_pos];
-    for (std::size_t q = suffix_pos; q < n_; ++q) {
-        const TaskId w = order_[q];
-        const CoreId core = ov.core_of(base_raw, w);
-        const double start = std::max(core_free_[core], data_ready_[w]);
-        const double finish = start + exec_seconds_[w * cores_ + core];
-        latency = std::max(latency, finish);
-        double cursor = finish;
-        for (std::size_t idx : ctx_.graph.out_edge_indices(w)) {
-            const Edge& e = ctx_.graph.edge(idx);
-            double arrival = finish;
-            if (ov.core_of(base_raw, e.dst) != core) {
-                cursor += comm_seconds_[idx * cores_ + core];
-                arrival = cursor;
-            }
-            data_ready_[e.dst] = std::max(data_ready_[e.dst], arrival);
-        }
-        core_free_[core] = cursor;
-    }
 
     // Busy cycles: integer delta over the touched tasks and their
     // incident edges (exactly equal to a full eq. 7 recompute).
@@ -463,8 +456,67 @@ DesignMetrics EvalContext::evaluate_override(const Override& ov, std::size_t suf
         if (ov.core_b != base_raw[ov.a] && ov.core_b != ov.core_a)
             recompute_core_bits(ov.core_b);
     }
+}
 
-    return finish_metrics(latency);
+// Phase 2: the schedule-free bound (file comment). True when the
+// candidate provably improves neither reference under the sweep's rules;
+// requires stage_override(ov) for the same candidate.
+bool EvalContext::bound_excludes(std::size_t suffix_pos, const DesignMetrics& walk_best,
+                                 const DesignMetrics& result_best) {
+    const double tm_lb = pipelined_tm(base_latency_prefix_[suffix_pos]);
+    if (!within_deadline(tm_lb)) {
+        // Infeasible: it can only beat an infeasible reference on T_M.
+        return (walk_best.feasible || tm_lb >= walk_best.tm_seconds) &&
+               (result_best.feasible || tm_lb >= result_best.tm_seconds);
+    }
+    // Possibly feasible, which beats any infeasible reference.
+    if (!walk_best.feasible || !result_best.feasible) return false;
+    const double gamma_lb = gamma_at(tm_lb);
+    return gamma_lb >= walk_best.gamma && gamma_lb >= result_best.gamma;
+}
+
+// Phase 3: replay the schedule suffix and return the candidate's latency.
+double EvalContext::replay_suffix(const Override& ov, std::size_t suffix_pos) {
+    ++stats_.incremental_evals;
+    const CoreId* base_raw = base_.raw().data();
+
+    // Restore the timeline state as of `suffix_pos` (every placement
+    // before it is provably identical under the override) and replay
+    // only the suffix with the candidate core lookup.
+    std::copy_n(base_core_free_at_.begin() +
+                    static_cast<std::ptrdiff_t>(suffix_pos * cores_),
+                cores_, core_free_.begin());
+    for (std::size_t q = suffix_pos; q < n_; ++q) {
+        const TaskId w = order_[q];
+        double ready = 0.0;
+        for (std::size_t idx : ctx_.graph.in_edge_indices(w)) {
+            if (pos_[ctx_.graph.edge(idx).src] < suffix_pos)
+                ready = std::max(ready, base_arrival_[idx]);
+        }
+        data_ready_[w] = ready;
+    }
+    // The prefix's finish times are the base's, so its latency share is
+    // the recorded prefix maximum.
+    double latency = base_latency_prefix_[suffix_pos];
+    for (std::size_t q = suffix_pos; q < n_; ++q) {
+        const TaskId w = order_[q];
+        const CoreId core = ov.core_of(base_raw, w);
+        const double start = std::max(core_free_[core], data_ready_[w]);
+        const double finish = start + exec_seconds_[w * cores_ + core];
+        latency = std::max(latency, finish);
+        double cursor = finish;
+        for (std::size_t idx : ctx_.graph.out_edge_indices(w)) {
+            const Edge& e = ctx_.graph.edge(idx);
+            double arrival = finish;
+            if (ov.core_of(base_raw, e.dst) != core) {
+                cursor += comm_seconds_[idx * cores_ + core];
+                arrival = cursor;
+            }
+            data_ready_[e.dst] = std::max(data_ready_[e.dst], arrival);
+        }
+        core_free_[core] = cursor;
+    }
+    return latency;
 }
 
 std::uint64_t EvalContext::key_term(TaskId task, CoreId core) const {

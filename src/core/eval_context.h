@@ -24,6 +24,16 @@
 //    provably unchanged), the latency starts from the base's recorded
 //    prefix maximum, and only the affected cores' register unions and
 //    busy cycles are recomputed.
+//  - Bounded sweep: an incremental candidate is evaluated in three
+//    phases — busy cycles and the touched cores' register unions, then
+//    a schedule-free bound, then the suffix replay. The replay's latency
+//    starts from the base's prefix maximum and only grows, so that
+//    prefix plus (B-1)·II is a lower bound on T_M, and eq. 3 summed at
+//    that T_M (full_duration) or at the exact busy seconds (busy_only)
+//    is a lower bound on Gamma; round-to-nearest is monotone, so both
+//    hold in floating point. The Fig. 7 sweep (evaluate_move_bounded)
+//    skips the replay of a candidate the bound proves can improve
+//    neither its running best nor the search result.
 //  - Memoization: a direct-mapped cache keyed by the full mapping
 //    returns previously computed metrics for revisited candidates, so
 //    a random walk that undoes a move never pays for the same design
@@ -38,7 +48,11 @@
 //
 // Determinism contract: every path (full, incremental, memoized)
 // reproduces evaluate_design() BIT-IDENTICALLY — the same floating-
-// point operations in the same order. The naive_reference option turns
+// point operations in the same order. A bound-skipped sweep candidate
+// is counted (stats().bound_skips) but neither scheduled nor memoized,
+// and it provably could not have changed the search, so searches are
+// identical with or without the bound; the naive_reference path never
+// skips. The naive_reference option turns
 // the context into a thin wrapper over evaluate_design() so the
 // equivalence harness (tests/core/eval_context_equivalence_test.cpp)
 // and the before/after benches drive both paths through identical
@@ -56,6 +70,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <vector>
 
 namespace seamap {
@@ -135,12 +150,26 @@ public:
     const DesignMetrics& base_metrics() const { return base_metrics_; }
 
     /// Metrics of base() with `task` moved to core `to` (base itself is
-    /// left untouched). Memoized, then suffix-rescheduled: only
-    /// placement positions from the earliest predecessor of `task`
-    /// onward are replayed, and only the two affected cores' register
-    /// unions and busy cycles are recomputed. Requires a prior
-    /// rebase().
+    /// left untouched); the random walk's move step. Memoized, then
+    /// suffix-rescheduled: only the two affected cores' register unions
+    /// and busy cycles are recomputed, and only placement positions from
+    /// the earliest predecessor of `task` onward are replayed. Never
+    /// skipped by the bound. Requires a prior rebase().
     DesignMetrics evaluate_move(TaskId task, CoreId to);
+
+    /// evaluate_move() for the Fig. 7 sweep, which keeps a candidate only
+    /// if it strictly improves its running best `walk_best` or the search
+    /// result `result_best`: against an infeasible reference by being
+    /// feasible or having a lower T_M, against a feasible one by being
+    /// feasible with a lower Gamma. On a memo miss, when the
+    /// schedule-free bound (file comment) proves the candidate improves
+    /// neither, the suffix replay is skipped: the call counts a
+    /// stats().bound_skips, memoizes nothing and returns std::nullopt.
+    /// Otherwise returns exactly evaluate_move(task, to). The
+    /// naive_reference path never skips.
+    std::optional<DesignMetrics> evaluate_move_bounded(TaskId task, CoreId to,
+                                                       const DesignMetrics& walk_best,
+                                                       const DesignMetrics& result_best);
 
     /// Metrics of base() with tasks `a` and `b` exchanging cores.
     DesignMetrics evaluate_swap(TaskId a, TaskId b);
@@ -153,6 +182,7 @@ public:
     struct Stats {
         std::uint64_t full_evals = 0;        ///< complete timing passes (incl. rebase)
         std::uint64_t incremental_evals = 0; ///< suffix-only replays
+        std::uint64_t bound_skips = 0;       ///< sweep candidates the bound ruled out
         std::uint64_t memo_hits = 0;
         std::uint64_t memo_entries = 0; ///< filled memo slots
         std::uint64_t memo_bytes = 0;   ///< memo storage, fixed at construction
@@ -180,8 +210,22 @@ private:
     };
 
     DesignMetrics evaluate_full(const Mapping& mapping, bool record);
-    DesignMetrics evaluate_override(const Override& ov, std::size_t suffix_pos);
+    /// evaluate_move(), bounded against the two references when they are
+    /// non-null.
+    std::optional<DesignMetrics> move_candidate(TaskId task, CoreId to,
+                                                const DesignMetrics* walk_best,
+                                                const DesignMetrics* result_best);
+    // The three phases of an incremental evaluation.
+    void stage_override(const Override& ov); ///< busy_ and register_bits_ of the candidate
+    bool bound_excludes(std::size_t suffix_pos, const DesignMetrics& walk_best,
+                        const DesignMetrics& result_best);
+    double replay_suffix(const Override& ov, std::size_t suffix_pos); ///< the latency
+    // finish_metrics' arithmetic, shared with the bound so both perform
+    // the same floating-point operations.
     DesignMetrics finish_metrics(double latency);
+    double pipelined_tm(double latency); ///< fills busy_seconds_ from busy_
+    double gamma_at(double tm_seconds) const;
+    bool within_deadline(double tm_seconds) const;
     void check_mapping(const Mapping& mapping) const;
 
     // Memo: a direct-mapped cache over a flat key arena. A key is the

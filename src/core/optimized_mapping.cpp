@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -74,7 +75,9 @@ LocalSearchResult OptimizedMapping::optimize(EvalContext& eval, const Mapping& i
     // The paper's systematic pass: try every single-task move from the
     // current mapping and take the best strict improvement. Each
     // candidate is a single move off the rebased current mapping, so it
-    // is exactly the suffix-reschedule case.
+    // is exactly the suffix-reschedule case. One that provably improves
+    // neither the running best nor the result is skipped unscheduled; it
+    // still counts as an evaluation.
     Mapping scratch_mapping;
     auto sweep = [&]() {
         DesignMetrics best_metrics = current_metrics;
@@ -87,17 +90,19 @@ LocalSearchResult OptimizedMapping::optimize(EvalContext& eval, const Mapping& i
                 continue; // moving t would empty its core
             for (CoreId core = 0; core < ctx.arch.core_count() && !stopped(); ++core) {
                 if (core == original) continue;
-                const DesignMetrics metrics = eval.evaluate_move(t, core);
+                const std::optional<DesignMetrics> metrics =
+                    eval.evaluate_move_bounded(t, core, best_metrics, result.best_metrics);
                 ++result.evaluations;
-                consider_best(metrics, [&]() -> const Mapping& {
+                if (!metrics) continue;
+                consider_best(*metrics, [&]() -> const Mapping& {
                     scratch_mapping = current;
                     scratch_mapping.assign(t, core);
                     return scratch_mapping;
                 });
-                if (walk_improves(metrics, best_metrics)) {
+                if (walk_improves(*metrics, best_metrics)) {
                     best_task = t;
                     best_core = core;
-                    best_metrics = metrics;
+                    best_metrics = *metrics;
                     found = true;
                 }
             }

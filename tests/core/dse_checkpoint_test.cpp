@@ -295,11 +295,16 @@ TEST(DseCheckpoint, TruncatedSnapshotFallsBackToPrev) {
     const std::string path = ckpt_path("torn");
     remove_checkpoint(path);
     {
-        DseCheckpointer checkpointer(path, explore_state_hash(problem, base));
-        checkpointer.set_cadence(1, 0.0); // >= 2 flushes, so .prev exists
+        // One thread, so the stop lands after five slots decided in
+        // order and the cadence has flushed at least twice (.prev exists);
+        // with more threads the stop can race ahead of the second flush.
+        // The thread count is not a hash input, so `base` resumes it.
+        const ExploreOptions killed = make_options(1);
+        DseCheckpointer checkpointer(path, explore_state_hash(problem, killed));
+        checkpointer.set_cadence(1, 0.0);
         CancellationToken cancel;
         StopAfter observer(cancel, 5);
-        (void)explore(problem, base, &observer, &cancel, &checkpointer);
+        (void)explore(problem, killed, &observer, &cancel, &checkpointer);
     }
     ASSERT_TRUE(std::filesystem::exists(path + ".prev"));
     {

@@ -1,6 +1,7 @@
 // The PR 3 "zero steady-state allocation" claim as a hard test: once an
 // EvalContext is warmed up, full evaluation, suffix-only incremental
-// re-evaluation (move/swap), memo hits and inserts, and rebase() must
+// re-evaluation (move/swap), the Fig. 7 sweep's bounded move evaluation
+// (skipped or replayed), memo hits and inserts, and rebase() must
 // perform ZERO heap allocations — counted by the operator-new
 // replacements in tests/support/alloc_guard.cpp, not asserted by
 // comment. The static side of the same contract is seamap_lint's
@@ -15,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -115,6 +117,42 @@ TEST(EvalContextAlloc, SuffixReschedulingIsAllocationFree) {
         }
         EXPECT_EQ(guard.allocations(), 0u)
             << "suffix rescheduling allocated on " << w.label;
+        EXPECT_GT(sink, 0.0);
+    }
+}
+
+TEST(EvalContextAlloc, BoundedSweepIsAllocationFree) {
+    SEAMAP_REQUIRE_ALLOC_GUARD();
+    for (const Workload& w : workloads()) {
+        const MpsocArchitecture arch(w.cores, VoltageScalingTable::arm7_three_level());
+        const ScalingVector levels(w.cores, ScalingLevel{1});
+        const EvaluationContext ctx{w.graph, arch, levels, SeuEstimator{SerModel{}},
+                                    w.deadline_seconds};
+        EvalContext eval(ctx);
+        Rng rng(25);
+        const Mapping base = random_mapping(w.graph, w.cores, rng);
+        const DesignMetrics base_metrics = eval.rebase(base);
+        // References as a sweep sees them: the base itself (most moves
+        // run the bound and replay) and one no candidate can beat (every
+        // memo miss is skipped).
+        DesignMetrics unbeatable;
+        unbeatable.feasible = true;
+        unbeatable.gamma = 0.0;
+
+        AllocationGuard guard;
+        double sink = 0.0;
+        for (const DesignMetrics& reference : {unbeatable, base_metrics}) {
+            for (TaskId t = 0; t < w.graph.task_count(); ++t) {
+                for (CoreId core = 0; core < w.cores; ++core) {
+                    const std::optional<DesignMetrics> metrics =
+                        eval.evaluate_move_bounded(t, core, reference, reference);
+                    if (metrics) sink += metrics->gamma;
+                }
+            }
+        }
+        EXPECT_EQ(guard.allocations(), 0u) << "bounded sweep allocated on " << w.label;
+        EXPECT_GT(eval.stats().bound_skips, 0u) << w.label;
+        EXPECT_GT(eval.stats().incremental_evals, 0u) << w.label;
         EXPECT_GT(sink, 0.0);
     }
 }

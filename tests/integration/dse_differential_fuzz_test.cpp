@@ -77,7 +77,7 @@ void expect_result_identical(const DseResult& a, const DseResult& b) {
 /// Seed -> small random Problem covering the generator's whole knob
 /// space: graph shape, communication weight, register sharing,
 /// batching, DVS ladder depth/steepness, power/SER regime, deadline
-/// slack. Pure function of the seed.
+/// slack, exposure policy. Pure function of the seed.
 Problem random_problem(std::uint64_t seed) {
     Rng rng(splitmix64(seed ^ 0x5eedf00dULL));
     TgffParams tgff;
@@ -101,11 +101,16 @@ Problem random_problem(std::uint64_t seed) {
     MpsocArchitecture arch(cores, VoltageScalingTable::from_frequencies(f_mhz), power);
     const double deadline = rng.uniform(1.1, 2.5) *
                             tm_lower_bound_seconds(graph, arch, ScalingVector(cores, 1));
+    // Drawn after every other knob, so the policy never perturbs a
+    // seed's graph, architecture or deadline draws.
+    const ExposurePolicy policy =
+        rng.uniform_int(0, 1) == 0 ? ExposurePolicy::full_duration : ExposurePolicy::busy_only;
     return ProblemBuilder()
         .graph(std::move(graph))
         .architecture(std::move(arch))
         .deadline_seconds(deadline)
         .ser_model(SerModel{ser})
+        .exposure_policy(policy)
         .build();
 }
 

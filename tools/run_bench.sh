@@ -11,6 +11,8 @@
 # number ${BENCH_PR:-15} (the current perf-trajectory point).
 # The JSON context records the git sha (suffixed -dirty for an
 # uncommitted tree), the compiler, the CMake build type and nproc.
+# Every benchmark runs 5 repetitions and only the aggregates (mean,
+# median, stddev, cv) are written; tools/diff_bench.py compares medians.
 # Pass BENCH_FILTER to restrict which benchmarks run, e.g.
 #   BENCH_FILTER='bm_explore_prunable|bm_eval' tools/run_bench.sh
 set -euo pipefail
@@ -50,7 +52,8 @@ CONTEXT+=",build_type=$(cache_value CMAKE_BUILD_TYPE),nproc=$(nproc)"
 
 BENCH="${BUILD_DIR}/bench/bench_micro"
 ARGS=(--benchmark_out="${OUT}" --benchmark_out_format=json
-      --benchmark_context="${CONTEXT}")
+      --benchmark_context="${CONTEXT}"
+      --benchmark_repetitions=5 --benchmark_report_aggregates_only=true)
 if [[ -n "${FILTER}" ]]; then
     ARGS+=(--benchmark_filter="${FILTER}")
 fi
