@@ -2,6 +2,7 @@
 #include "core/initial_mapping.h"
 #include "core/optimized_mapping.h"
 
+#include "support/scaling_walker.h"
 #include "util/rng.h"
 
 namespace seamap::bench {

@@ -8,6 +8,7 @@
 
 #include "arch/scaling_enumerator.h"
 #include "arch/scaling_table.h"
+#include "support/scaling_walker.h"
 #include "util/table.h"
 
 #include <iostream>
@@ -48,8 +49,7 @@ int main() {
             std::uint64_t exhaustive = 1;
             for (std::size_t i = 0; i < cores; ++i) exhaustive *= levels;
             savings.add_row({std::to_string(cores), std::to_string(levels),
-                             std::to_string(
-                                 ScalingEnumerator::combination_count(cores, levels)),
+                             std::to_string(scaling_combination_count(cores, levels)),
                              std::to_string(exhaustive)});
         }
     }

@@ -1,23 +1,30 @@
 // google-benchmark microbenchmarks of the library's hot kernels: list
 // scheduling, register-union computation, Gamma estimation, full design
-// evaluation, a simulated-annealing step, the scaling enumerator, a
-// fault-injection trial, and the public-API search strategies behind
-// their common interface. These are the per-iteration costs that
+// evaluation, a simulated-annealing step, the scaling enumerator, the
+// explorer's producer (lazy queue + case bounds), a fault-injection
+// trial, and the public-API search strategies behind their common
+// interface. These are the per-iteration costs that
 // determine how much design space a given search budget covers.
 #include "reliability/register_usage.h"
 #include "seamap/seamap.h"
 
 #include "api/scenarios.h"
 #include "core/initial_mapping.h"
+#include "core/lazy_scaling_queue.h"
 #include "core/optimized_mapping.h"
+#include "core/scaling_bounds.h"
 #include "sim/campaign.h"
 #include "sim/fault_injection.h"
+#include "support/scaling_walker.h"
 #include "taskgraph/mpeg2.h"
 #include "tgff/random_graph.h"
 
 #include <benchmark/benchmark.h>
 
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace seamap {
 namespace {
@@ -291,6 +298,38 @@ BENCHMARK_CAPTURE(bm_explore_scale, lazy, true)
     ->Iterations(1)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+// The producer layer of the wallbench `acceptance` workload: the bounds
+// model plus a full drain of scale_acceptance_problem()'s lazy queue,
+// which gates every one of its 20349 combinations on the T_M bound and
+// computes each gate passer's case staircase once. The explorer's
+// producer thread does exactly this serially while the workers search;
+// each gate passer's cases are taken the way explore() takes them.
+void bm_producer_acceptance(benchmark::State& state) {
+    const Problem problem = scale_acceptance_problem();
+    std::uint64_t gate_passed = 0;
+    std::uint64_t cases = 0;
+    for (auto _ : state) {
+        const ScalingBoundsModel model(problem.graph(), problem.architecture(),
+                                       problem.deadline_seconds(), problem.ser_model(),
+                                       problem.exposure_policy());
+        LazyScalingQueue queue(problem.graph(), problem.architecture(),
+                               problem.deadline_seconds(), &model);
+        gate_passed = 0;
+        cases = 0;
+        while (std::optional<LazyScalingQueue::Slot> slot = queue.pop()) {
+            if (!slot->gate_passed) continue;
+            const std::vector<ScalingBounds> taken = std::move(slot->cases);
+            ++gate_passed;
+            cases += taken.size();
+        }
+        benchmark::DoNotOptimize(cases);
+    }
+    state.counters["gate_passed"] = static_cast<double>(gate_passed);
+    state.counters["cases_per_slot"] =
+        gate_passed == 0 ? 0.0 : static_cast<double>(cases) / static_cast<double>(gate_passed);
+}
+BENCHMARK(bm_producer_acceptance)->Unit(benchmark::kMillisecond);
 
 // The search layer of the wallbench `acceptance` workload: one slot of
 // scale_acceptance_problem() searched by the Fig. 7 strategy at its 60

@@ -54,7 +54,7 @@ std::optional<DsePoint> select_best(const std::vector<DsePoint>& front, double t
 /// up to a window of searches in flight. Thread-count *independent* on
 /// purpose: scaling it with num_threads would make emission counts
 /// differ between runs. 64 comfortably feeds any sane worker count and
-/// keeps at most a window of per-slot case-bound lists alive at once.
+/// keeps at most a window of popped case staircases alive at once.
 constexpr std::size_t k_disposal_window = 64;
 
 } // namespace
@@ -164,10 +164,10 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
     struct SearchSlot {
         std::uint64_t rank = 0; ///< enumeration index
         ScalingVector levels;
-        /// One bound pair per admissible powered-core case; the slot
-        /// is prunable only when every case is strictly dominated.
-        /// Freed as soon as the replay decides the slot, so only a
-        /// window of case lists is ever alive.
+        /// The queue's case staircase; the slot is prunable only when
+        /// every case is strictly dominated. Freed as soon as the
+        /// replay decides the slot, so only a window of popped
+        /// staircases is ever alive.
         std::vector<ScalingBounds> cases;
         /// The slot's outcome: restored from the snapshot, or the
         /// search's verdict (feasible / no_design) once it completes.
@@ -387,10 +387,11 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
 
     // --- produce + run ------------------------------------------------
     // The producer (this thread) pops slots from the lazy queue while
-    // the pool runs searches. For each gate-passing pop it recomputes
-    // the per-case bounds, waits until the replay covers the disposal
-    // window's prefix, and either disposes of the slot (provably
-    // dominated — counted pruned, never searched) or emits it.
+    // the pool runs searches. For each gate-passing pop it takes the
+    // case staircase the queue computed, waits until the replay covers
+    // the disposal window's prefix, and either disposes of the slot
+    // (provably dominated — counted pruned, never searched) or emits
+    // it.
     if (!stop.stop_requested()) {
         ThreadPool pool(ThreadPool::resolve_thread_count(params.num_threads));
         while (!stop.stop_requested()) {
@@ -407,12 +408,6 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
                        nullptr);
                 continue;
             }
-            // The queue only kept the corner (storing every generated
-            // node's case list would defeat the lazy memory bound);
-            // the full per-case list is recomputed for the pop.
-            std::vector<ScalingBounds> cases;
-            if (bounds_model) cases = bounds_model->case_bounds_for(popped->levels);
-
             bool disposed = false;
             std::size_t pos = 0;
             SearchSlot* slot_ptr = nullptr;
@@ -425,7 +420,7 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
                                [&] { return replayed >= need || stop.stop_requested(); });
                 if (stop.stop_requested()) break;
                 advance_disposal_to(need);
-                if (params.prune) disposed = front_prunes(disposal_front, cases);
+                if (params.prune) disposed = front_prunes(disposal_front, popped->cases);
                 if (!disposed) ++emitted;
                 const DseSlotRecord* record = nullptr;
                 if (records != nullptr && next_record < records->size()) {
@@ -455,7 +450,7 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
                     continue;
                 }
                 slot.record.combo = rank;
-                slot.cases = std::move(cases);
+                slot.cases = std::move(popped->cases);
                 if (disposed) {
                     slot.disposed = true;
                     slot.completed = true;

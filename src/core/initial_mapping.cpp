@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
+#include <optional>
 
 namespace seamap {
 

@@ -1,34 +1,28 @@
 #include "core/lazy_scaling_queue.h"
 
-#include "sched/list_scheduler.h"
 #include "util/rng.h"
 
-#include <limits>
+#include <algorithm>
 #include <stdexcept>
 
 namespace seamap {
 
 namespace {
 
-std::uint64_t saturating_add(std::uint64_t a, std::uint64_t b) {
-    return a > std::numeric_limits<std::uint64_t>::max() - b
-               ? std::numeric_limits<std::uint64_t>::max()
-               : a + b;
-}
-
 /// counts[m * (level_count + 1) + w] = number of non-increasing tuples
 /// of length m over values [1..w] (multisets of size m from w values,
 /// C(m + w - 1, w - 1)), by the Pascal-style recurrence
-/// N(m, w) = N(m, w-1) + N(m-1, w) — exact in uint64 wherever the
-/// whole sequence is enumerable at all, saturating beyond.
+/// N(m, w) = N(m, w-1) + N(m-1, w). The whole space's count is checked
+/// first (seamap::Error past 2^64); every entry is N(m, w) <= N(C, L)
+/// and every rank is < N(C, L), so all of this arithmetic is exact.
 std::vector<std::uint64_t> multiset_counts(std::size_t core_count, std::size_t level_count) {
+    (void)scaling_combination_count(core_count, level_count);
     const std::size_t width = level_count + 1;
     std::vector<std::uint64_t> counts((core_count + 1) * width, 0);
     for (std::size_t w = 0; w <= level_count; ++w) counts[w] = 1; // N(0, w) = 1
     for (std::size_t m = 1; m <= core_count; ++m)
         for (std::size_t w = 1; w <= level_count; ++w)
-            counts[m * width + w] =
-                saturating_add(counts[m * width + w - 1], counts[(m - 1) * width + w]);
+            counts[m * width + w] = counts[m * width + w - 1] + counts[(m - 1) * width + w];
     return counts;
 }
 
@@ -46,7 +40,7 @@ std::uint64_t rank_with_counts(const ScalingVector& levels, std::size_t level_co
         // Tuples that put a larger value w at position i sort earlier
         // (descending lex); each leaves N(n-1-i, w) completions.
         for (std::size_t w = value + 1; w <= prev; ++w)
-            rank = saturating_add(rank, counts[(n - 1 - i) * width + w]);
+            rank += counts[(n - 1 - i) * width + w];
         prev = value;
     }
     return rank;
@@ -57,23 +51,13 @@ std::uint64_t rank_with_counts(const ScalingVector& levels, std::size_t level_co
 LazyScalingQueue::LazyScalingQueue(const TaskGraph& graph, const MpsocArchitecture& arch,
                                    double deadline_seconds, const ScalingBoundsModel* bounds,
                                    std::uint64_t successor_shuffle_seed)
-    : graph_(graph), arch_(arch), deadline_seconds_(deadline_seconds), bounds_(bounds),
-      shuffle_seed_(successor_shuffle_seed) {
+    : arch_(arch), deadline_seconds_(deadline_seconds), bounds_(bounds),
+      shuffle_seed_(successor_shuffle_seed), tm_(graph) {
     const std::size_t cores = arch.core_count();
     const std::size_t levels = arch.scaling_table().level_count();
     counts_ = multiset_counts(cores, levels);
-    total_ = ScalingEnumerator::combination_count(cores, levels);
+    total_ = counts_.back(); // N(C, L)
     visited_.assign((total_ + 63) / 64, 0);
-
-    // Aggregates for the hoisted T_M gate — the exact inputs
-    // tm_lower_bound_seconds computes per call.
-    batches_ = static_cast<double>(graph.batch_count());
-    critical_path_cycles_ = static_cast<double>(graph.critical_path_cycles(false));
-    total_exec_cycles_ = static_cast<double>(graph.total_exec_cycles());
-    std::uint64_t biggest_task = 0;
-    for (TaskId t = 0; t < graph.task_count(); ++t)
-        biggest_task = std::max(biggest_task, graph.task(t).exec_cycles);
-    biggest_task_cycles_ = static_cast<double>(biggest_task);
 
     ScalingVector root(cores, static_cast<ScalingLevel>(levels));
     arch.validate_scaling(root);
@@ -113,7 +97,8 @@ bool LazyScalingQueue::visit(std::uint64_t rank) {
 
 void LazyScalingQueue::generate(ScalingVector levels) {
     Node node;
-    node.rank = rank_of_tabled(levels);
+    Slot& slot = node.slot;
+    slot.rank = rank_of_tabled(levels);
     // Same accumulation loop as tm_lower_bound_seconds (max and sum in
     // core order) so the gate verdict is bit-identical to the per-call
     // form the materialized sweep evaluated.
@@ -124,15 +109,13 @@ void LazyScalingQueue::generate(ScalingVector levels) {
         fastest = std::max(fastest, f);
         total_rate += f;
     }
-    node.gate_passed =
-        tm_lower_bound_from_aggregates(critical_path_cycles_, total_exec_cycles_,
-                                       biggest_task_cycles_, batches_, fastest, total_rate) <=
-        deadline_seconds_ * (1.0 + 1e-9);
-    if (node.gate_passed && bounds_ != nullptr) {
-        node.corner = bounds_->bounds_for(levels);
-        node.sort_key = node.corner.power_mw_lb;
+    slot.gate_passed =
+        tm_.lower_bound_seconds(fastest, total_rate) <= deadline_seconds_ * (1.0 + 1e-9);
+    if (slot.gate_passed && bounds_ != nullptr) {
+        slot.cases = bounds_->case_bounds_for(levels);
+        if (!slot.cases.empty()) node.sort_key = slot.cases.front().power_mw_lb;
     }
-    node.levels = std::move(levels);
+    slot.levels = std::move(levels);
     frontier_.push(std::move(node));
     ++generated_;
 }
@@ -141,7 +124,7 @@ std::optional<LazyScalingQueue::Slot> LazyScalingQueue::pop() {
     if (frontier_.empty()) return std::nullopt;
     // priority_queue::top is const; the contents are moved out right
     // before the pop, which never observes them again.
-    Node node = std::move(const_cast<Node&>(frontier_.top()));
+    Slot slot = std::move(const_cast<Node&>(frontier_.top()).slot);
     frontier_.pop();
     ++popped_;
 
@@ -150,9 +133,9 @@ std::optional<LazyScalingQueue::Slot> LazyScalingQueue::pop() {
     // order); a nonzero shuffle seed deterministically permutes it to
     // let tests prove exactly that, plus the dedup.
     successor_scratch_.clear();
-    successors(node.levels, successor_scratch_);
+    successors(slot.levels, successor_scratch_);
     if (shuffle_seed_ != 0 && successor_scratch_.size() > 1) {
-        std::uint64_t state = splitmix64(shuffle_seed_ ^ node.rank);
+        std::uint64_t state = splitmix64(shuffle_seed_ ^ slot.rank);
         for (std::size_t i = successor_scratch_.size() - 1; i > 0; --i) {
             state = splitmix64(state);
             std::swap(successor_scratch_[i], successor_scratch_[state % (i + 1)]);
@@ -160,12 +143,6 @@ std::optional<LazyScalingQueue::Slot> LazyScalingQueue::pop() {
     }
     for (ScalingVector& next : successor_scratch_)
         if (visit(rank_of_tabled(next))) generate(std::move(next));
-
-    Slot slot;
-    slot.rank = node.rank;
-    slot.levels = std::move(node.levels);
-    slot.gate_passed = node.gate_passed;
-    slot.corner = node.corner;
     return slot;
 }
 

@@ -5,8 +5,19 @@
 // bound, expanding successors over the Fig. 5 neighbor structure
 // (decrement one level) with a visited bitmap for dedup. At 10^4+ slot
 // spaces this keeps memory proportional to the expansion frontier and
-// lets the explorer dispose of dominated slots before their (per-case
-// exponential) bound lists or searches are ever stored.
+// lets the explorer dispose of dominated slots before their searches
+// are ever submitted.
+//
+// Bounds once per slot. A gate-passing combination's case staircase
+// (ScalingBoundsModel::case_bounds_for) is computed once, when the
+// combination is generated, and travels with it: its first power is
+// the pop key, and pop() hands the whole staircase to the explorer in
+// Slot::cases for the per-case prune test. The staircase is exactly
+// as strong as the full case list for both uses (see
+// core/scaling_bounds.h) and a handful of pairs long, so holding one
+// per frontier node keeps memory proportional to the frontier: at the
+// acceptance scenario's peak of 1,223 frontier gate passers the
+// staircases take ~90 KB where the full lists would take ~1.65 MB.
 //
 // Ordering contract. pop() returns every combination exactly once, in
 // ascending (corner power lower bound, enumeration rank) order *over
@@ -22,9 +33,8 @@
 // order is a deterministic *approximation* of the global bound order,
 // which is all the explorer's sequential replay needs.
 //
-// The T_M feasibility gate is evaluated here from graph aggregates
-// hoisted out of the per-combination loop (the same
-// tm_lower_bound_from_aggregates formula tm_lower_bound_seconds
+// The T_M feasibility gate is evaluated here from the graph's
+// TmBoundAggregates, built once (the formula tm_lower_bound_seconds
 // evaluates, so gate decisions are bit-identical to the materialized
 // sweep) — gate-failed slots still pop (the explorer records them as
 // skipped) and still expand, but skip the bound computation entirely.
@@ -33,10 +43,10 @@
 #include "arch/mpsoc.h"
 #include "arch/scaling_enumerator.h"
 #include "core/scaling_bounds.h"
+#include "sched/list_scheduler.h"
 #include "taskgraph/task_graph.h"
 #include "util/float_compare.h"
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -45,46 +55,6 @@
 #include <vector>
 
 namespace seamap {
-
-/// Incumbent (P, Gamma) staircase the branch-and-bound prunes against:
-/// kept sorted by power ascending with strictly decreasing gamma. A
-/// combination is prunable only when some incumbent beats its bounds
-/// *strictly in both objectives* — then every design it could contain
-/// is strictly dominated and can appear in neither the front nor the
-/// pick (the front filter uses <=/<, so strict-both implies removal).
-/// Insertion of a weakly dominated point is a no-op, which makes
-/// dominance monotone as the front grows: once a bound pair is
-/// dominated it stays dominated under any later insertions.
-class DominanceFront {
-public:
-    void insert(double power, double gamma) {
-        // First staircase point with power >= the new one.
-        auto at = std::lower_bound(points_.begin(), points_.end(),
-                                   std::pair<double, double>{power, -1.0});
-        if (at != points_.begin() && std::prev(at)->second <= gamma)
-            return; // weakly dominated by a cheaper point
-        if (at != points_.end() && exactly_equal(at->first, power) && at->second <= gamma)
-            return; // weakly dominated at equal power
-        auto last = at;
-        while (last != points_.end() && last->second >= gamma) ++last;
-        at = points_.erase(at, last);
-        points_.insert(at, {power, gamma});
-    }
-
-    /// True when some incumbent strictly beats (power_lb, gamma_lb) in
-    /// both objectives.
-    bool dominates(const ScalingBounds& bounds) const {
-        // Last staircase point with power < power_lb carries the
-        // minimum gamma among all of them.
-        auto at = std::lower_bound(points_.begin(), points_.end(),
-                                   std::pair<double, double>{bounds.power_mw_lb, -1.0});
-        if (at == points_.begin()) return false;
-        return std::prev(at)->second < bounds.gamma_lb;
-    }
-
-private:
-    std::vector<std::pair<double, double>> points_;
-};
 
 /// Priority-queue generator of the Fig. 5 sequence (see file comment).
 class LazyScalingQueue {
@@ -98,13 +68,13 @@ public:
         /// T_M lower-bound gate verdict (false = provably misses the
         /// deadline; the explorer records it as skipped_infeasible).
         bool gate_passed = false;
-        /// Pointwise-minimum corner over the powered-core cases, the
-        /// pop key; zero when no bounds model was supplied or the gate
-        /// failed.
-        ScalingBounds corner;
+        /// The case staircase ScalingBoundsModel::case_bounds_for
+        /// returns for `levels`; empty when no bounds model was
+        /// supplied or the gate failed.
+        std::vector<ScalingBounds> cases;
     };
 
-    /// `graph` and `arch` must outlive the queue; `bounds` may be null
+    /// `arch` and `bounds` must outlive the queue; `bounds` may be null
     /// (no keys — pops follow the exact enumeration order).
     /// `successor_shuffle_seed` perturbs the order successors are
     /// *pushed* (never the pop order, which the dedup + strict
@@ -127,8 +97,9 @@ public:
 
     /// Enumeration rank of `levels` (its index in the Fig. 5 order):
     /// counts the non-increasing tuples that sort descending-lex
-    /// before it. Exposed for tests; the queue uses a precomputed
-    /// table-driven equivalent.
+    /// before it. Throws seamap::Error past 2^64 combinations, like
+    /// the queue itself. Exposed for tests; the queue uses a
+    /// precomputed table-driven equivalent.
     static std::uint64_t rank_of(const ScalingVector& levels, std::size_t level_count);
 
     /// The Fig. 5 neighbor structure the expansion walks: every cover
@@ -141,16 +112,13 @@ public:
 
 private:
     struct Node {
-        double sort_key = 0.0;
-        std::uint64_t rank = 0;
-        ScalingVector levels;
-        bool gate_passed = false;
-        ScalingBounds corner;
+        double sort_key = 0.0; ///< the corner power: cases' first, or 0
+        Slot slot;
     };
     struct NodeAfter {
         bool operator()(const Node& a, const Node& b) const {
             if (!exactly_equal(a.sort_key, b.sort_key)) return a.sort_key > b.sort_key;
-            return a.rank > b.rank;
+            return a.slot.rank > b.slot.rank;
         }
     };
 
@@ -158,17 +126,12 @@ private:
     void generate(ScalingVector levels);
     bool visit(std::uint64_t rank);
 
-    const TaskGraph& graph_;
     const MpsocArchitecture& arch_;
     double deadline_seconds_;
     const ScalingBoundsModel* bounds_;
     std::uint64_t shuffle_seed_;
 
-    // Graph aggregates hoisted out of the per-combination T_M gate.
-    double batches_ = 1.0;
-    double critical_path_cycles_ = 0.0;
-    double total_exec_cycles_ = 0.0;
-    double biggest_task_cycles_ = 0.0;
+    TmBoundAggregates tm_; ///< the per-combination T_M gate's graph side
 
     // Multiset-count table: counts_[m * (L + 1) + w] = number of
     // non-increasing tuples of length m over values [1..w], the

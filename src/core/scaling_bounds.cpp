@@ -1,7 +1,5 @@
 #include "core/scaling_bounds.h"
 
-#include "sched/list_scheduler.h"
-
 #include <algorithm>
 #include <functional>
 #include <limits>
@@ -24,11 +22,7 @@ constexpr double k_bound_shave = 1.0 - 1e-9;
 ScalingBoundsModel::ScalingBoundsModel(const TaskGraph& graph, const MpsocArchitecture& arch,
                                        double deadline_seconds, const SerModel& ser,
                                        ExposurePolicy policy)
-    : graph_(graph), arch_(arch), deadline_seconds_(deadline_seconds), policy_(policy) {
-    batches_ = static_cast<double>(graph.batch_count());
-    critical_path_cycles_ = static_cast<double>(graph.critical_path_cycles(false));
-    total_exec_cycles_ = static_cast<double>(graph.total_exec_cycles());
-
+    : arch_(arch), deadline_seconds_(deadline_seconds), policy_(policy), tm_(graph) {
     std::vector<TaskId> all_tasks(graph.task_count());
     std::iota(all_tasks.begin(), all_tasks.end(), TaskId{0});
     union_bits_all_ = graph.union_register_bits(all_tasks);
@@ -37,7 +31,6 @@ ScalingBoundsModel::ScalingBoundsModel(const TaskGraph& graph, const MpsocArchit
         const std::uint64_t task_bits = graph.task_register_bits(t);
         const double exec = static_cast<double>(graph.task(t).exec_cycles);
         min_task_bits_ = std::min(min_task_bits_, task_bits);
-        biggest_task_cycles_ = std::max(biggest_task_cycles_, exec);
         bits_times_cycles_ += static_cast<double>(task_bits) * exec;
         if (task_bits == 0) cycles_without_registers_ += exec;
     }
@@ -116,10 +109,10 @@ ScalingBounds ScalingBoundsModel::case_bounds(
         rate_sum += static_cast<double>(n) * frequency_hz_[l];
     }
     double cap_seconds = deadline * k_deadline_slack;
-    if (batches_ > 1.0) {
-        const double latency_min = critical_path_cycles_ / batches_ / fmax;
+    if (tm_.batches > 1.0) {
+        const double latency_min = tm_.critical_path_cycles / tm_.batches / fmax;
         const double pipelined =
-            batches_ / (batches_ - 1.0) * (deadline - latency_min) * k_deadline_slack;
+            tm_.batches / (tm_.batches - 1.0) * (deadline - latency_min) * k_deadline_slack;
         cap_seconds = std::clamp(pipelined, 0.0, cap_seconds);
     }
 
@@ -134,7 +127,7 @@ ScalingBounds ScalingBoundsModel::case_bounds(
                            static_cast<double>(n) * frequency_hz_[l] * cap_seconds);
     }
     std::sort(fills.begin(), fills.end());
-    double remaining = total_exec_cycles_;
+    double remaining = tm_.total_exec_cycles;
     double busy_energy_mws = 0.0; // min sum_i P_a_i * busy_seconds_i
     for (const auto& [energy_per_cycle, cap] : fills) {
         if (remaining <= 0.0) break;
@@ -147,9 +140,7 @@ ScalingBounds ScalingBoundsModel::case_bounds(
 
     // --- T_M lower bound over the powered cores only (the gate's own
     // formula, restricted to the case: only powered cores do work) ----
-    const double tm_lb =
-        tm_lower_bound_from_aggregates(critical_path_cycles_, total_exec_cycles_,
-                                       biggest_task_cycles_, batches_, fmax, rate_sum);
+    const double tm_lb = tm_.lower_bound_seconds(fmax, rate_sum);
 
     // --- gamma --------------------------------------------------------
     if (policy_ == ExposurePolicy::full_duration) {
@@ -166,7 +157,7 @@ ScalingBounds ScalingBoundsModel::case_bounds(
         double prefix_cap = 0.0;
         for (const auto& [lambda, cap] : tiers) {
             if (lambda > tier_lambda) {
-                const double overflow = total_exec_cycles_ - prefix_cap;
+                const double overflow = tm_.total_exec_cycles - prefix_cap;
                 if (overflow <= 0.0) break;
                 const double forced_bits =
                     min_union_bits_covering(overflow - cycles_without_registers_);
@@ -200,8 +191,7 @@ ScalingBounds ScalingBoundsModel::case_bounds(
 std::vector<ScalingBounds> ScalingBoundsModel::case_bounds_for(
     const ScalingVector& levels) const {
     arch_.validate_scaling(levels);
-    std::vector<ScalingBounds> cases;
-    if (total_exec_cycles_ <= 0.0 || deadline_seconds_ <= 0.0) return cases;
+    if (tm_.total_exec_cycles <= 0.0 || deadline_seconds_ <= 0.0) return {};
 
     // Distinct levels and their multiplicities; cores at one level are
     // interchangeable, so a powered-core case is a count per level.
@@ -219,6 +209,7 @@ std::vector<ScalingBounds> ScalingBoundsModel::case_bounds_for(
     }
 
     // Odometer over powered counts [0, n_l] per level group.
+    DominanceFront staircase;
     std::vector<std::size_t> counts(groups.size(), 0);
     std::vector<std::pair<std::size_t, std::size_t>> powered;
     const double min_cap_seconds = deadline_seconds_; // cheap pre-filter below
@@ -246,29 +237,11 @@ std::vector<ScalingBounds> ScalingBoundsModel::case_bounds_for(
         // leaving `remaining` work unplaced proves the same thing, so
         // filter on the rough capacity only (cheap and sound both
         // ways: extra cases only make the pruning test stricter).
-        if (rough_cap < total_exec_cycles_) continue;
-        cases.push_back(case_bounds(powered));
+        if (rough_cap < tm_.total_exec_cycles) continue;
+        const ScalingBounds bounds = case_bounds(powered);
+        staircase.insert(bounds.power_mw_lb, bounds.gamma_lb);
     }
-    return cases;
-}
-
-ScalingBounds ScalingBoundsModel::bounds_for(const ScalingVector& levels) const {
-    return corner_of(case_bounds_for(levels));
-}
-
-ScalingBounds ScalingBoundsModel::corner_of(const std::vector<ScalingBounds>& cases) {
-    ScalingBounds corner;
-    bool first = true;
-    for (const ScalingBounds& bounds : cases) {
-        if (first) {
-            corner = bounds;
-            first = false;
-            continue;
-        }
-        corner.power_mw_lb = std::min(corner.power_mw_lb, bounds.power_mw_lb);
-        corner.gamma_lb = std::min(corner.gamma_lb, bounds.gamma_lb);
-    }
-    return corner;
+    return std::move(staircase).points();
 }
 
 } // namespace seamap

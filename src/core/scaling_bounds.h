@@ -5,15 +5,28 @@
 // Any feasible design at a scaling combination powers some non-empty
 // sub-multiset S of the combination's cores (unused cores are
 // power-gated and hold no live state) whose combined deadline capacity
-// covers the graph's work. case_bounds_for() enumerates every such S
-// and returns one sound (power, Gamma) lower-bound pair per case: a
-// design that powers exactly S costs at least that pair, pointwise.
-// The explorer prunes a combination only when EVERY case is strictly
-// dominated by an already-evaluated design — each case may fall to a
-// different incumbent (a case that gates its fast cores has low power
-// but high Gamma and dies to a fast incumbent; a case that powers them
-// dies to a cheap one). bounds_for() is the pointwise minimum over
-// cases — a single conservative corner used for best-first ordering.
+// covers the graph's work. Every such S yields one sound (power, Gamma)
+// lower-bound pair: a design that powers exactly S costs at least that
+// pair, pointwise. The explorer prunes a combination only when EVERY
+// case is strictly dominated by an already-evaluated design — each case
+// may fall to a different incumbent (a case that gates its fast cores
+// has low power but high Gamma and dies to a fast incumbent; a case
+// that powers them dies to a cheap one).
+//
+// case_bounds_for() returns only the cases no other case of the same
+// combination weakly dominates, as a DominanceFront staircase (power
+// ascending, Gamma strictly descending). That loses nothing:
+//  - the prune test: if case A <= case B in both objectives, every
+//    incumbent that strictly beats A strictly beats B, so "every case
+//    strictly dominated" has the same truth value on the staircase as
+//    on the full list (and both are empty together);
+//  - the pointwise-minimum corner the lazy queue keys its pops by: it
+//    is the staircase's first power and last Gamma, the same doubles
+//    the full list's minima are.
+// The staircase is also small (4.6 of 78 cases per gate passer on the
+// 16-core x 6-level acceptance scenario), which is what lets the lazy
+// queue compute it once, when a combination is generated, and keep it
+// on the frontier until the explorer pops it.
 //
 // Per-case soundness leans on the deadline-capacity argument that
 // makes tight deadlines the prunable regime. With T_M <= D and
@@ -58,45 +71,91 @@
 #include "arch/scaling_enumerator.h"
 #include "reliability/ser_model.h"
 #include "reliability/seu_estimator.h"
+#include "sched/list_scheduler.h"
 #include "taskgraph/task_graph.h"
+#include "util/float_compare.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <utility>
 #include <vector>
 
 namespace seamap {
 
-/// Lower bounds over every feasible mapping (of one powered-core case,
-/// or of a whole scaling combination for the pointwise minimum).
+/// Lower bounds over every feasible mapping of one powered-core case.
 struct ScalingBounds {
     double power_mw_lb = 0.0;
     double gamma_lb = 0.0;
+};
+
+/// A (P, Gamma) staircase: the points no other inserted point weakly
+/// dominates, sorted by power ascending with strictly decreasing gamma.
+/// It is both the incumbent front the branch-and-bound prunes against
+/// and the shape of a combination's case list. A combination is
+/// prunable only when some incumbent beats its bounds *strictly in both
+/// objectives* — then every design it could contain is strictly
+/// dominated and can appear in neither the front nor the pick (the
+/// front filter uses <=/<, so strict-both implies removal). Insertion
+/// of a weakly dominated point is a no-op, which makes dominance
+/// monotone as the front grows: once a bound pair is dominated it stays
+/// dominated under any later insertions.
+class DominanceFront {
+public:
+    /// Adds (power, gamma) unless a point weakly dominates it, and
+    /// drops the points it weakly dominates.
+    void insert(double power, double gamma) {
+        auto at = first_not_cheaper(power);
+        if (at != points_.begin() && std::prev(at)->gamma_lb <= gamma)
+            return; // weakly dominated by a cheaper point
+        if (at != points_.end() && exactly_equal(at->power_mw_lb, power) &&
+            at->gamma_lb <= gamma)
+            return; // weakly dominated at equal power
+        auto last = at;
+        while (last != points_.end() && last->gamma_lb >= gamma) ++last;
+        at = points_.erase(at, last);
+        points_.insert(at, ScalingBounds{power, gamma});
+    }
+
+    /// True when some point strictly beats (power_lb, gamma_lb) in
+    /// both objectives.
+    bool dominates(const ScalingBounds& bounds) const {
+        // The last point cheaper than power_lb carries the minimum
+        // gamma among all of them.
+        auto at = first_not_cheaper(bounds.power_mw_lb);
+        if (at == points_.begin()) return false;
+        return std::prev(at)->gamma_lb < bounds.gamma_lb;
+    }
+
+    /// The staircase, moved out of an expiring front.
+    std::vector<ScalingBounds> points() && { return std::move(points_); }
+
+private:
+    std::vector<ScalingBounds>::const_iterator first_not_cheaper(double power) const {
+        return std::lower_bound(
+            points_.begin(), points_.end(), power,
+            [](const ScalingBounds& point, double p) { return point.power_mw_lb < p; });
+    }
+
+    std::vector<ScalingBounds> points_;
 };
 
 /// Bound evaluator for one (graph, architecture, deadline, SER model)
 /// problem; graph-level aggregates are computed once at construction.
 class ScalingBoundsModel {
 public:
-    /// `graph` and `arch` must outlive the model.
+    /// `arch` must outlive the model.
     ScalingBoundsModel(const TaskGraph& graph, const MpsocArchitecture& arch,
                        double deadline_seconds, const SerModel& ser, ExposurePolicy policy);
 
-    /// One sound bound pair per admissible powered-core sub-multiset
-    /// (capacity covers the work): every feasible design's (P, Gamma)
-    /// is pointwise >= the pair of the case it powers. Empty when no
-    /// case has enough capacity (the T_M gate rejects such scalings
-    /// anyway). Order is deterministic.
+    /// The undominated bound pairs over the admissible powered-core
+    /// sub-multisets (capacity covers the work), as a DominanceFront
+    /// staircase: every feasible design's (P, Gamma) is pointwise >=
+    /// one of them. Empty when no case has enough capacity (the T_M
+    /// gate rejects such scalings anyway). The corner — any feasible
+    /// design's minimum in each objective separately — is the first
+    /// entry's power and the last entry's Gamma.
     std::vector<ScalingBounds> case_bounds_for(const ScalingVector& levels) const;
-
-    /// Pointwise minimum over the cases: a single conservative corner
-    /// (any feasible design costs at least this much in each
-    /// objective separately). Zero bounds when no case is admissible.
-    ScalingBounds bounds_for(const ScalingVector& levels) const;
-
-    /// The corner of an already-computed case list — the fold
-    /// bounds_for applies, exposed so callers holding the cases (the
-    /// explorer keeps them for the per-case prune test) don't
-    /// re-enumerate.
-    static ScalingBounds corner_of(const std::vector<ScalingBounds>& cases);
 
 private:
     /// One powered-core case: count of powered cores per scaling
@@ -109,16 +168,12 @@ private:
     /// sorted by bits-per-covered-cycle; piecewise linear, monotone.
     double min_union_bits_covering(double cycles) const;
 
-    const TaskGraph& graph_;
     const MpsocArchitecture& arch_;
     double deadline_seconds_;
     ExposurePolicy policy_;
 
     // Graph aggregates (whole-run cycle totals, bits).
-    double batches_ = 1.0;
-    double critical_path_cycles_ = 0.0; ///< whole-run, no communication
-    double biggest_task_cycles_ = 0.0;  ///< whole-run, single task
-    double total_exec_cycles_ = 0.0;
+    TmBoundAggregates tm_;
     std::uint64_t union_bits_all_ = 0;   ///< |union of every task's set|
     std::uint64_t min_task_bits_ = 0;    ///< smallest single-task set
     double bits_times_cycles_ = 0.0;     ///< sum_t bits_t * exec_cycles_t

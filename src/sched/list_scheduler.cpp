@@ -256,10 +256,19 @@ double tm_estimate_eq6_seconds(const TaskGraph& graph, const Mapping& mapping,
     return static_cast<double>(total_cycles) / total_rate;
 }
 
+TmBoundAggregates::TmBoundAggregates(const TaskGraph& graph)
+    : batches(static_cast<double>(graph.batch_count())),
+      critical_path_cycles(static_cast<double>(graph.critical_path_cycles(false))),
+      total_exec_cycles(static_cast<double>(graph.total_exec_cycles())) {
+    std::uint64_t biggest_task = 0;
+    for (TaskId t = 0; t < graph.task_count(); ++t)
+        biggest_task = std::max(biggest_task, graph.task(t).exec_cycles);
+    biggest_task_cycles = static_cast<double>(biggest_task);
+}
+
 double tm_lower_bound_seconds(const TaskGraph& graph, const MpsocArchitecture& arch,
                               const ScalingVector& levels) {
     arch.validate_scaling(levels);
-    const double batches = static_cast<double>(graph.batch_count());
     double fastest = 0.0;
     double total_rate = 0.0;
     for (std::size_t c = 0; c < arch.core_count(); ++c) {
@@ -267,18 +276,10 @@ double tm_lower_bound_seconds(const TaskGraph& graph, const MpsocArchitecture& a
         fastest = std::max(fastest, f);
         total_rate += f;
     }
-    std::uint64_t biggest_task = 0;
-    for (TaskId t = 0; t < graph.task_count(); ++t)
-        biggest_task = std::max(biggest_task, graph.task(t).exec_cycles);
-    return tm_lower_bound_from_aggregates(
-        static_cast<double>(graph.critical_path_cycles(false)),
-        static_cast<double>(graph.total_exec_cycles()), static_cast<double>(biggest_task),
-        batches, fastest, total_rate);
+    return TmBoundAggregates(graph).lower_bound_seconds(fastest, total_rate);
 }
 
-double tm_lower_bound_from_aggregates(double critical_path_cycles, double total_exec_cycles,
-                                      double biggest_task_cycles, double batches,
-                                      double fastest_hz, double total_rate_hz) {
+double TmBoundAggregates::lower_bound_seconds(double fastest_hz, double total_rate_hz) const {
     // Latency bound: the no-communication critical path of one
     // iteration cannot beat the fastest core's clock...
     const double latency_bound = critical_path_cycles / batches / fastest_hz;

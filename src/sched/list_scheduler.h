@@ -134,21 +134,31 @@ std::vector<std::uint64_t> per_core_busy_cycles(const TaskGraph& graph, const Ma
 double tm_estimate_eq6_seconds(const TaskGraph& graph, const Mapping& mapping,
                                const MpsocArchitecture& arch, const ScalingVector& levels);
 
-/// Lower bound on achievable T_M at a given scaling, over all mappings:
-/// max(critical-path latency on the fastest used core, total work
-/// spread over all cores, pipelined latency + (B-1) initiation
-/// intervals). Used by the DSE to skip hopeless scalings.
-double tm_lower_bound_seconds(const TaskGraph& graph, const MpsocArchitecture& arch,
-                              const ScalingVector& levels);
-
-/// The same bound from pre-aggregated scalars — one formula shared by
-/// the feasibility gate above and the branch-and-bound bounds
+/// The graph side of the lower bound on achievable T_M, aggregated once
+/// per problem. For a set of working cores the bound is
+/// max(critical-path latency on the fastest core, total work spread
+/// over all of them, pipelined latency + (B-1) initiation intervals).
+/// One formula serves the feasibility gate (tm_lower_bound_seconds and
+/// the explorer's lazy queue) and the branch-and-bound bounds
 /// (core/scaling_bounds.cpp evaluates it per powered-core case, where
 /// only the chosen cores' rates count), so gate and bound model can
-/// never drift apart. Cycle quantities are whole-run totals; rates in
-/// Hz. `fastest_hz` / `total_rate_hz` must be positive.
-double tm_lower_bound_from_aggregates(double critical_path_cycles, double total_exec_cycles,
-                                      double biggest_task_cycles, double batches,
-                                      double fastest_hz, double total_rate_hz);
+/// never drift apart. Cycle quantities are whole-run totals.
+struct TmBoundAggregates {
+    explicit TmBoundAggregates(const TaskGraph& graph);
+
+    /// The bound over cores whose fastest clock and summed clock rate
+    /// are given (Hz, both positive).
+    double lower_bound_seconds(double fastest_hz, double total_rate_hz) const;
+
+    double batches = 1.0;
+    double critical_path_cycles = 0.0; ///< no communication
+    double total_exec_cycles = 0.0;
+    double biggest_task_cycles = 0.0; ///< a single task
+};
+
+/// The bound at a given scaling, over all mappings onto every core.
+/// Used by the DSE to skip hopeless scalings.
+double tm_lower_bound_seconds(const TaskGraph& graph, const MpsocArchitecture& arch,
+                              const ScalingVector& levels);
 
 } // namespace seamap

@@ -8,6 +8,7 @@
 #include "seamap/seamap.h"
 
 #include "api/scenarios.h"
+#include "support/scaling_walker.h"
 #include "taskgraph/fig8.h"
 #include "taskgraph/mpeg2.h"
 #include "tgff/random_graph.h"

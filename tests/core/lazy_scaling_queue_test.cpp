@@ -1,18 +1,20 @@
 // The lazy scaling generator (core/lazy_scaling_queue.h) must be a
 // drop-in replacement for materializing the Fig. 5 sequence: every
 // combination pops exactly once, gate verdicts are bit-identical to
-// tm_lower_bound_seconds, corner keys match the ScalingBoundsModel,
-// and the pop order is invariant to the order successors are pushed
-// (the visited-set dedup + strict (key, rank) total order make it a
-// pure function of the problem). Exhaustive cross-checks run on small
-// spaces where the materialized reference is cheap.
+// tm_lower_bound_seconds, each gate passer carries exactly the case
+// staircase the ScalingBoundsModel computes for it, and the pop order
+// is invariant to the order successors are pushed (the visited-set
+// dedup + strict (key, rank) total order make it a pure function of
+// the problem). Exhaustive cross-checks run on small spaces where the
+// materialized reference is cheap.
 #include "core/lazy_scaling_queue.h"
 
-#include "arch/scaling_enumerator.h"
 #include "core/scaling_bounds.h"
 #include "sched/list_scheduler.h"
+#include "support/scaling_walker.h"
 #include "taskgraph/fig8.h"
 #include "tgff/random_graph.h"
+#include "util/error.h"
 
 #include <gtest/gtest.h>
 
@@ -47,6 +49,12 @@ TEST(LazyScalingQueueRank, MatchesEnumerationIndexAcrossShapes) {
 TEST(LazyScalingQueueRank, RejectsIncreasingTuples) {
     EXPECT_THROW(LazyScalingQueue::rank_of({1, 2}, 3), std::invalid_argument);
     EXPECT_THROW(LazyScalingQueue::rank_of({2, 1, 3}, 3), std::invalid_argument);
+}
+
+TEST(LazyScalingQueueRank, RejectsSpacesPast64Bits) {
+    // C(311, 11) ~ 5.5e19 combinations: the rank table would overflow,
+    // so the space is refused up front, as the queue refuses it.
+    EXPECT_THROW((void)LazyScalingQueue::rank_of(ScalingVector(300, 12), 12), Error);
 }
 
 TEST(LazyScalingQueueSuccessors, CoverTheWholeSpaceFromTheRoot) {
@@ -112,7 +120,8 @@ TEST(LazyScalingQueue, BoundedPopsEmitEveryGatePasserWithItsModelCorner) {
     // With a bounds model the pop *order* is a deterministic
     // approximation, but the emitted *set* must still be every
     // combination exactly once, each gate passer carrying exactly the
-    // corner the bounds model computes for it.
+    // case staircase the bounds model computes for it (its first power
+    // is the corner the pops are keyed by).
     TgffParams params;
     params.task_count = 10;
     const TaskGraph graph = generate_tgff_graph(params, 3);
@@ -124,8 +133,7 @@ TEST(LazyScalingQueue, BoundedPopsEmitEveryGatePasserWithItsModelCorner) {
     LazyScalingQueue queue(graph, arch, deadline, &model);
     const std::vector<ScalingVector> all = materialized(4, 3);
     std::map<std::uint64_t, ScalingVector> popped;
-    double previous_key = -1.0;
-    (void)previous_key;
+    std::size_t passers_with_cases = 0;
     while (auto slot = queue.pop()) {
         EXPECT_TRUE(popped.emplace(slot->rank, slot->levels).second)
             << "rank " << slot->rank << " popped twice";
@@ -134,15 +142,21 @@ TEST(LazyScalingQueue, BoundedPopsEmitEveryGatePasserWithItsModelCorner) {
         const bool passes =
             tm_lower_bound_seconds(graph, arch, slot->levels) <= deadline * (1.0 + 1e-9);
         EXPECT_EQ(slot->gate_passed, passes);
-        const ScalingBounds corner =
-            ScalingBoundsModel::corner_of(model.case_bounds_for(slot->levels));
-        if (passes) {
-            EXPECT_EQ(slot->corner.power_mw_lb, corner.power_mw_lb);
-            EXPECT_EQ(slot->corner.gamma_lb, corner.gamma_lb);
+        if (!passes) {
+            EXPECT_TRUE(slot->cases.empty());
+            continue;
         }
+        const std::vector<ScalingBounds> cases = model.case_bounds_for(slot->levels);
+        ASSERT_EQ(slot->cases.size(), cases.size()) << "rank " << slot->rank;
+        for (std::size_t i = 0; i < cases.size(); ++i) {
+            EXPECT_EQ(slot->cases[i].power_mw_lb, cases[i].power_mw_lb);
+            EXPECT_EQ(slot->cases[i].gamma_lb, cases[i].gamma_lb);
+        }
+        if (!cases.empty()) ++passers_with_cases;
     }
     EXPECT_EQ(popped.size(), all.size());
     EXPECT_EQ(queue.generated(), all.size());
+    EXPECT_GT(passers_with_cases, 0u);
 }
 
 TEST(LazyScalingQueue, PopSequenceInvariantUnderSuccessorShuffles) {

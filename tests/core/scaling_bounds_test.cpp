@@ -1,16 +1,17 @@
 // Soundness harness for the branch-and-bound lower bounds
 // (core/scaling_bounds.h): on instances small enough to enumerate the
 // COMPLETE mapping space, no bound may ever exceed what some feasible
-// design actually achieves — bounds_for() must sit at or below the
-// exhaustive per-scaling optimum in each objective, and every feasible
-// design must be pointwise >= the bound pair of some powered-core
-// case. These are the invariants the explorer's prune soundness
-// (pruned best/pareto_front bit-identical to exhaustive) rests on.
+// design actually achieves — the case staircase's corner must sit at
+// or below the exhaustive per-scaling optimum in each objective, and
+// every feasible design must be pointwise >= the bound pair of some
+// powered-core case. These are the invariants the explorer's prune
+// soundness (pruned best/pareto_front bit-identical to exhaustive)
+// rests on.
 #include "core/scaling_bounds.h"
 
-#include "arch/scaling_enumerator.h"
 #include "reliability/design_eval.h"
 #include "sched/list_scheduler.h"
+#include "support/scaling_walker.h"
 #include "taskgraph/fig8.h"
 #include "tgff/random_graph.h"
 
@@ -40,6 +41,13 @@ std::vector<Mapping> all_mappings(const TaskGraph& graph, std::size_t cores) {
     return mappings;
 }
 
+/// Pointwise minimum of a case staircase (power ascending, Gamma
+/// descending): the first power and the last Gamma; zero when empty.
+ScalingBounds staircase_corner(const std::vector<ScalingBounds>& staircase) {
+    if (staircase.empty()) return {};
+    return {staircase.front().power_mw_lb, staircase.back().gamma_lb};
+}
+
 struct ExhaustiveCheck {
     std::size_t scalings_with_feasible = 0;
     std::size_t feasible_designs = 0;
@@ -57,8 +65,8 @@ ExhaustiveCheck check_bounds_sound(const TaskGraph& graph, const MpsocArchitectu
 
     ScalingEnumerator enumerator(arch.core_count(), arch.scaling_table().level_count());
     while (auto levels = enumerator.next()) {
-        const ScalingBounds corner = model.bounds_for(*levels);
         const std::vector<ScalingBounds> cases = model.case_bounds_for(*levels);
+        const ScalingBounds corner = staircase_corner(cases);
         const EvaluationContext ctx{graph, arch, *levels, SeuEstimator(ser, policy),
                                     deadline_seconds};
         double best_power = std::numeric_limits<double>::infinity();
@@ -151,7 +159,7 @@ TEST(ScalingBounds, InfeasibleDeadlineKeepsBoundsHarmless) {
     const MpsocArchitecture arch(2, VoltageScalingTable::arm7_three_level());
     const ScalingBoundsModel model(graph, arch, 1e-9, SerModel{},
                                    ExposurePolicy::full_duration);
-    const ScalingBounds bounds = model.bounds_for({1, 1});
+    const ScalingBounds bounds = staircase_corner(model.case_bounds_for({1, 1}));
     EXPECT_GE(bounds.power_mw_lb, 0.0);
     EXPECT_GE(bounds.gamma_lb, 0.0);
     EXPECT_TRUE(std::isfinite(bounds.power_mw_lb));
@@ -166,13 +174,68 @@ TEST(ScalingBounds, CornerIsPointwiseMinOverCases) {
                                    ExposurePolicy::full_duration);
     ScalingEnumerator enumerator(3, 3);
     while (auto levels = enumerator.next()) {
-        const ScalingBounds corner = model.bounds_for(*levels);
         const auto cases = model.case_bounds_for(*levels);
+        const ScalingBounds corner = staircase_corner(cases);
         for (const ScalingBounds& bounds : cases) {
             EXPECT_LE(corner.power_mw_lb, bounds.power_mw_lb);
             EXPECT_LE(corner.gamma_lb, bounds.gamma_lb);
         }
     }
+}
+
+/// Counts the combinations whose case list is non-empty and requires
+/// every list to be a staircase: power strictly ascending, Gamma
+/// strictly descending (no case weakly dominates another).
+std::size_t check_staircases(const TaskGraph& graph, const MpsocArchitecture& arch,
+                             double deadline_seconds, const SerModel& ser,
+                             ExposurePolicy policy) {
+    const ScalingBoundsModel model(graph, arch, deadline_seconds, ser, policy);
+    std::size_t non_empty = 0;
+    ScalingEnumerator enumerator(arch.core_count(), arch.scaling_table().level_count());
+    while (auto levels = enumerator.next()) {
+        const std::vector<ScalingBounds> cases = model.case_bounds_for(*levels);
+        if (!cases.empty()) ++non_empty;
+        for (std::size_t i = 1; i < cases.size(); ++i) {
+            EXPECT_LT(cases[i - 1].power_mw_lb, cases[i].power_mw_lb);
+            EXPECT_GT(cases[i - 1].gamma_lb, cases[i].gamma_lb);
+        }
+    }
+    return non_empty;
+}
+
+TEST(ScalingBounds, CaseListIsAnUndominatedStaircase) {
+    // The instances of the soundness tests above.
+    const TaskGraph fig8 = fig8_example_graph();
+    const MpsocArchitecture two_cores(2, VoltageScalingTable::arm7_three_level());
+    const double fig8_deadline = 1.4 * tm_lower_bound_seconds(fig8, two_cores, {1, 1});
+    EXPECT_GT(check_staircases(fig8, two_cores, fig8_deadline, SerModel{},
+                               ExposurePolicy::full_duration),
+              0u);
+    EXPECT_GT(check_staircases(fig8, two_cores, fig8_deadline, SerModel{},
+                               ExposurePolicy::busy_only),
+              0u);
+
+    TgffParams tgff_params;
+    tgff_params.task_count = 7;
+    tgff_params.batch_count = 1;
+    const TaskGraph tgff = generate_tgff_graph(tgff_params, 11);
+    const MpsocArchitecture three_cores(3, VoltageScalingTable::arm7_three_level());
+    EXPECT_GT(check_staircases(tgff, three_cores,
+                               1.5 * tm_lower_bound_seconds(tgff, three_cores, {1, 1, 1}),
+                               SerModel{}, ExposurePolicy::full_duration),
+              0u);
+
+    TgffParams pipelined_params;
+    pipelined_params.task_count = 6;
+    pipelined_params.batch_count = 16;
+    const TaskGraph pipelined = generate_tgff_graph(pipelined_params, 3);
+    const MpsocArchitecture four_levels(2, VoltageScalingTable::arm7_four_level());
+    SerParams ser_params;
+    ser_params.voltage_exponent_k = 4.0;
+    EXPECT_GT(check_staircases(pipelined, four_levels,
+                               2.5 * tm_lower_bound_seconds(pipelined, four_levels, {1, 1}),
+                               SerModel{ser_params}, ExposurePolicy::full_duration),
+              0u);
 }
 
 } // namespace
