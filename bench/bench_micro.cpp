@@ -211,7 +211,7 @@ BENCHMARK_CAPTURE(bm_sa_neighborhood_step, naive, true)->Arg(11)->Arg(60)->Arg(1
 BENCHMARK_CAPTURE(bm_sa_neighborhood_step, ctx, false)->Arg(11)->Arg(60)->Arg(100);
 
 // End-to-end Fig. 4 exploration through the public API. explore() runs
-// its searches on pool threads even at num_threads = 1, so this and
+// its searches on worker threads even at num_threads = 1, so this and
 // every explore bench below time wall clock (UseRealTime).
 void bm_explore_end_to_end(benchmark::State& state, bool naive) {
     const Problem problem = ProblemBuilder()
@@ -362,6 +362,33 @@ void bm_search_acceptance_slot(benchmark::State& state) {
     state.counters["bound_skips"] = static_cast<double>(stats.bound_skips);
 }
 BENCHMARK(bm_search_acceptance_slot)->Unit(benchmark::kMillisecond);
+
+// The explorer's worker layer at 1, 2 and 4 threads: the wallbench
+// `acceptance` workload's explore (scale_acceptance_problem() at 60
+// iterations, 1 restart, seed 1). The serial producer and the final
+// fold run on the calling thread at every thread count, so the speedup
+// over 1 thread is bounded by their share.
+void bm_explore_acceptance_threads(benchmark::State& state) {
+    const Problem problem = scale_acceptance_problem();
+    ExploreOptions options;
+    options.dse.search.max_iterations = 60;
+    options.dse.search.restarts = 1;
+    options.dse.search.seed = 1;
+    options.dse.num_threads = static_cast<std::size_t>(state.range(0));
+    DseResult last;
+    for (auto _ : state) {
+        last = explore(problem, options);
+        benchmark::DoNotOptimize(last);
+    }
+    state.counters["searched"] = static_cast<double>(last.scalings_searched);
+    state.counters["pruned"] = static_cast<double>(last.scalings_pruned);
+}
+BENCHMARK(bm_explore_acceptance_threads)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 // Raw giant-graph throughput of the --scale TGFF family: a 1000-task
 // graph through the whole lazy pipeline (gate, bounds, SoA eval,

@@ -8,8 +8,8 @@
 #include "core/search_strategy.h"
 #include "util/error.h"
 #include "util/float_compare.h"
+#include "util/parallel.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 #include <algorithm>
 #include <condition_variable>
@@ -21,11 +21,16 @@
 #include <numeric>
 #include <optional>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 
 namespace seamap {
 
 namespace {
+
+/// Relative power window within which designs count as "equal power"
+/// for the step-3 Gamma tie-break.
+constexpr double k_power_tie_tolerance = 5e-3;
 
 /// The paper's step-3 selection rule — minimum power, fewer expected
 /// SEUs within the relative power tie window — applied to the sorted
@@ -33,12 +38,13 @@ namespace {
 /// set (no evaluation-order sensitivity), which is what makes it
 /// invariant under dominance pruning: pruned designs never reach a
 /// front.
-std::optional<DsePoint> select_best(const std::vector<DsePoint>& front, double tie) {
+std::optional<DsePoint> select_best(const std::vector<DsePoint>& front) {
     if (front.empty()) return std::nullopt;
     const DsePoint* best = &front.front();
     for (std::size_t i = 1; i < front.size(); ++i) {
         const DsePoint& candidate = front[i];
-        if (within_relative_tie(candidate.metrics.power_mw, best->metrics.power_mw, tie) &&
+        if (within_relative_tie(candidate.metrics.power_mw, best->metrics.power_mw,
+                                k_power_tie_tolerance) &&
             candidate.metrics.gamma < best->metrics.gamma)
             best = &candidate;
     }
@@ -111,8 +117,6 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
     std::uint64_t pruned_count = 0;    ///< replay-pruned; under bb_mutex
     std::uint64_t no_design_count = 0; ///< searched, empty; under bb_mutex
 
-    const double tie = std::max(0.0, params.power_tie_tolerance);
-
     // Observer state: callbacks are serialized behind one mutex. The
     // streamed incumbent is the step-3 rule applied to the Pareto front
     // of everything completed so far, so its last value matches the
@@ -145,7 +149,7 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
             return;
         observed_front.insert(point->metrics.power_mw, point->metrics.gamma);
         observed_points.push_back(*point);
-        std::optional<DsePoint> incumbent = select_best(pareto_front_of(observed_points), tie);
+        std::optional<DsePoint> incumbent = select_best(pareto_front_of(observed_points));
         const bool changed =
             incumbent &&
             (!observed_best || incumbent->levels != observed_best->levels ||
@@ -159,8 +163,20 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
     };
 
     // --- shared branch-and-bound state --------------------------------
-    // One slot per gate-passing pop, in pop order (std::deque: grows
-    // under the lock while workers hold references to earlier slots).
+    // Where a slot is in its life. Every stage but `pending` is
+    // complete, so the replay may decide the slot.
+    enum class Stage : std::uint8_t {
+        pending,       ///< emitted; waiting for a worker or in its hands
+        restored,      ///< record replayed from a checkpoint; nothing runs
+        disposed,      ///< dropped at pop time (lagged front)
+        worker_pruned, ///< skipped by a worker against the replay front
+        searched,      ///< the search ran to the end
+        cut,           ///< a stop or a throwing search cut it: stays not_run
+    };
+    // One slot per gate-passing pop, in pop order. The deque is the
+    // explorer's only work list: workers claim its pending slots in pop
+    // order (std::deque: grows under the lock while workers hold
+    // references to earlier slots).
     struct SearchSlot {
         std::uint64_t rank = 0; ///< enumeration index
         ScalingVector levels;
@@ -174,12 +190,7 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
         /// The replay may still turn a searched slot's verdict into
         /// `pruned` (the search was speculative).
         DseSlotRecord record;
-        bool restored = false; ///< record replayed from a checkpoint
-        bool disposed = false; ///< dropped at pop time (lagged front)
-        bool runtime_pruned = false;
-        bool completed = false;
-        /// Searched or prune-skipped to the end (false: a stop cut it).
-        bool ran = false;
+        Stage stage = Stage::pending;
         /// The replay's verdict, kept on the slot so the lagged
         /// disposal front can be advanced without a dense outcome
         /// array: set iff the replay decided this slot feasible.
@@ -190,6 +201,9 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
     std::deque<SearchSlot> slots;
     std::mutex bb_mutex;
     std::condition_variable replay_cv; ///< signals `replayed` advances
+    std::condition_variable work_cv;   ///< signals a new slot or the end of production
+    std::size_t next_claim = 0;        ///< first slot no worker has looked at
+    bool producing = true;
     // The incremental sequential replay: decides slots[0..replayed) in
     // pop order exactly as the end-of-run merge used to, maintaining
     // the front of surviving designs. Workers consult it for
@@ -205,7 +219,9 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
     std::size_t disposal_advanced = 0;
     bool recording_stopped = false;
     bool bounds_unsound = false;
-    std::exception_ptr search_error;
+    /// The first failure on a worker: a throwing strategy, observer
+    /// callback or snapshot write. Rethrown once the workers stop.
+    std::exception_ptr first_error;
     std::uint64_t emitted = 0;
 
     // A slot is prunable when every powered-core case is strictly
@@ -233,24 +249,24 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
     // fresh slots share one path: only the pruned-or-keep decision and
     // the snapshot append are skipped for restored ones.
     auto advance_replay = [&] {
-        const bool advanced = replayed < slots.size() && slots[replayed].completed;
-        while (replayed < slots.size() && slots[replayed].completed) {
+        const bool advanced =
+            replayed < slots.size() && slots[replayed].stage != Stage::pending;
+        while (replayed < slots.size() && slots[replayed].stage != Stage::pending) {
             SearchSlot& slot = slots[replayed];
             DseSlotRecord& record = slot.record;
             bool decided = true;
-            if (!slot.restored) {
-                if (slot.disposed ||
+            if (slot.stage != Stage::restored) {
+                if (slot.stage == Stage::disposed ||
                     (params.prune && front_prunes(replay_front, slot.cases))) {
                     // A disposed slot's replay front is a superset of
                     // the lagged front that disposed it, so the replay
                     // verdict is already known (dominance is monotone).
                     record.kind = DseSlotRecord::Kind::pruned;
-                } else if (!slot.ran) {
-                    // Stop cut this slot: stays not_run.
+                } else if (slot.stage == Stage::cut) {
                     decided = false;
-                } else if (slot.runtime_pruned) {
+                } else if (slot.stage == Stage::worker_pruned) {
                     // Worker pruned a slot the replay keeps: the bounds
-                    // are unsound. Surfaced after the pool drains.
+                    // are unsound. Surfaced after the workers stop.
                     bounds_unsound = true;
                     decided = false;
                 }
@@ -295,19 +311,17 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
         }
     };
 
-    // The slot reference is resolved by the producer while it still
-    // holds bb_mutex and passed in directly: deque element references
-    // are stable across emplace_back, but slots::operator[] traverses
-    // the deque's node map, which a concurrent emplace_back may be
-    // reallocating — workers must never index the deque unlocked.
-    auto run_search = [&](SearchSlot& slot) {
-        bool searched = false;
+    // Search one slot and complete it. The worker resolved `slot` under
+    // bb_mutex when it claimed it (element references survive
+    // emplace_back, but slots::operator[] walks the deque's node map,
+    // which a concurrent emplace_back may be reallocating) and tested
+    // it against the replay front there: `pruned`.
+    auto run_search = [&](SearchSlot& slot, bool pruned) {
+        Stage stage = Stage::cut;
         if (!stop.stop_requested()) {
-            if (params.prune) {
-                std::lock_guard lock(bb_mutex);
-                slot.runtime_pruned = front_prunes(replay_front, slot.cases);
-            }
-            if (!slot.runtime_pruned) {
+            if (pruned) {
+                stage = Stage::worker_pruned;
+            } else {
                 try {
                     const ScalingVector& levels = slot.levels;
                     EvaluationContext ctx{graph, arch, levels, SeuEstimator(ser_, policy_),
@@ -318,9 +332,7 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
                     // live here, private to this worker, so
                     // thread-count invariance is untouched.
                     EvalContext eval(ctx, params.eval);
-                    Mapping initial = params.use_initial_sea_mapping
-                                          ? initial_sea_mapping(ctx)
-                                          : round_robin_mapping(graph, arch.core_count());
+                    const Mapping initial = initial_sea_mapping(ctx);
                     // Vary the search seed per scaling so repeated
                     // scalings do not replay the same random walk.
                     std::uint64_t level_hash = 0xcbf29ce484222325ULL;
@@ -335,65 +347,97 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
                     } else {
                         slot.record.kind = DseSlotRecord::Kind::no_design;
                     }
-                    searched = true;
+                    stage = Stage::searched;
                 } catch (...) {
                     // A throwing strategy must not strand the producer
                     // waiting on completions that will never come:
                     // capture the first error, stop the exploration
                     // cooperatively, and let the slot finish as
-                    // not_run. Rethrown once the pool drains.
+                    // not_run.
                     std::lock_guard lock(bb_mutex);
-                    if (search_error == nullptr) search_error = std::current_exception();
+                    if (first_error == nullptr) first_error = std::current_exception();
                     stop.request_stop();
                 }
             }
-            // A stop landing while the search ran may have cut it short,
-            // leaving a partial (non-replay-faithful) result: discard it
-            // — the slot stays not_run and a resume re-searches it in
-            // full. So does a search that threw. Prune skips carry no
-            // search data and stay valid.
-            std::lock_guard lock(bb_mutex);
-            slot.ran = slot.runtime_pruned || (searched && !stop.stop_requested());
         }
 
-        // Completion bookkeeping: decide the slot's live outcome and
-        // extend the sequential replay.
+        // Completion: decide the slot's stage and live outcome, and
+        // extend the sequential replay. A stop landing while the search
+        // ran may have cut it short, leaving a partial
+        // (non-replay-faithful) result: discard it — the slot stays
+        // not_run and a resume re-searches it in full. Prune skips
+        // carry no search data and stay valid.
         ScalingProgress::Outcome live_outcome = ScalingProgress::Outcome::pruned;
         const DsePoint* live_point = nullptr;
         DsePoint found_point;
-        bool completed_now = false;
         {
             std::lock_guard lock(bb_mutex);
-            slot.completed = true;
-            if (slot.ran) {
-                completed_now = true;
-                if (!slot.runtime_pruned) {
-                    if (slot.record.kind == DseSlotRecord::Kind::feasible) {
-                        found_point.levels = slot.levels;
-                        found_point.mapping = slot.record.point.mapping;
-                        found_point.metrics = slot.record.point.metrics;
-                        live_outcome = ScalingProgress::Outcome::feasible;
-                        live_point = &found_point;
-                    } else {
-                        live_outcome = ScalingProgress::Outcome::searched_no_design;
-                    }
+            if (stage == Stage::searched && stop.stop_requested()) stage = Stage::cut;
+            slot.stage = stage;
+            if (stage == Stage::searched) {
+                if (slot.record.kind == DseSlotRecord::Kind::feasible) {
+                    found_point.levels = slot.levels;
+                    found_point.mapping = slot.record.point.mapping;
+                    found_point.metrics = slot.record.point.metrics;
+                    live_outcome = ScalingProgress::Outcome::feasible;
+                    live_point = &found_point;
+                } else {
+                    live_outcome = ScalingProgress::Outcome::searched_no_design;
                 }
             }
             advance_replay();
         }
-        if (completed_now) notify(slot.rank, slot.levels, live_outcome, live_point);
+        if (stage != Stage::cut) notify(slot.rank, slot.levels, live_outcome, live_point);
         if (checkpoint != nullptr) checkpoint->maybe_flush();
+    };
+
+    // One explorer worker: claims pending slots in pop order until
+    // production has ended and every emitted slot is claimed. A failure
+    // that escapes a slot's completion (an observer callback, a
+    // snapshot write) is kept in first_error, and the worker keeps
+    // draining.
+    auto work = [&] {
+        std::unique_lock lock(bb_mutex);
+        for (;;) {
+            work_cv.wait(lock, [&] {
+                // Restored and disposed slots are complete when created.
+                while (next_claim < slots.size() && slots[next_claim].stage != Stage::pending)
+                    ++next_claim;
+                return next_claim < slots.size() || !producing;
+            });
+            if (next_claim == slots.size()) return;
+            SearchSlot& slot = slots[next_claim++];
+            const bool pruned = params.prune && front_prunes(replay_front, slot.cases);
+            lock.unlock();
+            std::exception_ptr error;
+            try {
+                run_search(slot, pruned);
+            } catch (...) {
+                error = std::current_exception();
+            }
+            lock.lock();
+            if (error != nullptr && first_error == nullptr) first_error = error;
+        }
+    };
+
+    // Runs on every way out of production — the end of the queue, a
+    // stop, or an exception (a checkpoint mismatch, a throwing
+    // observer, a failed thread start) — before the workers join, so
+    // they drain the emitted slots and return.
+    auto end_production = [&] {
+        std::lock_guard lock(bb_mutex);
+        producing = false;
+        work_cv.notify_all();
     };
 
     // --- produce + run ------------------------------------------------
     // The producer (this thread) pops slots from the lazy queue while
-    // the pool runs searches. For each gate-passing pop it takes the
+    // the workers run searches. For each gate-passing pop it takes the
     // case staircase the queue computed, waits until the replay covers
     // the disposal window's prefix, and either disposes of the slot
     // (provably dominated — counted pruned, never searched) or emits
-    // it.
-    if (!stop.stop_requested()) {
-        ThreadPool pool(ThreadPool::resolve_thread_count(params.num_threads));
+    // it for the workers to claim.
+    auto produce = [&] {
         while (!stop.stop_requested()) {
             std::optional<LazyScalingQueue::Slot> popped = queue.pop();
             if (!popped) break;
@@ -409,11 +453,10 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
                 continue;
             }
             bool disposed = false;
-            std::size_t pos = 0;
             SearchSlot* slot_ptr = nullptr;
             {
                 std::unique_lock lock(bb_mutex);
-                pos = slots.size();
+                const std::size_t pos = slots.size();
                 const std::size_t need =
                     pos > k_disposal_window ? pos - k_disposal_window : 0;
                 replay_cv.wait(lock,
@@ -444,16 +487,14 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
                     // Restored: the snapshot already holds this slot's
                     // replay decision; nothing runs.
                     slot.record = *record;
-                    slot.restored = true;
-                    slot.completed = true;
+                    slot.stage = Stage::restored;
                     advance_replay();
                     continue;
                 }
                 slot.record.combo = rank;
                 slot.cases = std::move(popped->cases);
                 if (disposed) {
-                    slot.disposed = true;
-                    slot.completed = true;
+                    slot.stage = Stage::disposed;
                     advance_replay();
                 }
             }
@@ -462,16 +503,28 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
                 if (checkpoint != nullptr) checkpoint->maybe_flush();
                 continue;
             }
-            pool.submit(pos, [&, slot_ptr] { run_search(*slot_ptr); });
+            work_cv.notify_one();
         }
-        pool.wait_idle();
+    };
+    if (!stop.stop_requested()) {
+        std::vector<std::jthread> workers; // joined at the end of this block
+        try {
+            const std::size_t worker_count = resolve_thread_count(params.num_threads);
+            workers.reserve(worker_count);
+            for (std::size_t w = 0; w < worker_count; ++w) workers.emplace_back(work);
+            produce();
+        } catch (...) {
+            end_production();
+            throw;
+        }
+        end_production();
     }
     {
-        // Quiescent now: every created slot is completed (the pool ran
-        // all submitted searches), so this sweeps the replay to the end.
+        // Quiescent now: the workers completed every created slot
+        // before they joined, so this sweeps the replay to the end.
         std::lock_guard lock(bb_mutex);
         advance_replay();
-        if (search_error != nullptr) std::rethrow_exception(search_error);
+        if (first_error != nullptr) std::rethrow_exception(first_error);
     }
     // Persist whatever the run decided — on a stop this is the snapshot
     // a resume continues from; on completion it doubles as a memoized
@@ -509,7 +562,7 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
     // minimum power, breaking near-ties by Gamma. Applied to the front,
     // where the rule is order-independent and prune-invariant.
     result.pareto_front = pareto_front_of(result.feasible_points);
-    result.best = select_best(result.pareto_front, tie);
+    result.best = select_best(result.pareto_front);
     if (observer != nullptr) observer->on_explore_end(result);
     return result;
 }

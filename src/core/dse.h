@@ -72,21 +72,16 @@ struct DseParams {
     /// Overall wall-clock budget, seconds (0 = none): the paper's
     /// "chosen search-time".
     double total_time_budget_seconds = 0.0;
-    /// Start stage 2 from the stage-1 greedy mapping (Fig. 6). Off =
-    /// ablation: start from a round-robin mapping instead.
-    bool use_initial_sea_mapping = true;
-    /// Relative power window within which designs count as "equal
-    /// power" for the Gamma tie-break.
-    double power_tie_tolerance = 5e-3;
-    /// Worker threads for the per-scaling mapping searches (each
-    /// scaling is an independent search with its own derived seed).
-    /// 1 = serial; 0 = one per hardware thread, clamped to
-    /// std::thread::hardware_concurrency() in exactly one place
-    /// (ThreadPool::resolve_thread_count). Results are bit-identical
-    /// for every thread count — including 0 vs. the explicit hardware
-    /// count — as long as no wall-clock budget
-    /// (`total_time_budget_seconds` / `search.time_budget_seconds`)
-    /// or cancellation cuts searches short.
+    /// Explorer worker threads; each claims the next emitted scaling
+    /// and runs its independent search (own derived seed) while the
+    /// calling thread produces. 1 = one worker; 0 = one per hardware
+    /// thread, clamped to std::thread::hardware_concurrency() in
+    /// exactly one place (resolve_thread_count, util/parallel.h).
+    /// Results are bit-identical for every thread count — including 0
+    /// vs. the explicit hardware count — as long as no wall-clock
+    /// budget (`total_time_budget_seconds` /
+    /// `search.time_budget_seconds`) or cancellation cuts searches
+    /// short.
     std::size_t num_threads = 1;
     /// Evaluation-path knobs for the per-scaling EvalContext each
     /// worker runs its search on (core/eval_context.h). The fast path

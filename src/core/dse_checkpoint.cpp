@@ -162,8 +162,10 @@ std::uint64_t dse_state_hash(const TaskGraph& graph, const MpsocArchitecture& ar
     // The retired min-power tracking flag (always 0 by default): the
     // constant keeps older snapshots' hash, so they keep resuming.
     h.mix(std::uint64_t{0});
-    h.mix(static_cast<std::uint64_t>(params.use_initial_sea_mapping));
-    h.mix_double(params.power_tie_tolerance);
+    // Retired knobs at their only values (Fig. 6 start on, 5e-3 power tie
+    // window), so older snapshots keep their hash.
+    h.mix(std::uint64_t{1});
+    h.mix_double(5e-3);
     h.mix(static_cast<std::uint64_t>(params.prune));
     // One search per slot. The constant keeps the hash of snapshots
     // written while the per-slot search count was still a knob (always

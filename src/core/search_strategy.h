@@ -34,7 +34,7 @@ public:
     /// the complete mapping `initial`. `seed` is the per-scaling
     /// derived seed (the explorer varies it per combination so repeated
     /// scalings do not replay the same walk); `cancel`, when non-null,
-    /// must be polled so the thread-pooled explorer can stop workers
+    /// must be polled so the explorer can stop its workers
     /// cooperatively.
     virtual LocalSearchResult search(const EvaluationContext& ctx, const Mapping& initial,
                                      std::uint64_t seed,

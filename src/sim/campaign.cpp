@@ -2,8 +2,8 @@
 
 #include "sim/campaign_checkpoint.h"
 #include "util/cancellation.h"
+#include "util/parallel.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 #include <algorithm>
 #include <stdexcept>

@@ -1,7 +1,7 @@
 // Sharded fault-injection campaign engine — the measurement-side
 // counterpart of the analytic Γ model (eq. 3) at statistically
 // meaningful trial counts. Trials are cut into fixed-size blocks
-// (shards) dispatched on the project thread pool; trial t always draws
+// (shards) run by parallel_for_index (util/parallel.h); trial t always draws
 // from the order-invariant stream Rng(seed).fork_at(t) and every
 // accumulator merged across shards is an exact integer moment
 // (util/stats.h ExactMoments), so the merged report is byte-identical
@@ -86,7 +86,8 @@ struct CampaignConfig {
     std::uint64_t trials = 10'000;
     /// Trials per dispatched shard (block). Must be >= 1.
     std::uint64_t shard_size = 1024;
-    /// Worker threads; 0 means hardware concurrency.
+    /// Threads parallel_for_index runs the shards on; 0 means one per
+    /// hardware thread (resolve_thread_count, util/parallel.h).
     std::size_t num_threads = 1;
     std::uint64_t seed = 1;
     SimExposurePolicy policy = SimExposurePolicy::full_duration;

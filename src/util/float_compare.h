@@ -21,8 +21,8 @@ inline bool nearly_equal(double a, double b) {
 }
 
 /// The paper's step-3 "equal power" window: a and b count as tied when
-/// they agree within the relative tolerance `tie` (the
-/// DseParams::power_tie_tolerance knob). Shared by the best-design
+/// they agree within the relative tolerance `tie` (the explorer's
+/// k_power_tie_tolerance, core/dse.cpp). Shared by the best-design
 /// fold and the streamed incumbent so both apply the same rule.
 inline bool within_relative_tie(double a, double b, double tie) {
     return std::abs(a - b) <= tie * std::max(a, b);

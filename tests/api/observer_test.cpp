@@ -1,4 +1,4 @@
-// ProgressObserver / CancellationToken contract with the thread-pooled
+// ProgressObserver / CancellationToken contract with the multi-threaded
 // explorer: every finished scaling is reported exactly once, the
 // streamed incumbent follows the paper's selection rule (and equals
 // the final best when completion order is enumeration order, i.e. one

@@ -2,16 +2,19 @@
 // budget, explore() must return bit-identical results for any thread
 // count — every scaling combination is searched with the same derived
 // seed and the merge folds slots in enumeration order. The guarantee is
-// per *strategy*: both built-in search strategies are pinned here.
+// per *strategy*: both built-in search strategies are pinned here. A
+// throwing strategy or observer must surface from explore() at any
+// thread count instead of hanging the producer or killing a worker.
 #include "seamap/seamap.h"
 
 #include "taskgraph/fig8.h"
 #include "taskgraph/mpeg2.h"
-#include "util/thread_pool.h"
+#include "util/parallel.h"
 
 #include <atomic>
 #include <gtest/gtest.h>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace seamap {
@@ -88,30 +91,87 @@ TEST(DseParallel, AnnealingStrategyBitIdenticalAcrossThreadCounts) {
 
 TEST(DseParallel, ZeroThreadsMeansHardwareConcurrency) {
     // DseParams documents num_threads = 0 as "one per hardware thread",
-    // clamped in ThreadPool::resolve_thread_count: 0 and the explicit
+    // clamped in resolve_thread_count: 0 and the explicit
     // hardware count must produce identical results (as must serial).
     const TaskGraph graph = fig8_example_graph();
     const DseResult automatic = run_explore(graph, 3, 0.5, 0);
     const DseResult explicit_hw =
-        run_explore(graph, 3, 0.5, ThreadPool::hardware_threads());
+        run_explore(graph, 3, 0.5, hardware_threads());
     const DseResult serial = run_explore(graph, 3, 0.5, 1);
     expect_result_identical(automatic, explicit_hw);
     expect_result_identical(serial, automatic);
 }
 
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
-    std::vector<std::atomic<int>> hits(257);
-    for (auto& h : hits) h = 0;
-    parallel_for_index(hits.size(), 8, [&](std::size_t i) { ++hits[i]; });
-    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+/// The Fig. 7 search for the first `good_calls` slots, then a throw.
+class ThrowingStrategy final : public SearchStrategy {
+public:
+    explicit ThrowingStrategy(int good_calls) : good_calls_(good_calls) {}
+    std::string name() const override { return "throwing"; }
+    LocalSearchResult search(const EvaluationContext& ctx, const Mapping& initial,
+                             std::uint64_t seed,
+                             const CancellationToken* cancel) const override {
+        if (calls_.fetch_add(1) >= good_calls_) throw std::runtime_error("strategy failed");
+        return inner_.search(ctx, initial, seed, cancel);
+    }
+
+private:
+    OptimizedMappingStrategy inner_;
+    int good_calls_;
+    mutable std::atomic<int> calls_{0};
+};
+
+TEST(DseParallel, ThrowingStrategySurfacesFromExplore) {
+    const TaskGraph graph = fig8_example_graph();
+    const MpsocArchitecture arch(3, VoltageScalingTable::arm7_three_level());
+    for (const std::size_t threads : {1u, 4u}) {
+        for (const int good_calls : {0, 3}) {
+            DseParams params;
+            params.num_threads = threads;
+            const ThrowingStrategy strategy(good_calls);
+            EXPECT_THROW((void)DesignSpaceExplorer{SerModel{}}.explore(graph, arch, 0.5,
+                                                                       params, strategy),
+                         std::runtime_error)
+                << threads << " threads, " << good_calls << " good calls";
+        }
+    }
 }
 
-TEST(ThreadPool, ParallelForPropagatesExceptions) {
-    EXPECT_THROW(parallel_for_index(64, 4,
-                                    [](std::size_t i) {
-                                        if (i == 13) throw std::runtime_error("boom");
-                                    }),
-                 std::runtime_error);
+/// Throws from on_scaling_done for one kind of outcome.
+class ThrowingObserver final : public ProgressObserver {
+public:
+    explicit ThrowingObserver(bool on_gate_skips) : on_gate_skips_(on_gate_skips) {}
+    void on_scaling_done(const ScalingProgress& progress) override {
+        const bool gate_skip =
+            progress.outcome == ScalingProgress::Outcome::skipped_infeasible;
+        if (gate_skip == on_gate_skips_) throw std::runtime_error("observer failed");
+    }
+
+private:
+    bool on_gate_skips_;
+};
+
+TEST(DseParallel, ThrowingObserverSurfacesFromExplore) {
+    // Searched outcomes are streamed from the workers, gate skips from
+    // the producer: both must reach the caller.
+    const TaskGraph graph = mpeg2_decoder_graph();
+    const MpsocArchitecture two(2, VoltageScalingTable::arm7_three_level());
+    const double deadline = 1.3 * tm_lower_bound_seconds(graph, two, {1, 1});
+    const Problem problem = ProblemBuilder()
+                                .graph(graph)
+                                .architecture(4, VoltageScalingTable::arm7_three_level())
+                                .deadline_seconds(deadline)
+                                .build();
+    for (const std::size_t threads : {1u, 4u}) {
+        for (const bool on_gate_skips : {false, true}) {
+            ExploreOptions options;
+            options.dse.search.max_iterations = 100;
+            options.dse.num_threads = threads;
+            ThrowingObserver observer(on_gate_skips);
+            EXPECT_THROW((void)explore(problem, options, &observer), std::runtime_error)
+                << threads << " threads, throwing on "
+                << (on_gate_skips ? "gate skips" : "searched slots");
+        }
+    }
 }
 
 } // namespace

@@ -103,10 +103,30 @@ TEST(Dse, ParetoFrontIsNonDominatedAndSorted) {
         }
 }
 
+/// The round-robin start ablation: the Fig. 7 search run from a
+/// round-robin mapping instead of the Fig. 6 start the explorer hands it.
+class RoundRobinStartStrategy final : public SearchStrategy {
+public:
+    explicit RoundRobinStartStrategy(LocalSearchParams params) : inner_(params) {}
+    std::string name() const override { return "round_robin_start"; }
+    LocalSearchResult search(const EvaluationContext& ctx, const Mapping&, std::uint64_t seed,
+                             const CancellationToken* cancel) const override {
+        return inner_.search(ctx, round_robin_mapping(ctx.graph, ctx.arch.core_count()), seed,
+                             cancel);
+    }
+
+private:
+    OptimizedMappingStrategy inner_;
+};
+
 TEST(Dse, RoundRobinSeedAblationStillWorks) {
-    ExploreOptions options = quick_options();
-    options.dse.use_initial_sea_mapping = false;
-    const DseResult result = explore(problem_for(fig8_example_graph(), 3, 1.0), options);
+    const Problem problem = problem_for(fig8_example_graph(), 3, 1.0);
+    const DseParams params = quick_options().dse;
+    const RoundRobinStartStrategy strategy(params.search);
+    const DseResult result =
+        DesignSpaceExplorer(problem.ser_model(), problem.exposure_policy())
+            .explore(problem.graph(), problem.architecture(), problem.deadline_seconds(), params,
+                     strategy);
     EXPECT_TRUE(result.best.has_value());
 }
 
