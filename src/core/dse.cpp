@@ -16,7 +16,6 @@
 #include <deque>
 #include <exception>
 #include <limits>
-#include <map>
 #include <mutex>
 #include <numeric>
 #include <optional>
@@ -63,6 +62,224 @@ std::optional<DsePoint> select_best(const std::vector<DsePoint>& front) {
 /// keeps at most a window of popped case staircases alive at once.
 constexpr std::size_t k_disposal_window = 64;
 
+/// Where a slot is in its life. Every stage but `pending` is complete,
+/// so the replay may decide the slot.
+enum class Stage : std::uint8_t {
+    pending,       ///< emitted; waiting for a worker or in its hands
+    restored,      ///< record replayed from a checkpoint; nothing runs
+    disposed,      ///< dropped at pop time (lagged front)
+    worker_pruned, ///< skipped by a worker against the replay front
+    searched,      ///< the search ran to the end
+    cut,           ///< a stop or a throwing search cut it: stays not_run
+    decided,       ///< the replay folded `record` into the verdicts
+};
+
+/// One gate-passing pop.
+struct SearchSlot {
+    std::uint64_t rank = 0; ///< enumeration index
+    ScalingVector levels;
+    /// The queue's case staircase; the slot is prunable only when
+    /// every case is strictly dominated. Freed as soon as the replay
+    /// decides the slot, so only a window of popped staircases is ever
+    /// alive.
+    std::vector<ScalingBounds> cases;
+    /// The slot's outcome: restored from the snapshot, or the search's
+    /// verdict (feasible / no_design) once it completes. The replay may
+    /// still turn a searched slot's verdict into `pruned` (the search
+    /// was speculative). Only a decided feasible slot keeps its design.
+    DseSlotRecord record;
+    Stage stage = Stage::pending;
+};
+
+/// A slot is prunable when every powered-core case is strictly
+/// dominated by some incumbent (different cases may fall to different
+/// incumbents); an empty case list means the capacity pre-filter could
+/// not even place the work — left to the search.
+bool front_prunes(const DominanceFront& front, const std::vector<ScalingBounds>& cases) {
+    if (cases.empty()) return false;
+    return std::all_of(cases.begin(), cases.end(),
+                       [&](const ScalingBounds& bounds) { return front.dominates(bounds); });
+}
+
+/// The sequential replay: decides the gate-passing slots in pop order,
+/// whatever order the workers complete them in, so every verdict is a
+/// pure function of the problem at any thread count. The only owner of
+/// the slots' verdicts: it keeps the replay front workers prune
+/// against, the lagged disposal front the producer disposes with, the
+/// resume records and the checkpoint records, and it folds the
+/// counters and feasible points. Not thread-safe: every call holds the
+/// explorer's bb_mutex.
+class ReplayLedger {
+public:
+    ReplayLedger(bool prune, DseCheckpointer* checkpoint)
+        : prune_(prune), checkpoint_(checkpoint),
+          resume_(checkpoint != nullptr ? checkpoint->resume_state() : nullptr) {}
+
+    std::size_t size() const { return slots_.size(); }
+    /// References survive admit(); the lookup itself needs bb_mutex.
+    SearchSlot& slot(std::size_t pos) { return slots_[pos]; }
+    /// Slots [0, replayed()) are decided (or stay not_run).
+    std::size_t replayed() const { return replayed_; }
+    /// The prefix the next admitted slot's disposal test consults; the
+    /// producer waits until replayed() covers it.
+    std::size_t disposal_prefix() const {
+        return slots_.size() > k_disposal_window ? slots_.size() - k_disposal_window : 0;
+    }
+
+    /// Appends a gate passer once replayed() >= disposal_prefix() and
+    /// returns how it entered: restored, disposed or pending. Every
+    /// slot takes the disposal test, restored ones too, so
+    /// scalings_emitted does not depend on the resume point. Throws
+    /// checkpoint_mismatch when the snapshot's next record is another
+    /// combination.
+    Stage admit(LazyScalingQueue::Slot& popped) {
+        // The lagged front: advanced to exactly the window's prefix,
+        // never further, so disposal decisions are timing-independent.
+        for (const std::size_t prefix = disposal_prefix(); disposal_advanced_ < prefix;
+             ++disposal_advanced_) {
+            const SearchSlot& done = slots_[disposal_advanced_];
+            const DesignMetrics& metrics = done.record.point.metrics;
+            if (done.stage == Stage::decided &&
+                done.record.kind == DseSlotRecord::Kind::feasible)
+                disposal_front_.insert(metrics.power_mw, metrics.gamma);
+        }
+        const bool disposed = prune_ && front_prunes(disposal_front_, popped.cases);
+        if (!disposed) ++emitted_;
+        const DseSlotRecord* restored = nullptr;
+        if (resume_ != nullptr && next_record_ < resume_->records.size()) {
+            restored = &resume_->records[next_record_];
+            if (restored->combo != popped.rank)
+                throw Error(ErrorCategory::checkpoint_mismatch,
+                            "checkpoint slot order diverges at decided slot " +
+                                std::to_string(next_record_) + " (stored combination " +
+                                std::to_string(restored->combo) + ", produced " +
+                                std::to_string(popped.rank) + ")",
+                            checkpoint_->path());
+            ++next_record_;
+        }
+        SearchSlot& slot = slots_.emplace_back();
+        slot.rank = popped.rank;
+        slot.levels = std::move(popped.levels);
+        if (restored != nullptr) {
+            // The snapshot already holds this slot's replay decision.
+            slot.record = *restored;
+            slot.stage = Stage::restored;
+        } else {
+            slot.record.combo = popped.rank;
+            slot.cases = std::move(popped.cases);
+            slot.stage = disposed ? Stage::disposed : Stage::pending;
+        }
+        const Stage entered = slot.stage;
+        advance();
+        return entered;
+    }
+
+    /// The worker's speculative test. The replay front covers a prefix
+    /// of what the replay will know when it decides `slot`, so a slot
+    /// pruned here is pruned by the replay too.
+    bool prunes_now(const SearchSlot& slot) const {
+        return prune_ && front_prunes(replay_front_, slot.cases);
+    }
+
+    /// Completes a claimed slot; true when the replay advanced.
+    bool complete(SearchSlot& slot, Stage stage) {
+        slot.stage = stage;
+        return advance();
+    }
+
+    /// Once the workers have joined and the snapshot is flushed: checks
+    /// the run, then folds the verdicts into `result` with the feasible
+    /// points in ascending enumeration rank. `stopped` runs may leave
+    /// resume records unconsumed.
+    void fold(DseResult& result, bool stopped) {
+        if (unsound_)
+            throw std::logic_error(
+                "DesignSpaceExplorer: worker pruned a slot the deterministic replay "
+                "keeps — DominanceFront dominance stopped being monotone under insertion");
+        if (resume_ != nullptr && next_record_ < resume_->records.size() && !stopped)
+            throw Error(ErrorCategory::checkpoint_mismatch,
+                        "checkpoint holds " + std::to_string(resume_->records.size()) +
+                            " decided slots but this exploration produced only " +
+                            std::to_string(next_record_),
+                        checkpoint_->path());
+        std::vector<SearchSlot*> feasible;
+        for (SearchSlot& slot : slots_) {
+            if (slot.stage != Stage::decided) continue;
+            const DseSlotRecord::Kind kind = slot.record.kind;
+            ++(kind == DseSlotRecord::Kind::pruned ? result.scalings_pruned
+                                                   : result.scalings_searched);
+            if (kind == DseSlotRecord::Kind::feasible) feasible.push_back(&slot);
+        }
+        std::sort(feasible.begin(), feasible.end(),
+                  [](const SearchSlot* a, const SearchSlot* b) { return a->rank < b->rank; });
+        result.scalings_emitted = emitted_;
+        for (SearchSlot* slot : feasible) {
+            slot->record.point.levels = std::move(slot->levels);
+            result.feasible_points.push_back(std::move(slot->record.point));
+        }
+    }
+
+private:
+    /// Decides the contiguous completed prefix. A cut slot stays
+    /// not_run and ends the recordable prefix (nothing after it is
+    /// replay-stable in a snapshot), but later slots are still decided
+    /// against the front without it. A restored slot's decision is its
+    /// record, already in the snapshot.
+    bool advance() {
+        const std::size_t from = replayed_;
+        for (; replayed_ < slots_.size() && slots_[replayed_].stage != Stage::pending;
+             ++replayed_) {
+            SearchSlot& slot = slots_[replayed_];
+            DseSlotRecord& record = slot.record;
+            bool decided = true;
+            if (slot.stage != Stage::restored) {
+                if (slot.stage == Stage::disposed ||
+                    (prune_ && front_prunes(replay_front_, slot.cases))) {
+                    // A disposed slot's replay front is a superset of
+                    // the lagged front that disposed it, so the replay
+                    // verdict is already known (dominance is monotone).
+                    record.kind = DseSlotRecord::Kind::pruned;
+                } else if (slot.stage == Stage::cut) {
+                    decided = false;
+                } else if (slot.stage == Stage::worker_pruned) {
+                    // Surfaced by fold() once the workers stop.
+                    unsound_ = true;
+                    decided = false;
+                }
+                if (!decided) recording_stopped_ = true;
+                if (checkpoint_ != nullptr && !recording_stopped_) checkpoint_->record(record);
+            }
+            if (decided) {
+                slot.stage = Stage::decided;
+                if (record.kind == DseSlotRecord::Kind::feasible)
+                    replay_front_.insert(record.point.metrics.power_mw,
+                                         record.point.metrics.gamma);
+            }
+            // The replay is the last reader of the cases and of any
+            // design but a decided feasible one.
+            slot.cases = {};
+            if (slot.stage != Stage::decided || record.kind != DseSlotRecord::Kind::feasible)
+                record.point = {};
+        }
+        return replayed_ != from;
+    }
+
+    bool prune_;
+    DseCheckpointer* checkpoint_;
+    const DseResumeState* resume_; ///< null unless resuming
+    std::size_t next_record_ = 0;  ///< resume records consumed
+    /// One slot per gate-passing pop, in pop order (std::deque: grows
+    /// while workers hold references to earlier slots).
+    std::deque<SearchSlot> slots_;
+    DominanceFront replay_front_; ///< survivors of slots [0, replayed_)
+    std::size_t replayed_ = 0;
+    DominanceFront disposal_front_; ///< survivors of slots [0, disposal_advanced_)
+    std::size_t disposal_advanced_ = 0;
+    std::uint64_t emitted_ = 0;
+    bool recording_stopped_ = false;
+    bool unsound_ = false;
+};
+
 } // namespace
 
 DesignSpaceExplorer::DesignSpaceExplorer(SerModel ser, ExposurePolicy policy)
@@ -92,30 +309,15 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
     // priority queue (core/lazy_scaling_queue.h) — the full sequence is
     // never materialized and, with pruning on, dominated slots are
     // disposed of at pop time before their searches are ever submitted.
-    // Outcome storage is sparse for the same reason: feasible designs
-    // land in a rank-keyed map (walked in enumeration order by the
-    // final fold) and everything else folds into counters, so workers
-    // may finish out of order yet the result stays independent of the
-    // thread count (absent wall-clock cuts) while resident memory
-    // tracks decided slots, not queue.total().
+    // Only gate passers enter the ledger, so resident memory tracks
+    // decided slots, never the full combination space.
     const std::optional<ScalingBoundsModel> bounds_model =
         params.prune ? std::optional<ScalingBoundsModel>(std::in_place, graph, arch,
                                                          deadline_seconds, ser_, policy_)
                      : std::nullopt;
     LazyScalingQueue queue(graph, arch, deadline_seconds,
                            bounds_model ? &*bounds_model : nullptr);
-    // The decided design of each *feasible* slot, keyed by enumeration
-    // rank so the end-of-run fold walks feasible points in enumeration
-    // order regardless of thread count. Pruned / gate-skipped /
-    // searched-but-empty decisions carry no design and fold into plain
-    // counters instead: resident memory tracks the slots actually
-    // decided, never the full combination space (which at giant
-    // instances — C(69,5) and up — would dwarf the frontier the lazy
-    // enumeration is meant to bound).
-    std::map<std::uint64_t, DsePoint> feasible_points; // under bb_mutex
-    std::uint64_t skipped_count = 0;   ///< gate skips; producer thread only
-    std::uint64_t pruned_count = 0;    ///< replay-pruned; under bb_mutex
-    std::uint64_t no_design_count = 0; ///< searched, empty; under bb_mutex
+    std::uint64_t skipped_count = 0; ///< gate skips; producer thread only
 
     // Observer state: callbacks are serialized behind one mutex. The
     // streamed incumbent is the step-3 rule applied to the Pareto front
@@ -162,160 +364,20 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
         }
     };
 
-    // --- shared branch-and-bound state --------------------------------
-    // Where a slot is in its life. Every stage but `pending` is
-    // complete, so the replay may decide the slot.
-    enum class Stage : std::uint8_t {
-        pending,       ///< emitted; waiting for a worker or in its hands
-        restored,      ///< record replayed from a checkpoint; nothing runs
-        disposed,      ///< dropped at pop time (lagged front)
-        worker_pruned, ///< skipped by a worker against the replay front
-        searched,      ///< the search ran to the end
-        cut,           ///< a stop or a throwing search cut it: stays not_run
-    };
-    // One slot per gate-passing pop, in pop order. The deque is the
-    // explorer's only work list: workers claim its pending slots in pop
-    // order (std::deque: grows under the lock while workers hold
-    // references to earlier slots).
-    struct SearchSlot {
-        std::uint64_t rank = 0; ///< enumeration index
-        ScalingVector levels;
-        /// The queue's case staircase; the slot is prunable only when
-        /// every case is strictly dominated. Freed as soon as the
-        /// replay decides the slot, so only a window of popped
-        /// staircases is ever alive.
-        std::vector<ScalingBounds> cases;
-        /// The slot's outcome: restored from the snapshot, or the
-        /// search's verdict (feasible / no_design) once it completes.
-        /// The replay may still turn a searched slot's verdict into
-        /// `pruned` (the search was speculative).
-        DseSlotRecord record;
-        Stage stage = Stage::pending;
-        /// The replay's verdict, kept on the slot so the lagged
-        /// disposal front can be advanced without a dense outcome
-        /// array: set iff the replay decided this slot feasible.
-        bool replay_feasible = false;
-        double replay_power = 0.0;
-        double replay_gamma = 0.0;
-    };
-    std::deque<SearchSlot> slots;
+    // --- shared state, all under bb_mutex ----------------------------
+    ReplayLedger ledger(params.prune, checkpoint);
     std::mutex bb_mutex;
-    std::condition_variable replay_cv; ///< signals `replayed` advances
+    std::condition_variable replay_cv; ///< signals ledger.replayed() advances
     std::condition_variable work_cv;   ///< signals a new slot or the end of production
     std::size_t next_claim = 0;        ///< first slot no worker has looked at
     bool producing = true;
-    // The incremental sequential replay: decides slots[0..replayed) in
-    // pop order exactly as the end-of-run merge used to, maintaining
-    // the front of surviving designs. Workers consult it for
-    // opportunistic pruning (their view is a prefix of what the full
-    // replay will know, so worker pruning stays a subset of replay
-    // pruning) and the checkpoint records are its decisions verbatim.
-    DominanceFront replay_front;
-    std::size_t replayed = 0;
-    // The *lagged* copy the producer's deterministic disposal uses:
-    // advanced to exactly the prefix the window rule calls for, never
-    // further, so disposal decisions are timing-independent.
-    DominanceFront disposal_front;
-    std::size_t disposal_advanced = 0;
-    bool recording_stopped = false;
-    bool bounds_unsound = false;
     /// The first failure on a worker: a throwing strategy, observer
     /// callback or snapshot write. Rethrown once the workers stop.
     std::exception_ptr first_error;
-    std::uint64_t emitted = 0;
-
-    // A slot is prunable when every powered-core case is strictly
-    // dominated by some incumbent (different cases may fall to
-    // different incumbents); an empty case list means the capacity
-    // pre-filter could not even place the work — left to the search.
-    auto front_prunes = [](const DominanceFront& front,
-                           const std::vector<ScalingBounds>& cases) {
-        if (cases.empty()) return false;
-        return std::all_of(cases.begin(), cases.end(), [&](const ScalingBounds& bounds) {
-            return front.dominates(bounds);
-        });
-    };
-
-    const DseResumeState* resume =
-        checkpoint != nullptr ? checkpoint->resume_state() : nullptr;
-    const std::vector<DseSlotRecord>* records = resume != nullptr ? &resume->records : nullptr;
-    std::size_t next_record = 0;
-
-    // Advance the replay over the contiguous completed prefix. Called
-    // with bb_mutex held. Mirrors the old end-of-run merge exactly: a
-    // stop-cut slot stays not_run (and ends the recordable prefix —
-    // nothing after it is replay-stable in a snapshot) but later slots
-    // are still decided against the front without it. Restored and
-    // fresh slots share one path: only the pruned-or-keep decision and
-    // the snapshot append are skipped for restored ones.
-    auto advance_replay = [&] {
-        const bool advanced =
-            replayed < slots.size() && slots[replayed].stage != Stage::pending;
-        while (replayed < slots.size() && slots[replayed].stage != Stage::pending) {
-            SearchSlot& slot = slots[replayed];
-            DseSlotRecord& record = slot.record;
-            bool decided = true;
-            if (slot.stage != Stage::restored) {
-                if (slot.stage == Stage::disposed ||
-                    (params.prune && front_prunes(replay_front, slot.cases))) {
-                    // A disposed slot's replay front is a superset of
-                    // the lagged front that disposed it, so the replay
-                    // verdict is already known (dominance is monotone).
-                    record.kind = DseSlotRecord::Kind::pruned;
-                } else if (slot.stage == Stage::cut) {
-                    decided = false;
-                } else if (slot.stage == Stage::worker_pruned) {
-                    // Worker pruned a slot the replay keeps: the bounds
-                    // are unsound. Surfaced after the workers stop.
-                    bounds_unsound = true;
-                    decided = false;
-                }
-                if (!decided) recording_stopped = true;
-                if (checkpoint != nullptr && !recording_stopped) checkpoint->record(record);
-            }
-            if (decided) {
-                switch (record.kind) {
-                case DseSlotRecord::Kind::pruned:
-                    ++pruned_count;
-                    break;
-                case DseSlotRecord::Kind::no_design:
-                    ++no_design_count;
-                    break;
-                case DseSlotRecord::Kind::feasible:
-                    slot.replay_feasible = true;
-                    slot.replay_power = record.point.metrics.power_mw;
-                    slot.replay_gamma = record.point.metrics.gamma;
-                    replay_front.insert(slot.replay_power, slot.replay_gamma);
-                    record.point.levels = slot.levels;
-                    feasible_points.emplace(slot.rank, std::move(record.point));
-                    break;
-                }
-            }
-            // The replay is this slot's last reader: drop the bound
-            // cases and any design, keep the cheap verdict.
-            slot.cases = {};
-            record.point = {};
-            ++replayed;
-        }
-        if (advanced) replay_cv.notify_all();
-    };
-
-    // Advance the disposal front to exactly `prefix` decided slots
-    // (never further). Called with bb_mutex held, prefix <= replayed.
-    auto advance_disposal_to = [&](std::size_t prefix) {
-        while (disposal_advanced < prefix) {
-            const SearchSlot& slot = slots[disposal_advanced];
-            if (slot.replay_feasible)
-                disposal_front.insert(slot.replay_power, slot.replay_gamma);
-            ++disposal_advanced;
-        }
-    };
 
     // Search one slot and complete it. The worker resolved `slot` under
-    // bb_mutex when it claimed it (element references survive
-    // emplace_back, but slots::operator[] walks the deque's node map,
-    // which a concurrent emplace_back may be reallocating) and tested
-    // it against the replay front there: `pruned`.
+    // bb_mutex when it claimed it and ran the ledger's speculative
+    // prune test there: `pruned`.
     auto run_search = [&](SearchSlot& slot, bool pruned) {
         Stage stage = Stage::cut;
         if (!stop.stop_requested()) {
@@ -361,31 +423,28 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
             }
         }
 
-        // Completion: decide the slot's stage and live outcome, and
-        // extend the sequential replay. A stop landing while the search
-        // ran may have cut it short, leaving a partial
-        // (non-replay-faithful) result: discard it — the slot stays
-        // not_run and a resume re-searches it in full. Prune skips
-        // carry no search data and stay valid.
+        // Completion: take the live outcome, then hand the slot to the
+        // ledger. A stop landing while the search ran may have cut it
+        // short, leaving a partial (non-replay-faithful) result:
+        // discard it — the slot stays not_run and a resume re-searches
+        // it in full. Prune skips carry no search data and stay valid.
         ScalingProgress::Outcome live_outcome = ScalingProgress::Outcome::pruned;
         const DsePoint* live_point = nullptr;
         DsePoint found_point;
         {
             std::lock_guard lock(bb_mutex);
             if (stage == Stage::searched && stop.stop_requested()) stage = Stage::cut;
-            slot.stage = stage;
             if (stage == Stage::searched) {
                 if (slot.record.kind == DseSlotRecord::Kind::feasible) {
+                    found_point = slot.record.point;
                     found_point.levels = slot.levels;
-                    found_point.mapping = slot.record.point.mapping;
-                    found_point.metrics = slot.record.point.metrics;
                     live_outcome = ScalingProgress::Outcome::feasible;
                     live_point = &found_point;
                 } else {
                     live_outcome = ScalingProgress::Outcome::searched_no_design;
                 }
             }
-            advance_replay();
+            if (ledger.complete(slot, stage)) replay_cv.notify_all();
         }
         if (stage != Stage::cut) notify(slot.rank, slot.levels, live_outcome, live_point);
         if (checkpoint != nullptr) checkpoint->maybe_flush();
@@ -401,13 +460,14 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
         for (;;) {
             work_cv.wait(lock, [&] {
                 // Restored and disposed slots are complete when created.
-                while (next_claim < slots.size() && slots[next_claim].stage != Stage::pending)
+                while (next_claim < ledger.size() &&
+                       ledger.slot(next_claim).stage != Stage::pending)
                     ++next_claim;
-                return next_claim < slots.size() || !producing;
+                return next_claim < ledger.size() || !producing;
             });
-            if (next_claim == slots.size()) return;
-            SearchSlot& slot = slots[next_claim++];
-            const bool pruned = params.prune && front_prunes(replay_front, slot.cases);
+            if (next_claim == ledger.size()) return;
+            SearchSlot& slot = ledger.slot(next_claim++);
+            const bool pruned = ledger.prunes_now(slot);
             lock.unlock();
             std::exception_ptr error;
             try {
@@ -432,78 +492,40 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
 
     // --- produce + run ------------------------------------------------
     // The producer (this thread) pops slots from the lazy queue while
-    // the workers run searches. For each gate-passing pop it takes the
-    // case staircase the queue computed, waits until the replay covers
-    // the disposal window's prefix, and either disposes of the slot
-    // (provably dominated — counted pruned, never searched) or emits
-    // it for the workers to claim.
+    // the workers run searches. Each gate-passing pop waits until the
+    // replay covers the disposal window's prefix, then enters the
+    // ledger: restored, disposed (provably dominated — counted pruned,
+    // never searched) or emitted for the workers to claim.
     auto produce = [&] {
         while (!stop.stop_requested()) {
             std::optional<LazyScalingQueue::Slot> popped = queue.pop();
             if (!popped) break;
-            const std::uint64_t rank = popped->rank;
             if (!popped->gate_passed) {
-                // Gate skips are free: count and stream them right
-                // here, ahead of any search. (Producer-only counter —
-                // gate-skipped ranks never enter `slots`, so no other
-                // thread ever touches them.)
+                // Gate skips never enter the ledger: count and stream
+                // them right here, ahead of any search.
                 ++skipped_count;
-                notify(rank, popped->levels, ScalingProgress::Outcome::skipped_infeasible,
-                       nullptr);
+                notify(popped->rank, popped->levels,
+                       ScalingProgress::Outcome::skipped_infeasible, nullptr);
                 continue;
             }
-            bool disposed = false;
-            SearchSlot* slot_ptr = nullptr;
+            Stage entered = Stage::pending;
+            const SearchSlot* slot = nullptr;
             {
                 std::unique_lock lock(bb_mutex);
-                const std::size_t pos = slots.size();
-                const std::size_t need =
-                    pos > k_disposal_window ? pos - k_disposal_window : 0;
-                replay_cv.wait(lock,
-                               [&] { return replayed >= need || stop.stop_requested(); });
+                replay_cv.wait(lock, [&] {
+                    return ledger.replayed() >= ledger.disposal_prefix() ||
+                           stop.stop_requested();
+                });
                 if (stop.stop_requested()) break;
-                advance_disposal_to(need);
-                if (params.prune) disposed = front_prunes(disposal_front, popped->cases);
-                if (!disposed) ++emitted;
-                const DseSlotRecord* record = nullptr;
-                if (records != nullptr && next_record < records->size()) {
-                    record = &(*records)[next_record];
-                    if (record->combo != rank)
-                        throw Error(ErrorCategory::checkpoint_mismatch,
-                                    "checkpoint slot order diverges at decided slot " +
-                                        std::to_string(next_record) +
-                                        " (stored combination " +
-                                        std::to_string(record->combo) + ", produced " +
-                                        std::to_string(rank) + ")",
-                                    checkpoint->path());
-                    ++next_record;
-                }
-                slots.emplace_back();
-                SearchSlot& slot = slots.back();
-                slot_ptr = &slot;
-                slot.rank = rank;
-                slot.levels = std::move(popped->levels);
-                if (record != nullptr) {
-                    // Restored: the snapshot already holds this slot's
-                    // replay decision; nothing runs.
-                    slot.record = *record;
-                    slot.stage = Stage::restored;
-                    advance_replay();
-                    continue;
-                }
-                slot.record.combo = rank;
-                slot.cases = std::move(popped->cases);
-                if (disposed) {
-                    slot.stage = Stage::disposed;
-                    advance_replay();
-                }
+                entered = ledger.admit(*popped);
+                slot = &ledger.slot(ledger.size() - 1);
             }
-            if (disposed) {
-                notify(rank, slot_ptr->levels, ScalingProgress::Outcome::pruned, nullptr);
+            if (entered == Stage::pending) {
+                work_cv.notify_one();
+            } else if (entered == Stage::disposed) {
+                notify(slot->rank, slot->levels, ScalingProgress::Outcome::pruned, nullptr);
                 if (checkpoint != nullptr) checkpoint->maybe_flush();
-                continue;
             }
-            work_cv.notify_one();
         }
     };
     if (!stop.stop_requested()) {
@@ -519,44 +541,20 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
         }
         end_production();
     }
-    {
-        // Quiescent now: the workers completed every created slot
-        // before they joined, so this sweeps the replay to the end.
-        std::lock_guard lock(bb_mutex);
-        advance_replay();
-        if (first_error != nullptr) std::rethrow_exception(first_error);
-    }
+    // Quiescent now: the workers completed every created slot before
+    // they joined, and each completion advanced the replay.
+    if (first_error != nullptr) std::rethrow_exception(first_error);
     // Persist whatever the run decided — on a stop this is the snapshot
     // a resume continues from; on completion it doubles as a memoized
     // result (a resume replays it without searching).
     if (checkpoint != nullptr) checkpoint->flush();
-    if (bounds_unsound)
-        throw std::logic_error(
-            "DesignSpaceExplorer: worker pruned a slot the deterministic replay "
-            "keeps — scaling bounds are unsound");
-    if (records != nullptr && next_record < records->size() && !stop.stop_requested())
-        throw Error(ErrorCategory::checkpoint_mismatch,
-                    "checkpoint holds " + std::to_string(records->size()) +
-                        " decided slots but this exploration produced only " +
-                        std::to_string(next_record),
-                    checkpoint->path());
 
-    // Deterministic fold: the counters are order-independent sums and
-    // the rank-keyed map iterates in ascending enumeration rank, so the
-    // feasible point order is byte-identical to the old dense
-    // rank-indexed sweep at any thread count.
     DseResult result;
     result.scalings_total = queue.total();
-    result.scalings_emitted = emitted;
     result.scalings_skipped_infeasible = skipped_count;
-    result.scalings_pruned = pruned_count;
-    result.scalings_searched =
-        no_design_count + static_cast<std::uint64_t>(feasible_points.size());
-    result.scalings_enumerated = skipped_count + pruned_count + result.scalings_searched;
-    for (auto& [rank, point] : feasible_points) {
-        (void)rank;
-        result.feasible_points.push_back(std::move(point));
-    }
+    ledger.fold(result, stop.stop_requested());
+    result.scalings_enumerated =
+        skipped_count + result.scalings_pruned + result.scalings_searched;
 
     // Step 3: iterative assessment — among feasible designs pick
     // minimum power, breaking near-ties by Gamma. Applied to the front,

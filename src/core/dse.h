@@ -24,14 +24,16 @@
 // evaluated design beats its *lower bounds* strictly in both power and
 // Gamma — every design it could contain is then strictly dominated, so
 // `best` and `pareto_front` are bit-identical to the exhaustive run.
-// Determinism: a sequential replay decides every slot in pop order
-// (itself a pure function of the problem) from the recorded outcomes,
-// so which combinations count as pruned (and therefore feasible_points
-// and every counter) is a pure function of the problem — identical at
-// every thread count. Pop-time disposal consults the replay front at a
-// fixed lag (never the racing live front), and worker-side pruning
-// against the replay front is only ever a subset of the full replay's
-// (a search the replay prunes is discarded as speculative).
+// Determinism: the replay ledger (ReplayLedger in dse.cpp) decides
+// every gate-passing slot in pop order (itself a pure function of the
+// problem) from the recorded outcomes, so which combinations count as
+// pruned (and therefore feasible_points and every counter) is a pure
+// function of the problem — identical at every thread count. It is
+// the only code that sets those verdicts and writes checkpoint
+// records. Pop-time disposal consults the replay front at a fixed lag
+// (never the racing live front), and worker-side pruning against the
+// replay front is only ever a subset of the full replay's (a search
+// the replay prunes is discarded as speculative).
 #pragma once
 
 #include "arch/mpsoc.h"

@@ -229,11 +229,6 @@ void DseCheckpointer::remove() {
     flushed_lines_ = 0;
 }
 
-std::uint64_t DseCheckpointer::recorded() const {
-    std::lock_guard lock(mutex_);
-    return lines_.size();
-}
-
 void DseCheckpointer::flush_locked() {
     CheckpointData data;
     data.kind = "dse";

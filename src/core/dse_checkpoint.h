@@ -2,9 +2,9 @@
 // (core/dse.h), built on the generic snapshot layer (util/checkpoint.h).
 //
 // What is persisted — and why it is exactly resumable: the explorer's
-// merge replays prune decisions sequentially in slot pop order,
-// and each slot's replay decision depends only on the folded outcomes
-// of *earlier* slots. The contiguous prefix of decided slots is
+// replay ledger decides every gate-passing slot in pop order, and each
+// slot's replay decision depends only on the folded outcomes of
+// *earlier* slots. The contiguous prefix of decided slots is
 // therefore replay-stable: record each prefix slot's replay outcome
 // ({pruned | no feasible design | feasible(point)}) and a resumed run
 // that preloads the prefix and searches only the remaining slots
@@ -113,7 +113,6 @@ public:
     void remove();
 
     const std::string& path() const { return path_; }
-    std::uint64_t recorded() const;
 
 private:
     void flush_locked();
@@ -121,7 +120,7 @@ private:
     std::string path_;
     std::uint64_t state_hash_;
     std::optional<DseResumeState> resume_;
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::vector<std::string> lines_;
     std::size_t flushed_lines_ = 0;
     std::uint64_t every_records_ = 0;

@@ -144,8 +144,6 @@ public:
     /// instead, which would help high-acceptance (hot) walk phases.
     DesignMetrics rebase(const Mapping& base);
 
-    /// True once rebase() has run.
-    bool has_base() const { return has_base_; }
     const Mapping& base() const { return base_; }
     const DesignMetrics& base_metrics() const { return base_metrics_; }
 

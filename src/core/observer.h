@@ -51,7 +51,7 @@ public:
     /// One scaling combination finished (in completion order). The
     /// streamed outcome is the worker's live view: with pruning on, a
     /// combination reported `feasible` here can still be dropped from
-    /// the final feasible_points when the deterministic merge replay
+    /// the final feasible_points when the deterministic replay ledger
     /// proves it dominated (its design never reaches the front or the
     /// pick either way).
     virtual void on_scaling_done(const ScalingProgress& progress);

@@ -2,9 +2,9 @@
 
 #include "reliability/register_usage.h"
 
-// estimate_into() is the hot variant design_eval's scoring loop calls
-// per candidate; the marker arms seamap_lint's hot-path-alloc rule so
-// new allocation-shaped calls in this file fail `make lint`.
+// estimate() runs once per full evaluate_design() (reliability/
+// design_eval.cpp); the marker arms seamap_lint's hot-path-alloc rule
+// so new allocation-shaped calls in this file fail `make lint`.
 // seamap-lint: hot-path
 
 namespace seamap {
@@ -20,21 +20,11 @@ double SeuEstimator::core_gamma(std::uint64_t register_bits, double exposure_sec
 SeuBreakdown SeuEstimator::estimate(const TaskGraph& graph, const Mapping& mapping,
                                     const MpsocArchitecture& arch, const ScalingVector& levels,
                                     const Schedule& schedule) const {
-    SeuBreakdown breakdown;
-    estimate_into(graph, mapping, arch, levels, schedule, breakdown);
-    return breakdown;
-}
-
-void SeuEstimator::estimate_into(const TaskGraph& graph, const Mapping& mapping,
-                                 const MpsocArchitecture& arch, const ScalingVector& levels,
-                                 const Schedule& schedule, SeuBreakdown& out) const {
     arch.validate_scaling(levels);
     const auto register_bits = per_core_register_bits(graph, mapping, arch.core_count());
 
-    // assign() reuses the caller's preallocated breakdown buffer; it
-    // only grows on the first call for a given core count.
+    SeuBreakdown out;
     out.per_core.assign(arch.core_count(), 0.0);
-    out.total = 0.0;
     for (std::size_t c = 0; c < arch.core_count(); ++c) {
         if (register_bits[c] == 0) continue; // no live state on this core
         const double exposure = policy_ == ExposurePolicy::full_duration
@@ -44,6 +34,7 @@ void SeuEstimator::estimate_into(const TaskGraph& graph, const Mapping& mapping,
         out.per_core[c] = core_gamma(register_bits[c], exposure, vdd);
         out.total += out.per_core[c];
     }
+    return out;
 }
 
 } // namespace seamap

@@ -55,13 +55,6 @@ public:
                           const MpsocArchitecture& arch, const ScalingVector& levels,
                           const Schedule& schedule) const;
 
-    /// estimate() into a caller-owned breakdown, reusing its per-core
-    /// buffer across calls (no allocation once warm). Identical
-    /// arithmetic to estimate().
-    void estimate_into(const TaskGraph& graph, const Mapping& mapping,
-                       const MpsocArchitecture& arch, const ScalingVector& levels,
-                       const Schedule& schedule, SeuBreakdown& out) const;
-
     /// Primitive used by greedy construction: expected SEUs on one core
     /// holding `register_bits` of state, exposed for `exposure_seconds`
     /// at supply `vdd`.

@@ -40,8 +40,6 @@ public:
     /// Relative form: now + `seconds`; values <= 0 clear the deadline.
     void set_budget_seconds(double seconds);
 
-    std::optional<Clock::time_point> deadline() const { return deadline_; }
-
     /// True once request_stop() was called (here or on an ancestor).
     bool cancel_requested() const {
         if (stop_.load(std::memory_order_relaxed)) return true;

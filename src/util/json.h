@@ -44,9 +44,6 @@ public:
     static JsonValue object() { return JsonValue(Object{}); }
     static JsonValue array() { return JsonValue(Array{}); }
 
-    bool is_object() const { return std::holds_alternative<Object>(value_); }
-    bool is_array() const { return std::holds_alternative<Array>(value_); }
-
     /// Object member access: returns the member named `key`, inserting a
     /// null member at the end if absent. Throws std::logic_error when
     /// called on a non-object.

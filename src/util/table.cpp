@@ -61,17 +61,6 @@ std::vector<std::size_t> column_widths(const std::vector<std::string>& headers,
     return widths;
 }
 
-std::string csv_escape(const std::string& cell) {
-    if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-    std::string out = "\"";
-    for (char ch : cell) {
-        if (ch == '"') out += "\"\"";
-        else out.push_back(ch);
-    }
-    out.push_back('"');
-    return out;
-}
-
 } // namespace
 
 void TableWriter::print_text(std::ostream& os) const {
@@ -88,34 +77,6 @@ void TableWriter::print_text(std::ostream& os) const {
         os << std::string(widths[c], '-');
         if (c + 1 < headers_.size()) os << "  ";
     }
-    os << '\n';
-    for (const auto& row : rows_) print_row(row);
-}
-
-void TableWriter::print_csv(std::ostream& os) const {
-    auto print_row = [&](const std::vector<std::string>& row) {
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            os << csv_escape(row[c]);
-            if (c + 1 < row.size()) os << ',';
-        }
-        os << '\n';
-    };
-    print_row(headers_);
-    for (const auto& row : rows_) print_row(row);
-}
-
-void TableWriter::print_markdown(std::ostream& os) const {
-    auto print_row = [&](const std::vector<std::string>& row) {
-        os << "| ";
-        for (std::size_t c = 0; c < row.size(); ++c) {
-            os << row[c];
-            os << (c + 1 < row.size() ? " | " : " |");
-        }
-        os << '\n';
-    };
-    print_row(headers_);
-    os << "|";
-    for (std::size_t c = 0; c < headers_.size(); ++c) os << "---|";
     os << '\n';
     for (const auto& row : rows_) print_row(row);
 }

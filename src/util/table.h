@@ -1,7 +1,5 @@
-// Column-aligned table rendering for benches and examples. Supports
-// plain-text (aligned), CSV and GitHub-markdown output so bench
-// binaries can print paper-style tables and machine-readable rows from
-// the same data.
+// Column-aligned plain-text table rendering for benches and examples,
+// so bench binaries can print paper-style tables.
 #pragma once
 
 #include <cstddef>
@@ -19,7 +17,7 @@ std::string fmt_percent(double value, int precision = 1);
 std::string fmt_grouped(unsigned long long value);
 
 /// Table builder: set headers once, append rows of the same width,
-/// render in one of three formats.
+/// render aligned.
 class TableWriter {
 public:
     explicit TableWriter(std::vector<std::string> headers);
@@ -32,10 +30,6 @@ public:
 
     /// Aligned plain-text rendering with a header underline.
     void print_text(std::ostream& os) const;
-    /// RFC-4180-ish CSV (cells containing commas/quotes are quoted).
-    void print_csv(std::ostream& os) const;
-    /// GitHub-flavoured markdown.
-    void print_markdown(std::ostream& os) const;
 
 private:
     std::vector<std::string> headers_;

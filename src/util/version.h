@@ -19,7 +19,4 @@ inline constexpr int k_version_major = SEAMAP_VERSION_MAJOR;
 inline constexpr int k_version_minor = SEAMAP_VERSION_MINOR;
 inline constexpr int k_version_patch = SEAMAP_VERSION_PATCH;
 
-/// The library version as "major.minor.patch".
-constexpr std::string_view version_string() { return k_version_string; }
-
 } // namespace seamap

@@ -1,18 +1,25 @@
 // Determinism regression for the parallel explorer: with no wall-clock
 // budget, explore() must return bit-identical results for any thread
 // count — every scaling combination is searched with the same derived
-// seed and the merge folds slots in enumeration order. The guarantee is
+// seed and the replay ledger decides slots in pop order. The guarantee is
 // per *strategy*: both built-in search strategies are pinned here. A
 // throwing strategy or observer must surface from explore() at any
 // thread count instead of hanging the producer or killing a worker.
 #include "seamap/seamap.h"
 
+#include "api/scenarios.h"
 #include "taskgraph/fig8.h"
 #include "taskgraph/mpeg2.h"
+#include "util/checkpoint.h"
 #include "util/parallel.h"
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <fstream>
 #include <gtest/gtest.h>
+#include <iterator>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -100,6 +107,99 @@ TEST(DseParallel, ZeroThreadsMeansHardwareConcurrency) {
     const DseResult serial = run_explore(graph, 3, 0.5, 1);
     expect_result_identical(automatic, explicit_hw);
     expect_result_identical(serial, automatic);
+}
+
+/// The Fig. 7 search, except that the first search it receives waits
+/// until `release_after` other searches have finished (0: never
+/// waits). The 10 s timeout keeps a broken explorer from hanging the
+/// suite; released_by_count() tells the two releases apart.
+class HoldFirstStrategy final : public SearchStrategy {
+public:
+    HoldFirstStrategy(const LocalSearchParams& params, std::size_t release_after)
+        : inner_(params), release_after_(release_after) {}
+    std::string name() const override { return "hold-first"; }
+    LocalSearchResult search(const EvaluationContext& ctx, const Mapping& initial,
+                             std::uint64_t seed,
+                             const CancellationToken* cancel) const override {
+        return inner_.search(ctx, initial, seed, cancel);
+    }
+    LocalSearchResult search(EvalContext& eval, const Mapping& initial, std::uint64_t seed,
+                             const CancellationToken* cancel) const override {
+        if (release_after_ > 0 && !held_.exchange(true)) {
+            std::unique_lock lock(mutex_);
+            released_by_count_ = finished_cv_.wait_for(
+                lock, std::chrono::seconds(10), [&] { return finished_ >= release_after_; });
+            lock.unlock();
+            return inner_.search(eval, initial, seed, cancel);
+        }
+        LocalSearchResult found = inner_.search(eval, initial, seed, cancel);
+        {
+            std::lock_guard lock(mutex_);
+            ++finished_;
+        }
+        finished_cv_.notify_all();
+        return found;
+    }
+    bool released_by_count() const {
+        std::lock_guard lock(mutex_);
+        return released_by_count_;
+    }
+
+private:
+    OptimizedMappingStrategy inner_;
+    std::size_t release_after_;
+    mutable std::atomic<bool> held_{false};
+    mutable std::mutex mutex_;
+    mutable std::condition_variable finished_cv_;
+    mutable std::size_t finished_ = 0;
+    mutable bool released_by_count_ = false;
+};
+
+/// Result JSON and final snapshot bytes of one run.
+struct RunBytes {
+    std::string result;
+    std::string snapshot;
+};
+
+RunBytes run_with_snapshot(const Problem& problem, const DseParams& params,
+                           const SearchStrategy& strategy, const std::string& path) {
+    remove_checkpoint(path);
+    DseCheckpointer checkpointer(path, 0x5eed);
+    checkpointer.set_cadence(1, 0.0);
+    const DesignSpaceExplorer explorer(problem.ser_model(), problem.exposure_policy());
+    const DseResult result =
+        explorer.explore(problem.graph(), problem.architecture(), problem.deadline_seconds(),
+                         params, strategy, nullptr, nullptr, &checkpointer);
+    std::ifstream is(path, std::ios::binary);
+    RunBytes bytes{to_json(result).dump(),
+                   std::string(std::istreambuf_iterator<char>(is),
+                               std::istreambuf_iterator<char>())};
+    remove_checkpoint(path);
+    return bytes;
+}
+
+TEST(DseParallel, HeadSlotCompletingLastIsByteIdentical) {
+    // The replay decides slots in pop order, so a head slot that
+    // finishes after its successors stalls it: the disposal window
+    // fills (this problem has 100 gate passers, more than the 64-slot
+    // window) and workers prune against a stalled replay front. The
+    // verdicts and the snapshot must not notice.
+    const Problem problem = prunable_pipeline_problem(8);
+    DseParams params;
+    params.search.max_iterations = 400;
+    params.search.seed = 1;
+    params.num_threads = 1;
+    const std::string path = testing::TempDir() + "/dse_parallel_head_last.ckpt";
+    const RunBytes serial =
+        run_with_snapshot(problem, params, HoldFirstStrategy(params.search, 0), path);
+
+    params.num_threads = 4;
+    const HoldFirstStrategy held(params.search, 8);
+    const RunBytes parallel = run_with_snapshot(problem, params, held, path);
+    EXPECT_TRUE(held.released_by_count()) << "the hold ran into its timeout";
+    EXPECT_EQ(parallel.result, serial.result);
+    ASSERT_FALSE(serial.snapshot.empty());
+    EXPECT_EQ(parallel.snapshot, serial.snapshot);
 }
 
 /// The Fig. 7 search for the first `good_calls` slots, then a throw.

@@ -14,7 +14,9 @@
 #include "support/scaling_walker.h"
 #include "taskgraph/fig8.h"
 #include "tgff/random_graph.h"
+#include "util/rng.h"
 
+#include <algorithm>
 #include <cmath>
 #include <gtest/gtest.h>
 #include <limits>
@@ -236,6 +238,55 @@ TEST(ScalingBounds, CaseListIsAnUndominatedStaircase) {
                                2.5 * tm_lower_bound_seconds(pipelined, four_levels, {1, 1}),
                                SerModel{ser_params}, ExposurePolicy::full_duration),
               0u);
+}
+
+TEST(DominanceFront, MatchesBruteForceOracle) {
+    // Seeded random (power, gamma) pairs on a small grid, so equal
+    // powers and duplicates occur. After every insert the staircase
+    // must be strictly monotone, and dominates() must agree with a
+    // scan of every point inserted so far. Checking against the
+    // growing set also shows that dominance, once it holds, stays true:
+    // pop-time disposal and the worker prune rely on that.
+    constexpr std::int64_t k_grid = 6;
+    std::size_t dominated_probes = 0;
+    for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+        Rng rng(seed);
+        DominanceFront front;
+        std::vector<ScalingBounds> inserted;
+        for (int step = 0; step < 30; ++step) {
+            const ScalingBounds point{static_cast<double>(rng.uniform_int(0, k_grid)),
+                                      static_cast<double>(rng.uniform_int(0, k_grid))};
+            front.insert(point.power_mw_lb, point.gamma_lb);
+            inserted.push_back(point);
+
+            const std::vector<ScalingBounds> stairs = DominanceFront(front).points();
+            ASSERT_FALSE(stairs.empty());
+            for (std::size_t k = 1; k < stairs.size(); ++k) {
+                ASSERT_LT(stairs[k - 1].power_mw_lb, stairs[k].power_mw_lb)
+                    << "seed " << seed << " step " << step;
+                ASSERT_GT(stairs[k - 1].gamma_lb, stairs[k].gamma_lb)
+                    << "seed " << seed << " step " << step;
+            }
+            // Probes on and between the grid lines (steps of 0.5), so
+            // ties in either objective are exercised.
+            for (std::int64_t p = -1; p <= 2 * k_grid + 1; ++p) {
+                for (std::int64_t g = -1; g <= 2 * k_grid + 1; ++g) {
+                    const ScalingBounds probe{0.5 * static_cast<double>(p),
+                                              0.5 * static_cast<double>(g)};
+                    const bool expected = std::any_of(
+                        inserted.begin(), inserted.end(), [&](const ScalingBounds& q) {
+                            return q.power_mw_lb < probe.power_mw_lb &&
+                                   q.gamma_lb < probe.gamma_lb;
+                        });
+                    ASSERT_EQ(front.dominates(probe), expected)
+                        << "seed " << seed << " step " << step << " probe ("
+                        << probe.power_mw_lb << ", " << probe.gamma_lb << ")";
+                    dominated_probes += expected ? 1 : 0;
+                }
+            }
+        }
+    }
+    EXPECT_GT(dominated_probes, 0u);
 }
 
 } // namespace

@@ -52,28 +52,6 @@ TEST(TableWriter, TextAlignsColumns) {
     EXPECT_NE(out.find("11    3"), std::string::npos);
 }
 
-TEST(TableWriter, CsvEscapesSpecials) {
-    TableWriter table({"name", "note"});
-    table.add_row({"plain", "a,b"});
-    table.add_row({"quoted", "say \"hi\""});
-    std::ostringstream os;
-    table.print_csv(os);
-    const std::string out = os.str();
-    EXPECT_NE(out.find("plain,\"a,b\""), std::string::npos);
-    EXPECT_NE(out.find("quoted,\"say \"\"hi\"\"\""), std::string::npos);
-}
-
-TEST(TableWriter, MarkdownShape) {
-    TableWriter table({"x", "y"});
-    table.add_row({"1", "2"});
-    std::ostringstream os;
-    table.print_markdown(os);
-    const std::string out = os.str();
-    EXPECT_NE(out.find("| x | y |"), std::string::npos);
-    EXPECT_NE(out.find("|---|---|"), std::string::npos);
-    EXPECT_NE(out.find("| 1 | 2 |"), std::string::npos);
-}
-
 TEST(TableWriter, Counts) {
     TableWriter table({"a", "b", "c"});
     EXPECT_EQ(table.column_count(), 3u);
