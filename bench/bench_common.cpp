@@ -1,4 +1,5 @@
 #include "bench_common.h"
+#include "baseline/simulated_annealing.h"
 #include "core/initial_mapping.h"
 #include "core/optimized_mapping.h"
 
@@ -24,11 +25,11 @@ std::optional<ExperimentDesign> optimize_at_scaling(const EvaluationContext& ctx
     if (experiment == Experiment::exp2_parallelism) objective = MappingObjective::makespan;
     if (experiment == Experiment::exp3_time_register_product)
         objective = MappingObjective::time_register_product;
-    SaParams params;
-    params.iterations = budget.mapping_iterations;
+    LocalSearchParams params;
+    params.max_iterations = budget.mapping_iterations;
     params.require_all_cores = true; // paper designs populate every core
     params.seed = budget.seed;
-    const SaResult result = SimulatedAnnealingMapper(params).optimize(
+    const LocalSearchResult result = SimulatedAnnealingMapper(params).optimize(
         ctx, objective, round_robin_mapping(ctx.graph, ctx.arch.core_count()));
     if (!result.found_feasible) return std::nullopt;
     return ExperimentDesign{ctx.levels, result.best_mapping, result.best_metrics};

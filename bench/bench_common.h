@@ -7,7 +7,6 @@
 
 #include "arch/mpsoc.h"
 #include "arch/scaling_enumerator.h"
-#include "baseline/simulated_annealing.h"
 #include "core/dse.h"
 #include "core/optimized_mapping.h"
 #include "reliability/design_eval.h"

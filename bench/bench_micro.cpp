@@ -97,8 +97,8 @@ void bm_sa_annealing_run(benchmark::State& state) {
     const TaskGraph graph = benchmark_graph(60);
     const MpsocArchitecture arch(4, VoltageScalingTable::arm7_three_level());
     const EvaluationContext ctx{graph, arch, {2, 2, 2, 2}, SeuEstimator{SerModel{}}, 1e9};
-    SaParams params;
-    params.iterations = static_cast<std::uint64_t>(state.range(0));
+    LocalSearchParams params;
+    params.max_iterations = static_cast<std::uint64_t>(state.range(0));
     const SimulatedAnnealingMapper mapper(params);
     const Mapping initial = round_robin_mapping(graph, 4);
     for (auto _ : state) {

@@ -7,9 +7,9 @@
 
 namespace seamap {
 
-AnnealingStrategy::AnnealingStrategy(SaParams params, MappingObjective objective)
+AnnealingStrategy::AnnealingStrategy(LocalSearchParams params, MappingObjective objective)
     : params_(params), objective_(objective) {
-    (void)SimulatedAnnealingMapper(params_);
+    validate(params_);
 }
 
 std::string AnnealingStrategy::name() const { return "annealing"; }
@@ -24,18 +24,9 @@ LocalSearchResult AnnealingStrategy::search(const EvaluationContext& ctx,
 LocalSearchResult AnnealingStrategy::search(EvalContext& eval, const Mapping& initial,
                                             std::uint64_t seed,
                                             const CancellationToken* cancel) const {
-    SaParams params = params_;
+    LocalSearchParams params = params_;
     params.seed = seed;
-    const SaResult annealed =
-        SimulatedAnnealingMapper(params).optimize(eval, objective_, initial, cancel);
-    LocalSearchResult result;
-    result.best_mapping = annealed.best_mapping;
-    result.best_metrics = annealed.best_metrics;
-    result.found_feasible = annealed.found_feasible;
-    result.iterations_run = annealed.iterations_run;
-    result.improvements = annealed.accepted_moves;
-    result.evaluations = annealed.evaluations;
-    return result;
+    return SimulatedAnnealingMapper(params).optimize(eval, objective_, initial, cancel);
 }
 
 namespace {
@@ -49,14 +40,7 @@ struct Registry {
             return std::make_unique<OptimizedMappingStrategy>(options);
         });
         entries.emplace_back("annealing", [](const StrategyOptions& options) {
-            SaParams params;
-            params.iterations = options.max_iterations;
-            params.time_budget_seconds = options.time_budget_seconds;
-            params.initial_temperature = options.initial_temperature;
-            params.final_temperature = options.final_temperature;
-            params.swap_probability = options.swap_probability;
-            params.require_all_cores = options.require_all_cores;
-            return std::make_unique<AnnealingStrategy>(params);
+            return std::make_unique<AnnealingStrategy>(options);
         });
     }
 };

@@ -28,11 +28,11 @@ namespace seamap {
 /// The canonical knob set a registry factory receives — one struct for
 /// every engine, so the same ExploreOptions mean the same thing
 /// regardless of the strategy name. Each engine honors the knobs it
-/// understands: both built-ins consume max_iterations (0 = time-budget
-/// only), time_budget_seconds, the temperature pair, swap_probability
+/// understands: both built-ins consume max_iterations, swap_probability
 /// and require_all_cores; sweep_interval and restarts are Fig. 7
 /// concepts the annealing baseline ignores. The `seed` field is always
-/// ignored — per-scaling seeds arrive through search().
+/// ignored — per-scaling seeds arrive through search(). Wall-clock
+/// limits come only from the caller's CancellationToken.
 using StrategyOptions = LocalSearchParams;
 
 /// The simulated-annealing baseline mapper [13], annealing on any of
@@ -41,9 +41,9 @@ using StrategyOptions = LocalSearchParams;
 /// ignored — search() uses its seed argument.
 class AnnealingStrategy final : public SearchStrategy {
 public:
-    /// Validates the params eagerly (bad budgets/temperatures throw
-    /// here, not mid-exploration on a worker thread).
-    explicit AnnealingStrategy(SaParams params = {},
+    /// Validates the params eagerly (bad ones throw here, not
+    /// mid-exploration on a worker thread).
+    explicit AnnealingStrategy(LocalSearchParams params = {},
                                MappingObjective objective = MappingObjective::seu_count);
 
     std::string name() const override;
@@ -54,7 +54,7 @@ public:
                              const CancellationToken* cancel = nullptr) const override;
 
 private:
-    SaParams params_;
+    LocalSearchParams params_;
     MappingObjective objective_;
 };
 

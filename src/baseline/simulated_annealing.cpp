@@ -1,7 +1,8 @@
 #include "baseline/simulated_annealing.h"
 
+#include "util/rng.h"
+
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -10,43 +11,39 @@ namespace seamap {
 
 namespace {
 
+/// Relative cost penalty per unit of deadline violation.
+constexpr double k_infeasibility_penalty = 10.0;
+
 /// Penalized scalar cost: objective inflated by the relative deadline
-/// violation so the annealer is pulled toward feasibility but can walk
-/// through infeasible regions.
-double penalized_cost(const SaParams& params, MappingObjective objective,
-                      const DesignMetrics& metrics, double deadline_seconds) {
+/// violation (cost *= 1 + penalty * violation_fraction) so the annealer
+/// is pulled toward feasibility but can walk through infeasible regions.
+double penalized_cost(MappingObjective objective, const DesignMetrics& metrics,
+                      double deadline_seconds) {
     const double base = objective_value(objective, metrics);
     if (metrics.feasible || deadline_seconds <= 0.0) return base;
     const double violation = metrics.tm_seconds / deadline_seconds - 1.0;
-    return base * (1.0 + params.infeasibility_penalty * violation);
+    return base * (1.0 + k_infeasibility_penalty * violation);
 }
 
 } // namespace
 
-SimulatedAnnealingMapper::SimulatedAnnealingMapper(SaParams params) : params_(params) {
-    if (params_.iterations == 0 && params_.time_budget_seconds <= 0.0)
-        throw std::invalid_argument(
-            "SimulatedAnnealingMapper: need an iteration or time budget");
-    if (params_.initial_temperature <= 0.0 || params_.final_temperature <= 0.0 ||
-        params_.final_temperature > params_.initial_temperature)
-        throw std::invalid_argument("SimulatedAnnealingMapper: bad temperature range");
-    if (params_.swap_probability < 0.0 || params_.swap_probability > 1.0)
-        throw std::invalid_argument("SimulatedAnnealingMapper: bad swap probability");
-    if (params_.infeasibility_penalty < 0.0)
-        throw std::invalid_argument("SimulatedAnnealingMapper: penalty must be >= 0");
+SimulatedAnnealingMapper::SimulatedAnnealingMapper(LocalSearchParams params)
+    : params_(params) {
+    validate(params_);
 }
 
-SaResult SimulatedAnnealingMapper::optimize(const EvaluationContext& ctx,
-                                            MappingObjective objective,
-                                            const Mapping& initial,
-                                            const CancellationToken* cancel) const {
+LocalSearchResult SimulatedAnnealingMapper::optimize(const EvaluationContext& ctx,
+                                                     MappingObjective objective,
+                                                     const Mapping& initial,
+                                                     const CancellationToken* cancel) const {
     EvalContext eval(ctx);
     return optimize(eval, objective, initial, cancel);
 }
 
-SaResult SimulatedAnnealingMapper::optimize(EvalContext& eval, MappingObjective objective,
-                                            const Mapping& initial,
-                                            const CancellationToken* cancel) const {
+LocalSearchResult SimulatedAnnealingMapper::optimize(EvalContext& eval,
+                                                     MappingObjective objective,
+                                                     const Mapping& initial,
+                                                     const CancellationToken* cancel) const {
     if (!initial.complete())
         throw std::invalid_argument("SimulatedAnnealingMapper: initial mapping incomplete");
     const double deadline_seconds = eval.problem().deadline_seconds;
@@ -54,9 +51,9 @@ SaResult SimulatedAnnealingMapper::optimize(EvalContext& eval, MappingObjective 
     Rng rng(params_.seed);
     Mapping current = initial;
     DesignMetrics current_metrics = eval.rebase(current);
-    double current_cost = penalized_cost(params_, objective, current_metrics, deadline_seconds);
+    double current_cost = penalized_cost(objective, current_metrics, deadline_seconds);
 
-    SaResult result;
+    LocalSearchResult result;
     result.best_mapping = current;
     result.best_metrics = current_metrics;
     result.found_feasible = current_metrics.feasible;
@@ -75,19 +72,14 @@ SaResult SimulatedAnnealingMapper::optimize(EvalContext& eval, MappingObjective 
         return false;
     };
 
-    const SearchBudget budget(params_.iterations, params_.time_budget_seconds, cancel);
-    const double cooling_exponent =
-        std::log(params_.final_temperature / params_.initial_temperature);
-    // Cooling progress is measured against the iteration budget; in
-    // time-budget-only runs the schedule cycles every 10k iterations.
-    const std::uint64_t cooling_segment =
-        params_.iterations > 0 ? params_.iterations : 10'000;
+    const double cooling_exponent = std::log(k_final_temperature / k_initial_temperature);
+    auto stopped = [&] { return cancel != nullptr && cancel->stop_requested(); };
     Mapping neighbor;
-    for (std::uint64_t iter = 0; !budget.exhausted(iter); ++iter) {
-        const double progress = static_cast<double>(iter % cooling_segment) /
-                                static_cast<double>(cooling_segment);
-        const double temperature =
-            params_.initial_temperature * std::exp(cooling_exponent * progress);
+    std::uint64_t iter = 0;
+    for (; iter < params_.max_iterations && !stopped(); ++iter) {
+        const double progress =
+            static_cast<double>(iter) / static_cast<double>(params_.max_iterations);
+        const double temperature = k_initial_temperature * std::exp(cooling_exponent * progress);
 
         neighbor = current;
         const NeighborOp op = random_neighbor_op(neighbor, rng, params_.swap_probability,
@@ -96,7 +88,7 @@ SaResult SimulatedAnnealingMapper::optimize(EvalContext& eval, MappingObjective 
         const DesignMetrics neighbor_metrics = eval.evaluate_neighbor(op);
         ++result.evaluations;
         const double neighbor_cost =
-            penalized_cost(params_, objective, neighbor_metrics, deadline_seconds);
+            penalized_cost(objective, neighbor_metrics, deadline_seconds);
 
         const double relative_delta =
             current_cost > 0.0 ? (neighbor_cost - current_cost) / current_cost
@@ -108,15 +100,15 @@ SaResult SimulatedAnnealingMapper::optimize(EvalContext& eval, MappingObjective 
             current_metrics = neighbor_metrics;
             current_cost = neighbor_cost;
             eval.rebase(current);
-            ++result.accepted_moves;
+            ++result.improvements;
             if (better_than_best(current_metrics)) {
                 result.best_mapping = current;
                 result.best_metrics = current_metrics;
                 result.found_feasible |= current_metrics.feasible;
             }
         }
-        ++result.iterations_run;
     }
+    result.iterations_run = iter;
     return result;
 }
 

@@ -300,10 +300,9 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
                                        DseCheckpointer* checkpoint) const {
     graph.validate();
     // One token funnels every stop source to the workers: the caller's
-    // cancellation (chained as parent) and the explorer's own total
-    // wall-clock budget (this token's deadline).
+    // cancellation and deadline (chained as parent) and a failed
+    // search's request_stop().
     CancellationToken stop(cancel);
-    stop.set_budget_seconds(params.total_time_budget_seconds);
 
     // The scaling sequence is generated *lazily*, bound-sorted, by the
     // priority queue (core/lazy_scaling_queue.h) — the full sequence is

@@ -71,19 +71,14 @@ struct DseParams {
     /// what they understand (api/strategy.h); for *any* strategy,
     /// `search.seed` is the base from which per-scaling seeds derive.
     LocalSearchParams search;
-    /// Overall wall-clock budget, seconds (0 = none): the paper's
-    /// "chosen search-time".
-    double total_time_budget_seconds = 0.0;
     /// Explorer worker threads; each claims the next emitted scaling
     /// and runs its independent search (own derived seed) while the
     /// calling thread produces. 1 = one worker; 0 = one per hardware
     /// thread, clamped to std::thread::hardware_concurrency() in
     /// exactly one place (resolve_thread_count, util/parallel.h).
     /// Results are bit-identical for every thread count — including 0
-    /// vs. the explicit hardware count — as long as no wall-clock
-    /// budget (`total_time_budget_seconds` /
-    /// `search.time_budget_seconds`) or cancellation cuts searches
-    /// short.
+    /// vs. the explicit hardware count — absent cancellation (a stop
+    /// request or a token deadline) cutting searches short.
     std::size_t num_threads = 1;
     /// Evaluation-path knobs for the per-scaling EvalContext each
     /// worker runs its search on (core/eval_context.h). The fast path
@@ -113,7 +108,7 @@ struct DseResult {
     std::uint64_t scalings_total = 0;
     /// Combinations whose evaluation actually started (gate applied).
     /// Equals scalings_total on a full run; smaller when cancellation
-    /// or the total time budget stopped the exploration early —
+    /// (a stop request or a token deadline) stopped the exploration early —
     /// enumerated/total is the completed fraction.
     std::uint64_t scalings_enumerated = 0;
     std::uint64_t scalings_skipped_infeasible = 0;

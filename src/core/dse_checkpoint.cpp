@@ -147,13 +147,14 @@ std::uint64_t dse_state_hash(const TaskGraph& graph, const MpsocArchitecture& ar
     h.mix(static_cast<std::uint64_t>(policy));
     h.mix_double(deadline_seconds);
 
-    // Search configuration. num_threads, EvalOptions and the wall-clock
-    // budgets are deliberately absent: the result is invariant to them,
-    // and resuming across thread counts is the point of the feature.
+    // Search configuration. num_threads and EvalOptions are deliberately
+    // absent: the result is invariant to them, and resuming across
+    // thread counts is the point of the feature.
     const LocalSearchParams& s = params.search;
     h.mix(s.max_iterations);
-    h.mix_double(s.initial_temperature);
-    h.mix_double(s.final_temperature);
+    // The retired temperature knobs, now constants, keep older hashes.
+    h.mix_double(k_initial_temperature);
+    h.mix_double(k_final_temperature);
     h.mix_double(s.swap_probability);
     h.mix(s.sweep_interval);
     h.mix(static_cast<std::uint64_t>(s.require_all_cores));

@@ -15,7 +15,7 @@
 // that determines the byte-exact outcome (graph, architecture,
 // deadline, SER model, search parameters, strategy name). Knobs the
 // result is provably invariant to — thread count, evaluation-path
-// options, wall-clock budgets — are excluded, so a run checkpointed at
+// options — are excluded, so a run checkpointed at
 // 8 threads resumes correctly at 1. Resuming against a different
 // problem fails with Error(checkpoint_mismatch).
 #pragma once
@@ -65,8 +65,8 @@ struct DseResumeInfo {
 };
 
 /// Content hash of the exploration inputs that determine the byte-exact
-/// result. Deliberately excludes num_threads, EvalOptions and the
-/// wall-clock budgets (see file comment).
+/// result. Deliberately excludes num_threads and EvalOptions (see
+/// file comment).
 std::uint64_t dse_state_hash(const TaskGraph& graph, const MpsocArchitecture& arch,
                              double deadline_seconds, const DseParams& params,
                              const SerModel& ser, ExposurePolicy policy,

@@ -2,7 +2,6 @@
 
 #include "util/rng.h"
 
-#include <chrono>
 #include <cmath>
 #include <optional>
 #include <stdexcept>
@@ -10,14 +9,15 @@
 
 namespace seamap {
 
+void validate(const LocalSearchParams& params) {
+    if (params.max_iterations == 0)
+        throw std::invalid_argument("LocalSearchParams: max_iterations must be > 0");
+    if (!(params.swap_probability >= 0.0 && params.swap_probability <= 1.0))
+        throw std::invalid_argument("LocalSearchParams: swap_probability must be in [0, 1]");
+}
+
 OptimizedMapping::OptimizedMapping(LocalSearchParams params) : params_(params) {
-    if (params_.max_iterations == 0 && params_.time_budget_seconds <= 0.0)
-        throw std::invalid_argument("OptimizedMapping: need an iteration or time budget");
-    if (params_.initial_temperature <= 0.0 || params_.final_temperature <= 0.0 ||
-        params_.final_temperature > params_.initial_temperature)
-        throw std::invalid_argument("OptimizedMapping: bad temperature range");
-    if (params_.swap_probability < 0.0 || params_.swap_probability > 1.0)
-        throw std::invalid_argument("OptimizedMapping: bad swap probability");
+    validate(params_);
 }
 
 LocalSearchResult OptimizedMapping::optimize(const EvaluationContext& ctx,
@@ -33,7 +33,6 @@ LocalSearchResult OptimizedMapping::optimize(EvalContext& eval, const Mapping& i
         throw std::invalid_argument("OptimizedMapping: initial mapping incomplete");
     const EvaluationContext& ctx = eval.problem();
 
-    const SearchBudget budget(params_.max_iterations, params_.time_budget_seconds, cancel);
     auto stopped = [&] { return cancel != nullptr && cancel->stop_requested(); };
 
     Rng rng(params_.seed);
@@ -118,9 +117,7 @@ LocalSearchResult OptimizedMapping::optimize(EvalContext& eval, const Mapping& i
     // restart k > 0 begins from a perturbed copy of `initial`.
     const std::uint64_t restarts = std::max<std::uint64_t>(1, params_.restarts);
     const std::uint64_t restart_period =
-        params_.max_iterations > 0
-            ? std::max<std::uint64_t>(1, params_.max_iterations / restarts)
-            : 0;
+        std::max<std::uint64_t>(1, params_.max_iterations / restarts);
     auto restart_walk = [&]() {
         current = initial;
         const auto kicks = std::max<std::size_t>(2, ctx.graph.task_count() / 2);
@@ -134,9 +131,9 @@ LocalSearchResult OptimizedMapping::optimize(EvalContext& eval, const Mapping& i
 
     Mapping neighbor;
     std::uint64_t iteration = 0;
-    while (!budget.exhausted(iteration)) { // step B
+    while (iteration < params_.max_iterations && !stopped()) { // step B
         ++iteration;
-        if (restart_period > 0 && iteration % restart_period == 0 &&
+        if (iteration % restart_period == 0 &&
             iteration + restart_period <= params_.max_iterations) {
             restart_walk();
             continue;
@@ -167,15 +164,11 @@ LocalSearchResult OptimizedMapping::optimize(EvalContext& eval, const Mapping& i
             } else {
                 relative_worsening = metrics.gamma / current_metrics.gamma - 1.0;
             }
-            const std::uint64_t segment = restart_period > 0 ? restart_period
-                                          : params_.max_iterations > 0 ? params_.max_iterations
-                                                                       : 10'000;
-            const double progress =
-                static_cast<double>(iteration % segment) / static_cast<double>(segment);
+            const double progress = static_cast<double>(iteration % restart_period) /
+                                    static_cast<double>(restart_period);
             const double temperature =
-                params_.initial_temperature *
-                std::exp(std::log(params_.final_temperature / params_.initial_temperature) *
-                         progress);
+                k_initial_temperature *
+                std::exp(std::log(k_final_temperature / k_initial_temperature) * progress);
             step = rng.uniform() < std::exp(-relative_worsening / temperature);
         }
         if (step) {

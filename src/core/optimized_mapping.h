@@ -6,8 +6,8 @@
 // best *feasible* design by expected SEUs is retained (steps E-F). The
 // walk itself is greedy with an exploration probability so it can
 // escape local minima, and — like the paper — it runs until a search
-// budget (iterations and/or wall-clock) is exhausted rather than to
-// convergence.
+// budget (its iterations, or the caller's cancellation token) is
+// exhausted rather than to convergence.
 #pragma once
 
 #include "core/eval_context.h"
@@ -19,21 +19,14 @@
 
 namespace seamap {
 
-/// Search knobs. The paper uses wall-clock budgets (40-130 min of
-/// SystemC-driven search); with the analytic evaluator the default
-/// iteration budget explores a comparable design-space fraction in
-/// milliseconds. Set `time_budget_seconds` > 0 to add a wall-clock cap.
+/// Search knobs of both mapping engines (this Fig. 7 search and the
+/// annealing baseline, which ignores sweep_interval and restarts). The
+/// paper uses wall-clock budgets (40-130 min of SystemC-driven search);
+/// with the analytic evaluator the default iteration budget explores a
+/// comparable design-space fraction in milliseconds. A wall-clock cap
+/// is the caller's CancellationToken deadline.
 struct LocalSearchParams {
-    std::uint64_t max_iterations = 4'000;
-    double time_budget_seconds = 0.0; ///< 0 = iteration budget only
-    /// Annealed acceptance of non-improving walk steps: a worse
-    /// neighbour (relative cost increase d) is accepted with
-    /// probability exp(-d / T), with T cooled geometrically from
-    /// `initial_temperature` to `final_temperature` within each restart
-    /// segment. Mbest tracking (steps E-F) is unaffected — only
-    /// feasible, lower-Gamma designs ever become the returned best.
-    double initial_temperature = 0.30;
-    double final_temperature = 1e-4;
+    std::uint64_t max_iterations = 4'000; ///< must be > 0
     /// Probability that a neighbour swaps two tasks instead of moving one.
     double swap_probability = 0.3;
     /// Every `sweep_interval` iterations the search systematically
@@ -53,12 +46,27 @@ struct LocalSearchParams {
     std::uint64_t seed = 1;
 };
 
-/// Outcome of one local-search run.
+/// Throws std::invalid_argument unless max_iterations > 0 and
+/// swap_probability is in [0, 1] (NaN is not). Both engines call it.
+void validate(const LocalSearchParams& params);
+
+/// Both walks accept a worse neighbour (relative cost increase d) with
+/// probability exp(-d / T), T cooled geometrically from the initial to
+/// the final temperature per Fig. 7 restart segment (the annealer: over
+/// its whole budget). Fig. 7's Mbest tracking (steps E-F) is unaffected.
+inline constexpr double k_initial_temperature = 0.30;
+inline constexpr double k_final_temperature = 1e-4;
+
+/// Outcome of one local-search run, from either engine.
 struct LocalSearchResult {
     Mapping best_mapping;
     DesignMetrics best_metrics;
     bool found_feasible = false;
+    /// Walk-loop iterations executed, including ones whose neighbour
+    /// left the mapping unchanged and restart or sweep steps.
     std::uint64_t iterations_run = 0;
+    /// Fig. 7: times a feasible design with fewer expected SEUs became
+    /// the best. Annealing: accepted walk moves.
     std::uint64_t improvements = 0;
     std::uint64_t evaluations = 0;
 };
@@ -71,8 +79,8 @@ public:
     /// Search from `initial` (complete). Returns the best feasible
     /// design by Gamma; if none was found, the design closest to
     /// feasibility (smallest T_M). An optional `cancel` token caps the
-    /// walk on top of the iteration/time budgets — it is checked inside
-    /// the loop, so a search never overshoots a stop request or token
+    /// walk on top of the iteration budget — it is checked inside the
+    /// loop, so a search never overshoots a stop request or token
     /// deadline by more than one design evaluation. Builds a fresh
     /// EvalContext internally (fast path, default EvalOptions).
     LocalSearchResult optimize(const EvaluationContext& ctx, const Mapping& initial,

@@ -12,7 +12,7 @@ LocalSearchResult SearchStrategy::search(EvalContext& eval, const Mapping& initi
 
 OptimizedMappingStrategy::OptimizedMappingStrategy(LocalSearchParams params)
     : params_(params) {
-    (void)OptimizedMapping(params_);
+    validate(params_);
 }
 
 std::string OptimizedMappingStrategy::name() const { return "optimized"; }

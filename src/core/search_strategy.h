@@ -58,8 +58,8 @@ public:
 /// of the params is ignored — search() uses its seed argument.
 class OptimizedMappingStrategy final : public SearchStrategy {
 public:
-    /// Validates the params eagerly (bad budgets/temperatures throw
-    /// here, not mid-exploration on a worker thread).
+    /// Validates the params eagerly (bad ones throw here, not
+    /// mid-exploration on a worker thread).
     explicit OptimizedMappingStrategy(LocalSearchParams params = {});
 
     std::string name() const override;

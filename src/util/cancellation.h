@@ -1,11 +1,11 @@
 // Cooperative cancellation for long-running searches. A
 // CancellationToken carries an explicit stop request (thread-safe,
 // settable from any thread, e.g. a signal handler or UI) and an
-// optional wall-clock deadline — together they subsume the old
-// core/optimized_mapping.h SearchDeadline. Tokens can be chained: a
-// child token created with a parent pointer also stops when the parent
-// does, which is how the explorer combines its own time budget with a
-// caller-supplied token.
+// optional wall-clock deadline — the only wall-clock limit a search or
+// an exploration has. Tokens can be chained: a child token created
+// with a parent pointer also stops when the parent does, which is how
+// the explorer stops its own workers (after a failed search) on top of
+// a caller-supplied token.
 //
 // Configuration (set_deadline / set_budget_seconds) must happen before
 // the token is shared with worker threads; only request_stop() and the
@@ -37,7 +37,9 @@ public:
 
     /// Absolute wall-clock cutoff after which stop_requested() is true.
     void set_deadline(Clock::time_point when) { deadline_ = when; }
-    /// Relative form: now + `seconds`; values <= 0 clear the deadline.
+    /// Relative form: now + `seconds`. Values <= 0, and values beyond
+    /// the clock's range (including +inf), clear the deadline; NaN
+    /// throws std::invalid_argument.
     void set_budget_seconds(double seconds);
 
     /// True once request_stop() was called (here or on an ancestor).
@@ -87,40 +89,6 @@ public:
 private:
     double seconds_;
     Clock::time_point last_;
-};
-
-/// The stop condition shared by the iterative search engines: an
-/// iteration cap (0 = uncapped), a wall-clock budget measured from
-/// construction (<= 0 = none), and an optional cancellation token.
-/// Both mapping searches terminate through one of these, so their
-/// semantics cannot drift apart.
-class SearchBudget {
-public:
-    SearchBudget(std::uint64_t max_iterations, double time_budget_seconds,
-                 const CancellationToken* cancel)
-        : max_iterations_(max_iterations),
-          time_budget_seconds_(time_budget_seconds),
-          cancel_(cancel),
-          start_(CancellationToken::Clock::now()) {}
-
-    /// True once `iteration` exceeds the cap, the budget elapsed, or a
-    /// stop was requested. Cheap when no budget/deadline is armed.
-    bool exhausted(std::uint64_t iteration) const {
-        if (max_iterations_ > 0 && iteration >= max_iterations_) return true;
-        if (cancel_ != nullptr && cancel_->stop_requested()) return true;
-        if (time_budget_seconds_ > 0.0) {
-            const std::chrono::duration<double> elapsed =
-                CancellationToken::Clock::now() - start_;
-            if (elapsed.count() >= time_budget_seconds_) return true;
-        }
-        return false;
-    }
-
-private:
-    std::uint64_t max_iterations_;
-    double time_budget_seconds_;
-    const CancellationToken* cancel_;
-    CancellationToken::Clock::time_point start_;
 };
 
 } // namespace seamap

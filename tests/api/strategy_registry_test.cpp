@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <chrono>
 #include <gtest/gtest.h>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 
@@ -148,37 +149,54 @@ TEST(StrategyRegistry, CustomStrategyPlugsIntoTheExplorer) {
               result.scalings_enumerated);
 }
 
-TEST(StrategyRegistry, AnnealingHonorsTimeBudgets) {
-    // A huge iteration budget capped by a tiny wall-clock budget must
-    // terminate promptly — the factory forwards time_budget_seconds.
+TEST(StrategyRegistry, AnnealingHonorsTokenDeadlines) {
+    // A huge iteration budget capped by the caller's token deadline
+    // must terminate promptly — the deadline reaches every search.
     ExploreOptions options;
     options.strategy = "annealing";
     options.dse.search.max_iterations = 50'000'000;
-    options.dse.search.time_budget_seconds = 0.02;
-    options.dse.total_time_budget_seconds = 0.05;
+    CancellationToken cancel;
+    cancel.set_budget_seconds(0.05);
     const auto start = std::chrono::steady_clock::now();
-    const DseResult result = explore(fig8_problem(), options);
+    const DseResult result = explore(fig8_problem(), options, nullptr, &cancel);
     const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
     EXPECT_LT(elapsed.count(), 5.0);
     EXPECT_LE(result.scalings_searched, result.scalings_enumerated);
 }
 
-TEST(StrategyRegistry, ZeroIterationsMeansTimeBudgetOnlyForBothBuiltins) {
-    const Problem problem = fig8_problem();
-    const EvaluationContext ctx = problem.evaluation_context({1, 2, 2});
-    const Mapping initial = round_robin_mapping(problem.graph(), 3);
+TEST(StrategyRegistry, ZeroIterationsIsRejectedForBothBuiltins) {
     for (const char* name : {"optimized", "annealing"}) {
         StrategyOptions options;
         options.max_iterations = 0;
-        options.time_budget_seconds = 0.01;
-        const auto strategy = make_search_strategy(name, options);
-        const LocalSearchResult result = strategy->search(ctx, initial, 1);
-        EXPECT_GT(result.evaluations, 0u) << name;
-        // And with no budget at all, construction must refuse.
-        StrategyOptions unbounded;
-        unbounded.max_iterations = 0;
-        EXPECT_THROW((void)make_search_strategy(name, unbounded), std::invalid_argument)
+        EXPECT_THROW((void)make_search_strategy(name, options), std::invalid_argument)
             << name;
+    }
+}
+
+TEST(StrategyRegistry, NanSwapProbabilityIsRejectedForBothBuiltins) {
+    for (const char* name : {"optimized", "annealing"}) {
+        StrategyOptions options;
+        options.swap_probability = std::numeric_limits<double>::quiet_NaN();
+        EXPECT_THROW((void)make_search_strategy(name, options), std::invalid_argument)
+            << name;
+    }
+}
+
+TEST(StrategyRegistry, BothBuiltinsCountEveryLoopIterationOnOneCore) {
+    // On one core no neighbour changes the mapping, so every annealing
+    // step is skipped unevaluated — the annealer still ran, and
+    // reports, its whole iteration budget, as Fig. 7 does.
+    const Problem problem = ProblemBuilder()
+                                .graph(fig8_example_graph())
+                                .architecture(1, VoltageScalingTable::arm7_three_level())
+                                .deadline_seconds(k_fig8_deadline_seconds)
+                                .build();
+    const EvaluationContext ctx = problem.evaluation_context({1});
+    const Mapping initial = round_robin_mapping(problem.graph(), 1);
+    for (const char* name : {"optimized", "annealing"}) {
+        const auto strategy = make_search_strategy(name, {.max_iterations = 500});
+        const LocalSearchResult result = strategy->search(ctx, initial, 1);
+        EXPECT_EQ(result.iterations_run, 500u) << name;
     }
 }
 

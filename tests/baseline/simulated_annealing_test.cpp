@@ -16,9 +16,9 @@ struct Fixture {
     EvaluationContext ctx{graph, arch, levels, estimator, mpeg2_deadline_seconds()};
 };
 
-SaParams quick_params(std::uint64_t seed = 1) {
-    SaParams params;
-    params.iterations = 3'000;
+LocalSearchParams quick_params(std::uint64_t seed = 1) {
+    LocalSearchParams params;
+    params.max_iterations = 3'000;
     params.seed = seed;
     return params;
 }
@@ -26,13 +26,13 @@ SaParams quick_params(std::uint64_t seed = 1) {
 TEST(SimulatedAnnealing, FindsFeasibleDesignOnMpeg2) {
     Fixture f;
     const SimulatedAnnealingMapper mapper(quick_params());
-    const SaResult result =
+    const LocalSearchResult result =
         mapper.optimize(f.ctx, MappingObjective::makespan, round_robin_mapping(f.graph, 4));
     EXPECT_TRUE(result.found_feasible);
     EXPECT_TRUE(result.best_metrics.feasible);
     EXPECT_TRUE(result.best_mapping.complete());
     EXPECT_EQ(result.iterations_run, 3'000u);
-    EXPECT_GT(result.accepted_moves, 0u);
+    EXPECT_GT(result.improvements, 0u);
 }
 
 TEST(SimulatedAnnealing, ImprovesObjectiveOverInitial) {
@@ -43,7 +43,7 @@ TEST(SimulatedAnnealing, ImprovesObjectiveOverInitial) {
     for (const MappingObjective objective :
          {MappingObjective::register_usage, MappingObjective::makespan,
           MappingObjective::time_register_product, MappingObjective::seu_count}) {
-        const SaResult result = mapper.optimize(f.ctx, objective, initial);
+        const LocalSearchResult result = mapper.optimize(f.ctx, objective, initial);
         ASSERT_TRUE(result.found_feasible) << objective_name(objective);
         EXPECT_LE(objective_value(objective, result.best_metrics),
                   objective_value(objective, initial_metrics))
@@ -56,11 +56,11 @@ TEST(SimulatedAnnealing, ObjectivesPullInTheirOwnDirections) {
     // and vice versa — the Exp:1 vs Exp:2 contrast of Table II.
     Fixture f;
     const Mapping initial = round_robin_mapping(f.graph, 4);
-    SaParams params = quick_params(3);
-    params.iterations = 8'000;
+    LocalSearchParams params = quick_params(3);
+    params.max_iterations = 8'000;
     const SimulatedAnnealingMapper mapper(params);
-    const SaResult min_r = mapper.optimize(f.ctx, MappingObjective::register_usage, initial);
-    const SaResult min_tm = mapper.optimize(f.ctx, MappingObjective::makespan, initial);
+    const LocalSearchResult min_r = mapper.optimize(f.ctx, MappingObjective::register_usage, initial);
+    const LocalSearchResult min_tm = mapper.optimize(f.ctx, MappingObjective::makespan, initial);
     ASSERT_TRUE(min_r.found_feasible);
     ASSERT_TRUE(min_tm.found_feasible);
     EXPECT_LE(min_r.best_metrics.register_bits, min_tm.best_metrics.register_bits);
@@ -71,8 +71,8 @@ TEST(SimulatedAnnealing, DeterministicGivenSeed) {
     Fixture f;
     const SimulatedAnnealingMapper mapper(quick_params(17));
     const Mapping initial = round_robin_mapping(f.graph, 4);
-    const SaResult a = mapper.optimize(f.ctx, MappingObjective::seu_count, initial);
-    const SaResult b = mapper.optimize(f.ctx, MappingObjective::seu_count, initial);
+    const LocalSearchResult a = mapper.optimize(f.ctx, MappingObjective::seu_count, initial);
+    const LocalSearchResult b = mapper.optimize(f.ctx, MappingObjective::seu_count, initial);
     EXPECT_EQ(a.best_mapping, b.best_mapping);
     EXPECT_DOUBLE_EQ(a.best_metrics.gamma, b.best_metrics.gamma);
 }
@@ -81,7 +81,7 @@ TEST(SimulatedAnnealing, ImpossibleDeadlineReportsClosestDesign) {
     Fixture f;
     EvaluationContext tight{f.graph, f.arch, f.levels, f.estimator, 1e-6};
     const SimulatedAnnealingMapper mapper(quick_params());
-    const SaResult result =
+    const LocalSearchResult result =
         mapper.optimize(tight, MappingObjective::seu_count, round_robin_mapping(f.graph, 4));
     EXPECT_FALSE(result.found_feasible);
     EXPECT_FALSE(result.best_metrics.feasible);
@@ -95,7 +95,7 @@ TEST(SimulatedAnnealing, SmallRandomGraphAcrossObjectives) {
     const MpsocArchitecture arch(3, VoltageScalingTable::arm7_three_level());
     const EvaluationContext ctx{graph, arch, {1, 1, 1}, SeuEstimator{SerModel{}}, 1e9};
     const SimulatedAnnealingMapper mapper(quick_params(9));
-    const SaResult result =
+    const LocalSearchResult result =
         mapper.optimize(ctx, MappingObjective::seu_count, round_robin_mapping(graph, 3));
     EXPECT_TRUE(result.found_feasible); // deadline effectively unconstrained
 }
@@ -109,18 +109,11 @@ TEST(SimulatedAnnealing, IncompleteInitialThrows) {
 }
 
 TEST(SimulatedAnnealing, ParameterValidation) {
-    SaParams params;
-    params.iterations = 0;
+    LocalSearchParams params;
+    params.max_iterations = 0;
     EXPECT_THROW(SimulatedAnnealingMapper{params}, std::invalid_argument);
-    params = SaParams{};
-    params.final_temperature = 1.0;
-    params.initial_temperature = 0.1;
-    EXPECT_THROW(SimulatedAnnealingMapper{params}, std::invalid_argument);
-    params = SaParams{};
+    params = LocalSearchParams{};
     params.swap_probability = 1.5;
-    EXPECT_THROW(SimulatedAnnealingMapper{params}, std::invalid_argument);
-    params = SaParams{};
-    params.infeasibility_penalty = -1.0;
     EXPECT_THROW(SimulatedAnnealingMapper{params}, std::invalid_argument);
 }
 

@@ -334,6 +334,11 @@ TEST(ExploreStateHash, PinnedSoOlderSnapshotsKeepResuming) {
     EXPECT_EQ(explore_state_hash(problem, make_options(1)), 0xf8ca227447d06325ULL);
     // Thread count is not a result input.
     EXPECT_EQ(explore_state_hash(problem, make_options(8)), 0xf8ca227447d06325ULL);
+    // The annealing strategy hashes the same search configuration (the
+    // retired temperature knobs included, as constants) under its name.
+    ExploreOptions annealing = make_options(1);
+    annealing.strategy = "annealing";
+    EXPECT_EQ(explore_state_hash(problem, annealing), 0x4baafda2f5471722ULL);
 }
 
 TEST(CampaignStateHash, PinnedSoOlderSnapshotsKeepResuming) {

@@ -130,16 +130,20 @@ TEST(Dse, RoundRobinSeedAblationStillWorks) {
     EXPECT_TRUE(result.best.has_value());
 }
 
-TEST(Dse, TimeBudgetLimitsWork) {
-    ExploreOptions options = quick_options(200'000); // enormous per-scaling budget
-    options.dse.search.time_budget_seconds = 0.02;
-    options.dse.total_time_budget_seconds = 0.05;
+TEST(Dse, TokenDeadlineLimitsWork) {
+    // The caller's token deadline is the exploration's only wall-clock
+    // limit: it cuts an enormous per-scaling budget short.
+    const ExploreOptions options = quick_options(200'000);
+    CancellationToken cancel;
+    cancel.set_budget_seconds(0.05);
     const auto start = std::chrono::steady_clock::now();
     const DseResult result =
-        explore(problem_for(mpeg2_decoder_graph(), 4, mpeg2_deadline_seconds()), options);
+        explore(problem_for(mpeg2_decoder_graph(), 4, mpeg2_deadline_seconds()), options,
+                nullptr, &cancel);
     const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
     EXPECT_LT(elapsed.count(), 5.0);
     EXPECT_LE(result.scalings_searched, result.scalings_enumerated);
+    EXPECT_LT(result.scalings_enumerated, result.scalings_total);
 }
 
 TEST(Dse, LegacyExplorerEntryPointMatchesTheFacade) {

@@ -75,31 +75,26 @@ TEST(OptimizedMapping, RecoversFeasibilityFromBadStart) {
     EXPECT_TRUE(result.found_feasible);
 }
 
-TEST(OptimizedMapping, WallClockBudgetStopsSearch) {
+TEST(OptimizedMapping, TokenDeadlineStopsSearch) {
     Fixture f;
     LocalSearchParams params;
-    params.max_iterations = 0; // unlimited iterations
-    params.time_budget_seconds = 0.05;
+    params.max_iterations = 4'000'000'000; // far beyond the deadline
     const OptimizedMapping searcher(params);
+    CancellationToken cancel;
+    cancel.set_budget_seconds(0.05);
     const auto start = std::chrono::steady_clock::now();
-    const LocalSearchResult result = searcher.optimize(f.ctx, initial_sea_mapping(f.ctx));
+    const LocalSearchResult result =
+        searcher.optimize(f.ctx, initial_sea_mapping(f.ctx), &cancel);
     const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
-    EXPECT_LT(elapsed.count(), 2.0); // generous: budget is 50 ms
+    EXPECT_LT(elapsed.count(), 2.0); // generous: the deadline is 50 ms
     EXPECT_GT(result.iterations_run, 0u);
+    EXPECT_LT(result.iterations_run, params.max_iterations);
 }
 
 TEST(OptimizedMapping, Validation) {
     Fixture f;
     LocalSearchParams params;
     params.max_iterations = 0;
-    params.time_budget_seconds = 0.0;
-    EXPECT_THROW(OptimizedMapping{params}, std::invalid_argument);
-    params = LocalSearchParams{};
-    params.final_temperature = 1.0;
-    params.initial_temperature = 0.1;
-    EXPECT_THROW(OptimizedMapping{params}, std::invalid_argument);
-    params = LocalSearchParams{};
-    params.initial_temperature = 0.0;
     EXPECT_THROW(OptimizedMapping{params}, std::invalid_argument);
     params = LocalSearchParams{};
     params.swap_probability = -0.1;

@@ -34,11 +34,11 @@ TEST(RequireAllCores, LocalSearchKeepsEveryCorePopulated) {
 
 TEST(RequireAllCores, SimulatedAnnealingKeepsEveryCorePopulated) {
     Fixture f;
-    SaParams params;
-    params.iterations = 3'000;
+    LocalSearchParams params;
+    params.max_iterations = 3'000;
     params.require_all_cores = true;
     params.seed = 4;
-    const SaResult result = SimulatedAnnealingMapper(params).optimize(
+    const LocalSearchResult result = SimulatedAnnealingMapper(params).optimize(
         f.ctx, MappingObjective::seu_count, round_robin_mapping(f.graph, 4));
     ASSERT_TRUE(result.found_feasible);
     EXPECT_EQ(result.best_mapping.used_core_count(), 4u);

@@ -78,8 +78,8 @@ TEST(Mpeg2Pipeline, ProposedMapperBeatsParallelismBaselineOnGamma) {
         proposed_strategy->search(ctx, initial_sea_mapping(ctx), 99);
     ASSERT_TRUE(proposed.found_feasible);
 
-    SaParams sa;
-    sa.iterations = 6'000;
+    LocalSearchParams sa;
+    sa.max_iterations = 6'000;
     sa.seed = 99;
     const AnnealingStrategy parallelism_strategy(sa, MappingObjective::makespan);
     const LocalSearchResult parallelism =

@@ -289,7 +289,7 @@ def lint_file(path: str, relpath: str, global_float_names: set) -> list:
             m = TIME_RE.search(line)
             if m:
                 report("time", "`%s` — search/eval code takes time only through "
-                               "CancellationToken/SearchBudget (util/cancellation.h)"
+                               "CancellationToken (util/cancellation.h)"
                        % m.group(0).strip())
         if hot_path:
             m = ALLOC_RE.search(line)
