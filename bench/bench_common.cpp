@@ -2,6 +2,7 @@
 #include "baseline/simulated_annealing.h"
 #include "core/initial_mapping.h"
 #include "core/optimized_mapping.h"
+#include "core/search_strategy.h"
 
 #include "support/scaling_walker.h"
 #include "util/rng.h"
@@ -16,8 +17,8 @@ std::optional<ExperimentDesign> optimize_at_scaling(const EvaluationContext& ctx
         params.max_iterations = budget.mapping_iterations;
         params.require_all_cores = true; // paper designs populate every core
         params.seed = budget.seed;
-        const LocalSearchResult result =
-            OptimizedMapping(params).optimize(ctx, initial_sea_mapping(ctx));
+        const LocalSearchResult result = OptimizedMappingStrategy(params).search(
+            ctx, initial_sea_mapping(ctx), params.seed);
         if (!result.found_feasible) return std::nullopt;
         return ExperimentDesign{ctx.levels, result.best_mapping, result.best_metrics};
     }
@@ -29,8 +30,8 @@ std::optional<ExperimentDesign> optimize_at_scaling(const EvaluationContext& ctx
     params.max_iterations = budget.mapping_iterations;
     params.require_all_cores = true; // paper designs populate every core
     params.seed = budget.seed;
-    const LocalSearchResult result = SimulatedAnnealingMapper(params).optimize(
-        ctx, objective, round_robin_mapping(ctx.graph, ctx.arch.core_count()));
+    const LocalSearchResult result = AnnealingStrategy(params, objective).search(
+        ctx, round_robin_mapping(ctx.graph, ctx.arch.core_count()), params.seed);
     if (!result.found_feasible) return std::nullopt;
     return ExperimentDesign{ctx.levels, result.best_mapping, result.best_metrics};
 }

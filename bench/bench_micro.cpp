@@ -15,6 +15,7 @@
 #include "core/scaling_bounds.h"
 #include "sim/campaign.h"
 #include "sim/fault_injection.h"
+#include "support/naive_eval_strategy.h"
 #include "support/scaling_walker.h"
 #include "taskgraph/mpeg2.h"
 #include "tgff/random_graph.h"
@@ -99,10 +100,10 @@ void bm_sa_annealing_run(benchmark::State& state) {
     const EvaluationContext ctx{graph, arch, {2, 2, 2, 2}, SeuEstimator{SerModel{}}, 1e9};
     LocalSearchParams params;
     params.max_iterations = static_cast<std::uint64_t>(state.range(0));
-    const SimulatedAnnealingMapper mapper(params);
+    const AnnealingStrategy mapper(params, MappingObjective::seu_count);
     const Mapping initial = round_robin_mapping(graph, 4);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(mapper.optimize(ctx, MappingObjective::seu_count, initial));
+        benchmark::DoNotOptimize(mapper.search(ctx, initial, params.seed));
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }
@@ -210,8 +211,9 @@ void bm_sa_neighborhood_step(benchmark::State& state, bool naive) {
 BENCHMARK_CAPTURE(bm_sa_neighborhood_step, naive, true)->Arg(11)->Arg(60)->Arg(100);
 BENCHMARK_CAPTURE(bm_sa_neighborhood_step, ctx, false)->Arg(11)->Arg(60)->Arg(100);
 
-// End-to-end Fig. 4 exploration through the public API. explore() runs
-// its searches on worker threads even at num_threads = 1, so this and
+// End-to-end Fig. 4 exploration through the public API (the naive
+// variant wraps the strategy in NaiveEvalStrategy). explore() runs its
+// searches on worker threads even at num_threads = 1, so this and
 // every explore bench below time wall clock (UseRealTime).
 void bm_explore_end_to_end(benchmark::State& state, bool naive) {
     const Problem problem = ProblemBuilder()
@@ -221,9 +223,9 @@ void bm_explore_end_to_end(benchmark::State& state, bool naive) {
                                 .build();
     ExploreOptions options;
     options.dse.search.max_iterations = 200;
-    options.dse.eval = eval_options(naive);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(explore(problem, options));
+        benchmark::DoNotOptimize(naive ? explore_naive(problem, options)
+                                       : explore(problem, options));
     }
 }
 BENCHMARK_CAPTURE(bm_explore_end_to_end, naive, true)->UseRealTime();
@@ -347,13 +349,13 @@ void bm_search_acceptance_slot(benchmark::State& state) {
     params.max_iterations = 60;
     params.restarts = 1;
     params.seed = 1;
-    const OptimizedMapping search(params);
+    const OptimizedMappingStrategy search(params);
     const Mapping initial = initial_sea_mapping(ctx);
     LocalSearchResult last;
     EvalContext::Stats stats;
     for (auto _ : state) {
         EvalContext eval(ctx);
-        last = search.optimize(eval, initial);
+        last = search.search(eval, initial, params.seed);
         stats = eval.stats();
         benchmark::DoNotOptimize(last);
     }

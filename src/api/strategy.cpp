@@ -7,28 +7,6 @@
 
 namespace seamap {
 
-AnnealingStrategy::AnnealingStrategy(LocalSearchParams params, MappingObjective objective)
-    : params_(params), objective_(objective) {
-    validate(params_);
-}
-
-std::string AnnealingStrategy::name() const { return "annealing"; }
-
-LocalSearchResult AnnealingStrategy::search(const EvaluationContext& ctx,
-                                            const Mapping& initial, std::uint64_t seed,
-                                            const CancellationToken* cancel) const {
-    EvalContext eval(ctx);
-    return search(eval, initial, seed, cancel);
-}
-
-LocalSearchResult AnnealingStrategy::search(EvalContext& eval, const Mapping& initial,
-                                            std::uint64_t seed,
-                                            const CancellationToken* cancel) const {
-    LocalSearchParams params = params_;
-    params.seed = seed;
-    return SimulatedAnnealingMapper(params).optimize(eval, objective_, initial, cancel);
-}
-
 namespace {
 
 struct Registry {

@@ -1,22 +1,16 @@
-// The name-keyed search-strategy registry of the public API, plus the
-// SA-baseline adapter. The SearchStrategy contract itself (and the
-// Fig. 7 "optimized" implementation) lives in core/search_strategy.h —
-// the explorer consumes the interface without looking upward; this
-// header is where interchangeable engines are *assembled and named*:
-// the built-ins "optimized" and "annealing" are pre-registered, and a
+// The name-keyed search-strategy registry of the public API. The
+// SearchStrategy contract and the Fig. 7 "optimized" strategy live in
+// core/search_strategy.h, the "annealing" baseline in
+// baseline/simulated_annealing.h — the explorer consumes the interface
+// without looking upward; this header is where interchangeable engines
+// are *assembled and named*: both built-ins are pre-registered, and a
 // new backend is one register_search_strategy() call away.
 #pragma once
 
-#include "baseline/objectives.h"
-#include "baseline/simulated_annealing.h"
-#include "core/eval_context.h"
+#include "baseline/simulated_annealing.h" // arch-check: export
 #include "core/optimized_mapping.h"
 #include "core/search_strategy.h"
-#include "reliability/design_eval.h"
-#include "sched/mapping.h"
-#include "util/cancellation.h"
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -34,29 +28,6 @@ namespace seamap {
 /// ignored — per-scaling seeds arrive through search(). Wall-clock
 /// limits come only from the caller's CancellationToken.
 using StrategyOptions = LocalSearchParams;
-
-/// The simulated-annealing baseline mapper [13], annealing on any of
-/// the Table II objectives (Gamma by default, which makes it a fair
-/// soft-error-aware baseline). The `seed` field of the params is
-/// ignored — search() uses its seed argument.
-class AnnealingStrategy final : public SearchStrategy {
-public:
-    /// Validates the params eagerly (bad ones throw here, not
-    /// mid-exploration on a worker thread).
-    explicit AnnealingStrategy(LocalSearchParams params = {},
-                               MappingObjective objective = MappingObjective::seu_count);
-
-    std::string name() const override;
-    LocalSearchResult search(const EvaluationContext& ctx, const Mapping& initial,
-                             std::uint64_t seed,
-                             const CancellationToken* cancel = nullptr) const override;
-    LocalSearchResult search(EvalContext& eval, const Mapping& initial, std::uint64_t seed,
-                             const CancellationToken* cancel = nullptr) const override;
-
-private:
-    LocalSearchParams params_;
-    MappingObjective objective_;
-};
 
 using StrategyFactory = std::function<std::unique_ptr<SearchStrategy>(const StrategyOptions&)>;
 

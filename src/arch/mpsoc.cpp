@@ -11,10 +11,6 @@ MpsocArchitecture::MpsocArchitecture(std::size_t core_count, VoltageScalingTable
         throw std::invalid_argument("MpsocArchitecture: need at least one core");
 }
 
-ScalingVector MpsocArchitecture::slowest_scaling() const {
-    return ScalingVector(core_count_, scaling_table().slowest_level());
-}
-
 ScalingVector MpsocArchitecture::nominal_scaling() const {
     return ScalingVector(core_count_, 1);
 }

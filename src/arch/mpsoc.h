@@ -25,8 +25,6 @@ public:
     /// Frequency (Hz) of a core running at the given level.
     double frequency_hz(ScalingLevel level) const { return scaling_table().frequency_hz(level); }
 
-    /// All cores at the slowest level — the DSE starting point.
-    ScalingVector slowest_scaling() const;
     /// All cores at nominal speed.
     ScalingVector nominal_scaling() const;
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace seamap {
@@ -27,31 +28,31 @@ double penalized_cost(MappingObjective objective, const DesignMetrics& metrics,
 
 } // namespace
 
-SimulatedAnnealingMapper::SimulatedAnnealingMapper(LocalSearchParams params)
-    : params_(params) {
+AnnealingStrategy::AnnealingStrategy(LocalSearchParams params, MappingObjective objective)
+    : params_(params), objective_(objective) {
     validate(params_);
 }
 
-LocalSearchResult SimulatedAnnealingMapper::optimize(const EvaluationContext& ctx,
-                                                     MappingObjective objective,
-                                                     const Mapping& initial,
-                                                     const CancellationToken* cancel) const {
+std::string AnnealingStrategy::name() const { return "annealing"; }
+
+LocalSearchResult AnnealingStrategy::search(const EvaluationContext& ctx,
+                                            const Mapping& initial, std::uint64_t seed,
+                                            const CancellationToken* cancel) const {
     EvalContext eval(ctx);
-    return optimize(eval, objective, initial, cancel);
+    return search(eval, initial, seed, cancel);
 }
 
-LocalSearchResult SimulatedAnnealingMapper::optimize(EvalContext& eval,
-                                                     MappingObjective objective,
-                                                     const Mapping& initial,
-                                                     const CancellationToken* cancel) const {
+LocalSearchResult AnnealingStrategy::search(EvalContext& eval, const Mapping& initial,
+                                            std::uint64_t seed,
+                                            const CancellationToken* cancel) const {
     if (!initial.complete())
-        throw std::invalid_argument("SimulatedAnnealingMapper: initial mapping incomplete");
+        throw std::invalid_argument("AnnealingStrategy: initial mapping incomplete");
     const double deadline_seconds = eval.problem().deadline_seconds;
 
-    Rng rng(params_.seed);
+    Rng rng(seed);
     Mapping current = initial;
     DesignMetrics current_metrics = eval.rebase(current);
-    double current_cost = penalized_cost(objective, current_metrics, deadline_seconds);
+    double current_cost = penalized_cost(objective_, current_metrics, deadline_seconds);
 
     LocalSearchResult result;
     result.best_mapping = current;
@@ -65,8 +66,8 @@ LocalSearchResult SimulatedAnnealingMapper::optimize(EvalContext& eval,
         if (metrics.feasible && !result.found_feasible) return true;
         if (metrics.feasible == result.found_feasible) {
             if (result.found_feasible)
-                return objective_value(objective, metrics) <
-                       objective_value(objective, result.best_metrics);
+                return objective_value(objective_, metrics) <
+                       objective_value(objective_, result.best_metrics);
             return metrics.tm_seconds < result.best_metrics.tm_seconds;
         }
         return false;
@@ -88,7 +89,7 @@ LocalSearchResult SimulatedAnnealingMapper::optimize(EvalContext& eval,
         const DesignMetrics neighbor_metrics = eval.evaluate_neighbor(op);
         ++result.evaluations;
         const double neighbor_cost =
-            penalized_cost(objective, neighbor_metrics, deadline_seconds);
+            penalized_cost(objective_, neighbor_metrics, deadline_seconds);
 
         const double relative_delta =
             current_cost > 0.0 ? (neighbor_cost - current_cost) / current_cost

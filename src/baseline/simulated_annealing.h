@@ -9,37 +9,40 @@
 #include "baseline/objectives.h"
 #include "core/eval_context.h"
 #include "core/optimized_mapping.h"
+#include "core/search_strategy.h"
 #include "reliability/design_eval.h"
 #include "sched/mapping.h"
 #include "util/cancellation.h"
 
+#include <cstdint>
+#include <string>
+
 namespace seamap {
 
-/// One annealing engine; stateless apart from its parameters, of which
-/// it ignores sweep_interval and restarts.
-class SimulatedAnnealingMapper {
+/// The simulated-annealing baseline mapper [13] as a search strategy,
+/// annealing on any of the Table II objectives (Gamma by default, which
+/// makes it a fair soft-error-aware baseline). search() returns the
+/// best *feasible* design seen or, if none is feasible, the one with
+/// the smallest deadline violation; `cancel` is checked once per
+/// iteration. Of the params it ignores sweep_interval, restarts and
+/// `seed` — search() uses its seed argument.
+class AnnealingStrategy final : public SearchStrategy {
 public:
-    explicit SimulatedAnnealingMapper(LocalSearchParams params);
+    /// Validates the params eagerly (bad ones throw here, not
+    /// mid-exploration on a worker thread).
+    explicit AnnealingStrategy(LocalSearchParams params = {},
+                               MappingObjective objective = MappingObjective::seu_count);
 
-    /// Anneal from `initial` (must be complete). The best *feasible*
-    /// design seen is returned; if none is feasible, the design with
-    /// the smallest deadline violation. An optional `cancel` token is
-    /// checked once per iteration and stops the walk early. Builds a
-    /// fresh EvalContext internally (fast path, default EvalOptions).
-    LocalSearchResult optimize(const EvaluationContext& ctx, MappingObjective objective,
-                               const Mapping& initial,
-                               const CancellationToken* cancel = nullptr) const;
-
-    /// Anneal on a caller-provided evaluation context (per-scaling
-    /// scratch + memo reuse; tests/benches select the naive-reference
-    /// path through it). The walk is a pure function of
-    /// (ctx, objective, initial, seed) for every EvalOptions choice.
-    LocalSearchResult optimize(EvalContext& eval, MappingObjective objective,
-                               const Mapping& initial,
-                               const CancellationToken* cancel = nullptr) const;
+    std::string name() const override;
+    LocalSearchResult search(const EvaluationContext& ctx, const Mapping& initial,
+                             std::uint64_t seed,
+                             const CancellationToken* cancel = nullptr) const override;
+    LocalSearchResult search(EvalContext& eval, const Mapping& initial, std::uint64_t seed,
+                             const CancellationToken* cancel = nullptr) const override;
 
 private:
     LocalSearchParams params_;
+    MappingObjective objective_;
 };
 
 } // namespace seamap

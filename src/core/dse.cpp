@@ -1,6 +1,7 @@
 #include "core/dse.h"
 
 #include "core/dse_checkpoint.h"
+#include "core/eval_context.h"
 #include "core/initial_mapping.h"
 #include "core/lazy_scaling_queue.h"
 #include "core/observer.h"
@@ -392,7 +393,7 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
                     // incremental rescheduling and the memo table all
                     // live here, private to this worker, so
                     // thread-count invariance is untouched.
-                    EvalContext eval(ctx, params.eval);
+                    EvalContext eval(ctx);
                     const Mapping initial = initial_sea_mapping(ctx);
                     // Vary the search seed per scaling so repeated
                     // scalings do not replay the same random walk.

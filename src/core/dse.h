@@ -12,8 +12,9 @@
 // order so good incumbents arrive early, and dominated combinations
 // are *disposed of* before their searches are ever submitted (plus a
 // worker-side skip for slots already in flight). For every combination
-// that survives, the two-stage mapper (InitialSEAMapping +
-// OptimizedMapping) minimizes the expected SEUs; the explorer records
+// that survives, the two-stage mapper (InitialSEAMapping, then the
+// strategy's search; the paper's is the Fig. 7 OptimizedMappingStrategy)
+// minimizes the expected SEUs; the explorer records
 // each feasible design's (P, Gamma) and finally reports
 //   - the paper's pick: minimum power, ties broken by fewer SEUs
 //     (applied to the Pareto front, where it is independent of
@@ -38,7 +39,6 @@
 
 #include "arch/mpsoc.h"
 #include "arch/scaling_enumerator.h"
-#include "core/eval_context.h"
 #include "core/optimized_mapping.h"
 #include "reliability/design_eval.h"
 #include "reliability/ser_model.h"
@@ -64,7 +64,9 @@ struct DsePoint {
     DesignMetrics metrics;
 };
 
-/// Exploration knobs.
+/// Exploration knobs. Every search runs on the fast EvalContext path
+/// (core/eval_context.h); a whole-exploration naive-reference run wraps
+/// its strategy instead, so the explorer has no evaluation-path knob.
 struct DseParams {
     /// Per-scaling mapping-search effort (Fig. 7 budget). Strategy
     /// factories receive this as their canonical knob set and honor
@@ -80,12 +82,6 @@ struct DseParams {
     /// vs. the explicit hardware count — absent cancellation (a stop
     /// request or a token deadline) cutting searches short.
     std::size_t num_threads = 1;
-    /// Evaluation-path knobs for the per-scaling EvalContext each
-    /// worker runs its search on (core/eval_context.h). The fast path
-    /// (the default) and the naive reference yield bit-identical
-    /// results. Exposed so the equivalence harness and the benches can
-    /// pin the optimization against the naive path end-to-end.
-    EvalOptions eval;
     /// Bound-driven pruning: skip scaling combinations whose power and
     /// Gamma lower bounds are strictly dominated by an already-found
     /// design. `best` and `pareto_front` are unaffected (bit-identical

@@ -147,9 +147,9 @@ std::uint64_t dse_state_hash(const TaskGraph& graph, const MpsocArchitecture& ar
     h.mix(static_cast<std::uint64_t>(policy));
     h.mix_double(deadline_seconds);
 
-    // Search configuration. num_threads and EvalOptions are deliberately
-    // absent: the result is invariant to them, and resuming across
-    // thread counts is the point of the feature.
+    // Search configuration. num_threads is deliberately absent: the
+    // result is invariant to it, and resuming across thread counts is
+    // the point of the feature.
     const LocalSearchParams& s = params.search;
     h.mix(s.max_iterations);
     // The retired temperature knobs, now constants, keep older hashes.

@@ -13,11 +13,10 @@
 //
 // Snapshots are keyed by dse_state_hash(), a content hash of everything
 // that determines the byte-exact outcome (graph, architecture,
-// deadline, SER model, search parameters, strategy name). Knobs the
-// result is provably invariant to — thread count, evaluation-path
-// options — are excluded, so a run checkpointed at
-// 8 threads resumes correctly at 1. Resuming against a different
-// problem fails with Error(checkpoint_mismatch).
+// deadline, SER model, search parameters, strategy name). The thread
+// count, which the result is provably invariant to, is excluded, so a
+// run checkpointed at 8 threads resumes correctly at 1. Resuming
+// against a different problem fails with Error(checkpoint_mismatch).
 #pragma once
 
 #include "arch/mpsoc.h"
@@ -65,8 +64,7 @@ struct DseResumeInfo {
 };
 
 /// Content hash of the exploration inputs that determine the byte-exact
-/// result. Deliberately excludes num_threads and EvalOptions (see
-/// file comment).
+/// result. Deliberately excludes num_threads (see file comment).
 std::uint64_t dse_state_hash(const TaskGraph& graph, const MpsocArchitecture& arch,
                              double deadline_seconds, const DseParams& params,
                              const SerModel& ser, ExposurePolicy policy,

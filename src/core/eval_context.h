@@ -52,11 +52,13 @@
 // is counted (stats().bound_skips) but neither scheduled nor memoized,
 // and it provably could not have changed the search, so searches are
 // identical with or without the bound; the naive_reference path never
-// skips. The naive_reference option turns
-// the context into a thin wrapper over evaluate_design() so the
-// equivalence harness (tests/core/eval_context_equivalence_test.cpp)
-// and the before/after benches drive both paths through identical
-// search code.
+// skips. The naive_reference option turns the context into a thin
+// wrapper over evaluate_design() so the equivalence harness
+// (tests/core/eval_context_equivalence_test.cpp) and the before/after
+// benches drive both paths through identical search code: a single
+// search is handed a naive context, and a whole exploration wraps its
+// strategy in NaiveEvalStrategy (tests/support/naive_eval_strategy.h),
+// which swaps a naive context in for every slot's search.
 //
 // An EvalContext is single-threaded state: the explorer builds one per
 // scaling combination inside each worker, so contexts are never shared

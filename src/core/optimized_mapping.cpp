@@ -1,10 +1,12 @@
 #include "core/optimized_mapping.h"
 
+#include "core/search_strategy.h"
 #include "util/rng.h"
 
 #include <cmath>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace seamap {
@@ -16,26 +18,31 @@ void validate(const LocalSearchParams& params) {
         throw std::invalid_argument("LocalSearchParams: swap_probability must be in [0, 1]");
 }
 
-OptimizedMapping::OptimizedMapping(LocalSearchParams params) : params_(params) {
+OptimizedMappingStrategy::OptimizedMappingStrategy(LocalSearchParams params)
+    : params_(params) {
     validate(params_);
 }
 
-LocalSearchResult OptimizedMapping::optimize(const EvaluationContext& ctx,
-                                             const Mapping& initial,
-                                             const CancellationToken* cancel) const {
+std::string OptimizedMappingStrategy::name() const { return "optimized"; }
+
+LocalSearchResult OptimizedMappingStrategy::search(const EvaluationContext& ctx,
+                                                   const Mapping& initial,
+                                                   std::uint64_t seed,
+                                                   const CancellationToken* cancel) const {
     EvalContext eval(ctx);
-    return optimize(eval, initial, cancel);
+    return search(eval, initial, seed, cancel);
 }
 
-LocalSearchResult OptimizedMapping::optimize(EvalContext& eval, const Mapping& initial,
-                                             const CancellationToken* cancel) const {
+LocalSearchResult OptimizedMappingStrategy::search(EvalContext& eval, const Mapping& initial,
+                                                   std::uint64_t seed,
+                                                   const CancellationToken* cancel) const {
     if (!initial.complete())
-        throw std::invalid_argument("OptimizedMapping: initial mapping incomplete");
+        throw std::invalid_argument("OptimizedMappingStrategy: initial mapping incomplete");
     const EvaluationContext& ctx = eval.problem();
 
     auto stopped = [&] { return cancel != nullptr && cancel->stop_requested(); };
 
-    Rng rng(params_.seed);
+    Rng rng(seed);
     Mapping current = initial;                           // step A
     DesignMetrics current_metrics = eval.rebase(current); // list schedule M
 

@@ -1,5 +1,6 @@
-// Stage 2 of the proposed soft error-aware task mapping: the
-// OptimizedMapping local search of the paper's Fig. 7.
+// Stage 2 of the proposed soft error-aware task mapping: the paper's
+// Fig. 7 local search, and the search vocabulary it shares with the
+// annealing baseline (baseline/simulated_annealing.h).
 //
 // Starting from the stage-1 mapping, the search walks a move/swap
 // neighbourhood; every candidate is list-scheduled (step D) and the
@@ -7,13 +8,13 @@
 // walk itself is greedy with an exploration probability so it can
 // escape local minima, and — like the paper — it runs until a search
 // budget (its iterations, or the caller's cancellation token) is
-// exhausted rather than to convergence.
+// exhausted rather than to convergence. The walk is the body of
+// OptimizedMappingStrategy::search, declared with the strategy
+// contract in core/search_strategy.h and defined in this header's .cpp.
 #pragma once
 
-#include "core/eval_context.h"
 #include "reliability/design_eval.h"
 #include "sched/mapping.h"
-#include "util/cancellation.h"
 
 #include <cstdint>
 
@@ -43,6 +44,8 @@ struct LocalSearchParams {
     /// k > 0 begins from a randomly perturbed copy of the initial
     /// mapping. Escapes local minima that a single walk gets stuck in.
     std::uint64_t restarts = 3;
+    /// Base of an exploration's per-scaling seeds (DseParams::search).
+    /// A strategy's search() takes its seed as an argument instead.
     std::uint64_t seed = 1;
 };
 
@@ -69,34 +72,6 @@ struct LocalSearchResult {
     /// the best. Annealing: accepted walk moves.
     std::uint64_t improvements = 0;
     std::uint64_t evaluations = 0;
-};
-
-/// Fig. 7 search engine.
-class OptimizedMapping {
-public:
-    explicit OptimizedMapping(LocalSearchParams params);
-
-    /// Search from `initial` (complete). Returns the best feasible
-    /// design by Gamma; if none was found, the design closest to
-    /// feasibility (smallest T_M). An optional `cancel` token caps the
-    /// walk on top of the iteration budget — it is checked inside the
-    /// loop, so a search never overshoots a stop request or token
-    /// deadline by more than one design evaluation. Builds a fresh
-    /// EvalContext internally (fast path, default EvalOptions).
-    LocalSearchResult optimize(const EvaluationContext& ctx, const Mapping& initial,
-                               const CancellationToken* cancel = nullptr) const;
-
-    /// Search on a caller-provided evaluation context (the explorer
-    /// builds one per scaling combination; tests/benches select the
-    /// naive-reference path through it). The walk — RNG draws, step
-    /// acceptance, best tracking — is a pure function of
-    /// (ctx, initial, seed) regardless of the context's EvalOptions:
-    /// every evaluation path is bit-identical.
-    LocalSearchResult optimize(EvalContext& eval, const Mapping& initial,
-                               const CancellationToken* cancel = nullptr) const;
-
-private:
-    LocalSearchParams params_;
 };
 
 } // namespace seamap

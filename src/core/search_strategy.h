@@ -1,10 +1,11 @@
 // The pluggable per-scaling mapping-search contract the explorer
-// (core/dse.h) calls, plus the core-owned implementation wrapping the
-// paper's Fig. 7 search. Interchangeable engines living above core
-// (the SA baseline adapter, registered third-party backends) implement
-// this same interface; the name-keyed registry that creates them by
-// string lives with the public API in api/strategy.h, keeping the
-// dependency graph acyclic (core never looks upward).
+// (core/dse.h) calls, plus core's own strategy, the paper's Fig. 7
+// search, whose walk is defined in core/optimized_mapping.cpp.
+// Interchangeable engines living above core (the SA baseline of
+// baseline/simulated_annealing.h, registered third-party backends)
+// implement this same interface; the name-keyed registry that creates
+// them by string lives with the public API in api/strategy.h, keeping
+// the dependency graph acyclic (core never looks upward).
 //
 // Determinism contract: search() must be a pure function of
 // (ctx, initial, seed) whenever `cancel` never fires. The explorer
@@ -54,8 +55,11 @@ public:
                                      const CancellationToken* cancel = nullptr) const;
 };
 
-/// The paper's Fig. 7 local search (proposed method). The `seed` field
-/// of the params is ignored — search() uses its seed argument.
+/// The paper's Fig. 7 local search (proposed method). search() returns
+/// the best feasible design by Gamma or, if none was found, the design
+/// closest to feasibility (smallest T_M); `cancel` is polled inside the
+/// walk, so a stop never overshoots by more than one evaluation. The
+/// `seed` field of the params is ignored — search() uses its argument.
 class OptimizedMappingStrategy final : public SearchStrategy {
 public:
     /// Validates the params eagerly (bad ones throw here, not

@@ -16,14 +16,6 @@ void Mapping::assign(TaskId task, CoreId core) {
     core_of_[task] = core;
 }
 
-void Mapping::unassign(TaskId task) {
-    check_task(task);
-    if (core_of_[task] != k_unassigned) {
-        core_of_[task] = k_unassigned;
-        --assigned_count_;
-    }
-}
-
 bool Mapping::is_assigned(TaskId task) const {
     check_task(task);
     return core_of_[task] != k_unassigned;

@@ -23,8 +23,6 @@ public:
     std::size_t core_count() const { return core_count_; }
 
     void assign(TaskId task, CoreId core);
-    /// Remove an assignment (used by search backtracking).
-    void unassign(TaskId task);
 
     bool is_assigned(TaskId task) const;
     /// Core of a task; throws std::logic_error if unassigned.

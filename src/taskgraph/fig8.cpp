@@ -13,8 +13,8 @@ namespace seamap {
 // The edge endpoints in the figure scan are partially garbled; the
 // reconstruction below keeps the walkthrough intact: t1's dependents
 // are {t2, t3}; t3's dependents include {t4, t5}; t6 is the join that
-// makes the initial mapping miss the 75 ms deadline until
-// OptimizedMapping's task movements repair it (Section IV-B). With the
+// makes the initial mapping miss the 75 ms deadline until the Fig. 7
+// search's task movements repair it (Section IV-B). With the
 // example's (1, 2, 2) scalings, the repaired design meets the 75 ms
 // deadline exactly. Edge costs use the figure's small multiples
 // {1, 2, 2, 2, 3, 1, 1}.

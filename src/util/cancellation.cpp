@@ -19,4 +19,9 @@ void CancellationToken::set_budget_seconds(double seconds) {
         deadline_ = now + std::chrono::duration_cast<Clock::duration>(budget);
 }
 
+IntervalTimer::IntervalTimer(double seconds) : seconds_(seconds), last_(Clock::now()) {
+    if (std::isnan(seconds))
+        throw std::invalid_argument("IntervalTimer: interval must not be NaN");
+}
+
 } // namespace seamap

@@ -73,9 +73,9 @@ class IntervalTimer {
 public:
     using Clock = CancellationToken::Clock;
 
-    /// `seconds` <= 0 disables the timer: due() is always false.
-    explicit IntervalTimer(double seconds)
-        : seconds_(seconds), last_(Clock::now()) {}
+    /// `seconds` <= 0 disables the timer: due() is always false. NaN
+    /// throws std::invalid_argument (it would silently never be due).
+    explicit IntervalTimer(double seconds);
 
     bool due() const {
         if (seconds_ <= 0.0) return false;

@@ -142,18 +142,6 @@ ExactMoments ExactMoments::from_state(const ExactMomentsState& s) {
     return m;
 }
 
-double mean_of(std::span<const double> xs) {
-    RunningStats s;
-    for (double x : xs) s.add(x);
-    return s.mean();
-}
-
-double stdev_of(std::span<const double> xs) {
-    RunningStats s;
-    for (double x : xs) s.add(x);
-    return s.stdev();
-}
-
 double percent_change(double value, double baseline) {
     if (exactly_zero(baseline))
         throw std::invalid_argument("percent_change: baseline must be nonzero");

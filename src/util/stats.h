@@ -5,7 +5,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 
 namespace seamap {
 
@@ -98,12 +97,6 @@ private:
     std::uint64_t min_ = 0;
     std::uint64_t max_ = 0;
 };
-
-/// Mean of a span; 0 for an empty span.
-double mean_of(std::span<const double> xs);
-
-/// Unbiased sample standard deviation of a span; 0 below two elements.
-double stdev_of(std::span<const double> xs);
 
 /// Relative change of `value` vs `baseline` in percent:
 /// 100 * (value - baseline) / baseline. Requires baseline != 0.

@@ -19,7 +19,6 @@ TEST(Mpsoc, RejectsZeroCores) {
 
 TEST(Mpsoc, SlowestAndNominalScalings) {
     const MpsocArchitecture arch(3, VoltageScalingTable::arm7_three_level());
-    EXPECT_EQ(arch.slowest_scaling(), (ScalingVector{3, 3, 3}));
     EXPECT_EQ(arch.nominal_scaling(), (ScalingVector{1, 1, 1}));
 }
 

@@ -25,9 +25,8 @@ LocalSearchParams quick_params(std::uint64_t seed = 1) {
 
 TEST(SimulatedAnnealing, FindsFeasibleDesignOnMpeg2) {
     Fixture f;
-    const SimulatedAnnealingMapper mapper(quick_params());
-    const LocalSearchResult result =
-        mapper.optimize(f.ctx, MappingObjective::makespan, round_robin_mapping(f.graph, 4));
+    const AnnealingStrategy mapper(quick_params(), MappingObjective::makespan);
+    const LocalSearchResult result = mapper.search(f.ctx, round_robin_mapping(f.graph, 4), 1);
     EXPECT_TRUE(result.found_feasible);
     EXPECT_TRUE(result.best_metrics.feasible);
     EXPECT_TRUE(result.best_mapping.complete());
@@ -39,11 +38,11 @@ TEST(SimulatedAnnealing, ImprovesObjectiveOverInitial) {
     Fixture f;
     const Mapping initial = round_robin_mapping(f.graph, 4);
     const DesignMetrics initial_metrics = evaluate_design(f.ctx, initial);
-    const SimulatedAnnealingMapper mapper(quick_params());
     for (const MappingObjective objective :
          {MappingObjective::register_usage, MappingObjective::makespan,
           MappingObjective::time_register_product, MappingObjective::seu_count}) {
-        const LocalSearchResult result = mapper.optimize(f.ctx, objective, initial);
+        const LocalSearchResult result =
+            AnnealingStrategy(quick_params(), objective).search(f.ctx, initial, 1);
         ASSERT_TRUE(result.found_feasible) << objective_name(objective);
         EXPECT_LE(objective_value(objective, result.best_metrics),
                   objective_value(objective, initial_metrics))
@@ -58,9 +57,10 @@ TEST(SimulatedAnnealing, ObjectivesPullInTheirOwnDirections) {
     const Mapping initial = round_robin_mapping(f.graph, 4);
     LocalSearchParams params = quick_params(3);
     params.max_iterations = 8'000;
-    const SimulatedAnnealingMapper mapper(params);
-    const LocalSearchResult min_r = mapper.optimize(f.ctx, MappingObjective::register_usage, initial);
-    const LocalSearchResult min_tm = mapper.optimize(f.ctx, MappingObjective::makespan, initial);
+    const LocalSearchResult min_r =
+        AnnealingStrategy(params, MappingObjective::register_usage).search(f.ctx, initial, 3);
+    const LocalSearchResult min_tm =
+        AnnealingStrategy(params, MappingObjective::makespan).search(f.ctx, initial, 3);
     ASSERT_TRUE(min_r.found_feasible);
     ASSERT_TRUE(min_tm.found_feasible);
     EXPECT_LE(min_r.best_metrics.register_bits, min_tm.best_metrics.register_bits);
@@ -69,10 +69,10 @@ TEST(SimulatedAnnealing, ObjectivesPullInTheirOwnDirections) {
 
 TEST(SimulatedAnnealing, DeterministicGivenSeed) {
     Fixture f;
-    const SimulatedAnnealingMapper mapper(quick_params(17));
+    const AnnealingStrategy mapper(quick_params(17), MappingObjective::seu_count);
     const Mapping initial = round_robin_mapping(f.graph, 4);
-    const LocalSearchResult a = mapper.optimize(f.ctx, MappingObjective::seu_count, initial);
-    const LocalSearchResult b = mapper.optimize(f.ctx, MappingObjective::seu_count, initial);
+    const LocalSearchResult a = mapper.search(f.ctx, initial, 17);
+    const LocalSearchResult b = mapper.search(f.ctx, initial, 17);
     EXPECT_EQ(a.best_mapping, b.best_mapping);
     EXPECT_DOUBLE_EQ(a.best_metrics.gamma, b.best_metrics.gamma);
 }
@@ -80,9 +80,8 @@ TEST(SimulatedAnnealing, DeterministicGivenSeed) {
 TEST(SimulatedAnnealing, ImpossibleDeadlineReportsClosestDesign) {
     Fixture f;
     EvaluationContext tight{f.graph, f.arch, f.levels, f.estimator, 1e-6};
-    const SimulatedAnnealingMapper mapper(quick_params());
-    const LocalSearchResult result =
-        mapper.optimize(tight, MappingObjective::seu_count, round_robin_mapping(f.graph, 4));
+    const AnnealingStrategy mapper(quick_params(), MappingObjective::seu_count);
+    const LocalSearchResult result = mapper.search(tight, round_robin_mapping(f.graph, 4), 1);
     EXPECT_FALSE(result.found_feasible);
     EXPECT_FALSE(result.best_metrics.feasible);
     EXPECT_GT(result.best_metrics.tm_seconds, 0.0);
@@ -94,27 +93,25 @@ TEST(SimulatedAnnealing, SmallRandomGraphAcrossObjectives) {
     const TaskGraph graph = generate_tgff_graph(params, 5);
     const MpsocArchitecture arch(3, VoltageScalingTable::arm7_three_level());
     const EvaluationContext ctx{graph, arch, {1, 1, 1}, SeuEstimator{SerModel{}}, 1e9};
-    const SimulatedAnnealingMapper mapper(quick_params(9));
-    const LocalSearchResult result =
-        mapper.optimize(ctx, MappingObjective::seu_count, round_robin_mapping(graph, 3));
+    const AnnealingStrategy mapper(quick_params(9), MappingObjective::seu_count);
+    const LocalSearchResult result = mapper.search(ctx, round_robin_mapping(graph, 3), 9);
     EXPECT_TRUE(result.found_feasible); // deadline effectively unconstrained
 }
 
 TEST(SimulatedAnnealing, IncompleteInitialThrows) {
     Fixture f;
-    const SimulatedAnnealingMapper mapper(quick_params());
+    const AnnealingStrategy mapper(quick_params(), MappingObjective::seu_count);
     const Mapping incomplete(f.graph.task_count(), 4);
-    EXPECT_THROW((void)mapper.optimize(f.ctx, MappingObjective::seu_count, incomplete),
-                 std::invalid_argument);
+    EXPECT_THROW((void)mapper.search(f.ctx, incomplete, 1), std::invalid_argument);
 }
 
 TEST(SimulatedAnnealing, ParameterValidation) {
     LocalSearchParams params;
     params.max_iterations = 0;
-    EXPECT_THROW(SimulatedAnnealingMapper{params}, std::invalid_argument);
+    EXPECT_THROW(AnnealingStrategy{params}, std::invalid_argument);
     params = LocalSearchParams{};
     params.swap_probability = 1.5;
-    EXPECT_THROW(SimulatedAnnealingMapper{params}, std::invalid_argument);
+    EXPECT_THROW(AnnealingStrategy{params}, std::invalid_argument);
 }
 
 } // namespace

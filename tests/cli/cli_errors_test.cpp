@@ -162,6 +162,19 @@ TEST_F(CliErrorsTest, ResumeWithoutSnapshotStartsFresh) {
     expect_contains(r.err, "starting fresh");
 }
 
+TEST_F(CliErrorsTest, NanCheckpointIntervalIsInvalidArgument) {
+    // A NaN interval would never be due, silently disabling timed flushes.
+    const std::string graph = fig8_path();
+    for (const std::string& command : {std::string("optimize"), std::string("campaign")}) {
+        const RunResult r = run(command + " " + graph + " --cores 2 --checkpoint " +
+                                path_of(command + ".ckpt") +
+                                " --checkpoint-interval nan --json");
+        EXPECT_EQ(r.status, 2) << command;
+        expect_contains(r.out, "\"code\": \"invalid_argument\"");
+        expect_contains(r.err, "must not be NaN");
+    }
+}
+
 TEST_F(CliErrorsTest, CorruptCheckpointIsRejected) {
     const std::string ckpt = path_of("broken.ckpt");
     {

@@ -8,6 +8,7 @@
 #include "seamap/seamap.h"
 
 #include "api/scenarios.h"
+#include "support/naive_eval_strategy.h"
 #include "support/scaling_walker.h"
 #include "taskgraph/fig8.h"
 #include "taskgraph/mpeg2.h"
@@ -360,13 +361,11 @@ TEST(EvalContextEquivalence, ExploreJsonByteIdenticalAcrossPathsStrategiesAndThr
         ExploreOptions options;
         options.strategy = name;
         options.dse.search.max_iterations = 300;
-        options.dse.eval.naive_reference = true;
         options.dse.num_threads = 1;
         const std::string reference =
-            optimize_report_json(problem, name, explore(problem, options)).dump();
+            optimize_report_json(problem, name, explore_naive(problem, options)).dump();
         for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
             ExploreOptions fast = options;
-            fast.dse.eval = EvalOptions{};
             fast.dse.num_threads = threads;
             const std::string got =
                 optimize_report_json(problem, name, explore(problem, fast)).dump();

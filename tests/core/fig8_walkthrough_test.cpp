@@ -5,12 +5,13 @@
 //      along minimum-SEU dependents, spilling the remainder over
 //      cores 2 and 3;
 //   2. the initial mapping misses the 75 ms deadline;
-//   3. OptimizedMapping's task movements repair it while minimizing the
-//      SEUs experienced.
+//   3. the Fig. 7 search's task movements repair it while minimizing
+//      the SEUs experienced.
 // The figure scan garbles the exact edge list, so we assert the
 // *narrative invariants* rather than the exact per-panel placements.
 #include "core/initial_mapping.h"
 #include "core/optimized_mapping.h"
+#include "core/search_strategy.h"
 #include "reliability/register_usage.h"
 
 #include "taskgraph/fig8.h"
@@ -52,8 +53,8 @@ TEST(Fig8Walkthrough, Stage2MeetsThe75msDeadline) {
     LocalSearchParams params;
     params.max_iterations = 3'000;
     params.seed = 8;
-    const OptimizedMapping searcher(params);
-    const LocalSearchResult result = searcher.optimize(w.ctx, initial);
+    const OptimizedMappingStrategy searcher(params);
+    const LocalSearchResult result = searcher.search(w.ctx, initial, params.seed);
     ASSERT_TRUE(result.found_feasible) << "a feasible mapping exists for this example";
     EXPECT_LE(result.best_metrics.tm_seconds, k_fig8_deadline_seconds * (1.0 + 1e-9));
 }
@@ -65,7 +66,8 @@ TEST(Fig8Walkthrough, Stage2NeverIncreasesGammaOfAFeasibleStart) {
     LocalSearchParams params;
     params.max_iterations = 3'000;
     params.seed = 8;
-    const LocalSearchResult result = OptimizedMapping(params).optimize(w.ctx, initial);
+    const LocalSearchResult result =
+        OptimizedMappingStrategy(params).search(w.ctx, initial, params.seed);
     ASSERT_TRUE(result.found_feasible);
     if (initial_metrics.feasible) {
         EXPECT_LE(result.best_metrics.gamma, initial_metrics.gamma);
@@ -80,8 +82,8 @@ TEST(Fig8Walkthrough, OptimizedBeatsEveryNaiveMapping) {
     LocalSearchParams params;
     params.max_iterations = 4'000;
     params.seed = 8;
-    const LocalSearchResult result =
-        OptimizedMapping(params).optimize(w.ctx, initial_sea_mapping(w.ctx));
+    const LocalSearchResult result = OptimizedMappingStrategy(params).search(
+        w.ctx, initial_sea_mapping(w.ctx), params.seed);
     ASSERT_TRUE(result.found_feasible);
     for (const Mapping& naive :
          {single_core_mapping(w.graph, 3), round_robin_mapping(w.graph, 3)}) {
@@ -98,8 +100,8 @@ TEST(Fig8Walkthrough, FasterCoreCarriesMoreWork) {
     LocalSearchParams params;
     params.max_iterations = 4'000;
     params.seed = 8;
-    const LocalSearchResult result =
-        OptimizedMapping(params).optimize(w.ctx, initial_sea_mapping(w.ctx));
+    const LocalSearchResult result = OptimizedMappingStrategy(params).search(
+        w.ctx, initial_sea_mapping(w.ctx), params.seed);
     ASSERT_TRUE(result.found_feasible);
     const auto busy = per_core_busy_cycles(w.graph, result.best_mapping, 3);
     EXPECT_GE(busy[0], (busy[1] + busy[2]) / 2);

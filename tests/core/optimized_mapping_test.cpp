@@ -1,6 +1,7 @@
 #include "core/optimized_mapping.h"
 
 #include "core/initial_mapping.h"
+#include "core/search_strategy.h"
 #include "taskgraph/mpeg2.h"
 
 #include <gtest/gtest.h>
@@ -27,8 +28,8 @@ TEST(OptimizedMapping, NeverWorseThanFeasibleInitial) {
     Fixture f;
     const Mapping initial = initial_sea_mapping(f.ctx);
     const DesignMetrics initial_metrics = evaluate_design(f.ctx, initial);
-    const OptimizedMapping searcher(quick_params());
-    const LocalSearchResult result = searcher.optimize(f.ctx, initial);
+    const OptimizedMappingStrategy searcher(quick_params());
+    const LocalSearchResult result = searcher.search(f.ctx, initial, 1);
     ASSERT_TRUE(result.found_feasible);
     if (initial_metrics.feasible) { EXPECT_LE(result.best_metrics.gamma, initial_metrics.gamma); }
     EXPECT_TRUE(result.best_metrics.feasible);
@@ -37,17 +38,17 @@ TEST(OptimizedMapping, NeverWorseThanFeasibleInitial) {
 
 TEST(OptimizedMapping, RunsExactlyTheIterationBudget) {
     Fixture f;
-    const OptimizedMapping searcher(quick_params());
-    const LocalSearchResult result = searcher.optimize(f.ctx, initial_sea_mapping(f.ctx));
+    const OptimizedMappingStrategy searcher(quick_params());
+    const LocalSearchResult result = searcher.search(f.ctx, initial_sea_mapping(f.ctx), 1);
     EXPECT_EQ(result.iterations_run, 2'000u);
 }
 
 TEST(OptimizedMapping, DeterministicGivenSeed) {
     Fixture f;
     const Mapping initial = initial_sea_mapping(f.ctx);
-    const OptimizedMapping searcher(quick_params(23));
-    const LocalSearchResult a = searcher.optimize(f.ctx, initial);
-    const LocalSearchResult b = searcher.optimize(f.ctx, initial);
+    const OptimizedMappingStrategy searcher(quick_params(23));
+    const LocalSearchResult a = searcher.search(f.ctx, initial, 23);
+    const LocalSearchResult b = searcher.search(f.ctx, initial, 23);
     EXPECT_EQ(a.best_mapping, b.best_mapping);
     EXPECT_DOUBLE_EQ(a.best_metrics.gamma, b.best_metrics.gamma);
 }
@@ -55,8 +56,8 @@ TEST(OptimizedMapping, DeterministicGivenSeed) {
 TEST(OptimizedMapping, ImpossibleDeadlineReturnsClosestDesign) {
     Fixture f;
     EvaluationContext tight{f.graph, f.arch, f.levels, SeuEstimator{SerModel{}}, 1e-6};
-    const OptimizedMapping searcher(quick_params());
-    const LocalSearchResult result = searcher.optimize(tight, initial_sea_mapping(tight));
+    const OptimizedMappingStrategy searcher(quick_params());
+    const LocalSearchResult result = searcher.search(tight, initial_sea_mapping(tight), 1);
     EXPECT_FALSE(result.found_feasible);
     EXPECT_FALSE(result.best_metrics.feasible);
 }
@@ -70,8 +71,8 @@ TEST(OptimizedMapping, RecoversFeasibilityFromBadStart) {
     ASSERT_FALSE(start.feasible) << "fixture assumption: 1 core at level 2 is too slow";
     LocalSearchParams params = quick_params(5);
     params.max_iterations = 6'000;
-    const OptimizedMapping searcher(params);
-    const LocalSearchResult result = searcher.optimize(f.ctx, localized);
+    const OptimizedMappingStrategy searcher(params);
+    const LocalSearchResult result = searcher.search(f.ctx, localized, params.seed);
     EXPECT_TRUE(result.found_feasible);
 }
 
@@ -79,12 +80,12 @@ TEST(OptimizedMapping, TokenDeadlineStopsSearch) {
     Fixture f;
     LocalSearchParams params;
     params.max_iterations = 4'000'000'000; // far beyond the deadline
-    const OptimizedMapping searcher(params);
+    const OptimizedMappingStrategy searcher(params);
     CancellationToken cancel;
     cancel.set_budget_seconds(0.05);
     const auto start = std::chrono::steady_clock::now();
     const LocalSearchResult result =
-        searcher.optimize(f.ctx, initial_sea_mapping(f.ctx), &cancel);
+        searcher.search(f.ctx, initial_sea_mapping(f.ctx), params.seed, &cancel);
     const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
     EXPECT_LT(elapsed.count(), 2.0); // generous: the deadline is 50 ms
     EXPECT_GT(result.iterations_run, 0u);
@@ -95,14 +96,14 @@ TEST(OptimizedMapping, Validation) {
     Fixture f;
     LocalSearchParams params;
     params.max_iterations = 0;
-    EXPECT_THROW(OptimizedMapping{params}, std::invalid_argument);
+    EXPECT_THROW(OptimizedMappingStrategy{params}, std::invalid_argument);
     params = LocalSearchParams{};
     params.swap_probability = -0.1;
-    EXPECT_THROW(OptimizedMapping{params}, std::invalid_argument);
+    EXPECT_THROW(OptimizedMappingStrategy{params}, std::invalid_argument);
 
-    const OptimizedMapping searcher(quick_params());
+    const OptimizedMappingStrategy searcher(quick_params());
     const Mapping incomplete(f.graph.task_count(), 4);
-    EXPECT_THROW((void)searcher.optimize(f.ctx, incomplete), std::invalid_argument);
+    EXPECT_THROW((void)searcher.search(f.ctx, incomplete, 1), std::invalid_argument);
 }
 
 } // namespace

@@ -4,6 +4,7 @@
 #include "baseline/simulated_annealing.h"
 #include "core/initial_mapping.h"
 #include "core/optimized_mapping.h"
+#include "core/search_strategy.h"
 
 #include "taskgraph/mpeg2.h"
 
@@ -26,8 +27,8 @@ TEST(RequireAllCores, LocalSearchKeepsEveryCorePopulated) {
     params.max_iterations = 3'000;
     params.require_all_cores = true;
     params.seed = 4;
-    const LocalSearchResult result =
-        OptimizedMapping(params).optimize(f.ctx, initial_sea_mapping(f.ctx));
+    const LocalSearchResult result = OptimizedMappingStrategy(params).search(
+        f.ctx, initial_sea_mapping(f.ctx), params.seed);
     ASSERT_TRUE(result.found_feasible);
     EXPECT_EQ(result.best_mapping.used_core_count(), 4u);
 }
@@ -38,8 +39,9 @@ TEST(RequireAllCores, SimulatedAnnealingKeepsEveryCorePopulated) {
     params.max_iterations = 3'000;
     params.require_all_cores = true;
     params.seed = 4;
-    const LocalSearchResult result = SimulatedAnnealingMapper(params).optimize(
-        f.ctx, MappingObjective::seu_count, round_robin_mapping(f.graph, 4));
+    const LocalSearchResult result =
+        AnnealingStrategy(params, MappingObjective::seu_count)
+            .search(f.ctx, round_robin_mapping(f.graph, 4), params.seed);
     ASSERT_TRUE(result.found_feasible);
     EXPECT_EQ(result.best_mapping.used_core_count(), 4u);
 }
@@ -54,8 +56,8 @@ TEST(RequireAllCores, OffAllowsCoreShutdown) {
     params.max_iterations = 3'000;
     params.require_all_cores = false;
     params.seed = 4;
-    const LocalSearchResult result =
-        OptimizedMapping(params).optimize(f.ctx, initial_sea_mapping(f.ctx));
+    const LocalSearchResult result = OptimizedMappingStrategy(params).search(
+        f.ctx, initial_sea_mapping(f.ctx), params.seed);
     ASSERT_TRUE(result.found_feasible);
     EXPECT_LE(result.best_mapping.used_core_count(), 4u);
 }
@@ -70,8 +72,8 @@ TEST(RequireAllCores, PopulationPreservedFromAllCoreStart) {
         params.max_iterations = 1'000;
         params.require_all_cores = true;
         params.seed = seed;
-        const LocalSearchResult result =
-            OptimizedMapping(params).optimize(f.ctx, round_robin_mapping(f.graph, 4));
+        const LocalSearchResult result = OptimizedMappingStrategy(params).search(
+            f.ctx, round_robin_mapping(f.graph, 4), params.seed);
         EXPECT_EQ(result.best_mapping.used_core_count(), 4u) << "seed " << seed;
     }
 }
@@ -82,8 +84,8 @@ TEST(Restarts, SingleRestartIsPlainWalk) {
     params.max_iterations = 2'000;
     params.restarts = 1;
     params.seed = 9;
-    const LocalSearchResult result =
-        OptimizedMapping(params).optimize(f.ctx, initial_sea_mapping(f.ctx));
+    const LocalSearchResult result = OptimizedMappingStrategy(params).search(
+        f.ctx, initial_sea_mapping(f.ctx), params.seed);
     EXPECT_TRUE(result.found_feasible);
     EXPECT_EQ(result.iterations_run, 2'000u);
 }
@@ -94,8 +96,8 @@ TEST(Restarts, ManyRestartsStillRespectBudgetAndFindFeasible) {
     params.max_iterations = 2'000;
     params.restarts = 8;
     params.seed = 9;
-    const LocalSearchResult result =
-        OptimizedMapping(params).optimize(f.ctx, initial_sea_mapping(f.ctx));
+    const LocalSearchResult result = OptimizedMappingStrategy(params).search(
+        f.ctx, initial_sea_mapping(f.ctx), params.seed);
     EXPECT_TRUE(result.found_feasible);
     EXPECT_EQ(result.iterations_run, 2'000u);
 }
@@ -113,7 +115,8 @@ TEST(Restarts, NeverWorseThanInitialDesign) {
         params.max_iterations = 1'500;
         params.restarts = restarts;
         params.seed = 11;
-        const LocalSearchResult result = OptimizedMapping(params).optimize(f.ctx, initial);
+        const LocalSearchResult result =
+            OptimizedMappingStrategy(params).search(f.ctx, initial, params.seed);
         ASSERT_TRUE(result.found_feasible) << restarts << " restarts";
         EXPECT_LE(result.best_metrics.gamma, initial_metrics.gamma) << restarts << " restarts";
     }

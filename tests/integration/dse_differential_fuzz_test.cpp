@@ -4,8 +4,9 @@
 //   - prune on vs off: `best` / `pareto_front` byte-identical JSON,
 //   - 1 vs 2 vs 8 worker threads: the ENTIRE result bit-identical
 //     within each mode,
-//   - SoA fast eval vs the naive_reference eval path: the entire
-//     exhaustive result bit-identical,
+//   - SoA fast eval vs the naive_reference eval path (the strategy
+//     wrapped in NaiveEvalStrategy): the entire exhaustive result
+//     bit-identical,
 //   - counter algebra: searched + pruned == exhaustive searched,
 //     searched <= emitted <= searched + pruned.
 // The failing seed is printed via SCOPED_TRACE so any report is
@@ -15,6 +16,7 @@
 #include "seamap/seamap.h"
 
 #include "sched/list_scheduler.h"
+#include "support/naive_eval_strategy.h"
 #include "tgff/random_graph.h"
 #include "util/rng.h"
 
@@ -121,8 +123,7 @@ DseResult run(const Problem& problem, bool prune, std::size_t threads, bool naiv
     options.dse.num_threads = threads;
     options.dse.search.max_iterations = 40;
     options.dse.search.seed = splitmix64(seed + 0x9e37ULL);
-    options.dse.eval.naive_reference = naive;
-    return explore(problem, options);
+    return naive ? explore_naive(problem, options) : explore(problem, options);
 }
 
 /// The full differential contract for one seed.

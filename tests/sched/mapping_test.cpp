@@ -28,16 +28,6 @@ TEST(Mapping, AssignAndReassign) {
     EXPECT_EQ(mapping.assigned_count(), 1u);
 }
 
-TEST(Mapping, Unassign) {
-    Mapping mapping(2, 2);
-    mapping.assign(1, 1);
-    mapping.unassign(1);
-    EXPECT_FALSE(mapping.is_assigned(1));
-    EXPECT_EQ(mapping.assigned_count(), 0u);
-    mapping.unassign(1); // idempotent
-    EXPECT_EQ(mapping.assigned_count(), 0u);
-}
-
 TEST(Mapping, CompleteDetection) {
     Mapping mapping(2, 2);
     mapping.assign(0, 0);

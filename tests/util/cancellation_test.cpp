@@ -33,5 +33,12 @@ TEST(CancellationToken, NanBudgetIsRejected) {
     EXPECT_FALSE(token.stop_requested());
 }
 
+TEST(IntervalTimer, NanIntervalIsRejected) {
+    // NaN compares false against everything, so it would never be due.
+    EXPECT_THROW(IntervalTimer{std::numeric_limits<double>::quiet_NaN()},
+                 std::invalid_argument);
+    EXPECT_FALSE(IntervalTimer{0.0}.due()); // <= 0 still disables
+}
+
 } // namespace
 } // namespace seamap

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -85,14 +84,6 @@ TEST(RunningStats, MergeWithEmptySides) {
     b.merge(a); // empty lhs: becomes rhs
     EXPECT_EQ(b.count(), 2u);
     EXPECT_DOUBLE_EQ(b.mean(), 2.0);
-}
-
-TEST(SpanStats, MeanAndStdev) {
-    const std::array<double, 4> xs = {1.0, 2.0, 3.0, 4.0};
-    EXPECT_DOUBLE_EQ(mean_of(xs), 2.5);
-    EXPECT_NEAR(stdev_of(xs), std::sqrt(5.0 / 3.0), 1e-12);
-    EXPECT_EQ(mean_of(std::span<const double>{}), 0.0);
-    EXPECT_EQ(stdev_of(std::span<const double>{}), 0.0);
 }
 
 TEST(PercentChange, BasicAndThrows) {
