@@ -39,10 +39,6 @@ double VoltageScalingTable::frequency_mhz(ScalingLevel level) const {
 
 double VoltageScalingTable::vdd(ScalingLevel level) const { return at_level(level).vdd; }
 
-ScalingLevel VoltageScalingTable::slowest_level() const {
-    return static_cast<ScalingLevel>(points_.size());
-}
-
 VoltageScalingTable VoltageScalingTable::from_frequencies(const std::vector<double>& f_mhz) {
     std::vector<OperatingPoint> points;
     points.reserve(f_mhz.size());

@@ -39,9 +39,6 @@ public:
     double frequency_hz(ScalingLevel level) const;
     double frequency_mhz(ScalingLevel level) const;
     double vdd(ScalingLevel level) const;
-    /// Slowest level (largest index) — where the paper's enumeration
-    /// starts ("lowest voltage scaling on all identical cores").
-    ScalingLevel slowest_level() const;
 
     // --- paper scaling tables -------------------------------------------
     /// Table I: {200 MHz/1.00 V, 100 MHz/0.58 V, 66.7 MHz/0.44 V}.

@@ -15,14 +15,4 @@ double objective_value(MappingObjective objective, const DesignMetrics& metrics)
     throw std::invalid_argument("objective_value: unknown objective");
 }
 
-std::string objective_name(MappingObjective objective) {
-    switch (objective) {
-    case MappingObjective::register_usage: return "register_usage";
-    case MappingObjective::makespan: return "makespan";
-    case MappingObjective::time_register_product: return "time_register_product";
-    case MappingObjective::seu_count: return "seu_count";
-    }
-    throw std::invalid_argument("objective_name: unknown objective");
-}
-
 } // namespace seamap

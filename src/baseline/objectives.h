@@ -9,8 +9,6 @@
 
 #include "reliability/design_eval.h"
 
-#include <string>
-
 namespace seamap {
 
 enum class MappingObjective {
@@ -22,8 +20,5 @@ enum class MappingObjective {
 
 /// Scalar cost (lower is better) of a design under an objective.
 double objective_value(MappingObjective objective, const DesignMetrics& metrics);
-
-/// Human-readable name ("register_usage", ...).
-std::string objective_name(MappingObjective objective);
 
 } // namespace seamap

@@ -130,7 +130,6 @@ public:
 
     /// The problem this context evaluates against.
     const EvaluationContext& problem() const { return ctx_; }
-    const EvalOptions& options() const { return options_; }
 
     /// Full evaluation of a complete mapping; bit-identical to
     /// evaluate_design(problem(), mapping). Allocation-free after the
@@ -146,10 +145,9 @@ public:
     /// instead, which would help high-acceptance (hot) walk phases.
     DesignMetrics rebase(const Mapping& base);
 
-    const Mapping& base() const { return base_; }
     const DesignMetrics& base_metrics() const { return base_metrics_; }
 
-    /// Metrics of base() with `task` moved to core `to` (base itself is
+    /// Metrics of the base with `task` moved to core `to` (base itself is
     /// left untouched); the random walk's move step. Memoized, then
     /// suffix-rescheduled: only the two affected cores' register unions
     /// and busy cycles are recomputed, and only placement positions from
@@ -171,10 +169,10 @@ public:
                                                        const DesignMetrics& walk_best,
                                                        const DesignMetrics& result_best);
 
-    /// Metrics of base() with tasks `a` and `b` exchanging cores.
+    /// Metrics of the base with tasks `a` and `b` exchanging cores.
     DesignMetrics evaluate_swap(TaskId a, TaskId b);
 
-    /// Dispatch on a NeighborOp produced against base(). Kind::none
+    /// Dispatch on a NeighborOp produced against the base. Kind::none
     /// returns base_metrics().
     DesignMetrics evaluate_neighbor(const NeighborOp& op);
 

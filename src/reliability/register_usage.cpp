@@ -36,30 +36,4 @@ std::uint64_t register_bits_with_candidate(const TaskGraph& graph, const Registe
     return merged.bits_in(graph.register_file());
 }
 
-std::vector<double> time_weighted_register_bits(const TaskGraph& graph, const Mapping& mapping,
-                                                std::span<const double> exec_seconds,
-                                                std::size_t core_count) {
-    if (mapping.task_count() != graph.task_count())
-        throw std::invalid_argument("time_weighted_register_bits: mapping/graph size mismatch");
-    if (exec_seconds.size() != graph.task_count())
-        throw std::invalid_argument("time_weighted_register_bits: exec_seconds size mismatch");
-    std::vector<double> weighted_bits(core_count, 0.0);
-    std::vector<double> busy(core_count, 0.0);
-    for (TaskId t = 0; t < graph.task_count(); ++t) {
-        if (!mapping.is_assigned(t)) continue;
-        const CoreId core = mapping.core_of(t);
-        if (core >= core_count)
-            throw std::out_of_range("time_weighted_register_bits: bad core id in mapping");
-        if (exec_seconds[t] < 0.0)
-            throw std::invalid_argument("time_weighted_register_bits: negative execution time");
-        weighted_bits[core] +=
-            static_cast<double>(graph.task_register_bits(t)) * exec_seconds[t];
-        busy[core] += exec_seconds[t];
-    }
-    std::vector<double> average(core_count, 0.0);
-    for (std::size_t c = 0; c < core_count; ++c)
-        if (busy[c] > 0.0) average[c] = weighted_bits[c] / busy[c];
-    return average;
-}
-
 } // namespace seamap

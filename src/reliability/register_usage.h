@@ -29,14 +29,4 @@ std::uint64_t total_register_bits(const TaskGraph& graph, const Mapping& mapping
 std::uint64_t register_bits_with_candidate(const TaskGraph& graph, const RegisterSet& current_set,
                                            TaskId candidate);
 
-/// The *measured* register usage of eq. (4): the execution-time-
-/// weighted average of live register bits on each core, taking "live"
-/// as the running task's working set. Always <= the eq. (8) union;
-/// equal only when every task on the core uses the same registers.
-/// `exec_seconds` gives each task's execution time (e.g. schedule
-/// entry finish - start); cores with no busy time report 0.
-std::vector<double> time_weighted_register_bits(const TaskGraph& graph, const Mapping& mapping,
-                                                std::span<const double> exec_seconds,
-                                                std::size_t core_count);
-
 } // namespace seamap

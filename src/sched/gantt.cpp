@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <ostream>
-#include <sstream>
+#include <string>
 #include <vector>
 
 namespace seamap {
@@ -32,19 +32,6 @@ void write_gantt(std::ostream& os, const TaskGraph& graph, const Schedule& sched
     }
     os << "one-iteration schedule, horizon " << horizon << " s\n";
     for (std::size_t c = 0; c < cores; ++c) os << "core " << c << " |" << rows[c] << "|\n";
-}
-
-void write_schedule_csv(std::ostream& os, const TaskGraph& graph, const Schedule& schedule) {
-    os << "task,name,core,start_seconds,finish_seconds\n";
-    for (const auto& entry : schedule.entries)
-        os << entry.task << ',' << graph.task(entry.task).name << ',' << entry.core << ','
-           << entry.start_seconds << ',' << entry.finish_seconds << '\n';
-}
-
-std::string gantt_to_string(const TaskGraph& graph, const Schedule& schedule, std::size_t width) {
-    std::ostringstream os;
-    write_gantt(os, graph, schedule, width);
-    return os.str();
 }
 
 } // namespace seamap

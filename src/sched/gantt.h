@@ -1,12 +1,12 @@
-// Text rendering of schedules: a per-core Gantt chart for terminals
-// and a CSV dump for plotting, both over the single-iteration schedule.
+// Text rendering of schedules: a per-core Gantt chart for terminals,
+// over the single-iteration schedule.
 #pragma once
 
 #include "sched/list_scheduler.h"
 #include "taskgraph/task_graph.h"
 
+#include <cstddef>
 #include <iosfwd>
-#include <string>
 
 namespace seamap {
 
@@ -14,12 +14,5 @@ namespace seamap {
 /// timeline. Tasks are labelled by the first letters of their names.
 void write_gantt(std::ostream& os, const TaskGraph& graph, const Schedule& schedule,
                  std::size_t width = 72);
-
-/// CSV rows: task,name,core,start_seconds,finish_seconds.
-void write_schedule_csv(std::ostream& os, const TaskGraph& graph, const Schedule& schedule);
-
-/// Convenience: Gantt chart as a string.
-std::string gantt_to_string(const TaskGraph& graph, const Schedule& schedule,
-                            std::size_t width = 72);
 
 } // namespace seamap

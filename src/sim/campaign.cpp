@@ -6,6 +6,7 @@
 #include "util/rng.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace seamap {
@@ -19,15 +20,6 @@ std::string_view fault_site_name(FaultSite site) {
     throw std::invalid_argument("fault_site_name: unknown site");
 }
 
-double FaultSiteWeights::of(FaultSite site) const {
-    switch (site) {
-    case FaultSite::register_file: return register_file;
-    case FaultSite::pipeline: return pipeline;
-    case FaultSite::memory: return memory;
-    }
-    throw std::invalid_argument("FaultSiteWeights: unknown site");
-}
-
 namespace {
 
 void validate_config(const CampaignConfig& config) {
@@ -35,11 +27,13 @@ void validate_config(const CampaignConfig& config) {
         throw std::invalid_argument("CampaignEngine: campaign needs >= 1 trial");
     if (config.shard_size == 0)
         throw std::invalid_argument("CampaignEngine: shard_size must be >= 1");
-    if (config.weights.register_file < 0.0 || config.weights.pipeline < 0.0 ||
-        config.weights.memory < 0.0)
-        throw std::invalid_argument("CampaignEngine: site weights must be >= 0");
-    if (config.pipeline_bits < 0.0)
-        throw std::invalid_argument("CampaignEngine: pipeline_bits must be >= 0");
+    auto finite_non_negative = [](double x) { return std::isfinite(x) && x >= 0.0; };
+    if (!finite_non_negative(config.weights.register_file) ||
+        !finite_non_negative(config.weights.pipeline) ||
+        !finite_non_negative(config.weights.memory))
+        throw std::invalid_argument("CampaignEngine: site weights must be finite and >= 0");
+    if (!finite_non_negative(config.pipeline_bits))
+        throw std::invalid_argument("CampaignEngine: pipeline_bits must be finite and >= 0");
 }
 
 } // namespace
@@ -137,7 +131,9 @@ CampaignReport CampaignEngine::run(const TaskGraph& graph, const Mapping& mappin
         build_sources(graph, mapping, arch, levels, schedule);
     const std::uint64_t trials = config_.trials;
     const std::uint64_t shard_size = config_.shard_size;
-    const std::uint64_t shard_count = (trials + shard_size - 1) / shard_size;
+    // Neither the shard count nor a shard's end (below) may wrap near
+    // 2^64, whatever trials and shard_size are.
+    const std::uint64_t shard_count = trials / shard_size + (trials % shard_size != 0);
     const std::size_t cores = arch.core_count();
     const std::size_t tasks = graph.task_count();
 
@@ -165,7 +161,7 @@ CampaignReport CampaignEngine::run(const TaskGraph& graph, const Mapping& mappin
             acc = CampaignTally::zero(cores, tasks);
             const Rng root(seed);
             const std::uint64_t lo = static_cast<std::uint64_t>(shard) * shard_size;
-            const std::uint64_t hi = std::min(trials, lo + shard_size);
+            const std::uint64_t hi = lo + std::min(shard_size, trials - lo);
             std::array<std::uint64_t, k_fault_site_count> trial_site{};
             for (std::uint64_t trial = lo; trial < hi; ++trial) {
                 // A stop request abandons the shard un-recorded: a

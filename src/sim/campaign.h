@@ -75,8 +75,6 @@ struct FaultSiteWeights {
     /// stream, and the report is the plain eq. (3) fault-injection
     /// campaign (`seamap_cli inject`).
     static FaultSiteWeights register_file_only() { return {1.0, 0.0, 0.0}; }
-
-    double of(FaultSite site) const;
 };
 
 /// Campaign shape: trial count, shard granularity, parallelism, seed
@@ -175,7 +173,6 @@ public:
     CampaignEngine(SerModel ser, CampaignConfig config);
 
     const SerModel& ser_model() const { return ser_; }
-    const CampaignConfig& config() const { return config_; }
 
     /// The campaign-invariant fault-source table for one scheduled
     /// design: every (site, core, task) exposure with its precomputed

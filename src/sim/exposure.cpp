@@ -4,14 +4,6 @@
 
 namespace seamap {
 
-SimExposurePolicy to_sim_policy(ExposurePolicy policy) {
-    switch (policy) {
-    case ExposurePolicy::full_duration: return SimExposurePolicy::full_duration;
-    case ExposurePolicy::busy_only: return SimExposurePolicy::busy_only;
-    }
-    throw std::invalid_argument("to_sim_policy: unknown policy");
-}
-
 std::vector<ExposureInterval> build_exposure_profile(const TaskGraph& graph,
                                                      const Mapping& mapping,
                                                      const MpsocArchitecture& arch,
@@ -54,21 +46,6 @@ std::vector<ExposureInterval> build_exposure_profile(const TaskGraph& graph,
         profile.push_back(std::move(interval));
     }
     return profile;
-}
-
-double expected_seus(const std::vector<ExposureInterval>& profile, const TaskGraph& graph,
-                     const MpsocArchitecture& arch, const ScalingVector& levels,
-                     const SerModel& ser) {
-    arch.validate_scaling(levels);
-    double total = 0.0;
-    for (const auto& interval : profile) {
-        if (interval.core >= arch.core_count())
-            throw std::out_of_range("expected_seus: bad core id in profile");
-        const double rate = ser.ser_per_bit_second(arch.scaling_table().vdd(levels[interval.core]));
-        const double bits = static_cast<double>(interval.live.bits_in(graph.register_file()));
-        total += bits * interval.duration_seconds * rate;
-    }
-    return total;
 }
 
 } // namespace seamap

@@ -15,9 +15,6 @@
 #pragma once
 
 #include "arch/mpsoc.h"
-#include "arch/scaling_enumerator.h"
-#include "reliability/ser_model.h"
-#include "reliability/seu_estimator.h"
 #include "sched/list_scheduler.h"
 #include "sched/mapping.h"
 #include "taskgraph/register_file.h"
@@ -36,9 +33,6 @@ enum class SimExposurePolicy {
     running_task,
 };
 
-/// Convert the analytic estimator's policy.
-SimExposurePolicy to_sim_policy(ExposurePolicy policy);
-
 /// One piece of a core's exposure: `live` register set held for
 /// `duration_seconds` of wall-clock time.
 struct ExposureInterval {
@@ -55,12 +49,5 @@ std::vector<ExposureInterval> build_exposure_profile(const TaskGraph& graph,
                                                      const MpsocArchitecture& arch,
                                                      const Schedule& schedule,
                                                      SimExposurePolicy policy);
-
-/// Expected SEU count of a profile under an SER model — the analytic
-/// value the Poisson sampler fluctuates around (property-tested against
-/// SeuEstimator for the matching policies).
-double expected_seus(const std::vector<ExposureInterval>& profile, const TaskGraph& graph,
-                     const MpsocArchitecture& arch, const ScalingVector& levels,
-                     const SerModel& ser);
 
 } // namespace seamap

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -35,50 +34,25 @@ std::string escape(std::string_view text) {
     return out;
 }
 
-void write_header(std::ostream& os, const TaskGraph& graph) {
-    os << "digraph \"" << escape(graph.name()) << "\" {\n";
-    os << "  rankdir=TB;\n";
-    os << "  node [shape=box, style=\"rounded,filled\", fillcolor=\"#f0f0f0\"];\n";
-}
-
-void write_edges(std::ostream& os, const TaskGraph& graph) {
-    for (const Edge& edge : graph.edges())
-        os << "  t" << edge.src << " -> t" << edge.dst << " [label=\"" << edge.comm_cycles
-           << "\"];\n";
-}
-
 } // namespace
-
-void write_dot(std::ostream& os, const TaskGraph& graph) {
-    write_header(os, graph);
-    for (TaskId id = 0; id < graph.task_count(); ++id) {
-        const Task& task = graph.task(id);
-        os << "  t" << id << " [label=\"" << escape(task.name) << "\\n" << task.exec_cycles
-           << " cyc\"];\n";
-    }
-    write_edges(os, graph);
-    os << "}\n";
-}
 
 void write_dot_mapped(std::ostream& os, const TaskGraph& graph,
                       std::span<const std::uint32_t> core_of) {
     if (core_of.size() != graph.task_count())
         throw std::invalid_argument("write_dot_mapped: core_of size must equal task count");
-    write_header(os, graph);
+    os << "digraph \"" << escape(graph.name()) << "\" {\n";
+    os << "  rankdir=TB;\n";
+    os << "  node [shape=box, style=\"rounded,filled\", fillcolor=\"#f0f0f0\"];\n";
     for (TaskId id = 0; id < graph.task_count(); ++id) {
         const Task& task = graph.task(id);
         const char* color = k_core_colors[core_of[id] % k_core_colors.size()];
         os << "  t" << id << " [label=\"" << escape(task.name) << "\\ncore " << core_of[id]
            << "\", fillcolor=\"" << color << "\"];\n";
     }
-    write_edges(os, graph);
+    for (const Edge& edge : graph.edges())
+        os << "  t" << edge.src << " -> t" << edge.dst << " [label=\"" << edge.comm_cycles
+           << "\"];\n";
     os << "}\n";
-}
-
-std::string to_dot(const TaskGraph& graph) {
-    std::ostringstream os;
-    write_dot(os, graph);
-    return os.str();
 }
 
 } // namespace seamap

@@ -1,5 +1,5 @@
-// Graphviz DOT export of task graphs (and of mapped graphs, where node
-// colour groups tasks by core) for documentation and debugging.
+// Graphviz DOT export of mapped task graphs (node colour groups tasks
+// by core) for documentation and debugging.
 #pragma once
 
 #include "taskgraph/task_graph.h"
@@ -7,20 +7,13 @@
 #include <cstdint>
 #include <iosfwd>
 #include <span>
-#include <string>
 
 namespace seamap {
 
-/// Plain structural dump: nodes labelled "name (cycles)", edges
-/// labelled with communication cost.
-void write_dot(std::ostream& os, const TaskGraph& graph);
-
-/// Same, but colours each task by the core it maps to. `core_of` must
-/// have one entry per task.
+/// Nodes labelled "name\ncore N" and coloured by that core, edges
+/// labelled with communication cost. `core_of` must have one entry per
+/// task.
 void write_dot_mapped(std::ostream& os, const TaskGraph& graph,
                       std::span<const std::uint32_t> core_of);
-
-/// Convenience: render to a string.
-std::string to_dot(const TaskGraph& graph);
 
 } // namespace seamap

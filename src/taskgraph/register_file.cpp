@@ -38,11 +38,6 @@ void RegisterSet::reset(RegisterId id) {
     blocks_[id / 64] &= ~(1ULL << (id % 64));
 }
 
-bool RegisterSet::test(RegisterId id) const {
-    check_id(id);
-    return (blocks_[id / 64] >> (id % 64)) & 1ULL;
-}
-
 void RegisterSet::clear() {
     for (auto& block : blocks_) block = 0;
 }

@@ -55,13 +55,11 @@ public:
 
     void set(RegisterId id);
     void reset(RegisterId id);
-    bool test(RegisterId id) const;
     void clear();
 
     /// Number of registers in the set.
     std::size_t count() const;
     bool empty() const;
-    std::size_t universe_size() const { return universe_size_; }
 
     RegisterSet& operator|=(const RegisterSet& other);
     RegisterSet& operator&=(const RegisterSet& other);

@@ -25,9 +25,6 @@ public:
     /// Append one row; must have exactly as many cells as headers.
     void add_row(std::vector<std::string> cells);
 
-    std::size_t row_count() const { return rows_.size(); }
-    std::size_t column_count() const { return headers_.size(); }
-
     /// Aligned plain-text rendering with a header underline.
     void print_text(std::ostream& os) const;
 

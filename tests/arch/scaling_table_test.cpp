@@ -26,7 +26,6 @@ TEST(ScalingTable, ThreeLevelMatchesTableI) {
     EXPECT_DOUBLE_EQ(table.vdd(2), 0.58);
     EXPECT_DOUBLE_EQ(table.frequency_mhz(3), 66.7);
     EXPECT_DOUBLE_EQ(table.vdd(3), 0.44);
-    EXPECT_EQ(table.slowest_level(), 3u);
 }
 
 TEST(ScalingTable, TwoLevelVariant) {

@@ -23,12 +23,5 @@ TEST(Objectives, ValuesPickTheRightMetric) {
     EXPECT_DOUBLE_EQ(objective_value(MappingObjective::seu_count, m), 1234.5);
 }
 
-TEST(Objectives, Names) {
-    EXPECT_EQ(objective_name(MappingObjective::register_usage), "register_usage");
-    EXPECT_EQ(objective_name(MappingObjective::makespan), "makespan");
-    EXPECT_EQ(objective_name(MappingObjective::time_register_product), "time_register_product");
-    EXPECT_EQ(objective_name(MappingObjective::seu_count), "seu_count");
-}
-
 } // namespace
 } // namespace seamap

@@ -43,10 +43,10 @@ TEST(SimulatedAnnealing, ImprovesObjectiveOverInitial) {
           MappingObjective::time_register_product, MappingObjective::seu_count}) {
         const LocalSearchResult result =
             AnnealingStrategy(quick_params(), objective).search(f.ctx, initial, 1);
-        ASSERT_TRUE(result.found_feasible) << objective_name(objective);
+        ASSERT_TRUE(result.found_feasible) << "objective " << static_cast<int>(objective);
         EXPECT_LE(objective_value(objective, result.best_metrics),
                   objective_value(objective, initial_metrics))
-            << objective_name(objective);
+            << "objective " << static_cast<int>(objective);
     }
 }
 

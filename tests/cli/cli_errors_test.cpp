@@ -175,6 +175,14 @@ TEST_F(CliErrorsTest, NanCheckpointIntervalIsInvalidArgument) {
     }
 }
 
+TEST_F(CliErrorsTest, NanCampaignWeightIsRejectedBeforeExploring) {
+    // Rejected when the campaign engine is built, not after the
+    // exploration inside a shard.
+    const RunResult r = run("campaign " + fig8_path() + " --cores 2 --weight-pipeline nan");
+    EXPECT_EQ(r.status, 2);
+    expect_contains(r.err, "CampaignEngine");
+}
+
 TEST_F(CliErrorsTest, CorruptCheckpointIsRejected) {
     const std::string ckpt = path_of("broken.ckpt");
     {

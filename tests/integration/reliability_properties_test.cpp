@@ -39,14 +39,16 @@ TEST_P(ReliabilityProperties, AnalyticGammaEqualsInjectorExpectation) {
     const ScalingVector levels = {1, 2, 3};
     const Schedule schedule = ListScheduler{}.schedule(graph, mapping, arch, levels);
 
-    for (const auto policy : {ExposurePolicy::full_duration, ExposurePolicy::busy_only}) {
+    for (const auto& [policy, sim_policy] :
+         {std::pair{ExposurePolicy::full_duration, SimExposurePolicy::full_duration},
+          std::pair{ExposurePolicy::busy_only, SimExposurePolicy::busy_only}}) {
         const SeuEstimator estimator{SerModel{}, policy};
         const double analytic =
             estimator.estimate(graph, mapping, arch, levels, schedule).total;
         CampaignConfig config;
         config.trials = 1;
         config.seed = seed;
-        config.policy = to_sim_policy(policy);
+        config.policy = sim_policy;
         config.weights = FaultSiteWeights::register_file_only();
         const CampaignReport campaign =
             CampaignEngine(SerModel{}, config).run(graph, mapping, arch, levels, schedule);

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <sstream>
 
 namespace seamap {
@@ -15,9 +16,15 @@ Schedule make_schedule() {
     return ListScheduler{}.schedule(graph, round_robin_mapping(graph, 3), arch, {1, 2, 2});
 }
 
+std::string gantt(const TaskGraph& graph, const Schedule& schedule, std::size_t width = 72) {
+    std::ostringstream os;
+    write_gantt(os, graph, schedule, width);
+    return os.str();
+}
+
 TEST(Gantt, OneRowPerCore) {
     const TaskGraph graph = fig8_example_graph();
-    const std::string out = gantt_to_string(graph, make_schedule());
+    const std::string out = gantt(graph, make_schedule());
     EXPECT_NE(out.find("core 0 |"), std::string::npos);
     EXPECT_NE(out.find("core 1 |"), std::string::npos);
     EXPECT_NE(out.find("core 2 |"), std::string::npos);
@@ -26,7 +33,7 @@ TEST(Gantt, OneRowPerCore) {
 
 TEST(Gantt, TaskMarksAppear) {
     const TaskGraph graph = fig8_example_graph();
-    const std::string out = gantt_to_string(graph, make_schedule(), 60);
+    const std::string out = gantt(graph, make_schedule(), 60);
     // Fig-8 task names all start with 't'; the timeline must contain
     // executed spans, not only idle dots.
     EXPECT_NE(out.find('t'), std::string::npos);
@@ -41,16 +48,20 @@ TEST(Gantt, EmptyScheduleProducesNothing) {
     EXPECT_TRUE(os.str().empty());
 }
 
-TEST(ScheduleCsv, OneLinePerTaskPlusHeader) {
+TEST(Gantt, Fig8BytesPinned) {
+    // The `seamap_cli optimize --gantt` rendering, byte for byte, for a
+    // fixed Fig. 8 mapping and that mapping's list schedule.
     const TaskGraph graph = fig8_example_graph();
-    std::ostringstream os;
-    write_schedule_csv(os, graph, make_schedule());
-    const std::string out = os.str();
-    std::size_t lines = 0;
-    for (char ch : out)
-        if (ch == '\n') ++lines;
-    EXPECT_EQ(lines, graph.task_count() + 1);
-    EXPECT_NE(out.find("task,name,core,start_seconds,finish_seconds"), std::string::npos);
+    const std::array<CoreId, 6> core_of = {0, 1, 0, 1, 2, 2};
+    Mapping mapping(graph.task_count(), 3);
+    for (TaskId t = 0; t < graph.task_count(); ++t) mapping.assign(t, core_of[t]);
+    const MpsocArchitecture arch(3, VoltageScalingTable::arm7_three_level());
+    const Schedule schedule = ListScheduler{}.schedule(graph, mapping, arch, {1, 2, 2});
+    EXPECT_EQ(gantt(graph, schedule),
+              "one-iteration schedule, horizon 0.138 s\n"
+              "core 0 |ttttttt..tttttt.........................................................|\n"
+              "core 1 |..................tttttttttttttttt.........ttttttttttttt................|\n"
+              "core 2 |.....................ttttttttttttttttttt...................ttttttttttttt|\n");
 }
 
 } // namespace

@@ -55,10 +55,10 @@ std::string ckpt_path(const std::string& tag) {
     return testing::TempDir() + "/campaign_ckpt_" + tag + ".ckpt";
 }
 
-std::uint64_t state_hash(const Design& design, const CampaignEngine& engine) {
+std::uint64_t state_hash(const Design& design, const CampaignConfig& config) {
     return campaign_state_hash(design.problem.graph(), design.best.mapping,
                                design.problem.architecture(), design.best.levels,
-                               design.schedule, engine.ser_model(), engine.config());
+                               design.schedule, design.problem.ser_model(), config);
 }
 
 CampaignReport run(const Design& design, const CampaignEngine& engine,
@@ -77,8 +77,9 @@ std::string kill_and_resume(const Design& design, std::uint64_t shard_size,
     remove_checkpoint(path);
     const SerModel& ser = design.problem.ser_model();
     {
-        const CampaignEngine engine(ser, make_config(shard_size, kill_threads));
-        CampaignCheckpointer ckpt(path, state_hash(design, engine));
+        const CampaignConfig config = make_config(shard_size, kill_threads);
+        const CampaignEngine engine(ser, config);
+        CampaignCheckpointer ckpt(path, state_hash(design, config));
         ckpt.set_cadence(1, 0.0);
         CancellationToken cancel;
         ckpt.on_shard_recorded = [&](std::uint64_t done) {
@@ -87,8 +88,9 @@ std::string kill_and_resume(const Design& design, std::uint64_t shard_size,
         const CampaignReport partial = run(design, engine, &cancel, &ckpt);
         EXPECT_LE(partial.shards_completed, partial.shards);
     }
-    const CampaignEngine engine(ser, make_config(shard_size, resume_threads));
-    CampaignCheckpointer ckpt(path, state_hash(design, engine));
+    const CampaignConfig config = make_config(shard_size, resume_threads);
+    const CampaignEngine engine(ser, config);
+    CampaignCheckpointer ckpt(path, state_hash(design, config));
     const auto info = ckpt.load();
     if (shards_resumed_out != nullptr && info) *shards_resumed_out += info->shards_completed;
     const CampaignReport resumed = run(design, engine, nullptr, &ckpt);
@@ -133,8 +135,9 @@ TEST(CampaignCheckpoint, InterruptedReportIsMarkedPartial) {
     const Design design = make_design();
     const std::string path = ckpt_path("partial");
     remove_checkpoint(path);
-    const CampaignEngine engine(design.problem.ser_model(), make_config(256, 2));
-    CampaignCheckpointer ckpt(path, state_hash(design, engine));
+    const CampaignConfig config = make_config(256, 2);
+    const CampaignEngine engine(design.problem.ser_model(), config);
+    CampaignCheckpointer ckpt(path, state_hash(design, config));
     CancellationToken cancel;
     ckpt.on_shard_recorded = [&](std::uint64_t done) {
         if (done >= 2) cancel.request_stop();
@@ -153,16 +156,16 @@ TEST(CampaignCheckpoint, DifferentSeedIsMismatch) {
     remove_checkpoint(path);
     const SerModel& ser = design.problem.ser_model();
     {
-        const CampaignEngine engine(ser, make_config(256, 1));
-        CampaignCheckpointer ckpt(path, state_hash(design, engine));
+        const CampaignConfig config = make_config(256, 1);
+        const CampaignEngine engine(ser, config);
+        CampaignCheckpointer ckpt(path, state_hash(design, config));
         CancellationToken cancel;
         ckpt.on_shard_recorded = [&](std::uint64_t) { cancel.request_stop(); };
         (void)run(design, engine, &cancel, &ckpt);
     }
     CampaignConfig other = make_config(256, 1);
     other.seed = 999;
-    const CampaignEngine engine(ser, other);
-    CampaignCheckpointer ckpt(path, state_hash(design, engine));
+    CampaignCheckpointer ckpt(path, state_hash(design, other));
     try {
         (void)ckpt.load();
         FAIL() << "expected checkpoint_mismatch";
@@ -180,8 +183,7 @@ TEST(CampaignCheckpoint, CorruptSnapshotIsRejected) {
         std::ofstream os(path);
         os << "seamap-checkpoint 1\nlibrary 0.0.0\n";
     }
-    const CampaignEngine engine(design.problem.ser_model(), make_config(256, 1));
-    CampaignCheckpointer ckpt(path, state_hash(design, engine));
+    CampaignCheckpointer ckpt(path, state_hash(design, make_config(256, 1)));
     try {
         (void)ckpt.load();
         FAIL() << "expected checkpoint_corrupt";

@@ -6,11 +6,13 @@
 #include "taskgraph/fig8.h"
 #include "taskgraph/mpeg2.h"
 #include "tgff/random_graph.h"
+#include "util/cancellation.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -295,6 +297,39 @@ TEST(CampaignEngine, InvalidConfigurationsThrow) {
     config = CampaignConfig{};
     config.pipeline_bits = -1.0;
     EXPECT_THROW((CampaignEngine{SerModel{}, config}), std::invalid_argument);
+}
+
+TEST(CampaignEngine, NonFiniteSiteWeightsAndPipelineBitsAreRejected) {
+    // A NaN or infinite weight would only surface inside a shard, after
+    // the exploration, as an invalid Poisson mean.
+    for (const double bad : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+        CampaignConfig bits;
+        bits.pipeline_bits = bad;
+        EXPECT_THROW((CampaignEngine{SerModel{}, bits}), std::invalid_argument) << bad;
+        for (double FaultSiteWeights::*field :
+             {&FaultSiteWeights::register_file, &FaultSiteWeights::pipeline,
+              &FaultSiteWeights::memory}) {
+            CampaignConfig config;
+            config.weights.*field = bad;
+            EXPECT_THROW((CampaignEngine{SerModel{}, config}), std::invalid_argument) << bad;
+        }
+    }
+}
+
+TEST(CampaignEngine, ShardArithmeticDoesNotWrap) {
+    // trials + shard_size - 1 and lo + shard_size both wrap here; the
+    // stopped token keeps every shard from running a trial.
+    const Scenario s = fig8_scenario();
+    CampaignConfig config;
+    config.trials = std::numeric_limits<std::uint64_t>::max();
+    config.shard_size = std::uint64_t{1} << 63;
+    CancellationToken stopped;
+    stopped.request_stop();
+    const CampaignReport report = CampaignEngine(SerModel{}, config)
+                                      .run(s.graph, s.mapping, s.arch, s.levels, s.schedule,
+                                           &stopped);
+    EXPECT_EQ(report.shards, 2u);
+    EXPECT_EQ(report.shards_completed, 0u);
 }
 
 // tier1 smoke: a short multi-threaded campaign on every scenario; runs

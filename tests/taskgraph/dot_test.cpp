@@ -85,9 +85,17 @@ ParsedDot parse_dot(const std::string& dot, std::size_t node_count) {
     return parsed;
 }
 
+/// write_dot_mapped into a string, every task on core 0.
+std::string dot_on_core0(const TaskGraph& graph) {
+    const std::vector<std::uint32_t> core_of(graph.task_count(), 0);
+    std::ostringstream os;
+    write_dot_mapped(os, graph, core_of);
+    return os.str();
+}
+
 TEST(Dot, StructuralExportContainsNodesAndEdges) {
     const TaskGraph graph = fig8_example_graph();
-    const std::string dot = to_dot(graph);
+    const std::string dot = dot_on_core0(graph);
     EXPECT_NE(dot.find("digraph \"fig8_example\""), std::string::npos);
     for (TaskId t = 0; t < graph.task_count(); ++t) {
         std::ostringstream node;
@@ -109,6 +117,33 @@ TEST(Dot, MappedExportColorsByCore) {
     EXPECT_NE(dot.find("fillcolor"), std::string::npos);
 }
 
+TEST(Dot, Fig8BytesPinned) {
+    // The `seamap_cli optimize --dot` file, byte for byte, for a fixed
+    // Fig. 8 mapping.
+    const TaskGraph graph = fig8_example_graph();
+    const std::array<std::uint32_t, 6> cores = {0, 1, 0, 1, 2, 2};
+    std::ostringstream os;
+    write_dot_mapped(os, graph, cores);
+    EXPECT_EQ(os.str(),
+              "digraph \"fig8_example\" {\n"
+              "  rankdir=TB;\n"
+              "  node [shape=box, style=\"rounded,filled\", fillcolor=\"#f0f0f0\"];\n"
+              "  t0 [label=\"t1\\ncore 0\", fillcolor=\"#a6cee3\"];\n"
+              "  t1 [label=\"t2\\ncore 1\", fillcolor=\"#b2df8a\"];\n"
+              "  t2 [label=\"t3\\ncore 0\", fillcolor=\"#a6cee3\"];\n"
+              "  t3 [label=\"t4\\ncore 1\", fillcolor=\"#b2df8a\"];\n"
+              "  t4 [label=\"t5\\ncore 2\", fillcolor=\"#fb9a99\"];\n"
+              "  t5 [label=\"t6\\ncore 2\", fillcolor=\"#fb9a99\"];\n"
+              "  t0 -> t1 [label=\"600000\"];\n"
+              "  t0 -> t2 [label=\"1200000\"];\n"
+              "  t1 -> t5 [label=\"600000\"];\n"
+              "  t2 -> t3 [label=\"1200000\"];\n"
+              "  t2 -> t4 [label=\"1200000\"];\n"
+              "  t3 -> t5 [label=\"1800000\"];\n"
+              "  t4 -> t5 [label=\"600000\"];\n"
+              "}\n");
+}
+
 TEST(Dot, MappedExportChecksSize) {
     const TaskGraph graph = fig8_example_graph();
     const std::array<std::uint32_t, 2> too_short = {0, 1};
@@ -128,18 +163,18 @@ TEST(Dot, NamesNeedingQuotingRoundTripStructurally) {
         graph.add_edge(static_cast<TaskId>(i), static_cast<TaskId>(i + 1), 10);
     graph.validate();
 
-    const std::string dot = to_dot(graph);
+    const std::string dot = dot_on_core0(graph);
     const ParsedDot parsed = parse_dot(dot, names.size());
     // Structure: balanced braces, one edge line per edge, every node
     // label lexes as a single quoted string and decodes back to the
-    // original name (the exporter appends "\n<cycles> cyc").
+    // original name (the exporter appends "\ncore <id>").
     EXPECT_EQ(std::count(dot.begin(), dot.end(), '{'), 1);
     EXPECT_EQ(std::count(dot.begin(), dot.end(), '}'), 1);
     EXPECT_EQ(parsed.edge_count, graph.edge_count());
     EXPECT_EQ(parsed.graph_name, graph.name());
     for (std::size_t i = 0; i < names.size(); ++i) {
         const std::string& label = parsed.node_labels[i];
-        const std::string suffix = "\n" + std::to_string(100 * (i + 1)) + " cyc";
+        const std::string suffix = "\ncore 0";
         ASSERT_GE(label.size(), suffix.size()) << label;
         EXPECT_EQ(label.substr(label.size() - suffix.size()), suffix);
         EXPECT_EQ(label.substr(0, label.size() - suffix.size()), names[i]);

@@ -46,6 +46,21 @@ It extracts the full `#include` graph of the tree and checks:
                       signature, enum, default argument, or inline body
                       in an installed header — fails until the snapshot
                       is deliberately regenerated with `--update`.
+  dead-api            Every function declared in a src/ header outside a
+                      private or protected section must be named in the
+                      code of some scanned root other than tests/ (own
+                      module included), not counting declarations and
+                      definitions. Constructors, destructors, operators,
+                      overrides and deleted functions are exempt. Names
+                      are matched, not overloads, so a shared name counts
+                      as a caller; a parameter or local variable of that
+                      name does not. Test oracles go in the
+                      `[dead_api] allow` list of layers.toml as
+                      "Name -- reason" (Name as findings print it, e.g.
+                      `Class::method`); an entry without a reason, or
+                      naming a function that is missing or now has a
+                      caller, is itself a finding. Inline suppressions do
+                      not apply to this rule.
   bad-suppression     Malformed/unreasoned/unbalanced directives, as in
                       seamap_lint.
 
@@ -76,7 +91,7 @@ import argparse
 import os
 import re
 import sys
-from collections import deque
+from collections import deque, namedtuple
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
@@ -90,6 +105,7 @@ RULES = {
     "self-contained": "header references a symbol no include path provides (not self-contained)",
     "header-guard": "header guard inconsistent with the tree standard (#pragma once)",
     "api-surface": "public API surface drifted from the committed snapshot (regenerate with --update)",
+    "dead-api": "public src/ function that only tests/ name, or a stale [dead_api] allow entry",
     "bad-suppression": "malformed arch-check suppression (missing reason or unbalanced push/pop)",
 }
 
@@ -134,13 +150,20 @@ class ConfigError(Exception):
 
 def _parse_toml_fallback(text: str) -> dict:
     """Minimal parser for the layers.toml subset ([section], key = [..]
-    / "*" / "string" lists of strings), for pythons without tomllib."""
+    / "*" / "string" lists of strings, arrays may span lines), for
+    pythons without tomllib."""
     doc = {}
     section = None
+    pending = ""
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        if pending or ("= [" in line and not line.endswith("]")):
+            pending += " " + line
+            if not line.endswith("]"):
+                continue
+            line, pending = pending.strip(), ""
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
             doc[section] = {}
@@ -175,6 +198,7 @@ def load_layers_config(path: str) -> dict:
         "exclude": doc.get("scan", {}).get("exclude", []),
         "umbrella": doc.get("api_surface", {}).get("umbrella"),
         "snapshot": doc.get("api_surface", {}).get("snapshot"),
+        "dead_api_allow": doc.get("dead_api", {}).get("allow", []),
     }
     for module, deps in config["layers"].items():
         if deps == "*":
@@ -369,6 +393,155 @@ def harvest_symbols(stripped_text: str) -> set:
 
 
 # --------------------------------------------------------------------------
+# Declarator scan (dead-api)
+
+# Words after which an identifier is an expression, not a declarator.
+EXPR_KEYWORDS = frozenset("""
+    return case throw else do new delete sizeof alignof typeid goto
+    co_return co_yield co_await not and or
+""".split())
+# Words that look like a function name before `(` but are not one.
+NOT_FUNCTIONS = frozenset("""
+    alignas alignof decltype noexcept requires static_assert sizeof
+    __attribute__ if for while switch return
+""".split())
+_PREPROCESSOR_RE = re.compile(r"^[ \t]*#(?:[^\n]*\\\n)*[^\n]*", re.MULTILINE)
+_ACCESS_RE = re.compile(r"^\s*(public|private|protected)\s*$")
+
+
+# qualname is Class::name for members, name otherwise; offset is the
+# name token's position in the stripped code.
+FunctionDecl = namedtuple("FunctionDecl", "name qualname offset public exempt")
+
+
+def _function_in(head: str, offset: int, classes: list, public: bool):
+    """The function a declaration-scope statement or definition head
+    declares, or None when it declares no function (a variable with an
+    initializer, a using/friend/static_assert, ...)."""
+    stripped = head.lstrip()
+    if stripped.startswith(("using ", "typedef ", "friend ")):
+        return None
+    # Blank out attributes and template argument lists in place, so
+    # offsets stay valid and `<`/`(` inside them are not misread.
+    masked = re.sub(r"\[\[.*?\]\]", lambda m: " " * len(m.group()), head)
+    prev = None
+    while prev != masked:
+        prev = masked
+        masked = re.sub(r"<[^<>;{}]*>", lambda m: " " * len(m.group()), masked)
+    paren = masked.find("(")
+    if paren < 0:
+        return None
+    before = masked[:paren]
+    m = _TRAILING_IDENT.search(before)
+    if m is None or m.group(1) in NOT_FUNCTIONS or re.search(r"(?<![=!<>])=(?!=)", before):
+        return None
+    name, at = m.group(1), offset + m.start(1)
+    if re.search(r"::\s*$", before[:m.start()]):
+        # An out-of-class definition of a member declared elsewhere.
+        return FunctionDecl(name, None, at, False, True)
+    exempt = (re.search(r"\boperator\b", before) is not None
+              or before[:m.start()].rstrip().endswith("~")
+              or (bool(classes) and name == classes[-1])
+              or re.search(r"\b(?:override|final)\b|=\s*(?:delete|default)\b",
+                           masked[paren:]) is not None)
+    return FunctionDecl(name, "::".join(classes + [name]), at, public, exempt)
+
+
+def scan_functions(code: str) -> list:
+    """Every function declared or defined at namespace or class scope of
+    comment/string-stripped `code`, with its access: public unless some
+    enclosing class section is private or protected."""
+    code = _PREPROCESSOR_RE.sub(lambda m: re.sub(r"[^\n]", " ", m.group()), code)
+    out = []
+    stack = []  # [kind, class name or None, access]
+    start = 0
+
+    def decl_scope():
+        return all(frame[0] != "body" for frame in stack)
+
+    def context():
+        classes = [frame[1] for frame in stack if frame[0] == "type"]
+        public = all(frame[2] == "public" for frame in stack if frame[0] == "type")
+        return classes, public
+
+    for i, ch in enumerate(code):
+        if ch not in "{};:":
+            continue
+        if ch == ":":
+            if stack and stack[-1][0] == "type":
+                m = _ACCESS_RE.match(code[start:i])
+                if m:
+                    stack[-1][2] = m.group(1)
+                    start = i + 1
+            continue
+        head = code[start:i]
+        if ch == "{":
+            if decl_scope():
+                kind = _classify_brace(head)
+                name, access = None, None
+                if kind == "type":
+                    m = _TYPE_HEAD_RE.search(_strip_template_lists(head))
+                    name = m.group(1) if m else None
+                    access = "private" if re.search(r"\bclass\b", head) else "public"
+                elif kind == "body":
+                    decl = _function_in(head, start, *context())
+                    if decl is not None:
+                        out.append(decl)
+                stack.append([kind, name, access])
+            else:
+                stack.append(["body", None, None])
+        elif ch == "}":
+            if stack:
+                stack.pop()
+        elif decl_scope() and not (stack and stack[-1][0] == "enum"):
+            decl = _function_in(head, start, *context())
+            if decl is not None:
+                out.append(decl)
+        start = i + 1
+    return out
+
+
+def mentions(code: str, declarators: set) -> set:
+    """Names `code` may call a function by: every identifier except the
+    function declarators at `declarators` (offsets), variable and
+    parameter declarators (`Type name` before `, ) ; [ { = :`), and bare
+    uses of a name the same code declares as a variable or parameter."""
+    variables, uses = set(), []
+    last = None  # the previous token match
+    for m in IDENT_RE.finditer(code):
+        name, begin, end = m.group(), m.start(), m.end()
+        prev_match, last = last, m
+        if begin in declarators:
+            continue
+        p = begin - 1
+        while p >= 0 and code[p].isspace():
+            p -= 1
+        prev = code[p] if p >= 0 else ""
+        arrow = prev == ">" and p > 0 and code[p - 1] == "-"
+        q = end
+        while q < len(code) and code[q].isspace():
+            q += 1
+        nxt = code[q:q + 2]
+        if prev in ("*", "&"):
+            while p >= 0 and (code[p] in "*&" or code[p].isspace()):
+                p -= 1
+            typed = p >= 0 and (code[p].isalnum() or code[p] in "_>")
+        elif prev.isalnum() or prev == "_":
+            typed = prev_match is None or prev_match.group() not in EXPR_KEYWORDS
+        else:
+            typed = prev == ">" and not arrow
+        declares = nxt[:1] in (",", ")", ";", "[", "{") or \
+            (nxt[:1] == "=" and nxt != "==") or (nxt[:1] == ":" and nxt != "::")
+        if typed and declares:
+            variables.add(name)
+            continue
+        qualified = prev == ":" and p > 0 and code[p - 1] == ":"
+        bare = nxt[:1] != "(" and prev not in (".", "&") and not arrow and not qualified
+        uses.append((name, bare))
+    return {name for name, bare in uses if not (bare and name in variables)}
+
+
+# --------------------------------------------------------------------------
 # Tree model
 
 
@@ -473,6 +646,7 @@ class Analysis:
         self._check_iwyu()
         if check_surface:
             self._check_api_surface()
+        self._check_dead_api()
         self.findings.sort(key=lambda f: (f.relpath, f.line, f.rule))
         return self.findings
 
@@ -712,6 +886,60 @@ class Analysis:
                                 "references `%s` (declared in %s) but no include "
                                 "path provides it — the header is not "
                                 "self-contained" % (word, owner))
+
+    # Dead public API ----------------------------------------------------
+
+    def _check_dead_api(self):
+        allow = self.config["dead_api_allow"]
+        declared = {}  # qualname -> (relpath, line, name)
+        named = set()
+        for relpath in sorted(self.files):
+            if relpath.startswith("tests/"):
+                continue
+            f = self.files[relpath]
+            functions = scan_functions(f.stripped_text)
+            if f.is_header and relpath.startswith("src/"):
+                for d in functions:
+                    if d.public and not d.exempt:
+                        line = f.stripped_text.count("\n", 0, d.offset) + 1
+                        declared.setdefault(d.qualname, (relpath, line, d.name))
+            named |= mentions(f.stripped_text, {d.offset for d in functions})
+
+        # The allow list is the only way to keep an uncalled function:
+        # inline suppressions do not apply to this rule.
+        with open(os.path.join(self.root, self.layers_relpath), encoding="utf-8") as fh:
+            config_lines = fh.read().splitlines()
+
+        def config_line(entry):
+            return next((i + 1 for i, l in enumerate(config_lines) if entry in l), 1)
+
+        def finding(relpath, line, message):
+            self.findings.append(Finding(relpath, line, "dead-api", message))
+
+        allowed = {}
+        for entry in allow:
+            qualname, _, reason = entry.partition(" -- ")
+            if not reason.strip():
+                finding(self.layers_relpath, config_line(entry),
+                        "[dead_api] allow entry %r has no reason; write it as "
+                        "\"Name -- reason\"" % entry)
+                continue
+            allowed[qualname.strip()] = config_line(entry)
+        for qualname, (relpath, line, name) in sorted(declared.items()):
+            if name not in named and qualname not in allowed:
+                finding(relpath, line,
+                        "`%s` is public but nothing outside tests/ names it; delete "
+                        "it, or keep it as a test oracle with a reasoned entry in "
+                        "the [dead_api] allow list of %s" % (qualname, self.layers_relpath))
+        for qualname, line in sorted(allowed.items()):
+            if qualname not in declared:
+                finding(self.layers_relpath, line,
+                        "[dead_api] allow entry `%s` names no public function of a "
+                        "src/ header; drop the entry" % qualname)
+            elif declared[qualname][2] in named:
+                finding(self.layers_relpath, line,
+                        "[dead_api] allow entry `%s` is stale: the function now has "
+                        "a caller outside tests/; drop the entry" % qualname)
 
     # API surface --------------------------------------------------------
 

@@ -1,0 +1,9 @@
+#pragma once
+
+namespace fx {
+
+int helper();
+
+inline int user() { return helper(); }
+
+} // namespace fx
