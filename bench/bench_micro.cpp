@@ -146,7 +146,9 @@ EvalOptions eval_options(bool naive) {
     return options;
 }
 
-// Full candidate evaluation: schedule + registers + Gamma + power.
+// Full evaluation: schedule + registers + Gamma + power. rebase() is
+// the context's only full pass, so the ctx variant also records the
+// base's timeline state and files the mapping in the memo.
 void bm_eval_full(benchmark::State& state, bool naive) {
     const TaskGraph graph = benchmark_graph(state.range(0));
     const MpsocArchitecture arch(4, VoltageScalingTable::arm7_three_level());
@@ -154,7 +156,7 @@ void bm_eval_full(benchmark::State& state, bool naive) {
     EvalContext eval(ctx, eval_options(naive));
     const Mapping mapping = round_robin_mapping(graph, 4);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(eval.evaluate(mapping));
+        benchmark::DoNotOptimize(eval.rebase(mapping));
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(graph.task_count()));
@@ -162,9 +164,10 @@ void bm_eval_full(benchmark::State& state, bool naive) {
 BENCHMARK_CAPTURE(bm_eval_full, naive, true)->Arg(11)->Arg(60)->Arg(100);
 BENCHMARK_CAPTURE(bm_eval_full, ctx, false)->Arg(11)->Arg(60)->Arg(100);
 
-// Schedule-dominated evaluation on a fresh mapping every iteration (no
-// base, no memo reuse possible): measures the precomputed-order,
-// allocation-free timing pass against the naive list scheduler path.
+// Schedule-dominated evaluation on a fresh mapping every iteration (a
+// new base each time, so no memo reuse is possible): measures the
+// precomputed-order, allocation-free timing pass against the naive list
+// scheduler path.
 void bm_eval_schedule(benchmark::State& state, bool naive) {
     const TaskGraph graph = benchmark_graph(state.range(0));
     const MpsocArchitecture arch(4, VoltageScalingTable::arm7_three_level());
@@ -175,7 +178,7 @@ void bm_eval_schedule(benchmark::State& state, bool naive) {
     for (auto _ : state) {
         mapping.assign(t, (mapping.core_of(t) + 1) % 4); // new mapping each iteration
         t = static_cast<TaskId>((t + 1) % graph.task_count());
-        benchmark::DoNotOptimize(eval.evaluate(mapping));
+        benchmark::DoNotOptimize(eval.rebase(mapping));
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(graph.task_count()));
@@ -199,7 +202,7 @@ void bm_sa_neighborhood_step(benchmark::State& state, bool naive) {
     for (auto _ : state) {
         neighbor = current;
         const NeighborOp op = random_neighbor_op(neighbor, rng, 0.3, false);
-        if (op.kind != NeighborOp::Kind::none)
+        if (!op.none())
             benchmark::DoNotOptimize(eval.evaluate_neighbor(op));
         if (++step % 8 == 0) { // accept ~1 in 8, like a cooling walk
             std::swap(current, neighbor);

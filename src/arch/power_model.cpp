@@ -2,15 +2,18 @@
 
 #include "util/float_compare.h"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace seamap {
 
 PowerModel::PowerModel(VoltageScalingTable table, PowerParams params)
     : table_(std::move(table)), params_(params) {
-    if (params_.c_eff_farads <= 0.0)
-        throw std::invalid_argument("PowerModel: C_eff must be > 0");
-    if (params_.idle_activity < 0.0 || params_.idle_activity > 1.0)
+    // The checks reject NaN and inf too: either makes every power
+    // non-finite.
+    if (!std::isfinite(params_.c_eff_farads) || params_.c_eff_farads <= 0.0)
+        throw std::invalid_argument("PowerModel: C_eff must be finite and > 0");
+    if (!(params_.idle_activity >= 0.0 && params_.idle_activity <= 1.0))
         throw std::invalid_argument("PowerModel: idle_activity must be in [0, 1]");
 }
 

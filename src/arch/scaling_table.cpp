@@ -1,5 +1,6 @@
 #include "arch/scaling_table.h"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace seamap {
@@ -14,9 +15,11 @@ VoltageScalingTable::VoltageScalingTable(std::vector<OperatingPoint> points)
     if (points_.empty())
         throw std::invalid_argument("VoltageScalingTable: need at least one operating point");
     for (std::size_t i = 0; i < points_.size(); ++i) {
-        if (points_[i].f_mhz <= 0.0 || points_[i].vdd <= 0.0)
-            throw std::invalid_argument("VoltageScalingTable: operating point must be positive");
-        if (i > 0 && points_[i].f_mhz >= points_[i - 1].f_mhz)
+        const OperatingPoint& p = points_[i];
+        if (!(std::isfinite(p.f_mhz) && std::isfinite(p.vdd) && p.f_mhz > 0.0 && p.vdd > 0.0))
+            throw std::invalid_argument(
+                "VoltageScalingTable: operating point must be finite and positive");
+        if (i > 0 && p.f_mhz >= points_[i - 1].f_mhz)
             throw std::invalid_argument(
                 "VoltageScalingTable: points must be in strictly decreasing frequency order");
     }

@@ -85,7 +85,7 @@ LocalSearchResult AnnealingStrategy::search(EvalContext& eval, const Mapping& in
         neighbor = current;
         const NeighborOp op = random_neighbor_op(neighbor, rng, params_.swap_probability,
                                                  params_.require_all_cores);
-        if (op.kind == NeighborOp::Kind::none) continue; // mapping unchanged
+        if (op.none()) continue; // mapping unchanged
         const DesignMetrics neighbor_metrics = eval.evaluate_neighbor(op);
         ++result.evaluations;
         const double neighbor_cost =

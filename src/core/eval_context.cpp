@@ -17,10 +17,9 @@ namespace seamap {
 
 NeighborOp random_neighbor_op(Mapping& mapping, Rng& rng, double swap_probability,
                               bool require_all_cores) {
-    NeighborOp op;
     const auto tasks = static_cast<std::int64_t>(mapping.task_count());
     const auto cores = static_cast<std::int64_t>(mapping.core_count());
-    if (cores < 2 || tasks < 1) return op;
+    if (cores < 2 || tasks < 1) return {};
     if (tasks >= 2 && rng.uniform() < swap_probability) {
         // Swaps never change per-core populations, so they are always
         // admissible under require_all_cores.
@@ -29,12 +28,10 @@ NeighborOp random_neighbor_op(Mapping& mapping, Rng& rng, double swap_probabilit
             const auto b = static_cast<TaskId>(rng.uniform_int(0, tasks - 1));
             if (a == b || mapping.core_of(a) == mapping.core_of(b)) continue;
             const CoreId core_a = mapping.core_of(a);
-            mapping.assign(a, mapping.core_of(b));
+            const CoreId core_b = mapping.core_of(b);
+            mapping.assign(a, core_b);
             mapping.assign(b, core_a);
-            op.kind = NeighborOp::Kind::swap;
-            op.a = a;
-            op.b = b;
-            return op;
+            return {a, core_b, b, core_a};
         }
     }
     for (int attempt = 0; attempt < 8; ++attempt) {
@@ -45,14 +42,9 @@ NeighborOp random_neighbor_op(Mapping& mapping, Rng& rng, double swap_probabilit
         auto target = static_cast<CoreId>(rng.uniform_int(0, cores - 2));
         if (target >= from) ++target;
         mapping.assign(task, target);
-        op.kind = NeighborOp::Kind::move;
-        op.a = task;
-        op.b = task;
-        op.from = from;
-        op.to = target;
-        return op;
+        return NeighborOp::move(task, target);
     }
-    return op;
+    return {};
 }
 
 // seamap-lint: push-allow(hot-path-alloc) -- constructor: one-time
@@ -162,9 +154,8 @@ void EvalContext::check_mapping(const Mapping& mapping) const {
 // + per_core_busy_cycles + per_core_register_bits + SeuEstimator::
 // estimate + PowerModel::mpsoc_power_mw — the equivalence harness pins
 // this correspondence bit-for-bit.
-DesignMetrics EvalContext::evaluate_full(const Mapping& mapping, bool record) {
-    check_mapping(mapping);
-    const CoreId* core_of = mapping.raw().data();
+DesignMetrics EvalContext::evaluate_full() {
+    const CoreId* core_of = base_.raw().data();
 
     std::fill(data_ready_.begin(), data_ready_.end(), 0.0);
     std::fill(core_free_.begin(), core_free_.end(), 0.0);
@@ -175,12 +166,9 @@ DesignMetrics EvalContext::evaluate_full(const Mapping& mapping, bool record) {
     // it in placement order equals the scheduler's id-order scan.
     double latency = 0.0;
     for (std::size_t p = 0; p < n_; ++p) {
-        if (record) {
-            std::copy(core_free_.begin(), core_free_.end(),
-                      base_core_free_at_.begin() +
-                          static_cast<std::ptrdiff_t>(p * cores_));
-            base_latency_prefix_[p] = latency;
-        }
+        std::copy(core_free_.begin(), core_free_.end(),
+                  base_core_free_at_.begin() + static_cast<std::ptrdiff_t>(p * cores_));
+        base_latency_prefix_[p] = latency;
         const TaskId t = order_[p];
         const CoreId core = core_of[t];
         const double start = std::max(core_free_[core], data_ready_[t]);
@@ -196,12 +184,12 @@ DesignMetrics EvalContext::evaluate_full(const Mapping& mapping, bool record) {
                 arrival = cursor;
                 busy_[core] += e.comm_cycles;
             }
-            if (record) base_arrival_[idx] = arrival;
+            base_arrival_[idx] = arrival;
             data_ready_[e.dst] = std::max(data_ready_[e.dst], arrival);
         }
         core_free_[core] = cursor;
     }
-    if (record) base_latency_prefix_[n_] = latency;
+    base_latency_prefix_[n_] = latency;
 
     // Per-core register unions, eq. (8): fixed-width word rows, so the
     // per-task OR is a contiguous word loop over the arena rows (the
@@ -215,21 +203,18 @@ DesignMetrics EvalContext::evaluate_full(const Mapping& mapping, bool record) {
     for (std::size_t c = 0; c < cores_; ++c)
         register_bits_[c] = weighted_bits(union_words_.data() + c * words_);
 
-    if (record) {
-        std::copy(busy_.begin(), busy_.end(), base_busy_.begin());
-        std::copy(register_bits_.begin(), register_bits_.end(), base_bits_.begin());
-        // Counting sort into the CSR partition (fixed-capacity arrays;
-        // iterating tasks in id order keeps each core's slice ascending,
-        // matching the per-core push_back lists this replaces).
-        std::fill(core_task_cursor_.begin(), core_task_cursor_.end(), std::size_t{0});
-        for (TaskId t = 0; t < n_; ++t) ++core_task_cursor_[core_of[t]];
-        core_task_offsets_[0] = 0;
-        for (std::size_t c = 0; c < cores_; ++c)
-            core_task_offsets_[c + 1] = core_task_offsets_[c] + core_task_cursor_[c];
-        std::copy(core_task_offsets_.begin(), core_task_offsets_.end() - 1,
-                  core_task_cursor_.begin());
-        for (TaskId t = 0; t < n_; ++t) core_task_ids_[core_task_cursor_[core_of[t]]++] = t;
-    }
+    std::copy(busy_.begin(), busy_.end(), base_busy_.begin());
+    std::copy(register_bits_.begin(), register_bits_.end(), base_bits_.begin());
+    // Counting sort into the CSR partition (fixed-capacity arrays;
+    // iterating tasks in id order keeps each core's slice ascending).
+    std::fill(core_task_cursor_.begin(), core_task_cursor_.end(), std::size_t{0});
+    for (TaskId t = 0; t < n_; ++t) ++core_task_cursor_[core_of[t]];
+    core_task_offsets_[0] = 0;
+    for (std::size_t c = 0; c < cores_; ++c)
+        core_task_offsets_[c + 1] = core_task_offsets_[c] + core_task_cursor_[c];
+    std::copy(core_task_offsets_.begin(), core_task_offsets_.end() - 1,
+              core_task_cursor_.begin());
+    for (TaskId t = 0; t < n_; ++t) core_task_ids_[core_task_cursor_[core_of[t]]++] = t;
     return finish_metrics(latency);
 }
 
@@ -292,138 +277,96 @@ bool EvalContext::within_deadline(double tm_seconds) const {
     return tm_seconds <= ctx_.deadline_seconds * (1.0 + 1e-9);
 }
 
-DesignMetrics EvalContext::evaluate(const Mapping& mapping) {
-    if (options_.naive_reference) return evaluate_design(ctx_, mapping);
-    ++stats_.full_evals;
-    return evaluate_full(mapping, false);
-}
-
 DesignMetrics EvalContext::rebase(const Mapping& base) {
+    check_mapping(base); // before any state changes: a rejected base keeps the previous one
     base_ = base;
-    if (options_.naive_reference) {
-        base_metrics_ = evaluate_design(ctx_, base_);
-        has_base_ = true;
-        return base_metrics_;
-    }
-    ++stats_.full_evals;
-    base_metrics_ = evaluate_full(base_, true);
     has_base_ = true;
+    if (options_.naive_reference) return base_metrics_ = evaluate_design(ctx_, base_);
+    ++stats_.full_evals;
+    base_metrics_ = evaluate_full();
     base_key_ = hash_key(base_.raw().data());
-    memo_insert(base_key_, base_.raw().data(), Override::unchanged(), base_metrics_);
+    memo_insert(base_key_, NeighborOp{}, base_metrics_);
     return base_metrics_;
 }
 
-DesignMetrics EvalContext::evaluate_move(TaskId task, CoreId to) {
-    return *move_candidate(task, to, nullptr, nullptr);
+DesignMetrics EvalContext::evaluate_neighbor(const NeighborOp& op) {
+    return *candidate(op, nullptr, nullptr);
 }
 
-std::optional<DesignMetrics> EvalContext::evaluate_move_bounded(
-    TaskId task, CoreId to, const DesignMetrics& walk_best, const DesignMetrics& result_best) {
-    return move_candidate(task, to, &walk_best, &result_best);
+std::optional<DesignMetrics> EvalContext::evaluate_bounded(const NeighborOp& op,
+                                                           const DesignMetrics& walk_best,
+                                                           const DesignMetrics& result_best) {
+    return candidate(op, &walk_best, &result_best);
 }
 
-std::optional<DesignMetrics> EvalContext::move_candidate(TaskId task, CoreId to,
-                                                         const DesignMetrics* walk_best,
-                                                         const DesignMetrics* result_best) {
-    if (!has_base_) throw std::logic_error("EvalContext::evaluate_move: call rebase() first");
-    if (task >= n_) throw std::invalid_argument("EvalContext::evaluate_move: bad task id");
-    if (to >= cores_) throw std::invalid_argument("EvalContext::evaluate_move: bad core id");
-    const CoreId from = base_.raw()[task];
-    if (to == from) return base_metrics_;
+std::optional<DesignMetrics> EvalContext::candidate(const NeighborOp& op,
+                                                    const DesignMetrics* walk_best,
+                                                    const DesignMetrics* result_best) {
+    if (!has_base_) throw std::logic_error("EvalContext: call rebase() first");
+    if (op.none()) return base_metrics_;
+    if (op.a >= n_ || op.b >= n_) throw std::invalid_argument("EvalContext: bad task id");
+    if (op.core_a >= cores_ || op.core_b >= cores_)
+        throw std::invalid_argument("EvalContext: bad core id");
+    const CoreId* base_raw = base_.raw().data();
+    if (op.core_a == base_raw[op.a] && op.core_of(base_raw, op.b) == base_raw[op.b])
+        return base_metrics_;
     if (options_.naive_reference) {
         mapping_scratch_ = base_;
-        mapping_scratch_.assign(task, to);
+        mapping_scratch_.assign(op.b, op.core_b);
+        mapping_scratch_.assign(op.a, op.core_a); // after b, as in memo_insert
         return evaluate_design(ctx_, mapping_scratch_);
     }
-    const Override ov{task, to, task, to};
-    const std::uint64_t hash = base_key_ ^ key_term(task, from) ^ key_term(task, to);
-    if (const DesignMetrics* hit = memo_find(hash, base_.raw().data(), ov)) {
+    // The base hash with each named task's term replaced; XOR commutes,
+    // so this is the materialized mapping's hash_key() bit for bit.
+    std::uint64_t hash =
+        base_key_ ^ key_term(op.a, base_raw[op.a]) ^ key_term(op.a, op.core_a);
+    if (op.b != op.a) hash ^= key_term(op.b, base_raw[op.b]) ^ key_term(op.b, op.core_b);
+    if (const DesignMetrics* hit = memo_find(hash, op)) {
         ++stats_.memo_hits;
         return *hit;
     }
-    const std::size_t suffix_pos = suffix_start_[task];
-    stage_override(ov);
+    const std::size_t suffix_pos = std::min(suffix_start_[op.a], suffix_start_[op.b]);
+    stage_override(op);
     if (walk_best != nullptr && bound_excludes(suffix_pos, *walk_best, *result_best)) {
         ++stats_.bound_skips;
         return std::nullopt;
     }
-    const DesignMetrics metrics = finish_metrics(replay_suffix(ov, suffix_pos));
-    memo_insert(hash, base_.raw().data(), ov, metrics);
+    const DesignMetrics metrics = finish_metrics(replay_suffix(op, suffix_pos));
+    memo_insert(hash, op, metrics);
     return metrics;
-}
-
-DesignMetrics EvalContext::evaluate_swap(TaskId a, TaskId b) {
-    if (!has_base_) throw std::logic_error("EvalContext::evaluate_swap: call rebase() first");
-    if (a >= n_ || b >= n_)
-        throw std::invalid_argument("EvalContext::evaluate_swap: bad task id");
-    const CoreId core_a = base_.raw()[a];
-    const CoreId core_b = base_.raw()[b];
-    if (a == b || core_a == core_b) return base_metrics_;
-    if (options_.naive_reference) {
-        mapping_scratch_ = base_;
-        mapping_scratch_.assign(a, core_b);
-        mapping_scratch_.assign(b, core_a);
-        return evaluate_design(ctx_, mapping_scratch_);
-    }
-    const Override ov{a, core_b, b, core_a};
-    const std::uint64_t hash = base_key_ ^ key_term(a, core_a) ^ key_term(a, core_b) ^
-                               key_term(b, core_b) ^ key_term(b, core_a);
-    if (const DesignMetrics* hit = memo_find(hash, base_.raw().data(), ov)) {
-        ++stats_.memo_hits;
-        return *hit;
-    }
-    stage_override(ov);
-    const DesignMetrics metrics =
-        finish_metrics(replay_suffix(ov, std::min(suffix_start_[a], suffix_start_[b])));
-    memo_insert(hash, base_.raw().data(), ov, metrics);
-    return metrics;
-}
-
-DesignMetrics EvalContext::evaluate_neighbor(const NeighborOp& op) {
-    switch (op.kind) {
-    case NeighborOp::Kind::none:
-        if (!has_base_)
-            throw std::logic_error("EvalContext::evaluate_neighbor: call rebase() first");
-        return base_metrics_;
-    case NeighborOp::Kind::move:
-        return evaluate_move(op.a, op.to);
-    case NeighborOp::Kind::swap:
-        return evaluate_swap(op.a, op.b);
-    }
-    throw std::logic_error("EvalContext::evaluate_neighbor: bad op kind");
 }
 
 // Phase 1 of an incremental evaluation: the candidate's busy cycles and
 // register unions, which need no schedule.
-void EvalContext::stage_override(const Override& ov) {
+void EvalContext::stage_override(const NeighborOp& op) {
     const CoreId* base_raw = base_.raw().data();
 
     // Busy cycles: integer delta over the touched tasks and their
     // incident edges (exactly equal to a full eq. 7 recompute).
     std::fill(busy_delta_.begin(), busy_delta_.end(), std::int64_t{0});
-    const bool two_tasks = ov.b != ov.a;
+    const bool two_tasks = op.b != op.a;
     auto apply_exec_delta = [&](TaskId t, CoreId cand_core) {
         const auto exec = static_cast<std::int64_t>(ctx_.graph.task(t).exec_cycles);
         busy_delta_[base_raw[t]] -= exec;
         busy_delta_[cand_core] += exec;
     };
-    apply_exec_delta(ov.a, ov.core_a);
-    if (two_tasks) apply_exec_delta(ov.b, ov.core_b);
+    apply_exec_delta(op.a, op.core_a);
+    if (two_tasks) apply_exec_delta(op.b, op.core_b);
     auto apply_edge_delta = [&](std::size_t idx) {
         const Edge& e = ctx_.graph.edge(idx);
         const auto comm = static_cast<std::int64_t>(e.comm_cycles);
         if (base_raw[e.src] != base_raw[e.dst]) busy_delta_[base_raw[e.src]] -= comm;
-        const CoreId cand_src = ov.core_of(base_raw, e.src);
-        if (cand_src != ov.core_of(base_raw, e.dst)) busy_delta_[cand_src] += comm;
+        const CoreId cand_src = op.core_of(base_raw, e.src);
+        if (cand_src != op.core_of(base_raw, e.dst)) busy_delta_[cand_src] += comm;
     };
-    for (std::size_t idx : ctx_.graph.out_edge_indices(ov.a)) apply_edge_delta(idx);
-    for (std::size_t idx : ctx_.graph.in_edge_indices(ov.a)) apply_edge_delta(idx);
+    for (std::size_t idx : ctx_.graph.out_edge_indices(op.a)) apply_edge_delta(idx);
+    for (std::size_t idx : ctx_.graph.in_edge_indices(op.a)) apply_edge_delta(idx);
     if (two_tasks) {
         // Skip edges already handled through task a.
-        for (std::size_t idx : ctx_.graph.out_edge_indices(ov.b))
-            if (ctx_.graph.edge(idx).dst != ov.a) apply_edge_delta(idx);
-        for (std::size_t idx : ctx_.graph.in_edge_indices(ov.b))
-            if (ctx_.graph.edge(idx).src != ov.a) apply_edge_delta(idx);
+        for (std::size_t idx : ctx_.graph.out_edge_indices(op.b))
+            if (ctx_.graph.edge(idx).dst != op.a) apply_edge_delta(idx);
+        for (std::size_t idx : ctx_.graph.in_edge_indices(op.b))
+            if (ctx_.graph.edge(idx).src != op.a) apply_edge_delta(idx);
     }
     for (std::size_t c = 0; c < cores_; ++c)
         busy_[c] = static_cast<std::uint64_t>(static_cast<std::int64_t>(base_busy_[c]) +
@@ -442,25 +385,25 @@ void EvalContext::stage_override(const Override& ov) {
         std::fill(scratch_words_.begin(), scratch_words_.end(), std::uint64_t{0});
         for (std::size_t i = core_task_offsets_[c]; i < core_task_offsets_[c + 1]; ++i) {
             const TaskId t = core_task_ids_[i];
-            if (ov.core_of(base_raw, t) == c) or_task_row(t);
+            if (op.core_of(base_raw, t) == c) or_task_row(t);
         }
-        if (ov.core_a == c && base_raw[ov.a] != c) or_task_row(ov.a);
-        if (two_tasks && ov.core_b == c && base_raw[ov.b] != c) or_task_row(ov.b);
+        if (op.core_a == c && base_raw[op.a] != c) or_task_row(op.a);
+        if (two_tasks && op.core_b == c && base_raw[op.b] != c) or_task_row(op.b);
         register_bits_[c] = weighted_bits(scratch_words_.data());
     };
-    recompute_core_bits(base_raw[ov.a]);
-    recompute_core_bits(ov.core_a);
+    recompute_core_bits(base_raw[op.a]);
+    recompute_core_bits(op.core_a);
     if (two_tasks) {
-        if (base_raw[ov.b] != base_raw[ov.a] && base_raw[ov.b] != ov.core_a)
-            recompute_core_bits(base_raw[ov.b]);
-        if (ov.core_b != base_raw[ov.a] && ov.core_b != ov.core_a)
-            recompute_core_bits(ov.core_b);
+        if (base_raw[op.b] != base_raw[op.a] && base_raw[op.b] != op.core_a)
+            recompute_core_bits(base_raw[op.b]);
+        if (op.core_b != base_raw[op.a] && op.core_b != op.core_a)
+            recompute_core_bits(op.core_b);
     }
 }
 
 // Phase 2: the schedule-free bound (file comment). True when the
 // candidate provably improves neither reference under the sweep's rules;
-// requires stage_override(ov) for the same candidate.
+// requires stage_override(op) for the same candidate.
 bool EvalContext::bound_excludes(std::size_t suffix_pos, const DesignMetrics& walk_best,
                                  const DesignMetrics& result_best) {
     const double tm_lb = pipelined_tm(base_latency_prefix_[suffix_pos]);
@@ -476,7 +419,7 @@ bool EvalContext::bound_excludes(std::size_t suffix_pos, const DesignMetrics& wa
 }
 
 // Phase 3: replay the schedule suffix and return the candidate's latency.
-double EvalContext::replay_suffix(const Override& ov, std::size_t suffix_pos) {
+double EvalContext::replay_suffix(const NeighborOp& op, std::size_t suffix_pos) {
     ++stats_.incremental_evals;
     const CoreId* base_raw = base_.raw().data();
 
@@ -500,7 +443,7 @@ double EvalContext::replay_suffix(const Override& ov, std::size_t suffix_pos) {
     double latency = base_latency_prefix_[suffix_pos];
     for (std::size_t q = suffix_pos; q < n_; ++q) {
         const TaskId w = order_[q];
-        const CoreId core = ov.core_of(base_raw, w);
+        const CoreId core = op.core_of(base_raw, w);
         const double start = std::max(core_free_[core], data_ready_[w]);
         const double finish = start + exec_seconds_[w * cores_ + core];
         latency = std::max(latency, finish);
@@ -508,7 +451,7 @@ double EvalContext::replay_suffix(const Override& ov, std::size_t suffix_pos) {
         for (std::size_t idx : ctx_.graph.out_edge_indices(w)) {
             const Edge& e = ctx_.graph.edge(idx);
             double arrival = finish;
-            if (ov.core_of(base_raw, e.dst) != core) {
+            if (op.core_of(base_raw, e.dst) != core) {
                 cursor += comm_seconds_[idx * cores_ + core];
                 arrival = cursor;
             }
@@ -529,29 +472,29 @@ std::uint64_t EvalContext::hash_key(const CoreId* key) const {
     return hash;
 }
 
-const DesignMetrics* EvalContext::memo_find(std::uint64_t hash, const CoreId* base,
-                                            const Override& ov) const {
+const DesignMetrics* EvalContext::memo_find(std::uint64_t hash, const NeighborOp& op) const {
     const std::size_t i = hash & (memo_.size() - 1);
     const MemoSlot& slot = memo_[i];
     if (!slot.occupied || slot.hash != hash) return nullptr;
     // Exact key comparison: a hash collision never returns wrong metrics.
     const CoreId* stored = memo_keys_.data() + i * n_;
     TaskId t = 0;
-    while (t < n_ && stored[t] == ov.core_of(base, t)) ++t;
+    const CoreId* base = base_.raw().data();
+    while (t < n_ && stored[t] == op.core_of(base, t)) ++t;
     return t == n_ ? &slot.metrics : nullptr;
 }
 
-void EvalContext::memo_insert(std::uint64_t hash, const CoreId* base, const Override& ov,
+void EvalContext::memo_insert(std::uint64_t hash, const NeighborOp& op,
                               const DesignMetrics& metrics) {
     const std::size_t i = hash & (memo_.size() - 1);
     MemoSlot& slot = memo_[i];
     if (!slot.occupied) ++stats_.memo_entries;
     slot = MemoSlot{hash, true, metrics};
     CoreId* key = memo_keys_.data() + i * n_;
-    std::copy_n(base, n_, key);
-    if (ov.a != Override::k_none) {
-        key[ov.a] = ov.core_a;
-        key[ov.b] = ov.core_b;
+    std::copy_n(base_.raw().data(), n_, key);
+    if (!op.none()) {
+        key[op.b] = op.core_b;
+        key[op.a] = op.core_a; // after b: `a` wins when a == b, as in core_of
     }
 }
 

@@ -17,13 +17,16 @@
 //    busy/utilization accumulators and register-union bitsets live in
 //    the context and are reused across candidates — the steady-state
 //    evaluation loop performs no heap allocation.
-//  - Incremental re-evaluation: for the move/swap neighbourhood steps
-//    of the Fig. 7 search and the SA baseline, only the schedule
-//    suffix from the first affected placement position is replayed
-//    (positions before the earliest predecessor of a moved task are
-//    provably unchanged), the latency starts from the base's recorded
-//    prefix maximum, and only the affected cores' register unions and
-//    busy cycles are recomputed.
+//  - Incremental re-evaluation: rebase() is the one full pass, and it
+//    records the base's per-position timeline state. Every other
+//    evaluation is a NeighborOp candidate — up to two tasks on new
+//    cores, which covers the sweep's moves and the walks' moves and
+//    swaps alike — and replays only the schedule suffix from the first
+//    affected placement position (positions before the earliest
+//    predecessor of a changed task are provably unchanged), starting
+//    the latency from the base's recorded prefix maximum and
+//    recomputing only the affected cores' register unions and busy
+//    cycles.
 //  - Bounded sweep: an incremental candidate is evaluated in three
 //    phases — busy cycles and the touched cores' register unions, then
 //    a schedule-free bound, then the suffix replay. The replay's latency
@@ -31,7 +34,7 @@
 //    prefix plus (B-1)·II is a lower bound on T_M, and eq. 3 summed at
 //    that T_M (full_duration) or at the exact busy seconds (busy_only)
 //    is a lower bound on Gamma; round-to-nearest is monotone, so both
-//    hold in floating point. The Fig. 7 sweep (evaluate_move_bounded)
+//    hold in floating point. The Fig. 7 sweep (evaluate_bounded)
 //    skips the replay of a candidate the bound proves can improve
 //    neither its running best nor the search result.
 //  - Memoization: a direct-mapped cache keyed by the full mapping
@@ -43,17 +46,17 @@
 //    collision or an overwritten slot only costs a miss, never wrong
 //    metrics. The hash is Zobrist-style — an XOR of one splitmix64
 //    term per (task, core) pair — so rebase() hashes the base once and
-//    a move or swap neighbour's hash is the base hash updated by 2 or
-//    4 XORs.
+//    a candidate's hash is the base hash updated by 2 XORs per task.
 //
-// Determinism contract: every path (full, incremental, memoized)
-// reproduces evaluate_design() BIT-IDENTICALLY — the same floating-
-// point operations in the same order. A bound-skipped sweep candidate
-// is counted (stats().bound_skips) but neither scheduled nor memoized,
-// and it provably could not have changed the search, so searches are
-// identical with or without the bound; the naive_reference path never
-// skips. The naive_reference option turns the context into a thin
-// wrapper over evaluate_design() so the equivalence harness
+// Determinism contract: the full pass, every suffix replay and every
+// memo hit reproduce evaluate_design() BIT-IDENTICALLY — the same
+// floating-point operations in the same order. A bound-skipped sweep
+// candidate is counted (stats().bound_skips) but neither scheduled nor
+// memoized, and it provably could not have changed the search, so
+// searches are identical with or without the bound; the naive_reference
+// path never skips. The naive_reference option turns the context into a
+// thin wrapper over evaluate_design() — rebase() and every candidate
+// call it on the materialized mapping — so the equivalence harness
 // (tests/core/eval_context_equivalence_test.cpp) and the before/after
 // benches drive both paths through identical search code: a single
 // search is handed a naive context, and a whole exploration wraps its
@@ -87,26 +90,35 @@ struct EvalOptions {
     bool naive_reference = false;
 };
 
-/// One neighbourhood mutation, reported by random_neighbor_op so the
-/// caller can ask EvalContext for an incremental re-evaluation.
+/// One candidate relative to a base mapping: task `a` on core `core_a`
+/// and task `b` on core `core_b`, every other task where the base has
+/// it (`a` wins when a == b). A move names its task twice (move()), a
+/// swap gives each of two tasks the other's base core, and the
+/// default-constructed op is none(): the base itself.
 struct NeighborOp {
-    enum class Kind : unsigned char {
-        none, ///< no admissible mutation found; mapping unchanged
-        move, ///< task `a` moved from core `from` to core `to`
-        swap, ///< tasks `a` and `b` (on different cores) exchanged cores
-    };
-    Kind kind = Kind::none;
-    TaskId a = 0;
-    TaskId b = 0;
-    CoreId from = 0;
-    CoreId to = 0;
+    static constexpr TaskId k_none = std::numeric_limits<TaskId>::max();
+    TaskId a = k_none;
+    CoreId core_a = 0;
+    TaskId b = k_none;
+    CoreId core_b = 0;
+
+    static constexpr NeighborOp move(TaskId task, CoreId to) { return {task, to, task, to}; }
+    bool none() const { return a == k_none; }
+    /// Task `w`'s core in the candidate over the base assignment `base_raw`.
+    CoreId core_of(const CoreId* base_raw, TaskId w) const {
+        if (w == a) return core_a;
+        if (w == b) return core_b;
+        return base_raw[w];
+    }
 };
 
 /// The shared move/swap neighbourhood of both search engines: with
 /// probability `swap_probability` exchange two tasks on different
 /// cores, otherwise move one task to another core (rejecting moves that
 /// would empty a populated core when `require_all_cores`). Mutates
-/// `mapping` in place and reports what changed. The RNG draw sequence
+/// `mapping` in place and returns the change as an op relative to the
+/// mapping as it was (none() when no mutation was admissible). The RNG
+/// draw sequence
 /// is the contract: both engines' walks are reproducible bit-for-bit
 /// from the seed, so this function consumes draws exactly like the
 /// historical per-engine copies it replaces.
@@ -131,50 +143,42 @@ public:
     /// The problem this context evaluates against.
     const EvaluationContext& problem() const { return ctx_; }
 
-    /// Full evaluation of a complete mapping; bit-identical to
-    /// evaluate_design(problem(), mapping). Allocation-free after the
-    /// first call. Throws std::invalid_argument on size mismatches or
-    /// incomplete mappings.
-    DesignMetrics evaluate(const Mapping& mapping);
-
     /// Establish `base` as the incremental-evaluation anchor (the
-    /// search's current mapping) and return its metrics. Records the
-    /// per-position timeline state evaluate_move/evaluate_swap restart
-    /// from. Always a full recorded pass; a known future optimization
-    /// is committing the just-replayed suffix of an accepted neighbour
-    /// instead, which would help high-acceptance (hot) walk phases.
+    /// search's current mapping) and return its metrics: the only full
+    /// pass, bit-identical to evaluate_design(problem(), base) and
+    /// allocation-free after the first call. Records the per-position
+    /// timeline state every candidate restarts from. Throws
+    /// std::invalid_argument on a size mismatch or an incomplete
+    /// mapping, and then leaves the previous base in place. A known
+    /// future optimization is committing the just-replayed suffix of an
+    /// accepted neighbour instead, which would help high-acceptance
+    /// (hot) walk phases.
     DesignMetrics rebase(const Mapping& base);
 
     const DesignMetrics& base_metrics() const { return base_metrics_; }
 
-    /// Metrics of the base with `task` moved to core `to` (base itself is
-    /// left untouched); the random walk's move step. Memoized, then
-    /// suffix-rescheduled: only the two affected cores' register unions
-    /// and busy cycles are recomputed, and only placement positions from
-    /// the earliest predecessor of `task` onward are replayed. Never
-    /// skipped by the bound. Requires a prior rebase().
-    DesignMetrics evaluate_move(TaskId task, CoreId to);
+    /// Metrics of the candidate `op` over the base (the base itself is
+    /// left untouched): the random walk's step D. An op that changes
+    /// nothing returns base_metrics(). Memoized, then suffix-rescheduled:
+    /// only the touched cores' register unions and busy cycles are
+    /// recomputed, and only placement positions from the earliest
+    /// predecessor of a changed task onward are replayed. Never skipped
+    /// by the bound. Requires a prior rebase().
+    DesignMetrics evaluate_neighbor(const NeighborOp& op);
 
-    /// evaluate_move() for the Fig. 7 sweep, which keeps a candidate only
-    /// if it strictly improves its running best `walk_best` or the search
-    /// result `result_best`: against an infeasible reference by being
-    /// feasible or having a lower T_M, against a feasible one by being
-    /// feasible with a lower Gamma. On a memo miss, when the
+    /// evaluate_neighbor() for the Fig. 7 sweep, which keeps a candidate
+    /// only if it strictly improves its running best `walk_best` or the
+    /// search result `result_best`: against an infeasible reference by
+    /// being feasible or having a lower T_M, against a feasible one by
+    /// being feasible with a lower Gamma. On a memo miss, when the
     /// schedule-free bound (file comment) proves the candidate improves
     /// neither, the suffix replay is skipped: the call counts a
     /// stats().bound_skips, memoizes nothing and returns std::nullopt.
-    /// Otherwise returns exactly evaluate_move(task, to). The
+    /// Otherwise returns exactly evaluate_neighbor(op). The
     /// naive_reference path never skips.
-    std::optional<DesignMetrics> evaluate_move_bounded(TaskId task, CoreId to,
-                                                       const DesignMetrics& walk_best,
-                                                       const DesignMetrics& result_best);
-
-    /// Metrics of the base with tasks `a` and `b` exchanging cores.
-    DesignMetrics evaluate_swap(TaskId a, TaskId b);
-
-    /// Dispatch on a NeighborOp produced against the base. Kind::none
-    /// returns base_metrics().
-    DesignMetrics evaluate_neighbor(const NeighborOp& op);
+    std::optional<DesignMetrics> evaluate_bounded(const NeighborOp& op,
+                                                  const DesignMetrics& walk_best,
+                                                  const DesignMetrics& result_best);
 
     /// Instrumentation for benches and tests.
     struct Stats {
@@ -188,36 +192,17 @@ public:
     const Stats& stats() const { return stats_; }
 
 private:
-    /// A candidate relative to the base: up to two tasks on new cores.
-    /// For a move both slots describe the same task; `unchanged()`
-    /// describes the base mapping itself.
-    struct Override {
-        static constexpr TaskId k_none = std::numeric_limits<TaskId>::max();
-        TaskId a;
-        CoreId core_a;
-        TaskId b;
-        CoreId core_b;
-
-        static constexpr Override unchanged() { return {k_none, 0, k_none, 0}; }
-
-        CoreId core_of(const CoreId* base_raw, TaskId w) const {
-            if (w == a) return core_a;
-            if (w == b) return core_b;
-            return base_raw[w];
-        }
-    };
-
-    DesignMetrics evaluate_full(const Mapping& mapping, bool record);
-    /// evaluate_move(), bounded against the two references when they are
-    /// non-null.
-    std::optional<DesignMetrics> move_candidate(TaskId task, CoreId to,
-                                                const DesignMetrics* walk_best,
-                                                const DesignMetrics* result_best);
+    DesignMetrics evaluate_full(); ///< of base_, recording its timeline state
+    /// evaluate_neighbor(), bounded against the two references when they
+    /// are non-null.
+    std::optional<DesignMetrics> candidate(const NeighborOp& op,
+                                           const DesignMetrics* walk_best,
+                                           const DesignMetrics* result_best);
     // The three phases of an incremental evaluation.
-    void stage_override(const Override& ov); ///< busy_ and register_bits_ of the candidate
+    void stage_override(const NeighborOp& op); ///< busy_ and register_bits_ of the candidate
     bool bound_excludes(std::size_t suffix_pos, const DesignMetrics& walk_best,
                         const DesignMetrics& result_best);
-    double replay_suffix(const Override& ov, std::size_t suffix_pos); ///< the latency
+    double replay_suffix(const NeighborOp& op, std::size_t suffix_pos); ///< the latency
     // finish_metrics' arithmetic, shared with the bound so both perform
     // the same floating-point operations.
     DesignMetrics finish_metrics(double latency);
@@ -227,14 +212,12 @@ private:
     void check_mapping(const Mapping& mapping) const;
 
     // Memo: a direct-mapped cache over a flat key arena. A key is the
-    // mapping `base` with the override applied; the hash of a mapping is
-    // the XOR of key_term(t, core_of(t)) over its tasks.
+    // base mapping with the op applied; the hash of a mapping is the XOR
+    // of key_term(t, core_of(t)) over its tasks.
     std::uint64_t key_term(TaskId task, CoreId core) const;
     std::uint64_t hash_key(const CoreId* key) const;
-    const DesignMetrics* memo_find(std::uint64_t hash, const CoreId* base,
-                                   const Override& ov) const;
-    void memo_insert(std::uint64_t hash, const CoreId* base, const Override& ov,
-                     const DesignMetrics& metrics);
+    const DesignMetrics* memo_find(std::uint64_t hash, const NeighborOp& op) const;
+    void memo_insert(std::uint64_t hash, const NeighborOp& op, const DesignMetrics& metrics);
 
     std::uint64_t weighted_bits(const std::uint64_t* row) const;
 

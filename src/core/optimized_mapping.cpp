@@ -97,7 +97,8 @@ LocalSearchResult OptimizedMappingStrategy::search(EvalContext& eval, const Mapp
             for (CoreId core = 0; core < ctx.arch.core_count() && !stopped(); ++core) {
                 if (core == original) continue;
                 const std::optional<DesignMetrics> metrics =
-                    eval.evaluate_move_bounded(t, core, best_metrics, result.best_metrics);
+                    eval.evaluate_bounded(NeighborOp::move(t, core), best_metrics,
+                                          result.best_metrics);
                 ++result.evaluations;
                 if (!metrics) continue;
                 consider_best(*metrics, [&]() -> const Mapping& {
@@ -152,7 +153,7 @@ LocalSearchResult OptimizedMappingStrategy::search(EvalContext& eval, const Mapp
         neighbor = current; // step C: neighbouring task movement
         const NeighborOp op = random_neighbor_op(neighbor, rng, params_.swap_probability,
                                                  params_.require_all_cores);
-        if (op.kind == NeighborOp::Kind::none) continue; // mapping unchanged
+        if (op.none()) continue; // mapping unchanged
         const DesignMetrics metrics = eval.evaluate_neighbor(op); // step D
         ++result.evaluations;
         consider_best(metrics, [&]() -> const Mapping& { return neighbor; });

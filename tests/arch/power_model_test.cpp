@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <limits>
 
 namespace seamap {
 namespace {
@@ -84,6 +85,13 @@ TEST(PowerModel, ParamValidation) {
                  std::invalid_argument);
     EXPECT_THROW(PowerModel(VoltageScalingTable::arm7_three_level(), PowerParams{1e-12, 1.1}),
                  std::invalid_argument);
+    // Non-finite parameters would make every power non-finite.
+    constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    for (const PowerParams& bad : {PowerParams{nan, 0.3}, PowerParams{inf, 0.3},
+                                   PowerParams{60e-12, nan}})
+        EXPECT_THROW(PowerModel(VoltageScalingTable::arm7_three_level(), bad),
+                     std::invalid_argument);
 }
 
 } // namespace

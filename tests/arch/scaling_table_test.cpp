@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace seamap {
 namespace {
 
@@ -65,6 +67,11 @@ TEST(ScalingTable, RejectsEmptyAndNonPositive) {
     EXPECT_THROW(VoltageScalingTable({}), std::invalid_argument);
     EXPECT_THROW(VoltageScalingTable({{0.0, 1.0}}), std::invalid_argument);
     EXPECT_THROW(VoltageScalingTable({{100.0, -1.0}}), std::invalid_argument);
+    // Non-finite points pass `<= 0` checks but make every power non-finite.
+    EXPECT_THROW(VoltageScalingTable({{std::numeric_limits<double>::quiet_NaN(), 1.0}}),
+                 std::invalid_argument);
+    EXPECT_THROW(VoltageScalingTable({{100.0, std::numeric_limits<double>::infinity()}}),
+                 std::invalid_argument);
 }
 
 TEST(ScalingTable, FromFrequenciesUsesVoltageLaw) {

@@ -1,5 +1,5 @@
 // Soundness of the Fig. 7 sweep's schedule-free bound
-// (EvalContext::evaluate_move_bounded). A skipped candidate is never
+// (EvalContext::evaluate_bounded). A skipped candidate is never
 // scheduled, so the bound is only correct if a skip implies the
 // candidate's exact metrics — evaluate_design(), the naive reference —
 // improve neither reference under the sweep's rules. Exercised over
@@ -150,7 +150,8 @@ void check_base(const EvaluationContext& ctx, const Mapping& base, const RefShap
             const DesignMetrics w = make_reference(walk, exact);
             const DesignMetrics r = make_reference(result, exact);
             const std::uint64_t skips_before = eval.stats().bound_skips;
-            const std::optional<DesignMetrics> got = eval.evaluate_move_bounded(t, core, w, r);
+            const std::optional<DesignMetrics> got =
+                eval.evaluate_bounded(NeighborOp::move(t, core), w, r);
             ++tally.checked;
             const std::string at = where + " task=" + std::to_string(t) +
                                    " core=" + std::to_string(core);
@@ -231,7 +232,7 @@ TEST(EvalContextBound, TmBoundIsExactWhenTheLatencyLiesInThePrefix) {
             const DesignMetrics walk = make_reference({false, walk_ulps}, exact);
             const DesignMetrics result = make_reference({false, result_ulps}, exact);
             const std::optional<DesignMetrics> got =
-                eval.evaluate_move_bounded(short_task, 1, walk, result);
+                eval.evaluate_bounded(NeighborOp::move(short_task, 1), walk, result);
             EXPECT_EQ(got.has_value(), improves(exact, walk) || improves(exact, result))
                 << "walk ulps " << walk_ulps << ", result ulps " << result_ulps;
         }
@@ -261,10 +262,11 @@ TEST(EvalContextBound, NaiveReferenceNeverSkips) {
                 Mapping moved = base;
                 moved.assign(t, core);
                 const std::optional<DesignMetrics> got =
-                    naive.evaluate_move_bounded(t, core, unbeatable, unbeatable);
+                    naive.evaluate_bounded(NeighborOp::move(t, core), unbeatable, unbeatable);
                 ASSERT_TRUE(got.has_value()) << "task " << t << " core " << core;
                 EXPECT_EQ(got->gamma, evaluate_design(ctx, moved).gamma);
-                EXPECT_FALSE(fast.evaluate_move_bounded(t, core, unbeatable, unbeatable));
+                EXPECT_FALSE(
+                    fast.evaluate_bounded(NeighborOp::move(t, core), unbeatable, unbeatable));
             }
         }
         EXPECT_EQ(naive.stats().bound_skips, 0u);

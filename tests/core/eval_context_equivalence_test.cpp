@@ -1,6 +1,6 @@
 // The equivalence harness pinning the EvalContext fast path to the
 // naive evaluate_design() path BIT-IDENTICALLY: full evaluation,
-// incremental move/swap re-evaluation and memoized lookups must all
+// incremental candidate re-evaluation and memoized lookups must all
 // produce exactly the doubles the naive path produces, across Fig. 8,
 // MPEG-2 and seeded random TGFF graphs x every scaling combination —
 // and whole searches / explorations driven through either path must
@@ -82,15 +82,15 @@ TEST(EvalContextEquivalence, FullEvaluationMatchesNaiveAcrossAllScalings) {
             for (int i = 0; i < 4; ++i) mappings.push_back(random_mapping(w.graph, w.cores, rng));
             for (const Mapping& mapping : mappings) {
                 const DesignMetrics naive = evaluate_design(ctx, mapping);
-                expect_bit_identical(eval.evaluate(mapping), naive, w.label + " evaluate");
                 // rebase() files `mapping` under its full-mapping key; a
                 // neighbour moving task 0 back is served from that entry.
                 expect_bit_identical(eval.rebase(mapping), naive, w.label + " rebase");
                 Mapping moved = mapping;
                 moved.assign(0, static_cast<CoreId>((mapping.core_of(0) + 1) % w.cores));
                 (void)eval.rebase(moved);
-                expect_bit_identical(eval.evaluate_move(0, mapping.core_of(0)), naive,
-                                     w.label + " memo hit");
+                expect_bit_identical(
+                    eval.evaluate_neighbor(NeighborOp::move(0, mapping.core_of(0))), naive,
+                    w.label + " memo hit");
             }
         }
     }
@@ -116,7 +116,7 @@ TEST(EvalContextEquivalence, IncrementalMoveAndSwapMatchNaive) {
                     if (core == base.core_of(t)) continue;
                     Mapping moved = base;
                     moved.assign(t, core);
-                    expect_bit_identical(eval.evaluate_move(t, core),
+                    expect_bit_identical(eval.evaluate_neighbor(NeighborOp::move(t, core)),
                                          evaluate_design(ctx, moved),
                                          w.label + " move");
                 }
@@ -133,8 +133,9 @@ TEST(EvalContextEquivalence, IncrementalMoveAndSwapMatchNaive) {
                 const CoreId core_a = base.core_of(a);
                 swapped.assign(a, base.core_of(b));
                 swapped.assign(b, core_a);
-                expect_bit_identical(eval.evaluate_swap(a, b),
-                                     evaluate_design(ctx, swapped), w.label + " swap");
+                expect_bit_identical(
+                    eval.evaluate_neighbor({a, base.core_of(b), b, base.core_of(a)}),
+                    evaluate_design(ctx, swapped), w.label + " swap");
                 if (i % 5 == 4) {
                     base = swapped;
                     expect_bit_identical(eval.rebase(base), evaluate_design(ctx, base),
@@ -172,8 +173,8 @@ TEST(EvalContextEquivalence, WideArchitectureMoveAndSwapMatchNaive) {
                 if (core == base.core_of(t)) continue;
                 Mapping moved = base;
                 moved.assign(t, core);
-                expect_bit_identical(eval.evaluate_move(t, core), evaluate_design(ctx, moved),
-                                     "wide move");
+                expect_bit_identical(eval.evaluate_neighbor(NeighborOp::move(t, core)),
+                                     evaluate_design(ctx, moved), "wide move");
             }
         }
         for (int i = 0; i < 80; ++i) {
@@ -185,8 +186,9 @@ TEST(EvalContextEquivalence, WideArchitectureMoveAndSwapMatchNaive) {
             Mapping swapped = base;
             swapped.assign(a, base.core_of(b));
             swapped.assign(b, base.core_of(a));
-            expect_bit_identical(eval.evaluate_swap(a, b), evaluate_design(ctx, swapped),
-                                 "wide swap");
+            expect_bit_identical(
+                eval.evaluate_neighbor({a, base.core_of(b), b, base.core_of(a)}),
+                evaluate_design(ctx, swapped), "wide swap");
             if (i % 6 == 5) {
                 base = swapped;
                 expect_bit_identical(eval.rebase(base), evaluate_design(ctx, base),
@@ -204,9 +206,9 @@ TEST(EvalContextEquivalence, MemoHitsAreServedWithoutReevaluation) {
     EvalContext eval(ctx);
     const Mapping base = round_robin_mapping(graph, 4);
     eval.rebase(base);
-    const DesignMetrics first = eval.evaluate_move(0, 1);
+    const DesignMetrics first = eval.evaluate_neighbor(NeighborOp::move(0, 1));
     const auto incremental_before = eval.stats().incremental_evals;
-    const DesignMetrics again = eval.evaluate_move(0, 1);
+    const DesignMetrics again = eval.evaluate_neighbor(NeighborOp::move(0, 1));
     EXPECT_EQ(eval.stats().incremental_evals, incremental_before)
         << "revisited candidate must be a memo hit, not a re-evaluation";
     EXPECT_GT(eval.stats().memo_hits, 0u);
@@ -245,8 +247,9 @@ TEST(EvalContextEquivalence, NeighbourMemoKeysEqualFullMappingKeys) {
         const CoreId to = static_cast<CoreId>((base.core_of(t) + 1) % 4);
         last_neighbour = base;
         last_neighbour.assign(t, to);
-        expect_pure_hit(last_neighbour, [&] { return eval.evaluate_move(t, to); },
-                        "move " + std::to_string(t));
+        expect_pure_hit(
+            last_neighbour, [&] { return eval.evaluate_neighbor(NeighborOp::move(t, to)); },
+            "move " + std::to_string(t));
     }
     for (TaskId a = 0; a + 1 < graph.task_count(); a += 2) {
         const TaskId b = a + 1;
@@ -254,8 +257,10 @@ TEST(EvalContextEquivalence, NeighbourMemoKeysEqualFullMappingKeys) {
         Mapping swapped = base;
         swapped.assign(a, base.core_of(b));
         swapped.assign(b, base.core_of(a));
-        expect_pure_hit(swapped, [&] { return eval.evaluate_swap(a, b); },
-                        "swap " + std::to_string(a));
+        expect_pure_hit(
+            swapped,
+            [&] { return eval.evaluate_neighbor({a, base.core_of(b), b, base.core_of(a)}); },
+            "swap " + std::to_string(a));
     }
 
     // After rebasing onto a neighbour, the move back to the old base is
@@ -264,7 +269,7 @@ TEST(EvalContextEquivalence, NeighbourMemoKeysEqualFullMappingKeys) {
     TaskId moved = 0;
     while (last_neighbour.core_of(moved) == base.core_of(moved)) ++moved;
     const std::uint64_t hits = eval.stats().memo_hits;
-    (void)eval.evaluate_move(moved, base.core_of(moved));
+    (void)eval.evaluate_neighbor(NeighborOp::move(moved, base.core_of(moved)));
     EXPECT_EQ(eval.stats().memo_hits, hits + 1);
 }
 
@@ -309,17 +314,96 @@ TEST(EvalContextEquivalence, OverwrittenMemoSlotsNeverServeStaleMetrics) {
                                  "rebase " + std::to_string(index));
         }
         neighbour = bases[index];
-        if (op.kind == NeighborOp::Kind::move) {
-            neighbour.assign(op.a, op.to);
-        } else if (op.kind == NeighborOp::Kind::swap) {
-            const CoreId core_a = neighbour.core_of(op.a);
-            neighbour.assign(op.a, neighbour.core_of(op.b));
-            neighbour.assign(op.b, core_a);
+        if (!op.none()) {
+            neighbour.assign(op.a, op.core_a);
+            neighbour.assign(op.b, op.core_b);
         }
         expect_bit_identical(eval.evaluate_neighbor(op), evaluate_design(ctx, neighbour),
                              "neighbour " + std::to_string(v));
     }
     EXPECT_GT(stats.memo_hits, hits_before) << "no revisit was served from the memo";
+}
+
+TEST(EvalContextEquivalence, ArbitraryTwoTaskCandidatesMatchNaive) {
+    // A NeighborOp may put any two tasks on any cores, not only the moves
+    // and swaps random_neighbor_op draws: a == b, a task kept on its base
+    // core, or no change at all. Every such candidate, bounded or not,
+    // must be evaluate_design() on the materialized mapping.
+    for (const ExposurePolicy policy :
+         {ExposurePolicy::full_duration, ExposurePolicy::busy_only}) {
+        for (const Workload& w : workloads()) {
+            const MpsocArchitecture arch(w.cores, VoltageScalingTable::arm7_three_level());
+            ScalingVector levels(w.cores);
+            for (std::size_t c = 0; c < w.cores; ++c)
+                levels[c] = static_cast<ScalingLevel>(1 + c % 3);
+            const EvaluationContext ctx{w.graph, arch, levels,
+                                        SeuEstimator{SerModel{}, policy}, w.deadline_seconds};
+            const auto last_task = static_cast<std::int64_t>(w.graph.task_count()) - 1;
+            const auto last_core = static_cast<std::int64_t>(w.cores) - 1;
+            for (const bool naive : {false, true}) {
+                EvalContext eval(ctx, {.naive_reference = naive});
+                Rng rng(61);
+                Mapping base = random_mapping(w.graph, w.cores, rng);
+                (void)eval.rebase(base);
+                DesignMetrics reference = eval.base_metrics();
+                for (int i = 0; i < 400; ++i) {
+                    NeighborOp op{static_cast<TaskId>(rng.uniform_int(0, last_task)),
+                                  static_cast<CoreId>(rng.uniform_int(0, last_core)),
+                                  static_cast<TaskId>(rng.uniform_int(0, last_task)),
+                                  static_cast<CoreId>(rng.uniform_int(0, last_core))};
+                    if (i % 7 == 0) op.b = op.a;
+                    if (i % 11 == 0) op.core_a = base.core_of(op.a);
+                    if (i % 29 == 0) op = NeighborOp{};
+                    Mapping candidate = base;
+                    if (!op.none()) {
+                        candidate.assign(op.b, op.core_b);
+                        candidate.assign(op.a, op.core_a); // `a` wins when a == b
+                    }
+                    const DesignMetrics exact = evaluate_design(ctx, candidate);
+                    const std::string where = w.label + (naive ? " naive " : " fast ") +
+                                              std::to_string(i);
+                    // Bounded first: on a memo miss it may skip, and when
+                    // it replays, the plain call below is served by the memo.
+                    if (const auto bounded = eval.evaluate_bounded(op, reference, reference))
+                        expect_bit_identical(*bounded, exact, where + " bounded");
+                    expect_bit_identical(eval.evaluate_neighbor(op), exact, where);
+                    reference = i % 2 == 0 ? exact : eval.base_metrics();
+                    if (i % 50 == 49) {
+                        base = candidate;
+                        expect_bit_identical(eval.rebase(base), exact, where + " rebase");
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(EvalContextEquivalence, RejectedRebaseKeepsThePreviousBase) {
+    // rebase() validates before it changes any state, so a rejected
+    // mapping leaves the context answering for the previous base.
+    const TaskGraph graph = fig8_example_graph();
+    const MpsocArchitecture arch(3, VoltageScalingTable::arm7_three_level());
+    const EvaluationContext ctx{graph, arch, {1, 2, 2}, SeuEstimator{SerModel{}},
+                                k_fig8_deadline_seconds};
+    const Mapping base = round_robin_mapping(graph, 3);
+    const NeighborOp op = NeighborOp::move(1, static_cast<CoreId>((base.core_of(1) + 1) % 3));
+    Mapping moved = base;
+    moved.assign(op.a, op.core_a);
+    Mapping wrong_task_count(graph.task_count() + 1, 3);
+    for (TaskId t = 0; t < wrong_task_count.task_count(); ++t) wrong_task_count.assign(t, 0);
+    const std::vector<std::pair<std::string, Mapping>> rejected_mappings = {
+        {"incomplete", Mapping(graph.task_count(), 3)}, {"task count", wrong_task_count}};
+    for (const bool naive : {false, true}) {
+        EvalContext eval(ctx, {.naive_reference = naive});
+        (void)eval.rebase(base);
+        for (const auto& [label, rejected] : rejected_mappings) {
+            const std::string where = (naive ? "naive " : "fast ") + label;
+            EXPECT_THROW((void)eval.rebase(rejected), std::invalid_argument) << where;
+            expect_bit_identical(eval.base_metrics(), evaluate_design(ctx, base), where);
+            expect_bit_identical(eval.evaluate_neighbor(op), evaluate_design(ctx, moved),
+                                 where + " neighbour");
+        }
+    }
 }
 
 TEST(EvalContextEquivalence, SearchesIdenticalAcrossEvaluationPaths) {
@@ -381,16 +465,19 @@ TEST(EvalContextEquivalence, Validation) {
                                 k_fig8_deadline_seconds};
     EvalContext eval(ctx);
     const Mapping incomplete(graph.task_count(), 3);
-    EXPECT_THROW((void)eval.evaluate(incomplete), std::invalid_argument);
-    EXPECT_THROW((void)eval.evaluate_move(0, 0), std::logic_error); // no base yet
+    EXPECT_THROW((void)eval.rebase(incomplete), std::invalid_argument);
+    EXPECT_THROW((void)eval.evaluate_neighbor(NeighborOp::move(0, 0)),
+                 std::logic_error); // no base yet
     const Mapping base = round_robin_mapping(graph, 3);
     eval.rebase(base);
-    EXPECT_THROW((void)eval.evaluate_move(0, 99), std::invalid_argument);
-    EXPECT_THROW((void)eval.evaluate_move(999, 0), std::invalid_argument);
+    EXPECT_THROW((void)eval.evaluate_neighbor(NeighborOp::move(0, 99)), std::invalid_argument);
+    EXPECT_THROW((void)eval.evaluate_neighbor(NeighborOp::move(999, 0)),
+                 std::invalid_argument);
     // Identity mutations short-circuit to the base metrics.
-    expect_bit_identical(eval.evaluate_move(0, base.core_of(0)), eval.base_metrics(),
-                         "identity move");
-    expect_bit_identical(eval.evaluate_swap(1, 1), eval.base_metrics(), "identity swap");
+    expect_bit_identical(eval.evaluate_neighbor(NeighborOp::move(0, base.core_of(0))),
+                         eval.base_metrics(), "identity move");
+    expect_bit_identical(eval.evaluate_neighbor({1, base.core_of(1), 1, base.core_of(1)}),
+                         eval.base_metrics(), "identity swap");
 }
 
 } // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace seamap {
 namespace {
 
@@ -67,8 +69,20 @@ TEST(SerModel, Validation) {
     bad = SerParams{};
     bad.voltage_exponent_k = -0.1;
     EXPECT_THROW(SerModel{bad}, std::invalid_argument);
+    // Non-finite parameters would make every rate non-finite.
+    bad = SerParams{};
+    bad.ser_ref_per_bit_cycle = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(SerModel{bad}, std::invalid_argument);
+    bad = SerParams{};
+    bad.ref_vdd = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(SerModel{bad}, std::invalid_argument);
+    bad = SerParams{};
+    bad.voltage_exponent_k = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(SerModel{bad}, std::invalid_argument);
     const SerModel model;
     EXPECT_THROW((void)model.ser_per_bit_second(0.0), std::invalid_argument);
+    EXPECT_THROW((void)model.ser_per_bit_second(std::numeric_limits<double>::quiet_NaN()),
+                 std::invalid_argument);
 }
 
 } // namespace
