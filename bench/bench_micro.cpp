@@ -341,7 +341,9 @@ BENCHMARK(bm_producer_acceptance)->Unit(benchmark::kMillisecond);
 // iterations, from the Fig. 6 initial mapping the explorer starts from.
 // Each iteration builds a fresh EvalContext (a few percent of the time),
 // as every explorer search does. The counters show how much of the
-// sweep the schedule-free bound skips.
+// sweep the schedule-free bound skips, and how many of those skips the
+// T_M tier decides before any register union is built (tm_skips; the
+// rest are Gamma-tier skips).
 void bm_search_acceptance_slot(benchmark::State& state) {
     const Problem problem = scale_acceptance_problem();
     const std::size_t cores = problem.architecture().core_count();
@@ -365,6 +367,7 @@ void bm_search_acceptance_slot(benchmark::State& state) {
     state.counters["evaluations"] = static_cast<double>(last.evaluations);
     state.counters["replays"] = static_cast<double>(stats.incremental_evals);
     state.counters["bound_skips"] = static_cast<double>(stats.bound_skips);
+    state.counters["tm_skips"] = static_cast<double>(stats.tm_skips);
 }
 BENCHMARK(bm_search_acceptance_slot)->Unit(benchmark::kMillisecond);
 

@@ -326,23 +326,43 @@ std::optional<DesignMetrics> EvalContext::candidate(const NeighborOp& op,
         return *hit;
     }
     const std::size_t suffix_pos = std::min(suffix_start_[op.a], suffix_start_[op.b]);
-    stage_override(op);
-    if (walk_best != nullptr && bound_excludes(suffix_pos, *walk_best, *result_best)) {
-        ++stats_.bound_skips;
-        return std::nullopt;
+    stage_busy(op);
+    // The bounded sweep's tiers (file comment): each runs only when the
+    // ones before it cannot decide, so most skips build no union.
+    bool unions_staged = false;
+    if (walk_best != nullptr) {
+        const double tm_lb = pipelined_tm(base_latency_prefix_[suffix_pos]);
+        if (!within_deadline(tm_lb)) {
+            // T_M tier. Infeasible: it can only beat an infeasible
+            // reference on T_M.
+            if ((walk_best->feasible || tm_lb >= walk_best->tm_seconds) &&
+                (result_best->feasible || tm_lb >= result_best->tm_seconds)) {
+                ++stats_.tm_skips;
+                ++stats_.bound_skips;
+                return std::nullopt;
+            }
+        } else if (walk_best->feasible && result_best->feasible) {
+            // Gamma tier. Possibly feasible, which beats any infeasible
+            // reference, so only two feasible ones get here.
+            stage_unions(op);
+            unions_staged = true;
+            const double gamma_lb = gamma_at(tm_lb);
+            if (gamma_lb >= walk_best->gamma && gamma_lb >= result_best->gamma) {
+                ++stats_.bound_skips;
+                return std::nullopt;
+            }
+        }
     }
+    if (!unions_staged) stage_unions(op);
     const DesignMetrics metrics = finish_metrics(replay_suffix(op, suffix_pos));
     memo_insert(hash, op, metrics);
     return metrics;
 }
 
-// Phase 1 of an incremental evaluation: the candidate's busy cycles and
-// register unions, which need no schedule.
-void EvalContext::stage_override(const NeighborOp& op) {
+// The candidate's busy cycles: an integer delta over the touched tasks
+// and their incident edges (exactly equal to a full eq. 7 recompute).
+void EvalContext::stage_busy(const NeighborOp& op) {
     const CoreId* base_raw = base_.raw().data();
-
-    // Busy cycles: integer delta over the touched tasks and their
-    // incident edges (exactly equal to a full eq. 7 recompute).
     std::fill(busy_delta_.begin(), busy_delta_.end(), std::int64_t{0});
     const bool two_tasks = op.b != op.a;
     auto apply_exec_delta = [&](TaskId t, CoreId cand_core) {
@@ -371,11 +391,15 @@ void EvalContext::stage_override(const NeighborOp& op) {
     for (std::size_t c = 0; c < cores_; ++c)
         busy_[c] = static_cast<std::uint64_t>(static_cast<std::int64_t>(base_busy_[c]) +
                                               busy_delta_[c]);
+}
 
-    // Register unions: only the cores whose task sets changed. Unions
-    // are set algebra, so recomputing the two touched cores from their
-    // base task lists gives exactly the full eq. 8 result. Same SoA
-    // word-row OR as the full pass, over the CSR task slice.
+// The candidate's register unions, recomputed only for the cores whose
+// task sets changed. Unions are set algebra, so recomputing the touched
+// cores from their base task lists gives exactly the full eq. 8 result.
+// Same SoA word-row OR as the full pass, over the CSR task slice.
+void EvalContext::stage_unions(const NeighborOp& op) {
+    const CoreId* base_raw = base_.raw().data();
+    const bool two_tasks = op.b != op.a;
     std::copy(base_bits_.begin(), base_bits_.end(), register_bits_.begin());
     auto or_task_row = [&](TaskId t) {
         const std::uint64_t* src = task_reg_words_.data() + t * words_;
@@ -401,24 +425,7 @@ void EvalContext::stage_override(const NeighborOp& op) {
     }
 }
 
-// Phase 2: the schedule-free bound (file comment). True when the
-// candidate provably improves neither reference under the sweep's rules;
-// requires stage_override(op) for the same candidate.
-bool EvalContext::bound_excludes(std::size_t suffix_pos, const DesignMetrics& walk_best,
-                                 const DesignMetrics& result_best) {
-    const double tm_lb = pipelined_tm(base_latency_prefix_[suffix_pos]);
-    if (!within_deadline(tm_lb)) {
-        // Infeasible: it can only beat an infeasible reference on T_M.
-        return (walk_best.feasible || tm_lb >= walk_best.tm_seconds) &&
-               (result_best.feasible || tm_lb >= result_best.tm_seconds);
-    }
-    // Possibly feasible, which beats any infeasible reference.
-    if (!walk_best.feasible || !result_best.feasible) return false;
-    const double gamma_lb = gamma_at(tm_lb);
-    return gamma_lb >= walk_best.gamma && gamma_lb >= result_best.gamma;
-}
-
-// Phase 3: replay the schedule suffix and return the candidate's latency.
+// Replay the schedule suffix and return the candidate's latency.
 double EvalContext::replay_suffix(const NeighborOp& op, std::size_t suffix_pos) {
     ++stats_.incremental_evals;
     const CoreId* base_raw = base_.raw().data();

@@ -27,16 +27,21 @@
 //    the latency from the base's recorded prefix maximum and
 //    recomputing only the affected cores' register unions and busy
 //    cycles.
-//  - Bounded sweep: an incremental candidate is evaluated in three
-//    phases — busy cycles and the touched cores' register unions, then
-//    a schedule-free bound, then the suffix replay. The replay's latency
-//    starts from the base's prefix maximum and only grows, so that
-//    prefix plus (B-1)·II is a lower bound on T_M, and eq. 3 summed at
-//    that T_M (full_duration) or at the exact busy seconds (busy_only)
-//    is a lower bound on Gamma; round-to-nearest is monotone, so both
-//    hold in floating point. The Fig. 7 sweep (evaluate_bounded)
-//    skips the replay of a candidate the bound proves can improve
-//    neither its running best nor the search result.
+//  - Bounded sweep: a candidate that misses the memo is evaluated in
+//    tiers, each run only when the ones before it cannot decide:
+//    busy-cycle delta, then the T_M tier, then the touched cores'
+//    register unions, then the Gamma tier, then the suffix replay. The
+//    replay's latency starts from the base's prefix maximum and only
+//    grows, so that prefix plus (B-1)·II is a lower bound tm_lb on T_M,
+//    and eq. 3 summed at tm_lb (full_duration) or at the exact busy
+//    seconds (busy_only) is a lower bound on Gamma; round-to-nearest is
+//    monotone, so both hold in floating point. The Fig. 7 sweep
+//    (evaluate_bounded) skips a candidate the bound proves can improve
+//    neither its running best nor the search result. When tm_lb misses
+//    the deadline the decision reads T_M alone and no union is built
+//    (stats().tm_skips); the Gamma tier, which needs the unions, runs
+//    only when tm_lb meets the deadline and both references are
+//    feasible.
 //  - Memoization: a direct-mapped cache keyed by the full mapping
 //    returns previously computed metrics for revisited candidates, so
 //    a random walk that undoes a move never pays for the same design
@@ -170,12 +175,16 @@ public:
     /// only if it strictly improves its running best `walk_best` or the
     /// search result `result_best`: against an infeasible reference by
     /// being feasible or having a lower T_M, against a feasible one by
-    /// being feasible with a lower Gamma. On a memo miss, when the
-    /// schedule-free bound (file comment) proves the candidate improves
-    /// neither, the suffix replay is skipped: the call counts a
-    /// stats().bound_skips, memoizes nothing and returns std::nullopt.
-    /// Otherwise returns exactly evaluate_neighbor(op). The
-    /// naive_reference path never skips.
+    /// being feasible with a lower Gamma. On a memo miss the bound's
+    /// tiers (file comment) run in order: the busy-cycle delta, the T_M
+    /// tier (skips a candidate whose tm_lb misses the deadline and is
+    /// no lower than every infeasible reference's T_M, counting a
+    /// stats().tm_skips), the register unions, and, when tm_lb meets
+    /// the deadline and both references are feasible, the Gamma tier
+    /// (skips when Gamma_lb is no lower than either reference's Gamma).
+    /// A skip counts a stats().bound_skips, memoizes nothing and
+    /// returns std::nullopt. Otherwise returns exactly
+    /// evaluate_neighbor(op). The naive_reference path never skips.
     std::optional<DesignMetrics> evaluate_bounded(const NeighborOp& op,
                                                   const DesignMetrics& walk_best,
                                                   const DesignMetrics& result_best);
@@ -185,6 +194,7 @@ public:
         std::uint64_t full_evals = 0;        ///< complete timing passes (incl. rebase)
         std::uint64_t incremental_evals = 0; ///< suffix-only replays
         std::uint64_t bound_skips = 0;       ///< sweep candidates the bound ruled out
+        std::uint64_t tm_skips = 0;          ///< of those, ruled out by T_M before any union
         std::uint64_t memo_hits = 0;
         std::uint64_t memo_entries = 0; ///< filled memo slots
         std::uint64_t memo_bytes = 0;   ///< memo storage, fixed at construction
@@ -198,10 +208,10 @@ private:
     std::optional<DesignMetrics> candidate(const NeighborOp& op,
                                            const DesignMetrics* walk_best,
                                            const DesignMetrics* result_best);
-    // The three phases of an incremental evaluation.
-    void stage_override(const NeighborOp& op); ///< busy_ and register_bits_ of the candidate
-    bool bound_excludes(std::size_t suffix_pos, const DesignMetrics& walk_best,
-                        const DesignMetrics& result_best);
+    // The stages of an incremental evaluation; candidate() runs the
+    // bound's tiers between them.
+    void stage_busy(const NeighborOp& op);   ///< busy_ of the candidate
+    void stage_unions(const NeighborOp& op); ///< register_bits_ of the candidate
     double replay_suffix(const NeighborOp& op, std::size_t suffix_pos); ///< the latency
     // finish_metrics' arithmetic, shared with the bound so both perform
     // the same floating-point operations.

@@ -36,7 +36,10 @@ public:
     /// Exponentially distributed draw with the given mean (> 0).
     double exponential(double mean);
 
-    /// Poisson draw with the given mean (>= 0). Means above ~2^31 are
+    /// Poisson draw with the given mean (>= 0). Below 2^31 it is the
+    /// draw a fresh std::poisson_distribution<long long> takes under
+    /// libstdc++ 12, draw for draw, but thread-safe (lgamma_r, not
+    /// lgamma and its global signgam). Means above ~2^31 are
     /// approximated by a rounded normal, which is exact to within the
     /// distribution's own sampling error at that scale.
     std::uint64_t poisson(double mean);

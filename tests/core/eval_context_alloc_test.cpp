@@ -142,6 +142,16 @@ TEST(EvalContextAlloc, BoundedSweepIsAllocationFree) {
         DesignMetrics unbeatable;
         unbeatable.feasible = true;
         unbeatable.gamma = 0.0;
+        // The same base against a deadline every design misses and an
+        // infeasible reference at T_M 0: the common case of a sweep,
+        // where the T_M tier skips before any register union is built.
+        const EvaluationContext missed{w.graph, arch, levels, SeuEstimator{SerModel{}},
+                                       w.deadline_seconds * 1e-3};
+        EvalContext missed_eval(missed);
+        (void)missed_eval.rebase(base);
+        DesignMetrics unreachable;
+        unreachable.feasible = false;
+        unreachable.tm_seconds = 0.0;
 
         AllocationGuard guard;
         double sink = 0.0;
@@ -154,8 +164,16 @@ TEST(EvalContextAlloc, BoundedSweepIsAllocationFree) {
                 }
             }
         }
+        for (TaskId t = 0; t < w.graph.task_count(); ++t) {
+            for (CoreId core = 0; core < w.cores; ++core) {
+                const std::optional<DesignMetrics> metrics = missed_eval.evaluate_bounded(
+                    NeighborOp::move(t, core), unreachable, unreachable);
+                if (metrics) sink += metrics->gamma;
+            }
+        }
         EXPECT_EQ(guard.allocations(), 0u) << "bounded sweep allocated on " << w.label;
         EXPECT_GT(eval.stats().bound_skips, 0u) << w.label;
+        EXPECT_GT(missed_eval.stats().tm_skips, 0u) << w.label;
         EXPECT_GT(eval.stats().incremental_evals, 0u) << w.label;
         EXPECT_GT(sink, 0.0);
     }

@@ -7,7 +7,10 @@
 // counts 1/16/256 and under both exposure policies, with every single-
 // task move off several bases and every feasible/infeasible pairing of
 // the two references, their cutoffs placed exactly at the candidate's
-// T_M or Gamma (ties), one ulp above and one ulp below.
+// T_M or Gamma (ties), one ulp above and one ulp below. Each skip is
+// also attributed to its tier: the T_M tier (tm_lb misses the deadline,
+// stats().tm_skips) or the Gamma tier, with tm_lb recomputed here from
+// the naive reference's schedules.
 #include "seamap/seamap.h"
 
 #include "sched/list_scheduler.h"
@@ -17,9 +20,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <optional>
 #include <string>
@@ -129,9 +134,89 @@ std::vector<RefShape> ref_shapes() {
     return out;
 }
 
+/// The schedule-free lower bounds of one candidate, recomputed from the
+/// naive reference with the context's floating-point operations: tm_lb
+/// is the base schedule's latency over the placements before the
+/// earliest one the candidate can change, plus (B-1) times the
+/// candidate's initiation interval, and gamma_lb is eq. 3 summed over
+/// the candidate's register unions with tm_lb as the full_duration
+/// exposure.
+struct LowerBounds {
+    double tm = 0.0;
+    double gamma = 0.0;
+    bool tm_within_deadline = false; ///< false: the T_M tier decides
+};
+
+class BoundOracle {
+public:
+    explicit BoundOracle(const EvaluationContext& ctx)
+        : ctx_(ctx), order_(static_schedule_order(ctx.graph)), pos_(order_.size()) {
+        for (std::size_t p = 0; p < order_.size(); ++p) pos_[order_[p]] = p;
+    }
+
+    void rebase(const Mapping& base) {
+        base_ = ListScheduler().schedule(ctx_.graph, base, ctx_.arch, ctx_.levels);
+    }
+
+    /// Bounds of `candidate`, which differs from the base in `changed`.
+    LowerBounds of(const Mapping& candidate, std::initializer_list<TaskId> changed) const {
+        std::size_t suffix = order_.size();
+        for (const TaskId t : changed) {
+            suffix = std::min(suffix, pos_[t]);
+            for (const std::size_t idx : ctx_.graph.in_edge_indices(t))
+                suffix = std::min(suffix, pos_[ctx_.graph.edge(idx).src]);
+        }
+        double prefix = 0.0;
+        for (std::size_t p = 0; p < suffix; ++p)
+            prefix = std::max(prefix, base_.entries[order_[p]].finish_seconds);
+        Schedule schedule =
+            ListScheduler().schedule(ctx_.graph, candidate, ctx_.arch, ctx_.levels);
+        const double batches = static_cast<double>(ctx_.graph.batch_count());
+        LowerBounds bounds;
+        bounds.tm = prefix + (batches - 1.0) * schedule.initiation_interval_seconds;
+        bounds.tm_within_deadline = bounds.tm <= ctx_.deadline_seconds * (1.0 + 1e-9);
+        schedule.total_time_seconds = bounds.tm;
+        bounds.gamma =
+            ctx_.estimator.estimate(ctx_.graph, candidate, ctx_.arch, ctx_.levels, schedule)
+                .total;
+        return bounds;
+    }
+
+private:
+    const EvaluationContext& ctx_;
+    std::vector<TaskId> order_;
+    std::vector<std::size_t> pos_;
+    Schedule base_;
+};
+
+/// The sweep's skip rule stated over the bounds: past the deadline only
+/// T_M can improve an infeasible reference; within it the candidate may
+/// be feasible, which beats any infeasible reference, and against two
+/// feasible ones only a lower Gamma counts.
+bool bound_rule_skips(const LowerBounds& lb, const DesignMetrics& walk,
+                      const DesignMetrics& result) {
+    if (!lb.tm_within_deadline)
+        return (walk.feasible || lb.tm >= walk.tm_seconds) &&
+               (result.feasible || lb.tm >= result.tm_seconds);
+    if (!walk.feasible || !result.feasible) return false;
+    return lb.gamma >= walk.gamma && lb.gamma >= result.gamma;
+}
+
+void expect_bit_identical(const DesignMetrics& got, const DesignMetrics& exact,
+                          const std::string& at) {
+    EXPECT_EQ(got.tm_seconds, exact.tm_seconds) << at;
+    EXPECT_EQ(got.latency_seconds, exact.latency_seconds) << at;
+    EXPECT_EQ(got.register_bits, exact.register_bits) << at;
+    EXPECT_EQ(got.gamma, exact.gamma) << at;
+    EXPECT_EQ(got.power_mw, exact.power_mw) << at;
+    EXPECT_EQ(got.feasible, exact.feasible) << at;
+}
+
 struct Tally {
     std::uint64_t checked = 0;
     std::uint64_t skips = 0;
+    std::uint64_t tm_tier_skips = 0;
+    std::uint64_t gamma_tier_skips = 0;
 };
 
 /// Every single-task move off `base`, bounded against one (walk, result)
@@ -141,6 +226,8 @@ void check_base(const EvaluationContext& ctx, const Mapping& base, const RefShap
                 const RefShape& result, Tally& tally, const std::string& where) {
     EvalContext eval(ctx);
     (void)eval.rebase(base);
+    BoundOracle oracle(ctx);
+    oracle.rebase(base);
     for (TaskId t = 0; t < base.task_count(); ++t) {
         for (CoreId core = 0; core < base.core_count(); ++core) {
             if (core == base.core_of(t)) continue;
@@ -150,19 +237,32 @@ void check_base(const EvaluationContext& ctx, const Mapping& base, const RefShap
             const DesignMetrics w = make_reference(walk, exact);
             const DesignMetrics r = make_reference(result, exact);
             const std::uint64_t skips_before = eval.stats().bound_skips;
+            const std::uint64_t tm_skips_before = eval.stats().tm_skips;
             const std::optional<DesignMetrics> got =
                 eval.evaluate_bounded(NeighborOp::move(t, core), w, r);
             ++tally.checked;
             const std::string at = where + " task=" + std::to_string(t) +
                                    " core=" + std::to_string(core);
+            const LowerBounds lb = oracle.of(moved, {t});
             if (!got) {
                 ++tally.skips;
+                // The tier that decided: T_M past the deadline, else Gamma,
+                // which runs only against two feasible references.
+                if (!lb.tm_within_deadline) {
+                    ++tally.tm_tier_skips;
+                    EXPECT_EQ(eval.stats().tm_skips, tm_skips_before + 1) << at;
+                } else {
+                    ++tally.gamma_tier_skips;
+                    EXPECT_EQ(eval.stats().tm_skips, tm_skips_before) << at;
+                    EXPECT_TRUE(w.feasible && r.feasible) << at;
+                }
                 EXPECT_EQ(eval.stats().bound_skips, skips_before + 1) << at;
                 EXPECT_FALSE(improves(exact, w)) << "skipped a walk improvement at " << at;
                 EXPECT_FALSE(improves(exact, r)) << "skipped a result improvement at " << at;
                 continue;
             }
             EXPECT_EQ(eval.stats().bound_skips, skips_before) << at;
+            EXPECT_EQ(eval.stats().tm_skips, tm_skips_before) << at;
             EXPECT_EQ(got->tm_seconds, exact.tm_seconds) << at;
             EXPECT_EQ(got->latency_seconds, exact.latency_seconds) << at;
             EXPECT_EQ(got->register_bits, exact.register_bits) << at;
@@ -200,6 +300,13 @@ TEST(EvalContextBound, SkipsOnlyCandidatesThatImproveNeitherReference) {
         // Not vacuous: the bound fires under this exposure policy.
         EXPECT_GT(tally.skips, 0u) << "policy " << static_cast<int>(policy);
         EXPECT_LT(tally.skips, tally.checked) << "policy " << static_cast<int>(policy);
+        EXPECT_GT(tally.tm_tier_skips, 0u) << "policy " << static_cast<int>(policy);
+        // Under busy_only Gamma_lb is the exact Gamma, so the tie cutoff
+        // reaches the Gamma tier; full_duration's Gamma_lb sits below
+        // these cutoffs (the interleaving test places them on it).
+        if (policy == ExposurePolicy::busy_only) {
+            EXPECT_GT(tally.gamma_tier_skips, 0u);
+        }
     }
 }
 
@@ -235,6 +342,8 @@ TEST(EvalContextBound, TmBoundIsExactWhenTheLatencyLiesInThePrefix) {
                 eval.evaluate_bounded(NeighborOp::move(short_task, 1), walk, result);
             EXPECT_EQ(got.has_value(), improves(exact, walk) || improves(exact, result))
                 << "walk ulps " << walk_ulps << ", result ulps " << result_ulps;
+            // Every design misses the deadline: each skip is a T_M-tier one.
+            EXPECT_EQ(eval.stats().tm_skips, eval.stats().bound_skips);
         }
     }
 }
@@ -270,7 +379,104 @@ TEST(EvalContextBound, NaiveReferenceNeverSkips) {
             }
         }
         EXPECT_EQ(naive.stats().bound_skips, 0u);
+        EXPECT_EQ(naive.stats().tm_skips, 0u);
         EXPECT_GT(fast.stats().bound_skips, 0u);
+    }
+}
+
+/// A reference for the interleaving test: feasible with a Gamma cutoff
+/// or infeasible with a T_M cutoff, placed at the candidate's lower
+/// bound (most often) or at its exact value, one ulp below, on it or
+/// one ulp above. An infeasible reference keeps Gamma 0.
+DesignMetrics random_reference(Rng& rng, const LowerBounds& lb, const DesignMetrics& exact) {
+    DesignMetrics reference;
+    reference.feasible = rng.uniform() < 0.5;
+    const bool at_bound = rng.uniform() < 0.75;
+    const int ulps = static_cast<int>(rng.uniform_int(-1, 1));
+    if (reference.feasible)
+        reference.gamma = nudge(at_bound ? lb.gamma : exact.gamma, ulps);
+    else
+        reference.tm_seconds = nudge(at_bound ? lb.tm : exact.tm_seconds, ulps);
+    return reference;
+}
+
+TEST(EvalContextBound, SkippedCandidatesLeaveNoStagedState) {
+    // One context per problem, memo on, driven through an interleaved
+    // stream of T_M-skipped, Gamma-skipped and replayed candidates —
+    // moves and swaps, bounded and unbounded, with rebases in between.
+    // A skip leaves the tiers after it unrun, so every later call must
+    // restage what it reads: each decision must be the bound's over
+    // the recomputed lower bounds, and every result bit-identical to
+    // evaluate_design() on the materialized mapping.
+    constexpr int k_steps = 400;
+    for (const ExposurePolicy policy : k_policies) {
+        Tally tally;
+        std::uint64_t replays = 0;
+        for (const std::uint64_t batches : k_batch_counts) {
+            for (int s = 0; s < 4; ++s) {
+                const auto seed = static_cast<std::uint64_t>(s) * 977 + batches;
+                const Problem problem = random_problem(seed, batches, policy);
+                Rng rng(seed ^ 0x5eedULL);
+                const EvaluationContext ctx =
+                    problem.evaluation_context(random_levels(problem, rng));
+                const std::size_t tasks = problem.graph().task_count();
+                const std::size_t cores = problem.architecture().core_count();
+                EvalContext eval(ctx);
+                BoundOracle oracle(ctx);
+                Mapping base = random_mapping(tasks, cores, rng);
+                auto rebase = [&](const Mapping& mapping) {
+                    base = mapping;
+                    (void)eval.rebase(base);
+                    oracle.rebase(base);
+                };
+                rebase(base);
+                for (int step = 0; step < k_steps; ++step) {
+                    if (step > 0 && step % 40 == 0) rebase(random_mapping(tasks, cores, rng));
+                    Mapping candidate = base;
+                    const NeighborOp op = random_neighbor_op(candidate, rng, 0.5, false);
+                    ASSERT_FALSE(op.none());
+                    const DesignMetrics exact = evaluate_design(ctx, candidate);
+                    const std::string at = "seed=" + std::to_string(seed) +
+                                           " batches=" + std::to_string(batches) +
+                                           " step=" + std::to_string(step);
+                    if (rng.uniform() < 0.2) {
+                        expect_bit_identical(eval.evaluate_neighbor(op), exact, at);
+                        continue;
+                    }
+                    const LowerBounds lb = oracle.of(candidate, {op.a, op.b});
+                    const DesignMetrics walk = random_reference(rng, lb, exact);
+                    const DesignMetrics result = random_reference(rng, lb, exact);
+                    const EvalContext::Stats before = eval.stats();
+                    const std::optional<DesignMetrics> got =
+                        eval.evaluate_bounded(op, walk, result);
+                    const EvalContext::Stats& after = eval.stats();
+                    ++tally.checked;
+                    if (after.memo_hits != before.memo_hits) {
+                        ASSERT_TRUE(got.has_value()) << at;
+                        expect_bit_identical(*got, exact, at);
+                        continue;
+                    }
+                    const bool skip = bound_rule_skips(lb, walk, result);
+                    const bool tm_tier = skip && !lb.tm_within_deadline;
+                    EXPECT_EQ(got.has_value(), !skip) << at;
+                    EXPECT_EQ(after.bound_skips - before.bound_skips, skip ? 1u : 0u) << at;
+                    EXPECT_EQ(after.tm_skips - before.tm_skips, tm_tier ? 1u : 0u) << at;
+                    if (skip) {
+                        ++tally.skips;
+                        ++(tm_tier ? tally.tm_tier_skips : tally.gamma_tier_skips);
+                    }
+                    if (got) {
+                        ++replays;
+                        expect_bit_identical(*got, exact, at);
+                        if (rng.uniform() < 0.1) rebase(candidate); // an accepted step
+                    }
+                }
+            }
+        }
+        // Not vacuous: all three outcomes interleave under this policy.
+        EXPECT_GT(tally.tm_tier_skips, 0u) << "policy " << static_cast<int>(policy);
+        EXPECT_GT(tally.gamma_tier_skips, 0u) << "policy " << static_cast<int>(policy);
+        EXPECT_GT(replays, 0u) << "policy " << static_cast<int>(policy);
     }
 }
 

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <random>
 #include <set>
 #include <vector>
 
@@ -231,6 +234,47 @@ TEST(Rng, PoissonDrawsStayNearMeanAtCutover) {
             const double draw = static_cast<double>(rng.poisson(mean));
             EXPECT_NEAR(draw, mean, 10.0 * std::sqrt(mean));
         }
+    }
+}
+
+TEST(Rng, PoissonMatchesStdDistributionDrawForDraw) {
+    // Below the 2^31 cutover Rng::poisson takes the draw a fresh
+    // std::poisson_distribution<long long> takes from Rng's engine
+    // (std::mt19937_64 seeded with splitmix64(seed)): the same value and
+    // the same engine draws, so the streams stay in step. The means
+    // cover the product-of-uniforms branch (< 12), its edge, Devroye's
+    // rejection branch (>= 12) from 12 up to the campaign's ~2e5 hits per
+    // trial, and just below the cutover. The reference is libstdc++'s
+    // algorithm; another standard library draws differently.
+#ifndef __GLIBCXX__
+    GTEST_SKIP() << "the reference draw is libstdc++'s";
+#endif
+    const double means[] = {1e-9, 1e-4, 0.25, 1.0, 5.5, 11.999999, 12.0, 12.5, 37.3, 100.0,
+                            1e3, 2.05e5, 1e7, 1e9, k_poisson_cutover * (1.0 - 1e-12),
+                            k_poisson_cutover - 1.0};
+    for (const std::uint64_t seed : {1ULL, 2ULL, 404ULL, 0xfeedfaceULL}) {
+        for (const double mean : means) {
+            Rng rng(seed);
+            std::mt19937_64 engine(splitmix64(seed));
+            for (int i = 0; i < 300; ++i) {
+                std::poisson_distribution<long long> dist(mean);
+                const long long expected = dist(engine);
+                ASSERT_EQ(rng.poisson(mean), static_cast<std::uint64_t>(expected))
+                    << "seed " << seed << " mean " << mean << " draw " << i;
+            }
+            EXPECT_EQ(rng.next_u64(), engine()) << "seed " << seed << " mean " << mean;
+        }
+        // Means mixed within one stream, as a campaign trial draws them:
+        // no state carries over from one draw to the next.
+        Rng rng(seed);
+        std::mt19937_64 engine(splitmix64(seed));
+        for (int i = 0; i < 2000; ++i) {
+            const double mean = means[static_cast<std::size_t>(i * 7) % std::size(means)];
+            std::poisson_distribution<long long> dist(mean);
+            ASSERT_EQ(rng.poisson(mean), static_cast<std::uint64_t>(dist(engine)))
+                << "seed " << seed << " draw " << i;
+        }
+        EXPECT_EQ(rng.next_u64(), engine()) << "seed " << seed;
     }
 }
 
