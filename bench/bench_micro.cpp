@@ -2,7 +2,8 @@
 // scheduling, register-union computation, Gamma estimation, full design
 // evaluation, a simulated-annealing step, the scaling enumerator, the
 // explorer's producer (lazy queue + case bounds), a fault-injection
-// trial, and the public-API search strategies behind their common
+// trial, the campaign trial and its engine layer (fork_at plus draws),
+// and the public-API search strategies behind their common
 // interface. These are the per-iteration costs that
 // determine how much design space a given search budget covers.
 #include "reliability/register_usage.h"
@@ -432,6 +433,9 @@ void bm_scaling_enumeration(benchmark::State& state) {
 }
 BENCHMARK(bm_scaling_enumeration)->Arg(4)->Arg(8)->Arg(16);
 
+// One FaultInjector::inject on the register-file exposure profile. The
+// loop reuses one Rng, so this is the draws alone: it never pays the
+// per-trial fork_at a campaign trial does (bm_campaign_trial does).
 void bm_fault_injection_trial(benchmark::State& state) {
     const TaskGraph graph = benchmark_graph(state.range(0));
     const MpsocArchitecture arch(4, VoltageScalingTable::arm7_three_level());
@@ -446,6 +450,51 @@ void bm_fault_injection_trial(benchmark::State& state) {
     }
 }
 BENCHMARK(bm_fault_injection_trial)->Arg(11)->Arg(100);
+
+// The campaign trial's engine layer: fork_at(trial) (seeding 312 state
+// words) plus k raw draws. A campaign trial on the MPEG-2 design below
+// reads about 121 words; 312 is one whole twist's worth.
+void bm_rng_fork_draws(benchmark::State& state) {
+    const Rng root(1);
+    const auto draws = state.range(0);
+    std::uint64_t trial = 0;
+    for (auto _ : state) {
+        Rng stream = root.fork_at(trial++);
+        std::uint64_t x = 0;
+        for (std::int64_t i = 0; i < draws; ++i) x ^= stream.next_u64();
+        benchmark::DoNotOptimize(x);
+    }
+}
+BENCHMARK(bm_rng_fork_draws)->Arg(1)->Arg(121)->Arg(312);
+
+// The campaign trial: a 1-thread CampaignEngine::run, all three sites,
+// on a fixed MPEG-2 design (round-robin on 4 cores, levels {2, 2, 3, 2};
+// 26 fault sources with means from 17 to 8.1e4, so every draw takes
+// Devroye's rejection path, as on the design the `mpeg2_campaign`
+// wallbench workload validates). trial_s is the time per trial:
+// fork_at, 26 Poisson draws and the tally.
+void bm_campaign_trial(benchmark::State& state) {
+    constexpr std::uint64_t trials = 2'000;
+    const TaskGraph graph = mpeg2_decoder_graph();
+    const MpsocArchitecture arch(4, VoltageScalingTable::arm7_three_level());
+    const Mapping mapping = round_robin_mapping(graph, 4);
+    const ScalingVector levels = {2, 2, 3, 2};
+    const Schedule schedule = ListScheduler{}.schedule(graph, mapping, arch, levels);
+    CampaignConfig config;
+    config.trials = trials;
+    config.shard_size = 1024;
+    config.num_threads = 1;
+    config.seed = 1;
+    const CampaignEngine engine(SerModel{}, config);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(engine.run(graph, mapping, arch, levels, schedule));
+    }
+    state.counters["trial_s"] =
+        benchmark::Counter(static_cast<double>(trials),
+                           benchmark::Counter::kIsIterationInvariantRate |
+                               benchmark::Counter::kInvert);
+}
+BENCHMARK(bm_campaign_trial)->Unit(benchmark::kMillisecond);
 
 // Campaign throughput: trials/s of the sharded CampaignEngine on the
 // register-file site, dispatched over all hardware threads. The work

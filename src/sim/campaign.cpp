@@ -129,6 +129,9 @@ CampaignReport CampaignEngine::run(const TaskGraph& graph, const Mapping& mappin
                                    CampaignCheckpointer* checkpoint) const {
     const std::vector<FaultSource> sources =
         build_sources(graph, mapping, arch, levels, schedule);
+    // One sampler per source, so a trial pays only for its draws.
+    std::vector<PoissonSampler> samplers;
+    for (const FaultSource& source : sources) samplers.emplace_back(source.mean_seus);
     const std::uint64_t trials = config_.trials;
     const std::uint64_t shard_size = config_.shard_size;
     // Neither the shard count nor a shard's end (below) may wrap near
@@ -172,9 +175,10 @@ CampaignReport CampaignEngine::run(const TaskGraph& graph, const Mapping& mappin
                 Rng stream = root.fork_at(trial);
                 trial_site.fill(0);
                 std::uint64_t trial_total = 0;
-                for (const FaultSource& source : sources) {
-                    const std::uint64_t hits = stream.poisson(source.mean_seus);
+                for (std::size_t i = 0; i < sources.size(); ++i) {
+                    const std::uint64_t hits = samplers[i](stream);
                     if (hits == 0) continue;
+                    const FaultSource& source = sources[i];
                     trial_site[static_cast<std::size_t>(source.site)] += hits;
                     trial_total += hits;
                     acc.hits_per_core[source.core] += hits;

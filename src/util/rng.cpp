@@ -5,16 +5,26 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <random>
 #include <stdexcept>
 
 namespace seamap {
 
 namespace {
 
-// libstdc++'s generate_canonical<double, 53> over std::mt19937_64: one
-// 64-bit draw divided by 2^64, kept below 1.
-double canonical(std::mt19937_64& engine) {
-    const double u = static_cast<double>(engine()) / 0x1.0p64;
+// Rng as the uniform random bit generator the std distributions take.
+struct Urbg {
+    using result_type = std::uint64_t;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return ~result_type{0}; }
+    result_type operator()() { return rng.next_u64(); }
+    Rng& rng;
+};
+
+// libstdc++'s generate_canonical<double, 53> over a 64-bit engine: one
+// draw divided by 2^64, kept below 1.
+double canonical(Rng& rng) {
+    const double u = static_cast<double>(rng.next_u64()) / 0x1.0p64;
     return u >= 1.0 ? std::nextafter(1.0, 0.0) : u;
 }
 
@@ -31,7 +41,7 @@ struct PolarNormal {
     bool saved_available = false;
     double saved = 0.0;
 
-    double operator()(std::mt19937_64& engine) {
+    double operator()(Rng& rng) {
         if (saved_available) {
             saved_available = false;
             return saved;
@@ -40,8 +50,8 @@ struct PolarNormal {
         double y = 0.0;
         double r2 = 0.0;
         do {
-            x = 2.0 * canonical(engine) - 1.0;
-            y = 2.0 * canonical(engine) - 1.0;
+            x = 2.0 * canonical(rng) - 1.0;
+            y = 2.0 * canonical(rng) - 1.0;
             r2 = x * x + y * y;
         } while (r2 > 1.0 || exactly_zero(r2));
         const double mult = std::sqrt(-2 * std::log(r2) / r2);
@@ -51,90 +61,7 @@ struct PolarNormal {
     }
 };
 
-// One draw of a fresh std::poisson_distribution<long long>(mean) as
-// libstdc++ 12 takes it (bits/random.tcc): the same floating-point
-// operations in the same order and the same engine draws, with
-// log_gamma for lgamma. Below mean 12 it multiplies uniforms until the
-// product falls to exp(-mean); from 12 on it is Devroye's rejection
-// method (Non-Uniform Random Variate Generation, 1986, X.3.3-3.4 with
-// the errata), whose constants are those of param_type's
-// _M_initialize. The long double literals are libstdc++'s, rounded to
-// double as there.
-long long poisson_draw(std::mt19937_64& engine, double mean) {
-    if (mean < 12) {
-        const double threshold = std::exp(-mean);
-        long long x = 0;
-        double prod = 1.0;
-        do {
-            prod *= canonical(engine);
-            x += 1;
-        } while (prod > threshold);
-        return x - 1;
-    }
-    const double m = std::floor(mean);
-    const double lm_thr = std::log(mean);
-    const double lfm = log_gamma(m + 1);
-    const double sm = std::sqrt(m);
-    const auto pi_4 = static_cast<double>(0.7853981633974483096156608458198757L);
-    const double dx = std::sqrt(2 * m * std::log(32 * m / pi_4));
-    const double d = std::round(std::max<double>(6.0, std::min(m, dx)));
-    const double cx = 2 * m + d;
-    const double scx = std::sqrt(cx / 2);
-    const double one_cx = 1 / cx;
-    const double c2b = std::sqrt(pi_4 * cx) * std::exp(one_cx);
-    const double cb = 2 * cx * std::exp(-d * one_cx * (1 + d / 2)) / d;
-
-    const double naf = (1 - std::numeric_limits<double>::epsilon()) / 2;
-    const double thr = static_cast<double>(std::numeric_limits<long long>::max()) + naf;
-    // sqrt(pi / 2)
-    const auto spi_2 = static_cast<double>(1.2533141373155002512078826424055226L);
-    const double c1 = sm * spi_2;
-    const double c2 = c2b + c1;
-    const double c3 = c2 + 1;
-    const double c4 = c3 + 1;
-    const auto r178 = static_cast<double>(0.0128205128205128205128205128205128L); // 1/78
-    const auto e178 = static_cast<double>(1.0129030479320018583185514777512983L); // e^(1/78)
-    const double c5 = c4 + e178;
-    const double c = cb + c5;
-    const double two_cx = 2 * (2 * m + d);
-
-    PolarNormal normal;
-    double x = 0.0;
-    bool reject = true;
-    do {
-        const double u = c * canonical(engine);
-        const double e = -std::log(1.0 - canonical(engine));
-        double w = 0.0;
-        if (u <= c1) {
-            const double n = normal(engine);
-            const double y = -std::abs(n) * sm - 1;
-            x = std::floor(y);
-            w = -n * n / 2;
-            if (x < -m) continue;
-        } else if (u <= c2) {
-            const double n = normal(engine);
-            const double y = 1 + std::abs(n) * scx;
-            x = std::ceil(y);
-            w = y * (2 - y) * one_cx;
-            if (x > d) continue;
-        } else if (u <= c3) {
-            x = -1;
-        } else if (u <= c4) {
-            x = 0;
-        } else if (u <= c5) {
-            x = 1;
-            w = r178;
-        } else {
-            const double v = -std::log(1.0 - canonical(engine));
-            const double y = d + v * two_cx / d;
-            x = std::ceil(y);
-            w = -d * one_cx * (1 + y / 2);
-        }
-        reject = w - e - x * lm_thr > lfm - log_gamma(x + m + 1);
-        reject |= x + m >= thr;
-    } while (reject);
-    return static_cast<long long>(x + m + naf);
-}
+constexpr double k_normal_cutover = static_cast<double>(1LL << 31);
 
 } // namespace
 
@@ -145,13 +72,36 @@ std::uint64_t splitmix64(std::uint64_t x) {
     return x ^ (x >> 31);
 }
 
-Rng::Rng(std::uint64_t seed) : seed_(seed), engine_(splitmix64(seed)) {}
+Rng::Rng(std::uint64_t seed) : seed_(seed) {
+    mt_[0] = splitmix64(seed); // std::mt19937_64's seeding
+    for (std::size_t i = 1; i < mt_.size(); ++i)
+        mt_[i] = 6364136223846793005ULL * (mt_[i - 1] ^ (mt_[i - 1] >> 62)) + i;
+}
 
-std::uint64_t Rng::next_u64() { return engine_(); }
+std::uint64_t Rng::next_u64() {
+    // std::mt19937_64 twists all n words in order once they are used up;
+    // word k's new value reads old words k+1 and k+m for k < n-m and
+    // rewritten ones otherwise (k+1 wraps to 0, k+m to k+m-n). Rewriting
+    // word k just before it is read sees exactly those values.
+    constexpr std::size_t n = 312;
+    constexpr std::size_t m = 156;
+    constexpr std::uint64_t upper = ~std::uint64_t{0} << 31;
+    const std::size_t k = next_;
+    next_ = k + 1 < n ? k + 1 : 0;
+    const std::uint64_t y = (mt_[k] & upper) | (mt_[next_] & ~upper);
+    // Branch-free: y's low bit is a coin flip a branch would mispredict.
+    std::uint64_t z = mt_[k < n - m ? k + m : k - (n - m)] ^ (y >> 1) ^
+                      ((0 - (y & 1)) & 0xb5026f5aa96619e9ULL);
+    mt_[k] = z;
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71d67fffeda60000ULL;
+    z ^= (z << 37) & 0xfff7eee000000000ULL;
+    return z ^ (z >> 43);
+}
 
 double Rng::uniform() {
     // 53 random mantissa bits -> uniform in [0, 1).
-    return static_cast<double>(engine_() >> 11) * 0x1.0p-53;
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) {
@@ -161,29 +111,107 @@ double Rng::uniform(double lo, double hi) {
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
     if (lo > hi) throw std::invalid_argument("Rng::uniform_int: lo > hi");
-    std::uniform_int_distribution<std::int64_t> dist(lo, hi);
-    return dist(engine_);
+    Urbg urbg{*this};
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(urbg);
 }
 
 double Rng::exponential(double mean) {
     if (mean <= 0.0) throw std::invalid_argument("Rng::exponential: mean must be > 0");
-    std::exponential_distribution<double> dist(1.0 / mean);
-    return dist(engine_);
+    Urbg urbg{*this};
+    return std::exponential_distribution<double>(1.0 / mean)(urbg);
 }
 
-std::uint64_t Rng::poisson(double mean) {
+std::uint64_t Rng::poisson(double mean) { return PoissonSampler(mean)(*this); }
+
+// libstdc++ 12's std::poisson_distribution<long long> (bits/random.tcc),
+// with the same floating-point operations in the same order, the same
+// engine draws and log_gamma for lgamma; the constructor is param_type's
+// _M_initialize. Below mean 12 a draw multiplies uniforms; from 12 it is
+// Devroye's rejection method (Non-Uniform Random Variate Generation,
+// 1986, X.3.3-3.4 with the errata). From 2^31, where that method is slow
+// and delicate, a normal approximation is indistinguishable.
+PoissonSampler::PoissonSampler(double mean) : mean_(mean) {
     if (mean < 0.0 || !std::isfinite(mean))
-        throw std::invalid_argument("Rng::poisson: mean must be finite and >= 0");
-    if (exactly_zero(mean)) return 0;
-    // The libstdc++ draw (poisson_draw) is exact for any practical
-    // mean, but becomes slow and numerically delicate at extreme means;
-    // there a normal approximation is indistinguishable.
-    constexpr double normal_cutover = static_cast<double>(1LL << 31);
-    if (mean < normal_cutover) {
-        const long long draw = poisson_draw(engine_, mean);
-        return static_cast<std::uint64_t>(draw < 0 ? 0 : draw);
+        throw std::invalid_argument("PoissonSampler: mean must be finite and >= 0");
+    if (mean < 12 || mean >= k_normal_cutover) {
+        lm_thr_ = std::exp(-mean);
+        return;
     }
-    return poisson_from_normal(mean, normal());
+    m_ = std::floor(mean);
+    lm_thr_ = std::log(mean);
+    lfm_ = log_gamma(m_ + 1);
+    sm_ = std::sqrt(m_);
+    const auto pi_4 = static_cast<double>(0.7853981633974483096156608458198757L);
+    const double dx = std::sqrt(2 * m_ * std::log(32 * m_ / pi_4));
+    d_ = std::round(std::max<double>(6.0, std::min(m_, dx)));
+    const double cx = 2 * m_ + d_;
+    scx_ = std::sqrt(cx / 2);
+    one_cx_ = 1 / cx;
+    c2b_ = std::sqrt(pi_4 * cx) * std::exp(one_cx_);
+    cb_ = 2 * cx * std::exp(-d_ * one_cx_ * (1 + d_ / 2)) / d_;
+}
+
+std::uint64_t PoissonSampler::operator()(Rng& rng) const {
+    if (exactly_zero(mean_)) return 0;
+    if (mean_ < 12) {
+        long long x = 0;
+        double prod = 1.0;
+        do {
+            prod *= canonical(rng);
+            x += 1;
+        } while (prod > lm_thr_);
+        return static_cast<std::uint64_t>(x - 1);
+    }
+    if (mean_ >= k_normal_cutover) return poisson_from_normal(mean_, rng.normal());
+    const double naf = (1 - std::numeric_limits<double>::epsilon()) / 2;
+    const double thr = static_cast<double>(std::numeric_limits<long long>::max()) + naf;
+    const auto spi_2 = static_cast<double>(1.2533141373155002512078826424055226L); // √(π/2)
+    const double c1 = sm_ * spi_2;
+    const double c2 = c2b_ + c1;
+    const double c3 = c2 + 1;
+    const double c4 = c3 + 1;
+    const auto r178 = static_cast<double>(0.0128205128205128205128205128205128L); // 1/78
+    const auto e178 = static_cast<double>(1.0129030479320018583185514777512983L); // e^(1/78)
+    const double c5 = c4 + e178;
+    const double c = cb_ + c5;
+    const double two_cx = 2 * (2 * m_ + d_);
+
+    PolarNormal normal; // a fresh distribution's: nothing saved from earlier draws
+    double x = 0.0;
+    bool reject = true;
+    do {
+        const double u = c * canonical(rng);
+        const double e = -std::log(1.0 - canonical(rng));
+        double w = 0.0;
+        if (u <= c1) {
+            const double n = normal(rng);
+            const double y = -std::abs(n) * sm_ - 1;
+            x = std::floor(y);
+            w = -n * n / 2;
+            if (x < -m_) continue;
+        } else if (u <= c2) {
+            const double n = normal(rng);
+            const double y = 1 + std::abs(n) * scx_;
+            x = std::ceil(y);
+            w = y * (2 - y) * one_cx_;
+            if (x > d_) continue;
+        } else if (u <= c3) {
+            x = -1;
+        } else if (u <= c4) {
+            x = 0;
+        } else if (u <= c5) {
+            x = 1;
+            w = r178;
+        } else {
+            const double v = -std::log(1.0 - canonical(rng));
+            const double y = d_ + v * two_cx / d_;
+            x = std::ceil(y);
+            w = -d_ * one_cx_ * (1 + y / 2);
+        }
+        reject = w - e - x * lm_thr_ > lfm_ - log_gamma(x + m_ + 1);
+        reject |= x + m_ >= thr;
+    } while (reject);
+    return static_cast<std::uint64_t>(static_cast<long long>(x + m_ + naf));
 }
 
 std::uint64_t poisson_from_normal(double mean, double standard_normal) {
@@ -193,8 +221,8 @@ std::uint64_t poisson_from_normal(double mean, double standard_normal) {
 }
 
 double Rng::normal() {
-    std::normal_distribution<double> dist(0.0, 1.0);
-    return dist(engine_);
+    Urbg urbg{*this};
+    return std::normal_distribution<double>(0.0, 1.0)(urbg);
 }
 
 Rng Rng::fork_at(std::uint64_t child_id) const {

@@ -5,16 +5,20 @@
 // reproducible bit-for-bit. `Rng::fork_at` derives statistically
 // independent child streams (e.g. one per fault-injection trial)
 // without the children sharing state with the parent and without
-// depending on the parent's draw position.
+// depending on the parent's draw position. The engine twists each
+// state word only when it is next read, so a short-lived stream (a
+// campaign trial reads ~121 of 312 words) pays only for its draws.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <random>
 
 namespace seamap {
 
-/// Seeded pseudo-random source wrapping std::mt19937_64 with the
-/// distribution helpers this project needs.
+/// Seeded pseudo-random source with std::mt19937_64's output sequence
+/// (seeded with splitmix64(seed)) and the distribution helpers this
+/// project needs.
 class Rng {
 public:
     /// Seeds are mixed through splitmix64 so that small consecutive
@@ -36,12 +40,7 @@ public:
     /// Exponentially distributed draw with the given mean (> 0).
     double exponential(double mean);
 
-    /// Poisson draw with the given mean (>= 0). Below 2^31 it is the
-    /// draw a fresh std::poisson_distribution<long long> takes under
-    /// libstdc++ 12, draw for draw, but thread-safe (lgamma_r, not
-    /// lgamma and its global signgam). Means above ~2^31 are
-    /// approximated by a rounded normal, which is exact to within the
-    /// distribution's own sampling error at that scale.
+    /// Poisson draw with the given mean: PoissonSampler(mean) drawn once.
     std::uint64_t poisson(double mean);
 
     /// Standard normal draw.
@@ -62,7 +61,30 @@ public:
 
 private:
     std::uint64_t seed_;
-    std::mt19937_64 engine_;
+    // std::mt19937_64's state; next_u64 twists word next_ as it reads it.
+    std::array<std::uint64_t, 312> mt_;
+    std::size_t next_ = 0;
+};
+
+/// Poisson draws at one mean, its constants computed once. Below 2^31 a
+/// draw is the one a fresh std::poisson_distribution<long long> takes
+/// under libstdc++ 12, draw for draw, but thread-safe (lgamma_r, not
+/// lgamma and its global signgam); from 2^31 it is poisson_from_normal
+/// over a normal draw, exact within the distribution's sampling error.
+class PoissonSampler {
+public:
+    /// Requires a finite mean >= 0; throws std::invalid_argument.
+    explicit PoissonSampler(double mean);
+
+    /// One draw. No state carries over from one draw to the next.
+    std::uint64_t operator()(Rng& rng) const;
+
+private:
+    double mean_;
+    // libstdc++'s param_type constants: lm_thr_ is exp(-mean) below 12;
+    // from 12 to 2^31 it is log(mean), and Devroye's method uses them all.
+    double lm_thr_ = 0.0, m_ = 0.0, lfm_ = 0.0, sm_ = 0.0, d_ = 0.0;
+    double scx_ = 0.0, one_cx_ = 0.0, c2b_ = 0.0, cb_ = 0.0;
 };
 
 /// splitmix64 mixing function; used for seed derivation and exposed for

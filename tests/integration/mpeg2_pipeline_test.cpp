@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace seamap {
 namespace {
 

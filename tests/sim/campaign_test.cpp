@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -177,6 +178,58 @@ TEST(CampaignEngine, RegisterFileSiteReplaysTheSerialCampaignExactly) {
     EXPECT_EQ(report.site(FaultSite::pipeline).stats.sum(), 0u);
     EXPECT_EQ(report.site(FaultSite::memory).stats.sum(), 0u);
     EXPECT_EQ(report.total_stats.sum(), measured.sum());
+}
+
+/// Every site's exact moments (count, min, max, then the sum and the
+/// sum of squares as hi:lo 64-bit words) and the per-core and per-task
+/// hits of a report, one line each.
+std::string exact_tally(const CampaignReport& report) {
+    std::ostringstream out;
+    for (std::size_t site = 0; site < k_fault_site_count; ++site) {
+        const ExactMomentsState st = report.sites[site].stats.state();
+        out << fault_site_name(static_cast<FaultSite>(site)) << ' ' << st.count << ' '
+            << st.min << ' ' << st.max << ' ' << st.sum_hi << ':' << st.sum_lo << ' '
+            << st.sum_sq_hi << ':' << st.sum_sq_lo << '\n';
+    }
+    out << "cores";
+    for (const std::uint64_t hits : report.hits_per_core) out << ' ' << hits;
+    out << "\ntasks";
+    for (const std::uint64_t hits : report.hits_per_task) out << ' ' << hits;
+    out << '\n';
+    return out.str();
+}
+
+TEST(CampaignEngine, ReportBytesArePinned) {
+    // A fixed MPEG-2 design (round-robin mapping, levels {2, 2, 3, 2}):
+    // 26 sources with means from 17 to 8.1e4, so every draw takes
+    // Devroye's rejection path. The literals were taken with
+    // std::mt19937_64 and a fresh std::poisson_distribution per draw, so
+    // a change to the engine's stream, the sampler or the per-run
+    // sampler table shows here, at 1 and 4 threads.
+    const Scenario s = mpeg2_scenario();
+    CampaignConfig config;
+    config.trials = 3000;
+    config.shard_size = 256;
+    for (const std::size_t threads : {1u, 4u}) {
+        SCOPED_TRACE(threads);
+        config.num_threads = threads;
+        config.seed = 2;
+        EXPECT_EQ(exact_tally(run_with(s, config)),
+                  "register_file 3000 282024 285636 0:851761145 0:241833204576483\n"
+                  "pipeline 3000 661 866 0:2277484 0:1731351934\n"
+                  "memory 3000 13813 14527 0:42582925 0:604474239695\n"
+                  "cores 231239384 256607836 246439427 162334907\n"
+                  "tasks 1394631 1755157 3023773 2510453 5422734 6368304 7537061 5683071 "
+                  "4613176 4567863 1984186\n");
+        config.seed = 3;
+        EXPECT_EQ(exact_tally(run_with(s, config)),
+                  "register_file 3000 282080 285768 0:851823351 0:241868513129283\n"
+                  "pipeline 3000 663 875 0:2278350 0:1732592240\n"
+                  "memory 3000 13804 14675 0:42589798 0:604675328158\n"
+                  "cores 231264270 256641455 246458006 162327768\n"
+                  "tasks 1392707 1754294 3026392 2509571 5427485 6371216 7537844 5679867 "
+                  "4608750 4574503 1985519\n");
+    }
 }
 
 TEST(CampaignEngine, AnalyticGammaValidatedWithinCampaignCi) {

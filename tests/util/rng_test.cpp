@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <random>
 #include <set>
 #include <vector>
@@ -276,6 +277,117 @@ TEST(Rng, PoissonMatchesStdDistributionDrawForDraw) {
         }
         EXPECT_EQ(rng.next_u64(), engine()) << "seed " << seed;
     }
+}
+
+// The Rng seed whose splitmix64 mix is `mixed`, so a test can seed the
+// engine with any word. splitmix64 is a bijection: undo each
+// xor-shift and multiply (by the multiplier's inverse mod 2^64).
+std::uint64_t unmix_splitmix64(std::uint64_t mixed) {
+    auto inverse = [](std::uint64_t a) {
+        std::uint64_t inv = a; // Newton's iteration doubles the correct low bits
+        for (int i = 0; i < 5; ++i) inv *= 2 - a * inv;
+        return inv;
+    };
+    std::uint64_t x = mixed;
+    x ^= (x >> 31) ^ (x >> 62);
+    x *= inverse(0x94d049bb133111ebULL);
+    x ^= (x >> 27) ^ (x >> 54);
+    x *= inverse(0xbf58476d1ce4e5b9ULL);
+    x ^= (x >> 30) ^ (x >> 60);
+    return x - 0x9e3779b97f4a7c15ULL;
+}
+
+TEST(Rng, EngineMatchesStdMt19937_64) {
+    // Rng's engine twists each state word just before it is read; its
+    // output must be std::mt19937_64's, across several whole twists,
+    // for engine seeds at the edges and for mixed ones. A copy taken
+    // mid-round (before the first twist, at the k < 156 / k >= 156
+    // boundary of the twist's second read, and just before the wrap at
+    // word 311) continues the same stream as the original.
+    constexpr int outputs = 4 * 312 + 5;
+    std::vector<std::uint64_t> engine_seeds = {0, 1, ~std::uint64_t{0}};
+    for (std::uint64_t i = 0; i < 16; ++i) engine_seeds.push_back(splitmix64(1000 + i));
+    for (const std::uint64_t engine_seed : engine_seeds) {
+        const std::uint64_t seed = unmix_splitmix64(engine_seed);
+        ASSERT_EQ(splitmix64(seed), engine_seed);
+        std::mt19937_64 reference(engine_seed);
+        std::vector<std::uint64_t> expected(outputs);
+        for (std::uint64_t& x : expected) x = reference();
+
+        Rng rng(seed);
+        for (int i = 0; i < outputs; ++i)
+            ASSERT_EQ(rng.next_u64(), expected[static_cast<std::size_t>(i)])
+                << "engine seed " << engine_seed << " output " << i;
+        for (const int k : {0, 155, 156, 311}) {
+            Rng original(seed);
+            for (int i = 0; i < k; ++i) original.next_u64();
+            Rng copy = original;
+            for (int i = k; i < outputs; ++i) {
+                const std::uint64_t want = expected[static_cast<std::size_t>(i)];
+                ASSERT_EQ(original.next_u64(), want) << "k " << k << " output " << i;
+                ASSERT_EQ(copy.next_u64(), want) << "copy at k " << k << " output " << i;
+            }
+        }
+        // fork_at children: a child's stream is the engine seeded with
+        // its own mixed seed.
+        const Rng parent(seed);
+        for (const std::uint64_t child_id : {0ULL, 1ULL, 121ULL, ~0ULL}) {
+            Rng child = parent.fork_at(child_id);
+            std::mt19937_64 child_reference(splitmix64(child.seed()));
+            for (int i = 0; i < outputs; ++i)
+                ASSERT_EQ(child.next_u64(), child_reference())
+                    << "child " << child_id << " output " << i;
+        }
+    }
+}
+
+TEST(Rng, PoissonSamplerReuseMatchesFreshDistribution) {
+    // One sampler per mean, drawn 300 times, takes the draws a fresh
+    // std::poisson_distribution<long long> takes per draw on Rng's
+    // stream: constants computed once, and no state (such as the polar
+    // normal's saved value) carried from one draw to the next. The
+    // means cover zero, the product of uniforms (< 12), its edge,
+    // Devroye's rejection method with integer and fractional means
+    // (its constants use floor(mean)) and just below the 2^31 cutover.
+#ifndef __GLIBCXX__
+    GTEST_SKIP() << "the reference draw is libstdc++'s";
+#endif
+    const double means[] = {0.0, 1e-9, 11.99, 12.0, 12.7, 2.05e5, 2.0500075e5,
+                            k_poisson_cutover - 1.0};
+    for (const std::uint64_t seed : {1ULL, 404ULL}) {
+        for (const double mean : means) {
+            const PoissonSampler sampler(mean);
+            Rng rng(seed);
+            std::mt19937_64 engine(splitmix64(seed));
+            for (int i = 0; i < 300; ++i) {
+                // std::poisson_distribution requires mean > 0; zero draws 0
+                // and takes nothing from the engine.
+                long long expected = 0;
+                if (mean > 0.0) expected = std::poisson_distribution<long long>(mean)(engine);
+                ASSERT_EQ(sampler(rng), static_cast<std::uint64_t>(expected))
+                    << "seed " << seed << " mean " << mean << " draw " << i;
+            }
+            EXPECT_EQ(rng.next_u64(), engine()) << "seed " << seed << " mean " << mean;
+        }
+        // From the cutover on, the rounded normal over a fresh
+        // std::normal_distribution draw, as Rng::poisson takes it.
+        for (const double mean : {k_poisson_cutover, 1e12}) {
+            const PoissonSampler sampler(mean);
+            Rng rng(seed), single(seed);
+            std::mt19937_64 engine(splitmix64(seed));
+            for (int i = 0; i < 300; ++i) {
+                const std::uint64_t expected =
+                    poisson_from_normal(mean, std::normal_distribution<double>()(engine));
+                const std::uint64_t draw = sampler(rng);
+                ASSERT_EQ(draw, expected)
+                    << "seed " << seed << " mean " << mean << " draw " << i;
+                ASSERT_EQ(single.poisson(mean), draw);
+            }
+            EXPECT_EQ(rng.next_u64(), engine()) << "seed " << seed << " mean " << mean;
+        }
+    }
+    for (const double bad : {std::nan(""), -1.0, std::numeric_limits<double>::infinity()})
+        EXPECT_THROW(PoissonSampler{bad}, std::invalid_argument) << bad;
 }
 
 TEST(PoissonFromNormal, ClampsNegativeDrawsToZero) {
