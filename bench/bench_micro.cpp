@@ -23,6 +23,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -340,11 +341,11 @@ BENCHMARK(bm_producer_acceptance)->Unit(benchmark::kMillisecond);
 // The search layer of the wallbench `acceptance` workload: one slot of
 // scale_acceptance_problem() searched by the Fig. 7 strategy at its 60
 // iterations, from the Fig. 6 initial mapping the explorer starts from.
-// Each iteration builds a fresh EvalContext (a few percent of the time),
-// as every explorer search does. The counters show how much of the
-// sweep the schedule-free bound skips, and how many of those skips the
-// T_M tier decides before any register union is built (tm_skips; the
-// rest are Gamma-tier skips).
+// One context is rebound to the slot per iteration, as an explorer
+// worker's context is rebound to every slot it searches. The counters
+// show how much of the sweep the schedule-free bound skips, and how
+// many of those skips the T_M tier decides before any register union is
+// built (tm_skips; the rest are Gamma-tier skips).
 void bm_search_acceptance_slot(benchmark::State& state) {
     const Problem problem = scale_acceptance_problem();
     const std::size_t cores = problem.architecture().core_count();
@@ -359,8 +360,9 @@ void bm_search_acceptance_slot(benchmark::State& state) {
     const Mapping initial = initial_sea_mapping(ctx);
     LocalSearchResult last;
     EvalContext::Stats stats;
+    EvalContext eval(std::make_shared<const EvalPlan>(problem.graph(), cores));
     for (auto _ : state) {
-        EvalContext eval(ctx);
+        eval.rebind(ctx);
         last = search.search(eval, initial, params.seed);
         stats = eval.stats();
         benchmark::DoNotOptimize(last);
@@ -371,6 +373,45 @@ void bm_search_acceptance_slot(benchmark::State& state) {
     state.counters["tm_skips"] = static_cast<double>(stats.tm_skips);
 }
 BENCHMARK(bm_search_acceptance_slot)->Unit(benchmark::kMillisecond);
+
+// The per-slot setup layer of the wallbench `acceptance` workload: for
+// every gate passer of scale_acceptance_problem()'s lazy queue, the
+// slot's evaluation context plus the Fig. 6 initial mapping. `rebind`
+// rebinds one context over a shared plan, as an explorer worker does;
+// `construct` builds a fresh EvalContext per slot, the setup before
+// plans. One iteration covers every gate passer; `s_per_slot` is the
+// time per slot.
+void bm_eval_rebind(benchmark::State& state, bool rebind) {
+    const Problem problem = scale_acceptance_problem();
+    const ScalingBoundsModel model(problem.graph(), problem.architecture(),
+                                   problem.deadline_seconds(), problem.ser_model(),
+                                   problem.exposure_policy());
+    LazyScalingQueue queue(problem.graph(), problem.architecture(), problem.deadline_seconds(),
+                           &model);
+    std::vector<ScalingVector> slots;
+    while (std::optional<LazyScalingQueue::Slot> slot = queue.pop())
+        if (slot->gate_passed) slots.push_back(slot->levels);
+    const std::size_t cores = problem.architecture().core_count();
+    EvalContext eval(std::make_shared<const EvalPlan>(problem.graph(), cores));
+    for (auto _ : state) {
+        for (const ScalingVector& levels : slots) {
+            const EvaluationContext ctx = problem.evaluation_context(levels);
+            std::optional<EvalContext> fresh;
+            if (rebind)
+                eval.rebind(ctx);
+            else
+                fresh.emplace(ctx);
+            Mapping initial = initial_sea_mapping(ctx);
+            benchmark::DoNotOptimize(initial);
+        }
+    }
+    state.counters["slots"] = static_cast<double>(slots.size());
+    state.counters["s_per_slot"] = benchmark::Counter(
+        static_cast<double>(slots.size()),
+        benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK_CAPTURE(bm_eval_rebind, rebind, true)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(bm_eval_rebind, construct, false)->Unit(benchmark::kMillisecond);
 
 // The explorer's worker layer at 1, 2 and 4 threads: the wallbench
 // `acceptance` workload's explore (scale_acceptance_problem() at 60

@@ -17,6 +17,7 @@
 #include <deque>
 #include <exception>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <numeric>
 #include <optional>
@@ -375,10 +376,12 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
     /// callback or snapshot write. Rethrown once the workers stop.
     std::exception_ptr first_error;
 
-    // Search one slot and complete it. The worker resolved `slot` under
-    // bb_mutex when it claimed it and ran the ledger's speculative
-    // prune test there: `pruned`.
-    auto run_search = [&](SearchSlot& slot, bool pruned) {
+    // The graph-only half of every worker's evaluation engine.
+    const auto plan = std::make_shared<const EvalPlan>(graph, arch.core_count());
+    // Search one slot on the worker's `eval` and complete it. The worker
+    // resolved `slot` under bb_mutex when it claimed it and ran the
+    // ledger's speculative prune test there: `pruned`.
+    auto run_search = [&](SearchSlot& slot, bool pruned, std::optional<EvalContext>& eval) {
         Stage stage = Stage::cut;
         if (!stop.stop_requested()) {
             if (pruned) {
@@ -388,12 +391,10 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
                     const ScalingVector& levels = slot.levels;
                     EvaluationContext ctx{graph, arch, levels, SeuEstimator(ser_, policy_),
                                           deadline_seconds};
-                    // The reusable per-slot evaluation engine this
-                    // worker's search runs on: preallocated scratch,
-                    // incremental rescheduling and the memo table all
-                    // live here, private to this worker, so
-                    // thread-count invariance is untouched.
-                    EvalContext eval(ctx);
+                    // Private to the worker, and a rebound context acts
+                    // exactly like a fresh one: thread-count invariant.
+                    if (!eval) eval.emplace(plan);
+                    eval->rebind(ctx);
                     const Mapping initial = initial_sea_mapping(ctx);
                     // Vary the search seed per scaling so repeated
                     // scalings do not replay the same random walk.
@@ -401,7 +402,7 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
                     for (ScalingLevel level : levels)
                         level_hash = splitmix64(level_hash ^ level);
                     const std::uint64_t seed = splitmix64(params.search.seed ^ level_hash);
-                    LocalSearchResult found = strategy.search(eval, initial, seed, &stop);
+                    LocalSearchResult found = strategy.search(*eval, initial, seed, &stop);
                     if (found.found_feasible) {
                         slot.record.kind = DseSlotRecord::Kind::feasible;
                         slot.record.point.mapping = std::move(found.best_mapping);
@@ -456,6 +457,7 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
     // snapshot write) is kept in first_error, and the worker keeps
     // draining.
     auto work = [&] {
+        std::optional<EvalContext> eval; // built on this worker's first search
         std::unique_lock lock(bb_mutex);
         for (;;) {
             work_cv.wait(lock, [&] {
@@ -471,7 +473,7 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
             lock.unlock();
             std::exception_ptr error;
             try {
-                run_search(slot, pruned);
+                run_search(slot, pruned, eval);
             } catch (...) {
                 error = std::current_exception();
             }

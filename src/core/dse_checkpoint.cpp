@@ -177,67 +177,27 @@ std::uint64_t dse_state_hash(const TaskGraph& graph, const MpsocArchitecture& ar
 }
 
 DseCheckpointer::DseCheckpointer(std::string path, std::uint64_t state_hash)
-    : path_(std::move(path)), state_hash_(state_hash) {}
-
-void DseCheckpointer::set_cadence(std::uint64_t every_records, double interval_seconds) {
-    std::lock_guard lock(mutex_);
-    every_records_ = every_records;
-    timer_ = IntervalTimer(interval_seconds);
-}
+    : Checkpointer(std::move(path), "dse", state_hash) {}
 
 std::optional<DseResumeInfo> DseCheckpointer::load(std::size_t task_count,
                                                    std::size_t core_count) {
-    std::optional<CheckpointLoad> loaded = load_checkpoint(path_, "dse", state_hash_);
+    std::optional<CheckpointLoad> loaded = load_snapshot();
     if (!loaded) return std::nullopt;
     DseResumeState state;
     state.from_fallback = loaded->from_fallback;
     state.records.reserve(loaded->data.lines.size());
     for (const std::string& line : loaded->data.lines)
-        state.records.push_back(decode_record(path_, line, task_count, core_count));
+        state.records.push_back(decode_record(path(), line, task_count, core_count));
     std::lock_guard lock(mutex_);
     lines_ = std::move(loaded->data.lines);
-    flushed_lines_ = lines_.size();
+    set_flushed_locked(lines_.size());
     resume_ = std::move(state);
-    DseResumeInfo info;
-    info.slots_decided = resume_->records.size();
-    info.from_fallback = resume_->from_fallback;
-    return info;
+    return DseResumeInfo{resume_->records.size(), resume_->from_fallback};
 }
 
 void DseCheckpointer::record(const DseSlotRecord& record) {
     std::lock_guard lock(mutex_);
     lines_.push_back(encode_record(record));
-}
-
-void DseCheckpointer::maybe_flush() {
-    std::lock_guard lock(mutex_);
-    if (lines_.size() == flushed_lines_) return;
-    const bool by_count =
-        every_records_ > 0 && lines_.size() - flushed_lines_ >= every_records_;
-    if (!by_count && !timer_.due()) return;
-    flush_locked();
-}
-
-void DseCheckpointer::flush() {
-    std::lock_guard lock(mutex_);
-    if (lines_.size() == flushed_lines_) return;
-    flush_locked();
-}
-
-void DseCheckpointer::remove() {
-    std::lock_guard lock(mutex_);
-    remove_checkpoint(path_);
-    flushed_lines_ = 0;
-}
-
-void DseCheckpointer::flush_locked() {
-    CheckpointData data;
-    data.kind = "dse";
-    data.state_hash = state_hash_;
-    data.lines = lines_;
-    save_checkpoint(path_, data);
-    flushed_lines_ = lines_.size();
-    timer_.reset();
 }
 
 } // namespace seamap

@@ -24,11 +24,9 @@
 #include "reliability/ser_model.h"
 #include "reliability/seu_estimator.h"
 #include "taskgraph/task_graph.h"
-#include "util/cancellation.h"
 #include "util/checkpoint.h"
 
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -74,15 +72,10 @@ std::uint64_t dse_state_hash(const TaskGraph& graph, const MpsocArchitecture& ar
 /// snapshots. record() is cheap (string encode) so the explorer can
 /// call it under its bookkeeping mutex; maybe_flush()/flush() do the
 /// file I/O and are called outside it. Thread-safe.
-class DseCheckpointer {
+class DseCheckpointer final : public Checkpointer {
 public:
+    /// The cadence (set_cadence) counts decided slots.
     DseCheckpointer(std::string path, std::uint64_t state_hash);
-
-    /// Flush cadence: persist after every `every_records` newly decided
-    /// slots (0 = never by count) and whenever `interval_seconds`
-    /// elapsed since the last flush (0 = never by time). flush() is
-    /// always available regardless.
-    void set_cadence(std::uint64_t every_records, double interval_seconds);
 
     /// Load the snapshot at path(), seeding this checkpointer with the
     /// stored prefix so later flushes extend it and exposing the
@@ -101,28 +94,12 @@ public:
     /// Append one decided slot (strict pop-order prefix).
     void record(const DseSlotRecord& record);
 
-    /// Persist when the cadence is due and new records exist.
-    void maybe_flush();
-    /// Persist now when new records exist since the last flush.
-    void flush();
-
-    /// Delete the snapshot files (after a completed run, when the
-    /// caller does not want to keep the finished snapshot).
-    void remove();
-
-    const std::string& path() const { return path_; }
-
 private:
-    void flush_locked();
+    std::uint64_t recorded_locked() const override { return lines_.size(); }
+    std::vector<std::string> payload_locked() const override { return lines_; }
 
-    std::string path_;
-    std::uint64_t state_hash_;
     std::optional<DseResumeState> resume_;
-    std::mutex mutex_;
     std::vector<std::string> lines_;
-    std::size_t flushed_lines_ = 0;
-    std::uint64_t every_records_ = 0;
-    IntervalTimer timer_{0.0};
 };
 
 } // namespace seamap

@@ -5,12 +5,14 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 // This file is the zero-steady-state-allocation evaluation engine: the
 // marker below arms seamap_lint's hot-path-alloc rule, so any
-// allocation-shaped call added outside the constructor's allowed setup
-// region fails `make lint` (and tests/core/eval_context_alloc_test.cpp
-// enforces the same property at runtime via the operator-new guard).
+// allocation-shaped call added outside the setup region of the plan and
+// the constructors fails `make lint` (and
+// tests/core/eval_context_alloc_test.cpp enforces the same property at
+// runtime via the operator-new guard).
 // seamap-lint: hot-path
 
 namespace seamap {
@@ -47,88 +49,67 @@ NeighborOp random_neighbor_op(Mapping& mapping, Rng& rng, double swap_probabilit
     return {};
 }
 
-// seamap-lint: push-allow(hot-path-alloc) -- constructor: one-time
-// per-scaling precomputation and scratch sizing; nothing here runs in
-// the steady-state evaluation loop
-EvalContext::EvalContext(const EvaluationContext& ctx, EvalOptions options)
-    : ctx_(ctx), options_(options) {
-    ctx_.arch.validate_scaling(ctx_.levels);
-    n_ = ctx_.graph.task_count();
-    cores_ = ctx_.arch.core_count();
-    batches_ = static_cast<double>(ctx_.graph.batch_count());
-
-    order_ = static_schedule_order(ctx_.graph);
-    pos_.resize(n_);
-    for (std::size_t p = 0; p < n_; ++p) pos_[order_[p]] = p;
+// seamap-lint: push-allow(hot-path-alloc) -- plan and constructors:
+// one-time setup and scratch sizing; nothing here runs per slot or per
+// candidate
+EvalPlan::EvalPlan(const TaskGraph& g, std::size_t core_count)
+    : graph(&g), n(g.task_count()), cores(core_count), order(static_schedule_order(g)), pos(n),
+      suffix_start(n), out_begin(n + 1), in_begin(n + 1), key_terms(n * core_count) {
+    for (std::size_t p = 0; p < n; ++p) pos[order[p]] = p;
+    // CSR adjacency with edges renumbered in out-edge order, so a
+    // task's out-edges (and their per-edge tables) are contiguous.
+    std::vector<std::size_t> number(g.edge_count());
+    for (TaskId t = 0; t < n; ++t) {
+        for (std::size_t idx : g.out_edge_indices(t)) {
+            number[idx] = edge_src.size();
+            edge_src.push_back(t);
+            edge_dst.push_back(g.edge(idx).dst);
+            comm_cycles.push_back(g.edge(idx).comm_cycles);
+        }
+        out_begin[t + 1] = edge_src.size();
+        exec_cycles.push_back(g.task(t).exec_cycles);
+    }
     // Earliest placement position a mutation of task t can influence:
     // every predecessor of t is placed before t, and positions before
     // the earliest predecessor see neither t's core (no edges into t
     // originate there) nor any other changed core.
-    suffix_start_.resize(n_);
-    for (TaskId t = 0; t < n_; ++t) {
-        std::size_t s = pos_[t];
-        for (std::size_t idx : ctx_.graph.in_edge_indices(t))
-            s = std::min(s, pos_[ctx_.graph.edge(idx).src]);
-        suffix_start_[t] = s;
+    for (TaskId t = 0; t < n; ++t) {
+        suffix_start[t] = pos[t];
+        for (std::size_t idx : g.in_edge_indices(t)) {
+            in_edges.push_back(number[idx]);
+            suffix_start[t] = std::min(suffix_start[t], pos[g.edge(idx).src]);
+        }
+        in_begin[t + 1] = in_edges.size();
     }
-
-    core_freq_.resize(cores_);
-    ser_rate_.resize(cores_);
-    active_power_mw_.resize(cores_);
-    for (std::size_t c = 0; c < cores_; ++c) {
-        core_freq_[c] = ctx_.arch.frequency_hz(ctx_.levels[c]);
-        ser_rate_[c] = ctx_.estimator.ser_model().ser_per_bit_second(
-            ctx_.arch.scaling_table().vdd(ctx_.levels[c]));
-        active_power_mw_[c] = ctx_.arch.power_model().core_active_power_mw(ctx_.levels[c]);
+    // Register rows (tasks whose backing sets are shorter zero-fill)
+    // plus the per-register width table the weighted popcount reads.
+    const std::size_t universe = g.register_file().size();
+    words = (universe + 63) / 64;
+    reg_words.assign(n * words, 0);
+    for (TaskId t = 0; t < n; ++t) {
+        const RegisterSet& regs = g.task(t).registers;
+        std::copy_n(regs.words(), std::min(regs.word_count(), words),
+                    reg_words.begin() + static_cast<std::ptrdiff_t>(t * words));
     }
-    // Per-batch execution and transfer times on every core: the exact
-    // quotients (cycles / batches / frequency) the list scheduler forms
-    // per placement, hoisted out of the evaluation loop.
-    exec_seconds_.resize(n_ * cores_);
-    for (TaskId t = 0; t < n_; ++t)
-        for (std::size_t c = 0; c < cores_; ++c)
-            exec_seconds_[t * cores_ + c] =
-                static_cast<double>(ctx_.graph.task(t).exec_cycles) / batches_ / core_freq_[c];
-    comm_seconds_.resize(ctx_.graph.edge_count() * cores_);
-    for (std::size_t idx = 0; idx < ctx_.graph.edge_count(); ++idx)
-        for (std::size_t c = 0; c < cores_; ++c)
-            comm_seconds_[idx * cores_ + c] =
-                static_cast<double>(ctx_.graph.edge(idx).comm_cycles) / batches_ / core_freq_[c];
+    for (RegisterId r = 0; r < universe; ++r) reg_bits.push_back(g.register_file().bits(r));
+    for (std::size_t i = 0; i < key_terms.size(); ++i) // i = task * cores + core
+        key_terms[i] = splitmix64(0x9e3779b97f4a7c15ULL ^ i);
+}
 
-    const std::size_t universe = ctx_.graph.register_file().size();
-    words_ = (universe + 63) / 64;
-    // SoA register state: every task's register set flattened into one
-    // fixed-width row of the arena (tasks whose backing sets are
-    // shorter — default-constructed empties — zero-fill), plus the
-    // per-register width table the weighted popcount reads.
-    task_reg_words_.assign(n_ * words_, 0);
-    for (TaskId t = 0; t < n_; ++t) {
-        const RegisterSet& regs = ctx_.graph.task(t).registers;
-        std::copy_n(regs.words(), std::min(regs.word_count(), words_),
-                    task_reg_words_.begin() + static_cast<std::ptrdiff_t>(t * words_));
-    }
-    reg_bits_.resize(universe);
-    for (RegisterId r = 0; r < universe; ++r)
-        reg_bits_[r] = ctx_.graph.register_file().bits(r);
-
-    data_ready_.resize(n_);
-    core_free_.resize(cores_);
-    busy_.resize(cores_);
-    busy_seconds_.resize(cores_);
-    utilization_.resize(cores_);
-    register_bits_.resize(cores_);
-    busy_delta_.resize(cores_);
-    union_words_.resize(cores_ * words_);
-    scratch_words_.resize(words_);
-
-    base_latency_prefix_.resize(n_ + 1);
-    base_arrival_.resize(ctx_.graph.edge_count());
-    base_core_free_at_.resize(n_ * cores_);
-    base_busy_.resize(cores_);
-    base_bits_.resize(cores_);
-    core_task_offsets_.resize(cores_ + 1);
-    core_task_cursor_.resize(cores_);
-    core_task_ids_.resize(n_);
+EvalContext::EvalContext(std::shared_ptr<const EvalPlan> plan, EvalOptions options)
+    : plan_(std::move(plan)), options_(options), n_(plan_->n), cores_(plan_->cores),
+      words_(plan_->words) {
+    auto size = [](std::size_t count, auto&... vectors) { (vectors.resize(count), ...); };
+    size(cores_, core_freq_, ser_rate_, active_power_mw_, core_free_, busy_seconds_, utilization_,
+         base_core_free_, base_busy_seconds_, register_bits_, busy_, base_busy_, base_bits_,
+         touched_, touched_mark_);
+    size(n_, data_ready_, base_free_log_, core_task_ids_);
+    size(n_ * cores_, exec_seconds_);
+    size(plan_->edge_src.size() * cores_, comm_seconds_);
+    size(plan_->edge_src.size(), base_arrival_);
+    size(n_ + 1, base_latency_prefix_);
+    size(cores_ + 1, core_task_offsets_);
+    size(words_, scratch_words_);
 
     // The memo: the most power-of-two slots (at least one) whose
     // records and keys fit the byte budget, allocated once.
@@ -139,15 +120,40 @@ EvalContext::EvalContext(const EvaluationContext& ctx, EvalOptions options)
     memo_keys_.resize(slots * n_);
     stats_.memo_bytes = slots * slot_bytes;
 }
+
+EvalContext::EvalContext(const EvaluationContext& ctx, EvalOptions options)
+    : EvalContext(std::make_shared<const EvalPlan>(ctx.graph, ctx.arch.core_count()), options) {
+    rebind(ctx);
+}
 // seamap-lint: pop-allow(hot-path-alloc)
 
-void EvalContext::check_mapping(const Mapping& mapping) const {
-    if (mapping.task_count() != n_)
-        throw std::invalid_argument("EvalContext: mapping task count != graph task count");
-    if (mapping.core_count() != cores_)
-        throw std::invalid_argument("EvalContext: mapping core count != architecture");
-    if (!mapping.complete())
-        throw std::invalid_argument("EvalContext: mapping is incomplete");
+void EvalContext::rebind(const EvaluationContext& ctx) {
+    if (&ctx.graph != plan_->graph || ctx.arch.core_count() != cores_)
+        throw std::invalid_argument("EvalContext: problem is not over the plan's graph and cores");
+    ctx.arch.validate_scaling(ctx.levels);
+    ctx_ = &ctx;
+    batches_ = static_cast<double>(ctx.graph.batch_count());
+    for (std::size_t c = 0; c < cores_; ++c) {
+        core_freq_[c] = ctx.arch.frequency_hz(ctx.levels[c]);
+        ser_rate_[c] = ctx.estimator.ser_model().ser_per_bit_second(
+            ctx.arch.scaling_table().vdd(ctx.levels[c]));
+        active_power_mw_[c] = ctx.arch.power_model().core_active_power_mw(ctx.levels[c]);
+    }
+    // Per-batch execution and transfer times on every core: the exact
+    // quotients (cycles / batches / frequency) the list scheduler forms
+    // per placement, hoisted out of the evaluation loop.
+    const EvalPlan& plan = *plan_;
+    for (std::size_t t = 0; t < n_; ++t)
+        for (std::size_t c = 0; c < cores_; ++c)
+            exec_seconds_[t * cores_ + c] =
+                static_cast<double>(plan.exec_cycles[t]) / batches_ / core_freq_[c];
+    for (std::size_t k = 0; k < plan.comm_cycles.size(); ++k)
+        for (std::size_t c = 0; c < cores_; ++c)
+            comm_seconds_[k * cores_ + c] =
+                static_cast<double>(plan.comm_cycles[k]) / batches_ / core_freq_[c];
+    has_base_ = false;
+    ++memo_epoch_; // every memo slot is stale from now on
+    stats_ = Stats{.memo_bytes = stats_.memo_bytes};
 }
 
 // Identical arithmetic, in identical order, to ListScheduler::schedule
@@ -157,64 +163,46 @@ void EvalContext::check_mapping(const Mapping& mapping) const {
 DesignMetrics EvalContext::evaluate_full() {
     const CoreId* core_of = base_.raw().data();
 
+    reset_touched();
     std::fill(data_ready_.begin(), data_ready_.end(), 0.0);
     std::fill(core_free_.begin(), core_free_.end(), 0.0);
-    // Whole-run busy cycles (eq. 7 attribution) accumulate alongside
-    // the placements; integer sums are exact in any order.
-    std::fill(busy_.begin(), busy_.end(), std::uint64_t{0});
-    // The latency is the maximum finish time; max is exact, so taking
-    // it in placement order equals the scheduler's id-order scan.
-    double latency = 0.0;
-    for (std::size_t p = 0; p < n_; ++p) {
-        std::copy(core_free_.begin(), core_free_.end(),
-                  base_core_free_at_.begin() + static_cast<std::ptrdiff_t>(p * cores_));
-        base_latency_prefix_[p] = latency;
-        const TaskId t = order_[p];
-        const CoreId core = core_of[t];
-        const double start = std::max(core_free_[core], data_ready_[t]);
-        const double finish = start + exec_seconds_[t * cores_ + core];
-        latency = std::max(latency, finish);
-        busy_[core] += ctx_.graph.task(t).exec_cycles;
-        double cursor = finish;
-        for (std::size_t idx : ctx_.graph.out_edge_indices(t)) {
-            const Edge& e = ctx_.graph.edge(idx);
-            double arrival = finish;
-            if (core_of[e.dst] != core) {
-                cursor += comm_seconds_[idx * cores_ + core];
-                arrival = cursor;
-                busy_[core] += e.comm_cycles;
-            }
-            base_arrival_[idx] = arrival;
-            data_ready_[e.dst] = std::max(data_ready_[e.dst], arrival);
-        }
-        core_free_[core] = cursor;
-    }
-    base_latency_prefix_[n_] = latency;
+    std::fill(base_busy_.begin(), base_busy_.end(), std::uint64_t{0});
+    const double latency = place<true>(NeighborOp{}, 0, 0.0);
+    std::copy(core_free_.begin(), core_free_.end(), base_core_free_.begin());
 
-    // Per-core register unions, eq. (8): fixed-width word rows, so the
-    // per-task OR is a contiguous word loop over the arena rows (the
-    // vectorizable SoA form of `union[core] |= task.registers`).
-    std::fill(union_words_.begin(), union_words_.end(), std::uint64_t{0});
-    for (TaskId t = 0; t < n_; ++t) {
-        std::uint64_t* dst = union_words_.data() + core_of[t] * words_;
-        const std::uint64_t* src = task_reg_words_.data() + t * words_;
-        for (std::size_t w = 0; w < words_; ++w) dst[w] |= src[w];
-    }
-    for (std::size_t c = 0; c < cores_; ++c)
-        register_bits_[c] = weighted_bits(union_words_.data() + c * words_);
-
-    std::copy(busy_.begin(), busy_.end(), base_busy_.begin());
+    // Counting sort into the CSR partition the per-core register unions
+    // (eq. 8) read; iterating tasks in id order keeps each core's slice
+    // ascending. Each core's start serves as its cursor, so the starts
+    // shift back one core afterwards.
+    std::vector<std::size_t>& offsets = core_task_offsets_;
+    std::fill(offsets.begin(), offsets.end(), std::size_t{0});
+    for (TaskId t = 0; t < n_; ++t) ++offsets[core_of[t] + 1];
+    for (std::size_t c = 0; c < cores_; ++c) offsets[c + 1] += offsets[c];
+    for (TaskId t = 0; t < n_; ++t) core_task_ids_[offsets[core_of[t]]++] = t;
+    for (std::size_t c = cores_; c > 0; --c) offsets[c] = offsets[c - 1];
+    offsets[0] = 0;
+    for (CoreId c = 0; c < cores_; ++c) register_bits_[c] = core_union_bits(c, NeighborOp{});
     std::copy(register_bits_.begin(), register_bits_.end(), base_bits_.begin());
-    // Counting sort into the CSR partition (fixed-capacity arrays;
-    // iterating tasks in id order keeps each core's slice ascending).
-    std::fill(core_task_cursor_.begin(), core_task_cursor_.end(), std::size_t{0});
-    for (TaskId t = 0; t < n_; ++t) ++core_task_cursor_[core_of[t]];
-    core_task_offsets_[0] = 0;
-    for (std::size_t c = 0; c < cores_; ++c)
-        core_task_offsets_[c + 1] = core_task_offsets_[c] + core_task_cursor_[c];
-    std::copy(core_task_offsets_.begin(), core_task_offsets_.end() - 1,
-              core_task_cursor_.begin());
-    for (TaskId t = 0; t < n_; ++t) core_task_ids_[core_task_cursor_[core_of[t]]++] = t;
+
+    // The II over every core, recording the k_ii_top busiest cores
+    // (insertion into a short list) for the candidates' T_M tier.
+    // x / B is monotone, so the largest term is the largest busy time's.
+    double max_seconds = 0.0;
+    ii_top_count_ = 0;
+    for (CoreId c = 0; c < cores_; ++c) {
+        busy_seconds_[c] = static_cast<double>(base_busy_[c]) / core_freq_[c];
+        base_busy_seconds_[c] = busy_seconds_[c];
+        max_seconds = std::max(max_seconds, busy_seconds_[c]);
+        if (ii_top_count_ < k_ii_top)
+            ++ii_top_count_;
+        else if (busy_seconds_[c] <= base_busy_seconds_[ii_top_[k_ii_top - 1]])
+            continue;
+        std::size_t i = ii_top_count_ - 1;
+        for (; i > 0 && base_busy_seconds_[ii_top_[i - 1]] < busy_seconds_[c]; --i)
+            ii_top_[i] = ii_top_[i - 1];
+        ii_top_[i] = c;
+    }
+    staged_ii_ = max_seconds / batches_;
     return finish_metrics(latency);
 }
 
@@ -227,7 +215,7 @@ std::uint64_t EvalContext::weighted_bits(const std::uint64_t* row) const {
         std::uint64_t word = row[w];
         while (word != 0) {
             const auto bit = static_cast<unsigned>(__builtin_ctzll(word));
-            total += reg_bits_[w * 64 + bit];
+            total += plan_->reg_bits[w * 64 + bit];
             word &= word - 1;
         }
     }
@@ -248,23 +236,14 @@ DesignMetrics EvalContext::finish_metrics(double latency) {
     metrics.register_bits = total_bits;
     metrics.gamma = gamma_at(metrics.tm_seconds);
     metrics.power_mw =
-        ctx_.arch.power_model().mpsoc_power_mw_precomputed(active_power_mw_, utilization_);
+        ctx_->arch.power_model().mpsoc_power_mw_precomputed(active_power_mw_, utilization_);
     metrics.feasible = within_deadline(metrics.tm_seconds);
     return metrics;
 }
 
-double EvalContext::pipelined_tm(double latency) {
-    double ii = 0.0;
-    for (std::size_t c = 0; c < cores_; ++c) {
-        busy_seconds_[c] = static_cast<double>(busy_[c]) / core_freq_[c];
-        ii = std::max(ii, busy_seconds_[c] / batches_);
-    }
-    return latency + (batches_ - 1.0) * ii;
-}
-
 double EvalContext::gamma_at(double tm_seconds) const {
     double gamma = 0.0;
-    const bool full_duration = ctx_.estimator.policy() == ExposurePolicy::full_duration;
+    const bool full_duration = ctx_->estimator.policy() == ExposurePolicy::full_duration;
     for (std::size_t c = 0; c < cores_; ++c) {
         if (register_bits_[c] == 0) continue; // no live state on this core
         const double exposure = full_duration ? tm_seconds : busy_seconds_[c];
@@ -273,30 +252,23 @@ double EvalContext::gamma_at(double tm_seconds) const {
     return gamma;
 }
 
-bool EvalContext::within_deadline(double tm_seconds) const {
-    return tm_seconds <= ctx_.deadline_seconds * (1.0 + 1e-9);
-}
-
 DesignMetrics EvalContext::rebase(const Mapping& base) {
-    check_mapping(base); // before any state changes: a rejected base keeps the previous one
+    if (ctx_ == nullptr) throw std::logic_error("EvalContext: call rebind() first");
+    // Checked before any state changes: a rejected base keeps the previous one.
+    if (base.task_count() != n_)
+        throw std::invalid_argument("EvalContext: mapping task count != graph task count");
+    if (base.core_count() != cores_)
+        throw std::invalid_argument("EvalContext: mapping core count != architecture");
+    if (!base.complete()) throw std::invalid_argument("EvalContext: mapping is incomplete");
     base_ = base;
     has_base_ = true;
-    if (options_.naive_reference) return base_metrics_ = evaluate_design(ctx_, base_);
+    if (options_.naive_reference) return base_metrics_ = evaluate_design(*ctx_, base_);
     ++stats_.full_evals;
     base_metrics_ = evaluate_full();
-    base_key_ = hash_key(base_.raw().data());
+    base_key_ = 0;
+    for (TaskId t = 0; t < n_; ++t) base_key_ ^= plan_->key_terms[t * cores_ + base_.core_of(t)];
     memo_insert(base_key_, NeighborOp{}, base_metrics_);
     return base_metrics_;
-}
-
-DesignMetrics EvalContext::evaluate_neighbor(const NeighborOp& op) {
-    return *candidate(op, nullptr, nullptr);
-}
-
-std::optional<DesignMetrics> EvalContext::evaluate_bounded(const NeighborOp& op,
-                                                           const DesignMetrics& walk_best,
-                                                           const DesignMetrics& result_best) {
-    return candidate(op, &walk_best, &result_best);
 }
 
 std::optional<DesignMetrics> EvalContext::candidate(const NeighborOp& op,
@@ -314,18 +286,21 @@ std::optional<DesignMetrics> EvalContext::candidate(const NeighborOp& op,
         mapping_scratch_ = base_;
         mapping_scratch_.assign(op.b, op.core_b);
         mapping_scratch_.assign(op.a, op.core_a); // after b, as in memo_insert
-        return evaluate_design(ctx_, mapping_scratch_);
+        return evaluate_design(*ctx_, mapping_scratch_);
     }
     // The base hash with each named task's term replaced; XOR commutes,
-    // so this is the materialized mapping's hash_key() bit for bit.
-    std::uint64_t hash =
-        base_key_ ^ key_term(op.a, base_raw[op.a]) ^ key_term(op.a, op.core_a);
-    if (op.b != op.a) hash ^= key_term(op.b, base_raw[op.b]) ^ key_term(op.b, op.core_b);
+    // so this is the materialized mapping's hash bit for bit.
+    const std::uint64_t* terms = plan_->key_terms.data();
+    std::uint64_t hash = base_key_ ^ terms[op.a * cores_ + base_raw[op.a]] ^
+                         terms[op.a * cores_ + op.core_a];
+    if (op.b != op.a)
+        hash ^= terms[op.b * cores_ + base_raw[op.b]] ^ terms[op.b * cores_ + op.core_b];
     if (const DesignMetrics* hit = memo_find(hash, op)) {
         ++stats_.memo_hits;
         return *hit;
     }
-    const std::size_t suffix_pos = std::min(suffix_start_[op.a], suffix_start_[op.b]);
+    const std::size_t suffix_pos =
+        std::min(plan_->suffix_start[op.a], plan_->suffix_start[op.b]);
     stage_busy(op);
     // The bounded sweep's tiers (file comment): each runs only when the
     // ones before it cannot decide, so most skips build no union.
@@ -360,129 +335,172 @@ std::optional<DesignMetrics> EvalContext::candidate(const NeighborOp& op,
 }
 
 // The candidate's busy cycles: an integer delta over the touched tasks
-// and their incident edges (exactly equal to a full eq. 7 recompute).
+// and their incident edges (exactly equal to a full eq. 7 recompute),
+// staged on the touched cores only, then the II those cores and the
+// base's top-k give.
 void EvalContext::stage_busy(const NeighborOp& op) {
+    const EvalPlan& plan = *plan_;
     const CoreId* base_raw = base_.raw().data();
-    std::fill(busy_delta_.begin(), busy_delta_.end(), std::int64_t{0});
+    reset_touched();
+    // Deltas are added modulo 2^64, which equals the signed sum's cast.
+    auto touch = [&](CoreId c, std::uint64_t delta) {
+        if (touched_mark_[c] == 0) {
+            touched_mark_[c] = 1;
+            touched_[touched_count_++] = c;
+            busy_[c] = base_busy_[c];
+        }
+        busy_[c] += delta;
+    };
     const bool two_tasks = op.b != op.a;
     auto apply_exec_delta = [&](TaskId t, CoreId cand_core) {
-        const auto exec = static_cast<std::int64_t>(ctx_.graph.task(t).exec_cycles);
-        busy_delta_[base_raw[t]] -= exec;
-        busy_delta_[cand_core] += exec;
+        touch(base_raw[t], -plan.exec_cycles[t]);
+        touch(cand_core, plan.exec_cycles[t]);
     };
     apply_exec_delta(op.a, op.core_a);
     if (two_tasks) apply_exec_delta(op.b, op.core_b);
-    auto apply_edge_delta = [&](std::size_t idx) {
-        const Edge& e = ctx_.graph.edge(idx);
-        const auto comm = static_cast<std::int64_t>(e.comm_cycles);
-        if (base_raw[e.src] != base_raw[e.dst]) busy_delta_[base_raw[e.src]] -= comm;
-        const CoreId cand_src = op.core_of(base_raw, e.src);
-        if (cand_src != op.core_of(base_raw, e.dst)) busy_delta_[cand_src] += comm;
+    auto apply_edge_delta = [&](std::size_t k) {
+        const TaskId src = plan.edge_src[k];
+        const TaskId dst = plan.edge_dst[k];
+        if (base_raw[src] != base_raw[dst]) touch(base_raw[src], -plan.comm_cycles[k]);
+        const CoreId cand_src = op.core_of(base_raw, src);
+        if (cand_src != op.core_of(base_raw, dst)) touch(cand_src, plan.comm_cycles[k]);
     };
-    for (std::size_t idx : ctx_.graph.out_edge_indices(op.a)) apply_edge_delta(idx);
-    for (std::size_t idx : ctx_.graph.in_edge_indices(op.a)) apply_edge_delta(idx);
+    for (std::size_t k = plan.out_begin[op.a]; k < plan.out_begin[op.a + 1]; ++k)
+        apply_edge_delta(k);
+    for (std::size_t i = plan.in_begin[op.a]; i < plan.in_begin[op.a + 1]; ++i)
+        apply_edge_delta(plan.in_edges[i]);
     if (two_tasks) {
         // Skip edges already handled through task a.
-        for (std::size_t idx : ctx_.graph.out_edge_indices(op.b))
-            if (ctx_.graph.edge(idx).dst != op.a) apply_edge_delta(idx);
-        for (std::size_t idx : ctx_.graph.in_edge_indices(op.b))
-            if (ctx_.graph.edge(idx).src != op.a) apply_edge_delta(idx);
+        for (std::size_t k = plan.out_begin[op.b]; k < plan.out_begin[op.b + 1]; ++k)
+            if (plan.edge_dst[k] != op.a) apply_edge_delta(k);
+        for (std::size_t i = plan.in_begin[op.b]; i < plan.in_begin[op.b + 1]; ++i)
+            if (plan.edge_src[plan.in_edges[i]] != op.a) apply_edge_delta(plan.in_edges[i]);
     }
-    for (std::size_t c = 0; c < cores_; ++c)
-        busy_[c] = static_cast<std::uint64_t>(static_cast<std::int64_t>(base_busy_[c]) +
-                                              busy_delta_[c]);
+    double max_seconds = 0.0;
+    for (std::size_t i = 0; i < touched_count_; ++i) {
+        const CoreId c = touched_[i];
+        busy_seconds_[c] = static_cast<double>(busy_[c]) / core_freq_[c];
+        max_seconds = std::max(max_seconds, busy_seconds_[c]);
+    }
+    // Untouched cores keep their base times: the largest is the first
+    // untouched top-k entry's, or needs a scan when all are touched.
+    std::size_t i = 0;
+    while (i < ii_top_count_ && touched_mark_[ii_top_[i]] != 0) ++i;
+    if (i < ii_top_count_)
+        max_seconds = std::max(max_seconds, base_busy_seconds_[ii_top_[i]]);
+    else
+        for (std::size_t c = 0; c < cores_; ++c)
+            if (touched_mark_[c] == 0) max_seconds = std::max(max_seconds, base_busy_seconds_[c]);
+    staged_ii_ = max_seconds / batches_;
+}
+
+void EvalContext::reset_touched() {
+    for (std::size_t i = 0; i < touched_count_; ++i) {
+        const CoreId c = touched_[i];
+        touched_mark_[c] = 0;
+        busy_seconds_[c] = base_busy_seconds_[c];
+    }
+    touched_count_ = 0;
 }
 
 // The candidate's register unions, recomputed only for the cores whose
-// task sets changed. Unions are set algebra, so recomputing the touched
-// cores from their base task lists gives exactly the full eq. 8 result.
-// Same SoA word-row OR as the full pass, over the CSR task slice.
+// task sets changed (each distinct core once).
 void EvalContext::stage_unions(const NeighborOp& op) {
     const CoreId* base_raw = base_.raw().data();
-    const bool two_tasks = op.b != op.a;
     std::copy(base_bits_.begin(), base_bits_.end(), register_bits_.begin());
+    const CoreId changed[] = {base_raw[op.a], op.core_a, base_raw[op.b], op.core_b};
+    for (std::size_t i = 0; i < 4; ++i)
+        if (std::find(changed, changed + i, changed[i]) == changed + i)
+            register_bits_[changed[i]] = core_union_bits(changed[i], op);
+}
+
+// Core c's eq. (8) register bits in the candidate `op` over the base: the
+// union of the rows of c's base tasks that stay on c and of the op's
+// tasks that move onto it. Unions are set algebra, so this equals the
+// full recompute; the rows are fixed-width words, so each OR is a
+// contiguous word loop.
+std::uint64_t EvalContext::core_union_bits(CoreId c, const NeighborOp& op) {
+    const CoreId* base_raw = base_.raw().data();
+    std::fill(scratch_words_.begin(), scratch_words_.end(), std::uint64_t{0});
     auto or_task_row = [&](TaskId t) {
-        const std::uint64_t* src = task_reg_words_.data() + t * words_;
+        const std::uint64_t* src = plan_->reg_words.data() + t * words_;
         for (std::size_t w = 0; w < words_; ++w) scratch_words_[w] |= src[w];
     };
-    auto recompute_core_bits = [&](CoreId c) {
-        std::fill(scratch_words_.begin(), scratch_words_.end(), std::uint64_t{0});
-        for (std::size_t i = core_task_offsets_[c]; i < core_task_offsets_[c + 1]; ++i) {
-            const TaskId t = core_task_ids_[i];
-            if (op.core_of(base_raw, t) == c) or_task_row(t);
-        }
-        if (op.core_a == c && base_raw[op.a] != c) or_task_row(op.a);
-        if (two_tasks && op.core_b == c && base_raw[op.b] != c) or_task_row(op.b);
-        register_bits_[c] = weighted_bits(scratch_words_.data());
-    };
-    recompute_core_bits(base_raw[op.a]);
-    recompute_core_bits(op.core_a);
-    if (two_tasks) {
-        if (base_raw[op.b] != base_raw[op.a] && base_raw[op.b] != op.core_a)
-            recompute_core_bits(base_raw[op.b]);
-        if (op.core_b != base_raw[op.a] && op.core_b != op.core_a)
-            recompute_core_bits(op.core_b);
-    }
+    for (std::size_t i = core_task_offsets_[c]; i < core_task_offsets_[c + 1]; ++i)
+        if (op.core_of(base_raw, core_task_ids_[i]) == c) or_task_row(core_task_ids_[i]);
+    if (!op.none() && op.core_a == c && base_raw[op.a] != c) or_task_row(op.a);
+    if (op.b != op.a && op.core_b == c && base_raw[op.b] != c) or_task_row(op.b);
+    return weighted_bits(scratch_words_.data());
 }
 
 // Replay the schedule suffix and return the candidate's latency.
 double EvalContext::replay_suffix(const NeighborOp& op, std::size_t suffix_pos) {
     ++stats_.incremental_evals;
+    const EvalPlan& plan = *plan_;
     const CoreId* base_raw = base_.raw().data();
 
     // Restore the timeline state as of `suffix_pos` (every placement
-    // before it is provably identical under the override) and replay
+    // before it is provably identical under the op) by undoing the
+    // base's placements from the last back to `suffix_pos`, then replay
     // only the suffix with the candidate core lookup.
-    std::copy_n(base_core_free_at_.begin() +
-                    static_cast<std::ptrdiff_t>(suffix_pos * cores_),
-                cores_, core_free_.begin());
+    std::copy(base_core_free_.begin(), base_core_free_.end(), core_free_.begin());
+    for (std::size_t q = n_; q-- > suffix_pos;)
+        core_free_[base_raw[plan.order[q]]] = base_free_log_[q];
     for (std::size_t q = suffix_pos; q < n_; ++q) {
-        const TaskId w = order_[q];
+        const TaskId w = plan.order[q];
         double ready = 0.0;
-        for (std::size_t idx : ctx_.graph.in_edge_indices(w)) {
-            if (pos_[ctx_.graph.edge(idx).src] < suffix_pos)
-                ready = std::max(ready, base_arrival_[idx]);
+        for (std::size_t i = plan.in_begin[w]; i < plan.in_begin[w + 1]; ++i) {
+            const std::size_t k = plan.in_edges[i];
+            if (plan.pos[plan.edge_src[k]] < suffix_pos) ready = std::max(ready, base_arrival_[k]);
         }
         data_ready_[w] = ready;
     }
     // The prefix's finish times are the base's, so its latency share is
     // the recorded prefix maximum.
-    double latency = base_latency_prefix_[suffix_pos];
-    for (std::size_t q = suffix_pos; q < n_; ++q) {
-        const TaskId w = order_[q];
+    return place<false>(op, suffix_pos, base_latency_prefix_[suffix_pos]);
+}
+
+// List-schedule placements `from`.. of the candidate `op` from the
+// current timeline state and return the latency. The latency is the
+// maximum finish time; max is exact, so taking it in placement order
+// equals the scheduler's id-order scan. The full pass (Record) also
+// logs the base's timeline state and its whole-run busy cycles (eq. 7
+// attribution; integer sums are exact in any order).
+template <bool Record>
+double EvalContext::place(const NeighborOp& op, std::size_t from, double latency) {
+    const EvalPlan& plan = *plan_;
+    const CoreId* base_raw = base_.raw().data();
+    for (std::size_t q = from; q < n_; ++q) {
+        if constexpr (Record) base_latency_prefix_[q] = latency;
+        const TaskId w = plan.order[q];
         const CoreId core = op.core_of(base_raw, w);
         const double start = std::max(core_free_[core], data_ready_[w]);
         const double finish = start + exec_seconds_[w * cores_ + core];
         latency = std::max(latency, finish);
+        if constexpr (Record) base_busy_[core] += plan.exec_cycles[w];
         double cursor = finish;
-        for (std::size_t idx : ctx_.graph.out_edge_indices(w)) {
-            const Edge& e = ctx_.graph.edge(idx);
+        for (std::size_t k = plan.out_begin[w]; k < plan.out_begin[w + 1]; ++k) {
+            const TaskId dst = plan.edge_dst[k];
             double arrival = finish;
-            if (op.core_of(base_raw, e.dst) != core) {
-                cursor += comm_seconds_[idx * cores_ + core];
+            if (op.core_of(base_raw, dst) != core) {
+                cursor += comm_seconds_[k * cores_ + core];
                 arrival = cursor;
+                if constexpr (Record) base_busy_[core] += plan.comm_cycles[k];
             }
-            data_ready_[e.dst] = std::max(data_ready_[e.dst], arrival);
+            if constexpr (Record) base_arrival_[k] = arrival;
+            data_ready_[dst] = std::max(data_ready_[dst], arrival);
         }
+        if constexpr (Record) base_free_log_[q] = core_free_[core]; // undone by replay_suffix
         core_free_[core] = cursor;
     }
+    if constexpr (Record) base_latency_prefix_[n_] = latency;
     return latency;
-}
-
-std::uint64_t EvalContext::key_term(TaskId task, CoreId core) const {
-    return splitmix64(0x9e3779b97f4a7c15ULL ^ (std::uint64_t{task} * cores_ + core));
-}
-
-std::uint64_t EvalContext::hash_key(const CoreId* key) const {
-    std::uint64_t hash = 0;
-    for (TaskId t = 0; t < n_; ++t) hash ^= key_term(t, key[t]);
-    return hash;
 }
 
 const DesignMetrics* EvalContext::memo_find(std::uint64_t hash, const NeighborOp& op) const {
     const std::size_t i = hash & (memo_.size() - 1);
     const MemoSlot& slot = memo_[i];
-    if (!slot.occupied || slot.hash != hash) return nullptr;
+    if (slot.epoch != memo_epoch_ || slot.hash != hash) return nullptr;
     // Exact key comparison: a hash collision never returns wrong metrics.
     const CoreId* stored = memo_keys_.data() + i * n_;
     TaskId t = 0;
@@ -495,8 +513,8 @@ void EvalContext::memo_insert(std::uint64_t hash, const NeighborOp& op,
                               const DesignMetrics& metrics) {
     const std::size_t i = hash & (memo_.size() - 1);
     MemoSlot& slot = memo_[i];
-    if (!slot.occupied) ++stats_.memo_entries;
-    slot = MemoSlot{hash, true, metrics};
+    if (slot.epoch != memo_epoch_) ++stats_.memo_entries;
+    slot = MemoSlot{hash, memo_epoch_, metrics};
     CoreId* key = memo_keys_.data() + i * n_;
     std::copy_n(base_.raw().data(), n_, key);
     if (!op.none()) {

@@ -1,76 +1,59 @@
 // Zero-allocation per-candidate evaluation hot path. The Fig. 4 flow
-// evaluates thousands of (mapping, scaling) candidates per exploration;
-// reliability/design_eval.h scores each one from scratch — a fresh list
-// schedule (priority selection + ~10 heap allocations), fresh register
-// unions and fresh SEU/power sums per call. EvalContext is the reusable
-// per-scaling evaluation engine both search strategies run on instead:
+// evaluates thousands of (mapping, scaling) candidates per scaling;
+// reliability/design_eval.h scores each from scratch. EvalContext is the
+// reusable engine both search strategies run on instead, and a candidate
+// costs what it touches:
 //
-//  - Precomputation: the list scheduler's placement sequence is a pure
-//    function of the graph (sched/list_scheduler.h,
-//    static_schedule_order), so the order, b-level selection, core
-//    frequencies, per-core SER rates and active powers are computed
-//    once per scaling. So are the per-(task, core) execution times and
-//    per-(edge, core) communication times — the same two divisions,
-//    cycles / batches / frequency, the schedule would otherwise redo
-//    per placement — so per candidate only additions and maxima run.
-//  - Scratch reuse: ready lists, per-PE timelines, data-ready arrays,
-//    busy/utilization accumulators and register-union bitsets live in
-//    the context and are reused across candidates — the steady-state
-//    evaluation loop performs no heap allocation.
-//  - Incremental re-evaluation: rebase() is the one full pass, and it
-//    records the base's per-position timeline state. Every other
-//    evaluation is a NeighborOp candidate — up to two tasks on new
-//    cores, which covers the sweep's moves and the walks' moves and
-//    swaps alike — and replays only the schedule suffix from the first
-//    affected placement position (positions before the earliest
-//    predecessor of a changed task are provably unchanged), starting
-//    the latency from the base's recorded prefix maximum and
-//    recomputing only the affected cores' register unions and busy
-//    cycles.
-//  - Bounded sweep: a candidate that misses the memo is evaluated in
-//    tiers, each run only when the ones before it cannot decide:
-//    busy-cycle delta, then the T_M tier, then the touched cores'
-//    register unions, then the Gamma tier, then the suffix replay. The
-//    replay's latency starts from the base's prefix maximum and only
-//    grows, so that prefix plus (B-1)·II is a lower bound tm_lb on T_M,
-//    and eq. 3 summed at tm_lb (full_duration) or at the exact busy
-//    seconds (busy_only) is a lower bound on Gamma; round-to-nearest is
+//  - One plan per explore. EvalPlan holds what depends only on the graph
+//    and core count: the static placement order (sched/list_scheduler.h)
+//    with positions and suffix starts, CSR adjacency, cycle counts,
+//    register word rows and the memo's key terms. The explorer builds it
+//    once; every worker's context shares it.
+//  - One context per worker. rebind() points a context at a slot without
+//    allocating: it rebuilds the per-core frequency, SER and power tables
+//    and the per-(task, core) and per-(edge, core) times (the same cycles
+//    / batches / frequency quotients the scheduler forms), drops the
+//    base, resets stats() and bumps the memo's epoch. EvalContext(ctx) is
+//    a plan of its own plus rebind(ctx).
+//  - Incremental re-evaluation. rebase() is the one full pass; it logs
+//    each placement's previous core-free time, so the timeline at any
+//    position is the final state with the log undone backwards. Every
+//    other evaluation is a NeighborOp candidate (up to two tasks on new
+//    cores) that replays only the schedule suffix from the earliest
+//    predecessor of a changed task, from the base's prefix latency.
+//  - O(touched-cores) tiers. A memo miss stages its busy-cycle delta on
+//    the cores it touches (the changed tasks' and their neighbours');
+//    untouched cores keep the base's values. The II is the larger of the
+//    touched cores' terms and the first untouched one of the base's k
+//    busiest cores (a scan of all cores only when all k are touched).
+//    The replay's latency only grows, so prefix + (B-1)·II is a lower
+//    bound tm_lb on T_M, and eq. 3 summed at tm_lb (full_duration) or at
+//    the exact busy seconds (busy_only) bounds Gamma; round-to-nearest is
 //    monotone, so both hold in floating point. The Fig. 7 sweep
-//    (evaluate_bounded) skips a candidate the bound proves can improve
-//    neither its running best nor the search result. When tm_lb misses
-//    the deadline the decision reads T_M alone and no union is built
-//    (stats().tm_skips); the Gamma tier, which needs the unions, runs
-//    only when tm_lb meets the deadline and both references are
-//    feasible.
-//  - Memoization: a direct-mapped cache keyed by the full mapping
-//    returns previously computed metrics for revisited candidates, so
-//    a random walk that undoes a move never pays for the same design
-//    twice. Its power-of-two slot array and flat key arena are sized
-//    once, in the constructor, from k_memo_budget_bytes; an insert
-//    overwrites its slot and a lookup compares the full key, so a
-//    collision or an overwritten slot only costs a miss, never wrong
-//    metrics. The hash is Zobrist-style — an XOR of one splitmix64
-//    term per (task, core) pair — so rebase() hashes the base once and
-//    a candidate's hash is the base hash updated by 2 XORs per task.
+//    (evaluate_bounded) skips a candidate that provably improves neither
+//    reference: by T_M before any register union when tm_lb misses the
+//    deadline (stats().tm_skips), else by Gamma after the touched cores'
+//    unions when both references are feasible.
+//  - Memoization. A direct-mapped cache keyed by the full mapping, sized
+//    once per context from k_memo_budget_bytes. A lookup compares the
+//    epoch and the full key, so a collision, an overwrite or an earlier
+//    slot's entry only costs a miss. The hash XORs one key term per
+//    (task, core), so a candidate's costs 2 XORs per changed task.
 //
 // Determinism contract: the full pass, every suffix replay and every
-// memo hit reproduce evaluate_design() BIT-IDENTICALLY — the same
-// floating-point operations in the same order. A bound-skipped sweep
-// candidate is counted (stats().bound_skips) but neither scheduled nor
-// memoized, and it provably could not have changed the search, so
-// searches are identical with or without the bound; the naive_reference
-// path never skips. The naive_reference option turns the context into a
-// thin wrapper over evaluate_design() — rebase() and every candidate
-// call it on the materialized mapping — so the equivalence harness
-// (tests/core/eval_context_equivalence_test.cpp) and the before/after
-// benches drive both paths through identical search code: a single
-// search is handed a naive context, and a whole exploration wraps its
-// strategy in NaiveEvalStrategy (tests/support/naive_eval_strategy.h),
-// which swaps a naive context in for every slot's search.
+// memo hit reproduce evaluate_design() BIT-IDENTICALLY (the same
+// floating-point operations in the same order; an exact max may run in
+// any order). A bound-skipped candidate is counted but neither scheduled
+// nor memoized, and could not have changed the search. A rebound context
+// behaves exactly like a fresh one, stats() included. naive_reference
+// makes the context a thin wrapper over evaluate_design(), so the
+// equivalence harness (tests/core/eval_context_equivalence_test.cpp) and
+// the benches drive both paths through identical search code; a whole
+// exploration wraps its strategy in NaiveEvalStrategy
+// (tests/support/naive_eval_strategy.h).
 //
-// An EvalContext is single-threaded state: the explorer builds one per
-// scaling combination inside each worker, so contexts are never shared
-// across threads.
+// A context is single-threaded state that each explorer worker owns; a
+// plan is immutable and shared freely.
 #pragma once
 
 #include "reliability/design_eval.h"
@@ -78,20 +61,20 @@
 #include "taskgraph/task_graph.h"
 #include "util/rng.h"
 
+#include <array>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <vector>
 
 namespace seamap {
 
-/// Evaluation-path knobs. Defaults give the full fast path; the
-/// reference flag pins the optimization to the naive implementation.
+/// Evaluation-path knobs; the defaults give the fast path.
 struct EvalOptions {
-    /// Route every evaluation through evaluate_design() instead of the
-    /// optimized path (no scratch reuse, no memo, no incremental).
-    /// This is the pre-optimization reference the equivalence tests
-    /// and benches compare against.
+    /// Route every evaluation through evaluate_design() (no scratch, no
+    /// memo, no incremental): the reference the equivalence tests and
+    /// benches compare against.
     bool naive_reference = false;
 };
 
@@ -123,73 +106,95 @@ struct NeighborOp {
 /// would empty a populated core when `require_all_cores`). Mutates
 /// `mapping` in place and returns the change as an op relative to the
 /// mapping as it was (none() when no mutation was admissible). The RNG
-/// draw sequence
-/// is the contract: both engines' walks are reproducible bit-for-bit
-/// from the seed, so this function consumes draws exactly like the
-/// historical per-engine copies it replaces.
+/// draw sequence is the contract: both engines' walks are reproducible
+/// bit-for-bit from the seed, so this function consumes draws exactly
+/// like the historical per-engine copies it replaces.
 NeighborOp random_neighbor_op(Mapping& mapping, Rng& rng, double swap_probability,
                               bool require_all_cores);
 
-/// Reusable per-scaling evaluation engine. See file comment.
+/// The graph-only half of every EvalContext over one (graph, core
+/// count), shared read-only. Edges are numbered in out-CSR order: task
+/// t's out-edges are [out_begin[t], out_begin[t + 1]) in
+/// TaskGraph::out_edge_indices(t) order, its in-edges are in_edges[
+/// in_begin[t] .. in_begin[t + 1]).
+struct EvalPlan {
+    /// `graph` must outlive the plan.
+    EvalPlan(const TaskGraph& graph, std::size_t cores);
+
+    const TaskGraph* graph;
+    std::size_t n;     ///< tasks
+    std::size_t cores;
+    std::size_t words; ///< register words per row
+    std::vector<TaskId> order;             ///< static schedule order
+    std::vector<std::size_t> pos;          ///< task -> position in order
+    std::vector<std::size_t> suffix_start; ///< task -> earliest affected position
+    std::vector<std::size_t> out_begin, in_begin, in_edges;
+    std::vector<TaskId> edge_src, edge_dst;
+    std::vector<std::uint64_t> exec_cycles; ///< per task
+    std::vector<std::uint64_t> comm_cycles; ///< per edge
+    std::vector<std::uint64_t> reg_words;   ///< [task * words + w]: register rows
+    std::vector<std::uint64_t> reg_bits;    ///< register id -> width in bits
+    std::vector<std::uint64_t> key_terms;   ///< [task * cores + core]: memo hash terms
+};
+
+/// Reusable per-worker evaluation engine. See file comment.
 class EvalContext {
 public:
     /// Byte budget of one context's memo (slots plus their keys): the
-    /// constructor allocates the most power-of-two slots that fit, and
-    /// at least one.
+    /// most power-of-two slots that fit, and at least one.
     static constexpr std::size_t k_memo_budget_bytes = std::size_t{256} << 10;
+    /// Length of the base's busiest-core list the T_M tier reads.
+    static constexpr std::size_t k_ii_top = 4;
 
-    /// `ctx` must outlive the EvalContext. Validates the scaling vector
-    /// eagerly and precomputes the schedule order.
+    /// An unbound context over `plan`: rebind() it before anything else.
+    explicit EvalContext(std::shared_ptr<const EvalPlan> plan, EvalOptions options = {});
+    /// A context over a plan of its own, bound to `ctx`.
     explicit EvalContext(const EvaluationContext& ctx, EvalOptions options = {});
 
     EvalContext(const EvalContext&) = delete;
     EvalContext& operator=(const EvalContext&) = delete;
 
-    /// The problem this context evaluates against.
-    const EvaluationContext& problem() const { return ctx_; }
+    /// Evaluate against `ctx` from now on. `ctx` must be over the plan's
+    /// graph and core count (else std::invalid_argument) and outlive its
+    /// use; its scaling vector is validated eagerly. Drops the base,
+    /// invalidates the memo and resets stats(); allocation-free.
+    void rebind(const EvaluationContext& ctx);
+
+    const EvaluationContext& problem() const { return *ctx_; } ///< the bound problem
 
     /// Establish `base` as the incremental-evaluation anchor (the
     /// search's current mapping) and return its metrics: the only full
-    /// pass, bit-identical to evaluate_design(problem(), base) and
-    /// allocation-free after the first call. Records the per-position
-    /// timeline state every candidate restarts from. Throws
+    /// pass, bit-identical to evaluate_design(problem(), base). Throws
     /// std::invalid_argument on a size mismatch or an incomplete
-    /// mapping, and then leaves the previous base in place. A known
-    /// future optimization is committing the just-replayed suffix of an
-    /// accepted neighbour instead, which would help high-acceptance
-    /// (hot) walk phases.
+    /// mapping, and then leaves the previous base in place.
     DesignMetrics rebase(const Mapping& base);
 
     const DesignMetrics& base_metrics() const { return base_metrics_; }
 
-    /// Metrics of the candidate `op` over the base (the base itself is
-    /// left untouched): the random walk's step D. An op that changes
-    /// nothing returns base_metrics(). Memoized, then suffix-rescheduled:
-    /// only the touched cores' register unions and busy cycles are
-    /// recomputed, and only placement positions from the earliest
-    /// predecessor of a changed task onward are replayed. Never skipped
-    /// by the bound. Requires a prior rebase().
-    DesignMetrics evaluate_neighbor(const NeighborOp& op);
+    /// Metrics of the candidate `op` over the base (the random walk's
+    /// step D); an op that changes nothing returns base_metrics().
+    /// Memoized, then suffix-rescheduled; never skipped by the bound.
+    /// Requires a prior rebase().
+    DesignMetrics evaluate_neighbor(const NeighborOp& op) {
+        return *candidate(op, nullptr, nullptr);
+    }
 
     /// evaluate_neighbor() for the Fig. 7 sweep, which keeps a candidate
     /// only if it strictly improves its running best `walk_best` or the
     /// search result `result_best`: against an infeasible reference by
     /// being feasible or having a lower T_M, against a feasible one by
     /// being feasible with a lower Gamma. On a memo miss the bound's
-    /// tiers (file comment) run in order: the busy-cycle delta, the T_M
-    /// tier (skips a candidate whose tm_lb misses the deadline and is
-    /// no lower than every infeasible reference's T_M, counting a
-    /// stats().tm_skips), the register unions, and, when tm_lb meets
-    /// the deadline and both references are feasible, the Gamma tier
-    /// (skips when Gamma_lb is no lower than either reference's Gamma).
-    /// A skip counts a stats().bound_skips, memoizes nothing and
-    /// returns std::nullopt. Otherwise returns exactly
+    /// tiers (file comment) may prove it cannot: then it counts a
+    /// stats().bound_skips (and a tm_skips when T_M decided), memoizes
+    /// nothing and returns std::nullopt. Otherwise returns exactly
     /// evaluate_neighbor(op). The naive_reference path never skips.
     std::optional<DesignMetrics> evaluate_bounded(const NeighborOp& op,
                                                   const DesignMetrics& walk_best,
-                                                  const DesignMetrics& result_best);
+                                                  const DesignMetrics& result_best) {
+        return candidate(op, &walk_best, &result_best);
+    }
 
-    /// Instrumentation for benches and tests.
+    /// Instrumentation for benches and tests, since the last rebind().
     struct Stats {
         std::uint64_t full_evals = 0;        ///< complete timing passes (incl. rebase)
         std::uint64_t incremental_evals = 0; ///< suffix-only replays
@@ -210,61 +215,56 @@ private:
                                            const DesignMetrics* result_best);
     // The stages of an incremental evaluation; candidate() runs the
     // bound's tiers between them.
-    void stage_busy(const NeighborOp& op);   ///< busy_ of the candidate
+    void stage_busy(const NeighborOp& op);   ///< touched cores' busy seconds, staged_ii_
     void stage_unions(const NeighborOp& op); ///< register_bits_ of the candidate
+    std::uint64_t core_union_bits(CoreId core, const NeighborOp& op);
     double replay_suffix(const NeighborOp& op, std::size_t suffix_pos); ///< the latency
+    template <bool Record>
+    double place(const NeighborOp& op, std::size_t from, double latency);
+    void reset_touched(); ///< restores the base's busy seconds on the touched cores
     // finish_metrics' arithmetic, shared with the bound so both perform
     // the same floating-point operations.
     DesignMetrics finish_metrics(double latency);
-    double pipelined_tm(double latency); ///< fills busy_seconds_ from busy_
+    double pipelined_tm(double latency) const { return latency + (batches_ - 1.0) * staged_ii_; }
     double gamma_at(double tm_seconds) const;
-    bool within_deadline(double tm_seconds) const;
-    void check_mapping(const Mapping& mapping) const;
+    bool within_deadline(double tm_seconds) const {
+        return tm_seconds <= ctx_->deadline_seconds * (1.0 + 1e-9);
+    }
 
     // Memo: a direct-mapped cache over a flat key arena. A key is the
     // base mapping with the op applied; the hash of a mapping is the XOR
-    // of key_term(t, core_of(t)) over its tasks.
-    std::uint64_t key_term(TaskId task, CoreId core) const;
-    std::uint64_t hash_key(const CoreId* key) const;
+    // of plan key_terms over its (task, core) pairs.
     const DesignMetrics* memo_find(std::uint64_t hash, const NeighborOp& op) const;
     void memo_insert(std::uint64_t hash, const NeighborOp& op, const DesignMetrics& metrics);
 
     std::uint64_t weighted_bits(const std::uint64_t* row) const;
 
-    const EvaluationContext& ctx_;
+    std::shared_ptr<const EvalPlan> plan_;
+    const EvaluationContext* ctx_ = nullptr;
     EvalOptions options_;
-    std::size_t n_ = 0;
-    std::size_t cores_ = 0;
-    std::size_t words_ = 0; ///< fixed bitset width: register words per row
+    std::size_t n_ = 0, cores_ = 0, words_ = 0; ///< the plan's
     double batches_ = 1.0;
 
-    // Per-scaling precomputation.
-    std::vector<TaskId> order_;          ///< static schedule order
-    std::vector<std::size_t> pos_;       ///< task -> position in order_
-    std::vector<std::size_t> suffix_start_; ///< task -> earliest affected position
+    // Per-slot tables (rebind).
     std::vector<double> core_freq_;
-    std::vector<double> ser_rate_;       ///< SER per bit-second at each core's Vdd
+    std::vector<double> ser_rate_; ///< SER per bit-second at each core's Vdd
     std::vector<double> active_power_mw_;
     std::vector<double> exec_seconds_; ///< [task * cores_ + core]: per-batch execution time
     std::vector<double> comm_seconds_; ///< [edge * cores_ + core]: per-batch transfer time
-    /// Struct-of-arrays register state: each task's register set as a
-    /// fixed-width row of `words_` words (row-major arena, n_ rows), so
-    /// a per-core union is a contiguous `dst[w] |= src[w]` word loop
-    /// the compiler can vectorize — no pointer-chasing through
-    /// RegisterSet's per-set heap blocks.
-    std::vector<std::uint64_t> task_reg_words_; ///< [task * words_ + w]
-    std::vector<std::uint64_t> reg_bits_;       ///< register id -> width in bits
 
     // Scratch reused by every evaluation (no steady-state allocation).
     std::vector<double> data_ready_;
     std::vector<double> core_free_;
-    std::vector<std::uint64_t> busy_;
+    /// The candidate's busy seconds: the base's on every untouched core.
     std::vector<double> busy_seconds_;
     std::vector<double> utilization_;
     std::vector<std::uint64_t> register_bits_;
-    std::vector<std::int64_t> busy_delta_;
-    std::vector<std::uint64_t> union_words_;   ///< [core * words_ + w]
-    std::vector<std::uint64_t> scratch_words_; ///< one row, incremental path
+    std::vector<std::uint64_t> busy_;       ///< busy cycles, on the touched list
+    std::vector<CoreId> touched_;           ///< the first touched_count_ are live
+    std::size_t touched_count_ = 0;
+    std::vector<std::uint8_t> touched_mark_; ///< 1 on the touched list
+    double staged_ii_ = 0.0;                 ///< the evaluation's II
+    std::vector<std::uint64_t> scratch_words_; ///< one union row
     Mapping mapping_scratch_; ///< naive_reference candidate materialization
 
     // Incremental base state (valid while has_base_).
@@ -274,27 +274,32 @@ private:
     /// base_latency_prefix_[p]: the latency of the base schedule's first
     /// p placements (n_ + 1 entries, [0] = 0).
     std::vector<double> base_latency_prefix_;
-    std::vector<double> base_arrival_;      ///< per edge: data-arrival instant
-    std::vector<double> base_core_free_at_; ///< position-major [pos * cores + core]
+    std::vector<double> base_arrival_;   ///< per edge: data-arrival instant
+    std::vector<double> base_free_log_;  ///< per position: its core's free time before it
+    std::vector<double> base_core_free_; ///< per core: free time after the last placement
     std::vector<std::uint64_t> base_busy_;
+    std::vector<double> base_busy_seconds_;
+    std::array<CoreId, k_ii_top> ii_top_{}; ///< busiest first, by base_busy_seconds_
+    std::size_t ii_top_count_ = 0;
     std::vector<std::uint64_t> base_bits_;
-    std::uint64_t base_key_ = 0; ///< hash_key(base_)
-    // Base task->core partition in CSR form (built by each rebase into
-    // fixed-capacity arrays — no per-core vectors, no steady-state
-    // growth): core c's tasks are core_task_ids_[core_task_offsets_[c]
-    // .. core_task_offsets_[c + 1]), ascending by task id.
+    std::uint64_t base_key_ = 0; ///< the memo hash of base_
+    // Base task->core partition in CSR form (fixed-capacity arrays):
+    // core c's tasks are core_task_ids_[core_task_offsets_[c] ..
+    // core_task_offsets_[c + 1]), ascending by task id.
     std::vector<std::size_t> core_task_offsets_; ///< cores_ + 1 entries
-    std::vector<std::size_t> core_task_cursor_;  ///< counting-sort scratch
     std::vector<TaskId> core_task_ids_;          ///< n_ entries
 
     // Memo storage: slot i's key is memo_keys_[i * n_ .. (i + 1) * n_).
+    // A slot holds an entry of the current binding iff its epoch is
+    // memo_epoch_, which rebind() bumps.
     struct MemoSlot {
         std::uint64_t hash = 0;
-        bool occupied = false;
+        std::uint64_t epoch = 0;
         DesignMetrics metrics;
     };
     std::vector<MemoSlot> memo_; ///< power-of-two size
     std::vector<CoreId> memo_keys_;
+    std::uint64_t memo_epoch_ = 0;
 
     Stats stats_;
 };

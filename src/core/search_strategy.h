@@ -41,9 +41,9 @@ public:
                                      std::uint64_t seed,
                                      const CancellationToken* cancel = nullptr) const = 0;
 
-    /// Hot-path entry the explorer actually calls: the per-scaling
-    /// EvalContext (core/eval_context.h) carries preallocated scratch,
-    /// the memo table and the incremental scheduler for this worker.
+    /// Hot-path entry the explorer actually calls: the worker's
+    /// EvalContext (core/eval_context.h), rebound to the slot, carries
+    /// preallocated scratch, the memo table and the incremental scheduler.
     /// The default forwards to the EvaluationContext overload, so
     /// custom strategies that never heard of EvalContext keep working;
     /// the built-ins override it to run their walks on `eval`

@@ -89,8 +89,8 @@ public:
 /// static b-level (ties by task id) — a strict total order on a set
 /// that evolves purely from the graph structure, so the sequence is a
 /// pure function of the graph: independent of the mapping and of the
-/// scaling levels. core/eval_context.h precomputes it once per scaling
-/// search and replays only timing arithmetic per candidate.
+/// scaling levels. core/eval_context.h's EvalPlan computes it once per
+/// explore and replays only timing arithmetic per candidate.
 std::vector<TaskId> static_schedule_order(const TaskGraph& graph);
 
 /// Calendar-style ready list over a fixed slot universe [0, slot_count):

@@ -2,12 +2,14 @@
 
 #include "sim/campaign_checkpoint.h"
 #include "util/cancellation.h"
+#include "util/error.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace seamap {
 
@@ -22,11 +24,25 @@ std::string_view fault_site_name(FaultSite site) {
 
 namespace {
 
+// Neither the shard count nor a shard's end (run()) may wrap near
+// 2^64, whatever trials and shard_size are.
+std::uint64_t shard_count_of(const CampaignConfig& config) {
+    return config.trials / config.shard_size + (config.trials % config.shard_size != 0);
+}
+
 void validate_config(const CampaignConfig& config) {
     if (config.trials == 0)
         throw std::invalid_argument("CampaignEngine: campaign needs >= 1 trial");
     if (config.shard_size == 0)
         throw std::invalid_argument("CampaignEngine: shard_size must be >= 1");
+    // run() sizes its result slots and the checkpointer's done bitmap by
+    // the shard count: refuse tables over 1 GiB up front.
+    if (const std::uint64_t shards = shard_count_of(config);
+        shards > (std::uint64_t{1} << 30) / (sizeof(CampaignTally) + 1))
+        throw Error(ErrorCategory::invalid_argument,
+                    "CampaignEngine: " + std::to_string(shards) + " shards of " +
+                        std::to_string(config.shard_size) +
+                        " trials need over 1 GiB of shard tables; raise the shard size");
     auto finite_non_negative = [](double x) { return std::isfinite(x) && x >= 0.0; };
     if (!finite_non_negative(config.weights.register_file) ||
         !finite_non_negative(config.weights.pipeline) ||
@@ -134,9 +150,7 @@ CampaignReport CampaignEngine::run(const TaskGraph& graph, const Mapping& mappin
     for (const FaultSource& source : sources) samplers.emplace_back(source.mean_seus);
     const std::uint64_t trials = config_.trials;
     const std::uint64_t shard_size = config_.shard_size;
-    // Neither the shard count nor a shard's end (below) may wrap near
-    // 2^64, whatever trials and shard_size are.
-    const std::uint64_t shard_count = trials / shard_size + (trials % shard_size != 0);
+    const std::uint64_t shard_count = shard_count_of(config_);
     const std::size_t cores = arch.core_count();
     const std::size_t tasks = graph.task_count();
 

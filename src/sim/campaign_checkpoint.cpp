@@ -166,80 +166,69 @@ std::uint64_t campaign_state_hash(const TaskGraph& graph, const Mapping& mapping
 }
 
 CampaignCheckpointer::CampaignCheckpointer(std::string path, std::uint64_t state_hash)
-    : path_(std::move(path)), state_hash_(state_hash) {}
-
-void CampaignCheckpointer::set_cadence(std::uint64_t every_shards, double interval_seconds) {
-    std::lock_guard lock(mutex_);
-    every_shards_ = every_shards;
-    timer_ = IntervalTimer(interval_seconds);
-}
+    : Checkpointer(std::move(path), "campaign", state_hash) {}
 
 std::optional<CampaignResumeInfo> CampaignCheckpointer::load() {
-    std::optional<CheckpointLoad> loaded = load_checkpoint(path_, "campaign", state_hash_);
+    std::optional<CheckpointLoad> loaded = load_snapshot();
     if (!loaded) return std::nullopt;
     const std::vector<std::string>& lines = loaded->data.lines;
     if (lines.size() != k_payload_lines)
-        fail_decode(path_, "expected " + std::to_string(k_payload_lines) +
+        fail_decode(path(), "expected " + std::to_string(k_payload_lines) +
                                " payload lines");
 
     const std::vector<std::string> head = split(lines[0], ' ');
     if (head.size() != 4 || head[0] != "shards" || head[2] != "completed")
-        fail_decode(path_, "bad header line");
-    const std::uint64_t shard_count = field_u64(path_, head, 1);
-    const std::uint64_t completed = field_u64(path_, head, 3);
-    if (completed > shard_count) fail_decode(path_, "completed exceeds shard count");
+        fail_decode(path(), "bad header line");
+    const std::uint64_t shard_count = field_u64(path(), head, 1);
+    const std::uint64_t completed = field_u64(path(), head, 3);
+    if (completed > shard_count) fail_decode(path(), "completed exceeds shard count");
 
     const std::vector<std::string> done_fields = split(lines[1], ' ');
     if (done_fields.size() != 2 || done_fields[0] != "done")
-        fail_decode(path_, "bad bitmap line");
-    std::vector<std::uint8_t> done = bitmap_of_hex(path_, done_fields[1], shard_count);
+        fail_decode(path(), "bad bitmap line");
+    std::vector<std::uint8_t> done = bitmap_of_hex(path(), done_fields[1], shard_count);
     std::uint64_t marked = 0;
     for (const std::uint8_t d : done) marked += d;
-    if (marked != completed) fail_decode(path_, "bitmap disagrees with completed count");
+    if (marked != completed) fail_decode(path(), "bitmap disagrees with completed count");
 
     const std::vector<std::string> total_fields = split(lines[2], ' ');
     if (total_fields.size() != 8 || total_fields[0] != "total")
-        fail_decode(path_, "bad total line");
-    const ExactMomentsState total = decode_moments(path_, total_fields, 1);
+        fail_decode(path(), "bad total line");
+    const ExactMomentsState total = decode_moments(path(), total_fields, 1);
 
     std::array<ExactMomentsState, k_fault_site_count> sites;
     for (std::size_t s = 0; s < k_fault_site_count; ++s) {
         const std::vector<std::string> fields = split(lines[3 + s], ' ');
         if (fields.size() != 9 || fields[0] != "site" ||
             fields[1] != std::to_string(s))
-            fail_decode(path_, "bad site line");
-        sites[s] = decode_moments(path_, fields, 2);
+            fail_decode(path(), "bad site line");
+        sites[s] = decode_moments(path(), fields, 2);
     }
 
     const std::vector<std::string> cores_line =
         split(lines[3 + k_fault_site_count], ' ');
     if (cores_line.size() != 2 || cores_line[0] != "cores")
-        fail_decode(path_, "bad cores line");
+        fail_decode(path(), "bad cores line");
     const std::vector<std::string> tasks_line =
         split(lines[4 + k_fault_site_count], ' ');
     if (tasks_line.size() != 2 || tasks_line[0] != "tasks")
-        fail_decode(path_, "bad tasks line");
+        fail_decode(path(), "bad tasks line");
 
     CampaignTally partial;
     partial.shards = completed;
     partial.total = ExactMoments::from_state(total);
     for (std::size_t s = 0; s < k_fault_site_count; ++s)
         partial.per_site[s] = ExactMoments::from_state(sites[s]);
-    partial.hits_per_core = u64s_of_csv(path_, cores_line[1]);
-    partial.hits_per_task = u64s_of_csv(path_, tasks_line[1]);
+    partial.hits_per_core = u64s_of_csv(path(), cores_line[1]);
+    partial.hits_per_task = u64s_of_csv(path(), tasks_line[1]);
 
     std::lock_guard lock(mutex_);
     shaped_ = true;
     shard_count_ = shard_count;
     done_ = std::move(done);
     partial_ = std::move(partial);
-    flushed_completed_ = completed;
-
-    CampaignResumeInfo info;
-    info.shards_completed = completed;
-    info.shard_count = shard_count_;
-    info.from_fallback = loaded->from_fallback;
-    return info;
+    set_flushed_locked(completed);
+    return CampaignResumeInfo{completed, shard_count, loaded->from_fallback};
 }
 
 CampaignTally CampaignCheckpointer::initialize(std::uint64_t shard_count,
@@ -250,7 +239,7 @@ CampaignTally CampaignCheckpointer::initialize(std::uint64_t shard_count,
         if (shard_count_ != shard_count || partial_.hits_per_core.size() != core_count ||
             partial_.hits_per_task.size() != task_count)
             throw Error(ErrorCategory::checkpoint_corrupt,
-                        "campaign checkpoint shapes disagree with this run", path_);
+                        "campaign checkpoint shapes disagree with this run", path());
         return partial_;
     }
     shaped_ = true;
@@ -277,48 +266,23 @@ void CampaignCheckpointer::record_shard(std::uint64_t shard, const CampaignTally
     if (on_shard_recorded) on_shard_recorded(now_completed);
 }
 
-void CampaignCheckpointer::maybe_flush() {
-    std::lock_guard lock(mutex_);
-    if (partial_.shards == flushed_completed_) return;
-    const bool by_count =
-        every_shards_ > 0 && partial_.shards - flushed_completed_ >= every_shards_;
-    if (!by_count && !timer_.due()) return;
-    flush_locked();
-}
-
-void CampaignCheckpointer::flush() {
-    std::lock_guard lock(mutex_);
-    if (partial_.shards == flushed_completed_) return;
-    flush_locked();
-}
-
-void CampaignCheckpointer::remove() {
-    std::lock_guard lock(mutex_);
-    remove_checkpoint(path_);
-    flushed_completed_ = 0;
-}
-
-void CampaignCheckpointer::flush_locked() {
-    CheckpointData data;
-    data.kind = "campaign";
-    data.state_hash = state_hash_;
-    data.lines.reserve(k_payload_lines);
-    data.lines.push_back("shards " + std::to_string(shard_count_) + " completed " +
-                         std::to_string(partial_.shards));
-    data.lines.push_back("done " + hex_of_bitmap(done_));
+std::vector<std::string> CampaignCheckpointer::payload_locked() const {
+    std::vector<std::string> lines;
+    lines.reserve(k_payload_lines);
+    lines.push_back("shards " + std::to_string(shard_count_) + " completed " +
+                    std::to_string(partial_.shards));
+    lines.push_back("done " + hex_of_bitmap(done_));
     std::string total = "total";
     encode_moments(total, partial_.total.state());
-    data.lines.push_back(std::move(total));
+    lines.push_back(std::move(total));
     for (std::size_t s = 0; s < k_fault_site_count; ++s) {
         std::string line = "site " + std::to_string(s);
         encode_moments(line, partial_.per_site[s].state());
-        data.lines.push_back(std::move(line));
+        lines.push_back(std::move(line));
     }
-    data.lines.push_back("cores " + csv_of_u64s(partial_.hits_per_core));
-    data.lines.push_back("tasks " + csv_of_u64s(partial_.hits_per_task));
-    save_checkpoint(path_, data);
-    flushed_completed_ = partial_.shards;
-    timer_.reset();
+    lines.push_back("cores " + csv_of_u64s(partial_.hits_per_core));
+    lines.push_back("tasks " + csv_of_u64s(partial_.hits_per_task));
+    return lines;
 }
 
 } // namespace seamap

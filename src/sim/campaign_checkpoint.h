@@ -27,12 +27,10 @@
 #include "sched/mapping.h"
 #include "sim/campaign.h"
 #include "taskgraph/task_graph.h"
-#include "util/cancellation.h"
 #include "util/checkpoint.h"
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -57,14 +55,10 @@ struct CampaignResumeInfo {
 /// persists it as crash-safe snapshots. The campaign engine records
 /// every finished shard here (thread-safe); flushing happens on the
 /// configured cadence and on demand.
-class CampaignCheckpointer {
+class CampaignCheckpointer final : public Checkpointer {
 public:
+    /// The cadence (set_cadence) counts recorded shards.
     CampaignCheckpointer(std::string path, std::uint64_t state_hash);
-
-    /// Flush cadence: persist after every `every_shards` newly recorded
-    /// shards (0 = never by count) and whenever `interval_seconds`
-    /// elapsed since the last flush (0 = never by time).
-    void set_cadence(std::uint64_t every_shards, double interval_seconds);
 
     /// Load the snapshot at path() into this accumulator. Returns
     /// nullopt when no snapshot exists; throws
@@ -89,34 +83,19 @@ public:
     /// it done. Thread-safe; ignores shards already recorded.
     void record_shard(std::uint64_t shard, const CampaignTally& tally);
 
-    /// Persist when the cadence is due and new shards were recorded.
-    void maybe_flush();
-    /// Persist now when new shards were recorded since the last flush.
-    void flush();
-
-    /// Delete the snapshot files.
-    void remove();
-
-    const std::string& path() const { return path_; }
-
     /// Test hook: invoked after each record_shard (outside the internal
     /// lock) with the new completed count — lets tests stop a campaign
     /// at a deterministic point. Not used in production.
     std::function<void(std::uint64_t)> on_shard_recorded;
 
 private:
-    void flush_locked();
+    std::uint64_t recorded_locked() const override { return partial_.shards; }
+    std::vector<std::string> payload_locked() const override;
 
-    std::string path_;
-    std::uint64_t state_hash_;
-    mutable std::mutex mutex_;
     bool shaped_ = false;
     std::uint64_t shard_count_ = 0;
     std::vector<std::uint8_t> done_;
     CampaignTally partial_;
-    std::uint64_t flushed_completed_ = 0;
-    std::uint64_t every_shards_ = 0;
-    IntervalTimer timer_{0.0};
 };
 
 } // namespace seamap

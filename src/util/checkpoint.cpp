@@ -11,6 +11,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -254,6 +255,45 @@ void remove_checkpoint(const std::string& path) {
     std::remove(path.c_str());
     std::remove((path + ".prev").c_str());
     std::remove((path + ".tmp").c_str());
+}
+
+Checkpointer::Checkpointer(std::string path, std::string kind, std::uint64_t state_hash)
+    : path_(std::move(path)), kind_(std::move(kind)), state_hash_(state_hash) {}
+
+void Checkpointer::set_cadence(std::uint64_t every, double interval_seconds) {
+    std::lock_guard lock(mutex_);
+    every_ = every;
+    timer_ = IntervalTimer(interval_seconds);
+}
+
+void Checkpointer::maybe_flush() {
+    std::lock_guard lock(mutex_);
+    const std::uint64_t recorded = recorded_locked();
+    if (recorded == flushed_) return;
+    const bool by_count = every_ > 0 && recorded - flushed_ >= every_;
+    if (!by_count && !timer_.due()) return;
+    flush_locked();
+}
+
+void Checkpointer::flush() {
+    std::lock_guard lock(mutex_);
+    if (recorded_locked() != flushed_) flush_locked();
+}
+
+void Checkpointer::remove() {
+    std::lock_guard lock(mutex_);
+    remove_checkpoint(path_);
+    flushed_ = 0;
+}
+
+std::optional<CheckpointLoad> Checkpointer::load_snapshot() const {
+    return load_checkpoint(path_, kind_, state_hash_);
+}
+
+void Checkpointer::flush_locked() {
+    save_checkpoint(path_, CheckpointData{kind_, state_hash_, payload_locked()});
+    flushed_ = recorded_locked();
+    timer_.reset();
 }
 
 std::uint64_t fnv1a64(std::string_view bytes) {

@@ -32,7 +32,10 @@
 // bit pattern instead of going through decimal.
 #pragma once
 
+#include "util/cancellation.h"
+
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -77,6 +80,41 @@ std::optional<CheckpointLoad> load_checkpoint(const std::string& path,
 /// Remove `path`, its ".prev" rotation and any stale ".tmp"; used after
 /// a run completes and by tests. Missing files are not an error.
 void remove_checkpoint(const std::string& path);
+
+/// The lifecycle the explorer and campaign checkpointers share: one
+/// snapshot path of one kind and state hash, the flush cadence, and the
+/// mutex that serializes recording and flushing. A subclass counts the
+/// units it has recorded and renders its payload, both under mutex_.
+class Checkpointer {
+public:
+    Checkpointer(std::string path, std::string kind, std::uint64_t state_hash);
+
+    /// Flush cadence: persist after every `every` newly recorded units
+    /// (0 = never by count) and whenever `interval_seconds` elapsed since
+    /// the last flush (0 = never by time). flush() is always available.
+    void set_cadence(std::uint64_t every, double interval_seconds);
+    void maybe_flush(); ///< persist when the cadence is due and units are new
+    void flush();       ///< persist now when units are new
+    void remove();      ///< delete the snapshot files (remove_checkpoint)
+    const std::string& path() const { return path_; }
+
+protected:
+    ~Checkpointer() = default; // never deleted through the base
+    std::optional<CheckpointLoad> load_snapshot() const; ///< of this path, kind and hash
+    /// Under mutex_: the first `recorded` units are on disk.
+    void set_flushed_locked(std::uint64_t recorded) { flushed_ = recorded; }
+    virtual std::uint64_t recorded_locked() const = 0;
+    virtual std::vector<std::string> payload_locked() const = 0;
+
+    mutable std::mutex mutex_;
+
+private:
+    void flush_locked();
+
+    std::string path_, kind_;
+    std::uint64_t state_hash_, flushed_ = 0, every_ = 0;
+    IntervalTimer timer_{0.0};
+};
 
 /// FNV-1a 64-bit checksum over `bytes`.
 std::uint64_t fnv1a64(std::string_view bytes);

@@ -183,6 +183,17 @@ TEST_F(CliErrorsTest, NanCampaignWeightIsRejectedBeforeExploring) {
     expect_contains(r.err, "CampaignEngine");
 }
 
+TEST_F(CliErrorsTest, HugeCampaignIsInvalidArgumentNotBadAlloc) {
+    // 2^64 - 1 trials in 1024-trial shards: the per-shard tables would
+    // not fit, so the engine refuses the shape before exploring.
+    const RunResult r =
+        run("campaign " + fig8_path() + " --cores 2 --trials 18446744073709551615 --json");
+    EXPECT_EQ(r.status, 2);
+    expect_contains(r.out, "\"code\": \"invalid_argument\"");
+    expect_contains(r.err, "18014398509481984 shards of 1024 trials");
+    EXPECT_EQ(r.err.find("bad_alloc"), std::string::npos) << r.err;
+}
+
 TEST_F(CliErrorsTest, CorruptCheckpointIsRejected) {
     const std::string ckpt = path_of("broken.ckpt");
     {

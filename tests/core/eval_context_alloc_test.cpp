@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -199,6 +200,46 @@ TEST(EvalContextAlloc, SteadyStateRebaseIsAllocationFree) {
         double sink = 0.0;
         for (const Mapping& base : bases) sink += eval.rebase(base).gamma;
         EXPECT_EQ(guard.allocations(), 0u) << "rebase() allocated in steady state on " << w.label;
+        EXPECT_GT(sink, 0.0);
+    }
+}
+
+// The explorer's per-slot setup: one context per worker, rebound to
+// every slot. After the first slot's warm-up (the stored base mapping's
+// first copy), a rebind plus the slot's rebase and candidates allocate
+// nothing.
+TEST(EvalContextAlloc, RebindIsAllocationFree) {
+    SEAMAP_REQUIRE_ALLOC_GUARD();
+    for (const Workload& w : workloads()) {
+        const MpsocArchitecture arch(w.cores, VoltageScalingTable::arm7_three_level());
+        std::vector<EvaluationContext> slots;
+        for (ScalingLevel level = 1; level <= 3; ++level)
+            for (std::size_t c = 0; c < w.cores; ++c) {
+                ScalingVector levels(w.cores, level);
+                levels[c] = static_cast<ScalingLevel>(level % 3 + 1);
+                slots.push_back({w.graph, arch, levels, SeuEstimator{SerModel{}},
+                                 w.deadline_seconds});
+            }
+        EvalContext eval(std::make_shared<const EvalPlan>(w.graph, w.cores));
+        Rng rng(27);
+        const Mapping base = random_mapping(w.graph, w.cores, rng);
+        eval.rebind(slots.front());
+        (void)eval.rebase(base); // warm-up: first-call growth
+        Mapping neighbor = base;
+        std::vector<NeighborOp> ops;
+        for (int i = 0; i < 16; ++i) {
+            neighbor = base;
+            ops.push_back(random_neighbor_op(neighbor, rng, 0.4, false));
+        }
+
+        AllocationGuard guard;
+        double sink = 0.0;
+        for (const EvaluationContext& slot : slots) {
+            eval.rebind(slot);
+            sink += eval.rebase(base).gamma;
+            for (const NeighborOp& op : ops) sink += eval.evaluate_neighbor(op).gamma;
+        }
+        EXPECT_EQ(guard.allocations(), 0u) << "rebind allocated on " << w.label;
         EXPECT_GT(sink, 0.0);
     }
 }

@@ -7,6 +7,7 @@
 #include "taskgraph/mpeg2.h"
 #include "tgff/random_graph.h"
 #include "util/cancellation.h"
+#include "util/error.h"
 
 #include <gtest/gtest.h>
 
@@ -383,6 +384,23 @@ TEST(CampaignEngine, ShardArithmeticDoesNotWrap) {
                                            &stopped);
     EXPECT_EQ(report.shards, 2u);
     EXPECT_EQ(report.shards_completed, 0u);
+}
+
+TEST(CampaignEngine, OversizedShardTablesAreAStructuredError) {
+    CampaignConfig config;
+    config.trials = std::numeric_limits<std::uint64_t>::max();
+    try {
+        CampaignEngine(SerModel{}, config);
+        FAIL() << "2^64 - 1 trials in 1024-trial shards were accepted";
+    } catch (const Error& e) {
+        EXPECT_EQ(e.category(), ErrorCategory::invalid_argument);
+        EXPECT_NE(e.message().find("18014398509481984 shards of 1024 trials"),
+                  std::string::npos)
+            << e.message();
+    }
+    // The same trials in 2^48-trial shards fit (2^16 shards).
+    config.shard_size = std::uint64_t{1} << 48;
+    EXPECT_NO_THROW(CampaignEngine(SerModel{}, config));
 }
 
 // tier1 smoke: a short multi-threaded campaign on every scenario; runs

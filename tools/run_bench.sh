@@ -8,7 +8,7 @@
 # The second argument is either an output path (anything containing a
 # '/' or ending in .json) or a bare PR number N, which resolves to
 # <build-dir>/BENCH_N.json. Defaults: build directory `build`, PR
-# number ${BENCH_PR:-25} (the current perf-trajectory point).
+# number ${BENCH_PR:-26} (the current perf-trajectory point).
 # The JSON context records the git sha (suffixed -dirty for an
 # uncommitted tree), the compiler, the CMake build type and nproc.
 # Every benchmark runs 5 repetitions and only the aggregates (mean,
@@ -17,17 +17,18 @@
 #   BENCH_FILTER='bm_explore_prunable|bm_eval' tools/run_bench.sh
 #
 # The benchmarks run in two passes merged into the one JSON. The
-# single-thread slot and trial benches (bm_search_acceptance_slot,
-# bm_campaign_trial, bm_rng_fork_draws, bm_fault_injection_trial; the
-# PINNED regex below) run in the second pass, pinned to CPU 0 with
-# `taskset -c 0` when taskset exists and with --benchmark_min_time=1:
+# single-thread slot, setup and trial benches (bm_search_acceptance_slot,
+# bm_eval_rebind, bm_campaign_trial, bm_rng_fork_draws,
+# bm_fault_injection_trial; the PINNED regex below) run in the second
+# pass, pinned to CPU 0 with `taskset -c 0` when taskset exists and with
+# --benchmark_min_time=1:
 # unpinned at the default minimum time their CV reaches 20%, too wide
 # to resolve a 15-20% change. The JSON context's `pinned` field names
 # what that pass ran and how.
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
-BENCH_PR="${BENCH_PR:-25}"
+BENCH_PR="${BENCH_PR:-26}"
 SPEC="${2:-${BENCH_PR}}"
 if [[ "${SPEC}" == */* || "${SPEC}" == *.json ]]; then
     OUT="${SPEC}"
@@ -60,7 +61,7 @@ CONTEXT="git_sha=${GIT_SHA},compiler=${COMPILER:-unknown}"
 CONTEXT+=",build_type=$(cache_value CMAKE_BUILD_TYPE),nproc=$(nproc)"
 
 BENCH="${BUILD_DIR}/bench/bench_micro"
-PINNED='^bm_(search_acceptance_slot|campaign_trial|rng_fork_draws|fault_injection_trial)(/|$)'
+PINNED='^bm_(search_acceptance_slot|eval_rebind|campaign_trial|rng_fork_draws|fault_injection_trial)(/|$)'
 PIN=()
 if command -v taskset > /dev/null; then
     PIN=(taskset -c 0)
