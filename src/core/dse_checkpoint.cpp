@@ -10,8 +10,8 @@ namespace seamap {
 
 namespace {
 
-// --- payload encoding -----------------------------------------------
-// One line per decided slot, space-separated fields:
+// --- record encoding ------------------------------------------------
+// One record per decided slot, space-separated fields:
 //   pruned <combo>
 //   nodesign <combo>
 //   feasible <combo> <point>
@@ -54,7 +54,7 @@ std::string encode_record(const DseSlotRecord& record) {
 }
 
 [[noreturn]] void fail_decode(const std::string& path, const std::string& why) {
-    throw Error(ErrorCategory::checkpoint_corrupt, "corrupt dse checkpoint payload: " + why,
+    throw Error(ErrorCategory::checkpoint_corrupt, "corrupt dse checkpoint record: " + why,
                 path);
 }
 
@@ -181,23 +181,20 @@ DseCheckpointer::DseCheckpointer(std::string path, std::uint64_t state_hash)
 
 std::optional<DseResumeInfo> DseCheckpointer::load(std::size_t task_count,
                                                    std::size_t core_count) {
-    std::optional<CheckpointLoad> loaded = load_snapshot();
-    if (!loaded) return std::nullopt;
+    const std::optional<std::vector<std::string>> lines = load_records();
+    if (!lines) return std::nullopt;
     DseResumeState state;
-    state.from_fallback = loaded->from_fallback;
-    state.records.reserve(loaded->data.lines.size());
-    for (const std::string& line : loaded->data.lines)
+    state.records.reserve(lines->size());
+    for (const std::string& line : *lines)
         state.records.push_back(decode_record(path(), line, task_count, core_count));
-    std::lock_guard lock(mutex_);
-    lines_ = std::move(loaded->data.lines);
-    set_flushed_locked(lines_.size());
     resume_ = std::move(state);
-    return DseResumeInfo{resume_->records.size(), resume_->from_fallback};
+    return DseResumeInfo{resume_->records.size()};
 }
 
 void DseCheckpointer::record(const DseSlotRecord& record) {
+    std::string line = encode_record(record);
     std::lock_guard lock(mutex_);
-    lines_.push_back(encode_record(record));
+    append_locked(std::move(line));
 }
 
 } // namespace seamap

@@ -1,5 +1,5 @@
 // Crash-safe checkpoint/resume for the design-space explorer
-// (core/dse.h), built on the generic snapshot layer (util/checkpoint.h).
+// (core/dse.h), built on the checkpoint journal (util/checkpoint.h).
 //
 // What is persisted — and why it is exactly resumable: the explorer's
 // replay ledger decides every gate-passing slot in pop order, and each
@@ -11,7 +11,7 @@
 // reproduces the uninterrupted run byte-for-byte — at any thread
 // count, since thread count never influences replay decisions.
 //
-// Snapshots are keyed by dse_state_hash(), a content hash of everything
+// Journals are keyed by dse_state_hash(), a content hash of everything
 // that determines the byte-exact outcome (graph, architecture,
 // deadline, SER model, search parameters, strategy name). The thread
 // count, which the result is provably invariant to, is excluded, so a
@@ -50,15 +50,11 @@ struct DseSlotRecord {
 /// Parsed resume state: the decided prefix in slot pop order.
 struct DseResumeState {
     std::vector<DseSlotRecord> records;
-    /// True when the primary snapshot was corrupt and ".prev" supplied
-    /// the data (the caller may want to tell the user).
-    bool from_fallback = false;
 };
 
 /// What load() found, for caller messaging.
 struct DseResumeInfo {
     std::uint64_t slots_decided = 0;
-    bool from_fallback = false;
 };
 
 /// Content hash of the exploration inputs that determine the byte-exact
@@ -68,24 +64,24 @@ std::uint64_t dse_state_hash(const TaskGraph& graph, const MpsocArchitecture& ar
                              const SerModel& ser, ExposurePolicy policy,
                              std::string_view strategy_name);
 
-/// Accumulates decided-slot records and persists them as crash-safe
-/// snapshots. record() is cheap (string encode) so the explorer can
-/// call it under its bookkeeping mutex; maybe_flush()/flush() do the
-/// file I/O and are called outside it. Thread-safe.
+/// Appends one journal record per decided slot. record() is cheap
+/// (string encode) so the explorer can call it under its bookkeeping
+/// mutex; maybe_flush()/flush() do the file I/O and are called outside
+/// it. Thread-safe.
 class DseCheckpointer final : public Checkpointer {
 public:
     /// The cadence (set_cadence) counts decided slots.
     DseCheckpointer(std::string path, std::uint64_t state_hash);
 
-    /// Load the snapshot at path(), seeding this checkpointer with the
-    /// stored prefix so later flushes extend it and exposing the
-    /// decoded records via resume_state(). Calling load() is how the
-    /// owner opts into resuming: explore() only consumes state that was
-    /// loaded beforehand, so skipping load() means a fresh start.
+    /// Load the journal at path(), so later flushes append after its
+    /// decided prefix, and expose the decoded records via
+    /// resume_state(). Calling load() is how the owner opts into
+    /// resuming: explore() only consumes state that was loaded
+    /// beforehand, so skipping load() means a fresh start.
     /// `task_count` and `core_count` shape the decoded mappings (and
     /// are validated against every record). Returns nullopt when no
-    /// snapshot exists; throws Error(checkpoint_corrupt/_mismatch) as
-    /// documented on load_checkpoint().
+    /// journal exists; throws Error(checkpoint_corrupt/_mismatch) as
+    /// util/checkpoint.h documents.
     std::optional<DseResumeInfo> load(std::size_t task_count, std::size_t core_count);
 
     /// The decoded prefix from a successful load(); nullptr otherwise.
@@ -95,11 +91,7 @@ public:
     void record(const DseSlotRecord& record);
 
 private:
-    std::uint64_t recorded_locked() const override { return lines_.size(); }
-    std::vector<std::string> payload_locked() const override { return lines_; }
-
     std::optional<DseResumeState> resume_;
-    std::vector<std::string> lines_;
 };
 
 } // namespace seamap

@@ -4,63 +4,21 @@
 #include "util/error.h"
 #include "util/strings.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace seamap {
 
 namespace {
 
-// --- payload encoding -----------------------------------------------
-// Fixed payload of 5 + k_fault_site_count lines:
-//   shards <count> completed <n>
-//   done <hex bitmap>                  # byte j bit k = shard 8j+k
-//   total <ExactMomentsState>          # 7 decimal u64 fields
-//   site <i> <ExactMomentsState>       # one per fault site
-//   cores <csv u64>
-//   tasks <csv u64>
-constexpr std::size_t k_payload_lines = 5 + k_fault_site_count;
-// Every field is an integer, so the round-trip is exact by
+// --- record encoding ------------------------------------------------
+// One record per finished shard, space-separated fields:
+//   shard <index> <total> <site 0> ... <site k-1> <cores csv> <tasks csv>
+// where each moments field group is an ExactMomentsState's 7 decimal
+// u64s. Every field is an integer, so the round-trip is exact by
 // construction — no float rendering is involved anywhere.
-
-std::string hex_of_bitmap(const std::vector<std::uint8_t>& done) {
-    static constexpr char digits[] = "0123456789abcdef";
-    const std::size_t bytes = (done.size() + 7) / 8;
-    std::string out(bytes * 2, '0');
-    for (std::size_t i = 0; i < done.size(); ++i) {
-        if (done[i] == 0) continue;
-        const std::size_t byte = i / 8;
-        const unsigned bit = static_cast<unsigned>(i % 8);
-        const std::size_t nibble = byte * 2 + (bit < 4 ? 1 : 0);
-        const unsigned value =
-            static_cast<unsigned>(out[nibble] >= 'a' ? out[nibble] - 'a' + 10
-                                                     : out[nibble] - '0');
-        out[nibble] = digits[value | (1u << (bit % 4))];
-    }
-    return out;
-}
-
-std::vector<std::uint8_t> bitmap_of_hex(const std::string& path, std::string_view hex,
-                                        std::uint64_t shard_count) {
-    if (hex.size() != ((shard_count + 7) / 8) * 2)
-        throw Error(ErrorCategory::checkpoint_corrupt,
-                    "corrupt campaign checkpoint payload: bitmap length mismatch", path);
-    std::vector<std::uint8_t> done(shard_count, 0);
-    for (std::uint64_t i = 0; i < shard_count; ++i) {
-        const std::uint64_t byte = i / 8;
-        const unsigned bit = static_cast<unsigned>(i % 8);
-        const char c = hex[byte * 2 + (bit < 4 ? 1 : 0)];
-        unsigned value = 0;
-        if (c >= '0' && c <= '9')
-            value = static_cast<unsigned>(c - '0');
-        else if (c >= 'a' && c <= 'f')
-            value = static_cast<unsigned>(c - 'a' + 10);
-        else
-            throw Error(ErrorCategory::checkpoint_corrupt,
-                        "corrupt campaign checkpoint payload: non-hex bitmap", path);
-        if ((value >> (bit % 4)) & 1u) done[i] = 1;
-    }
-    return done;
-}
+constexpr std::size_t k_moment_fields = 7;
+constexpr std::size_t k_record_fields = 4 + k_moment_fields * (1 + k_fault_site_count);
 
 void encode_moments(std::string& out, const ExactMomentsState& s) {
     out += ' ' + std::to_string(s.count);
@@ -74,7 +32,7 @@ void encode_moments(std::string& out, const ExactMomentsState& s) {
 
 [[noreturn]] void fail_decode(const std::string& path, const std::string& why) {
     throw Error(ErrorCategory::checkpoint_corrupt,
-                "corrupt campaign checkpoint payload: " + why, path);
+                "corrupt campaign checkpoint record: " + why, path);
 }
 
 std::uint64_t field_u64(const std::string& path, const std::vector<std::string>& fields,
@@ -169,83 +127,59 @@ CampaignCheckpointer::CampaignCheckpointer(std::string path, std::uint64_t state
     : Checkpointer(std::move(path), "campaign", state_hash) {}
 
 std::optional<CampaignResumeInfo> CampaignCheckpointer::load() {
-    std::optional<CheckpointLoad> loaded = load_snapshot();
-    if (!loaded) return std::nullopt;
-    const std::vector<std::string>& lines = loaded->data.lines;
-    if (lines.size() != k_payload_lines)
-        fail_decode(path(), "expected " + std::to_string(k_payload_lines) +
-                               " payload lines");
-
-    const std::vector<std::string> head = split(lines[0], ' ');
-    if (head.size() != 4 || head[0] != "shards" || head[2] != "completed")
-        fail_decode(path(), "bad header line");
-    const std::uint64_t shard_count = field_u64(path(), head, 1);
-    const std::uint64_t completed = field_u64(path(), head, 3);
-    if (completed > shard_count) fail_decode(path(), "completed exceeds shard count");
-
-    const std::vector<std::string> done_fields = split(lines[1], ' ');
-    if (done_fields.size() != 2 || done_fields[0] != "done")
-        fail_decode(path(), "bad bitmap line");
-    std::vector<std::uint8_t> done = bitmap_of_hex(path(), done_fields[1], shard_count);
-    std::uint64_t marked = 0;
-    for (const std::uint8_t d : done) marked += d;
-    if (marked != completed) fail_decode(path(), "bitmap disagrees with completed count");
-
-    const std::vector<std::string> total_fields = split(lines[2], ' ');
-    if (total_fields.size() != 8 || total_fields[0] != "total")
-        fail_decode(path(), "bad total line");
-    const ExactMomentsState total = decode_moments(path(), total_fields, 1);
-
-    std::array<ExactMomentsState, k_fault_site_count> sites;
-    for (std::size_t s = 0; s < k_fault_site_count; ++s) {
-        const std::vector<std::string> fields = split(lines[3 + s], ' ');
-        if (fields.size() != 9 || fields[0] != "site" ||
-            fields[1] != std::to_string(s))
-            fail_decode(path(), "bad site line");
-        sites[s] = decode_moments(path(), fields, 2);
-    }
-
-    const std::vector<std::string> cores_line =
-        split(lines[3 + k_fault_site_count], ' ');
-    if (cores_line.size() != 2 || cores_line[0] != "cores")
-        fail_decode(path(), "bad cores line");
-    const std::vector<std::string> tasks_line =
-        split(lines[4 + k_fault_site_count], ' ');
-    if (tasks_line.size() != 2 || tasks_line[0] != "tasks")
-        fail_decode(path(), "bad tasks line");
-
+    const std::optional<std::vector<std::string>> lines = load_records();
+    if (!lines) return std::nullopt;
+    std::vector<std::uint64_t> restored;
     CampaignTally partial;
-    partial.shards = completed;
-    partial.total = ExactMoments::from_state(total);
-    for (std::size_t s = 0; s < k_fault_site_count; ++s)
-        partial.per_site[s] = ExactMoments::from_state(sites[s]);
-    partial.hits_per_core = u64s_of_csv(path(), cores_line[1]);
-    partial.hits_per_task = u64s_of_csv(path(), tasks_line[1]);
+    for (const std::string& line : *lines) {
+        const std::vector<std::string> fields = split(line, ' ');
+        if (fields.size() != k_record_fields || fields[0] != "shard")
+            fail_decode(path(), "bad shard record");
+        restored.push_back(field_u64(path(), fields, 1));
+        CampaignTally tally;
+        tally.shards = 1;
+        tally.total = ExactMoments::from_state(decode_moments(path(), fields, 2));
+        for (std::size_t s = 0; s < k_fault_site_count; ++s)
+            tally.per_site[s] = ExactMoments::from_state(
+                decode_moments(path(), fields, 2 + k_moment_fields * (1 + s)));
+        tally.hits_per_core = u64s_of_csv(path(), fields[k_record_fields - 2]);
+        tally.hits_per_task = u64s_of_csv(path(), fields[k_record_fields - 1]);
+        if (restored.size() == 1)
+            partial = CampaignTally::zero(tally.hits_per_core.size(),
+                                          tally.hits_per_task.size());
+        else if (tally.hits_per_core.size() != partial.hits_per_core.size() ||
+                 tally.hits_per_task.size() != partial.hits_per_task.size())
+            fail_decode(path(), "shard records disagree on the core or task count");
+        partial.merge(tally);
+    }
+    std::sort(restored.begin(), restored.end());
+    if (std::adjacent_find(restored.begin(), restored.end()) != restored.end())
+        fail_decode(path(), "duplicated shard record");
 
     std::lock_guard lock(mutex_);
-    shaped_ = true;
-    shard_count_ = shard_count;
-    done_ = std::move(done);
+    shaped_ = false;
+    restored_ = std::move(restored);
     partial_ = std::move(partial);
-    set_flushed_locked(completed);
-    return CampaignResumeInfo{completed, shard_count, loaded->from_fallback};
+    return CampaignResumeInfo{restored_.size()};
 }
 
 CampaignTally CampaignCheckpointer::initialize(std::uint64_t shard_count,
                                                std::size_t core_count,
                                                std::size_t task_count) {
     std::lock_guard lock(mutex_);
-    if (shaped_ && partial_.shards > 0) {
-        if (shard_count_ != shard_count || partial_.hits_per_core.size() != core_count ||
-            partial_.hits_per_task.size() != task_count)
-            throw Error(ErrorCategory::checkpoint_corrupt,
-                        "campaign checkpoint shapes disagree with this run", path());
-        return partial_;
+    if (!shaped_) {
+        if (!restored_.empty() && restored_.back() >= shard_count)
+            fail_decode(path(), "shard " + std::to_string(restored_.back()) +
+                                    " is beyond this run's " + std::to_string(shard_count) +
+                                    " shards");
+        if (partial_.shards == 0) partial_ = CampaignTally::zero(core_count, task_count);
+        done_.assign(shard_count, 0);
+        for (const std::uint64_t shard : restored_) done_[shard] = 1;
+        shaped_ = true;
     }
-    shaped_ = true;
-    shard_count_ = shard_count;
-    done_.assign(shard_count, 0);
-    partial_ = CampaignTally::zero(core_count, task_count);
+    if (done_.size() != shard_count || partial_.hits_per_core.size() != core_count ||
+        partial_.hits_per_task.size() != task_count)
+        fail_decode(path(), "shard records disagree with this run's core or task count");
     return partial_;
 }
 
@@ -255,34 +189,20 @@ std::vector<std::uint8_t> CampaignCheckpointer::done_snapshot() const {
 }
 
 void CampaignCheckpointer::record_shard(std::uint64_t shard, const CampaignTally& tally) {
+    std::string line = "shard " + std::to_string(shard);
+    encode_moments(line, tally.total.state());
+    for (const ExactMoments& site : tally.per_site) encode_moments(line, site.state());
+    line += ' ' + csv_of_u64s(tally.hits_per_core) + ' ' + csv_of_u64s(tally.hits_per_task);
     std::uint64_t now_completed = 0;
     {
         std::lock_guard lock(mutex_);
         if (shard >= done_.size() || done_[shard] != 0) return;
         done_[shard] = 1;
         partial_.merge(tally);
+        append_locked(std::move(line));
         now_completed = partial_.shards;
     }
     if (on_shard_recorded) on_shard_recorded(now_completed);
-}
-
-std::vector<std::string> CampaignCheckpointer::payload_locked() const {
-    std::vector<std::string> lines;
-    lines.reserve(k_payload_lines);
-    lines.push_back("shards " + std::to_string(shard_count_) + " completed " +
-                    std::to_string(partial_.shards));
-    lines.push_back("done " + hex_of_bitmap(done_));
-    std::string total = "total";
-    encode_moments(total, partial_.total.state());
-    lines.push_back(std::move(total));
-    for (std::size_t s = 0; s < k_fault_site_count; ++s) {
-        std::string line = "site " + std::to_string(s);
-        encode_moments(line, partial_.per_site[s].state());
-        lines.push_back(std::move(line));
-    }
-    lines.push_back("cores " + csv_of_u64s(partial_.hits_per_core));
-    lines.push_back("tasks " + csv_of_u64s(partial_.hits_per_task));
-    return lines;
 }
 
 } // namespace seamap

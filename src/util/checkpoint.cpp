@@ -8,15 +8,16 @@
 #include <bit>
 #include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
 #include <unistd.h>
 #define SEAMAP_HAVE_FSYNC 1
+#else
+#include <filesystem>
 #endif
 
 namespace seamap {
@@ -26,46 +27,53 @@ namespace {
 constexpr std::string_view k_magic = "seamap-checkpoint";
 
 /// Checkpoints are resumable only within the library minor line: the
-/// payload encodings are owned by code that may change between minors.
+/// record encodings are owned by code that may change between minors.
 std::string compatible_version_prefix() {
     return std::to_string(k_version_major) + "." + std::to_string(k_version_minor) + ".";
 }
 
-std::string render(const CheckpointData& data) {
-    std::string out;
-    out += std::string(k_magic) + " " + std::to_string(k_checkpoint_format) + "\n";
-    out += "library " + std::string(k_version_string) + "\n";
-    out += "kind " + data.kind + "\n";
-    out += "hash " + hex_of_u64(data.state_hash) + "\n";
-    out += "lines " + std::to_string(data.lines.size()) + "\n";
-    for (const std::string& line : data.lines) out += line + "\n";
-    out += "checksum " + hex_of_u64(fnv1a64(out)) + "\n";
-    return out;
+/// The checksum of a record line that follows the line summed `prev`.
+std::uint64_t chained(std::uint64_t prev, std::string_view record) {
+    std::string bytes = hex_of_u64(prev);
+    bytes += record;
+    return fnv1a64(bytes);
 }
 
-/// Write `text` to `path` and flush it to stable storage before
-/// returning. Throws Error(io) on any failure.
-void write_file_synced(const std::string& path, const std::string& text) {
+/// Splits "<body> <checksum>"; nullopt when there is no hex checksum.
+std::optional<std::pair<std::string_view, std::uint64_t>> split_checksum(
+    std::string_view line) {
+    const std::size_t space = line.rfind(' ');
+    if (space == std::string_view::npos) return std::nullopt;
+    try {
+        return std::pair{line.substr(0, space), u64_of_hex(line.substr(space + 1))};
+    } catch (const Error&) {
+        return std::nullopt;
+    }
+}
+
+/// Cut `path` (created when missing) to its first `keep` bytes, append
+/// `text` and flush it to stable storage before returning. Throws
+/// Error(io) on any failure.
+void append_synced(const std::string& path, std::uint64_t keep, const std::string& text) {
 #if SEAMAP_HAVE_FSYNC
-    const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
     if (fd < 0) throw Error(ErrorCategory::io, "cannot open checkpoint for writing", path);
+    auto fail = [&](const char* what) {
+        ::close(fd);
+        throw Error(ErrorCategory::io, what, path);
+    };
+    if (::ftruncate(fd, static_cast<::off_t>(keep)) != 0) fail("checkpoint truncate failed");
     std::size_t written = 0;
     while (written < text.size()) {
         const ::ssize_t n = ::write(fd, text.data() + written, text.size() - written);
-        if (n < 0) {
-            if (errno == EINTR) continue;
-            ::close(fd);
-            throw Error(ErrorCategory::io, "checkpoint write failed", path);
-        }
-        written += static_cast<std::size_t>(n);
+        if (n < 0 && errno != EINTR) fail("checkpoint write failed");
+        if (n > 0) written += static_cast<std::size_t>(n);
     }
-    if (::fsync(fd) != 0) {
-        ::close(fd);
-        throw Error(ErrorCategory::io, "checkpoint fsync failed", path);
-    }
+    if (::fsync(fd) != 0) fail("checkpoint fsync failed");
     if (::close(fd) != 0) throw Error(ErrorCategory::io, "checkpoint close failed", path);
 #else
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    if (keep > 0) std::filesystem::resize_file(path, keep);
+    std::ofstream os(path, std::ios::binary | (keep == 0 ? std::ios::trunc : std::ios::app));
     if (!os) throw Error(ErrorCategory::io, "cannot open checkpoint for writing", path);
     os << text;
     os.flush();
@@ -73,8 +81,8 @@ void write_file_synced(const std::string& path, const std::string& text) {
 #endif
 }
 
-/// Flush the directory entry of `path` so the rename itself is durable.
-/// Best effort: some file systems refuse directory fsync.
+/// Flush the directory entry of a newly created `path` so the file
+/// itself is durable. Best effort: some file systems refuse it.
 void sync_parent_dir(const std::string& path) {
 #if SEAMAP_HAVE_FSYNC
     const std::size_t slash = path.find_last_of('/');
@@ -88,174 +96,9 @@ void sync_parent_dir(const std::string& path) {
 #endif
 }
 
-bool file_exists(const std::string& path) {
-    std::ifstream is(path, std::ios::binary);
-    return is.good();
-}
-
-/// Parse one snapshot file. Returns nullopt when the file does not
-/// exist; throws Error(checkpoint_corrupt) for every structural or
-/// checksum failure — the caller decides whether a fallback exists.
-std::optional<CheckpointData> parse_file(const std::string& path, std::string* library_out) {
-    std::ifstream is(path, std::ios::binary);
-    if (!is) return std::nullopt;
-    std::ostringstream buffer;
-    buffer << is.rdbuf();
-    const std::string text = buffer.str();
-
-    auto corrupt = [&](const std::string& why) -> Error {
-        return Error(ErrorCategory::checkpoint_corrupt, "corrupt checkpoint: " + why, path);
-    };
-
-    // The checksum line is the last line of a well-formed file; verify
-    // it over the exact byte prefix before trusting anything else.
-    if (text.empty() || text.back() != '\n') throw corrupt("truncated file");
-    const std::size_t last_start = text.find_last_of('\n', text.size() - 2);
-    const std::size_t body_end = last_start == std::string::npos ? 0 : last_start + 1;
-    const std::string_view last_line(text.data() + body_end, text.size() - body_end - 1);
-    constexpr std::string_view k_checksum_key = "checksum ";
-    if (last_line.substr(0, k_checksum_key.size()) != k_checksum_key)
-        throw corrupt("missing trailing checksum");
-    std::uint64_t stored = 0;
-    try {
-        stored = u64_of_hex(last_line.substr(k_checksum_key.size()));
-    } catch (const Error&) {
-        throw corrupt("unreadable checksum");
-    }
-    const std::uint64_t actual = fnv1a64(std::string_view(text.data(), body_end));
-    if (stored != actual) throw corrupt("checksum mismatch");
-
-    // Body: header lines then payload.
-    std::istringstream body(text.substr(0, body_end));
-    std::string line;
-    auto next_line = [&](std::string_view what) -> std::string {
-        if (!std::getline(body, line)) throw corrupt("missing " + std::string(what));
-        return line;
-    };
-    auto keyed = [&](std::string_view key) -> std::string {
-        const std::string l = next_line(key);
-        const std::string prefix = std::string(key) + " ";
-        if (l.substr(0, prefix.size()) != prefix)
-            throw corrupt("expected '" + std::string(key) + "' line");
-        return l.substr(prefix.size());
-    };
-
-    const std::string magic_line = next_line("magic");
-    const std::string magic_prefix = std::string(k_magic) + " ";
-    if (magic_line.substr(0, magic_prefix.size()) != magic_prefix)
-        throw corrupt("bad magic");
-    std::uint64_t format = 0;
-    try {
-        format = parse_u64(magic_line.substr(magic_prefix.size()));
-    } catch (const std::exception&) {
-        throw corrupt("bad format version");
-    }
-    if (format != k_checkpoint_format)
-        throw Error(ErrorCategory::checkpoint_mismatch,
-                    "checkpoint format " + std::to_string(format) +
-                        " is not the supported format " + std::to_string(k_checkpoint_format),
-                    path);
-
-    CheckpointData data;
-    const std::string library = keyed("library");
-    if (library_out != nullptr) *library_out = library;
-    data.kind = keyed("kind");
-    try {
-        data.state_hash = u64_of_hex(keyed("hash"));
-    } catch (const Error&) {
-        throw corrupt("unreadable state hash");
-    }
-    std::uint64_t count = 0;
-    try {
-        count = parse_u64(keyed("lines"));
-    } catch (const std::exception&) {
-        throw corrupt("bad line count");
-    }
-    for (std::uint64_t i = 0; i < count; ++i)
-        data.lines.push_back(next_line("payload line"));
-    if (std::getline(body, line)) throw corrupt("trailing data after payload");
-    return data;
-}
-
 } // namespace
 
-void save_checkpoint(const std::string& path, const CheckpointData& data) {
-    const std::string tmp = path + ".tmp";
-    write_file_synced(tmp, render(data));
-    // Keep one previous good snapshot as the torn-write fallback. The
-    // brief window where <path> is absent is covered by ".prev".
-    if (file_exists(path)) {
-        const std::string prev = path + ".prev";
-        if (std::rename(path.c_str(), prev.c_str()) != 0)
-            throw Error(ErrorCategory::io, "cannot rotate previous checkpoint", path);
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        throw Error(ErrorCategory::io, "cannot publish checkpoint", path);
-    sync_parent_dir(path);
-}
-
-std::optional<CheckpointLoad> load_checkpoint(const std::string& path,
-                                              std::string_view expected_kind,
-                                              std::uint64_t expected_hash) {
-    const std::string prev = path + ".prev";
-    std::optional<CheckpointData> data;
-    std::string library;
-    bool from_fallback = false;
-    try {
-        data = parse_file(path, &library);
-    } catch (const Error& primary) {
-        if (primary.category() != ErrorCategory::checkpoint_corrupt) throw;
-        // Torn/corrupted primary: fall back to the rotated snapshot.
-        try {
-            data = parse_file(prev, &library);
-        } catch (const Error&) {
-            data.reset();
-        }
-        if (!data) throw; // both damaged: surface the primary diagnostic
-        from_fallback = true;
-    }
-    if (!data) {
-        // No primary file; a bare ".prev" (crash between the two
-        // renames) is still a good snapshot.
-        try {
-            data = parse_file(prev, &library);
-        } catch (const Error& fallback) {
-            if (fallback.category() != ErrorCategory::checkpoint_corrupt) throw;
-            throw Error(ErrorCategory::checkpoint_corrupt,
-                        "corrupt checkpoint and no usable fallback", path);
-        }
-        if (!data) return std::nullopt;
-        from_fallback = true;
-    }
-
-    if (data->kind != expected_kind)
-        throw Error(ErrorCategory::checkpoint_mismatch,
-                    "checkpoint kind '" + data->kind + "' does not match expected '" +
-                        std::string(expected_kind) + "'",
-                    path);
-    const std::string prefix = compatible_version_prefix();
-    if (library.substr(0, prefix.size()) != prefix)
-        throw Error(ErrorCategory::checkpoint_mismatch,
-                    "checkpoint written by library " + library +
-                        " is not resumable by this " + std::string(k_version_string),
-                    path);
-    if (data->state_hash != expected_hash)
-        throw Error(ErrorCategory::checkpoint_mismatch,
-                    "checkpoint state hash " + hex_of_u64(data->state_hash) +
-                        " does not match this run's " + hex_of_u64(expected_hash) +
-                        " — different problem, parameters or strategy",
-                    path);
-    CheckpointLoad load;
-    load.data = std::move(*data);
-    load.from_fallback = from_fallback;
-    return load;
-}
-
-void remove_checkpoint(const std::string& path) {
-    std::remove(path.c_str());
-    std::remove((path + ".prev").c_str());
-    std::remove((path + ".tmp").c_str());
-}
+void remove_checkpoint(const std::string& path) { std::remove(path.c_str()); }
 
 Checkpointer::Checkpointer(std::string path, std::string kind, std::uint64_t state_hash)
     : path_(std::move(path)), kind_(std::move(kind)), state_hash_(state_hash) {}
@@ -267,33 +110,127 @@ void Checkpointer::set_cadence(std::uint64_t every, double interval_seconds) {
 }
 
 void Checkpointer::maybe_flush() {
-    std::lock_guard lock(mutex_);
-    const std::uint64_t recorded = recorded_locked();
-    if (recorded == flushed_) return;
-    const bool by_count = every_ > 0 && recorded - flushed_ >= every_;
+    std::unique_lock lock(mutex_);
+    if (writing_ || pending_.empty()) return; // the next flush takes them
+    const bool by_count = every_ > 0 && pending_.size() >= every_;
     if (!by_count && !timer_.due()) return;
-    flush_locked();
+    flush_locked(lock);
 }
 
 void Checkpointer::flush() {
-    std::lock_guard lock(mutex_);
-    if (recorded_locked() != flushed_) flush_locked();
+    std::unique_lock lock(mutex_);
+    written_.wait(lock, [&] { return !writing_; });
+    if (!pending_.empty()) flush_locked(lock);
 }
 
 void Checkpointer::remove() {
-    std::lock_guard lock(mutex_);
+    std::unique_lock lock(mutex_);
+    written_.wait(lock, [&] { return !writing_; });
     remove_checkpoint(path_);
-    flushed_ = 0;
+    valid_bytes_ = 0;
 }
 
-std::optional<CheckpointLoad> Checkpointer::load_snapshot() const {
-    return load_checkpoint(path_, kind_, state_hash_);
+std::optional<std::vector<std::string>> Checkpointer::load_records() {
+    std::ifstream is(path_, std::ios::binary);
+    if (!is) return std::nullopt;
+    const std::string text{std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+    auto corrupt = [&](const std::string& why) {
+        return Error(ErrorCategory::checkpoint_corrupt, "corrupt checkpoint: " + why, path_);
+    };
+    auto mismatch = [&](const std::string& why) {
+        return Error(ErrorCategory::checkpoint_mismatch, why, path_);
+    };
+
+    const std::size_t header_end = text.find('\n');
+    const auto header = header_end == std::string::npos
+                            ? std::nullopt
+                            : split_checksum(std::string_view(text).substr(0, header_end));
+    std::vector<std::string> fields;
+    if (header && header->second == fnv1a64(header->first)) fields = split(header->first, ' ');
+    if (fields.size() != 5 || fields[0] != k_magic)
+        throw corrupt("not a format-" + std::to_string(k_checkpoint_format) +
+                      " journal (missing or damaged header)");
+    if (fields[1] != std::to_string(k_checkpoint_format))
+        throw mismatch("checkpoint format " + fields[1] + " is not the supported format " +
+                       std::to_string(k_checkpoint_format));
+    if (fields[3] != kind_)
+        throw mismatch("checkpoint kind '" + fields[3] + "' does not match expected '" +
+                       kind_ + "'");
+    const std::string prefix = compatible_version_prefix();
+    if (fields[2].substr(0, prefix.size()) != prefix)
+        throw mismatch("checkpoint written by library " + fields[2] +
+                       " is not resumable by this " + std::string(k_version_string));
+    if (fields[4] != hex_of_u64(state_hash_))
+        throw mismatch("checkpoint state hash " + fields[4] + " does not match this run's " +
+                       hex_of_u64(state_hash_) +
+                       " — different problem, parameters or strategy");
+
+    std::vector<std::string> records;
+    std::uint64_t chain = header->second;
+    std::size_t valid = header_end + 1;
+    while (valid < text.size()) {
+        const std::size_t end = text.find('\n', valid);
+        const auto line = end == std::string::npos
+                              ? std::nullopt
+                              : split_checksum(std::string_view(text).substr(valid, end - valid));
+        if (!line || line->second != chained(chain, line->first)) {
+            // A crash tears only the last line; damage before it is not a crash.
+            if (end == std::string::npos || end + 1 == text.size()) break;
+            throw corrupt("line " + std::to_string(records.size() + 2) +
+                          " breaks the checksum chain");
+        }
+        records.emplace_back(line->first);
+        chain = line->second;
+        valid = end + 1;
+    }
+    std::lock_guard lock(mutex_);
+    pending_.clear();
+    valid_bytes_ = valid;
+    chain_ = chain;
+    return records;
 }
 
-void Checkpointer::flush_locked() {
-    save_checkpoint(path_, CheckpointData{kind_, state_hash_, payload_locked()});
-    flushed_ = recorded_locked();
+void Checkpointer::flush_locked(std::unique_lock<std::mutex>& lock) {
+    std::string text;
+    std::uint64_t chain = chain_;
+    if (valid_bytes_ == 0) {
+        const std::string header = std::string(k_magic) + ' ' +
+                                   std::to_string(k_checkpoint_format) + ' ' +
+                                   std::string(k_version_string) + ' ' + kind_ + ' ' +
+                                   hex_of_u64(state_hash_);
+        chain = fnv1a64(header);
+        text = header + ' ' + hex_of_u64(chain) + '\n';
+    }
+    for (const std::string& record : pending_) {
+        chain = chained(chain, record);
+        text += record + ' ' + hex_of_u64(chain) + '\n';
+    }
+    const std::uint64_t keep = valid_bytes_;
+    std::vector<std::string> batch = std::exchange(pending_, {});
+    writing_ = true;
     timer_.reset();
+    // Recording goes on while the file is written and synced.
+    lock.unlock();
+    try {
+        // Cutting to the valid prefix drops a torn tail after a load (or
+        // a whole journal on a fresh run), so no record lands behind one.
+        append_synced(path_, keep, text);
+        if (keep == 0) sync_parent_dir(path_);
+    } catch (...) {
+        // The next flush retries the records, cutting off whatever part
+        // of this one reached the file.
+        lock.lock();
+        pending_.insert(pending_.begin(), std::make_move_iterator(batch.begin()),
+                        std::make_move_iterator(batch.end()));
+        writing_ = false;
+        written_.notify_all();
+        throw;
+    }
+    lock.lock();
+    valid_bytes_ = keep + text.size();
+    chain_ = chain;
+    writing_ = false;
+    written_.notify_all();
 }
 
 std::uint64_t fnv1a64(std::string_view bytes) {

@@ -1,39 +1,41 @@
-// Versioned, crash-safe snapshot files — the persistence layer under
-// the exploration (core/dse_checkpoint.h) and campaign
+// Crash-safe checkpoint journals — the persistence layer under the
+// exploration (core/dse_checkpoint.h) and campaign
 // (sim/campaign_checkpoint.h) checkpoints.
 //
-// A checkpoint is a line-oriented text document:
+// A checkpoint is an append-only, hash-chained text journal:
 //
-//   seamap-checkpoint <format>        # magic + format version
-//   library <x.y.z>                   # writing library version
-//   kind <dse|campaign|...>           # which subsystem owns the payload
-//   hash <16 hex digits>              # content hash of the producing state
-//   lines <n>                         # payload line count
-//   <n payload lines>                 # owner-defined
-//   checksum <16 hex digits>          # FNV-1a 64 over every byte above
+//   seamap-checkpoint 2 <library> <kind> <state-hash> <checksum>
+//   <record> <checksum>               # one line per recorded unit
+//   ...
+//
+// The header names the format, the writing library version, the owner
+// kind (dse, campaign) and the content hash of the producing state.
+// Every checksum is FNV-1a 64 over the previous line's checksum (16 hex
+// digits; none for the header) followed by this line's record, so a
+// flipped, duplicated or reordered line breaks the chain.
 //
 // Safety properties:
-//  - Writes are atomic: the document is written to "<path>.tmp",
-//    fsync'd, and renamed over <path>; a crash mid-write never damages
-//    the previous snapshot. The previous snapshot is first rotated to
-//    "<path>.prev", so one good fallback always survives a torn rename
-//    window.
-//  - Loads are tolerant: a truncated, bit-flipped or otherwise mangled
-//    file fails the trailing checksum (or the structure checks) and the
-//    loader falls back to "<path>.prev"; only when every candidate is
-//    corrupt does it raise Error(checkpoint_corrupt).
-//  - Loads are strict about identity: a wrong kind, a different
-//    producing-state hash or an incompatible library version raises
-//    Error(checkpoint_mismatch) with a diagnostic naming both sides —
-//    resuming against the wrong problem is never silent.
+//  - Flushes only append: each writes the pending records after the
+//    journal's valid prefix and fsyncs them, so bytes written grow with
+//    the record count. A flush first cuts the file back to that prefix
+//    (empty on a fresh run), so a torn tail left by a crash or a failed
+//    write never ends up between old and new records.
+//  - Loads keep the longest valid prefix. A bad last line is the torn
+//    tail of a crash and is dropped; a bad line with lines after it,
+//    or a missing or damaged header, raises Error(checkpoint_corrupt).
+//  - Loads are strict about identity: a wrong format, kind, library
+//    line or producing-state hash raises Error(checkpoint_mismatch)
+//    with a diagnostic naming both sides — resuming against the wrong
+//    problem is never silent.
 //
-// Payload encodings need bit-exact doubles to keep resumed results
+// Record encodings need bit-exact doubles to keep resumed results
 // byte-identical, so hex_of_double/double_of_hex round-trip the IEEE
 // bit pattern instead of going through decimal.
 #pragma once
 
 #include "util/cancellation.h"
 
+#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 #include <optional>
@@ -43,77 +45,58 @@
 
 namespace seamap {
 
-/// Current on-disk format version; bump when the envelope (not a
-/// payload) changes shape. See CONTRIBUTING.md "Checkpoint format &
+/// Current on-disk format version; bump when the journal layout (not a
+/// record) changes shape. See CONTRIBUTING.md "Checkpoint format &
 /// versioning" for the evolution rules.
-inline constexpr std::uint64_t k_checkpoint_format = 1;
+inline constexpr std::uint64_t k_checkpoint_format = 2;
 
-/// One snapshot: the owner's kind tag, the content hash of the state
-/// that produced it, and the owner-defined payload lines.
-struct CheckpointData {
-    std::string kind;
-    std::uint64_t state_hash = 0;
-    std::vector<std::string> lines;
-};
-
-/// Result of a tolerant load.
-struct CheckpointLoad {
-    CheckpointData data;
-    /// True when <path> was corrupt and "<path>.prev" supplied the data.
-    bool from_fallback = false;
-};
-
-/// Atomically persist `data` at `path` (tmp + fsync + rename), rotating
-/// any existing snapshot to "<path>.prev" first. Throws Error(io) when
-/// the file system refuses.
-void save_checkpoint(const std::string& path, const CheckpointData& data);
-
-/// Load the snapshot at `path`, falling back to "<path>.prev" when the
-/// primary is corrupt. Returns nullopt when neither file exists. Throws
-/// Error(checkpoint_corrupt) when every existing candidate is damaged,
-/// and Error(checkpoint_mismatch) when the snapshot's kind, state hash
-/// or library version disagrees with the caller's expectation.
-std::optional<CheckpointLoad> load_checkpoint(const std::string& path,
-                                              std::string_view expected_kind,
-                                              std::uint64_t expected_hash);
-
-/// Remove `path`, its ".prev" rotation and any stale ".tmp"; used after
-/// a run completes and by tests. Missing files are not an error.
+/// Remove the journal at `path`; used after a run completes and by
+/// tests. A missing file is not an error.
 void remove_checkpoint(const std::string& path);
 
-/// The lifecycle the explorer and campaign checkpointers share: one
-/// snapshot path of one kind and state hash, the flush cadence, and the
-/// mutex that serializes recording and flushing. A subclass counts the
-/// units it has recorded and renders its payload, both under mutex_.
+/// The journal the explorer and campaign checkpointers share: one path
+/// of one kind and state hash, the flush cadence, the records pending
+/// since the last flush, and the mutex that guards them. An owner
+/// encodes its units as records and appends them under mutex_; a flush
+/// writes and fsyncs with mutex_ released, so recording never waits on
+/// the disk. Thread-safe.
 class Checkpointer {
 public:
     Checkpointer(std::string path, std::string kind, std::uint64_t state_hash);
 
-    /// Flush cadence: persist after every `every` newly recorded units
+    /// Flush cadence: persist after every `every` newly appended records
     /// (0 = never by count) and whenever `interval_seconds` elapsed since
     /// the last flush (0 = never by time). flush() is always available.
     void set_cadence(std::uint64_t every, double interval_seconds);
-    void maybe_flush(); ///< persist when the cadence is due and units are new
-    void flush();       ///< persist now when units are new
-    void remove();      ///< delete the snapshot files (remove_checkpoint)
+    void maybe_flush(); ///< persist when the cadence is due and records are pending
+    void flush();       ///< persist now when records are pending
+    void remove();      ///< delete the journal; the next flush starts a new one
     const std::string& path() const { return path_; }
 
 protected:
     ~Checkpointer() = default; // never deleted through the base
-    std::optional<CheckpointLoad> load_snapshot() const; ///< of this path, kind and hash
-    /// Under mutex_: the first `recorded` units are on disk.
-    void set_flushed_locked(std::uint64_t recorded) { flushed_ = recorded; }
-    virtual std::uint64_t recorded_locked() const = 0;
-    virtual std::vector<std::string> payload_locked() const = 0;
+    /// The records of the journal's valid prefix, after which later
+    /// flushes append. Returns nullopt when no journal exists; throws
+    /// Error(checkpoint_corrupt/_mismatch) as the file comment says.
+    std::optional<std::vector<std::string>> load_records();
+    /// Under mutex_: queue one record (no newline) for the next flush.
+    void append_locked(std::string record) { pending_.push_back(std::move(record)); }
 
     mutable std::mutex mutex_;
 
 private:
-    void flush_locked();
+    /// Writes the pending records with `lock` on mutex_ released for
+    /// the write and fsync; one flush writes at a time.
+    void flush_locked(std::unique_lock<std::mutex>& lock);
 
     std::string path_, kind_;
-    std::uint64_t state_hash_, flushed_ = 0, every_ = 0;
+    std::uint64_t state_hash_, every_ = 0;
     IntervalTimer timer_{0.0};
+    std::vector<std::string> pending_;
+    std::uint64_t valid_bytes_ = 0; ///< length of the journal on disk
+    std::uint64_t chain_ = 0;       ///< checksum of its last line
+    bool writing_ = false;          ///< a flush is writing with mutex_ released
+    std::condition_variable written_;
 };
 
 /// FNV-1a 64-bit checksum over `bytes`.
@@ -135,7 +118,7 @@ private:
     std::uint64_t state_ = 0xcbf29ce484222325ULL;
 };
 
-/// Bit-exact double <-> 16-hex-digit rendering for payloads.
+/// Bit-exact double <-> 16-hex-digit rendering for records.
 std::string hex_of_double(double x);
 double double_of_hex(std::string_view hex); ///< throws Error(parse)
 

@@ -43,7 +43,7 @@ public:
     Error(ErrorCategory category, std::string message, std::string context);
 
     ErrorCategory category() const { return category_; }
-    std::string_view code() const { return error_code(category_); }
+    std::string_view code() const { return error_code(category()); }
     /// The message without the context suffix what() appends.
     const std::string& message() const { return message_; }
     /// Optional context; empty when none was given.

@@ -9,6 +9,7 @@
 
 #include "sched/list_scheduler.h"
 #include "sim/campaign_checkpoint.h"
+#include "support/journal.h"
 #include "taskgraph/fig8.h"
 #include "taskgraph/mpeg2.h"
 #include "tgff/random_graph.h"
@@ -17,8 +18,10 @@
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace seamap {
 namespace {
@@ -39,6 +42,21 @@ private:
     std::size_t after_;
     std::size_t seen_ = 0;
 };
+
+/// Runs `check` at every completed scaling.
+class EachScaling : public ProgressObserver {
+public:
+    explicit EachScaling(std::function<void()> check) : check_(std::move(check)) {}
+    void on_scaling_done(const ScalingProgress&) override { check_(); }
+
+private:
+    std::function<void()> check_;
+};
+
+std::string file_bytes(const std::string& path) {
+    std::ifstream is(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
 
 struct Scenario {
     TaskGraph graph;
@@ -251,7 +269,7 @@ TEST(DseCheckpoint, CorruptSnapshotWithoutFallbackIsRejected) {
 TEST(DseCheckpoint, FeasibleRecordWithExtraPointIsRejected) {
     // A feasible record carries exactly one design point. A second one
     // (the retired `minpower` side channel) inside an otherwise valid
-    // envelope is a corrupt payload, never silently dropped.
+    // journal is a corrupt record, never silently dropped.
     const Scenario scenario = fig8_scenario();
     const ExploreOptions options = make_options(1);
     const Problem problem = make_problem(scenario);
@@ -262,10 +280,10 @@ TEST(DseCheckpoint, FeasibleRecordWithExtraPointIsRejected) {
         DseCheckpointer checkpointer(path, hash);
         (void)explore(problem, options, nullptr, nullptr, &checkpointer);
     }
-    std::optional<CheckpointLoad> loaded = load_checkpoint(path, "dse", hash);
-    ASSERT_TRUE(loaded.has_value());
+    std::optional<std::vector<std::string>> records = Journal(path, "dse", hash).load();
+    ASSERT_TRUE(records.has_value());
     bool extended = false;
-    for (std::string& line : loaded->data.lines) {
+    for (std::string& line : *records) {
         if (line.rfind("feasible ", 0) != 0) continue;
         // "feasible <combo> <point>": repeat the point as a minpower one.
         const std::size_t point_at = line.find(' ', std::string("feasible ").size());
@@ -274,7 +292,12 @@ TEST(DseCheckpoint, FeasibleRecordWithExtraPointIsRejected) {
         break;
     }
     ASSERT_TRUE(extended);
-    save_checkpoint(path, loaded->data);
+    // Rewrite the journal through the real writer, so only the record is wrong.
+    {
+        Journal forged(path, "dse", hash);
+        for (std::string& line : *records) forged.append(std::move(line));
+        forged.flush();
+    }
     DseCheckpointer checkpointer(path, hash);
     try {
         (void)checkpointer.load(problem.graph().task_count(),
@@ -286,42 +309,91 @@ TEST(DseCheckpoint, FeasibleRecordWithExtraPointIsRejected) {
     remove_checkpoint(path);
 }
 
-TEST(DseCheckpoint, TruncatedSnapshotFallsBackToPrev) {
-    // Kill-during-write simulation: the primary is torn mid-byte, the
-    // rotated .prev must transparently supply the last good prefix.
+TEST(DseCheckpoint, TornTailThenAppendMatchesBaseline) {
+    // Kill-during-write simulation: the journal is torn mid-way through
+    // its last line. The resumed run drops the torn line, and its first
+    // flush cuts it off before appending, so a second interruption and
+    // a third run still load and reproduce the uninterrupted bytes.
     const Scenario scenario = fig8_scenario();
     const ExploreOptions base = make_options(2);
     const Problem problem = make_problem(scenario);
     const std::string path = ckpt_path("torn");
     remove_checkpoint(path);
+    // One thread, so each stop lands after slots decided in order. The
+    // thread count is not a hash input, so `base` resumes these runs.
+    const ExploreOptions killed = make_options(1);
+    const std::uint64_t hash = explore_state_hash(problem, killed);
+    const std::size_t tasks = problem.graph().task_count();
+    const std::size_t cores = problem.architecture().core_count();
+    std::uint64_t first_decided = 0;
     {
-        // One thread, so the stop lands after five slots decided in
-        // order and the cadence has flushed at least twice (.prev exists);
-        // with more threads the stop can race ahead of the second flush.
-        // The thread count is not a hash input, so `base` resumes it.
-        const ExploreOptions killed = make_options(1);
-        DseCheckpointer checkpointer(path, explore_state_hash(problem, killed));
+        DseCheckpointer checkpointer(path, hash);
         checkpointer.set_cadence(1, 0.0);
         CancellationToken cancel;
         StopAfter observer(cancel, 5);
         (void)explore(problem, killed, &observer, &cancel, &checkpointer);
+        const auto info = DseCheckpointer(path, hash).load(tasks, cores);
+        ASSERT_TRUE(info.has_value());
+        first_decided = info->slots_decided;
     }
-    ASSERT_TRUE(std::filesystem::exists(path + ".prev"));
+    ASSERT_GE(first_decided, 2u);
     {
-        std::ifstream is(path);
-        std::string text{std::istreambuf_iterator<char>(is),
-                         std::istreambuf_iterator<char>()};
-        std::ofstream os(path, std::ios::trunc);
-        os << text.substr(0, text.size() / 2);
+        const std::string text = file_bytes(path);
+        const std::size_t last_line = text.rfind('\n', text.size() - 2) + 1;
+        std::ofstream os(path, std::ios::binary | std::ios::trunc);
+        os << text.substr(0, last_line + (text.size() - last_line) / 2);
+    }
+    {
+        DseCheckpointer checkpointer(path, hash);
+        const auto info = checkpointer.load(tasks, cores);
+        ASSERT_TRUE(info.has_value());
+        EXPECT_EQ(info->slots_decided, first_decided - 1);
+        checkpointer.set_cadence(1, 0.0);
+        CancellationToken cancel;
+        StopAfter observer(cancel, 4);
+        (void)explore(problem, killed, &observer, &cancel, &checkpointer);
     }
     DseCheckpointer checkpointer(path, explore_state_hash(problem, base));
-    const auto info =
-        checkpointer.load(problem.graph().task_count(), problem.architecture().core_count());
+    const auto info = checkpointer.load(tasks, cores);
     ASSERT_TRUE(info.has_value());
-    EXPECT_TRUE(info->from_fallback);
+    EXPECT_GT(info->slots_decided, first_decided - 1);
     const std::string baseline = report_bytes(problem, base, explore(problem, base));
     const DseResult resumed = explore(problem, base, nullptr, nullptr, &checkpointer);
     EXPECT_EQ(report_bytes(problem, base, resumed), baseline);
+    remove_checkpoint(path);
+}
+
+TEST(DseCheckpoint, JournalIsAppendOnly) {
+    // Every flush appends: each state of the file is a byte-prefix of
+    // the next, and the final file is the header plus exactly one line
+    // per decided slot, so the bytes written are O(records).
+    const Scenario scenario = mpeg2_scenario();
+    const ExploreOptions options = make_options(1);
+    const Problem problem = make_problem(scenario);
+    const std::string path = ckpt_path("append_only");
+    const std::uint64_t hash = explore_state_hash(problem, options);
+    remove_checkpoint(path);
+    std::string seen;
+    std::size_t checks = 0;
+    EachScaling observer([&] {
+        const std::string now = file_bytes(path);
+        EXPECT_EQ(now.substr(0, seen.size()), seen) << "after " << checks << " scalings";
+        seen = now;
+        ++checks;
+    });
+    DseCheckpointer checkpointer(path, hash);
+    checkpointer.set_cadence(1, 0.0);
+    const DseResult result = explore(problem, options, &observer, nullptr, &checkpointer);
+    const std::string final_bytes = file_bytes(path);
+    EXPECT_EQ(final_bytes.substr(0, seen.size()), seen);
+    EXPECT_GT(checks, 2u);
+
+    const std::optional<std::vector<std::string>> records = Journal(path, "dse", hash).load();
+    ASSERT_TRUE(records.has_value());
+    EXPECT_EQ(records->size(), result.scalings_pruned + result.scalings_searched);
+    std::size_t expected = final_bytes.find('\n') + 1; // the header
+    for (const std::string& record : *records) expected += record.size() + 18; // " <16 hex>\n"
+    EXPECT_EQ(final_bytes.size(), expected);
     remove_checkpoint(path);
 }
 

@@ -6,13 +6,17 @@
 #include "seamap/seamap.h"
 
 #include "sim/campaign_checkpoint.h"
+#include "support/journal.h"
 #include "taskgraph/fig8.h"
+#include "util/strings.h"
 
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace seamap {
 namespace {
@@ -191,6 +195,131 @@ TEST(CampaignCheckpoint, CorruptSnapshotIsRejected) {
         EXPECT_EQ(e.category(), ErrorCategory::checkpoint_corrupt);
     }
     remove_checkpoint(path);
+}
+
+std::string file_bytes(const std::string& path) {
+    std::ifstream is(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
+TEST(CampaignCheckpoint, JournalIsAppendOnly) {
+    // Every flush appends: each state of the file is a byte-prefix of
+    // the next, and the final file is the header plus exactly one line
+    // per shard, so the bytes written are O(shards).
+    const Design design = make_design();
+    const std::string path = ckpt_path("append_only");
+    remove_checkpoint(path);
+    const CampaignConfig config = make_config(256, 1);
+    const CampaignEngine engine(design.problem.ser_model(), config);
+    CampaignCheckpointer ckpt(path, state_hash(design, config));
+    ckpt.set_cadence(1, 0.0);
+    std::string seen;
+    std::uint64_t checks = 0;
+    ckpt.on_shard_recorded = [&](std::uint64_t) {
+        const std::string now = file_bytes(path);
+        EXPECT_EQ(now.substr(0, seen.size()), seen) << "after " << checks << " shards";
+        seen = now;
+        ++checks;
+    };
+    const CampaignReport report = run(design, engine, nullptr, &ckpt);
+    EXPECT_EQ(checks, report.shards);
+    const std::string final_bytes = file_bytes(path);
+    EXPECT_EQ(final_bytes.substr(0, seen.size()), seen);
+
+    const std::optional<std::vector<std::string>> records =
+        Journal(path, "campaign", state_hash(design, config)).load();
+    ASSERT_TRUE(records.has_value());
+    EXPECT_EQ(records->size(), report.shards);
+    std::size_t expected = final_bytes.find('\n') + 1; // the header
+    for (const std::string& record : *records) expected += record.size() + 18; // " <16 hex>\n"
+    EXPECT_EQ(final_bytes.size(), expected);
+    remove_checkpoint(path);
+}
+
+/// Runs the campaign from a journal whose shard records `forge` edits
+/// and the real writer rewrites; returns the error category it raises.
+std::optional<ErrorCategory> resume_forged(
+    const std::string& tag, const std::function<void(std::vector<std::string>&)>& forge) {
+    const Design design = make_design();
+    const std::string path = ckpt_path(tag);
+    remove_checkpoint(path);
+    const CampaignConfig config = make_config(256, 1);
+    const CampaignEngine engine(design.problem.ser_model(), config);
+    const std::uint64_t hash = state_hash(design, config);
+    {
+        CampaignCheckpointer ckpt(path, hash);
+        CancellationToken cancel;
+        ckpt.on_shard_recorded = [&](std::uint64_t done) {
+            if (done >= 3) cancel.request_stop();
+        };
+        (void)run(design, engine, &cancel, &ckpt);
+    }
+    std::optional<std::vector<std::string>> records = Journal(path, "campaign", hash).load();
+    if (!records || records->size() < 2) {
+        ADD_FAILURE() << "the interrupted run left fewer than two shard records";
+        return std::nullopt;
+    }
+    forge(*records);
+    {
+        Journal forged(path, "campaign", hash);
+        for (std::string& record : *records) forged.append(std::move(record));
+        forged.flush();
+    }
+    std::optional<ErrorCategory> raised;
+    try {
+        CampaignCheckpointer ckpt(path, hash);
+        (void)ckpt.load();
+        (void)run(design, engine, nullptr, &ckpt);
+    } catch (const Error& e) {
+        raised = e.category();
+    }
+    remove_checkpoint(path);
+    return raised;
+}
+
+TEST(CampaignCheckpoint, ForgedShardIndexBeyondTheRunIsCorrupt) {
+    // A shard index at or past the run's 12 shards, up to u64 max, is a
+    // corrupt journal — never an allocation failure.
+    for (const std::string index : {"12", "18446744073709551615"}) {
+        EXPECT_EQ(resume_forged("index",
+                                [&](std::vector<std::string>& records) {
+                                    std::vector<std::string> fields = split(records[0], ' ');
+                                    fields[1] = index;
+                                    records[0] = join(fields, " ");
+                                }),
+                  ErrorCategory::checkpoint_corrupt)
+            << index;
+    }
+}
+
+TEST(CampaignCheckpoint, DuplicatedShardRecordIsCorrupt) {
+    EXPECT_EQ(resume_forged("duplicate",
+                            [](std::vector<std::string>& records) {
+                                records.push_back(records[0]);
+                            }),
+              ErrorCategory::checkpoint_corrupt);
+}
+
+TEST(CampaignCheckpoint, WrongLengthHitVectorsAreCorrupt) {
+    // The cores csv (second field from the end) or the tasks csv (last)
+    // one entry short: in the last record only, or in every record.
+    for (const std::size_t from_end : {std::size_t{2}, std::size_t{1}}) {
+        for (const bool every : {false, true}) {
+            const auto shorten = [&](std::string& record) {
+                std::vector<std::string> fields = split(record, ' ');
+                std::string& csv = fields[fields.size() - from_end];
+                csv.erase(csv.rfind(','));
+                record = join(fields, " ");
+            };
+            EXPECT_EQ(resume_forged("short",
+                                    [&](std::vector<std::string>& records) {
+                                        if (!every) return shorten(records.back());
+                                        for (std::string& record : records) shorten(record);
+                                    }),
+                      ErrorCategory::checkpoint_corrupt)
+                << "from_end=" << from_end << " every=" << every;
+        }
+    }
 }
 
 } // namespace

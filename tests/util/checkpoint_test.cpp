@@ -1,9 +1,11 @@
-// The generic snapshot layer: atomic writes, the ".prev" rotation,
-// tolerant loads over a corpus of damaged files, and strict identity
-// checks. Everything here runs against real files in the test temp
-// directory.
+// The checkpoint journal: append-only flushes, the hash chain, loads
+// that keep the longest valid prefix over a corpus of damaged files, and
+// strict identity checks. Everything here runs against real files in
+// the test temp directory, through a Checkpointer whose records are
+// plain strings.
 #include "util/checkpoint.h"
 
+#include "support/journal.h"
 #include "util/error.h"
 
 #include <gtest/gtest.h>
@@ -12,7 +14,9 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
+#include <vector>
 
 namespace seamap {
 namespace {
@@ -30,117 +34,174 @@ protected:
 
     void TearDown() override { std::filesystem::remove_all(dir_); }
 
-    CheckpointData sample(std::uint64_t hash, const std::string& marker) const {
-        CheckpointData data;
-        data.kind = "dse";
-        data.state_hash = hash;
-        data.lines = {"alpha " + marker, "beta", "gamma 3"};
-        return data;
+    /// A journal of three records at hash `hash`, the first tagged `marker`.
+    void write_sample(std::uint64_t hash, const std::string& marker) const {
+        Journal journal(path_, "dse", hash);
+        for (const std::string& record : {"alpha " + marker, std::string("beta"),
+                                          std::string("gamma 3")})
+            journal.append(record);
+        journal.flush();
+    }
+
+    std::optional<std::vector<std::string>> load(std::uint64_t hash,
+                                                 const std::string& kind = "dse") const {
+        Journal journal(path_, kind, hash);
+        return journal.load();
     }
 
     std::string read_file() const {
-        std::ifstream is(path_);
+        std::ifstream is(path_, std::ios::binary);
         return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
     }
 
     void write_file(const std::string& text) const {
-        std::ofstream os(path_);
+        std::ofstream os(path_, std::ios::binary | std::ios::trunc);
         os << text;
+    }
+
+    void expect_corrupt(std::uint64_t hash, const std::string& label = "") const {
+        try {
+            (void)load(hash);
+            ADD_FAILURE() << "expected checkpoint_corrupt " << label;
+        } catch (const Error& e) {
+            EXPECT_EQ(e.category(), ErrorCategory::checkpoint_corrupt) << label;
+        }
     }
 
     std::filesystem::path dir_;
     std::string path_;
 };
 
-TEST_F(CheckpointTest, RoundTrip) {
-    save_checkpoint(path_, sample(0x1234, "one"));
-    const auto loaded = load_checkpoint(path_, "dse", 0x1234);
-    ASSERT_TRUE(loaded.has_value());
-    EXPECT_FALSE(loaded->from_fallback);
-    EXPECT_EQ(loaded->data.kind, "dse");
-    EXPECT_EQ(loaded->data.state_hash, 0x1234u);
-    ASSERT_EQ(loaded->data.lines.size(), 3u);
-    EXPECT_EQ(loaded->data.lines[0], "alpha one");
-    EXPECT_EQ(loaded->data.lines[2], "gamma 3");
+/// Byte offsets where each line of `text` starts, plus text.size().
+std::vector<std::size_t> line_starts(const std::string& text) {
+    std::vector<std::size_t> starts{0};
+    for (std::size_t i = 0; i < text.size(); ++i)
+        if (text[i] == '\n') starts.push_back(i + 1);
+    return starts;
 }
 
-TEST_F(CheckpointTest, MissingFileIsNullopt) {
-    EXPECT_FALSE(load_checkpoint(path_, "dse", 1).has_value());
+TEST_F(CheckpointTest, RoundTrip) {
+    write_sample(0x1234, "one");
+    const auto loaded = load(0x1234);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(*loaded, (std::vector<std::string>{"alpha one", "beta", "gamma 3"}));
+    EXPECT_EQ(read_file().rfind("seamap-checkpoint 2 ", 0), 0u);
 }
+
+TEST_F(CheckpointTest, MissingFileIsNullopt) { EXPECT_FALSE(load(1).has_value()); }
 
 TEST_F(CheckpointTest, NoStaleTmpAfterSave) {
-    save_checkpoint(path_, sample(1, "x"));
-    EXPECT_FALSE(std::filesystem::exists(path_ + ".tmp"));
+    // Flushes write the journal in place: nothing else is left beside it.
+    write_sample(1, "x");
+    std::vector<std::string> files;
+    for (const auto& entry : std::filesystem::directory_iterator(dir_))
+        files.push_back(entry.path().filename().string());
+    EXPECT_EQ(files, std::vector<std::string>{"snap.ckpt"});
 }
 
-TEST_F(CheckpointTest, SecondSaveRotatesPrev) {
-    save_checkpoint(path_, sample(1, "first"));
-    save_checkpoint(path_, sample(1, "second"));
-    EXPECT_TRUE(std::filesystem::exists(path_ + ".prev"));
-    const auto loaded = load_checkpoint(path_, "dse", 1);
-    ASSERT_TRUE(loaded.has_value());
-    EXPECT_EQ(loaded->data.lines[0], "alpha second");
+TEST_F(CheckpointTest, SecondFlushAppends) {
+    // A flush adds the pending records after what is on disk; a
+    // load-then-flush continues the same chain.
+    Journal journal(path_, "dse", 1);
+    journal.append("first");
+    journal.flush();
+    const std::string after_first = read_file();
+    journal.append("second");
+    journal.flush();
+    const std::string after_second = read_file();
+    EXPECT_EQ(after_second.substr(0, after_first.size()), after_first);
+
+    Journal resumed(path_, "dse", 1);
+    ASSERT_EQ(resumed.load(), (std::vector<std::string>{"first", "second"}));
+    resumed.append("third");
+    resumed.flush();
+    EXPECT_EQ(read_file().substr(0, after_second.size()), after_second);
+    EXPECT_EQ(load(1), (std::vector<std::string>{"first", "second", "third"}));
 }
 
-TEST_F(CheckpointTest, TruncatedPrimaryFallsBackToPrev) {
-    save_checkpoint(path_, sample(1, "good"));
-    save_checkpoint(path_, sample(1, "newer"));
+TEST_F(CheckpointTest, FreshRunOverwritesAnOldJournal) {
+    // Without a load, the run's first flush starts the file over.
+    write_sample(1, "old");
+    Journal journal(path_, "dse", 1);
+    journal.append("new");
+    journal.flush();
+    EXPECT_EQ(load(1), (std::vector<std::string>{"new"}));
+}
+
+TEST_F(CheckpointTest, TornLastLineIsDropped) {
+    write_sample(1, "good");
     const std::string full = read_file();
-    for (const std::size_t keep : {std::size_t{0}, std::size_t{10}, full.size() / 2,
-                                   full.size() - 1}) {
+    const std::vector<std::size_t> starts = line_starts(full);
+    ASSERT_EQ(starts.size(), 5u); // header, three records, end
+    // Every cut inside the last record (its newline included) keeps the
+    // first two records; a cut exactly at a line end keeps whole lines.
+    for (std::size_t keep = starts[3]; keep < full.size(); ++keep) {
         write_file(full.substr(0, keep));
-        const auto loaded = load_checkpoint(path_, "dse", 1);
+        const auto loaded = load(1);
         ASSERT_TRUE(loaded.has_value()) << "keep=" << keep;
-        EXPECT_TRUE(loaded->from_fallback) << "keep=" << keep;
-        EXPECT_EQ(loaded->data.lines[0], "alpha good") << "keep=" << keep;
+        EXPECT_EQ(*loaded, (std::vector<std::string>{"alpha good", "beta"})) << "keep=" << keep;
     }
+    // A cut inside the header leaves no journal to resume.
+    for (const std::size_t keep : {std::size_t{1}, std::size_t{10}, starts[1] - 1}) {
+        write_file(full.substr(0, keep));
+        expect_corrupt(1, "keep=" + std::to_string(keep));
+    }
+    // A torn tail is cut off by the next run's first flush, so the new
+    // record never lands behind it.
+    write_file(full.substr(0, starts[3] + 3));
+    Journal resumed(path_, "dse", 1);
+    ASSERT_EQ(resumed.load(), (std::vector<std::string>{"alpha good", "beta"}));
+    resumed.append("delta");
+    resumed.flush();
+    EXPECT_EQ(load(1), (std::vector<std::string>{"alpha good", "beta", "delta"}));
 }
 
-TEST_F(CheckpointTest, BitFlipFailsChecksumAndFallsBack) {
-    save_checkpoint(path_, sample(1, "good"));
-    save_checkpoint(path_, sample(1, "newer"));
+TEST_F(CheckpointTest, BitFlipInMiddleLineIsCorrupt) {
+    write_sample(1, "good");
     std::string full = read_file();
-    // Flip one payload byte; the envelope still parses, the checksum must not.
     const std::size_t pos = full.find("beta");
     ASSERT_NE(pos, std::string::npos);
     full[pos] = 'B';
     write_file(full);
-    const auto loaded = load_checkpoint(path_, "dse", 1);
-    ASSERT_TRUE(loaded.has_value());
-    EXPECT_TRUE(loaded->from_fallback);
-    EXPECT_EQ(loaded->data.lines[0], "alpha good");
+    expect_corrupt(1);
 }
 
-TEST_F(CheckpointTest, BothCorruptRaisesCheckpointCorrupt) {
-    save_checkpoint(path_, sample(1, "good"));
-    save_checkpoint(path_, sample(1, "newer"));
-    write_file("garbage\n");
-    {
-        std::ofstream os(path_ + ".prev");
-        os << "more garbage\n";
-    }
+TEST_F(CheckpointTest, DuplicatedOrSwappedLinesAreCorrupt) {
+    write_sample(1, "good");
+    const std::string full = read_file();
+    const std::vector<std::size_t> starts = line_starts(full);
+    auto line = [&](std::size_t i) { return full.substr(starts[i], starts[i + 1] - starts[i]); };
+    write_file(line(0) + line(1) + line(1) + line(2) + line(3));
+    expect_corrupt(1, "duplicated");
+    write_file(line(0) + line(2) + line(1) + line(3));
+    expect_corrupt(1, "swapped");
+}
+
+TEST_F(CheckpointTest, FormatOneFileIsCorrupt) {
+    // A snapshot of the retired format 1 has no checksummed header line.
+    write_file("seamap-checkpoint 1\nlibrary 0.9.0\nkind dse\nhash 0000000000000001\n"
+               "lines 0\nchecksum 0123456789abcdef\n");
     try {
-        (void)load_checkpoint(path_, "dse", 1);
+        (void)load(1);
         FAIL() << "expected checkpoint_corrupt";
     } catch (const Error& e) {
         EXPECT_EQ(e.category(), ErrorCategory::checkpoint_corrupt);
+        EXPECT_NE(std::string(e.what()).find("not a format-2 journal"), std::string::npos)
+            << e.what();
     }
+    write_file("garbage\n");
+    expect_corrupt(1, "garbage");
 }
 
 TEST_F(CheckpointTest, EmptyFileWithoutPrevRaisesCorrupt) {
     write_file("");
-    try {
-        (void)load_checkpoint(path_, "dse", 1);
-        FAIL() << "expected checkpoint_corrupt";
-    } catch (const Error& e) {
-        EXPECT_EQ(e.category(), ErrorCategory::checkpoint_corrupt);
-    }
+    expect_corrupt(1);
 }
 
 TEST_F(CheckpointTest, WrongHashIsMismatchNamingBothSides) {
-    save_checkpoint(path_, sample(0xabcd, "x"));
+    write_sample(0xabcd, "x");
     try {
-        (void)load_checkpoint(path_, "dse", 0x9999);
+        (void)load(0x9999);
         FAIL() << "expected checkpoint_mismatch";
     } catch (const Error& e) {
         EXPECT_EQ(e.category(), ErrorCategory::checkpoint_mismatch);
@@ -151,9 +212,9 @@ TEST_F(CheckpointTest, WrongHashIsMismatchNamingBothSides) {
 }
 
 TEST_F(CheckpointTest, WrongKindIsMismatch) {
-    save_checkpoint(path_, sample(1, "x"));
+    write_sample(1, "x");
     try {
-        (void)load_checkpoint(path_, "campaign", 1);
+        (void)load(1, "campaign");
         FAIL() << "expected checkpoint_mismatch";
     } catch (const Error& e) {
         EXPECT_EQ(e.category(), ErrorCategory::checkpoint_mismatch);
@@ -161,12 +222,9 @@ TEST_F(CheckpointTest, WrongKindIsMismatch) {
 }
 
 TEST_F(CheckpointTest, RemoveDeletesEverything) {
-    save_checkpoint(path_, sample(1, "a"));
-    save_checkpoint(path_, sample(1, "b"));
+    write_sample(1, "a");
     remove_checkpoint(path_);
     EXPECT_FALSE(std::filesystem::exists(path_));
-    EXPECT_FALSE(std::filesystem::exists(path_ + ".prev"));
-    EXPECT_FALSE(std::filesystem::exists(path_ + ".tmp"));
     remove_checkpoint(path_); // idempotent
 }
 

@@ -44,7 +44,7 @@ namespace {
 //   0  success
 //   1  completed, but no feasible design exists
 //   2  failure (usage, parse, io, corrupt/mismatched checkpoint, ...)
-//   3  interrupted by SIGINT/SIGTERM; any --checkpoint snapshot is
+//   3  interrupted by SIGINT/SIGTERM; any --checkpoint journal is
 //      saved and the run can continue with --resume
 constexpr int k_exit_no_design = 1;
 constexpr int k_exit_failure = 2;
@@ -156,10 +156,11 @@ void print_usage(std::ostream& out) {
         "  help | --help\n"
         "           show this message\n"
         "\n"
-        "crash safety: --checkpoint FILE snapshots progress (atomically,\n"
-        "with a rotated .prev fallback); Ctrl-C/SIGTERM stops gracefully\n"
-        "with exit code 3, and --resume continues from the snapshot —\n"
-        "final results are byte-identical to the uninterrupted run.\n"
+        "crash safety: --checkpoint FILE journals progress (append-only,\n"
+        "fsynced, checksum-chained; a torn last line is dropped on load);\n"
+        "Ctrl-C/SIGTERM stops gracefully with exit code 3, and --resume\n"
+        "continues from the journal — final results are byte-identical\n"
+        "to the uninterrupted run.\n"
         "exit codes: 0 ok, 1 no feasible design, 2 failure, 3 interrupted.\n";
 }
 
@@ -384,9 +385,6 @@ int cmd_optimize(const ArgList& args) {
             if (!info) {
                 note("no checkpoint at " + *ckpt.path + "; starting fresh");
             } else {
-                if (info->from_fallback)
-                    note("primary checkpoint was corrupt; resumed from " + *ckpt.path +
-                         ".prev");
                 note("resuming: " + std::to_string(info->slots_decided) +
                      " scaling slots already decided");
             }
@@ -518,9 +516,9 @@ int cmd_campaign(const ArgList& args, bool inject) {
     }
     const CampaignEngine engine(problem.ser_model(), config);
 
-    // Two snapshots ride one --checkpoint stem: <FILE>.dse for the
-    // exploration (a completed snapshot doubles as a memoized explore on
-    // resume) and <FILE>.sim for the campaign's shard partials.
+    // Two journals ride one --checkpoint stem: <FILE>.dse for the
+    // exploration (a completed journal doubles as a memoized explore on
+    // resume) and <FILE>.sim for the campaign's shard records.
     const CheckpointArgs ckpt = checkpoint_args(args);
     std::optional<DseCheckpointer> dse_ckpt;
     if (ckpt.path) {
@@ -567,8 +565,8 @@ int cmd_campaign(const ArgList& args, bool inject) {
         if (ckpt.resume) {
             const auto info = sim_ckpt->load();
             if (info && info->shards_completed > 0)
-                note("resuming campaign: " + std::to_string(info->shards_completed) + "/" +
-                     std::to_string(info->shard_count) + " shards already measured");
+                note("resuming campaign: " + std::to_string(info->shards_completed) +
+                     " shards already measured");
         }
     }
     const CampaignReport report = engine.run(graph, best.mapping, arch, best.levels,
