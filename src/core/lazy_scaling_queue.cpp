@@ -1,9 +1,11 @@
 #include "core/lazy_scaling_queue.h"
 
+#include "util/error.h"
 #include "util/rng.h"
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace seamap {
 
@@ -55,6 +57,18 @@ LazyScalingQueue::LazyScalingQueue(const TaskGraph& graph, const MpsocArchitectu
       shuffle_seed_(successor_shuffle_seed), tm_(graph) {
     const std::size_t cores = arch.core_count();
     const std::size_t levels = arch.scaling_table().level_count();
+    // The rank table takes (cores + 1) x (levels + 1) words and the
+    // visited bitmap one bit per combination: refuse a space whose
+    // tables would pass 1 GiB (2^27 words) before allocating either.
+    const std::uint64_t total = scaling_combination_count(cores, levels);
+    const unsigned __int128 table_words =
+        (static_cast<unsigned __int128>(cores) + 1) * (levels + 1) + total / 64 + 1;
+    if (table_words > (std::uint64_t{1} << 27))
+        throw Error(ErrorCategory::invalid_argument,
+                    "LazyScalingQueue: " + std::to_string(cores) + " cores x " +
+                        std::to_string(levels) + " levels have " + std::to_string(total) +
+                        " scaling combinations; their rank table and visited bitmap would "
+                        "need over 1 GiB");
     counts_ = multiset_counts(cores, levels);
     total_ = counts_.back(); // N(C, L)
     visited_.assign((total_ + 63) / 64, 0);

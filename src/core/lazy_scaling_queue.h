@@ -79,7 +79,9 @@ public:
     /// `successor_shuffle_seed` perturbs the order successors are
     /// *pushed* (never the pop order, which the dedup + strict
     /// (key, rank) total order make push-order invariant); nonzero
-    /// values exist for the dedup tests only.
+    /// values exist for the dedup tests only. Throws seamap::Error
+    /// (invalid_argument) when the space's rank table and visited
+    /// bitmap would pass 1 GiB.
     LazyScalingQueue(const TaskGraph& graph, const MpsocArchitecture& arch,
                      double deadline_seconds, const ScalingBoundsModel* bounds,
                      std::uint64_t successor_shuffle_seed = 0);

@@ -1,9 +1,17 @@
 #include "core/scaling_bounds.h"
 
 #include <algorithm>
-#include <functional>
+#include <array>
 #include <limits>
 #include <numeric>
+#include <span>
+#include <tuple>
+
+// case_bounds_for runs once per gate-passing combination on the
+// explorer's serial producer thread, and case_bounds once per admissible
+// case of it; the marker arms seamap_lint's hot-path-alloc rule so both
+// stay free of per-case allocation. The constructor is setup.
+// seamap-lint: hot-path
 
 namespace seamap {
 
@@ -17,8 +25,31 @@ namespace {
 constexpr double k_deadline_slack = 1.0 + 1e-9;
 constexpr double k_bound_shave = 1.0 - 1e-9;
 
+/// Distinct levels a combination can hold: ScalingLevel is 8-bit and
+/// level 0 is not a level.
+constexpr std::size_t k_max_groups = 255;
+
+/// A case's (price, capacity) pairs, at most one per level group: the
+/// power knapsack prices cycles by energy per cycle, the Gamma tier
+/// sum by SER rate. case_bounds leaves its arrays uninitialized and
+/// reads only the entries it has written: zeroing all 255 per case would
+/// cost more than pricing the case.
+struct PricedCapacity {
+    double price;
+    double capacity;
+};
+using PricedCapacities = std::array<PricedCapacity, k_max_groups>;
+
+/// The lexicographic (price, capacity) order: any sort by it yields the
+/// same sequence, so the knapsack and tier sums see the same doubles.
+bool cheaper(const PricedCapacity& a, const PricedCapacity& b) {
+    return std::tie(a.price, a.capacity) < std::tie(b.price, b.capacity);
+}
+
 } // namespace
 
+// seamap-lint: push-allow(hot-path-alloc) -- graph aggregates and
+// per-level tables are built once per problem
 ScalingBoundsModel::ScalingBoundsModel(const TaskGraph& graph, const MpsocArchitecture& arch,
                                        double deadline_seconds, const SerModel& ser,
                                        ExposurePolicy policy)
@@ -80,6 +111,8 @@ ScalingBoundsModel::ScalingBoundsModel(const TaskGraph& graph, const MpsocArchit
     }
 }
 
+// seamap-lint: pop-allow(hot-path-alloc)
+
 double ScalingBoundsModel::min_union_bits_covering(double cycles) const {
     if (cycles <= 0.0 || cover_cycles_prefix_.empty()) return 0.0;
     if (cycles >= cover_cycles_prefix_.back()) return cover_bits_prefix_.back();
@@ -93,8 +126,7 @@ double ScalingBoundsModel::min_union_bits_covering(double cycles) const {
     return prev_bits + step_bits * (cycles - prev_cycles) / step_cycles;
 }
 
-ScalingBounds ScalingBoundsModel::case_bounds(
-    const std::vector<std::pair<std::size_t, std::size_t>>& powered) const {
+ScalingBounds ScalingBoundsModel::case_bounds(std::span<const PoweredGroup> powered) const {
     const double deadline = deadline_seconds_ * k_deadline_slack;
     ScalingBounds bounds;
 
@@ -118,15 +150,17 @@ ScalingBounds ScalingBoundsModel::case_bounds(
 
     // --- power: idle floor of every powered core + fractional ---------
     // knapsack of the work over the case's energy-per-cycle levels.
-    std::vector<std::pair<double, double>> fills; // (energy/cycle, capacity)
+    PricedCapacities fill_storage;
+    const std::span fills(fill_storage.data(), powered.size()); // (energy/cycle, capacity)
     double idle_power_mw = 0.0;
     const double idle = arch_.power_model().params().idle_activity;
-    for (const auto& [l, n] : powered) {
+    for (std::size_t i = 0; i < powered.size(); ++i) {
+        const auto& [l, n] = powered[i];
         idle_power_mw += idle * static_cast<double>(n) * active_power_mw_[l];
-        fills.emplace_back(energy_per_cycle_mws_[l],
-                           static_cast<double>(n) * frequency_hz_[l] * cap_seconds);
+        fills[i] = {energy_per_cycle_mws_[l],
+                    static_cast<double>(n) * frequency_hz_[l] * cap_seconds};
     }
-    std::sort(fills.begin(), fills.end());
+    std::sort(fills.begin(), fills.end(), cheaper);
     double remaining = tm_.total_exec_cycles;
     double busy_energy_mws = 0.0; // min sum_i P_a_i * busy_seconds_i
     for (const auto& [energy_per_cycle, cap] : fills) {
@@ -145,12 +179,15 @@ ScalingBounds ScalingBoundsModel::case_bounds(
     // --- gamma --------------------------------------------------------
     if (policy_ == ExposurePolicy::full_duration) {
         // Telescoped tier sum over the case's SER rates (see header).
-        std::vector<std::pair<double, double>> tiers; // (lambda, capacity)
-        for (const auto& [l, n] : powered)
-            tiers.emplace_back(ser_per_bit_second_[l],
-                               static_cast<double>(n) * frequency_hz_[l] * cap_seconds);
-        std::sort(tiers.begin(), tiers.end());
-        const double lambda_min = tiers.front().first;
+        PricedCapacities tier_storage;
+        const std::span tiers(tier_storage.data(), powered.size()); // (lambda, capacity)
+        for (std::size_t i = 0; i < powered.size(); ++i) {
+            const auto& [l, n] = powered[i];
+            tiers[i] = {ser_per_bit_second_[l],
+                        static_cast<double>(n) * frequency_hz_[l] * cap_seconds};
+        }
+        std::sort(tiers.begin(), tiers.end(), cheaper);
+        const double lambda_min = tiers.front().price;
         double rate_lb = static_cast<double>(union_bits_all_) * lambda_min;
         double whole_task_extra = 0.0; // b_min floor at the worst forced tier
         double tier_lambda = lambda_min;
@@ -188,60 +225,68 @@ ScalingBounds ScalingBoundsModel::case_bounds(
     return bounds;
 }
 
+/// State of one case_bounds_for walk: the combination's level groups
+/// and the powered counts chosen so far, all in fixed storage.
+struct ScalingBoundsModel::CaseWalk {
+    std::array<PoweredGroup, k_max_groups> groups{};
+    std::array<double, k_max_groups> full_capacity{}; ///< each group's term at its full count
+    std::size_t group_count = 0;
+    std::array<PoweredGroup, k_max_groups> powered{};
+    std::size_t powered_count = 0;
+    DominanceFront staircase;
+};
+
+// A case without the capacity for the work cannot be powered by any
+// feasible design. The exact per-case capacity is never larger than the
+// rough one, but the fractional knapsack leaving work unplaced proves
+// the same thing, so the walk filters on the rough capacity only (cheap
+// and sound both ways: extra cases only make the pruning test stricter).
+double ScalingBoundsModel::rough_capacity(std::size_t level_index, std::size_t count) const {
+    return static_cast<double>(count) * frequency_hz_[level_index] * deadline_seconds_ *
+           k_deadline_slack * k_deadline_slack * k_deadline_slack;
+}
+
+void ScalingBoundsModel::walk_cases(CaseWalk& walk, std::size_t g, double capacity) const {
+    if (g == walk.group_count) {
+        const ScalingBounds bounds = case_bounds({walk.powered.data(), walk.powered_count});
+        // seamap-lint: allow(hot-path-alloc) -- the staircase is the result;
+        // it grows only to its few undominated points, not per case
+        walk.staircase.insert(bounds.power_mw_lb, bounds.gamma_lb);
+        return;
+    }
+    const PoweredGroup group = walk.groups[g];
+    for (std::size_t n = group.count;; --n) {
+        const double sum = n == 0 ? capacity : capacity + rough_capacity(group.level, n);
+        // The most capacity any case below can reach: every later
+        // group at its full count, summed in the filter's own order.
+        double reach = sum;
+        for (std::size_t h = g + 1; h < walk.group_count; ++h) reach += walk.full_capacity[h];
+        if (reach < tm_.total_exec_cycles) return; // fewer cores here only lower it
+        if (n > 0) walk.powered[walk.powered_count++] = {group.level, n};
+        walk_cases(walk, g + 1, sum);
+        if (n == 0) return;
+        --walk.powered_count;
+    }
+}
+
 std::vector<ScalingBounds> ScalingBoundsModel::case_bounds_for(
     const ScalingVector& levels) const {
     arch_.validate_scaling(levels);
     if (tm_.total_exec_cycles <= 0.0 || deadline_seconds_ <= 0.0) return {};
 
-    // Distinct levels and their multiplicities; cores at one level are
-    // interchangeable, so a powered-core case is a count per level.
-    std::vector<std::pair<std::size_t, std::size_t>> groups; // (level-1, count)
-    {
-        ScalingVector sorted = levels;
-        std::sort(sorted.begin(), sorted.end());
-        for (const ScalingLevel level : sorted) {
-            const std::size_t l = static_cast<std::size_t>(level) - 1;
-            if (!groups.empty() && groups.back().first == l)
-                ++groups.back().second;
-            else
-                groups.emplace_back(l, 1);
-        }
+    // Cores at one level are interchangeable, so a powered-core case is
+    // a count per distinct level: the groups, in ascending level order.
+    std::array<std::size_t, k_max_groups> per_level{};
+    for (const ScalingLevel level : levels) ++per_level[static_cast<std::size_t>(level) - 1];
+    CaseWalk walk;
+    for (std::size_t l = 0; l < per_level.size(); ++l) {
+        if (per_level[l] == 0) continue;
+        walk.groups[walk.group_count] = {l, per_level[l]};
+        walk.full_capacity[walk.group_count] = rough_capacity(l, per_level[l]);
+        ++walk.group_count;
     }
-
-    // Odometer over powered counts [0, n_l] per level group.
-    DominanceFront staircase;
-    std::vector<std::size_t> counts(groups.size(), 0);
-    std::vector<std::pair<std::size_t, std::size_t>> powered;
-    const double min_cap_seconds = deadline_seconds_; // cheap pre-filter below
-    for (;;) {
-        std::size_t g = 0;
-        while (g < counts.size() && counts[g] == groups[g].second) {
-            counts[g] = 0;
-            ++g;
-        }
-        if (g == counts.size()) break;
-        ++counts[g];
-
-        powered.clear();
-        double rough_cap = 0.0;
-        for (std::size_t i = 0; i < groups.size(); ++i) {
-            if (counts[i] == 0) continue;
-            powered.emplace_back(groups[i].first, counts[i]);
-            rough_cap += static_cast<double>(counts[i]) *
-                         frequency_hz_[groups[i].first] * min_cap_seconds *
-                         k_deadline_slack * k_deadline_slack * k_deadline_slack;
-        }
-        // A case without the capacity for the work cannot be powered
-        // by any feasible design; the exact per-case capacity is never
-        // larger than this rough one, but the fractional knapsack
-        // leaving `remaining` work unplaced proves the same thing, so
-        // filter on the rough capacity only (cheap and sound both
-        // ways: extra cases only make the pruning test stricter).
-        if (rough_cap < tm_.total_exec_cycles) continue;
-        const ScalingBounds bounds = case_bounds(powered);
-        staircase.insert(bounds.power_mw_lb, bounds.gamma_lb);
-    }
-    return std::move(staircase).points();
+    walk_cases(walk, 0, 0.0);
+    return std::move(walk.staircase).points();
 }
 
 } // namespace seamap

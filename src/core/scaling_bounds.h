@@ -28,6 +28,24 @@
 // queue compute it once, when a combination is generated, and keep it
 // on the frontier until the explorer pops it.
 //
+// The walk. Cores at one level are interchangeable, so a case is a
+// powered count per level group. case_bounds_for() walks the counts
+// depth-first over the groups in ascending level order and carries the
+// rough capacity sum that admits a case (sum of n_l * f_l * D * slack^3,
+// below which no design can power the case), added left to right as a
+// flat pass over the case adds it; a zero count adds nothing, as adding
+// +0.0 would. A subtree is cut when that sum, with every remaining group
+// at its full count, is still below the work: IEEE + and * round
+// monotonically, so no case below can sum to more, and none could pass
+// the filter. The cases priced are thus exactly the admissible ones,
+// only in another order, which the result cannot see: a DominanceFront
+// ends as the set's undominated points whatever the insertion order.
+// On acceptance a gate passer has 594 powered sub-multisets on average;
+// the walk prices the 78 with the capacity and keeps 4.6. Pricing a
+// case allocates nothing: its (price, capacity) pairs sit in fixed
+// arrays, one entry per level group (at most 255, as ScalingLevel is
+// 8-bit).
+//
 // Per-case soundness leans on the deadline-capacity argument that
 // makes tight deadlines the prunable regime. With T_M <= D and
 // per-core utilization <= 1, core i absorbs at most f_i * D cycles —
@@ -78,6 +96,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -158,10 +177,23 @@ public:
     std::vector<ScalingBounds> case_bounds_for(const ScalingVector& levels) const;
 
 private:
-    /// One powered-core case: count of powered cores per scaling
-    /// level, level-index-keyed (0-based level - 1).
-    ScalingBounds case_bounds(const std::vector<std::pair<std::size_t, std::size_t>>&
-                                  powered) const;
+    /// Cores of one scaling level a case powers: level index (level -
+    /// 1) and count.
+    struct PoweredGroup {
+        std::size_t level = 0;
+        std::size_t count = 0;
+    };
+    struct CaseWalk;
+
+    /// Bounds of one powered-core case, groups in ascending level order.
+    ScalingBounds case_bounds(std::span<const PoweredGroup> powered) const;
+
+    /// The rough-capacity filter's term for `count` cores of one level.
+    double rough_capacity(std::size_t level_index, std::size_t count) const;
+
+    /// Depth-first over the counts of groups g.. given the rough
+    /// capacity of groups before g; inserts every admissible case.
+    void walk_cases(CaseWalk& walk, std::size_t g, double capacity) const;
 
     /// Fractional min-bits cover: smallest union width (bits) a task
     /// set covering `cycles` of work can carry. Built from registers

@@ -194,6 +194,18 @@ TEST_F(CliErrorsTest, HugeCampaignIsInvalidArgumentNotBadAlloc) {
     EXPECT_EQ(r.err.find("bad_alloc"), std::string::npos) << r.err;
 }
 
+TEST_F(CliErrorsTest, HugeScalingSpaceIsInvalidArgumentNotBadAlloc) {
+    // 100000 cores x 4 levels: the lazy queue's visited bitmap over the
+    // C(100003, 3) combinations would take 20 TiB, so the shape is
+    // refused before anything is allocated.
+    const RunResult r =
+        run("optimize " + fig8_path() + " --cores 100000 --levels 4 --json");
+    EXPECT_EQ(r.status, 2);
+    expect_contains(r.out, "\"code\": \"invalid_argument\"");
+    expect_contains(r.err, "166676666850001 scaling combinations");
+    EXPECT_EQ(r.err.find("bad_alloc"), std::string::npos) << r.err;
+}
+
 TEST_F(CliErrorsTest, CorruptCheckpointIsRejected) {
     const std::string ckpt = path_of("broken.ckpt");
     {

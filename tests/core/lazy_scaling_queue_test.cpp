@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
 namespace seamap {
@@ -196,6 +197,32 @@ TEST(LazyScalingQueue, CountersTrackPopsAndGeneration) {
     }
     EXPECT_EQ(queue.popped(), queue.total());
     EXPECT_EQ(queue.generated(), queue.total());
+}
+
+TEST(LazyScalingQueue, RefusesSpacesWhoseTablesPassOneGiB) {
+    // The queue refuses a shape before it allocates anything, naming
+    // the combination count, when its tables would pass 1 GiB:
+    //  - 100000 cores x 4 levels: C(100003, 3) ~ 1.7e14 combinations,
+    //    a 20 TiB visited bitmap;
+    //  - 2^30 cores x 2 levels: a 128 MiB bitmap, but a 24 GiB rank
+    //    table of (cores + 1) x (levels + 1) words.
+    const TaskGraph graph = fig8_example_graph();
+    const auto expect_refused = [&](const MpsocArchitecture& arch, const std::string& count) {
+        try {
+            LazyScalingQueue queue(graph, arch, 1.0, nullptr);
+            ADD_FAILURE() << "expected seamap::Error";
+        } catch (const Error& e) {
+            EXPECT_EQ(e.category(), ErrorCategory::invalid_argument);
+            EXPECT_NE(std::string(e.what()).find(count + " scaling combinations"),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    expect_refused(MpsocArchitecture(100000, VoltageScalingTable::arm7_four_level()),
+                   "166676666850001");
+    expect_refused(
+        MpsocArchitecture(std::size_t{1} << 30, VoltageScalingTable::arm7_two_level()),
+        "1073741825");
 }
 
 } // namespace

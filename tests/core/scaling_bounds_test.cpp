@@ -9,17 +9,23 @@
 // rests on.
 #include "core/scaling_bounds.h"
 
+#include "api/scenarios.h"
+#include "core/lazy_scaling_queue.h"
 #include "reliability/design_eval.h"
 #include "sched/list_scheduler.h"
 #include "support/scaling_walker.h"
 #include "taskgraph/fig8.h"
+#include "taskgraph/mpeg2.h"
 #include "tgff/random_graph.h"
 #include "util/rng.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <gtest/gtest.h>
 #include <limits>
+#include <optional>
 #include <vector>
 
 namespace seamap {
@@ -240,6 +246,107 @@ TEST(ScalingBounds, CaseListIsAnUndominatedStaircase) {
               0u);
 }
 
+/// What one drain of a problem's lazy queue computes: every gate
+/// passer's case staircase, folded into an FNV-1a 64 digest over
+/// (rank, staircase size, the bit patterns of each power and Gamma).
+struct StaircaseDigest {
+    std::uint64_t passers = 0;
+    std::uint64_t entries = 0;
+    std::uint64_t digest = 14695981039346656037ULL;
+    std::uint64_t generated = 0;
+    std::uint64_t popped = 0;
+
+    void fold(std::uint64_t word) {
+        for (int byte = 0; byte < 8; ++byte) {
+            digest ^= (word >> (8 * byte)) & 0xffU;
+            digest *= 1099511628211ULL;
+        }
+    }
+};
+
+StaircaseDigest drain_staircases(const TaskGraph& graph, const MpsocArchitecture& arch,
+                                 double deadline_seconds, const SerModel& ser,
+                                 ExposurePolicy policy) {
+    const ScalingBoundsModel model(graph, arch, deadline_seconds, ser, policy);
+    LazyScalingQueue queue(graph, arch, deadline_seconds, &model);
+    StaircaseDigest out;
+    while (std::optional<LazyScalingQueue::Slot> slot = queue.pop()) {
+        if (!slot->gate_passed) continue;
+        ++out.passers;
+        out.entries += slot->cases.size();
+        out.fold(slot->rank);
+        out.fold(slot->cases.size());
+        for (const ScalingBounds& bounds : slot->cases) {
+            out.fold(std::bit_cast<std::uint64_t>(bounds.power_mw_lb));
+            out.fold(std::bit_cast<std::uint64_t>(bounds.gamma_lb));
+        }
+    }
+    out.generated = queue.generated();
+    out.popped = queue.popped();
+    return out;
+}
+
+void expect_digest(const StaircaseDigest& got, std::uint64_t passers, std::uint64_t entries,
+                   std::uint64_t digest) {
+    EXPECT_EQ(got.passers, passers);
+    EXPECT_EQ(got.entries, entries);
+    EXPECT_EQ(got.digest, digest) << std::hex << "0x" << got.digest;
+}
+
+TEST(ScalingBounds, StaircasesArePinned) {
+    // Every gate passer's staircase, bit for bit, on the producer's
+    // real workloads: a rewrite of case_bounds_for (enumeration order,
+    // pruning of the case walk, sorting of fills and tiers) must leave
+    // every digest unchanged.
+    const Problem acceptance = scale_acceptance_problem();
+    const StaircaseDigest full = drain_staircases(
+        acceptance.graph(), acceptance.architecture(), acceptance.deadline_seconds(),
+        acceptance.ser_model(), ExposurePolicy::full_duration);
+    expect_digest(full, 5862, 27172, 0x977b88f0b1a2d8afULL);
+    EXPECT_EQ(full.generated, 20349u);
+    EXPECT_EQ(full.popped, 20349u);
+    expect_digest(drain_staircases(acceptance.graph(), acceptance.architecture(),
+                                   acceptance.deadline_seconds(), acceptance.ser_model(),
+                                   ExposurePolicy::busy_only),
+                  5862, 5896, 0xf3fd43c1aacc7ba8ULL);
+
+    const TaskGraph fig8 = fig8_example_graph();
+    const MpsocArchitecture fig8_arch(4, VoltageScalingTable::arm7_three_level());
+    expect_digest(drain_staircases(fig8, fig8_arch, k_fig8_deadline_seconds, SerModel{},
+                                   ExposurePolicy::full_duration),
+                  10, 18, 0x15ca26323f06f36cULL);
+
+    const TaskGraph mpeg2 = mpeg2_decoder_graph();
+    const MpsocArchitecture mpeg2_arch(4, VoltageScalingTable::arm7_three_level());
+    expect_digest(drain_staircases(mpeg2, mpeg2_arch, mpeg2_deadline_seconds(), SerModel{},
+                                   ExposurePolicy::full_duration),
+                  15, 45, 0x2ffff689472a6dc2ULL);
+
+    TgffParams tgff_params;
+    tgff_params.task_count = 40;
+    tgff_params.batch_count = 16;
+    const TaskGraph tgff = generate_tgff_graph(tgff_params, 5);
+    const MpsocArchitecture tgff_arch(6, VoltageScalingTable::arm7_four_level());
+    const double tgff_deadline =
+        2.0 * tm_lower_bound_seconds(tgff, tgff_arch, ScalingVector(6, 1));
+    expect_digest(drain_staircases(tgff, tgff_arch, tgff_deadline, SerModel{},
+                                   ExposurePolicy::full_duration),
+                  68, 146, 0x72c1973260adbd2bULL);
+
+    // Voltages out of frequency order: energy per cycle (C Vdd^2) and
+    // SER (falling with Vdd) no longer follow the level order, and the
+    // equal-voltage levels 1 and 2 tie in both, so the fill and tier
+    // orders fall back to capacity.
+    const VoltageScalingTable shuffled(
+        {{200.0, 1.0}, {150.0, 1.0}, {100.0, 1.2}, {50.0, 0.5}, {25.0, 0.8}});
+    const MpsocArchitecture shuffled_arch(6, shuffled);
+    const double shuffled_deadline =
+        2.0 * tm_lower_bound_seconds(tgff, shuffled_arch, ScalingVector(6, 1));
+    expect_digest(drain_staircases(tgff, shuffled_arch, shuffled_deadline, SerModel{},
+                                   ExposurePolicy::full_duration),
+                  127, 322, 0x305e763befed0038ULL);
+}
+
 TEST(DominanceFront, MatchesBruteForceOracle) {
     // Seeded random (power, gamma) pairs on a small grid, so equal
     // powers and duplicates occur. After every insert the staircase
@@ -287,6 +394,46 @@ TEST(DominanceFront, MatchesBruteForceOracle) {
         }
     }
     EXPECT_GT(dominated_probes, 0u);
+}
+
+TEST(DominanceFront, PointsAreInsertionOrderIndependent) {
+    // case_bounds_for may insert a combination's cases in any order:
+    // the final staircase is the set's undominated points, so every
+    // permutation of one point set must give identical points(). Small
+    // grids make exact duplicates and equal-power points common.
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        Rng rng(seed);
+        const std::int64_t grid = rng.uniform_int(2, 8);
+        const std::int64_t count = rng.uniform_int(1, 24);
+        std::vector<ScalingBounds> points;
+        for (std::int64_t i = 0; i < count; ++i)
+            points.push_back({static_cast<double>(rng.uniform_int(0, grid)),
+                              static_cast<double>(rng.uniform_int(0, grid))});
+        if (count > 1) points.push_back(points.front()); // an exact duplicate
+
+        const auto staircase = [](const std::vector<ScalingBounds>& order) {
+            DominanceFront front;
+            for (const ScalingBounds& point : order)
+                front.insert(point.power_mw_lb, point.gamma_lb);
+            return std::move(front).points();
+        };
+        const std::vector<ScalingBounds> expected = staircase(points);
+        ASSERT_FALSE(expected.empty());
+        std::vector<ScalingBounds> order = points;
+        for (int shuffle = 0; shuffle < 50; ++shuffle) {
+            for (std::size_t i = order.size(); i > 1; --i)
+                std::swap(order[i - 1], order[static_cast<std::size_t>(rng.uniform_int(
+                                            0, static_cast<std::int64_t>(i) - 1))]);
+            const std::vector<ScalingBounds> got = staircase(order);
+            ASSERT_EQ(got.size(), expected.size()) << "seed " << seed << " shuffle " << shuffle;
+            for (std::size_t k = 0; k < got.size(); ++k) {
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k].power_mw_lb),
+                          std::bit_cast<std::uint64_t>(expected[k].power_mw_lb));
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k].gamma_lb),
+                          std::bit_cast<std::uint64_t>(expected[k].gamma_lb));
+            }
+        }
+    }
 }
 
 } // namespace
