@@ -1,8 +1,6 @@
 #include "core/dse_checkpoint.h"
 
 #include "reliability/state_hash.h"
-#include "util/error.h"
-#include "util/strings.h"
 
 #include <utility>
 
@@ -21,19 +19,8 @@ namespace {
 // levels are not stored: the combination index recovers them from the
 // deterministic enumeration on resume.
 
-std::string csv_of_mapping(const Mapping& mapping) {
-    std::string out;
-    const std::vector<CoreId>& raw = mapping.raw();
-    for (std::size_t i = 0; i < raw.size(); ++i) {
-        if (i > 0) out += ',';
-        out += std::to_string(raw[i]);
-    }
-    return out;
-}
-
 void encode_point(std::string& out, const DsePoint& point) {
-    out += ' ';
-    out += csv_of_mapping(point.mapping);
+    out += ' ' + csv_of(point.mapping.raw());
     out += ' ' + hex_of_double(point.metrics.tm_seconds);
     out += ' ' + hex_of_double(point.metrics.latency_seconds);
     out += ' ' + std::to_string(point.metrics.register_bits);
@@ -53,78 +40,48 @@ std::string encode_record(const DseSlotRecord& record) {
     return out;
 }
 
-[[noreturn]] void fail_decode(const std::string& path, const std::string& why) {
-    throw Error(ErrorCategory::checkpoint_corrupt, "corrupt dse checkpoint record: " + why,
-                path);
-}
-
-Mapping mapping_of_csv(const std::string& path, const std::string& csv,
-                       std::size_t task_count, std::size_t core_count) {
-    const std::vector<std::string> fields = split(csv, ',');
-    if (fields.size() != task_count)
-        fail_decode(path, "mapping has " + std::to_string(fields.size()) + " entries for " +
-                              std::to_string(task_count) + " tasks");
-    Mapping mapping(task_count, core_count);
-    for (std::size_t t = 0; t < fields.size(); ++t) {
-        unsigned long long core = 0;
-        try {
-            core = parse_u64(fields[t]);
-        } catch (const std::exception&) {
-            fail_decode(path, "non-numeric mapping entry '" + fields[t] + "'");
-        }
-        if (core >= core_count)
-            fail_decode(path, "mapping entry " + std::to_string(core) + " exceeds core count " +
-                                  std::to_string(core_count));
-        mapping.assign(static_cast<TaskId>(t), static_cast<CoreId>(core));
-    }
-    return mapping;
-}
-
-/// Decode the <point> of a feasible record (fields[2..8]).
-DsePoint decode_point(const std::string& path, const std::vector<std::string>& fields,
-                      std::size_t task_count, std::size_t core_count) {
-    if (fields.size() < 9) fail_decode(path, "truncated design point");
-    if (fields.size() > 9) fail_decode(path, "trailing fields on feasible record");
+/// Decode the <point> of a feasible record (fields 2..8).
+DsePoint decode_point(const RecordFields& fields, std::size_t task_count,
+                      std::size_t core_count) {
+    if (fields.size() != 9)
+        fields.fail("feasible record has " + std::to_string(fields.size()) +
+                    " fields, not 9");
+    const std::vector<std::uint64_t> cores = fields.u64s(2);
+    if (cores.size() != task_count)
+        fields.fail("mapping has " + std::to_string(cores.size()) + " entries for " +
+                    std::to_string(task_count) + " tasks");
     DsePoint point;
-    point.mapping = mapping_of_csv(path, fields[2], task_count, core_count);
-    try {
-        point.metrics.tm_seconds = double_of_hex(fields[3]);
-        point.metrics.latency_seconds = double_of_hex(fields[4]);
-        point.metrics.register_bits = parse_u64(fields[5]);
-        point.metrics.gamma = double_of_hex(fields[6]);
-        point.metrics.power_mw = double_of_hex(fields[7]);
-    } catch (const std::exception&) {
-        fail_decode(path, "non-numeric design metrics");
+    point.mapping = Mapping(task_count, core_count);
+    for (std::size_t t = 0; t < task_count; ++t) {
+        if (cores[t] >= core_count)
+            fields.fail("mapping entry " + std::to_string(cores[t]) + " exceeds core count " +
+                        std::to_string(core_count));
+        point.mapping.assign(static_cast<TaskId>(t), static_cast<CoreId>(cores[t]));
     }
+    point.metrics.tm_seconds = fields.hex_double(3);
+    point.metrics.latency_seconds = fields.hex_double(4);
+    point.metrics.register_bits = fields.u64(5);
+    point.metrics.gamma = fields.hex_double(6);
+    point.metrics.power_mw = fields.hex_double(7);
     if (fields[8] != "0" && fields[8] != "1")
-        fail_decode(path, "bad feasibility flag '" + fields[8] + "'");
+        fields.fail("bad feasibility flag '" + fields[8] + "'");
     point.metrics.feasible = fields[8] == "1";
     return point;
 }
 
-DseSlotRecord decode_record(const std::string& path, const std::string& line,
-                            std::size_t task_count, std::size_t core_count) {
-    const std::vector<std::string> fields = split(line, ' ');
-    if (fields.size() < 2) fail_decode(path, "short record line");
+DseSlotRecord decode_record(const RecordFields& fields, std::size_t task_count,
+                            std::size_t core_count) {
     DseSlotRecord record;
-    try {
-        record.combo = parse_u64(fields[1]);
-    } catch (const std::exception&) {
-        fail_decode(path, "non-numeric combination index '" + fields[1] + "'");
-    }
-    if (fields[0] == "pruned") {
-        record.kind = DseSlotRecord::Kind::pruned;
-        if (fields.size() != 2) fail_decode(path, "trailing fields on pruned record");
+    record.combo = fields.u64(1);
+    if (fields[0] == "pruned" || fields[0] == "nodesign") {
+        record.kind = fields[0] == "pruned" ? DseSlotRecord::Kind::pruned
+                                            : DseSlotRecord::Kind::no_design;
+        if (fields.size() != 2) fields.fail("trailing fields on " + fields[0] + " record");
         return record;
     }
-    if (fields[0] == "nodesign") {
-        record.kind = DseSlotRecord::Kind::no_design;
-        if (fields.size() != 2) fail_decode(path, "trailing fields on nodesign record");
-        return record;
-    }
-    if (fields[0] != "feasible") fail_decode(path, "unknown record kind '" + fields[0] + "'");
+    if (fields[0] != "feasible") fields.fail("unknown record kind '" + fields[0] + "'");
     record.kind = DseSlotRecord::Kind::feasible;
-    record.point = decode_point(path, fields, task_count, core_count);
+    record.point = decode_point(fields, task_count, core_count);
     return record;
 }
 
@@ -186,15 +143,12 @@ std::optional<DseResumeInfo> DseCheckpointer::load(std::size_t task_count,
     DseResumeState state;
     state.records.reserve(lines->size());
     for (const std::string& line : *lines)
-        state.records.push_back(decode_record(path(), line, task_count, core_count));
+        state.records.push_back(decode_record(RecordFields(path(), line), task_count,
+                                              core_count));
     resume_ = std::move(state);
     return DseResumeInfo{resume_->records.size()};
 }
 
-void DseCheckpointer::record(const DseSlotRecord& record) {
-    std::string line = encode_record(record);
-    std::lock_guard lock(mutex_);
-    append_locked(std::move(line));
-}
+void DseCheckpointer::record(const DseSlotRecord& record) { append(encode_record(record)); }
 
 } // namespace seamap

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 
@@ -35,10 +36,10 @@ void validate_config(const CampaignConfig& config) {
         throw std::invalid_argument("CampaignEngine: campaign needs >= 1 trial");
     if (config.shard_size == 0)
         throw std::invalid_argument("CampaignEngine: shard_size must be >= 1");
-    // run() sizes its result slots and the checkpointer's done bitmap by
-    // the shard count: refuse tables over 1 GiB up front.
+    // A resumed run() keeps one done flag per shard: refuse tables over
+    // 1 GiB up front.
     if (const std::uint64_t shards = shard_count_of(config);
-        shards > (std::uint64_t{1} << 30) / (sizeof(CampaignTally) + 1))
+        shards > (std::uint64_t{1} << 30) / sizeof(std::uint8_t))
         throw Error(ErrorCategory::invalid_argument,
                     "CampaignEngine: " + std::to_string(shards) + " shards of " +
                         std::to_string(config.shard_size) +
@@ -154,35 +155,45 @@ CampaignReport CampaignEngine::run(const TaskGraph& graph, const Mapping& mappin
     const std::size_t cores = arch.core_count();
     const std::size_t tasks = graph.task_count();
 
-    // Shards restored from a checkpoint are skipped outright; workers
-    // consult an immutable snapshot of the bitmap taken before dispatch.
-    // The report starts from their merged tally (empty without one).
+    // The run's one tally starts from the shards a checkpoint restored;
+    // workers skip those, reading flags that are fixed before dispatch.
+    // Every fully run shard folds in under tally_mutex: merges are exact
+    // and commutative, so completion order cannot move a byte.
     CampaignTally tally = CampaignTally::zero(cores, tasks);
-    std::vector<std::uint8_t> already_done;
-    if (checkpoint != nullptr) {
-        tally = checkpoint->initialize(shard_count, cores, tasks);
-        already_done = checkpoint->done_snapshot();
+    std::mutex tally_mutex;
+    std::vector<std::uint8_t> restored;
+    if (const CampaignResumeState* resume =
+            checkpoint != nullptr ? checkpoint->resume_state() : nullptr;
+        resume != nullptr && !resume->shards.empty()) {
+        // A hash-matched journal cannot legitimately disagree with the run.
+        auto corrupt = [&](const std::string& why) {
+            return Error(ErrorCategory::checkpoint_corrupt, "corrupt checkpoint record: " + why,
+                         checkpoint->path());
+        };
+        if (resume->shards.back() >= shard_count)
+            throw corrupt("shard " + std::to_string(resume->shards.back()) +
+                          " is beyond this run's " + std::to_string(shard_count) + " shards");
+        if (resume->tally.hits_per_core.size() != cores ||
+            resume->tally.hits_per_task.size() != tasks)
+            throw corrupt("shard records disagree with this run's core or task count");
+        tally = resume->tally;
+        restored.assign(shard_count, 0);
+        for (const std::uint64_t shard : resume->shards) restored[shard] = 1;
     }
 
-    // Pre-assigned result slots: worker s writes only shards[s]; the
-    // fold below merges them in shard-index order (and since every
-    // accumulator is exact, any fold order would produce the same bytes
-    // anyway — which is also why restored shards merge as one partial).
-    std::vector<CampaignTally> shards(shard_count);
     const std::uint64_t seed = config_.seed;
     parallel_for_index(
         static_cast<std::size_t>(shard_count), config_.num_threads,
         [&](std::size_t shard) {
-            if (!already_done.empty() && already_done[shard] != 0) return;
-            CampaignTally& acc = shards[shard];
-            acc = CampaignTally::zero(cores, tasks);
+            if (!restored.empty() && restored[shard] != 0) return;
+            CampaignTally acc = CampaignTally::zero(cores, tasks);
             const Rng root(seed);
             const std::uint64_t lo = static_cast<std::uint64_t>(shard) * shard_size;
             const std::uint64_t hi = lo + std::min(shard_size, trials - lo);
             std::array<std::uint64_t, k_fault_site_count> trial_site{};
             for (std::uint64_t trial = lo; trial < hi; ++trial) {
                 // A stop request abandons the shard un-recorded: a
-                // partially-run shard must never enter the partial.
+                // partially-run shard must never enter the tally.
                 if (cancel != nullptr && cancel->stop_requested()) return;
                 // The stream is a pure function of (seed, trial): any
                 // shard schedule replays identical draws per trial.
@@ -203,15 +214,15 @@ CampaignReport CampaignEngine::run(const TaskGraph& graph, const Mapping& mappin
                 acc.total.add(trial_total);
             }
             acc.shards = 1;
+            {
+                const std::lock_guard lock(tally_mutex);
+                tally.merge(acc);
+            }
             if (checkpoint != nullptr) {
                 checkpoint->record_shard(shard, acc);
                 checkpoint->maybe_flush();
             }
         });
-
-    // Shards cut short by cancellation carry shards == 0 and stay out.
-    for (const CampaignTally& acc : shards)
-        if (acc.shards != 0) tally.merge(acc);
     if (checkpoint != nullptr) checkpoint->flush();
 
     CampaignReport report;

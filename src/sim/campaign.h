@@ -1,12 +1,13 @@
 // Sharded fault-injection campaign engine — the measurement-side
 // counterpart of the analytic Γ model (eq. 3) at statistically
 // meaningful trial counts. Trials are cut into fixed-size blocks
-// (shards) run by parallel_for_index (util/parallel.h); trial t always draws
-// from the order-invariant stream Rng(seed).fork_at(t) and every
-// accumulator merged across shards is an exact integer moment
-// (util/stats.h ExactMoments), so the merged report is byte-identical
-// for ANY thread count and ANY shard size — the PR 1/4
-// enumeration-order merge discipline applied to statistics.
+// (shards) run by parallel_for_index (util/parallel.h); trial t always
+// draws from the order-invariant stream Rng(seed).fork_at(t). Each fully
+// run shard folds into the run's one tally, whose every accumulator is
+// an exact integer moment (util/stats.h ExactMoments), so the report is
+// byte-identical for ANY thread count, ANY shard size and ANY
+// completion order. A checkpoint (sim/campaign_checkpoint.h) only
+// journals the shards; the engine owns the tally and the done flags.
 //
 // Faults are injected at differentiated sites, following the
 // component-level triage of CFA-style frameworks (register file vs
@@ -110,8 +111,8 @@ struct FaultSource {
 
 /// Exact hit tally over a set of completed shards: per-trial total and
 /// per-site moments plus per-core and per-task hit counts. One type
-/// serves a single shard's accumulator, a checkpoint's restored
-/// partial and the report fold; every field is an exact integer, so
+/// serves a single shard's accumulator, a checkpoint's restored shards
+/// and the run's total; every field is an exact integer, so
 /// merge() is associative and commutative and any fold order gives the
 /// same bytes.
 struct CampaignTally {
@@ -145,8 +146,8 @@ struct CampaignReport {
     std::uint64_t shards = 0;
     /// Shards actually merged into the statistics (restored plus run).
     /// Equals `shards` on a full run; smaller when cancellation stopped
-    /// the campaign early (the partial lives in the checkpoint, not in
-    /// a usable report).
+    /// the campaign early, and then the statistics cover only those
+    /// shards (a checkpoint journal resumes the rest).
     std::uint64_t shards_completed = 0;
     std::uint64_t seed = 0;
     /// Weighted expectation summed over every site.
@@ -191,7 +192,9 @@ public:
     /// shard finished here and flushes on its cadence — because all
     /// merges are exact integer moments, the final report is
     /// byte-identical to the uninterrupted run whatever subset of
-    /// shards was restored.
+    /// shards was restored. Restored shards that do not fit this run
+    /// (an index past its shard count, hit vectors of another core or
+    /// task count) raise Error(checkpoint_corrupt).
     CampaignReport run(const TaskGraph& graph, const Mapping& mapping,
                        const MpsocArchitecture& arch, const ScalingVector& levels,
                        const Schedule& schedule, const CancellationToken* cancel = nullptr,

@@ -6,10 +6,13 @@
 // accumulator is an exact integer moment (util/stats.h ExactMoments),
 // so shard merges are associative AND commutative. The journal holds
 // one record per finished shard (its index, total and per-site
-// moments, per-core and per-task hit counts); a resumed run merges
-// them, computes only the missing shards and folds those in,
-// reproducing the uninterrupted report byte-for-byte at any thread
-// count and any completion order.
+// moments, per-core and per-task hit counts). The checkpointer only
+// encodes, decodes and appends those records: load() decodes them into
+// a resume state (the restored shard indices and their merged tally),
+// and the campaign engine, which owns the run's one tally, starts from
+// it, computes only the missing shards and folds those in, reproducing
+// the uninterrupted report byte-for-byte at any thread count and any
+// completion order.
 //
 // Journals are keyed by campaign_state_hash() — a content hash of the
 // design (graph, mapping, architecture, scaling, schedule), the SER
@@ -43,55 +46,47 @@ std::uint64_t campaign_state_hash(const TaskGraph& graph, const Mapping& mapping
                                   const Schedule& schedule, const SerModel& ser,
                                   const CampaignConfig& config);
 
+/// Decoded resume state: the restored shards and their exact merge.
+/// The engine checks both against its run's shape.
+struct CampaignResumeState {
+    std::vector<std::uint64_t> shards; ///< restored shard indices, ascending, distinct
+    CampaignTally tally;               ///< their merge (empty without shards)
+};
+
 /// What load() found in an existing journal.
 struct CampaignResumeInfo {
     std::uint64_t shards_completed = 0;
 };
 
-/// Accumulates completed shards into one exact merged partial and
-/// appends one journal record per shard. The campaign engine records
-/// every finished shard here (thread-safe); flushing happens on the
-/// configured cadence and on demand.
+/// Appends one journal record per finished shard. The campaign engine
+/// records every finished shard here (thread-safe); flushing happens on
+/// the configured cadence and on demand.
 class CampaignCheckpointer final : public Checkpointer {
 public:
     /// The cadence (set_cadence) counts recorded shards.
     CampaignCheckpointer(std::string path, std::uint64_t state_hash);
 
-    /// Merge the shard records of the journal at path() into this
-    /// accumulator. Returns nullopt when no journal exists; throws
+    /// Load the journal at path(), so later flushes append after its
+    /// records, and expose the decoded shards via resume_state().
+    /// Returns nullopt when no journal exists; throws
     /// Error(checkpoint_corrupt/_mismatch) as util/checkpoint.h
     /// documents, and Error(checkpoint_corrupt) on a malformed or
     /// duplicated shard record.
     std::optional<CampaignResumeInfo> load();
 
-    /// Shape the accumulators for this run; verifies any loaded shards
-    /// against the run's shard count and core and task counts
-    /// (Error(checkpoint_corrupt) on disagreement — a hash-matched
-    /// journal cannot legitimately differ). Returns the restored
-    /// partial the run resumes from (an empty tally of the run's shape
-    /// when nothing was loaded). Must run before
-    /// record_shard()/done_snapshot().
-    CampaignTally initialize(std::uint64_t shard_count, std::size_t core_count,
-                             std::size_t task_count);
+    /// The decoded shards from a successful load(); nullptr otherwise.
+    const CampaignResumeState* resume_state() const { return resume_ ? &*resume_ : nullptr; }
 
-    /// Copy of the completed-shard bitmap (1 = already merged); taken
-    /// once before dispatch so workers consult an immutable snapshot.
-    std::vector<std::uint8_t> done_snapshot() const;
-
-    /// Fold one finished shard into the partial (exact merges) and mark
-    /// it done. Thread-safe; ignores shards already recorded.
+    /// Append the record of one fully run shard. Thread-safe.
     void record_shard(std::uint64_t shard, const CampaignTally& tally);
 
-    /// Test hook: invoked after each record_shard (outside the internal
-    /// lock) with the new completed count — lets tests stop a campaign
-    /// at a deterministic point. Not used in production.
+    /// Test hook: invoked after each record_shard with the journal's
+    /// shard count (restored plus recorded) — lets tests stop a
+    /// campaign at a deterministic point. Not used in production.
     std::function<void(std::uint64_t)> on_shard_recorded;
 
 private:
-    bool shaped_ = false;
-    std::vector<std::uint64_t> restored_; ///< loaded shard indices, ascending
-    std::vector<std::uint8_t> done_;
-    CampaignTally partial_;
+    std::optional<CampaignResumeState> resume_;
 };
 
 } // namespace seamap

@@ -7,9 +7,9 @@
 
 #include <bit>
 #include <cerrno>
-#include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <stdexcept>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -98,8 +98,6 @@ void sync_parent_dir(const std::string& path) {
 
 } // namespace
 
-void remove_checkpoint(const std::string& path) { std::remove(path.c_str()); }
-
 Checkpointer::Checkpointer(std::string path, std::string kind, std::uint64_t state_hash)
     : path_(std::move(path)), kind_(std::move(kind)), state_hash_(state_hash) {}
 
@@ -123,11 +121,10 @@ void Checkpointer::flush() {
     if (!pending_.empty()) flush_locked(lock);
 }
 
-void Checkpointer::remove() {
-    std::unique_lock lock(mutex_);
-    written_.wait(lock, [&] { return !writing_; });
-    remove_checkpoint(path_);
-    valid_bytes_ = 0;
+std::uint64_t Checkpointer::append(std::string record) {
+    std::lock_guard lock(mutex_);
+    pending_.push_back(std::move(record));
+    return ++records_;
 }
 
 std::optional<std::vector<std::string>> Checkpointer::load_records() {
@@ -185,6 +182,7 @@ std::optional<std::vector<std::string>> Checkpointer::load_records() {
     }
     std::lock_guard lock(mutex_);
     pending_.clear();
+    records_ = records.size();
     valid_bytes_ = valid;
     chain_ = chain;
     return records;
@@ -279,6 +277,47 @@ std::uint64_t u64_of_hex(std::string_view hex) {
             throw Error(ErrorCategory::parse, "bad hex64 field: '" + std::string(hex) + "'");
     }
     return value;
+}
+
+RecordFields::RecordFields(std::string path, std::string_view record)
+    : path_(std::move(path)), fields_(split(record, ' ')) {}
+
+const std::string& RecordFields::at(std::size_t i) const {
+    if (i >= fields_.size()) fail("missing field " + std::to_string(i));
+    return fields_[i];
+}
+
+std::uint64_t RecordFields::u64(std::size_t i) const {
+    try {
+        return parse_u64(at(i));
+    } catch (const std::invalid_argument&) {
+        fail("bad u64 field '" + at(i) + "'");
+    }
+}
+
+double RecordFields::hex_double(std::size_t i) const {
+    try {
+        if (at(i).size() == 16) return double_of_hex(at(i));
+    } catch (const Error&) {
+    }
+    fail("bad hex double field '" + at(i) + "'");
+}
+
+std::vector<std::uint64_t> RecordFields::u64s(std::size_t i) const {
+    std::vector<std::uint64_t> out;
+    if (at(i).empty()) return out;
+    for (const std::string& entry : split(at(i), ',')) {
+        try {
+            out.push_back(parse_u64(entry));
+        } catch (const std::invalid_argument&) {
+            fail("bad list entry '" + entry + "' in '" + at(i) + "'");
+        }
+    }
+    return out;
+}
+
+void RecordFields::fail(const std::string& why) const {
+    throw Error(ErrorCategory::checkpoint_corrupt, "corrupt checkpoint record: " + why, path_);
 }
 
 } // namespace seamap

@@ -30,7 +30,8 @@
 //
 // Record encodings need bit-exact doubles to keep resumed results
 // byte-identical, so hex_of_double/double_of_hex round-trip the IEEE
-// bit pattern instead of going through decimal.
+// bit pattern instead of going through decimal. Both record codecs
+// (explore and campaign) read their fields through RecordFields.
 #pragma once
 
 #include "util/cancellation.h"
@@ -50,16 +51,11 @@ namespace seamap {
 /// versioning" for the evolution rules.
 inline constexpr std::uint64_t k_checkpoint_format = 2;
 
-/// Remove the journal at `path`; used after a run completes and by
-/// tests. A missing file is not an error.
-void remove_checkpoint(const std::string& path);
-
 /// The journal the explorer and campaign checkpointers share: one path
-/// of one kind and state hash, the flush cadence, the records pending
-/// since the last flush, and the mutex that guards them. An owner
-/// encodes its units as records and appends them under mutex_; a flush
-/// writes and fsyncs with mutex_ released, so recording never waits on
-/// the disk. Thread-safe.
+/// of one kind and state hash, the flush cadence, and the records
+/// pending since the last flush. An owner encodes its units as records
+/// and append()s them; a flush writes and fsyncs with the lock
+/// released, so appending never waits on the disk. Thread-safe.
 class Checkpointer {
 public:
     Checkpointer(std::string path, std::string kind, std::uint64_t state_hash);
@@ -70,7 +66,9 @@ public:
     void set_cadence(std::uint64_t every, double interval_seconds);
     void maybe_flush(); ///< persist when the cadence is due and records are pending
     void flush();       ///< persist now when records are pending
-    void remove();      ///< delete the journal; the next flush starts a new one
+    /// Queue one record (no newline) for the next flush; returns the
+    /// journal's record count, loaded plus appended.
+    std::uint64_t append(std::string record);
     const std::string& path() const { return path_; }
 
 protected:
@@ -79,20 +77,18 @@ protected:
     /// flushes append. Returns nullopt when no journal exists; throws
     /// Error(checkpoint_corrupt/_mismatch) as the file comment says.
     std::optional<std::vector<std::string>> load_records();
-    /// Under mutex_: queue one record (no newline) for the next flush.
-    void append_locked(std::string record) { pending_.push_back(std::move(record)); }
-
-    mutable std::mutex mutex_;
 
 private:
     /// Writes the pending records with `lock` on mutex_ released for
     /// the write and fsync; one flush writes at a time.
     void flush_locked(std::unique_lock<std::mutex>& lock);
 
+    std::mutex mutex_;
     std::string path_, kind_;
     std::uint64_t state_hash_, every_ = 0;
     IntervalTimer timer_{0.0};
     std::vector<std::string> pending_;
+    std::uint64_t records_ = 0;     ///< loaded plus appended
     std::uint64_t valid_bytes_ = 0; ///< length of the journal on disk
     std::uint64_t chain_ = 0;       ///< checksum of its last line
     bool writing_ = false;          ///< a flush is writing with mutex_ released
@@ -124,5 +120,41 @@ double double_of_hex(std::string_view hex); ///< throws Error(parse)
 
 std::string hex_of_u64(std::uint64_t x);
 std::uint64_t u64_of_hex(std::string_view hex); ///< throws Error(parse)
+
+/// Comma-separated decimal integers, the list field of a record.
+template <typename Int>
+std::string csv_of(const std::vector<Int>& xs) {
+    std::string out;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+        if (i > 0) out += ',';
+        out += std::to_string(xs[i]);
+    }
+    return out;
+}
+
+/// The space-separated fields of one record of the journal at `path`.
+/// Every reader, and fail(), throws Error(checkpoint_corrupt) naming
+/// the journal.
+class RecordFields {
+public:
+    RecordFields(std::string path, std::string_view record);
+
+    std::size_t size() const { return fields_.size(); }
+    const std::string& operator[](std::size_t i) const { return fields_[i]; }
+
+    std::uint64_t u64(std::size_t i) const; ///< a decimal u64
+    /// Exactly the 16 hex digits hex_of_double writes.
+    double hex_double(std::size_t i) const;
+    /// A csv_of list; the empty field is the empty list.
+    std::vector<std::uint64_t> u64s(std::size_t i) const;
+
+    [[noreturn]] void fail(const std::string& why) const;
+
+private:
+    const std::string& at(std::size_t i) const; ///< fails when missing
+
+    std::string path_;
+    std::vector<std::string> fields_;
+};
 
 } // namespace seamap

@@ -8,9 +8,9 @@
 #include "seamap/seamap.h"
 
 #include "api/scenarios.h"
+#include "support/journal.h"
 #include "taskgraph/fig8.h"
 #include "taskgraph/mpeg2.h"
-#include "util/checkpoint.h"
 #include "util/parallel.h"
 
 #include <atomic>

@@ -405,7 +405,7 @@ TEST(CampaignEngine, OversizedShardTablesAreAStructuredError) {
 
 // tier1 smoke: a short multi-threaded campaign on every scenario; runs
 // under the TSan CI job (ctest -L tier1) so the shard dispatch and the
-// pre-assigned-slot merge get happens-before checking.
+// locked merge into the run's one tally get happens-before checking.
 TEST(CampaignEngine, SmokeShardedCampaignAcrossScenarios) {
     for (const Scenario& s : all_scenarios()) {
         CampaignConfig config;

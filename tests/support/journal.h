@@ -1,29 +1,25 @@
 // A checkpoint journal of raw string records, for tests that read a
-// journal's records or forge one through the real writer.
+// journal's records or forge one through the real writer, and the
+// removal of a test's journal.
 #pragma once
 
 #include "util/checkpoint.h"
 
-#include <cstdint>
-#include <mutex>
+#include <cstdio>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace seamap {
 
 class Journal final : public Checkpointer {
 public:
-    Journal(std::string path, std::string kind, std::uint64_t state_hash)
-        : Checkpointer(std::move(path), std::move(kind), state_hash) {}
+    using Checkpointer::Checkpointer;
 
     std::optional<std::vector<std::string>> load() { return load_records(); }
-
-    void append(std::string record) {
-        std::lock_guard lock(mutex_);
-        append_locked(std::move(record));
-    }
 };
+
+/// Remove the journal at `path`; a missing file is not an error.
+inline void remove_checkpoint(const std::string& path) { std::remove(path.c_str()); }
 
 } // namespace seamap

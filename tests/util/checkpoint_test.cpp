@@ -228,6 +228,44 @@ TEST_F(CheckpointTest, RemoveDeletesEverything) {
     remove_checkpoint(path_); // idempotent
 }
 
+TEST(RecordFields, ReadsWhatTheCodecsWrite) {
+    const std::vector<std::uint64_t> hits = {0, 7, 18446744073709551615ULL};
+    const RecordFields fields("j.ckpt", "shard 42 " + hex_of_double(-1.5) + ' ' +
+                                            csv_of(hits) + ' ' +
+                                            csv_of(std::vector<std::uint64_t>{}));
+    ASSERT_EQ(fields.size(), 5u);
+    EXPECT_EQ(fields[0], "shard");
+    EXPECT_EQ(fields.u64(1), 42u);
+    EXPECT_EQ(fields.hex_double(2), -1.5);
+    EXPECT_EQ(fields.u64s(3), hits);
+    EXPECT_TRUE(fields.u64s(4).empty());
+}
+
+TEST(RecordFields, MalformedFieldsAreCorruptNamingTheJournal) {
+    // Field 1 read as a u64, field 2 as a hex double, field 3 as a csv.
+    const std::string path = "dir/run.ckpt";
+    const std::string hex = hex_of_double(0.25);
+    const auto expect_corrupt = [&](const std::string& record, auto read) {
+        try {
+            read(RecordFields(path, record));
+            ADD_FAILURE() << "accepted '" << record << "'";
+        } catch (const Error& e) {
+            EXPECT_EQ(e.category(), ErrorCategory::checkpoint_corrupt) << record;
+            EXPECT_EQ(e.context(), path) << record;
+        }
+    };
+    for (const std::string u64 : {"x1", "-1", "", "18446744073709551616"})
+        expect_corrupt("r " + u64 + ' ' + hex + " 1",
+                       [](const RecordFields& f) { (void)f.u64(1); });
+    for (const std::string& dbl : {hex.substr(1), hex + "0", std::string(16, 'g')})
+        expect_corrupt("r 1 " + dbl + " 1", [](const RecordFields& f) { (void)f.hex_double(2); });
+    for (const std::string csv : {"1,,2", "1,2,", ",1", "1,x", "1,18446744073709551616"})
+        expect_corrupt("r 1 " + hex + ' ' + csv,
+                       [](const RecordFields& f) { (void)f.u64s(3); });
+    expect_corrupt("r 1", [](const RecordFields& f) { (void)f.u64(2); });
+    expect_corrupt("r 1", [](const RecordFields& f) { f.fail("rejected by its codec"); });
+}
+
 TEST(CheckpointHex, DoubleRoundTripIsBitExact) {
     for (const double x : {0.0, -0.0, 1.0, -1.5, 3.141592653589793, 1e-300, 1e300,
                            0.1, 2.2250738585072014e-308}) {

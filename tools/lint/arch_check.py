@@ -54,13 +54,13 @@ It extracts the full `#include` graph of the tree and checks:
                       overrides and deleted functions are exempt. Names
                       are matched, not overloads, so a shared name counts
                       as a caller; a parameter or local variable of that
-                      name does not. Test oracles go in the
-                      `[dead_api] allow` list of layers.toml as
-                      "Name -- reason" (Name as findings print it, e.g.
-                      `Class::method`); an entry without a reason, or
-                      naming a function that is missing or now has a
-                      caller, is itself a finding. Inline suppressions do
-                      not apply to this rule.
+                      name, or a name qualified by `std::`, does not.
+                      Test oracles go in the `[dead_api] allow` list of
+                      layers.toml as "Name -- reason" (Name as findings
+                      print it, e.g. `Class::method`); an entry without a
+                      reason, or naming a function that is missing or now
+                      has a caller, is itself a finding. Inline
+                      suppressions do not apply to this rule.
   bad-suppression     Malformed/unreasoned/unbalanced directives, as in
                       seamap_lint.
 
@@ -503,20 +503,27 @@ def scan_functions(code: str) -> list:
 
 def mentions(code: str, declarators: set) -> set:
     """Names `code` may call a function by: every identifier except the
-    function declarators at `declarators` (offsets), variable and
+    function declarators at `declarators` (offsets), names qualified by
+    `std::` (`std::remove` calls no seamap `remove`), variable and
     parameter declarators (`Type name` before `, ) ; [ { = :`), and bare
     uses of a name the same code declares as a variable or parameter."""
     variables, uses = set(), []
     last = None  # the previous token match
+    last_root = None  # the outermost qualifier of the previous token
     for m in IDENT_RE.finditer(code):
         name, begin, end = m.group(), m.start(), m.end()
         prev_match, last = last, m
-        if begin in declarators:
-            continue
         p = begin - 1
         while p >= 0 and code[p].isspace():
             p -= 1
         prev = code[p] if p >= 0 else ""
+        qualified = prev == ":" and p > 0 and code[p - 1] == ":"
+        # `a::b::name` roots at `a`; a name under std:: is never a caller.
+        root = last_root if qualified and prev_match is not None and \
+            not code[prev_match.end():p - 1].strip() else name
+        last_root = root
+        if begin in declarators or (qualified and root == "std"):
+            continue
         arrow = prev == ">" and p > 0 and code[p - 1] == "-"
         q = end
         while q < len(code) and code[q].isspace():
@@ -535,7 +542,6 @@ def mentions(code: str, declarators: set) -> set:
         if typed and declares:
             variables.add(name)
             continue
-        qualified = prev == ":" and p > 0 and code[p - 1] == ":"
         bare = nxt[:1] != "(" and prev not in (".", "&") and not arrow and not qualified
         uses.append((name, bare))
     return {name for name, bare in uses if not (bare and name in variables)}

@@ -213,6 +213,20 @@ int interrupted_exit(const ArgList& args, const std::optional<std::string>& save
 /// stdout stays pure).
 void note(const std::string& text) { std::cerr << "note: " << text << '\n'; }
 
+/// Opens the explore journal at `path` into `journal` on the
+/// --checkpoint cadence and, under --resume, loads it. Returns what the
+/// load found: nullopt without --resume or without a journal.
+std::optional<DseResumeInfo> open_dse_journal(std::optional<DseCheckpointer>& journal,
+                                              const CheckpointArgs& ckpt,
+                                              const std::string& path,
+                                              const Problem& problem,
+                                              const ExploreOptions& options) {
+    journal.emplace(path, explore_state_hash(problem, options));
+    journal->set_cadence(ckpt.every, ckpt.interval);
+    if (!ckpt.resume) return std::nullopt;
+    return journal->load(problem.graph().task_count(), problem.architecture().core_count());
+}
+
 SimExposurePolicy parse_sim_policy(const std::string& text) {
     if (text == "full") return SimExposurePolicy::full_duration;
     if (text == "busy") return SimExposurePolicy::busy_only;
@@ -378,17 +392,11 @@ int cmd_optimize(const ArgList& args) {
     const CheckpointArgs ckpt = checkpoint_args(args);
     std::optional<DseCheckpointer> checkpointer;
     if (ckpt.path) {
-        checkpointer.emplace(*ckpt.path, explore_state_hash(problem, options));
-        checkpointer->set_cadence(ckpt.every, ckpt.interval);
-        if (ckpt.resume) {
-            const auto info = checkpointer->load(graph.task_count(), cores);
-            if (!info) {
-                note("no checkpoint at " + *ckpt.path + "; starting fresh");
-            } else {
-                note("resuming: " + std::to_string(info->slots_decided) +
-                     " scaling slots already decided");
-            }
-        }
+        const auto info = open_dse_journal(checkpointer, ckpt, *ckpt.path, problem, options);
+        if (ckpt.resume)
+            note(info ? "resuming: " + std::to_string(info->slots_decided) +
+                            " scaling slots already decided"
+                      : "no checkpoint at " + *ckpt.path + "; starting fresh");
     }
     const DseResult result = explore(problem, options, nullptr, &g_cancel,
                                      checkpointer ? &*checkpointer : nullptr);
@@ -522,15 +530,11 @@ int cmd_campaign(const ArgList& args, bool inject) {
     const CheckpointArgs ckpt = checkpoint_args(args);
     std::optional<DseCheckpointer> dse_ckpt;
     if (ckpt.path) {
-        dse_ckpt.emplace(*ckpt.path + ".dse", explore_state_hash(problem, options));
-        dse_ckpt->set_cadence(ckpt.every, ckpt.interval);
-        if (ckpt.resume) {
-            const auto info = dse_ckpt->load(problem.graph().task_count(),
-                                             problem.architecture().core_count());
-            if (info && info->slots_decided > 0)
-                note("resuming exploration: " + std::to_string(info->slots_decided) +
-                     " scaling slots already decided");
-        }
+        const auto info =
+            open_dse_journal(dse_ckpt, ckpt, *ckpt.path + ".dse", problem, options);
+        if (info && info->slots_decided > 0)
+            note("resuming exploration: " + std::to_string(info->slots_decided) +
+                 " scaling slots already decided");
     }
     const DseResult result =
         explore(problem, options, nullptr, &g_cancel, dse_ckpt ? &*dse_ckpt : nullptr);
