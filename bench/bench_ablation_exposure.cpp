@@ -8,6 +8,7 @@
 #include "util/table.h"
 
 #include "core/dse.h"
+#include "core/search_strategy.h"
 #include "taskgraph/mpeg2.h"
 #include "util/rng.h"
 #include "util/strings.h"
@@ -64,8 +65,8 @@ int main(int argc, char** argv) {
         params.search.max_iterations = 3'000;
         params.search.seed = seed;
         const DesignSpaceExplorer explorer{SerModel{}, policy};
-        const DseResult result =
-            explorer.explore(graph, arch, mpeg2_deadline_seconds(), params);
+        const DseResult result = explorer.explore(graph, arch, mpeg2_deadline_seconds(), params,
+                                                  OptimizedMappingStrategy(params.search));
         if (!result.best) continue;
         // Re-score the chosen design under the reference policy.
         const EvaluationContext reference{graph, arch, result.best->levels,

@@ -112,8 +112,9 @@ void bm_sa_annealing_run(benchmark::State& state) {
 BENCHMARK(bm_sa_annealing_run)->Arg(100)->Arg(1000);
 
 // The public-API contract both engines sit behind: one optimize-grade
-// search per scaling, through a registry-made SearchStrategy. Measures
-// what one explorer worker pays per scaling combination.
+// search per scaling, through a strategy built by name
+// (make_search_strategy). Measures what one explorer worker pays per
+// scaling combination.
 void bm_strategy_search(benchmark::State& state, const std::string& strategy_name) {
     const TaskGraph graph = benchmark_graph(60);
     const Problem problem = ProblemBuilder()
@@ -122,7 +123,7 @@ void bm_strategy_search(benchmark::State& state, const std::string& strategy_nam
                                 .deadline_seconds(1e9)
                                 .build();
     const EvaluationContext ctx = problem.evaluation_context({2, 2, 2, 2});
-    StrategyOptions options;
+    LocalSearchParams options;
     options.max_iterations = static_cast<std::uint64_t>(state.range(0));
     const auto strategy = make_search_strategy(strategy_name, options);
     const Mapping initial = round_robin_mapping(graph, 4);

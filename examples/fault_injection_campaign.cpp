@@ -4,7 +4,7 @@
 // register-file campaign reports per-trial statistics, the analytic
 // expectation they fluctuate around, and where the hits land (per core
 // and per register). The design under test comes from the public API:
-// a Problem plus a registry search strategy.
+// a Problem plus a built-in search strategy picked by name.
 //
 // The same sharded engine (sim/campaign.h) then scales the process to
 // large trial counts across differentiated fault sites (register file

@@ -3,9 +3,9 @@
 // Reproduces the paper's Fig. 8 worked example: a six-task application
 // mapped onto three cores running at voltage scalings (1, 2, 2) with a
 // 75 ms deadline. Shows the problem description (ProblemBuilder), the
-// two-stage soft error-aware mapping (greedy construction + a registry
-// search strategy), the resulting schedule as a Gantt chart, and a
-// fault-injection measurement of the final design.
+// two-stage soft error-aware mapping (greedy construction + a built-in
+// search strategy picked by name), the resulting schedule as a Gantt
+// chart, and a fault-injection measurement of the final design.
 //
 // Usage: quickstart [seed]
 #include "seamap/seamap.h"
@@ -50,8 +50,8 @@ int main(int argc, char** argv) {
               << (initial_metrics.feasible ? "  [meets deadline]" : "  [misses deadline]")
               << '\n';
 
-    // 4. Stage 2 — the Fig. 7 local search, through the strategy
-    //    registry ("annealing" would drop in the SA baseline instead).
+    // 4. Stage 2 — the Fig. 7 local search, built by name
+    //    ("annealing" would drop in the SA baseline instead).
     const auto strategy = make_search_strategy("optimized", {.max_iterations = 4'000});
     const LocalSearchResult result = strategy->search(ctx, initial, seed);
     if (!result.found_feasible) {

@@ -2,8 +2,9 @@
 // random-task-graph half of the paper's Table III, as a reusable tool:
 // generate TGFF-style graphs of several sizes, explore 2..C_max cores
 // each through the public API, and report the power and SEUs of the
-// chosen design. The search strategy is selectable from the registry,
-// so the same sweep compares the Fig. 7 search against the SA baseline.
+// chosen design. The search strategy is selectable by name
+// ("optimized" or "annealing"), so the same sweep compares the Fig. 7
+// search against the SA baseline.
 //
 // Usage: random_taskgraph_sweep [max_cores] [seed] [search_iterations] [strategy]
 #include "seamap/seamap.h"

@@ -11,8 +11,7 @@ DseResult explore(const Problem& problem, const ExploreOptions& options,
                   ProgressObserver* observer, const CancellationToken* cancel,
                   DseCheckpointer* checkpoint) {
     const DesignSpaceExplorer explorer(problem.ser_model(), problem.exposure_policy());
-    // One construction path for every name: the registry factory
-    // receives options.dse.search as the canonical StrategyOptions.
+    // One construction path for both names, from options.dse.search.
     const std::unique_ptr<SearchStrategy> strategy =
         make_search_strategy(options.strategy, options.dse.search);
     return explorer.explore(problem.graph(), problem.architecture(),

@@ -22,9 +22,9 @@
 
 namespace seamap {
 
-/// Exploration options: a strategy-registry name plus the explorer
-/// knobs. Every strategy's factory receives `dse.search` as its
-/// StrategyOptions (see api/strategy.h for which knobs each engine
+/// Exploration options: a built-in strategy name ("optimized" or
+/// "annealing") plus the explorer knobs. The strategy is built from
+/// `dse.search` (see api/strategy.h for which knobs each engine
 /// honors); `dse.search.seed` is the per-scaling seed base.
 struct ExploreOptions {
     std::string strategy = "optimized";

@@ -6,7 +6,7 @@
 // Schema of optimize_report_json (the `optimize --json` document):
 //   {
 //     "seamap_version": "x.y.z",
-//     "strategy": "optimized" | "annealing" | <registered name>,
+//     "strategy": "optimized" | "annealing" | <the caller's strategy name>,
 //     "problem": {
 //       "graph": {"name", "tasks", "edges", "batches"},
 //       "architecture": {"cores", "scaling_levels"},

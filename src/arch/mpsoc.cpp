@@ -11,10 +11,6 @@ MpsocArchitecture::MpsocArchitecture(std::size_t core_count, VoltageScalingTable
         throw std::invalid_argument("MpsocArchitecture: need at least one core");
 }
 
-ScalingVector MpsocArchitecture::nominal_scaling() const {
-    return ScalingVector(core_count_, 1);
-}
-
 void MpsocArchitecture::validate_scaling(const ScalingVector& levels) const {
     if (levels.size() != core_count_)
         throw std::invalid_argument("MpsocArchitecture: scaling vector size != core count");

@@ -25,9 +25,6 @@ public:
     /// Frequency (Hz) of a core running at the given level.
     double frequency_hz(ScalingLevel level) const { return scaling_table().frequency_hz(level); }
 
-    /// All cores at nominal speed.
-    ScalingVector nominal_scaling() const;
-
     /// Throws unless `levels` has one in-range entry per core.
     void validate_scaling(const ScalingVector& levels) const;
 

@@ -35,13 +35,6 @@ AnnealingStrategy::AnnealingStrategy(LocalSearchParams params, MappingObjective 
 
 std::string AnnealingStrategy::name() const { return "annealing"; }
 
-LocalSearchResult AnnealingStrategy::search(const EvaluationContext& ctx,
-                                            const Mapping& initial, std::uint64_t seed,
-                                            const CancellationToken* cancel) const {
-    EvalContext eval(ctx);
-    return search(eval, initial, seed, cancel);
-}
-
 LocalSearchResult AnnealingStrategy::search(EvalContext& eval, const Mapping& initial,
                                             std::uint64_t seed,
                                             const CancellationToken* cancel) const {

@@ -10,7 +10,6 @@
 #include "core/eval_context.h"
 #include "core/optimized_mapping.h"
 #include "core/search_strategy.h"
-#include "reliability/design_eval.h"
 #include "sched/mapping.h"
 #include "util/cancellation.h"
 
@@ -34,9 +33,7 @@ public:
                                MappingObjective objective = MappingObjective::seu_count);
 
     std::string name() const override;
-    LocalSearchResult search(const EvaluationContext& ctx, const Mapping& initial,
-                             std::uint64_t seed,
-                             const CancellationToken* cancel = nullptr) const override;
+    using SearchStrategy::search;
     LocalSearchResult search(EvalContext& eval, const Mapping& initial, std::uint64_t seed,
                              const CancellationToken* cancel = nullptr) const override;
 

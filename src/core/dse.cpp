@@ -288,13 +288,6 @@ DesignSpaceExplorer::DesignSpaceExplorer(SerModel ser, ExposurePolicy policy)
     : ser_(std::move(ser)), policy_(policy) {}
 
 DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchitecture& arch,
-                                       double deadline_seconds,
-                                       const DseParams& params) const {
-    const OptimizedMappingStrategy strategy(params.search);
-    return explore(graph, arch, deadline_seconds, params, strategy);
-}
-
-DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchitecture& arch,
                                        double deadline_seconds, const DseParams& params,
                                        const SearchStrategy& strategy,
                                        ProgressObserver* observer,

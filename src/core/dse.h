@@ -68,10 +68,10 @@ struct DsePoint {
 /// (core/eval_context.h); a whole-exploration naive-reference run wraps
 /// its strategy instead, so the explorer has no evaluation-path knob.
 struct DseParams {
-    /// Per-scaling mapping-search effort (Fig. 7 budget). Strategy
-    /// factories receive this as their canonical knob set and honor
-    /// what they understand (api/strategy.h); for *any* strategy,
-    /// `search.seed` is the base from which per-scaling seeds derive.
+    /// Per-scaling mapping-search effort (Fig. 7 budget).
+    /// make_search_strategy builds either built-in from this one knob
+    /// set (api/strategy.h); for *any* strategy, `search.seed` is the
+    /// base from which per-scaling seeds derive.
     LocalSearchParams search;
     /// Explorer worker threads; each claims the next emitted scaling
     /// and runs its independent search (own derived seed) while the
@@ -127,19 +127,14 @@ struct DseResult {
 
 /// Fig. 4 explorer. The per-scaling mapping search is pluggable: any
 /// SearchStrategy (core/search_strategy.h) slots in — the paper's
-/// Fig. 7 search, the SA baseline, or a custom backend registered by
-/// name in api/strategy.h.
+/// Fig. 7 search, the SA baseline, or a caller's own backend.
 class DesignSpaceExplorer {
 public:
     explicit DesignSpaceExplorer(SerModel ser,
                                  ExposurePolicy policy = ExposurePolicy::full_duration);
 
-    /// Explore with the default Fig. 7 "optimized" strategy built from
-    /// `params.search`.
-    DseResult explore(const TaskGraph& graph, const MpsocArchitecture& arch,
-                      double deadline_seconds, const DseParams& params) const;
-
-    /// Explore with an explicit strategy. `observer`, when non-null,
+    /// Explore with `strategy` searching every slot (the paper's is
+    /// OptimizedMappingStrategy(params.search)). `observer`, when non-null,
     /// streams per-scaling progress and incumbent (P, Gamma) designs
     /// (serialized, possibly from worker threads); `cancel`, when
     /// non-null, stops the exploration cooperatively — already-finished

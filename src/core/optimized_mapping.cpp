@@ -25,14 +25,6 @@ OptimizedMappingStrategy::OptimizedMappingStrategy(LocalSearchParams params)
 
 std::string OptimizedMappingStrategy::name() const { return "optimized"; }
 
-LocalSearchResult OptimizedMappingStrategy::search(const EvaluationContext& ctx,
-                                                   const Mapping& initial,
-                                                   std::uint64_t seed,
-                                                   const CancellationToken* cancel) const {
-    EvalContext eval(ctx);
-    return search(eval, initial, seed, cancel);
-}
-
 LocalSearchResult OptimizedMappingStrategy::search(EvalContext& eval, const Mapping& initial,
                                                    std::uint64_t seed,
                                                    const CancellationToken* cancel) const {

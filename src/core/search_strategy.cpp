@@ -4,10 +4,11 @@ namespace seamap {
 
 SearchStrategy::~SearchStrategy() = default;
 
-LocalSearchResult SearchStrategy::search(EvalContext& eval, const Mapping& initial,
+LocalSearchResult SearchStrategy::search(const EvaluationContext& ctx, const Mapping& initial,
                                          std::uint64_t seed,
                                          const CancellationToken* cancel) const {
-    return search(eval.problem(), initial, seed, cancel);
+    EvalContext eval(ctx);
+    return search(eval, initial, seed, cancel);
 }
 
 } // namespace seamap

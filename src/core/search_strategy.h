@@ -2,13 +2,14 @@
 // (core/dse.h) calls, plus core's own strategy, the paper's Fig. 7
 // search, whose walk is defined in core/optimized_mapping.cpp.
 // Interchangeable engines living above core (the SA baseline of
-// baseline/simulated_annealing.h, registered third-party backends)
-// implement this same interface; the name-keyed registry that creates
-// them by string lives with the public API in api/strategy.h, keeping
-// the dependency graph acyclic (core never looks upward).
+// baseline/simulated_annealing.h, or a caller's own backend passed to
+// DesignSpaceExplorer::explore) implement this same interface; the
+// factory that builds the two built-ins by name lives with the public
+// API in api/strategy.h, keeping the dependency graph acyclic (core
+// never looks upward).
 //
 // Determinism contract: search() must be a pure function of
-// (ctx, initial, seed) whenever `cancel` never fires. The explorer
+// (problem, initial, seed) whenever `cancel` never fires. The explorer
 // relies on this to stay bit-identical across thread counts.
 #pragma once
 
@@ -23,34 +24,32 @@
 
 namespace seamap {
 
-/// One per-scaling mapping-search engine.
+/// One per-scaling mapping-search engine. An engine implements name()
+/// and the EvalContext overload of search(); derived classes add
+/// `using SearchStrategy::search;` to keep the EvaluationContext
+/// convenience overload visible.
 class SearchStrategy {
 public:
     virtual ~SearchStrategy();
 
-    /// Registry key ("optimized", "annealing", ...).
+    /// Display name ("optimized", "annealing", ...).
     virtual std::string name() const = 0;
 
-    /// Search a mapping for the fixed scaling in `ctx`, starting from
-    /// the complete mapping `initial`. `seed` is the per-scaling
-    /// derived seed (the explorer varies it per combination so repeated
-    /// scalings do not replay the same walk); `cancel`, when non-null,
-    /// must be polled so the explorer can stop its workers
-    /// cooperatively.
-    virtual LocalSearchResult search(const EvaluationContext& ctx, const Mapping& initial,
+    /// Search a mapping for the fixed scaling of `eval.problem()`,
+    /// starting from the complete mapping `initial`. `eval` is the
+    /// worker's EvalContext (core/eval_context.h), rebound to the slot:
+    /// it carries preallocated scratch, the memo table and the
+    /// incremental scheduler. `seed` is the per-scaling derived seed
+    /// (the explorer varies it per combination so repeated scalings do
+    /// not replay the same walk); `cancel`, when non-null, must be
+    /// polled so the explorer can stop its workers cooperatively.
+    virtual LocalSearchResult search(EvalContext& eval, const Mapping& initial,
                                      std::uint64_t seed,
                                      const CancellationToken* cancel = nullptr) const = 0;
 
-    /// Hot-path entry the explorer actually calls: the worker's
-    /// EvalContext (core/eval_context.h), rebound to the slot, carries
-    /// preallocated scratch, the memo table and the incremental scheduler.
-    /// The default forwards to the EvaluationContext overload, so
-    /// custom strategies that never heard of EvalContext keep working;
-    /// the built-ins override it to run their walks on `eval`
-    /// directly. The determinism contract is unchanged: for a given
-    /// (problem, initial, seed) the result must be bit-identical
-    /// whichever overload runs.
-    virtual LocalSearchResult search(EvalContext& eval, const Mapping& initial,
+    /// Search one scaling outside the explorer: builds a fresh
+    /// EvalContext over `ctx` and runs the overload above on it.
+    virtual LocalSearchResult search(const EvaluationContext& ctx, const Mapping& initial,
                                      std::uint64_t seed,
                                      const CancellationToken* cancel = nullptr) const;
 };
@@ -67,9 +66,7 @@ public:
     explicit OptimizedMappingStrategy(LocalSearchParams params = {});
 
     std::string name() const override;
-    LocalSearchResult search(const EvaluationContext& ctx, const Mapping& initial,
-                             std::uint64_t seed,
-                             const CancellationToken* cancel = nullptr) const override;
+    using SearchStrategy::search;
     LocalSearchResult search(EvalContext& eval, const Mapping& initial, std::uint64_t seed,
                              const CancellationToken* cancel = nullptr) const override;
 

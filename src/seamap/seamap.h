@@ -2,7 +2,7 @@
 // Fig. 4 flow:
 //
 //   Problem / ProblemBuilder   (api/problem.h)   what to optimize
-//   SearchStrategy + registry  (api/strategy.h)  how to search mappings
+//   SearchStrategy + factory   (api/strategy.h)  how to search mappings
 //   explore()                  (api/explore.h)   run the exploration
 //   ProgressObserver           (api/observer.h)  watch it run
 //   CancellationToken          (util/cancellation.h) stop it early

@@ -1,8 +1,9 @@
-// SearchStrategy registry contract: the two built-in engines sit
-// behind the same interface, both are reachable by name, custom
-// strategies plug into the explorer with one registration, and — the
-// acceptance bar — both built-ins produce feasible designs on the
-// paper's fig8 and mpeg2 graphs through the public explore() facade.
+// SearchStrategy factory contract: the two built-in engines sit behind
+// the same interface, both are reachable by name, a custom strategy
+// that implements only the EvalContext search plugs straight into the
+// explorer, and — the acceptance bar — both built-ins produce feasible
+// designs on the paper's fig8 and mpeg2 graphs through the public
+// explore() facade.
 #include "seamap/seamap.h"
 
 #include "taskgraph/fig8.h"
@@ -53,25 +54,6 @@ TEST(StrategyRegistry, UnknownNameThrowsAndNamesTheKnownOnes) {
     }
 }
 
-TEST(StrategyRegistry, BuiltinNamesCannotBeOverwritten) {
-    EXPECT_FALSE(register_search_strategy(
-        "optimized", [](const StrategyOptions&) -> std::unique_ptr<SearchStrategy> {
-            return nullptr;
-        }));
-}
-
-TEST(StrategyRegistry, NullFactoryResultIsDiagnosedNotDereferenced) {
-    ASSERT_TRUE(register_search_strategy(
-        "broken_factory", [](const StrategyOptions&) -> std::unique_ptr<SearchStrategy> {
-            return nullptr;
-        }));
-    EXPECT_THROW((void)make_search_strategy("broken_factory"), std::invalid_argument);
-    // And therefore explore() reports it instead of crashing.
-    ExploreOptions options;
-    options.strategy = "broken_factory";
-    EXPECT_THROW((void)explore(fig8_problem(), options), std::invalid_argument);
-}
-
 TEST(StrategyRegistry, BothBuiltinsFindFeasibleDesignsOnFig8) {
     for (const char* name : {"optimized", "annealing"}) {
         ExploreOptions options;
@@ -112,18 +94,18 @@ TEST(StrategyRegistry, StrategiesAreDeterministicGivenTheSameSeed) {
 }
 
 /// A trivial engine: score the initial mapping, move nothing. Good
-/// enough to prove a registered third-party strategy drives the full
-/// explorer.
+/// enough to prove a third-party strategy that implements only the
+/// EvalContext search drives the full explorer.
 class InitialOnlyStrategy final : public SearchStrategy {
 public:
     std::string name() const override { return "initial_only"; }
 
-    LocalSearchResult search(const EvaluationContext& ctx, const Mapping& initial,
-                             std::uint64_t /*seed*/,
-                             const CancellationToken* /*cancel*/) const override {
+    using SearchStrategy::search;
+    LocalSearchResult search(EvalContext& eval, const Mapping& initial, std::uint64_t /*seed*/,
+                             const CancellationToken* /*cancel*/ = nullptr) const override {
         LocalSearchResult result;
         result.best_mapping = initial;
-        result.best_metrics = evaluate_design(ctx, initial);
+        result.best_metrics = eval.rebase(initial);
         result.found_feasible = result.best_metrics.feasible;
         result.evaluations = 1;
         return result;
@@ -131,14 +113,12 @@ public:
 };
 
 TEST(StrategyRegistry, CustomStrategyPlugsIntoTheExplorer) {
-    ASSERT_TRUE(register_search_strategy(
-        "initial_only", [](const StrategyOptions&) -> std::unique_ptr<SearchStrategy> {
-            return std::make_unique<InitialOnlyStrategy>();
-        }));
-    ExploreOptions options;
-    options.strategy = "initial_only";
     const Problem problem = fig8_problem();
-    const DseResult result = explore(problem, options);
+    const InitialOnlyStrategy strategy;
+    const DseResult result =
+        DesignSpaceExplorer(problem.ser_model(), problem.exposure_policy())
+            .explore(problem.graph(), problem.architecture(), problem.deadline_seconds(),
+                     DseParams{}, strategy);
     // The stage-1 greedy mapping is feasible for at least one scaling
     // even without any local search.
     ASSERT_TRUE(result.best.has_value());
@@ -147,6 +127,20 @@ TEST(StrategyRegistry, CustomStrategyPlugsIntoTheExplorer) {
     // really ran (the built-ins evaluate thousands of designs).
     EXPECT_EQ(result.scalings_searched + result.scalings_skipped_infeasible,
               result.scalings_enumerated);
+
+    // The inherited EvaluationContext overload runs the strategy's one
+    // search on a fresh EvalContext.
+    const EvaluationContext ctx = problem.evaluation_context({1, 2, 2});
+    const Mapping initial = round_robin_mapping(problem.graph(), 3);
+    const LocalSearchResult cold = strategy.search(ctx, initial, 7);
+    EvalContext fresh(ctx);
+    const LocalSearchResult hot = strategy.search(fresh, initial, 7);
+    EXPECT_EQ(cold.best_mapping, hot.best_mapping);
+    EXPECT_EQ(cold.best_metrics.gamma, hot.best_metrics.gamma);
+    EXPECT_EQ(cold.best_metrics.power_mw, hot.best_metrics.power_mw);
+    EXPECT_EQ(cold.best_metrics.tm_seconds, hot.best_metrics.tm_seconds);
+    EXPECT_EQ(cold.found_feasible, hot.found_feasible);
+    EXPECT_EQ(cold.evaluations, hot.evaluations);
 }
 
 TEST(StrategyRegistry, AnnealingHonorsTokenDeadlines) {
@@ -166,7 +160,7 @@ TEST(StrategyRegistry, AnnealingHonorsTokenDeadlines) {
 
 TEST(StrategyRegistry, ZeroIterationsIsRejectedForBothBuiltins) {
     for (const char* name : {"optimized", "annealing"}) {
-        StrategyOptions options;
+        LocalSearchParams options;
         options.max_iterations = 0;
         EXPECT_THROW((void)make_search_strategy(name, options), std::invalid_argument)
             << name;
@@ -175,7 +169,7 @@ TEST(StrategyRegistry, ZeroIterationsIsRejectedForBothBuiltins) {
 
 TEST(StrategyRegistry, NanSwapProbabilityIsRejectedForBothBuiltins) {
     for (const char* name : {"optimized", "annealing"}) {
-        StrategyOptions options;
+        LocalSearchParams options;
         options.swap_probability = std::numeric_limits<double>::quiet_NaN();
         EXPECT_THROW((void)make_search_strategy(name, options), std::invalid_argument)
             << name;

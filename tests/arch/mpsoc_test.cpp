@@ -17,11 +17,6 @@ TEST(Mpsoc, RejectsZeroCores) {
                  std::invalid_argument);
 }
 
-TEST(Mpsoc, SlowestAndNominalScalings) {
-    const MpsocArchitecture arch(3, VoltageScalingTable::arm7_three_level());
-    EXPECT_EQ(arch.nominal_scaling(), (ScalingVector{1, 1, 1}));
-}
-
 TEST(Mpsoc, ValidateScaling) {
     const MpsocArchitecture arch(2, VoltageScalingTable::arm7_three_level());
     EXPECT_NO_THROW(arch.validate_scaling({1, 3}));

@@ -118,11 +118,6 @@ public:
     HoldFirstStrategy(const LocalSearchParams& params, std::size_t release_after)
         : inner_(params), release_after_(release_after) {}
     std::string name() const override { return "hold-first"; }
-    LocalSearchResult search(const EvaluationContext& ctx, const Mapping& initial,
-                             std::uint64_t seed,
-                             const CancellationToken* cancel) const override {
-        return inner_.search(ctx, initial, seed, cancel);
-    }
     LocalSearchResult search(EvalContext& eval, const Mapping& initial, std::uint64_t seed,
                              const CancellationToken* cancel) const override {
         if (release_after_ > 0 && !held_.exchange(true)) {
@@ -207,11 +202,10 @@ class ThrowingStrategy final : public SearchStrategy {
 public:
     explicit ThrowingStrategy(int good_calls) : good_calls_(good_calls) {}
     std::string name() const override { return "throwing"; }
-    LocalSearchResult search(const EvaluationContext& ctx, const Mapping& initial,
-                             std::uint64_t seed,
+    LocalSearchResult search(EvalContext& eval, const Mapping& initial, std::uint64_t seed,
                              const CancellationToken* cancel) const override {
         if (calls_.fetch_add(1) >= good_calls_) throw std::runtime_error("strategy failed");
-        return inner_.search(ctx, initial, seed, cancel);
+        return inner_.search(eval, initial, seed, cancel);
     }
 
 private:

@@ -109,9 +109,10 @@ class RoundRobinStartStrategy final : public SearchStrategy {
 public:
     explicit RoundRobinStartStrategy(LocalSearchParams params) : inner_(params) {}
     std::string name() const override { return "round_robin_start"; }
-    LocalSearchResult search(const EvaluationContext& ctx, const Mapping&, std::uint64_t seed,
+    LocalSearchResult search(EvalContext& eval, const Mapping&, std::uint64_t seed,
                              const CancellationToken* cancel) const override {
-        return inner_.search(ctx, round_robin_mapping(ctx.graph, ctx.arch.core_count()), seed,
+        const EvaluationContext& ctx = eval.problem();
+        return inner_.search(eval, round_robin_mapping(ctx.graph, ctx.arch.core_count()), seed,
                              cancel);
     }
 
@@ -147,10 +148,11 @@ TEST(Dse, TokenDeadlineLimitsWork) {
 }
 
 TEST(Dse, LegacyExplorerEntryPointMatchesTheFacade) {
-    // DesignSpaceExplorer::explore without a strategy must behave
-    // exactly like the facade's registry-made "optimized" path — with
-    // non-default Fig. 7 tuning, so a registry factory that dropped
-    // fields like restarts/sweep_interval would be caught here.
+    // DesignSpaceExplorer::explore with an explicit
+    // OptimizedMappingStrategy must behave exactly like the facade's
+    // name-built "optimized" path — with non-default Fig. 7 tuning, so
+    // a factory that dropped fields like restarts/sweep_interval would
+    // be caught here.
     const TaskGraph graph = fig8_example_graph();
     const MpsocArchitecture arch(3, VoltageScalingTable::arm7_three_level());
     DseParams params;
@@ -159,8 +161,8 @@ TEST(Dse, LegacyExplorerEntryPointMatchesTheFacade) {
     params.search.restarts = 1;
     params.search.sweep_interval = 7;
     params.search.swap_probability = 0.45;
-    const DseResult direct =
-        DesignSpaceExplorer{SerModel{}}.explore(graph, arch, 0.2, params);
+    const DseResult direct = DesignSpaceExplorer{SerModel{}}.explore(
+        graph, arch, 0.2, params, OptimizedMappingStrategy(params.search));
     ExploreOptions options;
     options.dse = params;
     const DseResult facade = explore(problem_for(fig8_example_graph(), 3, 0.2), options);

@@ -413,7 +413,7 @@ TEST(EvalContextEquivalence, SearchesIdenticalAcrossEvaluationPaths) {
         const EvaluationContext ctx{w.graph, arch, levels, SeuEstimator{SerModel{}},
                                     w.deadline_seconds};
         const Mapping initial = round_robin_mapping(w.graph, w.cores);
-        StrategyOptions options;
+        LocalSearchParams options;
         options.max_iterations = 400;
         for (const std::string& name : {std::string("optimized"), std::string("annealing")}) {
             const auto strategy = make_search_strategy(name, options);

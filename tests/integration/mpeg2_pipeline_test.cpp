@@ -39,7 +39,7 @@ TEST(Mpeg2Pipeline, DseFindsAScaledDownFeasibleDesign) {
     // DVS must have kicked in: the chosen design is cheaper than the
     // same mapping at all-nominal speed.
     const EvaluationContext nominal =
-        problem.evaluation_context(problem.architecture().nominal_scaling());
+        problem.evaluation_context(ScalingVector(problem.architecture().core_count(), 1));
     const DesignMetrics nominal_metrics = evaluate_design(nominal, result.best->mapping);
     EXPECT_LT(result.best->metrics.power_mw, nominal_metrics.power_mw);
     // And at least one core actually runs below nominal.
@@ -67,7 +67,7 @@ TEST(Mpeg2Pipeline, ProposedMapperBeatsParallelismBaselineOnGamma) {
     // error-aware mapping experiences fewer SEUs than the
     // parallelism-optimized (Exp:2) baseline mapping. The proposed
     // side runs through the public strategy interface; the baseline
-    // anneals on makespan (Exp:2), which the registry's Gamma-annealing
+    // anneals on makespan (Exp:2), which the built-in Gamma-annealing
     // entry deliberately does not model, so it is driven directly.
     const Problem problem = mpeg2_problem(4, mpeg2_deadline_seconds());
     const TaskGraph& graph = problem.graph();

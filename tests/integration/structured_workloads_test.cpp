@@ -3,6 +3,7 @@
 // designs across topology extremes, and loosening the constraint can
 // only ever help.
 #include "core/dse.h"
+#include "core/search_strategy.h"
 #include "sim/campaign.h"
 #include "taskgraph/standard_graphs.h"
 
@@ -29,10 +30,11 @@ TEST(StructuredWorkloads, DsePicksFeasibleDesignsOnAllTopologies) {
     const TaskGraph workloads[] = {fft_task_graph(4), gaussian_elimination_task_graph(6),
                                    pipeline_task_graph(5, 2)};
     const DesignSpaceExplorer explorer{SerModel{}};
+    const DseParams params = quick_params();
     for (const TaskGraph& graph : workloads) {
         const MpsocArchitecture arch(4, VoltageScalingTable::arm7_three_level());
-        const DseResult result =
-            explorer.explore(graph, arch, 1.4 * two_core_bound(graph), quick_params());
+        const DseResult result = explorer.explore(graph, arch, 1.4 * two_core_bound(graph),
+                                                  params, OptimizedMappingStrategy(params.search));
         ASSERT_TRUE(result.best.has_value()) << graph.name();
         EXPECT_TRUE(result.best->metrics.feasible) << graph.name();
         EXPECT_GT(result.best->metrics.gamma, 0.0) << graph.name();
@@ -49,11 +51,12 @@ TEST(StructuredWorkloads, LooseningTheDeadlineNeverCostsPower) {
     const TaskGraph graph = fft_task_graph(4);
     const MpsocArchitecture arch(3, VoltageScalingTable::arm7_three_level());
     const DesignSpaceExplorer explorer{SerModel{}};
+    const DseParams params = quick_params(800);
     const double base = two_core_bound(graph);
     double previous_power = 1e300;
     for (const double factor : {1.3, 1.8, 3.0, 10.0}) {
-        const DseResult result =
-            explorer.explore(graph, arch, factor * base, quick_params(800));
+        const DseResult result = explorer.explore(graph, arch, factor * base, params,
+                                                  OptimizedMappingStrategy(params.search));
         ASSERT_TRUE(result.best.has_value()) << "factor " << factor;
         // Tolerate small search noise: the minimum must not rise by
         // more than 10% as the constraint relaxes.
@@ -69,9 +72,10 @@ TEST(StructuredWorkloads, WideFftToleratesDeeperScalingThanSerialGaussian) {
     // FFT design must run at an (aggregate) deeper scaling.
     const DesignSpaceExplorer explorer{SerModel{}};
     const MpsocArchitecture arch(4, VoltageScalingTable::arm7_three_level());
+    const DseParams params = quick_params();
     auto mean_level = [&](const TaskGraph& graph) {
-        const DseResult result =
-            explorer.explore(graph, arch, 1.5 * two_core_bound(graph), quick_params());
+        const DseResult result = explorer.explore(graph, arch, 1.5 * two_core_bound(graph),
+                                                  params, OptimizedMappingStrategy(params.search));
         if (!result.best) return 0.0;
         double sum = 0.0;
         for (ScalingLevel level : result.best->levels) sum += level;

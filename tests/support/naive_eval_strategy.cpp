@@ -11,17 +11,11 @@ NaiveEvalStrategy::NaiveEvalStrategy(std::unique_ptr<SearchStrategy> inner)
 
 std::string NaiveEvalStrategy::name() const { return inner_->name(); }
 
-LocalSearchResult NaiveEvalStrategy::search(const EvaluationContext& ctx,
-                                            const Mapping& initial, std::uint64_t seed,
-                                            const CancellationToken* cancel) const {
-    EvalContext naive(ctx, {.naive_reference = true});
-    return inner_->search(naive, initial, seed, cancel);
-}
-
 LocalSearchResult NaiveEvalStrategy::search(EvalContext& eval, const Mapping& initial,
                                             std::uint64_t seed,
                                             const CancellationToken* cancel) const {
-    return search(eval.problem(), initial, seed, cancel);
+    EvalContext naive(eval.problem(), {.naive_reference = true});
+    return inner_->search(naive, initial, seed, cancel);
 }
 
 DseResult explore_naive(const Problem& problem, const ExploreOptions& options) {

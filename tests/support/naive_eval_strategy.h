@@ -13,7 +13,6 @@
 #include "core/eval_context.h"
 #include "core/optimized_mapping.h"
 #include "core/search_strategy.h"
-#include "reliability/design_eval.h"
 #include "sched/mapping.h"
 #include "util/cancellation.h"
 
@@ -28,9 +27,6 @@ public:
     explicit NaiveEvalStrategy(std::unique_ptr<SearchStrategy> inner);
 
     std::string name() const override;
-    LocalSearchResult search(const EvaluationContext& ctx, const Mapping& initial,
-                             std::uint64_t seed,
-                             const CancellationToken* cancel = nullptr) const override;
     /// Ignores `eval` apart from its problem: the wrapped search runs
     /// on a fresh naive-reference context.
     LocalSearchResult search(EvalContext& eval, const Mapping& initial, std::uint64_t seed,
@@ -40,8 +36,8 @@ private:
     std::unique_ptr<SearchStrategy> inner_;
 };
 
-/// explore(problem, options) with the registry's strategy wrapped in
-/// NaiveEvalStrategy.
+/// explore(problem, options) with the named built-in strategy wrapped
+/// in NaiveEvalStrategy.
 DseResult explore_naive(const Problem& problem, const ExploreOptions& options);
 
 } // namespace seamap
