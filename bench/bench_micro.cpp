@@ -2,10 +2,10 @@
 // scheduling, register-union computation, Gamma estimation, full design
 // evaluation, a simulated-annealing step, the scaling enumerator, the
 // explorer's producer (lazy queue + case bounds), a fault-injection
-// trial, the campaign trial and its engine layer (fork_at plus draws),
-// and the public-API search strategies behind their common
-// interface. These are the per-iteration costs that
-// determine how much design space a given search budget covers.
+// trial, the campaign trial and its engine layer (fork_at or fork_block
+// plus draws), and the public-API search strategies behind their common
+// interface. These are the per-iteration costs that determine how much
+// design space a given search budget covers.
 #include "reliability/register_usage.h"
 #include "seamap/seamap.h"
 
@@ -23,6 +23,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <memory>
 #include <optional>
 #include <string>
@@ -493,9 +494,10 @@ void bm_fault_injection_trial(benchmark::State& state) {
 }
 BENCHMARK(bm_fault_injection_trial)->Arg(11)->Arg(100);
 
-// The campaign trial's engine layer: fork_at(trial) (seeding 312 state
+// The engine layer of a lone stream: fork_at(trial) (seeding 312 state
 // words) plus k raw draws. A campaign trial on the MPEG-2 design below
-// reads about 121 words; 312 is one whole twist's worth.
+// reads 121.6 words on average (92 to 162 over 20000 trials), hence
+// k = 121; 312 is one whole twist's worth.
 void bm_rng_fork_draws(benchmark::State& state) {
     const Rng root(1);
     const auto draws = state.range(0);
@@ -509,12 +511,36 @@ void bm_rng_fork_draws(benchmark::State& state) {
 }
 BENCHMARK(bm_rng_fork_draws)->Arg(1)->Arg(121)->Arg(312);
 
+// The campaign trial's engine layer: fork_block seeds four consecutive
+// trials' streams side by side, then each takes k raw draws. stream_s is
+// the time per stream, comparable with one bm_rng_fork_draws iteration.
+void bm_rng_fork_block(benchmark::State& state) {
+    const Rng root(1);
+    const auto draws = state.range(0);
+    std::array<Rng, 4> streams{root, root, root, root};
+    std::uint64_t trial = 0;
+    for (auto _ : state) {
+        root.fork_block(trial, streams);
+        trial += streams.size();
+        std::uint64_t x = 0;
+        for (Rng& stream : streams)
+            for (std::int64_t i = 0; i < draws; ++i) x ^= stream.next_u64();
+        benchmark::DoNotOptimize(x);
+    }
+    state.counters["stream_s"] =
+        benchmark::Counter(static_cast<double>(streams.size()),
+                           benchmark::Counter::kIsIterationInvariantRate |
+                               benchmark::Counter::kInvert);
+}
+BENCHMARK(bm_rng_fork_block)->Arg(1)->Arg(121);
+
 // The campaign trial: a 1-thread CampaignEngine::run, all three sites,
 // on a fixed MPEG-2 design (round-robin on 4 cores, levels {2, 2, 3, 2};
 // 26 fault sources with means from 17 to 8.1e4, so every draw takes
 // Devroye's rejection path, as on the design the `mpeg2_campaign`
-// wallbench workload validates). trial_s is the time per trial:
-// fork_at, 26 Poisson draws and the tally.
+// wallbench workload validates). trial_s is the time per trial: a
+// quarter of a fork_block, 26 Poisson draws reading 121.6 engine words
+// on average, and the tally.
 void bm_campaign_trial(benchmark::State& state) {
     constexpr std::uint64_t trials = 2'000;
     const TaskGraph graph = mpeg2_decoder_graph();

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
 
     const TaskGraph graph = mpeg2_decoder_graph();
     const MpsocArchitecture arch(4, VoltageScalingTable::arm7_three_level());
-    // Binding deadline (see EXPERIMENTS.md): our substrate executes the
+    // Binding deadline (see ROADMAP.md item 13): our substrate executes the
     // published cycle counts faster than the authors' SystemC platform,
     // so the face-value 14.58 s constraint never binds and every design
     // collapses to the slowest scaling. The normalized deadline lands

@@ -11,7 +11,7 @@
 // Deadlines: the paper's absolute deadlines are tied to its SystemC
 // timing; we normalize per workload (1.25x the two-core nominal-speed
 // capacity) so the constraint binds identically on our substrate —
-// see EXPERIMENTS.md.
+// see ROADMAP.md item 13.
 #include "bench_common.h"
 #include "util/table.h"
 

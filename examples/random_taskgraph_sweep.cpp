@@ -22,7 +22,8 @@ namespace {
 /// Deadline normalization used for random graphs throughout this
 /// repository: 1.5x the two-core nominal-speed capacity, which lands
 /// the DSE in the paper's regime (2 cores near nominal voltage, 6
-/// cores deeply scaled). See EXPERIMENTS.md.
+/// cores deeply scaled). See ROADMAP.md item 13, the reproduction
+/// scorecard.
 double normalized_deadline_seconds(const TaskGraph& graph) {
     const double two_core_seconds =
         static_cast<double>(graph.total_exec_cycles()) / (2.0 * 200e6);

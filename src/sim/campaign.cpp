@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -146,9 +147,11 @@ CampaignReport CampaignEngine::run(const TaskGraph& graph, const Mapping& mappin
                                    CampaignCheckpointer* checkpoint) const {
     const std::vector<FaultSource> sources =
         build_sources(graph, mapping, arch, levels, schedule);
-    // One sampler per source, so a trial pays only for its draws.
+    // One sampler per source, so a trial pays only for its draws, over
+    // one read-only log-factorial table shared by every shard.
     std::vector<PoissonSampler> samplers;
     for (const FaultSource& source : sources) samplers.emplace_back(source.mean_seus);
+    const std::vector<double> log_factorials = PoissonSampler::share_log_factorials(samplers);
     const std::uint64_t trials = config_.trials;
     const std::uint64_t shard_size = config_.shard_size;
     const std::uint64_t shard_count = shard_count_of(config_);
@@ -190,14 +193,22 @@ CampaignReport CampaignEngine::run(const TaskGraph& graph, const Mapping& mappin
             const Rng root(seed);
             const std::uint64_t lo = static_cast<std::uint64_t>(shard) * shard_size;
             const std::uint64_t hi = lo + std::min(shard_size, trials - lo);
+            std::array<Rng, 4> streams{root, root, root, root}; // fork_block reseeds them
             std::array<std::uint64_t, k_fault_site_count> trial_site{};
             for (std::uint64_t trial = lo; trial < hi; ++trial) {
                 // A stop request abandons the shard un-recorded: a
                 // partially-run shard must never enter the tally.
                 if (cancel != nullptr && cancel->stop_requested()) return;
-                // The stream is a pure function of (seed, trial): any
-                // shard schedule replays identical draws per trial.
-                Rng stream = root.fork_at(trial);
+                // The stream is fork_at(trial), a pure function of (seed,
+                // trial): any shard schedule replays identical draws per
+                // trial. Streams are seeded four trials at a time.
+                const std::size_t lane = (trial - lo) % streams.size();
+                if (lane == 0) {
+                    const auto count = static_cast<std::size_t>(
+                        std::min<std::uint64_t>(streams.size(), hi - trial));
+                    root.fork_block(trial, std::span(streams).first(count));
+                }
+                Rng& stream = streams[lane];
                 trial_site.fill(0);
                 std::uint64_t trial_total = 0;
                 for (std::size_t i = 0; i < sources.size(); ++i) {

@@ -2,7 +2,8 @@
 // counterpart of the analytic Γ model (eq. 3) at statistically
 // meaningful trial counts. Trials are cut into fixed-size blocks
 // (shards) run by parallel_for_index (util/parallel.h); trial t always
-// draws from the order-invariant stream Rng(seed).fork_at(t). Each fully
+// draws from the order-invariant stream Rng(seed).fork_at(t), which a
+// shard seeds four trials at a time (Rng::fork_block). Each fully
 // run shard folds into the run's one tally, whose every accumulator is
 // an exact integer moment (util/stats.h ExactMoments), so the report is
 // byte-identical for ANY thread count, ANY shard size and ANY

@@ -7,6 +7,7 @@
 #include <limits>
 #include <random>
 #include <stdexcept>
+#include <utility>
 
 namespace seamap {
 
@@ -63,6 +64,16 @@ struct PolarNormal {
 
 constexpr double k_normal_cutover = static_cast<double>(1LL << 31);
 
+// fork_at's child seed, a pure function of (parent seed, child_id):
+// splitmix64 over the seed, xored with the Weyl-stepped mixed child id.
+// The parent engine is untouched, so fork_at(k) is the same stream no
+// matter how many draws or forks came before — the order-invariance
+// the sharded campaign merge discipline relies on. The extra Weyl
+// constant keeps fork_at(0) distinct from the parent's own stream.
+std::uint64_t child_seed(std::uint64_t parent_seed, std::uint64_t child_id) {
+    return splitmix64(parent_seed) ^ splitmix64(child_id * 0xd1342543de82ef95ULL + 1);
+}
+
 } // namespace
 
 std::uint64_t splitmix64(std::uint64_t x) {
@@ -72,10 +83,35 @@ std::uint64_t splitmix64(std::uint64_t x) {
     return x ^ (x >> 31);
 }
 
-Rng::Rng(std::uint64_t seed) : seed_(seed) {
-    mt_[0] = splitmix64(seed); // std::mt19937_64's seeding
-    for (std::size_t i = 1; i < mt_.size(); ++i)
-        mt_[i] = 6364136223846793005ULL * (mt_[i - 1] ^ (mt_[i - 1] >> 62)) + i;
+Rng::Rng(std::uint64_t seed) : seed_(seed) { seed_engines({this, 1}); }
+
+void Rng::seed_engines(std::span<Rng> out) {
+    // std::mt19937_64's seeding: word 0 is splitmix64(seed), word i is
+    // f * (w ^ (w >> 62)) + i over word i-1. One chain is a serial
+    // multiply per word; four independent ones overlap their latencies
+    // (more lanes were no faster).
+    auto seed = [&]<std::size_t lanes>(std::span<Rng, lanes> group) {
+        std::array<std::uint64_t, lanes> w{};
+        for (std::size_t j = 0; j < lanes; ++j) {
+            w[j] = splitmix64(group[j].seed_);
+            group[j].next_ = 0;
+        }
+        for (std::size_t i = 0; i < std::tuple_size_v<decltype(mt_)>; ++i) {
+            for (std::size_t j = 0; j < lanes; ++j) {
+                group[j].mt_[i] = w[j];
+                w[j] = 6364136223846793005ULL * (w[j] ^ (w[j] >> 62)) + i + 1;
+            }
+        }
+    };
+    for (std::size_t first = 0; first < out.size(); first += 4) {
+        const std::span<Rng> rest = out.subspan(first);
+        switch (rest.size()) {
+        case 1: seed(rest.first<1>()); break;
+        case 2: seed(rest.first<2>()); break;
+        case 3: seed(rest.first<3>()); break;
+        default: seed(rest.first<4>());
+        }
+    }
 }
 
 std::uint64_t Rng::next_u64() {
@@ -208,10 +244,64 @@ std::uint64_t PoissonSampler::operator()(Rng& rng) const {
             x = std::ceil(y);
             w = -d_ * one_cx_ * (1 + y / 2);
         }
-        reject = w - e - x * lm_thr_ > lfm_ - log_gamma(x + m_ + 1);
+        reject = w - e - x * lm_thr_ > lfm_ - log_factorial(x);
         reject |= x + m_ >= thr;
     } while (reject);
     return static_cast<std::uint64_t>(static_cast<long long>(x + m_ + naf));
+}
+
+double PoissonSampler::log_factorial(double x) const {
+    if (table_lo_ <= x && x <= table_hi_)
+        return log_factorials_[static_cast<std::size_t>(x - table_lo_)];
+    return log_gamma(x + m_ + 1);
+}
+
+std::vector<double> PoissonSampler::share_log_factorials(std::span<PoissonSampler> samplers) {
+    // Most of a draw's x fall within 3 standard deviations (sqrt(m)) of
+    // 0; the cap bounds a sampler's slice at 8193 entries, and the table
+    // stops at 2^20 entries (8 MiB): later windows stay untabled.
+    constexpr double max_half_width = 4096;
+    constexpr std::size_t max_entries = std::size_t{1} << 20;
+    struct Window {
+        std::int64_t lo, hi; // k = x + m, inclusive
+        PoissonSampler* sampler;
+    };
+    std::vector<Window> windows;
+    for (PoissonSampler& s : samplers) {
+        if (s.mean_ < 12 || s.mean_ >= k_normal_cutover) continue;
+        const double h = std::min(std::ceil(3 * s.sm_) + 2, max_half_width);
+        windows.push_back({static_cast<std::int64_t>(s.m_ + std::max(-s.m_, -h)),
+                           static_cast<std::int64_t>(s.m_ + std::min(s.d_, h)), &s});
+    }
+    std::sort(windows.begin(), windows.end(),
+              [](const Window& a, const Window& b) { return a.lo < b.lo; });
+    // One run of consecutive k per group of overlapping windows; a
+    // window's slice starts at its k's offset in its run.
+    std::vector<double> table;
+    std::vector<std::pair<PoissonSampler*, std::size_t>> slices;
+    std::int64_t run_lo = 0;
+    std::int64_t run_hi = -1;
+    std::size_t run_start = 0;
+    for (const Window& window : windows) {
+        const bool new_run = table.empty() || window.lo > run_hi + 1;
+        const std::int64_t first_new = new_run ? window.lo : run_hi + 1;
+        if (table.size() + static_cast<std::size_t>(std::max<std::int64_t>(
+                               0, window.hi - first_new + 1)) > max_entries)
+            continue;
+        if (new_run) {
+            run_lo = window.lo;
+            run_start = table.size();
+        }
+        for (std::int64_t k = first_new; k <= window.hi; ++k)
+            table.push_back(log_gamma(static_cast<double>(k) + 1));
+        run_hi = std::max(run_hi, window.hi);
+        PoissonSampler& s = *window.sampler;
+        s.table_lo_ = static_cast<double>(window.lo) - s.m_;
+        s.table_hi_ = static_cast<double>(window.hi) - s.m_;
+        slices.emplace_back(&s, run_start + static_cast<std::size_t>(window.lo - run_lo));
+    }
+    for (const auto& [sampler, offset] : slices) sampler->log_factorials_ = table.data() + offset;
+    return table;
 }
 
 std::uint64_t poisson_from_normal(double mean, double standard_normal) {
@@ -225,14 +315,11 @@ double Rng::normal() {
     return std::normal_distribution<double>(0.0, 1.0)(urbg);
 }
 
-Rng Rng::fork_at(std::uint64_t child_id) const {
-    // Pure function of (seed_, child_id): splitmix64 over the seed,
-    // xored with the Weyl-stepped mixed child id. The parent engine is
-    // untouched, so fork_at(k) is the same stream no matter how many
-    // draws or forks came before — the order-invariance the sharded
-    // campaign merge discipline relies on. The extra Weyl constant
-    // keeps fork_at(0) distinct from the parent's own stream.
-    return Rng(splitmix64(seed_) ^ splitmix64(child_id * 0xd1342543de82ef95ULL + 1));
+Rng Rng::fork_at(std::uint64_t child_id) const { return Rng(child_seed(seed_, child_id)); }
+
+void Rng::fork_block(std::uint64_t first_child, std::span<Rng> out) const {
+    for (std::size_t j = 0; j < out.size(); ++j) out[j].seed_ = child_seed(seed_, first_child + j);
+    seed_engines(out);
 }
 
 } // namespace seamap

@@ -7,12 +7,16 @@
 // without the children sharing state with the parent and without
 // depending on the parent's draw position. The engine twists each
 // state word only when it is next read, so a short-lived stream (a
-// campaign trial reads ~121 of 312 words) pays only for its draws.
+// campaign trial reads ~122 of 312 words) pays only for its draws,
+// and `fork_block` seeds several children side by side, so their
+// seeding chains overlap instead of queueing behind one multiply each.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 namespace seamap {
 
@@ -56,10 +60,19 @@ public:
     /// bit-identical per-trial streams.
     Rng fork_at(std::uint64_t child_id) const;
 
+    /// out[j] becomes exactly fork_at(first_child + j), child ids
+    /// wrapping mod 2^64, with the children's seeding run interleaved.
+    /// out must not hold this Rng.
+    void fork_block(std::uint64_t first_child, std::span<Rng> out) const;
+
     /// The (pre-mix) seed this stream was created with.
     std::uint64_t seed() const { return seed_; }
 
 private:
+    // std::mt19937_64's seeding of every out[j] from out[j].seed_, up to
+    // four chains per loop; Rng(seed), fork_at and fork_block all use it.
+    static void seed_engines(std::span<Rng> out);
+
     std::uint64_t seed_;
     // std::mt19937_64's state; next_u64 twists word next_ as it reads it.
     std::array<std::uint64_t, 312> mt_;
@@ -79,12 +92,32 @@ public:
     /// One draw. No state carries over from one draw to the next.
     std::uint64_t operator()(Rng& rng) const;
 
+    /// Tabulates lgamma(k + 1) for the k = x + m that the Devroye-path
+    /// samplers (12 <= mean < 2^31) most often test, x in
+    /// [max(-m, -h), min(d, h)] with h = min(ceil(3 sqrt(m)) + 2, 4096),
+    /// and points each at its slice. The windows are merged into one
+    /// table, k ascending, each entry lgamma_r at the argument a draw
+    /// would pass it, so every draw is unchanged. A window that would
+    /// take the table past 2^20 entries stays untabled. The samplers
+    /// read the returned storage: keep it alive, in place and unchanged
+    /// while they draw.
+    [[nodiscard]] static std::vector<double> share_log_factorials(
+        std::span<PoissonSampler> samplers);
+
 private:
+    // lgamma(x + m + 1) for Devroye's whole-number x: the shared table
+    // inside [table_lo_, table_hi_], lgamma_r outside it.
+    double log_factorial(double x) const;
+
     double mean_;
     // libstdc++'s param_type constants: lm_thr_ is exp(-mean) below 12;
     // from 12 to 2^31 it is log(mean), and Devroye's method uses them all.
     double lm_thr_ = 0.0, m_ = 0.0, lfm_ = 0.0, sm_ = 0.0, d_ = 0.0;
     double scx_ = 0.0, one_cx_ = 0.0, c2b_ = 0.0, cb_ = 0.0;
+    // The tabled x window (empty until share_log_factorials) and the
+    // entry for x = table_lo_.
+    double table_lo_ = 1.0, table_hi_ = 0.0;
+    const double* log_factorials_ = nullptr;
 };
 
 /// splitmix64 mixing function; used for seed derivation and exposed for

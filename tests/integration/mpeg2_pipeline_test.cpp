@@ -129,7 +129,7 @@ TEST(Mpeg2Pipeline, MoreCoresMeansMoreSeusAtTheChosenDesign) {
     // Table III's second observation: with more cores the DSE scales
     // voltages deeper and duplicates more registers, so the chosen
     // design experiences more SEUs. The deadline must *bind* for the
-    // effect to appear (see EXPERIMENTS.md deadline normalization):
+    // effect to appear (see ROADMAP.md item 13 on deadline normalization):
     // 1.25x the two-core nominal-speed capacity forces 2 cores to run
     // near nominal voltage while 6 cores reach the slowest level.
     const TaskGraph graph = mpeg2_decoder_graph();

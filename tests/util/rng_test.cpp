@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <iterator>
 #include <limits>
 #include <random>
 #include <set>
+#include <span>
 #include <vector>
 
 namespace seamap {
@@ -337,6 +340,121 @@ TEST(Rng, EngineMatchesStdMt19937_64) {
             for (int i = 0; i < outputs; ++i)
                 ASSERT_EQ(child.next_u64(), child_reference())
                     << "child " << child_id << " output " << i;
+        }
+    }
+}
+
+TEST(Rng, ForkBlockMatchesForkAt) {
+    // fork_block(first, out) seeds out[j] as fork_at(first + j), ids
+    // wrapping mod 2^64 (2^64 - 2 wraps inside a group of 3 or 4), into
+    // streams that have already drawn: each must restart from word 0.
+    constexpr int outputs = 2 * 312 + 5;
+    const Rng parent(2024);
+    Rng used(99);
+    for (int i = 0; i < 100; ++i) used.next_u64();
+    for (const std::uint64_t first : {std::uint64_t{0}, std::uint64_t{1}, splitmix64(77), ~std::uint64_t{1}}) {
+        for (std::size_t count = 1; count <= 4; ++count) {
+            std::array<Rng, 4> block{used, used, used, used};
+            parent.fork_block(first, std::span(block).first(count));
+            for (std::size_t j = 0; j < count; ++j) {
+                Rng expected = parent.fork_at(first + j);
+                ASSERT_EQ(block[j].seed(), expected.seed())
+                    << "first " << first << " count " << count << " lane " << j;
+                for (int i = 0; i < outputs; ++i)
+                    ASSERT_EQ(block[j].next_u64(), expected.next_u64())
+                        << "first " << first << " count " << count << " lane " << j
+                        << " output " << i;
+            }
+            for (std::size_t j = count; j < block.size(); ++j)
+                EXPECT_EQ(block[j].seed(), used.seed()) << "lane " << j << " is not in the block";
+        }
+    }
+}
+
+TEST(Rng, SharedLogFactorialsMatchUntabledDraws) {
+    // Samplers sharing one log-factorial table draw exactly what untabled
+    // ones draw. The means: two that stay untabled (below 12, and the
+    // 2^31 cutover), Devroye's edge and fractional, small and large
+    // means, two where the 4096 half-width cap binds, a duplicate and
+    // two overlapping windows, so windows merge.
+    const double means[] = {11.99, k_poisson_cutover, 12.0,     12.7,    28.4,
+                            6.88e4, 3.41e6,           k_poisson_cutover - 1.0, 28.4,
+                            100.0,  103.5};
+    std::vector<PoissonSampler> tabled;
+    for (const double mean : means) tabled.emplace_back(mean);
+    const std::vector<double> table = PoissonSampler::share_log_factorials(tabled);
+
+    // The table is the merged union of the windows, k ascending, and
+    // each entry is lgamma_r(k + 1) bit for bit.
+    std::set<std::int64_t> union_k;
+    for (const double mean : means) {
+        if (mean < 12 || mean >= k_poisson_cutover) continue;
+        const double m = std::floor(mean);
+        const auto pi_4 = static_cast<double>(0.7853981633974483096156608458198757L);
+        const double dx = std::sqrt(2 * m * std::log(32 * m / pi_4));
+        const double d = std::round(std::max<double>(6.0, std::min(m, dx)));
+        const double h = std::min(std::ceil(3 * std::sqrt(m)) + 2, 4096.0);
+        const auto lo = static_cast<std::int64_t>(m + std::max(-m, -h));
+        const auto hi = static_cast<std::int64_t>(m + std::min(d, h));
+        for (std::int64_t k = lo; k <= hi; ++k) union_k.insert(k);
+    }
+    ASSERT_EQ(table.size(), union_k.size());
+    std::size_t entry = 0;
+    for (const std::int64_t k : union_k) {
+        int sign = 0;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(table[entry]),
+                  std::bit_cast<std::uint64_t>(::lgamma_r(static_cast<double>(k) + 1, &sign)))
+            << "k " << k;
+        ++entry;
+    }
+
+    // 20k draws per sampler on fork_at streams, 100 per stream.
+    const Rng root(31);
+    auto draws_match = [&](const PoissonSampler& sampler, double mean) {
+        const PoissonSampler untabled(mean);
+        for (std::uint64_t child = 0; child < 200; ++child) {
+            Rng a = root.fork_at(child);
+            Rng b = root.fork_at(child);
+            for (int i = 0; i < 100; ++i)
+                if (sampler(a) != untabled(b)) return false;
+            if (a.next_u64() != b.next_u64()) return false;
+        }
+        return true;
+    };
+    for (std::size_t i = 0; i < tabled.size(); ++i)
+        EXPECT_TRUE(draws_match(tabled[i], means[i])) << "mean " << means[i];
+
+    // The table stops at 2^20 entries: 140 disjoint 8193-entry windows
+    // table the first 127, and the samplers past them draw untabled.
+    std::vector<double> spread_means;
+    std::vector<PoissonSampler> spread;
+    for (int i = 1; i <= 140; ++i) {
+        spread_means.push_back(1e7 * i);
+        spread.emplace_back(spread_means.back());
+    }
+    const std::vector<double> spread_table = PoissonSampler::share_log_factorials(spread);
+    EXPECT_EQ(spread_table.size(), 127u * 8193u);
+    for (const std::size_t i : {std::size_t{0}, std::size_t{126}, std::size_t{127}, std::size_t{139}}) {
+        const PoissonSampler untabled(spread_means[i]);
+        Rng a = root.fork_at(i);
+        Rng b = root.fork_at(i);
+        for (int draw = 0; draw < 100; ++draw)
+            ASSERT_EQ(spread[i](a), untabled(b)) << "mean " << spread_means[i] << " draw " << draw;
+    }
+
+    // A lone sampler's table is its own window, and draws read it at both
+    // edges: an entry of -inf accepts every x it covers, which moves the
+    // draws once the untabled sampler rejects such an x.
+    for (const double mean : {12.7, 28.4}) {
+        std::vector<PoissonSampler> lone{PoissonSampler(mean)};
+        std::vector<double> own = PoissonSampler::share_log_factorials(lone);
+        ASSERT_TRUE(draws_match(lone[0], mean));
+        for (double* edge : {&own.front(), &own.back()}) {
+            const double kept = *edge;
+            *edge = -std::numeric_limits<double>::infinity();
+            EXPECT_FALSE(draws_match(lone[0], mean))
+                << "mean " << mean << (edge == &own.front() ? " first" : " last") << " entry";
+            *edge = kept;
         }
     }
 }
