@@ -33,7 +33,7 @@ struct ExploreOptions {
 
 /// Run the full exploration. Throws std::invalid_argument for an
 /// unknown strategy name. `checkpoint`, when non-null, makes the run
-/// crash-safe: newly decided scalings are snapshotted on the
+/// crash-safe: newly decided scalings are appended to its journal on the
 /// checkpointer's cadence, and a previously loaded prefix (see
 /// core/dse_checkpoint.h) is resumed — final results are byte-identical
 /// to the uninterrupted run at any thread count.

@@ -72,7 +72,7 @@ enum class Stage : std::uint8_t {
     disposed,      ///< dropped at pop time (lagged front)
     worker_pruned, ///< skipped by a worker against the replay front
     searched,      ///< the search ran to the end
-    cut,           ///< a stop or a throwing search cut it: stays not_run
+    cut,           ///< a stop cut it: stays not_run
     decided,       ///< the replay folded `record` into the verdicts
 };
 
@@ -85,7 +85,7 @@ struct SearchSlot {
     /// decides the slot, so only a window of popped staircases is ever
     /// alive.
     std::vector<ScalingBounds> cases;
-    /// The slot's outcome: restored from the snapshot, or the search's
+    /// The slot's outcome: restored from the journal, or the search's
     /// verdict (feasible / no_design) once it completes. The replay may
     /// still turn a searched slot's verdict into `pruned` (the search
     /// was speculative). Only a decided feasible slot keeps its design.
@@ -103,38 +103,38 @@ bool front_prunes(const DominanceFront& front, const std::vector<ScalingBounds>&
                        [&](const ScalingBounds& bounds) { return front.dominates(bounds); });
 }
 
+/// A slot's search seed, varied per scaling so repeated scalings do not
+/// replay the same random walk; a pure function of levels and base.
+std::uint64_t slot_seed(const ScalingVector& levels, std::uint64_t base) {
+    std::uint64_t level_hash = 0xcbf29ce484222325ULL;
+    for (ScalingLevel level : levels) level_hash = splitmix64(level_hash ^ level);
+    return splitmix64(base ^ level_hash);
+}
+
 /// The sequential replay: decides the gate-passing slots in pop order,
 /// whatever order the workers complete them in, so every verdict is a
 /// pure function of the problem at any thread count. The only owner of
 /// the slots' verdicts: it keeps the replay front workers prune
 /// against, the lagged disposal front the producer disposes with, the
-/// resume records and the checkpoint records, and it folds the
-/// counters and feasible points. Not thread-safe: every call holds the
-/// explorer's bb_mutex.
+/// claim cursor, the resume records and the journal records, and it
+/// folds the counters and feasible points. Not thread-safe: every call
+/// holds ExploreRun::bb_mutex.
 class ReplayLedger {
 public:
     ReplayLedger(bool prune, DseCheckpointer* checkpoint)
         : prune_(prune), checkpoint_(checkpoint),
           resume_(checkpoint != nullptr ? checkpoint->resume_state() : nullptr) {}
 
-    std::size_t size() const { return slots_.size(); }
-    /// References survive admit(); the lookup itself needs bb_mutex.
-    SearchSlot& slot(std::size_t pos) { return slots_[pos]; }
-    /// Slots [0, replayed()) are decided (or stay not_run).
-    std::size_t replayed() const { return replayed_; }
-    /// The prefix the next admitted slot's disposal test consults; the
-    /// producer waits until replayed() covers it.
-    std::size_t disposal_prefix() const {
-        return slots_.size() > k_disposal_window ? slots_.size() - k_disposal_window : 0;
-    }
+    /// True once the replay covers the prefix the next admitted slot's
+    /// disposal test consults; the producer waits for it.
+    bool window_open() const { return replayed_ >= disposal_prefix(); }
 
-    /// Appends a gate passer once replayed() >= disposal_prefix() and
-    /// returns how it entered: restored, disposed or pending. Every
-    /// slot takes the disposal test, restored ones too, so
-    /// scalings_emitted does not depend on the resume point. Throws
-    /// checkpoint_mismatch when the snapshot's next record is another
-    /// combination.
-    Stage admit(LazyScalingQueue::Slot& popped) {
+    /// Appends a gate passer once window_open() and returns it with how
+    /// it entered: restored, disposed or pending. Every slot takes the
+    /// disposal test, restored ones too, so scalings_emitted does not
+    /// depend on the resume point. Throws checkpoint_mismatch when the
+    /// journal's next record is another combination.
+    std::pair<const SearchSlot&, Stage> admit(LazyScalingQueue::Slot& popped) {
         // The lagged front: advanced to exactly the window's prefix,
         // never further, so disposal decisions are timing-independent.
         for (const std::size_t prefix = disposal_prefix(); disposal_advanced_ < prefix;
@@ -163,7 +163,7 @@ public:
         slot.rank = popped.rank;
         slot.levels = std::move(popped.levels);
         if (restored != nullptr) {
-            // The snapshot already holds this slot's replay decision.
+            // The journal already holds this slot's replay decision.
             slot.record = *restored;
             slot.stage = Stage::restored;
         } else {
@@ -172,8 +172,21 @@ public:
             slot.stage = disposed ? Stage::disposed : Stage::pending;
         }
         const Stage entered = slot.stage;
+        if (entered == Stage::pending) ++unclaimed_;
         advance();
-        return entered;
+        return {slot, entered};
+    }
+
+    /// True when an emitted slot waits for a worker; a side-effect-free
+    /// wait predicate.
+    bool claimable() const { return unclaimed_ > 0; }
+    /// Hands the next emitted slot, in pop order, to a worker; null
+    /// when none waits. The reference survives later admits.
+    SearchSlot* claim() {
+        if (unclaimed_ == 0) return nullptr;
+        --unclaimed_;
+        while (slots_[next_claim_].stage != Stage::pending) ++next_claim_;
+        return &slots_[next_claim_++];
     }
 
     /// The worker's speculative test. The replay front covers a prefix
@@ -189,10 +202,11 @@ public:
         return advance();
     }
 
-    /// Once the workers have joined and the snapshot is flushed: checks
-    /// the run, then folds the verdicts into `result` with the feasible
-    /// points in ascending enumeration rank. `stopped` runs may leave
-    /// resume records unconsumed.
+    /// Once the workers have joined and the journal is flushed: checks
+    /// the run, then folds the verdicts into `result`, which already
+    /// holds the gate skips, with the feasible points in ascending
+    /// enumeration rank. `stopped` runs may leave resume records
+    /// unconsumed.
     void fold(DseResult& result, bool stopped) {
         if (unsound_)
             throw std::logic_error(
@@ -215,6 +229,8 @@ public:
         std::sort(feasible.begin(), feasible.end(),
                   [](const SearchSlot* a, const SearchSlot* b) { return a->rank < b->rank; });
         result.scalings_emitted = emitted_;
+        result.scalings_enumerated = result.scalings_skipped_infeasible +
+                                     result.scalings_pruned + result.scalings_searched;
         for (SearchSlot* slot : feasible) {
             slot->record.point.levels = std::move(slot->levels);
             result.feasible_points.push_back(std::move(slot->record.point));
@@ -222,11 +238,15 @@ public:
     }
 
 private:
+    std::size_t disposal_prefix() const {
+        return slots_.size() > k_disposal_window ? slots_.size() - k_disposal_window : 0;
+    }
+
     /// Decides the contiguous completed prefix. A cut slot stays
     /// not_run and ends the recordable prefix (nothing after it is
-    /// replay-stable in a snapshot), but later slots are still decided
+    /// replay-stable in the journal), but later slots are still decided
     /// against the front without it. A restored slot's decision is its
-    /// record, already in the snapshot.
+    /// record, already in the journal.
     bool advance() {
         const std::size_t from = replayed_;
         for (; replayed_ < slots_.size() && slots_[replayed_].stage != Stage::pending;
@@ -277,9 +297,196 @@ private:
     std::size_t replayed_ = 0;
     DominanceFront disposal_front_; ///< survivors of slots [0, disposal_advanced_)
     std::size_t disposal_advanced_ = 0;
+    std::size_t next_claim_ = 0; ///< no slot before it waits for a worker
+    std::size_t unclaimed_ = 0;  ///< pending slots no worker has claimed
     std::uint64_t emitted_ = 0;
     bool recording_stopped_ = false;
     bool unsound_ = false;
+};
+
+/// What one explore() run shares between its producer (the calling
+/// thread) and its workers. The lock rules, stated once: bb_mutex guards
+/// the ledger, `producing` and `first_error`. A worker takes it once to
+/// claim a slot and once to complete it, the producer once per gate
+/// passer; searches, observer callbacks and journal flushes run outside
+/// it. The producer waits on replay_cv for the ledger's window or a
+/// stop, workers on work_cv for a claimable slot or the end of
+/// production. `stop` funnels every stop source to the searches: the
+/// caller's token and deadline (chained as parent) and fail().
+struct ExploreRun {
+    ExploreRun(bool prune, DseCheckpointer* journal, const CancellationToken* cancel)
+        : stop(cancel), checkpoint(journal), ledger(prune, journal) {}
+
+    /// The one failure path, from any thread: keeps the first error and
+    /// stops the run, so production ends and the workers cut what is
+    /// left. explore() rethrows it once the workers join.
+    void fail(std::exception_ptr error) {
+        std::lock_guard lock(bb_mutex);
+        if (first_error == nullptr) first_error = std::move(error);
+        stop.request_stop();
+        replay_cv.notify_all();
+    }
+    /// Runs `body`, routing whatever it throws to fail().
+    template <class Body>
+    void guard(Body&& body) try {
+        body();
+    } catch (...) {
+        fail(std::current_exception());
+    }
+    /// Lets the workers claim what is left and return.
+    void end_production() {
+        std::lock_guard lock(bb_mutex);
+        producing = false;
+        work_cv.notify_all();
+    }
+
+    CancellationToken stop;
+    DseCheckpointer* const checkpoint;
+    std::mutex bb_mutex;
+    std::condition_variable replay_cv; ///< signals the replay advancing
+    std::condition_variable work_cv;   ///< signals a new slot or the end of production
+    bool producing = true;
+    std::exception_ptr first_error; ///< from a strategy, observer, journal or producer
+    ReplayLedger ledger;
+};
+
+/// Streams per-slot progress and incumbents to the caller's observer,
+/// if any, serialized behind its own mutex. The streamed incumbent is
+/// the step-3 rule applied to the Pareto front of everything completed
+/// so far, so its last value matches the final best at any thread
+/// count (dominated — later pruned — designs never move a front).
+struct ObserverRelay {
+    ProgressObserver* observer;
+    std::size_t total;
+    std::mutex observer_mutex{};
+    std::vector<DsePoint> observed_points{};
+    DominanceFront observed_front{}; // strict-dominance filter for arrivals
+    std::optional<DsePoint> observed_best{};
+
+    void done(std::size_t rank, const ScalingVector& levels,
+              ScalingProgress::Outcome outcome, const DsePoint* point = nullptr) {
+        if (observer == nullptr) return;
+        std::lock_guard lock(observer_mutex);
+        observer->on_scaling_done(ScalingProgress{
+            rank, total, levels, outcome, point != nullptr ? point->metrics : DesignMetrics{}});
+        if (point == nullptr) return;
+        // A strictly dominated arrival can never enter any current or
+        // future Pareto front (its dominator is retained), so the
+        // fold's result cannot change: skip the O(n log n) recompute.
+        // Keeps the serialized incumbent stream cheap when most
+        // completions are dominated (the common case at scale).
+        if (observed_front.dominates(
+                ScalingBounds{point->metrics.power_mw, point->metrics.gamma}))
+            return;
+        observed_front.insert(point->metrics.power_mw, point->metrics.gamma);
+        observed_points.push_back(*point);
+        std::optional<DsePoint> incumbent = select_best(pareto_front_of(observed_points));
+        // Each slot streams once, so its levels name the design.
+        if (incumbent && (!observed_best || incumbent->levels != observed_best->levels)) {
+            observed_best = std::move(incumbent);
+            observer->on_incumbent(*observed_best);
+        }
+    }
+};
+
+/// The producer, on explore()'s own thread: pops slots from the lazy
+/// queue while the workers search. Each gate-passing pop waits until
+/// the replay covers the disposal window's prefix, then enters the
+/// ledger: restored, disposed (provably dominated — counted pruned,
+/// never searched) or emitted for the workers to claim.
+struct Producer {
+    ExploreRun& run;
+    LazyScalingQueue& queue;
+    ObserverRelay& relay;
+    std::uint64_t skipped = 0; ///< gate skips
+
+    void produce() {
+        while (!run.stop.stop_requested()) {
+            std::optional<LazyScalingQueue::Slot> popped = queue.pop();
+            if (!popped) return;
+            if (!popped->gate_passed) {
+                // Gate skips never enter the ledger: count and stream
+                // them right here, ahead of any search.
+                ++skipped;
+                relay.done(popped->rank, popped->levels,
+                           ScalingProgress::Outcome::skipped_infeasible);
+                continue;
+            }
+            std::unique_lock lock(run.bb_mutex);
+            run.replay_cv.wait(
+                lock, [&] { return run.ledger.window_open() || run.stop.stop_requested(); });
+            if (run.stop.stop_requested()) return;
+            const auto [slot, entered] = run.ledger.admit(*popped);
+            lock.unlock();
+            if (entered == Stage::pending) {
+                run.work_cv.notify_one();
+            } else if (entered == Stage::disposed) {
+                relay.done(slot.rank, slot.levels, ScalingProgress::Outcome::pruned);
+                if (run.checkpoint != nullptr) run.checkpoint->maybe_flush();
+            }
+        }
+    }
+};
+
+/// One explorer worker, built on its own thread: claims emitted slots
+/// in pop order until production has ended and none is left, searches
+/// each on its own EvalContext and completes it.
+struct Worker {
+    ExploreRun& run;
+    ObserverRelay& relay;
+    const SearchStrategy& strategy;
+    std::uint64_t seed_base;
+    EvaluationContext problem; ///< at the current slot's levels
+    /// Rebound per slot; a rebound context acts exactly like a fresh
+    /// one, so results do not depend on which worker searched a slot.
+    EvalContext eval;
+
+    void work() {
+        std::unique_lock lock(run.bb_mutex);
+        for (;;) {
+            run.work_cv.wait(lock, [&] { return run.ledger.claimable() || !run.producing; });
+            SearchSlot* slot = run.ledger.claim();
+            if (slot == nullptr) return;
+            const bool pruned = run.ledger.prunes_now(*slot);
+            lock.unlock();
+            const Stage stage = search(*slot, pruned);
+            lock.lock();
+            if (run.ledger.complete(*slot, stage)) run.replay_cv.notify_all();
+            lock.unlock();
+            if (run.checkpoint != nullptr) run.checkpoint->maybe_flush();
+            lock.lock();
+        }
+    }
+
+    /// Searches a claimed slot unless the run stopped or the claim's
+    /// prune test skipped it, streams the outcome, and returns the stage
+    /// to complete the slot with. Only this thread touches the slot's
+    /// record until then.
+    Stage search(SearchSlot& slot, bool pruned) {
+        using Outcome = ScalingProgress::Outcome;
+        if (run.stop.stop_requested()) return Stage::cut;
+        if (pruned) {
+            relay.done(slot.rank, slot.levels, Outcome::pruned);
+            return Stage::worker_pruned;
+        }
+        problem.levels = slot.levels;
+        eval.rebind(problem);
+        LocalSearchResult found = strategy.search(eval, initial_sea_mapping(problem),
+                                                  slot_seed(slot.levels, seed_base), &run.stop);
+        // A stop landing while the search ran may have cut it short,
+        // leaving a partial (non-replay-faithful) result: discard it —
+        // the slot stays not_run and a resume re-searches it in full.
+        if (run.stop.stop_requested()) return Stage::cut;
+        if (!found.found_feasible) {
+            slot.record.kind = DseSlotRecord::Kind::no_design;
+            relay.done(slot.rank, slot.levels, Outcome::searched_no_design);
+        } else {
+            slot.record.kind = DseSlotRecord::Kind::feasible;
+            slot.record.point = {slot.levels, std::move(found.best_mapping), found.best_metrics};
+            relay.done(slot.rank, slot.levels, Outcome::feasible, &slot.record.point);
+        }
+        return Stage::searched;
+    }
 };
 
 } // namespace
@@ -294,11 +501,6 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
                                        const CancellationToken* cancel,
                                        DseCheckpointer* checkpoint) const {
     graph.validate();
-    // One token funnels every stop source to the workers: the caller's
-    // cancellation and deadline (chained as parent) and a failed
-    // search's request_stop().
-    CancellationToken stop(cancel);
-
     // The scaling sequence is generated *lazily*, bound-sorted, by the
     // priority queue (core/lazy_scaling_queue.h) — the full sequence is
     // never materialized and, with pruning on, dominated slots are
@@ -311,246 +513,42 @@ DseResult DesignSpaceExplorer::explore(const TaskGraph& graph, const MpsocArchit
                      : std::nullopt;
     LazyScalingQueue queue(graph, arch, deadline_seconds,
                            bounds_model ? &*bounds_model : nullptr);
-    std::uint64_t skipped_count = 0; ///< gate skips; producer thread only
-
-    // Observer state: callbacks are serialized behind one mutex. The
-    // streamed incumbent is the step-3 rule applied to the Pareto front
-    // of everything completed so far, so its last value matches the
-    // final best at any thread count (dominated — later pruned —
-    // designs never move a front).
-    std::mutex observer_mutex;
-    std::vector<DsePoint> observed_points;
-    DominanceFront observed_front; // strict-dominance filter for arrivals
-    std::optional<DsePoint> observed_best;
     if (observer != nullptr) observer->on_explore_begin(queue.total());
-    auto notify = [&](std::uint64_t rank, const ScalingVector& levels,
-                      ScalingProgress::Outcome outcome, const DsePoint* point) {
-        if (observer == nullptr) return;
-        std::lock_guard lock(observer_mutex);
-        ScalingProgress progress;
-        progress.index = rank;
-        progress.total = queue.total();
-        progress.levels = levels;
-        progress.outcome = outcome;
-        if (point != nullptr) progress.metrics = point->metrics;
-        observer->on_scaling_done(progress);
-        if (point == nullptr) return;
-        // A strictly dominated arrival can never enter any current or
-        // future Pareto front (its dominator is retained), so the
-        // fold's result cannot change: skip the O(n log n) recompute.
-        // Keeps the serialized incumbent stream cheap when most
-        // completions are dominated (the common case at scale).
-        if (observed_front.dominates(
-                ScalingBounds{point->metrics.power_mw, point->metrics.gamma}))
-            return;
-        observed_front.insert(point->metrics.power_mw, point->metrics.gamma);
-        observed_points.push_back(*point);
-        std::optional<DsePoint> incumbent = select_best(pareto_front_of(observed_points));
-        const bool changed =
-            incumbent &&
-            (!observed_best || incumbent->levels != observed_best->levels ||
-             incumbent->mapping != observed_best->mapping ||
-             !exactly_equal(incumbent->metrics.power_mw, observed_best->metrics.power_mw) ||
-             !exactly_equal(incumbent->metrics.gamma, observed_best->metrics.gamma));
-        if (changed) {
-            observed_best = std::move(incumbent);
-            observer->on_incumbent(*observed_best);
-        }
-    };
-
-    // --- shared state, all under bb_mutex ----------------------------
-    ReplayLedger ledger(params.prune, checkpoint);
-    std::mutex bb_mutex;
-    std::condition_variable replay_cv; ///< signals ledger.replayed() advances
-    std::condition_variable work_cv;   ///< signals a new slot or the end of production
-    std::size_t next_claim = 0;        ///< first slot no worker has looked at
-    bool producing = true;
-    /// The first failure on a worker: a throwing strategy, observer
-    /// callback or snapshot write. Rethrown once the workers stop.
-    std::exception_ptr first_error;
-
+    ObserverRelay relay{observer, queue.total()};
+    ExploreRun run(params.prune, checkpoint, cancel);
+    Producer producer{run, queue, relay};
     // The graph-only half of every worker's evaluation engine.
     const auto plan = std::make_shared<const EvalPlan>(graph, arch.core_count());
-    // Search one slot on the worker's `eval` and complete it. The worker
-    // resolved `slot` under bb_mutex when it claimed it and ran the
-    // ledger's speculative prune test there: `pruned`.
-    auto run_search = [&](SearchSlot& slot, bool pruned, std::optional<EvalContext>& eval) {
-        Stage stage = Stage::cut;
-        if (!stop.stop_requested()) {
-            if (pruned) {
-                stage = Stage::worker_pruned;
-            } else {
-                try {
-                    const ScalingVector& levels = slot.levels;
-                    EvaluationContext ctx{graph, arch, levels, SeuEstimator(ser_, policy_),
-                                          deadline_seconds};
-                    // Private to the worker, and a rebound context acts
-                    // exactly like a fresh one: thread-count invariant.
-                    if (!eval) eval.emplace(plan);
-                    eval->rebind(ctx);
-                    const Mapping initial = initial_sea_mapping(ctx);
-                    // Vary the search seed per scaling so repeated
-                    // scalings do not replay the same random walk.
-                    std::uint64_t level_hash = 0xcbf29ce484222325ULL;
-                    for (ScalingLevel level : levels)
-                        level_hash = splitmix64(level_hash ^ level);
-                    const std::uint64_t seed = splitmix64(params.search.seed ^ level_hash);
-                    LocalSearchResult found = strategy.search(*eval, initial, seed, &stop);
-                    if (found.found_feasible) {
-                        slot.record.kind = DseSlotRecord::Kind::feasible;
-                        slot.record.point.mapping = std::move(found.best_mapping);
-                        slot.record.point.metrics = found.best_metrics;
-                    } else {
-                        slot.record.kind = DseSlotRecord::Kind::no_design;
-                    }
-                    stage = Stage::searched;
-                } catch (...) {
-                    // A throwing strategy must not strand the producer
-                    // waiting on completions that will never come:
-                    // capture the first error, stop the exploration
-                    // cooperatively, and let the slot finish as
-                    // not_run.
-                    std::lock_guard lock(bb_mutex);
-                    if (first_error == nullptr) first_error = std::current_exception();
-                    stop.request_stop();
-                }
-            }
-        }
-
-        // Completion: take the live outcome, then hand the slot to the
-        // ledger. A stop landing while the search ran may have cut it
-        // short, leaving a partial (non-replay-faithful) result:
-        // discard it — the slot stays not_run and a resume re-searches
-        // it in full. Prune skips carry no search data and stay valid.
-        ScalingProgress::Outcome live_outcome = ScalingProgress::Outcome::pruned;
-        const DsePoint* live_point = nullptr;
-        DsePoint found_point;
-        {
-            std::lock_guard lock(bb_mutex);
-            if (stage == Stage::searched && stop.stop_requested()) stage = Stage::cut;
-            if (stage == Stage::searched) {
-                if (slot.record.kind == DseSlotRecord::Kind::feasible) {
-                    found_point = slot.record.point;
-                    found_point.levels = slot.levels;
-                    live_outcome = ScalingProgress::Outcome::feasible;
-                    live_point = &found_point;
-                } else {
-                    live_outcome = ScalingProgress::Outcome::searched_no_design;
-                }
-            }
-            if (ledger.complete(slot, stage)) replay_cv.notify_all();
-        }
-        if (stage != Stage::cut) notify(slot.rank, slot.levels, live_outcome, live_point);
-        if (checkpoint != nullptr) checkpoint->maybe_flush();
-    };
-
-    // One explorer worker: claims pending slots in pop order until
-    // production has ended and every emitted slot is claimed. A failure
-    // that escapes a slot's completion (an observer callback, a
-    // snapshot write) is kept in first_error, and the worker keeps
-    // draining.
-    auto work = [&] {
-        std::optional<EvalContext> eval; // built on this worker's first search
-        std::unique_lock lock(bb_mutex);
-        for (;;) {
-            work_cv.wait(lock, [&] {
-                // Restored and disposed slots are complete when created.
-                while (next_claim < ledger.size() &&
-                       ledger.slot(next_claim).stage != Stage::pending)
-                    ++next_claim;
-                return next_claim < ledger.size() || !producing;
-            });
-            if (next_claim == ledger.size()) return;
-            SearchSlot& slot = ledger.slot(next_claim++);
-            const bool pruned = ledger.prunes_now(slot);
-            lock.unlock();
-            std::exception_ptr error;
-            try {
-                run_search(slot, pruned, eval);
-            } catch (...) {
-                error = std::current_exception();
-            }
-            lock.lock();
-            if (error != nullptr && first_error == nullptr) first_error = error;
-        }
-    };
-
-    // Runs on every way out of production — the end of the queue, a
-    // stop, or an exception (a checkpoint mismatch, a throwing
-    // observer, a failed thread start) — before the workers join, so
-    // they drain the emitted slots and return.
-    auto end_production = [&] {
-        std::lock_guard lock(bb_mutex);
-        producing = false;
-        work_cv.notify_all();
-    };
-
-    // --- produce + run ------------------------------------------------
-    // The producer (this thread) pops slots from the lazy queue while
-    // the workers run searches. Each gate-passing pop waits until the
-    // replay covers the disposal window's prefix, then enters the
-    // ledger: restored, disposed (provably dominated — counted pruned,
-    // never searched) or emitted for the workers to claim.
-    auto produce = [&] {
-        while (!stop.stop_requested()) {
-            std::optional<LazyScalingQueue::Slot> popped = queue.pop();
-            if (!popped) break;
-            if (!popped->gate_passed) {
-                // Gate skips never enter the ledger: count and stream
-                // them right here, ahead of any search.
-                ++skipped_count;
-                notify(popped->rank, popped->levels,
-                       ScalingProgress::Outcome::skipped_infeasible, nullptr);
-                continue;
-            }
-            Stage entered = Stage::pending;
-            const SearchSlot* slot = nullptr;
-            {
-                std::unique_lock lock(bb_mutex);
-                replay_cv.wait(lock, [&] {
-                    return ledger.replayed() >= ledger.disposal_prefix() ||
-                           stop.stop_requested();
-                });
-                if (stop.stop_requested()) break;
-                entered = ledger.admit(*popped);
-                slot = &ledger.slot(ledger.size() - 1);
-            }
-            if (entered == Stage::pending) {
-                work_cv.notify_one();
-            } else if (entered == Stage::disposed) {
-                notify(slot->rank, slot->levels, ScalingProgress::Outcome::pruned, nullptr);
-                if (checkpoint != nullptr) checkpoint->maybe_flush();
-            }
-        }
-    };
-    if (!stop.stop_requested()) {
+    const EvaluationContext problem{graph, arch, {}, SeuEstimator(ser_, policy_),
+                                    deadline_seconds};
+    if (!run.stop.stop_requested()) {
         std::vector<std::jthread> workers; // joined at the end of this block
-        try {
+        run.guard([&] {
             const std::size_t worker_count = resolve_thread_count(params.num_threads);
             workers.reserve(worker_count);
-            for (std::size_t w = 0; w < worker_count; ++w) workers.emplace_back(work);
-            produce();
-        } catch (...) {
-            end_production();
-            throw;
-        }
-        end_production();
+            for (std::size_t w = 0; w < worker_count; ++w)
+                workers.emplace_back([&] {
+                    run.guard([&] {
+                        Worker{run, relay, strategy, params.search.seed, problem,
+                               EvalContext(plan)}
+                            .work();
+                    });
+                });
+            producer.produce();
+        });
+        run.end_production(); // on every way out of production, before the join
     }
-    // Quiescent now: the workers completed every created slot before
-    // they joined, and each completion advanced the replay.
-    if (first_error != nullptr) std::rethrow_exception(first_error);
-    // Persist whatever the run decided — on a stop this is the snapshot
+    // Quiescent now: every worker has returned.
+    if (run.first_error != nullptr) std::rethrow_exception(run.first_error);
+    // Persist whatever the run decided — on a stop this is the journal
     // a resume continues from; on completion it doubles as a memoized
     // result (a resume replays it without searching).
     if (checkpoint != nullptr) checkpoint->flush();
 
     DseResult result;
     result.scalings_total = queue.total();
-    result.scalings_skipped_infeasible = skipped_count;
-    ledger.fold(result, stop.stop_requested());
-    result.scalings_enumerated =
-        skipped_count + result.scalings_pruned + result.scalings_searched;
-
+    result.scalings_skipped_infeasible = producer.skipped;
+    run.ledger.fold(result, run.stop.stop_requested());
     // Step 3: iterative assessment — among feasible designs pick
     // minimum power, breaking near-ties by Gamma. Applied to the front,
     // where the rule is order-independent and prune-invariant.

@@ -34,7 +34,8 @@
 // records. Pop-time disposal consults the replay front at a fixed lag
 // (never the racing live front), and worker-side pruning against the
 // replay front is only ever a subset of the full replay's (a search
-// the replay prunes is discarded as speculative).
+// the replay prunes is discarded as speculative). ExploreRun in dse.cpp
+// states which lock guards what.
 #pragma once
 
 #include "arch/mpsoc.h"
@@ -141,7 +142,7 @@ public:
     /// scalings are folded into the (partial) result. `checkpoint`,
     /// when non-null, supplies an already-decided slot prefix (load it
     /// beforehand — core/dse_checkpoint.h), receives every newly
-    /// decided slot and flushes snapshots on its cadence; resuming a
+    /// decided slot and flushes its journal on its cadence; resuming a
     /// killed exploration reproduces the uninterrupted result
     /// byte-for-byte at any thread count.
     DseResult explore(const TaskGraph& graph, const MpsocArchitecture& arch,

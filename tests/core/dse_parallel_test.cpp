@@ -268,5 +268,49 @@ TEST(DseParallel, ThrowingObserverSurfacesFromExplore) {
     }
 }
 
+/// The Fig. 7 search, counting its calls.
+class CountingStrategy final : public SearchStrategy {
+public:
+    explicit CountingStrategy(const LocalSearchParams& params) : inner_(params) {}
+    std::string name() const override { return "counting"; }
+    LocalSearchResult search(EvalContext& eval, const Mapping& initial, std::uint64_t seed,
+                             const CancellationToken* cancel) const override {
+        calls_.fetch_add(1);
+        return inner_.search(eval, initial, seed, cancel);
+    }
+    int calls() const { return calls_.load(); }
+
+private:
+    OptimizedMappingStrategy inner_;
+    mutable std::atomic<int> calls_{0};
+};
+
+TEST(DseParallel, FirstFailureStopsTheRun) {
+    // The observer throws on every outcome but a gate skip, so the first
+    // slot a worker streams fails the run. Bound: a worker streams a
+    // searched slot before it completes it, and checks for a stop before
+    // each search and again before streaming, so a worker's first search
+    // either streams (and throws) or is cut by an earlier failure: each
+    // worker makes at most one strategy call. A run that kept searching
+    // after the failure would call it once per emitted slot (100 gate
+    // passers here).
+    const Problem problem = prunable_pipeline_problem(8);
+    for (const std::size_t threads : {1u, 4u}) {
+        DseParams params;
+        params.search.max_iterations = 200;
+        params.num_threads = threads;
+        const CountingStrategy strategy(params.search);
+        ThrowingObserver observer(false);
+        const DesignSpaceExplorer explorer(problem.ser_model(), problem.exposure_policy());
+        EXPECT_THROW((void)explorer.explore(problem.graph(), problem.architecture(),
+                                            problem.deadline_seconds(), params, strategy,
+                                            &observer),
+                     std::runtime_error)
+            << threads << " threads";
+        EXPECT_GE(strategy.calls(), 1) << threads << " threads";
+        EXPECT_LE(strategy.calls(), static_cast<int>(threads)) << threads << " threads";
+    }
+}
+
 } // namespace
 } // namespace seamap
