@@ -1,12 +1,17 @@
 #include "core/initial_mapping.h"
 #include "reliability/register_usage.h"
 
+#include "api/scenarios.h"
+#include "support/scaling_walker.h"
 #include "taskgraph/fig8.h"
 #include "taskgraph/mpeg2.h"
 #include "tgff/random_graph.h"
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <optional>
+#include <string>
 #include <tuple>
 
 namespace seamap {
@@ -88,6 +93,68 @@ TEST(InitialSeaMapping, Fig8ExampleFillsThreeCores) {
     EXPECT_EQ(mapping.used_core_count(), 3u);
     // The source task seeds core 0 (the paper's walkthrough).
     EXPECT_EQ(mapping.core_of(0), 0u);
+}
+
+/// Fig. 6 over every Fig. 5 slot of one architecture, folded into an
+/// FNV-1a 64 digest over each slot's per-task core ids.
+struct SlotDigest {
+    std::uint64_t slots = 0;
+    std::uint64_t digest = 14695981039346656037ULL;
+};
+
+SlotDigest digest_every_slot(const MpsocArchitecture& arch,
+                             const std::function<EvaluationContext(ScalingVector)>& context_at) {
+    SlotDigest out;
+    ScalingEnumerator walker(arch.core_count(), arch.scaling_table().level_count());
+    while (std::optional<ScalingVector> levels = walker.next()) {
+        const Mapping mapping = initial_sea_mapping(context_at(*levels));
+        ++out.slots;
+        for (CoreId core : mapping.raw()) {
+            for (int byte = 0; byte < 4; ++byte) {
+                out.digest ^= (core >> (8 * byte)) & 0xffU;
+                out.digest *= 1099511628211ULL;
+            }
+        }
+    }
+    return out;
+}
+
+SlotDigest digest_problem(const Problem& problem) {
+    return digest_every_slot(problem.architecture(), [&](ScalingVector levels) {
+        return problem.evaluation_context(std::move(levels));
+    });
+}
+
+void expect_digest(const SlotDigest& got, std::uint64_t slots, std::uint64_t digest,
+                   const char* label) {
+    EXPECT_EQ(got.slots, slots) << label;
+    EXPECT_EQ(got.digest, digest) << label << std::hex << " 0x" << got.digest;
+}
+
+TEST(InitialSeaMapping, EverySlotPinned) {
+    // Every Fig. 5 slot's greedy mapping, core id by core id: a rewrite
+    // of initial_sea_mapping meant to be byte-identical (fill order,
+    // candidate scoring, queue discipline) must leave every digest
+    // unchanged.
+    const TaskGraph mpeg2 = mpeg2_decoder_graph();
+    const std::uint64_t mpeg2_pins[][3] = {
+        {1, 3, 0xb189d2cab7927df5ULL},
+        {2, 6, 0x62f4f239941fd584ULL},
+        {4, 15, 0xe7d519d8451f2505ULL},
+        {6, 28, 0xa38650a7e0045d45ULL}};
+    for (const auto& [cores, slots, digest] : mpeg2_pins) {
+        const MpsocArchitecture arch(cores, VoltageScalingTable::arm7_three_level());
+        const SlotDigest got = digest_every_slot(arch, [&](ScalingVector levels) {
+            return make_ctx(mpeg2, arch, std::move(levels), mpeg2_deadline_seconds());
+        });
+        expect_digest(got, slots, digest, ("mpeg2 x" + std::to_string(cores)).c_str());
+    }
+    expect_digest(digest_problem(prunable_pipeline_problem(8)), 165, 0x2d962dcde820af15ULL,
+                  "prunable 8");
+    expect_digest(digest_problem(scale_acceptance_problem()), 20349, 0x2a58dae3507b35d1ULL,
+                  "acceptance");
+    expect_digest(digest_problem(scale_problem(1000, 16, 3, 1)), 153, 0xf078618b40bed2f3ULL,
+                  "scale 1000");
 }
 
 /// Property sweep over random graphs and core counts: the greedy must
