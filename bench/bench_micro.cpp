@@ -87,7 +87,16 @@ void bm_full_design_evaluation(benchmark::State& state) {
 }
 BENCHMARK(bm_full_design_evaluation)->Arg(11)->Arg(60)->Arg(100);
 
+// Arg 1000 is the tgff-scale case, where Fig. 6 is the largest per-slot
+// cost of an explore: scale_problem(1000, 16, 3, 1) with all 16 cores at
+// level 1 (pinned in tools/run_bench.sh).
 void bm_initial_sea_mapping(benchmark::State& state) {
+    if (state.range(0) == 1000) {
+        const Problem problem = scale_problem(1000, 16, 3, 1);
+        const EvaluationContext ctx = problem.evaluation_context(ScalingVector(16, 1));
+        for (auto _ : state) benchmark::DoNotOptimize(initial_sea_mapping(ctx));
+        return;
+    }
     const TaskGraph graph = benchmark_graph(state.range(0));
     const MpsocArchitecture arch(4, VoltageScalingTable::arm7_three_level());
     const EvaluationContext ctx{graph, arch, {1, 2, 2, 3}, SeuEstimator{SerModel{}}, 10.0};
@@ -95,7 +104,7 @@ void bm_initial_sea_mapping(benchmark::State& state) {
         benchmark::DoNotOptimize(initial_sea_mapping(ctx));
     }
 }
-BENCHMARK(bm_initial_sea_mapping)->Arg(11)->Arg(60)->Arg(100);
+BENCHMARK(bm_initial_sea_mapping)->Arg(11)->Arg(60)->Arg(100)->Arg(1000);
 
 void bm_sa_annealing_run(benchmark::State& state) {
     const TaskGraph graph = benchmark_graph(60);
@@ -444,7 +453,7 @@ BENCHMARK(bm_explore_acceptance_threads)
 
 // Raw giant-graph throughput of the --scale TGFF family: a 1000-task
 // graph through the whole lazy pipeline (gate, bounds, SoA eval,
-// calendar-queue scheduling) with a token per-slot budget.
+// rank-heap scheduling order) with a token per-slot budget.
 void bm_explore_scale_tgff(benchmark::State& state) {
     const Problem problem = scale_problem(1000, 16, 3, 1);
     ExploreOptions options;

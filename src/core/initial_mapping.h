@@ -10,6 +10,14 @@
 // tasks remain to populate the other cores. Tasks bypassed along the
 // way wait in a queue Q and seed the next cores; whatever remains after
 // core C-1 lands on the last core.
+//
+// The implementation is one step, fill_core, run for cores 0..C-2 (core
+// 0 alone on a single-core system). Core c's fill reads only what the
+// earlier fills left (the partial mapping, Q, the queued flags and a
+// lowest-unmapped cursor), levels[c] (the core's frequency and Vdd),
+// the deadline and the number of cores after c. Two slots that share a
+// level prefix therefore repeat identical fills for that prefix. The
+// step allocates nothing; the buffers are sized once per call.
 #pragma once
 
 #include "reliability/design_eval.h"

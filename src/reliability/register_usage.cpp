@@ -29,11 +29,4 @@ std::uint64_t total_register_bits(const TaskGraph& graph, const Mapping& mapping
     return total;
 }
 
-std::uint64_t register_bits_with_candidate(const TaskGraph& graph, const RegisterSet& current_set,
-                                           TaskId candidate) {
-    RegisterSet merged = current_set;
-    merged |= graph.task(candidate).registers;
-    return merged.bits_in(graph.register_file());
-}
-
 } // namespace seamap

@@ -6,7 +6,6 @@
 #pragma once
 
 #include "sched/mapping.h"
-#include "taskgraph/register_file.h"
 #include "taskgraph/task_graph.h"
 
 #include <cstdint>
@@ -22,11 +21,5 @@ std::vector<std::uint64_t> per_core_register_bits(const TaskGraph& graph, const 
 /// Total register usage R = sum_i R_i in bits.
 std::uint64_t total_register_bits(const TaskGraph& graph, const Mapping& mapping,
                                   std::size_t core_count);
-
-/// Incremental helper for greedy construction: R_i of one core if
-/// `candidate` joined the tasks currently mapped there. `current_set`
-/// must be the union set of the core's current tasks.
-std::uint64_t register_bits_with_candidate(const TaskGraph& graph, const RegisterSet& current_set,
-                                           TaskId candidate);
 
 } // namespace seamap

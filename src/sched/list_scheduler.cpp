@@ -3,6 +3,8 @@
 #include "util/float_compare.h"
 
 #include <algorithm>
+#include <functional>
+#include <queue>
 #include <stdexcept>
 
 // The tm_* bound functions at the bottom of this file run once per
@@ -51,43 +53,14 @@ void check_inputs(const TaskGraph& graph, const Mapping& mapping, const MpsocArc
 
 } // namespace
 
-CalendarReadyQueue::CalendarReadyQueue(std::size_t slot_count) : slot_count_(slot_count) {
-    bits_.assign((slot_count + 63) / 64, 0);
-    summary_.assign((bits_.size() + 63) / 64, 0);
-}
-
-void CalendarReadyQueue::push(std::size_t slot) {
-    if (slot >= slot_count_) throw std::out_of_range("CalendarReadyQueue: slot out of range");
-    const std::size_t word = slot / 64;
-    const std::uint64_t bit = std::uint64_t{1} << (slot % 64);
-    if ((bits_[word] & bit) != 0) return;
-    bits_[word] |= bit;
-    summary_[word / 64] |= std::uint64_t{1} << (word % 64);
-    ++size_;
-}
-
-std::size_t CalendarReadyQueue::pop_min() {
-    if (size_ == 0) throw std::logic_error("CalendarReadyQueue: pop_min on empty queue");
-    std::size_t s = 0;
-    while (summary_[s] == 0) ++s;
-    const std::size_t word =
-        s * 64 + static_cast<std::size_t>(__builtin_ctzll(summary_[s]));
-    const auto bit = static_cast<std::size_t>(__builtin_ctzll(bits_[word]));
-    const std::size_t slot = word * 64 + bit;
-    bits_[word] &= bits_[word] - 1;
-    if (bits_[word] == 0) summary_[s] &= summary_[s] - 1;
-    --size_;
-    return slot;
-}
-
 // Keeps schedule()'s selection *rule* without sharing its loop:
 // schedule() is the naive *reference* the EvalContext equivalence
 // harness pins the fast path against, so the two must not share
 // machinery. This copy pre-ranks tasks by the rule's total order
-// (b-level descending, ties by id) and extracts through the calendar
-// queue, whose slot order makes pop_min identical to schedule()'s
-// min_element scan — changing the tie-break or ready-push order in
-// either copy fails tests/core/eval_context_equivalence_test.
+// (b-level descending, ties by id) and extracts through a min-heap of
+// ranks: ranks are a strict total order, so the heap's top is
+// schedule()'s min_element pick. Changing the tie-break or ready-push
+// order in either copy fails tests/core/eval_context_equivalence_test.
 std::vector<TaskId> static_schedule_order(const TaskGraph& graph) {
     const std::size_t n = graph.task_count();
     const auto priority = b_levels(graph);
@@ -104,14 +77,15 @@ std::vector<TaskId> static_schedule_order(const TaskGraph& graph) {
 
     std::vector<std::size_t> unscheduled_preds(n, 0);
     for (TaskId t = 0; t < n; ++t) unscheduled_preds[t] = graph.in_edge_indices(t).size();
-    CalendarReadyQueue ready(n);
+    std::priority_queue<std::size_t, std::vector<std::size_t>, std::greater<>> ready;
     for (TaskId t = 0; t < n; ++t)
         if (unscheduled_preds[t] == 0) ready.push(rank_of[t]);
 
     std::vector<TaskId> order;
     order.reserve(n);
     while (!ready.empty()) {
-        const TaskId t = task_of_rank[ready.pop_min()];
+        const TaskId t = task_of_rank[ready.top()];
+        ready.pop();
         order.push_back(t);
         for (std::size_t idx : graph.out_edge_indices(t)) {
             const Edge& e = graph.edge(idx);

@@ -93,34 +93,6 @@ public:
 /// explore and replays only timing arithmetic per candidate.
 std::vector<TaskId> static_schedule_order(const TaskGraph& graph);
 
-/// Calendar-style ready list over a fixed slot universe [0, slot_count):
-/// a hierarchical bitmap (one summary bit per 64-slot word) whose
-/// pop_min() returns the smallest present slot in O(1) amortized time —
-/// find-first-set over at most slot_count/4096 summary words, then two
-/// ctz steps — versus the O(ready) min_element scan it replaces in
-/// static_schedule_order, which is quadratic at 1k+ tasks. Callers
-/// pre-rank their elements so that slot order IS the selection order
-/// (static_schedule_order ranks by descending b-level, ties by id),
-/// making pop_min bit-identical to the linear-scan selection.
-class CalendarReadyQueue {
-public:
-    explicit CalendarReadyQueue(std::size_t slot_count);
-
-    /// Mark `slot` present. Pushing a present slot is a no-op.
-    void push(std::size_t slot);
-    /// Remove and return the smallest present slot; throws
-    /// std::logic_error when empty.
-    std::size_t pop_min();
-    bool empty() const { return size_ == 0; }
-    std::size_t size() const { return size_; }
-
-private:
-    std::size_t slot_count_ = 0;
-    std::size_t size_ = 0;
-    std::vector<std::uint64_t> bits_;    ///< slot presence, 64 per word
-    std::vector<std::uint64_t> summary_; ///< bit w: bits_[w] != 0
-};
-
 /// Whole-run busy cycles per core (eq. 7) without building a schedule;
 /// tolerates partial mappings (unassigned tasks contribute nothing).
 /// Cross-core edges whose consumer is still unmapped are charged to the

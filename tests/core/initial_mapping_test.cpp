@@ -2,6 +2,7 @@
 #include "reliability/register_usage.h"
 
 #include "api/scenarios.h"
+#include "support/alloc_guard.h"
 #include "support/scaling_walker.h"
 #include "taskgraph/fig8.h"
 #include "taskgraph/mpeg2.h"
@@ -157,10 +158,36 @@ TEST(InitialSeaMapping, EverySlotPinned) {
                   "scale 1000");
 }
 
+TEST(InitialSeaMapping, AllocationsDoNotGrowWithTasks) {
+    // One call sizes its own buffers once (the mapping, Q and its flags,
+    // the register scratch) and the per-core fill step allocates nothing.
+    // Graph validation adds a few more (its ready list grows
+    // geometrically), so one bound holds on 11 tasks and on 1000: 8 and
+    // 15 allocations here, against 21 and 1786 before the fill step
+    // stopped allocating.
+    if (!seamap::testing::counting_allocator_active()) {
+        ASSERT_FALSE(SEAMAP_ALLOC_GUARD_EXPECTED_ACTIVE)
+            << "counting allocator not linked in a non-sanitized build";
+        GTEST_SKIP() << "allocation guard inactive under sanitizers";
+    }
+    constexpr std::uint64_t k_max_allocations = 20;
+    const TaskGraph mpeg2 = mpeg2_decoder_graph();
+    const MpsocArchitecture mpeg2_arch(4, VoltageScalingTable::arm7_three_level());
+    const auto mpeg2_ctx = make_ctx(mpeg2, mpeg2_arch, {2, 2, 3, 2}, mpeg2_deadline_seconds());
+    const Problem scale = scale_problem(1000, 16, 3, 1);
+    const EvaluationContext scale_ctx = scale.evaluation_context(ScalingVector(16, 1));
+    for (const EvaluationContext* ctx : {&mpeg2_ctx, &scale_ctx}) {
+        const seamap::testing::AllocationGuard guard;
+        const Mapping mapping = initial_sea_mapping(*ctx);
+        EXPECT_LE(guard.allocations(), k_max_allocations) << ctx->graph.task_count() << " tasks";
+        EXPECT_TRUE(mapping.complete());
+    }
+}
+
 /// Property sweep over random graphs and core counts: the greedy must
 /// always return a complete mapping that uses every core when N >= C.
 class InitialMappingProperty
-    : public testing::TestWithParam<std::tuple<std::size_t, std::size_t, std::uint64_t>> {};
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t, std::uint64_t>> {};
 
 TEST_P(InitialMappingProperty, CompleteAndAllCoresUsed) {
     const auto [task_count, core_count, seed] = GetParam();
@@ -177,9 +204,10 @@ TEST_P(InitialMappingProperty, CompleteAndAllCoresUsed) {
 
 INSTANTIATE_TEST_SUITE_P(
     GraphGrid, InitialMappingProperty,
-    testing::Combine(testing::Values<std::size_t>(6, 20, 40), testing::Values<std::size_t>(2, 4, 6),
-                     testing::Values<std::uint64_t>(1, 2, 3)),
-    [](const testing::TestParamInfo<InitialMappingProperty::ParamType>& param_info) {
+    ::testing::Combine(::testing::Values<std::size_t>(6, 20, 40),
+                       ::testing::Values<std::size_t>(2, 4, 6),
+                       ::testing::Values<std::uint64_t>(1, 2, 3)),
+    [](const ::testing::TestParamInfo<InitialMappingProperty::ParamType>& param_info) {
         std::string label; label += "n"; label += std::to_string(std::get<0>(param_info.param)); label += "_c"; label += std::to_string(std::get<1>(param_info.param)); label += "_s"; label += std::to_string(std::get<2>(param_info.param)); return label;
     });
 

@@ -111,8 +111,8 @@ TEST(DseScale, GiantTgffInstancesEvaluateUnderTheScaleFamily) {
     // The ROADMAP --scale family at its smallest committed size: a
     // 1k-task TGFF graph on 16 cores. One pruned exploration with a
     // tiny per-slot budget — this pins that giant graphs go through
-    // the whole lazy pipeline (gate, bounds, SoA eval, calendar-queue
-    // scheduling) without blowing memory or determinism, not that the
+    // the whole lazy pipeline (gate, bounds, SoA eval, rank-heap
+    // scheduling order) without blowing memory or determinism, not that the
     // search finds good designs.
     const Problem problem = scale_problem(1000, 16, 3, 1);
     ExploreOptions options;

@@ -63,15 +63,6 @@ TEST(RegisterUsage, SizeMismatchThrows) {
     EXPECT_THROW((void)per_core_register_bits(graph, mapping, 2), std::out_of_range);
 }
 
-TEST(RegisterUsage, CandidateIncrementMatchesUnion) {
-    const TaskGraph graph = make_shared_pair();
-    RegisterSet current(graph.register_file().size());
-    current |= graph.task(0).registers;
-    EXPECT_EQ(register_bits_with_candidate(graph, current, 1), 1300u);
-    const RegisterSet empty(graph.register_file().size());
-    EXPECT_EQ(register_bits_with_candidate(graph, empty, 1), 1200u);
-}
-
 TEST(RegisterUsage, Mpeg2MoreCoresNeverReducesTotal) {
     // Duplication monotonicity on the real workload: spreading the
     // same tasks over more cores cannot reduce the summed usage.

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <vector>
 
 namespace seamap {
@@ -208,68 +207,8 @@ TEST(TmEstimateEq6, HandComputed) {
     EXPECT_NEAR(tm_estimate_eq6_seconds(graph, localized, arch, {1, 1}), 1.0, k_tol);
 }
 
-TEST(CalendarReadyQueue, PopsSlotsInAscendingOrder) {
-    CalendarReadyQueue queue(300);
-    const std::array<std::size_t, 7> slots = {255, 0, 64, 299, 63, 128, 1};
-    for (std::size_t s : slots) queue.push(s);
-    EXPECT_EQ(queue.size(), slots.size());
-    std::array<std::size_t, 7> sorted = slots;
-    std::sort(sorted.begin(), sorted.end());
-    for (std::size_t s : sorted) EXPECT_EQ(queue.pop_min(), s);
-    EXPECT_TRUE(queue.empty());
-}
-
-TEST(CalendarReadyQueue, DuplicatePushIsANoOp) {
-    CalendarReadyQueue queue(70);
-    queue.push(65);
-    queue.push(65);
-    EXPECT_EQ(queue.size(), 1u);
-    EXPECT_EQ(queue.pop_min(), 65u);
-    EXPECT_TRUE(queue.empty());
-}
-
-TEST(CalendarReadyQueue, InterleavedPushPopTracksTheMinimum) {
-    CalendarReadyQueue queue(1000);
-    queue.push(500);
-    queue.push(700);
-    EXPECT_EQ(queue.pop_min(), 500u);
-    queue.push(3); // below the previous minimum, different summary word
-    queue.push(999);
-    EXPECT_EQ(queue.pop_min(), 3u);
-    EXPECT_EQ(queue.pop_min(), 700u);
-    EXPECT_EQ(queue.pop_min(), 999u);
-    EXPECT_TRUE(queue.empty());
-}
-
-TEST(CalendarReadyQueue, RejectsBadSlotsAndEmptyPop) {
-    CalendarReadyQueue queue(10);
-    EXPECT_THROW(queue.push(10), std::out_of_range);
-    EXPECT_THROW(queue.pop_min(), std::logic_error);
-}
-
-TEST(CalendarReadyQueue, MatchesSortOnDenseAndSparseUniverses) {
-    // Exhaustive cross-check against std::sort over a deterministic
-    // pseudo-random slot set spanning multiple summary words.
-    for (const std::size_t universe : {64u, 65u, 4096u, 5000u}) {
-        CalendarReadyQueue queue(universe);
-        std::vector<std::size_t> present;
-        std::uint64_t state = 0x9e3779b97f4a7c15ULL + universe;
-        for (int i = 0; i < 200; ++i) {
-            state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-            const std::size_t slot = static_cast<std::size_t>(state >> 33) % universe;
-            queue.push(slot);
-            present.push_back(slot);
-        }
-        std::sort(present.begin(), present.end());
-        present.erase(std::unique(present.begin(), present.end()), present.end());
-        ASSERT_EQ(queue.size(), present.size());
-        for (std::size_t s : present) EXPECT_EQ(queue.pop_min(), s);
-        EXPECT_TRUE(queue.empty());
-    }
-}
-
 TEST(StaticScheduleOrder, MatchesNaiveMinElementSelectionOnMpeg2) {
-    // The calendar-queue extraction must reproduce the reference
+    // The rank-heap extraction must reproduce the reference
     // selection rule (max b-level, ties by id) exactly; replay it here
     // with the plain min_element scan the production path no longer
     // uses, b-levels recomputed from scratch.

@@ -18,11 +18,11 @@
 #
 # The benchmarks run in two passes merged into the one JSON. The
 # single-thread slot, setup, producer and trial benches
-# (bm_search_acceptance_slot, bm_eval_rebind, bm_producer_acceptance,
-# bm_campaign_trial, bm_rng_fork_draws, bm_rng_fork_block,
-# bm_fault_injection_trial; the PINNED regex below) run in the second
-# pass, pinned to CPU 0 with `taskset -c 0` when taskset exists and with
-# --benchmark_min_time=1:
+# (bm_search_acceptance_slot, bm_eval_rebind, bm_initial_sea_mapping/1000,
+# bm_producer_acceptance, bm_campaign_trial, bm_rng_fork_draws,
+# bm_rng_fork_block, bm_fault_injection_trial; the PINNED regex below)
+# run in the second pass, pinned to CPU 0 with `taskset -c 0` when
+# taskset exists and with --benchmark_min_time=1:
 # unpinned at the default minimum time their CV reaches 20%, too wide
 # to resolve a 15-20% change. The JSON context's `pinned` field names
 # what that pass ran and how.
@@ -62,7 +62,7 @@ CONTEXT="git_sha=${GIT_SHA},compiler=${COMPILER:-unknown}"
 CONTEXT+=",build_type=$(cache_value CMAKE_BUILD_TYPE),nproc=$(nproc)"
 
 BENCH="${BUILD_DIR}/bench/bench_micro"
-PINNED='^bm_(search_acceptance_slot|eval_rebind|producer_acceptance|campaign_trial|rng_fork_draws|rng_fork_block|fault_injection_trial)(/|$)'
+PINNED='^bm_(search_acceptance_slot|eval_rebind|initial_sea_mapping/1000|producer_acceptance|campaign_trial|rng_fork_draws|rng_fork_block|fault_injection_trial)(/|$)'
 PIN=()
 if command -v taskset > /dev/null; then
     PIN=(taskset -c 0)
