@@ -3,6 +3,7 @@
 #include "util/float_compare.h"
 
 #include <algorithm>
+#include <utility>
 
 // Fig. 6 runs once per searched slot on every explorer worker, so the
 // fill step must not allocate; per-call setup is the one allowed region.
