@@ -162,9 +162,8 @@ TEST(InitialSeaMapping, AllocationsDoNotGrowWithTasks) {
     // One call sizes its own buffers once (the mapping, Q and its flags,
     // the register scratch) and the per-core fill step allocates nothing.
     // Graph validation adds a few more (its ready list grows
-    // geometrically), so one bound holds on 11 tasks and on 1000: 8 and
-    // 15 allocations here, against 21 and 1786 before the fill step
-    // stopped allocating.
+    // geometrically), so one bound holds on 11 tasks and on 1000 (8 and
+    // 15 allocations here).
     if (!seamap::testing::counting_allocator_active()) {
         ASSERT_FALSE(SEAMAP_ALLOC_GUARD_EXPECTED_ACTIVE)
             << "counting allocator not linked in a non-sanitized build";
