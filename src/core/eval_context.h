@@ -169,10 +169,8 @@ public:
     /// mapping, and then leaves the previous base in place.
     DesignMetrics rebase(const Mapping& base);
 
-    const DesignMetrics& base_metrics() const { return base_metrics_; }
-
     /// Metrics of the candidate `op` over the base (the random walk's
-    /// step D); an op that changes nothing returns base_metrics().
+    /// step D); an op that changes nothing returns the base's metrics.
     /// Memoized, then suffix-rescheduled; never skipped by the bound.
     /// Requires a prior rebase().
     DesignMetrics evaluate_neighbor(const NeighborOp& op) {

@@ -162,7 +162,6 @@ void fill_core(const EvaluationContext& ctx, GreedyState& state, CoreId c,
 } // namespace
 
 Mapping initial_sea_mapping(const EvaluationContext& ctx) {
-    ctx.graph.validate();
     ctx.arch.validate_scaling(ctx.levels);
     const std::size_t cores = ctx.arch.core_count();
     GreedyState state(ctx.graph, cores);

@@ -26,7 +26,9 @@
 namespace seamap {
 
 /// Greedy SEU-aware constructive mapping (Fig. 6). Always returns a
-/// complete mapping; feasibility is the job of stage 2.
+/// complete mapping; feasibility is the job of stage 2. `ctx.graph`
+/// must be validated (TaskGraph::validate), as for every algorithm;
+/// `ctx.levels` is checked against the architecture.
 Mapping initial_sea_mapping(const EvaluationContext& ctx);
 
 } // namespace seamap

@@ -1,10 +1,8 @@
 #include "core/lazy_scaling_queue.h"
 
 #include "util/error.h"
-#include "util/rng.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <string>
 
 namespace seamap {
@@ -14,11 +12,10 @@ namespace {
 /// counts[m * (level_count + 1) + w] = number of non-increasing tuples
 /// of length m over values [1..w] (multisets of size m from w values,
 /// C(m + w - 1, w - 1)), by the Pascal-style recurrence
-/// N(m, w) = N(m, w-1) + N(m-1, w). The whole space's count is checked
-/// first (seamap::Error past 2^64); every entry is N(m, w) <= N(C, L)
-/// and every rank is < N(C, L), so all of this arithmetic is exact.
+/// N(m, w) = N(m, w-1) + N(m-1, w). The caller has checked that N(C, L)
+/// fits in 64 bits; every entry is N(m, w) <= N(C, L) and every rank is
+/// < N(C, L), so all of this arithmetic is exact.
 std::vector<std::uint64_t> multiset_counts(std::size_t core_count, std::size_t level_count) {
-    (void)scaling_combination_count(core_count, level_count);
     const std::size_t width = level_count + 1;
     std::vector<std::uint64_t> counts((core_count + 1) * width, 0);
     for (std::size_t w = 0; w <= level_count; ++w) counts[w] = 1; // N(0, w) = 1
@@ -28,33 +25,11 @@ std::vector<std::uint64_t> multiset_counts(std::size_t core_count, std::size_t l
     return counts;
 }
 
-std::uint64_t rank_with_counts(const ScalingVector& levels, std::size_t level_count,
-                               const std::vector<std::uint64_t>& counts) {
-    const std::size_t width = level_count + 1;
-    const std::size_t n = levels.size();
-    std::uint64_t rank = 0;
-    std::size_t prev = level_count;
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t value = levels[i];
-        if (value < 1 || value > prev)
-            throw std::invalid_argument(
-                "LazyScalingQueue::rank_of: tuple is not non-increasing in [1, level_count]");
-        // Tuples that put a larger value w at position i sort earlier
-        // (descending lex); each leaves N(n-1-i, w) completions.
-        for (std::size_t w = value + 1; w <= prev; ++w)
-            rank += counts[(n - 1 - i) * width + w];
-        prev = value;
-    }
-    return rank;
-}
-
 } // namespace
 
 LazyScalingQueue::LazyScalingQueue(const TaskGraph& graph, const MpsocArchitecture& arch,
-                                   double deadline_seconds, const ScalingBoundsModel* bounds,
-                                   std::uint64_t successor_shuffle_seed)
-    : arch_(arch), deadline_seconds_(deadline_seconds), bounds_(bounds),
-      shuffle_seed_(successor_shuffle_seed), tm_(graph) {
+                                   double deadline_seconds, const ScalingBoundsModel* bounds)
+    : arch_(arch), deadline_seconds_(deadline_seconds), bounds_(bounds), tm_(graph) {
     const std::size_t cores = arch.core_count();
     const std::size_t levels = arch.scaling_table().level_count();
     // The rank table takes (cores + 1) x (levels + 1) words and the
@@ -79,12 +54,19 @@ LazyScalingQueue::LazyScalingQueue(const TaskGraph& graph, const MpsocArchitectu
     generate(std::move(root));
 }
 
-std::uint64_t LazyScalingQueue::rank_of(const ScalingVector& levels, std::size_t level_count) {
-    return rank_with_counts(levels, level_count, multiset_counts(levels.size(), level_count));
-}
-
-std::uint64_t LazyScalingQueue::rank_of_tabled(const ScalingVector& levels) const {
-    return rank_with_counts(levels, arch_.scaling_table().level_count(), counts_);
+std::uint64_t LazyScalingQueue::rank_of(const ScalingVector& levels) const {
+    const std::size_t width = arch_.scaling_table().level_count() + 1;
+    const std::size_t n = levels.size();
+    std::uint64_t rank = 0;
+    std::size_t prev = width - 1;
+    for (std::size_t i = 0; i < n; ++i) {
+        // Tuples that put a larger value w at position i sort earlier
+        // (descending lex); each leaves N(n-1-i, w) completions.
+        for (std::size_t w = levels[i] + 1; w <= prev; ++w)
+            rank += counts_[(n - 1 - i) * width + w];
+        prev = levels[i];
+    }
+    return rank;
 }
 
 void LazyScalingQueue::successors(const ScalingVector& levels, std::vector<ScalingVector>& out) {
@@ -112,51 +94,32 @@ bool LazyScalingQueue::visit(std::uint64_t rank) {
 void LazyScalingQueue::generate(ScalingVector levels) {
     Node node;
     Slot& slot = node.slot;
-    slot.rank = rank_of_tabled(levels);
-    // Same accumulation loop as tm_lower_bound_seconds (max and sum in
-    // core order) so the gate verdict is bit-identical to the per-call
-    // form the materialized sweep evaluated.
-    double fastest = 0.0;
-    double total_rate = 0.0;
-    for (std::size_t c = 0; c < levels.size(); ++c) {
-        const double f = arch_.frequency_hz(levels[c]);
-        fastest = std::max(fastest, f);
-        total_rate += f;
-    }
+    slot.rank = rank_of(levels);
     slot.gate_passed =
-        tm_.lower_bound_seconds(fastest, total_rate) <= deadline_seconds_ * (1.0 + 1e-9);
+        tm_.lower_bound_seconds(arch_, levels) <= deadline_seconds_ * (1.0 + 1e-9);
     if (slot.gate_passed && bounds_ != nullptr) {
         slot.cases = bounds_->case_bounds_for(levels);
         if (!slot.cases.empty()) node.sort_key = slot.cases.front().power_mw_lb;
     }
     slot.levels = std::move(levels);
-    frontier_.push(std::move(node));
+    frontier_.push_back(std::move(node));
+    std::push_heap(frontier_.begin(), frontier_.end(), NodeAfter{});
     ++generated_;
 }
 
 std::optional<LazyScalingQueue::Slot> LazyScalingQueue::pop() {
     if (frontier_.empty()) return std::nullopt;
-    // priority_queue::top is const; the contents are moved out right
-    // before the pop, which never observes them again.
-    Slot slot = std::move(const_cast<Node&>(frontier_.top()).slot);
-    frontier_.pop();
+    std::pop_heap(frontier_.begin(), frontier_.end(), NodeAfter{});
+    Slot slot = std::move(frontier_.back().slot);
+    frontier_.pop_back();
     ++popped_;
 
     // Expand the Fig. 5 neighbors of the popped combination. The push
-    // order is irrelevant to pop order (strict (key, rank) total
-    // order); a nonzero shuffle seed deterministically permutes it to
-    // let tests prove exactly that, plus the dedup.
+    // order is irrelevant to pop order (strict (key, rank) total order).
     successor_scratch_.clear();
     successors(slot.levels, successor_scratch_);
-    if (shuffle_seed_ != 0 && successor_scratch_.size() > 1) {
-        std::uint64_t state = splitmix64(shuffle_seed_ ^ slot.rank);
-        for (std::size_t i = successor_scratch_.size() - 1; i > 0; --i) {
-            state = splitmix64(state);
-            std::swap(successor_scratch_[i], successor_scratch_[state % (i + 1)]);
-        }
-    }
     for (ScalingVector& next : successor_scratch_)
-        if (visit(rank_of_tabled(next))) generate(std::move(next));
+        if (visit(rank_of(next))) generate(std::move(next));
     return slot;
 }
 

@@ -50,7 +50,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -75,16 +74,12 @@ public:
     };
 
     /// `arch` and `bounds` must outlive the queue; `bounds` may be null
-    /// (no keys — pops follow the exact enumeration order).
-    /// `successor_shuffle_seed` perturbs the order successors are
-    /// *pushed* (never the pop order, which the dedup + strict
-    /// (key, rank) total order make push-order invariant); nonzero
-    /// values exist for the dedup tests only. Throws seamap::Error
-    /// (invalid_argument) when the space's rank table and visited
-    /// bitmap would pass 1 GiB.
+    /// (no keys — pops follow the exact enumeration order). Throws
+    /// seamap::Error (invalid_argument) when the space has more than
+    /// 2^64 combinations or its rank table and visited bitmap would pass
+    /// 1 GiB.
     LazyScalingQueue(const TaskGraph& graph, const MpsocArchitecture& arch,
-                     double deadline_seconds, const ScalingBoundsModel* bounds,
-                     std::uint64_t successor_shuffle_seed = 0);
+                     double deadline_seconds, const ScalingBoundsModel* bounds);
 
     /// Next slot in (corner power bound, rank) order, or nullopt once
     /// every combination has been returned.
@@ -96,21 +91,6 @@ public:
     std::uint64_t popped() const { return popped_; }
     /// Combinations pushed into the frontier so far (>= popped).
     std::uint64_t generated() const { return generated_; }
-
-    /// Enumeration rank of `levels` (its index in the Fig. 5 order):
-    /// counts the non-increasing tuples that sort descending-lex
-    /// before it. Throws seamap::Error past 2^64 combinations, like
-    /// the queue itself. Exposed for tests; the queue uses a
-    /// precomputed table-driven equivalent.
-    static std::uint64_t rank_of(const ScalingVector& levels, std::size_t level_count);
-
-    /// The Fig. 5 neighbor structure the expansion walks: every cover
-    /// of `levels` in the componentwise order, i.e. the result of
-    /// decrementing the rightmost occurrence of each distinct level
-    /// value > 1 (each stays non-increasing; together they generate
-    /// the whole sequence from the all-slowest root). Appended to
-    /// `out` in ascending position order.
-    static void successors(const ScalingVector& levels, std::vector<ScalingVector>& out);
 
 private:
     struct Node {
@@ -124,14 +104,24 @@ private:
         }
     };
 
-    std::uint64_t rank_of_tabled(const ScalingVector& levels) const;
+    /// The Fig. 5 neighbor structure the expansion walks: every cover
+    /// of `levels` in the componentwise order, i.e. the result of
+    /// decrementing the rightmost occurrence of each distinct level
+    /// value > 1 (each stays non-increasing; together they generate
+    /// the whole sequence from the all-slowest root). Appended to
+    /// `out` in ascending position order.
+    static void successors(const ScalingVector& levels, std::vector<ScalingVector>& out);
+    /// Enumeration rank of `levels` (its index in the Fig. 5 order):
+    /// counts the non-increasing tuples that sort descending-lex
+    /// before it. `levels` is one of the queue's own tuples, so it is
+    /// non-increasing in [1, L].
+    std::uint64_t rank_of(const ScalingVector& levels) const;
     void generate(ScalingVector levels);
     bool visit(std::uint64_t rank);
 
     const MpsocArchitecture& arch_;
     double deadline_seconds_;
     const ScalingBoundsModel* bounds_;
-    std::uint64_t shuffle_seed_;
 
     TmBoundAggregates tm_; ///< the per-combination T_M gate's graph side
 
@@ -143,7 +133,9 @@ private:
     std::uint64_t popped_ = 0;
     std::uint64_t generated_ = 0;
     std::vector<std::uint64_t> visited_; ///< bitmap over ranks
-    std::priority_queue<Node, std::vector<Node>, NodeAfter> frontier_;
+    /// A binary heap under NodeAfter (std::push_heap / std::pop_heap),
+    /// so pop() can move the top slot out.
+    std::vector<Node> frontier_;
     std::vector<ScalingVector> successor_scratch_;
 };
 

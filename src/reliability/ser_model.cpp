@@ -23,8 +23,4 @@ double SerModel::ser_per_bit_second(double vdd) const {
     return ref_rate_per_second * std::exp(params_.voltage_exponent_k * (params_.ref_vdd - vdd));
 }
 
-double SerModel::lambda_per_bit_cycle(const OperatingPoint& op) const {
-    return ser_per_bit_second(op.vdd) / (op.f_mhz * 1e6);
-}
-
 } // namespace seamap

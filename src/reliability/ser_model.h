@@ -42,9 +42,6 @@ public:
     /// independent physical rate).
     double ser_per_bit_second(double vdd) const;
 
-    /// SEUs per bit per clock cycle at an operating point.
-    double lambda_per_bit_cycle(const OperatingPoint& op) const;
-
 private:
     SerParams params_;
 };

@@ -243,6 +243,11 @@ TmBoundAggregates::TmBoundAggregates(const TaskGraph& graph)
 double tm_lower_bound_seconds(const TaskGraph& graph, const MpsocArchitecture& arch,
                               const ScalingVector& levels) {
     arch.validate_scaling(levels);
+    return TmBoundAggregates(graph).lower_bound_seconds(arch, levels);
+}
+
+double TmBoundAggregates::lower_bound_seconds(const MpsocArchitecture& arch,
+                                              const ScalingVector& levels) const {
     double fastest = 0.0;
     double total_rate = 0.0;
     for (std::size_t c = 0; c < arch.core_count(); ++c) {
@@ -250,7 +255,7 @@ double tm_lower_bound_seconds(const TaskGraph& graph, const MpsocArchitecture& a
         fastest = std::max(fastest, f);
         total_rate += f;
     }
-    return TmBoundAggregates(graph).lower_bound_seconds(fastest, total_rate);
+    return lower_bound_seconds(fastest, total_rate);
 }
 
 double TmBoundAggregates::lower_bound_seconds(double fastest_hz, double total_rate_hz) const {

@@ -121,6 +121,11 @@ struct TmBoundAggregates {
     /// The bound over cores whose fastest clock and summed clock rate
     /// are given (Hz, both positive).
     double lower_bound_seconds(double fastest_hz, double total_rate_hz) const;
+    /// The bound over every core at `levels` (one entry per core of
+    /// `arch`, already validated), accumulating the fastest and the
+    /// summed clock rate in core order.
+    double lower_bound_seconds(const MpsocArchitecture& arch,
+                               const ScalingVector& levels) const;
 
     double batches = 1.0;
     double critical_path_cycles = 0.0; ///< no communication

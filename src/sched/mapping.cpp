@@ -44,16 +44,6 @@ std::size_t Mapping::task_count_on(CoreId core) const {
     return n;
 }
 
-std::size_t Mapping::used_core_count() const {
-    std::vector<bool> used(core_count_, false);
-    for (CoreId c : core_of_)
-        if (c != k_unassigned) used[c] = true;
-    std::size_t n = 0;
-    for (bool u : used)
-        if (u) ++n;
-    return n;
-}
-
 void Mapping::check_task(TaskId task) const {
     if (task >= core_of_.size()) throw std::out_of_range("Mapping: task id out of range");
 }

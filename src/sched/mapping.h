@@ -36,8 +36,6 @@ public:
     std::vector<TaskId> tasks_on(CoreId core) const;
     /// Number of tasks mapped to `core`.
     std::size_t task_count_on(CoreId core) const;
-    /// Number of cores with at least one task.
-    std::size_t used_core_count() const;
 
     bool operator==(const Mapping& other) const = default;
 

@@ -1,6 +1,8 @@
 #include "taskgraph/task_graph.h"
 
 #include <algorithm>
+#include <functional>
+#include <queue>
 #include <stdexcept>
 
 namespace seamap {
@@ -43,7 +45,7 @@ void TaskGraph::set_batch_count(std::uint64_t batches) {
 
 void TaskGraph::validate() const {
     if (tasks_.empty()) throw std::invalid_argument("TaskGraph '" + name_ + "': no tasks");
-    if (!is_acyclic()) throw std::invalid_argument("TaskGraph '" + name_ + "': graph has a cycle");
+    (void)topological_order(); // throws on a cycle
 }
 
 std::vector<TaskId> TaskGraph::successors(TaskId id) const {
@@ -75,32 +77,23 @@ std::vector<TaskId> TaskGraph::sink_tasks() const {
 std::vector<TaskId> TaskGraph::topological_order() const {
     std::vector<std::size_t> in_degree(tasks_.size());
     for (TaskId id = 0; id < tasks_.size(); ++id) in_degree[id] = in_edges_[id].size();
-    std::vector<TaskId> ready = source_tasks();
+    // Pop the smallest ready id for a deterministic order.
+    std::priority_queue<TaskId, std::vector<TaskId>, std::greater<>> ready(
+        std::greater<>{}, source_tasks());
     std::vector<TaskId> order;
     order.reserve(tasks_.size());
-    // Pop the smallest ready id for a deterministic order.
     while (!ready.empty()) {
-        const auto smallest = std::min_element(ready.begin(), ready.end());
-        const TaskId id = *smallest;
-        ready.erase(smallest);
+        const TaskId id = ready.top();
+        ready.pop();
         order.push_back(id);
         for (std::size_t idx : out_edges_[id]) {
             const TaskId dst = edges_[idx].dst;
-            if (--in_degree[dst] == 0) ready.push_back(dst);
+            if (--in_degree[dst] == 0) ready.push(dst);
         }
     }
     if (order.size() != tasks_.size())
         throw std::invalid_argument("TaskGraph '" + name_ + "': graph has a cycle");
     return order;
-}
-
-bool TaskGraph::is_acyclic() const {
-    try {
-        (void)topological_order();
-        return true;
-    } catch (const std::invalid_argument&) {
-        return false;
-    }
 }
 
 std::uint64_t TaskGraph::total_exec_cycles() const {
@@ -134,12 +127,6 @@ std::uint64_t TaskGraph::critical_path_cycles(bool include_comm) const {
 
 std::uint64_t TaskGraph::task_register_bits(TaskId id) const {
     return task(id).registers.bits_in(registers_);
-}
-
-std::uint64_t TaskGraph::shared_register_bits(TaskId a, TaskId b) const {
-    RegisterSet shared = task(a).registers;
-    shared &= task(b).registers;
-    return shared.bits_in(registers_);
 }
 
 RegisterSet TaskGraph::union_register_set(std::span<const TaskId> ids) const {

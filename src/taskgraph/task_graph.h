@@ -97,7 +97,6 @@ public:
     std::vector<TaskId> sink_tasks() const;
     /// Kahn topological order; throws if the graph has a cycle.
     std::vector<TaskId> topological_order() const;
-    bool is_acyclic() const;
     /// Sum of task execution costs (whole run).
     std::uint64_t total_exec_cycles() const;
     /// Sum of edge communication costs (whole run).
@@ -109,8 +108,6 @@ public:
     // --- register-set queries (eq. 8 building blocks) -------------------
     /// Total bits of one task's working set.
     std::uint64_t task_register_bits(TaskId id) const;
-    /// Bits shared between two tasks' working sets.
-    std::uint64_t shared_register_bits(TaskId a, TaskId b) const;
     /// Bits of the union of several tasks' working sets (eq. 8 for one
     /// core holding exactly these tasks).
     std::uint64_t union_register_bits(std::span<const TaskId> ids) const;

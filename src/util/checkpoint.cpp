@@ -12,13 +12,8 @@
 #include <stdexcept>
 #include <utility>
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
 #include <unistd.h>
-#define SEAMAP_HAVE_FSYNC 1
-#else
-#include <filesystem>
-#endif
 
 namespace seamap {
 
@@ -55,7 +50,6 @@ std::optional<std::pair<std::string_view, std::uint64_t>> split_checksum(
 /// `text` and flush it to stable storage before returning. Throws
 /// Error(io) on any failure.
 void append_synced(const std::string& path, std::uint64_t keep, const std::string& text) {
-#if SEAMAP_HAVE_FSYNC
     const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
     if (fd < 0) throw Error(ErrorCategory::io, "cannot open checkpoint for writing", path);
     auto fail = [&](const char* what) {
@@ -71,29 +65,17 @@ void append_synced(const std::string& path, std::uint64_t keep, const std::strin
     }
     if (::fsync(fd) != 0) fail("checkpoint fsync failed");
     if (::close(fd) != 0) throw Error(ErrorCategory::io, "checkpoint close failed", path);
-#else
-    if (keep > 0) std::filesystem::resize_file(path, keep);
-    std::ofstream os(path, std::ios::binary | (keep == 0 ? std::ios::trunc : std::ios::app));
-    if (!os) throw Error(ErrorCategory::io, "cannot open checkpoint for writing", path);
-    os << text;
-    os.flush();
-    if (!os) throw Error(ErrorCategory::io, "checkpoint write failed", path);
-#endif
 }
 
 /// Flush the directory entry of a newly created `path` so the file
 /// itself is durable. Best effort: some file systems refuse it.
 void sync_parent_dir(const std::string& path) {
-#if SEAMAP_HAVE_FSYNC
     const std::size_t slash = path.find_last_of('/');
     const std::string dir = slash == std::string::npos ? "." : path.substr(0, slash);
     const int fd = ::open(dir.c_str(), O_RDONLY);
     if (fd < 0) return;
     ::fsync(fd);
     ::close(fd);
-#else
-    (void)path;
-#endif
 }
 
 } // namespace

@@ -34,7 +34,7 @@ TEST(Fig8Walkthrough, Stage1SeedsFastCoreWithSourceTask) {
     const Mapping initial = initial_sea_mapping(w.ctx);
     ASSERT_TRUE(initial.complete());
     EXPECT_EQ(initial.core_of(0), 0u); // t1 on core 1
-    EXPECT_EQ(initial.used_core_count(), 3u);
+    for (CoreId c = 0; c < 3; ++c) EXPECT_GT(initial.task_count_on(c), 0u) << "core " << c;
 }
 
 TEST(Fig8Walkthrough, Stage1KeepsRegisterSharersTogether) {

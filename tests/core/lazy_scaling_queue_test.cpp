@@ -2,11 +2,10 @@
 // drop-in replacement for materializing the Fig. 5 sequence: every
 // combination pops exactly once, gate verdicts are bit-identical to
 // tm_lower_bound_seconds, each gate passer carries exactly the case
-// staircase the ScalingBoundsModel computes for it, and the pop order
-// is invariant to the order successors are pushed (the visited-set
-// dedup + strict (key, rank) total order make it a pure function of
-// the problem). Exhaustive cross-checks run on small spaces where the
-// materialized reference is cheap.
+// staircase the ScalingBoundsModel computes for it, and without a
+// bounds model the pops are exactly the enumeration order, so each
+// pop's rank is its enumeration index. Exhaustive cross-checks run on
+// small spaces where the materialized reference is cheap.
 #include "core/lazy_scaling_queue.h"
 
 #include "core/scaling_bounds.h"
@@ -18,10 +17,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -38,63 +35,27 @@ std::vector<ScalingVector> materialized(std::size_t cores, std::size_t levels) {
 }
 
 TEST(LazyScalingQueueRank, MatchesEnumerationIndexAcrossShapes) {
+    // Without a bounds model pops follow the enumeration order, so the
+    // i-th pop carries rank i and the i-th enumerated levels.
+    const TaskGraph graph = fig8_example_graph();
+    const std::vector<double> f_mhz = {200.0, 180.0, 160.0, 140.0, 120.0, 100.0};
     for (const auto& [cores, levels] : std::vector<std::pair<std::size_t, std::size_t>>{
              {1, 1}, {2, 3}, {3, 3}, {4, 2}, {5, 4}, {3, 6}}) {
+        const std::string shape =
+            std::to_string(cores) + " cores, " + std::to_string(levels) + " levels";
+        const MpsocArchitecture arch(
+            cores, VoltageScalingTable::from_frequencies(
+                       std::vector<double>(f_mhz.begin(), f_mhz.begin() + levels)));
+        LazyScalingQueue queue(graph, arch, 1.0, nullptr);
         const std::vector<ScalingVector> all = materialized(cores, levels);
-        for (std::size_t i = 0; i < all.size(); ++i)
-            EXPECT_EQ(LazyScalingQueue::rank_of(all[i], levels), i)
-                << cores << " cores, " << levels << " levels, index " << i;
-    }
-}
-
-TEST(LazyScalingQueueRank, RejectsIncreasingTuples) {
-    EXPECT_THROW(LazyScalingQueue::rank_of({1, 2}, 3), std::invalid_argument);
-    EXPECT_THROW(LazyScalingQueue::rank_of({2, 1, 3}, 3), std::invalid_argument);
-}
-
-TEST(LazyScalingQueueRank, RejectsSpacesPast64Bits) {
-    // C(311, 11) ~ 5.5e19 combinations: the rank table would overflow,
-    // so the space is refused up front, as the queue refuses it.
-    EXPECT_THROW((void)LazyScalingQueue::rank_of(ScalingVector(300, 12), 12), Error);
-}
-
-TEST(LazyScalingQueueSuccessors, CoverTheWholeSpaceFromTheRoot) {
-    // BFS over the successor structure from the all-slowest root must
-    // reach every combination: that is what makes the lazy frontier
-    // complete.
-    const std::size_t cores = 4, levels = 3;
-    const std::vector<ScalingVector> all = materialized(cores, levels);
-    std::set<std::uint64_t> seen;
-    std::vector<ScalingVector> frontier{ScalingVector(cores, static_cast<ScalingLevel>(levels))};
-    seen.insert(LazyScalingQueue::rank_of(frontier.front(), levels));
-    std::vector<ScalingVector> next;
-    while (!frontier.empty()) {
-        next.clear();
-        for (const ScalingVector& combo : frontier) {
-            std::vector<ScalingVector> out;
-            LazyScalingQueue::successors(combo, out);
-            for (ScalingVector& successor : out) {
-                // Each successor decrements exactly one position and
-                // stays non-increasing.
-                std::uint64_t diff = 0;
-                for (std::size_t i = 0; i < cores; ++i) {
-                    EXPECT_TRUE(i == 0 || successor[i] <= successor[i - 1]);
-                    if (successor[i] != combo[i]) {
-                        ++diff;
-                        EXPECT_EQ(successor[i] + 1, combo[i]);
-                    }
-                }
-                EXPECT_EQ(diff, 1u);
-                if (seen.insert(LazyScalingQueue::rank_of(successor, levels)).second)
-                    next.push_back(successor);
-            }
+        for (std::size_t i = 0; i < all.size(); ++i) {
+            const auto slot = queue.pop();
+            ASSERT_TRUE(slot.has_value()) << shape << ": queue dried up at " << i;
+            EXPECT_EQ(slot->rank, i) << shape;
+            EXPECT_EQ(slot->levels, all[i]) << shape << ", index " << i;
         }
-        frontier.swap(next);
+        EXPECT_FALSE(queue.pop().has_value()) << shape;
     }
-    // Every rank in [0, C(C+L-1, L-1)) reached exactly once.
-    EXPECT_EQ(seen.size(), all.size());
-    EXPECT_EQ(*seen.begin(), 0u);
-    EXPECT_EQ(*seen.rbegin(), all.size() - 1);
 }
 
 TEST(LazyScalingQueue, UnboundedPopsAreExactlyTheEnumerationOrder) {
@@ -160,30 +121,6 @@ TEST(LazyScalingQueue, BoundedPopsEmitEveryGatePasserWithItsModelCorner) {
     EXPECT_GT(passers_with_cases, 0u);
 }
 
-TEST(LazyScalingQueue, PopSequenceInvariantUnderSuccessorShuffles) {
-    // The successor push order is an implementation detail; the dedup
-    // bitmap and the strict (key, rank) heap order must make the pop
-    // sequence identical for any shuffle of it.
-    TgffParams params;
-    params.task_count = 8;
-    const TaskGraph graph = generate_tgff_graph(params, 11);
-    const MpsocArchitecture arch(3, VoltageScalingTable::arm7_four_level());
-    const double deadline = 1.6 * tm_lower_bound_seconds(graph, arch, {1, 1, 1});
-    const SerModel ser;
-    const ScalingBoundsModel model(graph, arch, deadline, ser,
-                                   ExposurePolicy::full_duration);
-    std::vector<std::vector<std::uint64_t>> sequences;
-    for (const std::uint64_t shuffle : {0ull, 1ull, 0xdecafbadULL}) {
-        LazyScalingQueue queue(graph, arch, deadline, &model, shuffle);
-        std::vector<std::uint64_t> ranks;
-        while (auto slot = queue.pop()) ranks.push_back(slot->rank);
-        sequences.push_back(std::move(ranks));
-    }
-    EXPECT_EQ(sequences[0], sequences[1]);
-    EXPECT_EQ(sequences[0], sequences[2]);
-    EXPECT_EQ(sequences[0].size(), materialized(3, 4).size());
-}
-
 TEST(LazyScalingQueue, CountersTrackPopsAndGeneration) {
     const TaskGraph graph = fig8_example_graph();
     const MpsocArchitecture arch(2, VoltageScalingTable::arm7_three_level());
@@ -205,7 +142,9 @@ TEST(LazyScalingQueue, RefusesSpacesWhoseTablesPassOneGiB) {
     //  - 100000 cores x 4 levels: C(100003, 3) ~ 1.7e14 combinations,
     //    a 20 TiB visited bitmap;
     //  - 2^30 cores x 2 levels: a 128 MiB bitmap, but a 24 GiB rank
-    //    table of (cores + 1) x (levels + 1) words.
+    //    table of (cores + 1) x (levels + 1) words;
+    //  - 300 cores x 12 levels: C(311, 11) ~ 5.5e19 combinations, past
+    //    2^64, so not even the rank table's entries fit.
     const TaskGraph graph = fig8_example_graph();
     const auto expect_refused = [&](const MpsocArchitecture& arch, const std::string& count) {
         try {
@@ -223,6 +162,9 @@ TEST(LazyScalingQueue, RefusesSpacesWhoseTablesPassOneGiB) {
     expect_refused(
         MpsocArchitecture(std::size_t{1} << 30, VoltageScalingTable::arm7_two_level()),
         "1073741825");
+    const VoltageScalingTable twelve_levels = VoltageScalingTable::from_frequencies(
+        {200.0, 190.0, 180.0, 170.0, 160.0, 150.0, 140.0, 130.0, 120.0, 110.0, 100.0, 90.0});
+    expect_refused(MpsocArchitecture(300, twelve_levels), "more than 2^64");
 }
 
 } // namespace

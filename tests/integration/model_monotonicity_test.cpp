@@ -27,8 +27,9 @@ TEST_P(OperatingPointSweep, DeeperScalingTradesPowerForReliability) {
     EXPECT_LT(power.core_active_power_mw(static_cast<ScalingLevel>(level + 1)),
               power.core_active_power_mw(level));
     // ...and a strictly higher per-cycle upset rate.
-    EXPECT_GT(ser.lambda_per_bit_cycle(table.at_level(static_cast<ScalingLevel>(level + 1))),
-              ser.lambda_per_bit_cycle(table.at_level(level)));
+    const auto deeper = static_cast<ScalingLevel>(level + 1);
+    EXPECT_GT(ser.ser_per_bit_second(table.vdd(deeper)) / table.frequency_hz(deeper),
+              ser.ser_per_bit_second(table.vdd(level)) / table.frequency_hz(level));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllLevels, OperatingPointSweep,

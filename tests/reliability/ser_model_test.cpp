@@ -30,16 +30,17 @@ TEST(SerModel, VoltageAccelerationCalibratedToObservation3) {
 }
 
 TEST(SerModel, LambdaPerCycleAtReferenceIsSerRef) {
+    // Per bit and cycle: the per-second rate over the clock.
     const SerModel model;
-    EXPECT_NEAR(model.lambda_per_bit_cycle(OperatingPoint{200.0, 1.0}), 1e-9, 1e-18);
+    EXPECT_NEAR(model.ser_per_bit_second(1.0) / 200e6, 1e-9, 1e-18);
 }
 
 TEST(SerModel, Observation3PerCycleRatioIs2_5) {
     // Scaling 1 -> 2 (Table I): per-cycle SER grows by 2 (frequency)
     // x 1.25 (voltage) = 2.5 — the paper's Fig. 3(b) -> (c) jump.
     const SerModel model;
-    const double nominal = model.lambda_per_bit_cycle(OperatingPoint{200.0, 1.0});
-    const double scaled = model.lambda_per_bit_cycle(OperatingPoint{100.0, 0.58});
+    const double nominal = model.ser_per_bit_second(1.0) / 200e6;
+    const double scaled = model.ser_per_bit_second(0.58) / 100e6;
     EXPECT_NEAR(scaled / nominal, 2.5, 1e-3);
 }
 
@@ -56,7 +57,7 @@ TEST(SerModel, CustomParameters) {
     params.voltage_exponent_k = 0.0; // voltage-independent
     const SerModel model(params);
     EXPECT_NEAR(model.ser_per_bit_second(0.5), model.ser_per_bit_second(1.0), 1e-15);
-    EXPECT_NEAR(model.lambda_per_bit_cycle(OperatingPoint{200.0, 1.0}), 2e-9, 1e-18);
+    EXPECT_NEAR(model.ser_per_bit_second(1.0) / 200e6, 2e-9, 1e-18);
 }
 
 TEST(SerModel, Validation) {

@@ -44,8 +44,9 @@ TEST(Mapping, TasksOnAndUsedCores) {
     mapping.assign(3, 2);
     EXPECT_EQ(mapping.tasks_on(0), (std::vector<TaskId>{0, 2}));
     EXPECT_TRUE(mapping.tasks_on(1).empty());
+    EXPECT_EQ(mapping.task_count_on(0), 2u);
+    EXPECT_EQ(mapping.task_count_on(1), 0u);
     EXPECT_EQ(mapping.task_count_on(2), 2u);
-    EXPECT_EQ(mapping.used_core_count(), 2u);
 }
 
 TEST(Mapping, BoundsChecked) {
@@ -78,7 +79,6 @@ TEST(MappingHelpers, SingleCorePutsEverythingOnCoreZero) {
     const Mapping mapping = single_core_mapping(graph, 4);
     EXPECT_TRUE(mapping.complete());
     EXPECT_EQ(mapping.task_count_on(0), graph.task_count());
-    EXPECT_EQ(mapping.used_core_count(), 1u);
 }
 
 } // namespace

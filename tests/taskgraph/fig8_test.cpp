@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <tuple>
 
 namespace seamap {
 namespace {
@@ -42,11 +43,18 @@ TEST(Fig8, TaskRegisterUsageMatchesFig8c) {
 
 TEST(Fig8, SharingStructure) {
     const TaskGraph graph = fig8_example_graph();
-    // Adjacent tasks in the r-chain overlap; endpoints do not.
-    EXPECT_EQ(graph.shared_register_bits(0, 1), 2048u);   // t1 & t2 share r2
-    EXPECT_EQ(graph.shared_register_bits(1, 2), 11264u);  // t2 & t3 share r4,r5,r6
-    EXPECT_EQ(graph.shared_register_bits(4, 5), 6144u);   // t5 & t6 share r7,r8
-    EXPECT_EQ(graph.shared_register_bits(0, 5), 0u);      // t1 & t6 disjoint
+    // Adjacent tasks in the r-chain overlap; endpoints do not. A pair's
+    // union counts the bits it shares once.
+    using Pair = std::tuple<TaskId, TaskId, std::uint64_t>;
+    for (const auto& [a, b, shared] : std::array<Pair, 4>{{
+             {0, 1, 2048},  // t1 & t2 share r2
+             {1, 2, 11264}, // t2 & t3 share r4,r5,r6
+             {4, 5, 6144},  // t5 & t6 share r7,r8
+             {0, 5, 0},     // t1 & t6 disjoint
+         }})
+        EXPECT_EQ(graph.union_register_bits(std::array<TaskId, 2>{a, b}),
+                  graph.task_register_bits(a) + graph.task_register_bits(b) - shared)
+            << "t" << a + 1 << " & t" << b + 1;
 }
 
 TEST(Fig8, DagShapeSupportsWalkthrough) {

@@ -52,7 +52,8 @@ TEST(Mpeg2, DeadlineMatches29_97Fps) {
 // (Paper tasks are 1-based; graph ids are 0-based.)
 TEST(Mpeg2, T5T6Share6400Bits) {
     const TaskGraph graph = mpeg2_decoder_graph();
-    EXPECT_EQ(graph.shared_register_bits(4, 5), 6'400u);
+    EXPECT_EQ(graph.union_register_bits(std::array<TaskId, 2>{4, 5}),
+              graph.task_register_bits(4) + graph.task_register_bits(5) - 6'400u);
 }
 
 // Section III: "the tasks t6, t7 and t8 share about 8kb registers

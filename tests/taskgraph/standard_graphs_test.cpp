@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 namespace seamap {
 namespace {
 
@@ -100,7 +102,8 @@ TEST(StandardGraphs, ProducersShareBuffersWithConsumers) {
     for (const TaskGraph& graph :
          {fft_task_graph(3), gaussian_elimination_task_graph(4), pipeline_task_graph(3, 2)}) {
         for (const Edge& e : graph.edges())
-            EXPECT_GT(graph.shared_register_bits(e.src, e.dst), 0u)
+            EXPECT_LT(graph.union_register_bits(std::array<TaskId, 2>{e.src, e.dst}),
+                      graph.task_register_bits(e.src) + graph.task_register_bits(e.dst))
                 << graph.name() << " edge " << e.src << "->" << e.dst;
     }
 }

@@ -3,6 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
+#include <random>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace seamap {
 namespace {
@@ -94,6 +100,43 @@ TEST(TaskGraph, TopologicalOrderRespectsEdges) {
     for (const Edge& e : graph.edges()) EXPECT_LT(position[e.src], position[e.dst]);
 }
 
+TEST(TaskGraph, TopologicalOrderTakesSmallestReadyIdOnWideGraph) {
+    // 1000 tasks whose precedence follows a shuffled order, about a
+    // third of them sources, so the ready set is wide and ids do not
+    // follow the edges. The order must be the plain quadratic rule:
+    // repeatedly take the smallest id whose producers are all placed.
+    constexpr std::size_t n = 1000;
+    std::mt19937_64 rng(7);
+    std::vector<TaskId> precedence(n);
+    for (TaskId t = 0; t < n; ++t) precedence[t] = t;
+    for (std::size_t i = n - 1; i > 0; --i)
+        std::swap(precedence[i], precedence[rng() % (i + 1)]);
+    RegisterFile regs;
+    TaskGraph graph("wide", std::move(regs));
+    for (std::size_t t = 0; t < n; ++t) graph.add_task("t" + std::to_string(t), 1);
+    std::set<std::pair<TaskId, TaskId>> edges;
+    for (std::size_t i = 1; i < n; ++i)
+        for (std::uint64_t k = rng() % 3; k > 0; --k) {
+            const TaskId src = precedence[rng() % i];
+            if (edges.emplace(src, precedence[i]).second)
+                graph.add_edge(src, precedence[i], 1);
+        }
+
+    std::vector<std::size_t> waiting(n);
+    for (TaskId t = 0; t < n; ++t) waiting[t] = graph.in_edge_indices(t).size();
+    std::vector<bool> placed(n, false);
+    std::vector<TaskId> expected;
+    while (expected.size() < n) {
+        TaskId next = 0;
+        while (placed[next] || waiting[next] != 0) ++next;
+        placed[next] = true;
+        expected.push_back(next);
+        for (std::size_t idx : graph.out_edge_indices(next)) --waiting[graph.edge(idx).dst];
+    }
+    EXPECT_GT(graph.source_tasks().size(), n / 5);
+    EXPECT_EQ(graph.topological_order(), expected);
+}
+
 TEST(TaskGraph, CycleDetected) {
     RegisterFile regs;
     TaskGraph graph("cyclic", std::move(regs));
@@ -103,7 +146,6 @@ TEST(TaskGraph, CycleDetected) {
     graph.add_edge(a, b, 1);
     graph.add_edge(b, c, 1);
     graph.add_edge(c, a, 1);
-    EXPECT_FALSE(graph.is_acyclic());
     EXPECT_THROW(graph.validate(), std::invalid_argument);
     EXPECT_THROW((void)graph.topological_order(), std::invalid_argument);
 }
@@ -132,10 +174,11 @@ TEST(TaskGraph, RegisterQueries) {
     const TaskGraph graph = make_diamond();
     EXPECT_EQ(graph.task_register_bits(0), 100u);
     EXPECT_EQ(graph.task_register_bits(1), 1000u);
-    EXPECT_EQ(graph.shared_register_bits(1, 2), 1000u); // both use 'shared'
-    EXPECT_EQ(graph.shared_register_bits(0, 3), 0u);
     const std::array<TaskId, 2> bc = {1, 2};
-    EXPECT_EQ(graph.union_register_bits(bc), 1000u); // shared counted once
+    EXPECT_EQ(graph.union_register_bits(bc), 1000u); // both use 'shared', counted once
+    const std::array<TaskId, 2> ad = {0, 3};
+    EXPECT_EQ(graph.union_register_bits(ad),
+              graph.task_register_bits(0) + graph.task_register_bits(3)); // disjoint
     const std::array<TaskId, 4> all = {0, 1, 2, 3};
     EXPECT_EQ(graph.union_register_bits(all), 1300u);
 }

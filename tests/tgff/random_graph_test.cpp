@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
 
 namespace seamap {
@@ -90,7 +91,8 @@ TEST(Tgff, ProducerConsumerShareOutputBuffer) {
     params.task_count = 30;
     const TaskGraph graph = generate_tgff_graph(params, 11);
     for (const Edge& e : graph.edges())
-        EXPECT_GT(graph.shared_register_bits(e.src, e.dst), 0u)
+        EXPECT_LT(graph.union_register_bits(std::array<TaskId, 2>{e.src, e.dst}),
+                  graph.task_register_bits(e.src) + graph.task_register_bits(e.dst))
             << "edge " << e.src << "->" << e.dst << " shares no registers";
 }
 
@@ -105,7 +107,8 @@ TEST(Tgff, SiblingsShareTheProducersBuffer) {
     for (TaskId t = 0; t < graph.task_count() && !found; ++t) {
         const auto succ = graph.successors(t);
         if (succ.size() >= 2) {
-            EXPECT_GT(graph.shared_register_bits(succ[0], succ[1]), 0u);
+            EXPECT_LT(graph.union_register_bits(std::array<TaskId, 2>{succ[0], succ[1]}),
+                      graph.task_register_bits(succ[0]) + graph.task_register_bits(succ[1]));
             found = true;
         }
     }
