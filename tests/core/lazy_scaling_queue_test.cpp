@@ -142,9 +142,7 @@ TEST(LazyScalingQueue, RefusesSpacesWhoseTablesPassOneGiB) {
     //  - 100000 cores x 4 levels: C(100003, 3) ~ 1.7e14 combinations,
     //    a 20 TiB visited bitmap;
     //  - 2^30 cores x 2 levels: a 128 MiB bitmap, but a 24 GiB rank
-    //    table of (cores + 1) x (levels + 1) words;
-    //  - 300 cores x 12 levels: C(311, 11) ~ 5.5e19 combinations, past
-    //    2^64, so not even the rank table's entries fit.
+    //    table of (cores + 1) x (levels + 1) words.
     const TaskGraph graph = fig8_example_graph();
     const auto expect_refused = [&](const MpsocArchitecture& arch, const std::string& count) {
         try {
@@ -162,9 +160,24 @@ TEST(LazyScalingQueue, RefusesSpacesWhoseTablesPassOneGiB) {
     expect_refused(
         MpsocArchitecture(std::size_t{1} << 30, VoltageScalingTable::arm7_two_level()),
         "1073741825");
+}
+
+TEST(LazyScalingQueueRank, RejectsSpacesPast64Bits) {
+    // 300 cores x 12 levels: C(311, 11) ~ 5.5e19 combinations, past
+    // 2^64, so not even the rank table's entries fit; the queue refuses
+    // the space before it allocates anything.
+    const TaskGraph graph = fig8_example_graph();
     const VoltageScalingTable twelve_levels = VoltageScalingTable::from_frequencies(
         {200.0, 190.0, 180.0, 170.0, 160.0, 150.0, 140.0, 130.0, 120.0, 110.0, 100.0, 90.0});
-    expect_refused(MpsocArchitecture(300, twelve_levels), "more than 2^64");
+    try {
+        LazyScalingQueue queue(graph, MpsocArchitecture(300, twelve_levels), 1.0, nullptr);
+        ADD_FAILURE() << "expected seamap::Error";
+    } catch (const Error& e) {
+        EXPECT_EQ(e.category(), ErrorCategory::invalid_argument);
+        EXPECT_NE(std::string(e.what()).find("more than 2^64 scaling combinations"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 } // namespace
