@@ -354,9 +354,11 @@ BENCHMARK(bm_producer_acceptance)->Unit(benchmark::kMillisecond);
 // iterations, from the Fig. 6 initial mapping the explorer starts from.
 // One context is rebound to the slot per iteration, as an explorer
 // worker's context is rebound to every slot it searches. The counters
-// show how much of the sweep the schedule-free bound skips, and how
-// many of those skips the T_M tier decides before any register union is
-// built (tm_skips; the rest are Gamma-tier skips).
+// show how much of the sweep the schedule-free bound skips, how many of
+// those skips the T_M tier decides before any register union is built
+// (tm_skips; the rest are Gamma-tier skips) and how many of those the
+// row tier decides a whole task at a time (row_skips), plus the walk's
+// accepted steps promoted from their own replay (promotions).
 void bm_search_acceptance_slot(benchmark::State& state) {
     const Problem problem = scale_acceptance_problem();
     const std::size_t cores = problem.architecture().core_count();
@@ -382,6 +384,8 @@ void bm_search_acceptance_slot(benchmark::State& state) {
     state.counters["replays"] = static_cast<double>(stats.incremental_evals);
     state.counters["bound_skips"] = static_cast<double>(stats.bound_skips);
     state.counters["tm_skips"] = static_cast<double>(stats.tm_skips);
+    state.counters["row_skips"] = static_cast<double>(stats.row_skips);
+    state.counters["promotions"] = static_cast<double>(stats.promotions);
 }
 BENCHMARK(bm_search_acceptance_slot)->Unit(benchmark::kMillisecond);
 

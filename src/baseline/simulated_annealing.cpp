@@ -93,7 +93,7 @@ LocalSearchResult AnnealingStrategy::search(EvalContext& eval, const Mapping& in
             std::swap(current, neighbor); // keeps neighbor's storage alive for reuse
             current_metrics = neighbor_metrics;
             current_cost = neighbor_cost;
-            eval.rebase(current);
+            eval.accept(op);
             ++result.improvements;
             if (better_than_best(current_metrics)) {
                 result.best_mapping = current;

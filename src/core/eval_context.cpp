@@ -103,11 +103,11 @@ EvalContext::EvalContext(std::shared_ptr<const EvalPlan> plan, EvalOptions optio
     size(cores_, core_freq_, ser_rate_, active_power_mw_, core_free_, busy_seconds_, utilization_,
          base_core_free_, base_busy_seconds_, register_bits_, busy_, base_busy_, base_bits_,
          touched_, touched_mark_);
-    size(n_, data_ready_, base_free_log_, core_task_ids_);
+    size(n_, data_ready_, base_free_log_, shadow_free_log_, core_task_ids_);
     size(n_ * cores_, exec_seconds_);
     size(plan_->edge_src.size() * cores_, comm_seconds_);
-    size(plan_->edge_src.size(), base_arrival_);
-    size(n_ + 1, base_latency_prefix_);
+    size(plan_->edge_src.size(), base_arrival_, shadow_arrival_);
+    size(n_, base_latency_prefix_, shadow_latency_prefix_);
     size(cores_ + 1, core_task_offsets_);
     size(words_, scratch_words_);
 
@@ -161,8 +161,9 @@ void EvalContext::rebind(const EvaluationContext& ctx) {
 // estimate + PowerModel::mpsoc_power_mw — the equivalence harness pins
 // this correspondence bit-for-bit.
 DesignMetrics EvalContext::evaluate_full() {
-    const CoreId* core_of = base_.raw().data();
-
+    shadow_op_ = {};
+    if (options_.naive_reference) return base_metrics_ = evaluate_design(*ctx_, base_);
+    ++stats_.full_evals;
     reset_touched();
     std::fill(data_ready_.begin(), data_ready_.end(), 0.0);
     std::fill(core_free_.begin(), core_free_.end(), 0.0);
@@ -170,10 +171,31 @@ DesignMetrics EvalContext::evaluate_full() {
     const double latency = place<true>(NeighborOp{}, 0, 0.0);
     std::copy(core_free_.begin(), core_free_.end(), base_core_free_.begin());
 
+    // The II over every core. x / B is monotone, so the largest term is
+    // the largest busy time's.
+    double max_seconds = 0.0;
+    for (CoreId c = 0; c < cores_; ++c) {
+        busy_seconds_[c] = static_cast<double>(base_busy_[c]) / core_freq_[c];
+        base_busy_seconds_[c] = busy_seconds_[c];
+        max_seconds = std::max(max_seconds, busy_seconds_[c]);
+    }
+    staged_ii_ = max_seconds / batches_;
+    index_base();
+    for (CoreId c = 0; c < cores_; ++c) register_bits_[c] = core_union_bits(c, NeighborOp{});
+    std::copy(register_bits_.begin(), register_bits_.end(), base_bits_.begin());
+    base_metrics_ = finish_metrics(latency);
+    base_key_ = 0;
+    for (TaskId t = 0; t < n_; ++t) base_key_ ^= plan_->key_terms[t * cores_ + base_.core_of(t)];
+    memo_insert(base_key_, NeighborOp{}, base_metrics_);
+    return base_metrics_;
+}
+
+void EvalContext::index_base() {
     // Counting sort into the CSR partition the per-core register unions
     // (eq. 8) read; iterating tasks in id order keeps each core's slice
     // ascending. Each core's start serves as its cursor, so the starts
     // shift back one core afterwards.
+    const CoreId* core_of = base_.raw().data();
     std::vector<std::size_t>& offsets = core_task_offsets_;
     std::fill(offsets.begin(), offsets.end(), std::size_t{0});
     for (TaskId t = 0; t < n_; ++t) ++offsets[core_of[t] + 1];
@@ -181,29 +203,20 @@ DesignMetrics EvalContext::evaluate_full() {
     for (TaskId t = 0; t < n_; ++t) core_task_ids_[offsets[core_of[t]]++] = t;
     for (std::size_t c = cores_; c > 0; --c) offsets[c] = offsets[c - 1];
     offsets[0] = 0;
-    for (CoreId c = 0; c < cores_; ++c) register_bits_[c] = core_union_bits(c, NeighborOp{});
-    std::copy(register_bits_.begin(), register_bits_.end(), base_bits_.begin());
-
-    // The II over every core, recording the k_ii_top busiest cores
-    // (insertion into a short list) for the candidates' T_M tier.
-    // x / B is monotone, so the largest term is the largest busy time's.
-    double max_seconds = 0.0;
+    // The k_ii_top busiest cores, busiest first (insertion into a short
+    // list; ties keep core order), for the T_M tiers.
     ii_top_count_ = 0;
     for (CoreId c = 0; c < cores_; ++c) {
-        busy_seconds_[c] = static_cast<double>(base_busy_[c]) / core_freq_[c];
-        base_busy_seconds_[c] = busy_seconds_[c];
-        max_seconds = std::max(max_seconds, busy_seconds_[c]);
+        const double seconds = base_busy_seconds_[c];
         if (ii_top_count_ < k_ii_top)
             ++ii_top_count_;
-        else if (busy_seconds_[c] <= base_busy_seconds_[ii_top_[k_ii_top - 1]])
+        else if (seconds <= base_busy_seconds_[ii_top_[k_ii_top - 1]])
             continue;
         std::size_t i = ii_top_count_ - 1;
-        for (; i > 0 && base_busy_seconds_[ii_top_[i - 1]] < busy_seconds_[c]; --i)
+        for (; i > 0 && base_busy_seconds_[ii_top_[i - 1]] < seconds; --i)
             ii_top_[i] = ii_top_[i - 1];
         ii_top_[i] = c;
     }
-    staged_ii_ = max_seconds / batches_;
-    return finish_metrics(latency);
 }
 
 std::uint64_t EvalContext::weighted_bits(const std::uint64_t* row) const {
@@ -262,13 +275,81 @@ DesignMetrics EvalContext::rebase(const Mapping& base) {
     if (!base.complete()) throw std::invalid_argument("EvalContext: mapping is incomplete");
     base_ = base;
     has_base_ = true;
-    if (options_.naive_reference) return base_metrics_ = evaluate_design(*ctx_, base_);
+    return evaluate_full();
+}
+
+void EvalContext::check_op(const NeighborOp& op) const {
+    if (op.a >= n_ || op.b >= n_) throw std::invalid_argument("EvalContext: bad task id");
+    if (op.core_a >= cores_ || op.core_b >= cores_)
+        throw std::invalid_argument("EvalContext: bad core id");
+}
+
+DesignMetrics EvalContext::accept(const NeighborOp& op) {
+    if (!has_base_) throw std::logic_error("EvalContext: call rebase() first");
+    if (op.none()) return base_metrics_;
+    check_op(op);
+    base_.assign(op.b, op.core_b);
+    base_.assign(op.a, op.core_a); // after b: `a` wins when a == b, as in core_of
+    if (op != shadow_op_) return evaluate_full();
+    // Promote the replay: its logs from the suffix on (the prefix is the
+    // old base's), its staged busy cycles and unions and its memo entry.
+    const EvalPlan& plan = *plan_;
+    for (std::size_t q = shadow_suffix_pos_; q < n_; ++q) {
+        base_latency_prefix_[q] = shadow_latency_prefix_[q];
+        base_free_log_[q] = shadow_free_log_[q];
+        const TaskId w = plan.order[q];
+        for (std::size_t k = plan.out_begin[w]; k < plan.out_begin[w + 1]; ++k)
+            base_arrival_[k] = shadow_arrival_[k];
+    }
+    std::copy(core_free_.begin(), core_free_.end(), base_core_free_.begin());
+    for (std::size_t i = 0; i < touched_count_; ++i) {
+        const CoreId c = touched_[i];
+        base_busy_[c] = busy_[c];
+        base_busy_seconds_[c] = busy_seconds_[c];
+    }
+    reset_touched();
+    std::copy(register_bits_.begin(), register_bits_.end(), base_bits_.begin());
+    index_base();
     ++stats_.full_evals;
-    base_metrics_ = evaluate_full();
-    base_key_ = 0;
-    for (TaskId t = 0; t < n_; ++t) base_key_ ^= plan_->key_terms[t * cores_ + base_.core_of(t)];
-    memo_insert(base_key_, NeighborOp{}, base_metrics_);
-    return base_metrics_;
+    ++stats_.promotions;
+    shadow_op_ = {};
+    base_key_ = shadow_key_; // the last memo insert, as evaluate_full() would make it
+    return base_metrics_ = memo_[base_key_ & (memo_.size() - 1)].metrics;
+}
+
+bool EvalContext::skip_moves_of(TaskId t, const DesignMetrics& walk_best,
+                                const DesignMetrics& result_best) {
+    if (!has_base_) throw std::logic_error("EvalContext: call rebase() first");
+    if (t >= n_) throw std::invalid_argument("EvalContext: bad task id");
+    if (options_.naive_reference) return false;
+    // A move of t unloads t's core and maybe an in-neighbour's (a
+    // transfer into t turned local); other cores' busy cycles only grow,
+    // so their busiest bounds every move's staged II, and row_lb its tm_lb.
+    const EvalPlan& plan = *plan_;
+    const CoreId* base_raw = base_.raw().data();
+    auto may_drop = [&](CoreId c) {
+        if (c == base_raw[t]) return true;
+        for (std::size_t i = plan.in_begin[t]; i < plan.in_begin[t + 1]; ++i)
+            if (base_raw[plan.edge_src[plan.in_edges[i]]] == c) return true;
+        return false;
+    };
+    double max_seconds = 0.0;
+    std::size_t i = 0;
+    while (i < ii_top_count_ && may_drop(ii_top_[i])) ++i;
+    if (i < ii_top_count_)
+        max_seconds = base_busy_seconds_[ii_top_[i]];
+    else
+        for (CoreId c = 0; c < cores_; ++c)
+            if (!may_drop(c)) max_seconds = std::max(max_seconds, base_busy_seconds_[c]);
+    // pipelined_tm's operations, on this II.
+    const double row_lb = base_latency_prefix_[plan.suffix_start[t]] +
+                          (batches_ - 1.0) * (max_seconds / batches_);
+    if (!tm_rules_out(row_lb, walk_best, result_best)) return false;
+    const std::uint64_t moves = cores_ - 1;
+    stats_.bound_skips += moves;
+    stats_.tm_skips += moves;
+    stats_.row_skips += moves;
+    return true;
 }
 
 std::optional<DesignMetrics> EvalContext::candidate(const NeighborOp& op,
@@ -276,9 +357,7 @@ std::optional<DesignMetrics> EvalContext::candidate(const NeighborOp& op,
                                                     const DesignMetrics* result_best) {
     if (!has_base_) throw std::logic_error("EvalContext: call rebase() first");
     if (op.none()) return base_metrics_;
-    if (op.a >= n_ || op.b >= n_) throw std::invalid_argument("EvalContext: bad task id");
-    if (op.core_a >= cores_ || op.core_b >= cores_)
-        throw std::invalid_argument("EvalContext: bad core id");
+    check_op(op);
     const CoreId* base_raw = base_.raw().data();
     if (op.core_a == base_raw[op.a] && op.core_of(base_raw, op.b) == base_raw[op.b])
         return base_metrics_;
@@ -308,10 +387,7 @@ std::optional<DesignMetrics> EvalContext::candidate(const NeighborOp& op,
     if (walk_best != nullptr) {
         const double tm_lb = pipelined_tm(base_latency_prefix_[suffix_pos]);
         if (!within_deadline(tm_lb)) {
-            // T_M tier. Infeasible: it can only beat an infeasible
-            // reference on T_M.
-            if ((walk_best->feasible || tm_lb >= walk_best->tm_seconds) &&
-                (result_best->feasible || tm_lb >= result_best->tm_seconds)) {
+            if (tm_rules_out(tm_lb, *walk_best, *result_best)) { // T_M tier
                 ++stats_.tm_skips;
                 ++stats_.bound_skips;
                 return std::nullopt;
@@ -331,6 +407,9 @@ std::optional<DesignMetrics> EvalContext::candidate(const NeighborOp& op,
     if (!unions_staged) stage_unions(op);
     const DesignMetrics metrics = finish_metrics(replay_suffix(op, suffix_pos));
     memo_insert(hash, op, metrics);
+    shadow_op_ = op; // what accept(op) promotes
+    shadow_suffix_pos_ = suffix_pos;
+    shadow_key_ = hash;
     return metrics;
 }
 
@@ -341,6 +420,7 @@ std::optional<DesignMetrics> EvalContext::candidate(const NeighborOp& op,
 void EvalContext::stage_busy(const NeighborOp& op) {
     const EvalPlan& plan = *plan_;
     const CoreId* base_raw = base_.raw().data();
+    shadow_op_ = {}; // the staged state is no longer the replay's
     reset_touched();
     // Deltas are added modulo 2^64, which equals the signed sum's cast.
     auto touch = [&](CoreId c, std::uint64_t delta) {
@@ -463,21 +543,25 @@ double EvalContext::replay_suffix(const NeighborOp& op, std::size_t suffix_pos) 
 // List-schedule placements `from`.. of the candidate `op` from the
 // current timeline state and return the latency. The latency is the
 // maximum finish time; max is exact, so taking it in placement order
-// equals the scheduler's id-order scan. The full pass (Record) also
-// logs the base's timeline state and its whole-run busy cycles (eq. 7
-// attribution; integer sums are exact in any order).
-template <bool Record>
+// equals the scheduler's id-order scan. Each placement logs its
+// timeline state: the full pass into the base arrays, with its
+// whole-run busy cycles (eq. 7 attribution; integer sums are exact in
+// any order), a replay into the shadow arrays accept() promotes.
+template <bool Full>
 double EvalContext::place(const NeighborOp& op, std::size_t from, double latency) {
     const EvalPlan& plan = *plan_;
     const CoreId* base_raw = base_.raw().data();
+    double* prefix_log = (Full ? base_latency_prefix_ : shadow_latency_prefix_).data();
+    double* arrival_log = (Full ? base_arrival_ : shadow_arrival_).data();
+    double* free_log = (Full ? base_free_log_ : shadow_free_log_).data();
     for (std::size_t q = from; q < n_; ++q) {
-        if constexpr (Record) base_latency_prefix_[q] = latency;
+        prefix_log[q] = latency;
         const TaskId w = plan.order[q];
         const CoreId core = op.core_of(base_raw, w);
         const double start = std::max(core_free_[core], data_ready_[w]);
         const double finish = start + exec_seconds_[w * cores_ + core];
         latency = std::max(latency, finish);
-        if constexpr (Record) base_busy_[core] += plan.exec_cycles[w];
+        if constexpr (Full) base_busy_[core] += plan.exec_cycles[w];
         double cursor = finish;
         for (std::size_t k = plan.out_begin[w]; k < plan.out_begin[w + 1]; ++k) {
             const TaskId dst = plan.edge_dst[k];
@@ -485,15 +569,14 @@ double EvalContext::place(const NeighborOp& op, std::size_t from, double latency
             if (op.core_of(base_raw, dst) != core) {
                 cursor += comm_seconds_[k * cores_ + core];
                 arrival = cursor;
-                if constexpr (Record) base_busy_[core] += plan.comm_cycles[k];
+                if constexpr (Full) base_busy_[core] += plan.comm_cycles[k];
             }
-            if constexpr (Record) base_arrival_[k] = arrival;
+            arrival_log[k] = arrival;
             data_ready_[dst] = std::max(data_ready_[dst], arrival);
         }
-        if constexpr (Record) base_free_log_[q] = core_free_[core]; // undone by replay_suffix
+        free_log[q] = core_free_[core]; // undone by replay_suffix
         core_free_[core] = cursor;
     }
-    if constexpr (Record) base_latency_prefix_[n_] = latency;
     return latency;
 }
 

@@ -15,12 +15,14 @@
 //    / batches / frequency quotients the scheduler forms), drops the
 //    base, resets stats() and bumps the memo's epoch. EvalContext(ctx) is
 //    a plan of its own plus rebind(ctx).
-//  - Incremental re-evaluation. rebase() is the one full pass; it logs
+//  - Incremental re-evaluation. rebase() is the full pass; it logs
 //    each placement's previous core-free time, so the timeline at any
 //    position is the final state with the log undone backwards. Every
 //    other evaluation is a NeighborOp candidate (up to two tasks on new
 //    cores) that replays only the schedule suffix from the earliest
-//    predecessor of a changed task, from the base's prefix latency.
+//    predecessor of a changed task, from the base's prefix latency, and
+//    logs that suffix into shadow arrays, from which accept() promotes
+//    the candidate to base without a full pass.
 //  - O(touched-cores) tiers. A memo miss stages its busy-cycle delta on
 //    the cores it touches (the changed tasks' and their neighbours');
 //    untouched cores keep the base's values. The II is the larger of the
@@ -33,24 +35,26 @@
 //    (evaluate_bounded) skips a candidate that provably improves neither
 //    reference: by T_M before any register union when tm_lb misses the
 //    deadline (stats().tm_skips), else by Gamma after the touched cores'
-//    unions when both references are feasible.
+//    unions when both references are feasible. The row tier runs the T_M
+//    tier once for all moves of a task: only its core and in-neighbours'
+//    can lose busy cycles, so the busiest other core bounds each one's II.
 //  - Memoization. A direct-mapped cache keyed by the full mapping, sized
 //    once per context from k_memo_budget_bytes. A lookup compares the
 //    epoch and the full key, so a collision, an overwrite or an earlier
 //    slot's entry only costs a miss. The hash XORs one key term per
 //    (task, core), so a candidate's costs 2 XORs per changed task.
 //
-// Determinism contract: the full pass, every suffix replay and every
-// memo hit reproduce evaluate_design() BIT-IDENTICALLY (the same
-// floating-point operations in the same order; an exact max may run in
-// any order). A bound-skipped candidate is counted but neither scheduled
-// nor memoized, and could not have changed the search. A rebound context
-// behaves exactly like a fresh one, stats() included. naive_reference
-// makes the context a thin wrapper over evaluate_design(), so the
-// equivalence harness (tests/core/eval_context_equivalence_test.cpp) and
-// the benches drive both paths through identical search code; a whole
-// exploration wraps its strategy in NaiveEvalStrategy
-// (tests/support/naive_eval_strategy.h).
+// Determinism contract: the full pass, every suffix replay (so every
+// promoted base) and every memo hit reproduce evaluate_design() BIT-
+// IDENTICALLY (the same floating-point operations in the same order; an
+// exact max may run in any order). A bound-skipped candidate or row is
+// counted but neither scheduled nor memoized, and could not have changed
+// the search. A rebound context behaves exactly like a fresh one, stats()
+// included. naive_reference makes the context a thin wrapper over
+// evaluate_design(), so the equivalence harness
+// (tests/core/eval_context_equivalence_test.cpp) and the benches drive
+// both paths through identical search code; a whole exploration wraps
+// its strategy in NaiveEvalStrategy (tests/support/naive_eval_strategy.h).
 //
 // A context is single-threaded state that each explorer worker owns; a
 // plan is immutable and shared freely.
@@ -92,6 +96,7 @@ struct NeighborOp {
 
     static constexpr NeighborOp move(TaskId task, CoreId to) { return {task, to, task, to}; }
     bool none() const { return a == k_none; }
+    bool operator==(const NeighborOp&) const = default;
     /// Task `w`'s core in the candidate over the base assignment `base_raw`.
     CoreId core_of(const CoreId* base_raw, TaskId w) const {
         if (w == a) return core_a;
@@ -163,11 +168,16 @@ public:
     const EvaluationContext& problem() const { return *ctx_; } ///< the bound problem
 
     /// Establish `base` as the incremental-evaluation anchor (the
-    /// search's current mapping) and return its metrics: the only full
-    /// pass, bit-identical to evaluate_design(problem(), base). Throws
+    /// search's current mapping) and return its metrics: the full pass,
+    /// bit-identical to evaluate_design(problem(), base). Throws
     /// std::invalid_argument on a size mismatch or an incomplete
     /// mapping, and then leaves the previous base in place.
     DesignMetrics rebase(const Mapping& base);
+
+    /// rebase() onto the base with `op` applied: if `op` is the last candidate
+    /// replayed, nothing staged since, that replay becomes the base
+    /// (stats().promotions); else (a memo hit, an unevaluated op) the full pass.
+    DesignMetrics accept(const NeighborOp& op);
 
     /// Metrics of the candidate `op` over the base (the random walk's
     /// step D); an op that changes nothing returns the base's metrics.
@@ -183,21 +193,29 @@ public:
     /// being feasible or having a lower T_M, against a feasible one by
     /// being feasible with a lower Gamma. On a memo miss the bound's
     /// tiers (file comment) may prove it cannot: then it counts a
-    /// stats().bound_skips (and a tm_skips when T_M decided), memoizes
-    /// nothing and returns std::nullopt. Otherwise returns exactly
-    /// evaluate_neighbor(op). The naive_reference path never skips.
+    /// bound_skips (and a tm_skips when T_M decided), memoizes nothing
+    /// and returns std::nullopt; skip_moves_of() decides a row first.
+    /// Else exactly evaluate_neighbor(op). naive_reference never skips.
     std::optional<DesignMetrics> evaluate_bounded(const NeighborOp& op,
                                                   const DesignMetrics& walk_best,
                                                   const DesignMetrics& result_best) {
         return candidate(op, &walk_best, &result_best);
     }
 
+    /// The sweep's row tier: true, counting cores - 1 bound, T_M and row skips,
+    /// when evaluate_bounded() would skip (or memo-hit without improving) every
+    /// move of `t`. Always false on the naive_reference path.
+    bool skip_moves_of(TaskId t, const DesignMetrics& walk_best,
+                       const DesignMetrics& result_best);
+
     /// Instrumentation for benches and tests, since the last rebind().
     struct Stats {
-        std::uint64_t full_evals = 0;        ///< complete timing passes (incl. rebase)
+        std::uint64_t full_evals = 0;        ///< bases set by rebase() or accept()
+        std::uint64_t promotions = 0;        ///< of those, promoted from their replay
         std::uint64_t incremental_evals = 0; ///< suffix-only replays
         std::uint64_t bound_skips = 0;       ///< sweep candidates the bound ruled out
         std::uint64_t tm_skips = 0;          ///< of those, ruled out by T_M before any union
+        std::uint64_t row_skips = 0;         ///< of those, a whole row at a time
         std::uint64_t memo_hits = 0;
         std::uint64_t memo_entries = 0; ///< filled memo slots
         std::uint64_t memo_bytes = 0;   ///< memo storage, fixed at construction
@@ -205,7 +223,9 @@ public:
     const Stats& stats() const { return stats_; }
 
 private:
-    DesignMetrics evaluate_full(); ///< of base_, recording its timeline state
+    void check_op(const NeighborOp& op) const; ///< ids in range, else invalid_argument
+    DesignMetrics evaluate_full(); ///< base_ becomes the base: the full pass
+    void index_base(); ///< the CSR partition from base_, ii_top_ from base_busy_seconds_
     /// evaluate_neighbor(), bounded against the two references when they
     /// are non-null.
     std::optional<DesignMetrics> candidate(const NeighborOp& op,
@@ -217,7 +237,7 @@ private:
     void stage_unions(const NeighborOp& op); ///< register_bits_ of the candidate
     std::uint64_t core_union_bits(CoreId core, const NeighborOp& op);
     double replay_suffix(const NeighborOp& op, std::size_t suffix_pos); ///< the latency
-    template <bool Record>
+    template <bool Full>
     double place(const NeighborOp& op, std::size_t from, double latency);
     void reset_touched(); ///< restores the base's busy seconds on the touched cores
     // finish_metrics' arithmetic, shared with the bound so both perform
@@ -227,6 +247,13 @@ private:
     double gamma_at(double tm_seconds) const;
     bool within_deadline(double tm_seconds) const {
         return tm_seconds <= ctx_->deadline_seconds * (1.0 + 1e-9);
+    }
+    /// The T_M tier: a T_M >= tm_lb is infeasible, so improves neither.
+    bool tm_rules_out(double tm_lb, const DesignMetrics& walk_best,
+                      const DesignMetrics& result_best) const {
+        return !within_deadline(tm_lb) &&
+               (walk_best.feasible || tm_lb >= walk_best.tm_seconds) &&
+               (result_best.feasible || tm_lb >= result_best.tm_seconds);
     }
 
     // Memo: a direct-mapped cache over a flat key arena. A key is the
@@ -270,7 +297,7 @@ private:
     Mapping base_;
     DesignMetrics base_metrics_;
     /// base_latency_prefix_[p]: the latency of the base schedule's first
-    /// p placements (n_ + 1 entries, [0] = 0).
+    /// p placements ([0] = 0).
     std::vector<double> base_latency_prefix_;
     std::vector<double> base_arrival_;   ///< per edge: data-arrival instant
     std::vector<double> base_free_log_;  ///< per position: its core's free time before it
@@ -286,6 +313,15 @@ private:
     // core_task_offsets_[c + 1]), ascending by task id.
     std::vector<std::size_t> core_task_offsets_; ///< cores_ + 1 entries
     std::vector<TaskId> core_task_ids_;          ///< n_ entries
+
+    // The replay of shadow_op_ (none() once anything restages): its memo hash
+    // and its logs from shadow_suffix_pos_ on, laid out as the base arrays.
+    NeighborOp shadow_op_;
+    std::size_t shadow_suffix_pos_ = 0;
+    std::uint64_t shadow_key_ = 0;
+    std::vector<double> shadow_latency_prefix_;
+    std::vector<double> shadow_arrival_;
+    std::vector<double> shadow_free_log_;
 
     // Memo storage: slot i's key is memo_keys_[i * n_ .. (i + 1) * n_).
     // A slot holds an entry of the current binding iff its epoch is

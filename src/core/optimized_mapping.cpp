@@ -75,7 +75,8 @@ LocalSearchResult OptimizedMappingStrategy::search(EvalContext& eval, const Mapp
     // candidate is a single move off the rebased current mapping, so it
     // is exactly the suffix-reschedule case. One that provably improves
     // neither the running best nor the result is skipped unscheduled; it
-    // still counts as an evaluation.
+    // still counts as an evaluation. So does each move of a task whose
+    // whole row the context rules out at once.
     Mapping scratch_mapping;
     auto sweep = [&]() {
         DesignMetrics best_metrics = current_metrics;
@@ -86,6 +87,10 @@ LocalSearchResult OptimizedMappingStrategy::search(EvalContext& eval, const Mapp
             const CoreId original = current.core_of(t);
             if (params_.require_all_cores && current.task_count_on(original) == 1)
                 continue; // moving t would empty its core
+            if (eval.skip_moves_of(t, best_metrics, result.best_metrics)) {
+                result.evaluations += ctx.arch.core_count() - 1;
+                continue;
+            }
             for (CoreId core = 0; core < ctx.arch.core_count() && !stopped(); ++core) {
                 if (core == original) continue;
                 const std::optional<DesignMetrics> metrics =
@@ -174,7 +179,7 @@ LocalSearchResult OptimizedMappingStrategy::search(EvalContext& eval, const Mapp
         if (step) {
             std::swap(current, neighbor); // keeps neighbor's storage alive for reuse
             current_metrics = metrics;
-            eval.rebase(current);
+            eval.accept(op);
         }
     }
     result.iterations_run = iteration;

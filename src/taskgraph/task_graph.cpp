@@ -54,12 +54,6 @@ std::vector<TaskId> TaskGraph::successors(TaskId id) const {
     return out;
 }
 
-std::vector<TaskId> TaskGraph::predecessors(TaskId id) const {
-    std::vector<TaskId> out;
-    for (std::size_t idx : in_edge_indices(id)) out.push_back(edges_[idx].src);
-    return out;
-}
-
 std::vector<TaskId> TaskGraph::source_tasks() const {
     std::vector<TaskId> out;
     for (TaskId id = 0; id < tasks_.size(); ++id)

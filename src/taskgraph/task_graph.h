@@ -87,9 +87,8 @@ public:
         check_task(id);
         return in_edges_[id];
     }
-    /// Convenience id lists (allocate).
+    /// Convenience id list (allocates).
     std::vector<TaskId> successors(TaskId id) const;
-    std::vector<TaskId> predecessors(TaskId id) const;
 
     // --- graph-level metrics -------------------------------------------
     /// Tasks with no predecessors / successors.

@@ -1,8 +1,9 @@
-// The PR 3 "zero steady-state allocation" claim as a hard test: once an
-// EvalContext is warmed up, rebase() (the one full pass), suffix-only
+// The "zero steady-state allocation" claim as a hard test: once an
+// EvalContext is warmed up, rebase() (the full pass), suffix-only
 // incremental re-evaluation of a candidate, the Fig. 7 sweep's bounded
-// evaluation (skipped or replayed), and memo hits and inserts must
-// perform ZERO heap allocations — counted by the operator-new
+// evaluation (skipped or replayed) and row tier, accept() (promoted or
+// full pass), and memo hits and inserts must perform ZERO heap
+// allocations — counted by the operator-new
 // replacements in tests/support/alloc_guard.cpp, not asserted by
 // comment. The static side of the same contract is seamap_lint's
 // hot-path-alloc rule over src/core/eval_context.cpp.
@@ -19,6 +20,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace seamap {
@@ -176,6 +178,46 @@ TEST(EvalContextAlloc, BoundedSweepIsAllocationFree) {
         EXPECT_GT(eval.stats().bound_skips, 0u) << w.label;
         EXPECT_GT(missed_eval.stats().tm_skips, 0u) << w.label;
         EXPECT_GT(eval.stats().incremental_evals, 0u) << w.label;
+        EXPECT_GT(sink, 0.0);
+    }
+}
+
+// The sweep's row tier and the walk's accepted steps: rows ruled out
+// against a deadline every design misses, replayed steps promoted and
+// unevaluated ones accepted through the full pass, all without a heap
+// allocation once the first accept has run.
+TEST(EvalContextAlloc, RowTierAndAcceptAreAllocationFree) {
+    SEAMAP_REQUIRE_ALLOC_GUARD();
+    for (const Workload& w : workloads()) {
+        const MpsocArchitecture arch(w.cores, VoltageScalingTable::arm7_three_level());
+        const ScalingVector levels(w.cores, ScalingLevel{1});
+        const EvaluationContext ctx{w.graph, arch, levels, SeuEstimator{SerModel{}},
+                                    w.deadline_seconds * 1e-3};
+        EvalContext eval(ctx);
+        Rng rng(28);
+        Mapping current = random_mapping(w.graph, w.cores, rng);
+        (void)eval.rebase(current);
+        Mapping neighbor = current;
+        (void)eval.accept(random_neighbor_op(neighbor, rng, 0.4, false)); // warm-up
+        current = neighbor;
+        DesignMetrics unreachable; // infeasible at T_M 0: every row misses it
+
+        AllocationGuard guard;
+        double sink = 0.0;
+        for (int i = 0; i < 64; ++i) {
+            for (TaskId t = 0; t < w.graph.task_count(); ++t)
+                sink += eval.skip_moves_of(t, unreachable, unreachable) ? 1.0 : 0.0;
+            neighbor = current;
+            const NeighborOp op = random_neighbor_op(neighbor, rng, 0.4, false);
+            if (i % 4 != 0) sink += eval.evaluate_neighbor(op).gamma; // else the full pass
+            sink += eval.accept(op).gamma;
+            std::swap(current, neighbor);
+        }
+        EXPECT_EQ(guard.allocations(), 0u) << "row tier or accept allocated on " << w.label;
+        const EvalContext::Stats& stats = eval.stats();
+        EXPECT_GT(stats.row_skips, 0u) << w.label;
+        EXPECT_GT(stats.promotions, 0u) << w.label;
+        EXPECT_GT(stats.full_evals, stats.promotions + 1) << w.label;
         EXPECT_GT(sink, 0.0);
     }
 }

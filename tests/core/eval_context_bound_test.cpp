@@ -10,7 +10,10 @@
 // T_M or Gamma (ties), one ulp above and one ulp below. Each skip is
 // also attributed to its tier: the T_M tier (tm_lb misses the deadline,
 // stats().tm_skips) or the Gamma tier, with tm_lb recomputed here from
-// the naive reference's schedules.
+// the naive reference's schedules. The sweep's row tier
+// (EvalContext::skip_moves_of) is checked the same way: its bound,
+// recomputed here, must sit at or below every move's tm_lb, and a row it
+// rules out must hold no move that evaluate_bounded() would keep.
 #include "seamap/seamap.h"
 
 #include "sched/list_scheduler.h"
@@ -28,6 +31,7 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace seamap {
@@ -181,6 +185,31 @@ public:
                 .total;
         return bounds;
     }
+
+    /// The row tier's bound on every move of `t` off `base`: the base's
+    /// prefix latency before t's earliest predecessor, plus (B-1) times
+    /// the largest base busy time among the cores no move of t can
+    /// unload (all but t's core and its in-neighbours' cores) over B.
+    double row_bound(const Mapping& base, TaskId t) const {
+        std::size_t suffix = pos_[t];
+        std::vector<bool> may_drop(base.core_count(), false);
+        may_drop[base.core_of(t)] = true;
+        for (const std::size_t idx : ctx_.graph.in_edge_indices(t)) {
+            const TaskId src = ctx_.graph.edge(idx).src;
+            suffix = std::min(suffix, pos_[src]);
+            may_drop[base.core_of(src)] = true;
+        }
+        double prefix = 0.0;
+        for (std::size_t p = 0; p < suffix; ++p)
+            prefix = std::max(prefix, base_.entries[order_[p]].finish_seconds);
+        double busy = 0.0;
+        for (CoreId c = 0; c < base.core_count(); ++c)
+            if (!may_drop[c]) busy = std::max(busy, base_.core_busy_seconds[c]);
+        const double batches = static_cast<double>(ctx_.graph.batch_count());
+        return prefix + (batches - 1.0) * (busy / batches);
+    }
+
+    bool within_deadline(double tm) const { return tm <= ctx_.deadline_seconds * (1.0 + 1e-9); }
 
 private:
     const EvaluationContext& ctx_;
@@ -381,6 +410,136 @@ TEST(EvalContextBound, NaiveReferenceNeverSkips) {
         EXPECT_EQ(naive.stats().bound_skips, 0u);
         EXPECT_EQ(naive.stats().tm_skips, 0u);
         EXPECT_GT(fast.stats().bound_skips, 0u);
+    }
+}
+
+/// References for the row tier: feasible (T_M never rules a row out
+/// against one) or infeasible with its T_M cutoff one ulp below, on or
+/// one ulp above the row bound.
+std::vector<DesignMetrics> row_references(double row_lb) {
+    std::vector<DesignMetrics> out(1);
+    out.front().feasible = true;
+    for (const int ulps : {-1, 0, 1}) {
+        DesignMetrics reference;
+        reference.tm_seconds = nudge(row_lb, ulps);
+        out.push_back(reference);
+    }
+    return out;
+}
+
+TEST(EvalContextRowBound, BoundsEveryMoveAndRulesOutOnlyRowsTheCandidateTierSkips) {
+    for (const ExposurePolicy policy : k_policies) {
+        std::uint64_t rows_ruled_out = 0;
+        std::uint64_t rows_kept = 0;
+        for (const std::uint64_t batches : k_batch_counts) {
+            for (int s = 0; s < k_seeds_per_shape; ++s) {
+                const auto seed = static_cast<std::uint64_t>(s) * 131 + batches;
+                const Problem problem = random_problem(seed, batches, policy);
+                Rng rng(seed ^ 0x20a1ULL);
+                const EvaluationContext ctx =
+                    problem.evaluation_context(random_levels(problem, rng));
+                const std::size_t tasks = problem.graph().task_count();
+                const std::size_t cores = problem.architecture().core_count();
+                for (int b = 0; b < k_bases; ++b) {
+                    const Mapping base = b == 0 ? round_robin_mapping(problem.graph(), cores)
+                                                : random_mapping(tasks, cores, rng);
+                    EvalContext eval(ctx);
+                    (void)eval.rebase(base);
+                    BoundOracle oracle(ctx);
+                    oracle.rebase(base);
+                    for (TaskId t = 0; t < tasks; ++t) {
+                        const std::string at = "seed=" + std::to_string(seed) +
+                                               " batches=" + std::to_string(batches) +
+                                               " base=" + std::to_string(b) +
+                                               " task=" + std::to_string(t);
+                        const double row_lb = oracle.row_bound(base, t);
+                        std::vector<std::pair<NeighborOp, DesignMetrics>> moves;
+                        for (CoreId core = 0; core < cores; ++core) {
+                            if (core == base.core_of(t)) continue;
+                            Mapping moved = base;
+                            moved.assign(t, core);
+                            const DesignMetrics exact = evaluate_design(ctx, moved);
+                            const double tm_lb = oracle.of(moved, {t}).tm;
+                            EXPECT_LE(row_lb, tm_lb) << at << " core=" << core;
+                            EXPECT_LE(tm_lb, exact.tm_seconds) << at << " core=" << core;
+                            moves.emplace_back(NeighborOp::move(t, core), exact);
+                        }
+                        for (const DesignMetrics& walk : row_references(row_lb)) {
+                            for (const DesignMetrics& result : row_references(row_lb)) {
+                                const bool expected =
+                                    !oracle.within_deadline(row_lb) &&
+                                    (walk.feasible || row_lb >= walk.tm_seconds) &&
+                                    (result.feasible || row_lb >= result.tm_seconds);
+                                const EvalContext::Stats before = eval.stats();
+                                const bool ruled_out = eval.skip_moves_of(t, walk, result);
+                                EXPECT_EQ(ruled_out, expected) << at;
+                                const std::uint64_t counted = ruled_out ? cores - 1 : 0;
+                                EXPECT_EQ(eval.stats().row_skips - before.row_skips, counted);
+                                EXPECT_EQ(eval.stats().tm_skips - before.tm_skips, counted);
+                                EXPECT_EQ(eval.stats().bound_skips - before.bound_skips,
+                                          counted);
+                                ++(ruled_out ? rows_ruled_out : rows_kept);
+                                if (!ruled_out) continue;
+                                // Every move of a ruled-out row is one the
+                                // candidate tiers skip (no move was replayed
+                                // into the memo) and improves neither
+                                // reference.
+                                for (const auto& [op, exact] : moves) {
+                                    EXPECT_FALSE(eval.evaluate_bounded(op, walk, result)) << at;
+                                    EXPECT_FALSE(improves(exact, walk)) << at;
+                                    EXPECT_FALSE(improves(exact, result)) << at;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // Not vacuous: rows are ruled out and kept under this policy.
+        EXPECT_GT(rows_ruled_out, 0u) << "policy " << static_cast<int>(policy);
+        EXPECT_GT(rows_kept, 0u) << "policy " << static_cast<int>(policy);
+    }
+}
+
+TEST(EvalContextRowBound, IsAttainedWhenTheBottleneckCoreStaysUntouched) {
+    // The long task alone on core 0 is placed first and stays the
+    // bottleneck: moving the short task from core 1 to the idle core 2
+    // leaves both the latency (in the prefix) and the II (core 0's, which
+    // no move of the short task unloads) at the row bound. A row is ruled
+    // out at a tie or below and kept one ulp above, so a bound any
+    // tighter than the one stated would drop this improving move.
+    RegisterFile regs;
+    const RegisterId r0 = regs.add_register("r0", 64);
+    const RegisterId r1 = regs.add_register("r1", 64);
+    TaskGraph graph("row_bound_attained", std::move(regs));
+    const TaskId long_task = graph.add_task("long", 10'000'000, std::array{r0});
+    const TaskId short_task = graph.add_task("short", 1'000'000, std::array{r1});
+    graph.set_batch_count(16);
+    graph.validate();
+    const MpsocArchitecture arch(3, VoltageScalingTable::arm7_three_level());
+    // Every design misses this deadline.
+    const EvaluationContext ctx{graph, arch, {1, 1, 1}, SeuEstimator{SerModel{}}, 1e-6};
+    Mapping base(2, 3);
+    base.assign(long_task, 0);
+    base.assign(short_task, 1);
+    Mapping moved = base;
+    moved.assign(short_task, 2);
+    const DesignMetrics exact = evaluate_design(ctx, moved);
+    ASSERT_FALSE(exact.feasible);
+    BoundOracle oracle(ctx);
+    oracle.rebase(base);
+    ASSERT_EQ(oracle.row_bound(base, short_task), exact.tm_seconds);
+    for (const int ulps : {-1, 0, 1}) {
+        EvalContext eval(ctx);
+        (void)eval.rebase(base);
+        DesignMetrics reference;
+        reference.tm_seconds = nudge(exact.tm_seconds, ulps);
+        EXPECT_EQ(eval.skip_moves_of(short_task, reference, reference), ulps <= 0)
+            << "ulps " << ulps;
+        EXPECT_EQ(eval.evaluate_bounded(NeighborOp::move(short_task, 2), reference, reference)
+                      .has_value(),
+                  improves(exact, reference))
+            << "ulps " << ulps;
     }
 }
 

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -460,6 +461,130 @@ TEST(EvalContextEquivalence, ExploreJsonByteIdenticalAcrossPathsStrategiesAndThr
     }
 }
 
+/// The promotion suite's problems: fig8, MPEG-2, a 40-task TGFF graph
+/// and the acceptance problem, each searched at levels 1 + c % 3.
+std::vector<std::pair<std::string, Problem>> promotion_problems() {
+    auto build = [](TaskGraph graph, std::size_t cores, double deadline) {
+        return ProblemBuilder()
+            .graph(std::move(graph))
+            .architecture(cores, VoltageScalingTable::arm7_three_level())
+            .deadline_seconds(deadline)
+            .build();
+    };
+    TgffParams params;
+    params.task_count = 40;
+    std::vector<std::pair<std::string, Problem>> out;
+    out.emplace_back("fig8", build(fig8_example_graph(), 3, k_fig8_deadline_seconds));
+    out.emplace_back("mpeg2", build(mpeg2_decoder_graph(), 4, mpeg2_deadline_seconds()));
+    out.emplace_back("tgff40", build(generate_tgff_graph(params, 3), 4,
+                                     paper_tgff_deadline_seconds(40)));
+    out.emplace_back("acceptance", scale_acceptance_problem());
+    return out;
+}
+
+// Twin contexts driven through the same calls along a random walk of
+// moves and swaps: `promoted` takes each accepted step with accept(),
+// `rebased` with rebase() of the materialized mapping. Their memos see
+// the same inserts, so after every step the base metrics, the next 20
+// candidates (evaluate_neighbor, and evaluate_bounded's skip decisions),
+// the row tier and every counter but promotions must agree bit for bit.
+TEST(EvalContextPromotion, AcceptedStepsMatchAFreshRebase) {
+    for (const auto& [label, problem] : promotion_problems()) {
+        const std::size_t tasks = problem.graph().task_count();
+        const std::size_t cores = problem.architecture().core_count();
+        ScalingVector levels(cores);
+        for (std::size_t c = 0; c < cores; ++c) levels[c] = static_cast<ScalingLevel>(1 + c % 3);
+        const EvaluationContext ctx = problem.evaluation_context(levels);
+        EvalContext promoted(ctx);
+        EvalContext rebased(ctx);
+        Rng rng(31);
+        Mapping current = round_robin_mapping(problem.graph(), cores);
+        expect_bit_identical(promoted.rebase(current), rebased.rebase(current), label);
+        DesignMetrics unbeatable;
+        unbeatable.feasible = true;
+        DesignMetrics unreachable; // infeasible at T_M 0
+        Mapping neighbor;
+        Mapping probe;
+        std::uint64_t accepts = 0;
+        std::uint64_t swaps = 0;
+        std::uint64_t memo_hit_accepts = 0;
+        for (int step = 0; step < 60; ++step) {
+            const std::string where = label + " step " + std::to_string(step);
+            neighbor = current;
+            const NeighborOp op = random_neighbor_op(neighbor, rng, 0.4, false);
+            ASSERT_FALSE(op.none()) << where;
+            const DesignMetrics metrics = promoted.evaluate_neighbor(op);
+            expect_bit_identical(rebased.evaluate_neighbor(op), metrics, where);
+            bool memo_hit = false;
+            if (step % 5 == 4) {
+                // Another replay displaces op's, which then comes back
+                // from the memo: accept() has no replay of op to promote.
+                probe = current;
+                const NeighborOp other = random_neighbor_op(probe, rng, 0.4, false);
+                const std::uint64_t replays = promoted.stats().incremental_evals;
+                (void)promoted.evaluate_neighbor(other);
+                (void)rebased.evaluate_neighbor(other);
+                const std::uint64_t hits = promoted.stats().memo_hits;
+                (void)promoted.evaluate_neighbor(op);
+                (void)rebased.evaluate_neighbor(op);
+                memo_hit = op != other && promoted.stats().incremental_evals > replays &&
+                           promoted.stats().memo_hits > hits;
+            } else if (rng.uniform() < 0.4) {
+                continue; // a rejected step
+            }
+            const std::uint64_t promotions = promoted.stats().promotions;
+            const DesignMetrics base = promoted.accept(op);
+            expect_bit_identical(base, metrics, where + " accept");
+            expect_bit_identical(rebased.rebase(neighbor), base, where + " rebase");
+            expect_bit_identical(base, evaluate_design(ctx, neighbor), where + " naive");
+            if (memo_hit) {
+                ++memo_hit_accepts;
+                EXPECT_EQ(promoted.stats().promotions, promotions) << where;
+            }
+            ++accepts;
+            swaps += op.a != op.b ? 1 : 0;
+            std::swap(current, neighbor);
+            for (int k = 0; k < 20; ++k) {
+                const std::string at = where + " candidate " + std::to_string(k);
+                probe = current;
+                const NeighborOp next = random_neighbor_op(probe, rng, 0.4, false);
+                expect_bit_identical(promoted.evaluate_neighbor(next),
+                                     rebased.evaluate_neighbor(next), at);
+                const DesignMetrics& result = k % 3 == 0   ? base
+                                              : k % 3 == 1 ? unbeatable
+                                                           : unreachable;
+                const NeighborOp move = NeighborOp::move(
+                    static_cast<TaskId>(rng.uniform_int(0, static_cast<std::int64_t>(tasks) - 1)),
+                    static_cast<CoreId>(
+                        rng.uniform_int(0, static_cast<std::int64_t>(cores) - 1)));
+                const std::optional<DesignMetrics> a =
+                    promoted.evaluate_bounded(move, base, result);
+                const std::optional<DesignMetrics> b = rebased.evaluate_bounded(move, base, result);
+                ASSERT_EQ(a.has_value(), b.has_value()) << at;
+                if (a) expect_bit_identical(*a, *b, at);
+                EXPECT_EQ(promoted.skip_moves_of(move.a, base, result),
+                          rebased.skip_moves_of(move.a, base, result))
+                    << at;
+            }
+        }
+        const EvalContext::Stats& p = promoted.stats();
+        const EvalContext::Stats& r = rebased.stats();
+        EXPECT_EQ(p.full_evals, r.full_evals) << label;
+        EXPECT_EQ(p.incremental_evals, r.incremental_evals) << label;
+        EXPECT_EQ(p.bound_skips, r.bound_skips) << label;
+        EXPECT_EQ(p.tm_skips, r.tm_skips) << label;
+        EXPECT_EQ(p.row_skips, r.row_skips) << label;
+        EXPECT_EQ(p.memo_hits, r.memo_hits) << label;
+        EXPECT_EQ(p.memo_entries, r.memo_entries) << label;
+        EXPECT_EQ(r.promotions, 0u) << label;
+        // Not vacuous: promotions, swaps and memo-hit fallbacks all ran.
+        EXPECT_GT(p.promotions, 0u) << label;
+        EXPECT_LT(p.promotions, accepts) << label;
+        EXPECT_GT(swaps, 0u) << label;
+        EXPECT_GT(memo_hit_accepts, 0u) << label;
+    }
+}
+
 TEST(EvalContextEquivalence, Validation) {
     const TaskGraph graph = fig8_example_graph();
     const MpsocArchitecture arch(3, VoltageScalingTable::arm7_three_level());
@@ -470,11 +595,20 @@ TEST(EvalContextEquivalence, Validation) {
     EXPECT_THROW((void)eval.rebase(incomplete), std::invalid_argument);
     EXPECT_THROW((void)eval.evaluate_neighbor(NeighborOp::move(0, 0)),
                  std::logic_error); // no base yet
+    EXPECT_THROW((void)eval.accept(NeighborOp::move(0, 0)), std::logic_error);
+    EXPECT_THROW((void)eval.skip_moves_of(0, DesignMetrics{}, DesignMetrics{}),
+                 std::logic_error);
     const Mapping base = round_robin_mapping(graph, 3);
     const DesignMetrics base_metrics = eval.rebase(base);
     EXPECT_THROW((void)eval.evaluate_neighbor(NeighborOp::move(0, 99)), std::invalid_argument);
     EXPECT_THROW((void)eval.evaluate_neighbor(NeighborOp::move(999, 0)),
                  std::invalid_argument);
+    // A rejected accept() keeps the base; so does accepting no change.
+    EXPECT_THROW((void)eval.accept(NeighborOp::move(0, 99)), std::invalid_argument);
+    EXPECT_THROW((void)eval.skip_moves_of(999, base_metrics, base_metrics),
+                 std::invalid_argument);
+    expect_bit_identical(eval.accept(NeighborOp{}), base_metrics, "accept none");
+    expect_bit_identical(eval.evaluate_neighbor(NeighborOp{}), base_metrics, "kept base");
     // Identity mutations short-circuit to the base metrics.
     expect_bit_identical(eval.evaluate_neighbor(NeighborOp::move(0, base.core_of(0))),
                          base_metrics, "identity move");

@@ -17,7 +17,8 @@ TEST(FftGraph, StructureForEightPoints) {
     // Rank 0 butterflies are the only sources.
     EXPECT_EQ(graph.source_tasks().size(), 4u);
     // Every rank-1+ butterfly has exactly two producers.
-    for (TaskId t = 4; t < 12; ++t) EXPECT_EQ(graph.predecessors(t).size(), 2u) << "task " << t;
+    for (TaskId t = 4; t < 12; ++t)
+        EXPECT_EQ(graph.in_edge_indices(t).size(), 2u) << "task " << t;
 }
 
 TEST(FftGraph, WideGraphsParallelizeWell) {

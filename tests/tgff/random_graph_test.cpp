@@ -64,7 +64,7 @@ TEST_P(TgffSizes, StructuralInvariants) {
 
     // Connectivity: every non-root task has a predecessor.
     for (TaskId t = 1; t < graph.task_count(); ++t)
-        EXPECT_FALSE(graph.predecessors(t).empty()) << "orphan task " << t;
+        EXPECT_FALSE(graph.in_edge_indices(t).empty()) << "orphan task " << t;
 
     // Out-degree cap N/2.
     const std::size_t cap = params.task_count / 2;

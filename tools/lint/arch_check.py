@@ -501,12 +501,28 @@ def scan_functions(code: str) -> list:
     return out
 
 
+# A statement head that is only a type: qualifiers, then one possibly
+# qualified name (template argument lists stripped), then `*`/`&`.
+_TYPE_ONLY_RE = re.compile(
+    r"^\s*(?:(?:const|constexpr|static|thread_local|volatile|mutable|unsigned|signed"
+    r"|long|short)\s+)*(?:[A-Za-z_]\w*\s*::\s*)*[A-Za-z_]\w*[\s*&]*$")
+
+
+def _paren_declarator(code: str, begin: int) -> bool:
+    """Whether the name at `begin`, followed by `(`, declares a variable
+    constructed with parentheses (`std::vector<T> name(n);`): the text
+    from the statement's start up to the name is a type alone."""
+    start = max(code.rfind(c, 0, begin) for c in ";{}") + 1
+    return _TYPE_ONLY_RE.match(_strip_template_lists(code[start:begin])) is not None
+
+
 def mentions(code: str, declarators: set) -> set:
     """Names `code` may call a function by: every identifier except the
     function declarators at `declarators` (offsets), names qualified by
     `std::` (`std::remove` calls no seamap `remove`), variable and
-    parameter declarators (`Type name` before `, ) ; [ { = :`), and bare
-    uses of a name the same code declares as a variable or parameter."""
+    parameter declarators (`Type name` before `, ) ; [ { = :`, or before
+    `(` when a type alone precedes it in the statement), and bare uses
+    of a name the same code declares as a variable or parameter."""
     variables, uses = set(), []
     last = None  # the previous token match
     last_root = None  # the outermost qualifier of the previous token
@@ -538,7 +554,8 @@ def mentions(code: str, declarators: set) -> set:
         else:
             typed = prev == ">" and not arrow
         declares = nxt[:1] in (",", ")", ";", "[", "{") or \
-            (nxt[:1] == "=" and nxt != "==") or (nxt[:1] == ":" and nxt != "::")
+            (nxt[:1] == "=" and nxt != "==") or (nxt[:1] == ":" and nxt != "::") or \
+            (nxt[:1] == "(" and _paren_declarator(code, begin))
         if typed and declares:
             variables.add(name)
             continue

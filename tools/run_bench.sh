@@ -8,7 +8,7 @@
 # The second argument is either an output path (anything containing a
 # '/' or ending in .json) or a bare PR number N, which resolves to
 # <build-dir>/BENCH_N.json. Defaults: build directory `build`, PR
-# number ${BENCH_PR:-32} (the current perf-trajectory point).
+# number ${BENCH_PR:-36} (the current perf-trajectory point).
 # The JSON context records the git sha (suffixed -dirty for an
 # uncommitted tree), the compiler, the CMake build type and nproc.
 # Every benchmark runs 5 repetitions and only the aggregates (mean,
@@ -29,7 +29,7 @@
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
-BENCH_PR="${BENCH_PR:-32}"
+BENCH_PR="${BENCH_PR:-36}"
 SPEC="${2:-${BENCH_PR}}"
 if [[ "${SPEC}" == */* || "${SPEC}" == *.json ]]; then
     OUT="${SPEC}"
